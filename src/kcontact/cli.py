@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -19,10 +20,18 @@ import numpy as np
 
 from . import __version__
 from .connection import connection_invariant_residuals
-from .errors import ConfigError, DomainError, KContactError, SamplingError
+from .errors import (
+    ChartError,
+    ConfigError,
+    DomainError,
+    KContactError,
+    NumericsError,
+    SamplingError,
+)
 from .holonomy import (
     as_samples_adapted,
     as_samples_schouten,
+    as_samples_schouten_variants,
     compare_subalgebras,
     lie_closure,
     t_complement,
@@ -56,6 +65,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DOMAIN = 3
 EXIT_SAMPLING = 4
+EXIT_NUMERICS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +108,31 @@ class RunConfig:
             raise ConfigError("sampler sizes must be positive")
         if sampler.magnitude < 0 or sampler.step <= 0:
             raise ConfigError("sampler magnitude/step must be positive")
+        for name in ("horizon", "magnitude", "step", "vertical_magnitude"):
+            if not math.isfinite(getattr(sampler, name)):
+                raise ConfigError(f"sampler {name} must be finite")
         tols = raw.get("tolerances", {})
+        if not isinstance(tols, dict):
+            raise ConfigError("'tolerances' must be an object")
         base = raw.get("base_point")
+        try:
+            span_tol = float(tols.get("span_tol", 1e-6))
+            ode_tol = float(tols.get("ode_tol", 1e-6))
+            base_point = None if base is None else np.asarray(base, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad tolerances or base_point: {exc}") from exc
+        if not (math.isfinite(span_tol) and math.isfinite(ode_tol)):
+            raise ConfigError("tolerances must be finite")
+        if base_point is not None and (
+            base_point.ndim != 1 or not np.all(np.isfinite(base_point))
+        ):
+            raise ConfigError("base_point must be a list of finite numbers")
         return cls(
             manifold=raw["manifold"],
-            base_point=None if base is None else np.asarray(base, dtype=float),
+            base_point=base_point,
             sampler=sampler,
-            span_tol=float(tols.get("span_tol", 1e-6)),
-            ode_tol=float(tols.get("ode_tol", 1e-6)),
+            span_tol=span_tol,
+            ode_tol=ode_tol,
             out=raw.get("outputs", {}).get("report") if isinstance(raw.get("outputs"), dict) else None,
         )
 
@@ -244,26 +271,29 @@ def _estimate_algebras(chart, x0, sampler, span_tol):
     return h, h0
 
 
-def _cross_variant_residual(chart, x0, sampler, span_tol):
-    h_w = lie_closure(as_samples_schouten(chart, x0, sampler, variant="wagner"), span_tol)
-    h_a = lie_closure(
-        as_samples_schouten(chart, x0, sampler, variant="annihilator"), span_tol
-    )
+def _cross_variant_residual(h_w, h_a):
     res = 0.0
     for B in h_w.basis:
         res = max(res, h_a.span_residual(B))
     for B in h_a.basis:
         res = max(res, h_w.span_residual(B))
-    return res, h_w.dim, h_a.dim
+    return res
 
 
 def holonomy_report(cfg: RunConfig):
-    """The holonomy pipeline: algebras, splitting, regression, spinors."""
+    """The holonomy pipeline: algebras, splitting, regression, spinors.
+
+    One horizontal sampling pass feeds both Wagner and annihilator
+    samples; the Wagner closure is the horizontal algebra ``h`` and is
+    cross-checked against the annihilator closure on the same transports.
+    """
     chart, x0 = _resolve_chart(cfg)
     sampler = cfg.sampler
-    h, h0 = _estimate_algebras(chart, x0, sampler, cfg.span_tol)
+    horizontal = as_samples_schouten_variants(chart, x0, sampler)
+    h = lie_closure(horizontal["wagner"], cfg.span_tol)
+    h0 = lie_closure(as_samples_adapted(chart, x0, sampler), cfg.span_tol)
     comparison = compare_subalgebras(h, h0, tol=1e-4)
-    cross_res, dim_w, dim_a = _cross_variant_residual(chart, x0, sampler, cfg.span_tol)
+    h_a = lie_closure(horizontal["annihilator"], cfg.span_tol)
     report = {
         "schema": 1,
         "command": "holonomy",
@@ -276,8 +306,8 @@ def holonomy_report(cfg: RunConfig):
         "ideal": comparison["ideal"],
         "contained": comparison["contained"],
         "cross_variant": {
-            "residual": cross_res,
-            "dims": {"wagner": dim_w, "annihilator": dim_a},
+            "residual": _cross_variant_residual(h, h_a),
+            "dims": {"wagner": h.dim, "annihilator": h_a.dim},
         },
     }
     rng_pts = np.random.default_rng(sampler.seed + 1000)
@@ -472,6 +502,9 @@ def main(argv=None):
     except SamplingError as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
+    except (NumericsError, ChartError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return EXIT_NUMERICS
 
 
 if __name__ == "__main__":

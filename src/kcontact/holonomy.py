@@ -22,6 +22,7 @@ __all__ = [
     "MatrixLieAlgebra",
     "lie_closure",
     "as_samples_schouten",
+    "as_samples_schouten_variants",
     "as_samples_adapted",
     "compare_subalgebras",
     "center_decomposition",
@@ -168,10 +169,59 @@ def _pair_matrices(field, P, Pinv):
     return np.stack([Fo[:, a, b] for a, b in idx], axis=1)
 
 
-def _with_trivial_path(chart, x, samples_fn):
-    """Samples at the base point itself (tau = identity)."""
-    data, P, Pinv = _ortho_endpoint_data(chart, np.asarray(x, dtype=float)[None])
-    return samples_fn(data, P, Pinv)
+def _wagner_pairs(data, P, Pinv):
+    return _pair_matrices(data.RW, P, Pinv)
+
+
+def _annihilator_pairs(data, P, Pinv):
+    """Horizontal curvature on frame-pair bivectors projected to ker dtheta."""
+    omega_o = np.einsum("...aA,...ab,...bB->...AB", P, data.omega, P)
+    R_o = np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, data.R, P)
+    tm = omega_o.shape[-1]
+    what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
+    mats = []
+    for a in range(tm):
+        for b in range(a + 1, tm):
+            beta = np.zeros(omega_o.shape)
+            beta[..., a, b] = 1.0
+            beta[..., b, a] = -1.0
+            beta = beta - np.einsum("...ab,...ab->...", what, beta)[..., None, None] * what
+            mats.append(np.einsum("...abec,...ab->...ec", R_o, beta))
+    return np.stack(mats, axis=1)
+
+
+def _adapted_pairs(data, P, Pinv):
+    return _pair_matrices(data.R, P, Pinv)
+
+
+_SCHOUTEN_VARIANTS = {"wagner": _wagner_pairs, "annihilator": _annihilator_pairs}
+
+
+def _sampling_pass(chart, x, sampler, kind, vertical=False):
+    """One sampling pass with its orthonormal-frame data.
+
+    Returns ``(base, ends)``: ``base`` is the order-2 frame data at x with
+    its orthonormal frame change (the trivial path, tau = identity);
+    ``ends`` is ``(taus_o, data, P, Pinv)`` for the sampled paths, or None
+    when there are none.
+    """
+    x = np.asarray(x, dtype=float)
+    paths, ends, taus, _ = sampled_path_transports(chart, x, sampler, kind, vertical=vertical)
+    base = _ortho_endpoint_data(chart, x[None])
+    if not paths:
+        return base, None
+    return base, _transport_ortho(chart, x, taus, ends)
+
+
+def _pass_samples(chart, sampling_pass, pair_samples):
+    """Base-point samples followed by the conjugated samples of every path."""
+    base, ends = sampling_pass
+    tm = 2 * chart.m
+    samples = list(pair_samples(*base).reshape(-1, tm, tm))
+    if ends is not None:
+        taus_o, data, P, Pinv = ends
+        samples += list(_conjugated_samples(taus_o, pair_samples(data, P, Pinv)))
+    return samples
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
@@ -181,34 +231,23 @@ def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
     horizontal paths.  ``variant='annihilator'``: horizontal curvature on
     bivectors with dtheta(beta) = 0.  Both span the same algebra.
     """
-    x = np.asarray(x, dtype=float)
-    paths, ends, taus, _ = sampled_path_transports(chart, x, sampler, "schouten")
+    return as_samples_schouten_variants(chart, x, sampler, (variant,))[variant]
 
-    def pair_samples(data, P, Pinv):
-        if variant == "wagner":
-            return _pair_matrices(data.RW, P, Pinv)
-        if variant != "annihilator":
-            raise ValueError(f"unknown variant {variant!r}")
-        omega_o = np.einsum("...aA,...ab,...bB->...AB", P, data.omega, P)
-        R_o = np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, data.R, P)
-        tm = omega_o.shape[-1]
-        what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
-        mats = []
-        for a in range(tm):
-            for b in range(a + 1, tm):
-                beta = np.zeros(omega_o.shape)
-                beta[..., a, b] = 1.0
-                beta[..., b, a] = -1.0
-                beta = beta - np.einsum("...ab,...ab->...", what, beta)[..., None, None] * what
-                mats.append(np.einsum("...abec,...ab->...ec", R_o, beta))
-        return np.stack(mats, axis=1)
 
-    base = _with_trivial_path(chart, x, pair_samples).reshape(-1, 2 * chart.m, 2 * chart.m)
-    if not paths:
-        return list(base)
-    taus_o, data, P, Pinv = _transport_ortho(chart, x, taus, ends)
-    samples = _conjugated_samples(taus_o, pair_samples(data, P, Pinv))
-    return list(base) + list(samples)
+def as_samples_schouten_variants(chart, x, sampler: SamplerConfig,
+                                 variants=tuple(_SCHOUTEN_VARIANTS)):
+    """``{variant: samples}`` for several variants from one horizontal pass.
+
+    Each entry equals ``as_samples_schouten(chart, x, sampler, variant)``;
+    the paths are sampled and transported once for all of them.
+    """
+    for v in variants:
+        if v not in _SCHOUTEN_VARIANTS:
+            raise ValueError(f"unknown variant {v!r}")
+    sampling_pass = _sampling_pass(chart, x, sampler, "schouten")
+    return {
+        v: _pass_samples(chart, sampling_pass, _SCHOUTEN_VARIANTS[v]) for v in variants
+    }
 
 
 def as_samples_adapted(chart, x, sampler: SamplerConfig):
@@ -218,20 +257,8 @@ def as_samples_adapted(chart, x, sampler: SamplerConfig):
     horizontal-pair curvature is sampled, but transports run along
     arbitrary curves (vertical controls on by default).
     """
-    x = np.asarray(x, dtype=float)
-    paths, ends, taus, _ = sampled_path_transports(
-        chart, x, sampler, "adapted", vertical=True
-    )
-
-    def pair_samples(data, P, Pinv):
-        return _pair_matrices(data.R, P, Pinv)
-
-    base = _with_trivial_path(chart, x, pair_samples).reshape(-1, 2 * chart.m, 2 * chart.m)
-    if not paths:
-        return list(base)
-    taus_o, data, P, Pinv = _transport_ortho(chart, x, taus, ends)
-    samples = _conjugated_samples(taus_o, pair_samples(data, P, Pinv))
-    return list(base) + list(samples)
+    sampling_pass = _sampling_pass(chart, x, sampler, "adapted", vertical=True)
+    return _pass_samples(chart, sampling_pass, _adapted_pairs)
 
 
 # ---------------------------------------------------------------------------

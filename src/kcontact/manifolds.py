@@ -11,6 +11,7 @@ in the package is derived from them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -68,6 +69,9 @@ class FactorSpec:
     def __post_init__(self):
         if self.kind not in FACTOR_KINDS:
             raise ConfigError(f"unknown factor kind {self.kind!r}")
+        for name in ("b", "curvature", "epsilon", "bump_radius"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"factor {name} must be finite, got {getattr(self, name)}")
         if self.b == 0.0:
             raise ConfigError("factor coefficient b must be nonzero")
         if self.complex_dim < 1:

@@ -617,11 +617,13 @@ def _sample_and_integrate(
     chart, x0, n_paths, segments, horizon, magnitude, seed, step,
     vertical_magnitude, kind, with_M, max_attempts=60,
 ):
-    """Draw paths, integrate them once, redraw the ones that escape.
+    """Draw paths, integrate them in one batch, redraw the ones that escape.
 
-    Deterministic per (seed, path index, attempt).  Returns the accepted
-    paths plus their end state (endpoint, transport matrix, theta
-    integral).
+    Attempt k redraws every index still escaped after attempt k - 1, all
+    in one batch.  Each draw comes from its own (seed, path index,
+    attempt) stream, so the accepted paths do not depend on how the
+    batches are formed.  Returns the accepted paths plus their end state
+    (endpoint, transport matrix, theta integral).
     """
     if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0:
         raise ValueError("sampler parameters must be positive")
@@ -637,29 +639,31 @@ def _sample_and_integrate(
     tm = 2 * chart.m
     if not paths:
         return [], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0)
-    arrs = _path_arrays(paths)
     x, M, f, alive, _, _, _ = _integrate_controls(
-        chart, *arrs, horizon, step, kind=kind, with_M=with_M,
+        chart, *_path_arrays(paths), horizon, step, kind=kind, with_M=with_M,
         raise_on_exit=False,
     )
-    for i in np.nonzero(~alive)[0]:
-        for attempt in range(1, max_attempts):
-            cand = draw(i, attempt)
-            xi_, Mi, fi, a, _, _, _ = _integrate_controls(
-                chart, *_path_arrays([cand]), horizon, step, kind=kind,
-                with_M=with_M, raise_on_exit=False,
-            )
-            if a[0]:
-                paths[i] = cand
-                x[i], f[i] = xi_[0], fi[0]
-                if with_M:
-                    M[i] = Mi[0]
-                break
-        else:
-            raise SamplingError(
-                f"could not sample an in-domain path for index {i} "
-                f"after {max_attempts} attempts"
-            )
+    pending = np.nonzero(~alive)[0]
+    for attempt in range(1, max_attempts):
+        if not len(pending):
+            break
+        cands = [draw(i, attempt) for i in pending]
+        xr, Mr, fr, ok, _, _, _ = _integrate_controls(
+            chart, *_path_arrays(cands), horizon, step, kind=kind,
+            with_M=with_M, raise_on_exit=False,
+        )
+        for j in np.nonzero(ok)[0]:
+            i = pending[j]
+            paths[i] = cands[j]
+            x[i], f[i] = xr[j], fr[j]
+            if with_M:
+                M[i] = Mr[j]
+        pending = pending[~ok]
+    if len(pending):
+        raise SamplingError(
+            f"could not sample an in-domain path for index {pending[0]} "
+            f"after {max_attempts} attempts"
+        )
     return paths, x, M, f
 
 

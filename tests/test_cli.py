@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kcontact import cli
+from kcontact.errors import ChartError
 
 
 CONFIG_DIR = "configs"
@@ -211,3 +212,65 @@ def test_report_floats_parse_back(tmp_path):
     # keys are sorted at every level
     keys = list(parsed.keys())
     assert keys == sorted(keys)
+
+
+@pytest.mark.parametrize("patch", [
+    {"factor": {"b": float("nan")}},
+    {"factor": {"curvature": float("inf")}},
+    {"factor": {"epsilon": float("nan")}},
+    {"sampler": {"step": float("nan")}},
+    {"sampler": {"horizon": float("inf")}},
+    {"tolerances": {"span_tol": float("nan")}},
+    {"base_point": [0.0, 0.0, float("nan"), 0.0, 0.0]},
+], ids=["b", "curvature", "epsilon", "step", "horizon", "span_tol", "base_point"])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
+    factor = {"kind": "perturbed_disc", "b": 1.0, "epsilon": 0.3, **patch.get("factor", {})}
+    payload = {
+        "manifold": {"type": "product", "factors": [factor, {"kind": "poincare_disc"}]},
+        "sampler": {**small_sampler(4), **patch.get("sampler", {})},
+    }
+    if "tolerances" in patch:
+        payload["tolerances"] = patch["tolerances"]
+    if "base_point" in patch:
+        payload["base_point"] = patch["base_point"]
+    cfg = write_config(tmp_path, payload)
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "finite" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("extra", [
+    {"tolerances": [1e-6]},
+    {"tolerances": {"ode_tol": "tight"}},
+    {"base_point": ["origin"]},
+    {"base_point": 0.0},
+], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar"])
+def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
+    assert run(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
+def test_closure_blow_up_exit_5(tmp_path, capsys):
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product", "factors": [
+            {"kind": "bergman_ball", "complex_dim": 2, "b": 1.0}]},
+        "sampler": small_sampler(8),
+        "tolerances": {"span_tol": 0.0},
+    })
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 5
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure:") and "closure exceeded" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_chart_failure_exit_5(tmp_path, capsys, monkeypatch):
+    def degenerate(cfg):
+        raise ChartError("degenerate dtheta: cannot invert the contact 2-form")
+
+    monkeypatch.setattr(cli, "holonomy_report", degenerate)
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}})
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 5
+    err = capsys.readouterr().err
+    assert err == "numerical failure: degenerate dtheta: cannot invert the contact 2-form\n"

@@ -67,6 +67,33 @@ def test_samples_heisenberg_vanish(charts, algebra_cache):
     assert algebra_cache("heisenberg", 0, "adapted").dim == 0
 
 
+def test_schouten_variants_share_one_pass(charts, monkeypatch):
+    chart = charts["bergman"]
+    x0 = np.zeros(5)
+    cfg = T.SamplerConfig(n_paths=6, seed=3)
+    single = {v: H.as_samples_schouten(chart, x0, cfg, variant=v)
+              for v in ("wagner", "annihilator")}
+    passes = []
+    sample_pass = H.sampled_path_transports
+
+    def counting_pass(*args, **kwargs):
+        passes.append(args[3])
+        return sample_pass(*args, **kwargs)
+
+    monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
+    both = H.as_samples_schouten_variants(chart, x0, cfg)
+    assert passes == ["schouten"]
+    assert set(both) == set(single)
+    for v, samples in single.items():
+        assert len(both[v]) == len(samples) == 6 * 7
+        assert all(np.array_equal(a, b) for a, b in zip(both[v], samples))
+    with pytest.raises(ValueError):
+        H.as_samples_schouten(chart, x0, cfg, variant="bogus")
+    with pytest.raises(ValueError):
+        H.as_samples_schouten_variants(chart, x0, cfg, ("wagner", "bogus"))
+    assert passes == ["schouten"]  # rejected before sampling
+
+
 def test_zero_length_paths_give_pointwise_curvature(charts):
     chart = charts["disc_disc_11"]
     x0 = np.zeros(5)

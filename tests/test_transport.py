@@ -245,6 +245,63 @@ def test_sampler_exhaustion(charts):
                        max_attempts=5)
 
 
+# a bergman sampler whose pass escapes at indices 1 and 3; index 3 needs
+# four redraws, so later redraw batches shrink
+REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
+                                 magnitude=1.5, step=0.05, seed=1)
+
+
+def _reference_pass(chart, x0, s):
+    """Per-index, attempt-by-attempt reference for one schouten pass."""
+    out = []
+    for i in range(s.n_paths):
+        for attempt in range(60):
+            path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
+                                s.seed, s.step, 0.0, i, attempt)
+            try:
+                taus, ends, fs = T.transport_batch(chart, [path], "schouten")
+            except DomainError:
+                continue
+            out.append((attempt, path, ends[0], taus[0], fs[0]))
+            break
+    return out
+
+
+def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
+    chart = charts["bergman"]
+    x0 = np.zeros(5)
+    ref = _reference_pass(chart, x0, REDRAW_SAMPLER)
+    assert sum(attempt > 0 for attempt, *_ in ref) >= 2
+    draws = []
+    draw = T._draw_path
+
+    def recording_draw(*args):
+        draws.append((int(args[8]), int(args[9])))
+        return draw(*args)
+
+    monkeypatch.setattr(T, "_draw_path", recording_draw)
+    paths, ends, taus, fs = T.sampled_path_transports(chart, x0, REDRAW_SAMPLER, "schouten")
+    expected_draws = {(i, a) for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
+    assert len(draws) == len(expected_draws) and set(draws) == expected_draws
+    for i, (_, path, end, tau, f) in enumerate(ref):
+        assert np.array_equal(paths[i].controls, path.controls)
+        assert np.array_equal(ends[i], end)
+        assert np.array_equal(taus[i], tau)
+        assert fs[i] == f
+
+
+def test_redraw_exhaustion_names_index(charts):
+    chart = charts["bergman"]
+    s = REDRAW_SAMPLER
+    with pytest.raises(SamplingError, match=r"for index 3 after 3 attempts"):
+        T.sample_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                       s.magnitude, s.seed, step=s.step, max_attempts=3)
+    # with no redraws at all the first escaped index is named
+    with pytest.raises(SamplingError, match=r"for index 1 after 1 attempts"):
+        T.sample_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                       s.magnitude, s.seed, step=s.step, max_attempts=1)
+
+
 def test_integrator_fourth_order(charts):
     chart = charts["disc_disc_12"]
     rng = np.random.default_rng(15)
