@@ -5,6 +5,9 @@ functions.  First derivatives give the connection coefficients via the
 Koszul formula; second derivatives propagate through an explicit chain
 rule to the curvature.  One code path serves every chart; a
 finite-difference oracle in the test suite checks the whole pipeline.
+One bracket computation (``manifolds.frame_brackets``) and one Koszul
+assembly (:func:`_koszul`) serve both the full :func:`frame_data` and the
+lean :func:`transport_data` that the transport right-hand side calls.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError
-from .manifolds import chart_arrays, structure_pieces
+from .manifolds import chart_arrays, frame_brackets, reeb_brackets, structure_pieces
 
 __all__ = [
     "FramePointData",
@@ -53,8 +56,8 @@ class FramePointData:
     by the vertical part of the zero extension.  At second order,
     ``R[..., a, b, e, c]`` is the matrix of ``R(e_a, e_b)`` (slot ``c`` in,
     slot ``e`` out), ``N`` the Wagner endomorphism and ``RW`` the Wagner
-    curvature on horizontal pairs.  ``RWxi`` (the mixed Wagner curvature,
-    ``-nabla N``) is filled on demand by :func:`extended_curvature`.
+    curvature on horizontal pairs; the mixed Wagner curvature ``-nabla N``
+    comes from :func:`extended_curvature`.
     """
 
     x: np.ndarray
@@ -74,45 +77,43 @@ class FramePointData:
     alpha: np.ndarray = None
     N: np.ndarray = None
     RW: np.ndarray = None
-    RWxi: np.ndarray = None
     dG: np.ndarray = None
     domega: np.ndarray = None
 
 
-def _koszul(arr, p):
+def _koszul(E, G, dG, c):
     """Connection coefficients from metric first derivatives and brackets.
 
     2 g(nabla_{e_a} e_b, e_c) = e_a g_bc + e_b g_ca - e_c g_ab
                                 + g(pi[e_a,e_b], e_c) - g(pi[e_b,e_c], e_a)
                                 - g(pi[e_a,e_c], e_b)
+
+    Returns ``(K, Ginv, Gamma)`` with ``K[..., a, b, c]`` the right-hand side.
     """
-    E, G = arr.E, arr.G
-    Dg = np.einsum("...ia,...bci->...abc", E, arr.dG)
+    Dg = np.einsum("...ia,...bci->...abc", E, dG)
+    W = np.einsum("...dab,...dc->...abc", c, G)
     K = (
         Dg
-        + np.einsum("...bca->...abc", Dg)
-        - np.einsum("...cab->...abc", Dg)
-        + np.einsum("...dab,...dc->...abc", p["c"], G)
-        - np.einsum("...dbc,...da->...abc", p["c"], G)
-        - np.einsum("...dac,...db->...abc", p["c"], G)
+        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
+        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
+        + W
+        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
+        - W.swapaxes(-2, -1)
     )
     Ginv = np.linalg.inv(G)
-    Gam = 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
-    return Dg, K, Ginv, Gam
+    return K, Ginv, 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
 
 
+@dataclass(slots=True)
 class TransportData:
     """Minimal per-point data for the transport right-hand side."""
 
-    __slots__ = ("E", "xi", "theta", "Gamma", "xi_coeffs", "N")
-
-    def __init__(self, E, xi, theta, Gamma, xi_coeffs=None, N=None):
-        self.E = E
-        self.xi = xi
-        self.theta = theta
-        self.Gamma = Gamma
-        self.xi_coeffs = xi_coeffs
-        self.N = N
+    E: np.ndarray
+    xi: np.ndarray
+    theta: np.ndarray
+    Gamma: np.ndarray
+    xi_coeffs: np.ndarray = None
+    N: np.ndarray = None
 
 
 def transport_data(chart, X, vertical=False, wagner=False):
@@ -127,32 +128,11 @@ def transport_data(chart, X, vertical=False, wagner=False):
         d = frame_data(chart, X, order=2)
         return TransportData(d.E, d.xi, d.theta, d.Gamma, d.xi_coeffs, d.N)
     arr = chart_arrays(chart, X, order=1)
-    E, G = arr.E, arr.G
-    Br = np.einsum("...ia,...kbi->...kab", E, arr.dE)
-    Br = Br - Br.swapaxes(-1, -2)
-    Aug = np.concatenate([E, arr.xi[..., :, None]], axis=-1)
-    Minv = np.linalg.inv(Aug)
-    tm = E.shape[-1]
-    cfull = np.einsum("...ck,...kab->...cab", Minv, Br)
-    cc = cfull[..., :tm, :, :]
-    Dg = np.einsum("...ia,...bci->...abc", E, arr.dG)
-    W = np.einsum("...dab,...dc->...abc", cc, G)
-    K = (
-        Dg
-        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
-        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
-        + W
-        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
-        - W.swapaxes(-2, -1)
-    )
-    Gam = 0.5 * np.einsum("...ec,...abc->...eab", np.linalg.inv(G), K)
-    xi_coeffs = None
-    if vertical:
-        Bx = np.einsum("...i,...kai->...ka", arr.xi, arr.dE) - np.einsum(
-            "...ia,...ki->...ka", E, arr.dxi
-        )
-        xi_coeffs = np.einsum("...ck,...ka->...ca", Minv, Bx)[..., :tm, :]
-    return TransportData(E, arr.xi, arr.th, Gam, xi_coeffs)
+    _, Minv, cfull = frame_brackets(arr)
+    tm = arr.E.shape[-1]
+    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :])
+    xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
+    return TransportData(arr.E, arr.xi, arr.th, Gam, xi_coeffs)
 
 
 def frame_data(chart, X, order=1):
@@ -161,7 +141,7 @@ def frame_data(chart, X, order=1):
     Xb = X if X.ndim > 1 else X[None]
     arr = chart_arrays(chart, Xb, order=max(order, 1))
     p = structure_pieces(arr)
-    Dg, K, Ginv, Gam = _koszul(arr, p)
+    K, Ginv, Gam = _koszul(arr.E, arr.G, arr.dG, p["c"])
     data = FramePointData(
         x=Xb,
         m=chart.m,
@@ -179,11 +159,11 @@ def frame_data(chart, X, order=1):
         dG=arr.dG,
     )
     if order >= 2:
-        _curvature_inplace(chart, arr, p, Dg, K, Ginv, Gam, data)
+        _curvature_inplace(chart, arr, p, K, Ginv, Gam, data)
     return data
 
 
-def _curvature_inplace(chart, arr, p, Dg, K, Ginv, Gam, data):
+def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     """Second-order pass: differentiate the Koszul output and assemble R.
 
     R(e_a, e_b) e_c = nabla_{e_a} nabla_{e_b} e_c - nabla_{e_b} nabla_{e_a} e_c
@@ -377,8 +357,7 @@ def connection_invariant_residuals(chart, X):
     res = {}
     tors = data.Gamma - data.Gamma.swapaxes(-2, -1) - data.c
     res["torsion"] = float(np.max(np.abs(tors)))
-    arr = chart_arrays(chart, np.asarray(X, dtype=float), order=1)
-    Dg = np.einsum("...ia,...bci->...abc", arr.E, arr.dG)
+    Dg = np.einsum("...ia,...bci->...abc", data.E, data.dG)
     lower = np.einsum("...dab,...dc->...abc", data.Gamma, data.G) + np.einsum(
         "...dac,...bd->...abc", data.Gamma, data.G
     )

@@ -28,7 +28,6 @@ __all__ = [
     "center_decomposition",
     "t_complement",
     "detect_complex_structure",
-    "skew_residual",
 ]
 
 
@@ -45,35 +44,37 @@ class MatrixLieAlgebra:
     def size(self):
         return self.basis.shape[-1] if self.dim else None
 
-    def project_coefficients(self, M):
-        if self.dim == 0:
-            return np.zeros(0)
-        return np.einsum("kij,ij->k", self.basis, M)
-
     def span_residual(self, M):
         """Norm of the component of M outside the span."""
         if self.dim == 0:
             return float(np.linalg.norm(M))
-        coef = self.project_coefficients(M)
+        coef = np.einsum("kij,ij->k", self.basis, M)
         return float(np.linalg.norm(M - np.einsum("k,kij->ij", coef, self.basis)))
 
     def contains(self, M, tol=1e-6):
         return self.span_residual(M) <= tol * (1.0 + np.linalg.norm(M))
 
+    def commutant(self, mats):
+        """Coefficient rows spanning the combinations of ``mats`` that
+        commute with every element of the algebra."""
+        if not self.dim:
+            return np.eye(len(mats))
+        L = np.array(
+            [np.concatenate([(F @ B - B @ F).ravel() for B in self.basis]) for F in mats]
+        ).T
+        _, s, Vt = np.linalg.svd(L)
+        smax = s[0] if len(s) else 0.0
+        pad = np.concatenate([s, np.zeros(len(mats) - len(s))])
+        return Vt[pad <= 1e-8 * max(smax, 1.0)]
 
-def skew_residual(mats):
-    """Max deviation of matrices from skewness (diagnostic)."""
-    mats = np.asarray(mats, dtype=float)
-    return float(np.max(np.abs(mats + mats.swapaxes(-1, -2)))) if len(mats) else 0.0
 
-
-def _try_add(basis, M, tol):
-    """Gram-Schmidt acceptance: keep M iff it leaves the current span."""
+def _try_add(basis, M, cut):
+    """Gram-Schmidt acceptance: keep M iff its part off the span exceeds cut."""
     r = M.copy()
     for B in basis:
         r -= np.sum(B * r) * B
     nr = np.linalg.norm(r)
-    if nr > tol * (1.0 + np.linalg.norm(M)):
+    if nr > cut:
         basis.append(r / nr)
         return True
     return False
@@ -82,12 +83,7 @@ def _try_add(basis, M, tol):
 def _reorthonormalize(basis):
     out = []
     for B in basis:
-        r = B.copy()
-        for C in out:
-            r -= np.sum(C * r) * C
-        nr = np.linalg.norm(r)
-        if nr > 1e-12:
-            out.append(r / nr)
+        _try_add(out, B, 1e-12)
     return out
 
 
@@ -107,7 +103,7 @@ def lie_closure(matrices, tol=1e-6):
         cap = 0
     basis = []
     for M in matrices:
-        _try_add(basis, M, tol)
+        _try_add(basis, M, tol * (1.0 + np.linalg.norm(M)))
         if len(basis) > cap:
             raise NumericsError("closure exceeded dim so(2m): numerical blow-up")
     iterations = 0
@@ -119,7 +115,8 @@ def lie_closure(matrices, tol=1e-6):
         for i in range(len(current)):
             for j in range(i + 1, len(current)):
                 Bi, Bj = current[i], current[j]
-                if _try_add(basis, Bi @ Bj - Bj @ Bi, tol):
+                br = Bi @ Bj - Bj @ Bi
+                if _try_add(basis, br, tol * (1.0 + np.linalg.norm(br))):
                     changed = True
                     if len(basis) > cap:
                         raise NumericsError(
@@ -152,13 +149,6 @@ def _conjugated_samples(taus_o, mats):
     # skew up to the same defect, so drop the spurious symmetric part
     out = 0.5 * (out - out.swapaxes(-1, -2))
     return out.reshape(-1, out.shape[-2], out.shape[-1])
-
-
-def _transport_ortho(chart, x, taus, ends):
-    P0, _ = orthonormal_frame_change(frame_data(chart, x[None], order=1).G)
-    data, P, Pinv = _ortho_endpoint_data(chart, ends)
-    taus_o = np.einsum("pij,pjk,kl->pil", Pinv, taus, P0[0])
-    return taus_o, data, P, Pinv
 
 
 def _pair_matrices(field, P, Pinv):
@@ -210,7 +200,9 @@ def _sampling_pass(chart, x, sampler, kind, vertical=False):
     base = _ortho_endpoint_data(chart, x[None])
     if not paths:
         return base, None
-    return base, _transport_ortho(chart, x, taus, ends)
+    data, P, Pinv = _ortho_endpoint_data(chart, ends)
+    taus_o = np.einsum("pij,pjk,kl->pil", Pinv, taus, base[1][0])
+    return base, (taus_o, data, P, Pinv)
 
 
 def _pass_samples(chart, sampling_pass, pair_samples):
@@ -373,18 +365,7 @@ def detect_complex_structure(h: MatrixLieAlgebra, size=None, rng=None, tol=1e-6)
             F[b, a] = -1.0 / np.sqrt(2.0)
             skew_basis.append(F)
     skew_basis = np.array(skew_basis)
-    if h.dim:
-        L = np.array(
-            [
-                np.concatenate([(F @ B - B @ F).ravel() for B in h.basis])
-                for F in skew_basis
-            ]
-        ).T
-        _, s, Vt = np.linalg.svd(L)
-        smax = s[0] if len(s) else 0.0
-        comm = Vt[np.concatenate([s, np.zeros(len(skew_basis) - len(s))]) <= 1e-8 * max(smax, 1.0)]
-    else:
-        comm = np.eye(len(skew_basis))
+    comm = h.commutant(skew_basis)
     if len(comm) == 0:
         return None
     for _ in range(20):

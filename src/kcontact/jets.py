@@ -47,10 +47,6 @@ class Jet:
     def order(self):
         return 1 if self.hess is None else 2
 
-    @property
-    def nvars(self):
-        return self.grad.shape[-1]
-
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other):

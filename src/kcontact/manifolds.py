@@ -194,6 +194,11 @@ def _factor_primitive(spec, w):
 # built-in charts
 
 
+def _vertical_reeb(n):
+    """Reeb field d/dt along the last of n coordinates, as every built-in chart has."""
+    return lambda x: [0.0] * (n - 1) + [1.0]
+
+
 def heisenberg(m):
     """Flat test chart: coordinates (x1, y1, ..., xm, ym, t), theta = dt - sum yi dxi."""
     if m < 2:
@@ -204,11 +209,6 @@ def heisenberg(m):
         comps = [0.0] * n
         for i in range(m):
             comps[2 * i] = -1.0 * x[2 * i + 1]
-        comps[n - 1] = 1.0
-        return comps
-
-    def xi(x):
-        comps = [0.0] * n
         comps[n - 1] = 1.0
         return comps
 
@@ -227,7 +227,7 @@ def heisenberg(m):
     hi = np.full(n, 3.0)
     lo[-1], hi[-1] = -6.0, 6.0
     blocks = tuple(tuple(range(2 * i, 2 * i + 2)) for i in range(m))
-    return ContactChart(m, Domain(lo, hi), theta, xi, frame, metric,
+    return ContactChart(m, Domain(lo, hi), theta, _vertical_reeb(n), frame, metric,
                         name=f"heisenberg({m})", blocks=blocks)
 
 
@@ -260,11 +260,6 @@ def product_construction(factors: Sequence[FactorSpec]):
         comps[n - 1] = 1.0
         return comps
 
-    def xi(x):
-        comps = [0.0] * n
-        comps[n - 1] = 1.0
-        return comps
-
     def frame(x):
         cols = [[0.0] * (2 * m) for _ in range(n)]
         for f, o in zip(factors, offs):
@@ -294,7 +289,7 @@ def product_construction(factors: Sequence[FactorSpec]):
         tuple(range(o, o + 2 * f.complex_dim)) for f, o in zip(factors, offs)
     )
     label = "x".join(f"{f.kind}(b={f.b:g})" for f in factors)
-    return ContactChart(m, Domain(lo, hi, balls), theta, xi, frame, metric,
+    return ContactChart(m, Domain(lo, hi, balls), theta, _vertical_reeb(n), frame, metric,
                         name=f"product[{label}]", factors=factors, blocks=blocks)
 
 
@@ -402,10 +397,26 @@ def chart_arrays(chart, X, order=1):
                        d2th, d2xi, d2E, d2G)
 
 
-def _two_form(arr):
-    """Coordinate matrix A_ij = d_i theta_j - d_j theta_i."""
-    dth = arr.dth
-    return dth.swapaxes(-1, -2) - dth
+def frame_brackets(arr):
+    """Frame brackets and their coefficients in the basis [E | xi].
+
+    Returns ``(Br, Minv, cfull)``: the coordinate components
+    ``Br[..., k, a, b]`` of [e_a, e_b], the frame solve ``[E | xi]^-1``,
+    and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
+    pi[e_a, e_b] and whose last row is theta([e_a, e_b]).
+    """
+    Br = np.einsum("...ia,...kbi->...kab", arr.E, arr.dE)
+    Br = Br - Br.swapaxes(-1, -2)
+    Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    return Br, Minv, np.einsum("...ck,...kab->...cab", Minv, Br)
+
+
+def reeb_brackets(arr, Minv):
+    """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi]."""
+    Bx = np.einsum("...i,...kai->...ka", arr.xi, arr.dE) - np.einsum(
+        "...ia,...ki->...ka", arr.E, arr.dxi
+    )
+    return np.einsum("...ck,...ka->...ca", Minv, Bx)
 
 
 def structure_pieces(arr):
@@ -415,25 +426,15 @@ def structure_pieces(arr):
     pi[e_a, e_b], ``tau`` = theta([e_a, e_b]), ``dcoef`` = frame
     coefficients of [xi, e_a], plus the frame solve matrix and raw pieces.
     """
-    E, xi = arr.E, arr.xi
-    A = _two_form(arr)
-    omega = np.einsum("...ia,...ij,...jb->...ab", E, A, E)
-    Br = np.einsum("...ia,...kbi->...kab", E, arr.dE)
-    Br = Br - Br.swapaxes(-1, -2)
-    Bx = np.einsum("...i,...kai->...ka", xi, arr.dE) - np.einsum(
-        "...ia,...ki->...ka", E, arr.dxi
-    )
-    Aug = np.concatenate([E, xi[..., :, None]], axis=-1)
-    Minv = np.linalg.inv(Aug)
-    cfull = np.einsum("...ck,...kab->...cab", Minv, Br)
-    dfull = np.einsum("...ck,...ka->...ca", Minv, Bx)
+    E = arr.E
+    A = arr.dth.swapaxes(-1, -2) - arr.dth  # A_ij = d_i theta_j - d_j theta_i
+    Br, Minv, cfull = frame_brackets(arr)
+    dfull = reeb_brackets(arr, Minv)
     tm = E.shape[-1]
     return {
         "A": A,
-        "omega": omega,
+        "omega": np.einsum("...ia,...ij,...jb->...ab", E, A, E),
         "Br": Br,
-        "Bx": Bx,
-        "Aug": Aug,
         "Minv": Minv,
         "c": cfull[..., :tm, :, :],
         "tau": cfull[..., tm, :, :],
@@ -442,37 +443,34 @@ def structure_pieces(arr):
     }
 
 
-def _check_domain(chart, x):
+def _checked_arrays(chart, x, order):
+    """Chart arrays at a validated point (as a batch of one) or batch."""
+    x = np.asarray(x, dtype=float)
     ok = chart.domain.contains(x)
     if not np.all(ok):
-        bad = np.asarray(x, dtype=float).reshape(-1, chart.dim)[~np.atleast_1d(ok)][0]
+        bad = x.reshape(-1, chart.dim)[~np.atleast_1d(ok)][0]
         raise DomainError(f"point outside chart domain: {bad}", point=bad)
+    return chart_arrays(chart, x[None] if x.ndim == 1 else x, order=order)
 
 
 def eval_contact(chart, x):
     """Evaluate (theta_x, xi_x, frame E_x, metric G_x) at a point, validated."""
-    x = np.asarray(x, dtype=float)
-    _check_domain(chart, x)
-    arr = chart_arrays(chart, x[None] if x.ndim == 1 else x, order=0)
+    arr = _checked_arrays(chart, x, order=0)
     th, xi, E, G = arr.th, arr.xi, arr.E, arr.G
     eig = np.linalg.eigvalsh(G)
     if np.min(eig) <= 0.0:
         raise ChartError(f"metric not positive definite (min eig {np.min(eig):.3e})")
-    if x.ndim == 1:
+    if np.ndim(x) == 1:
         return th[0], xi[0], E[0], G[0]
     return th, xi, E, G
 
 
 def d_theta_frame(chart, x):
     """Matrix of the contact 2-form in the frame: dtheta(e_a, e_b), no 1/2 factor."""
-    x = np.asarray(x, dtype=float)
-    _check_domain(chart, x)
-    arr = chart_arrays(chart, x[None] if x.ndim == 1 else x, order=1)
-    A = _two_form(arr)
-    omega = np.einsum("...ia,...ij,...jb->...ab", arr.E, A, arr.E)
+    omega = structure_pieces(_checked_arrays(chart, x, order=1))["omega"]
     if np.min(np.abs(np.linalg.det(omega))) < 1e-12:
         raise ChartError("degenerate dtheta: chart is not contact at this point")
-    return omega[0] if x.ndim == 1 else omega
+    return omega[0] if np.ndim(x) == 1 else omega
 
 
 def structure_functions(chart, x):
@@ -481,12 +479,9 @@ def structure_functions(chart, x):
     pi[e_a, e_b] = c[c', a, b] e_c',  theta([e_a, e_b]) = tau[a, b],
     [xi, e_a] = d[b, a] e_b.
     """
-    x = np.asarray(x, dtype=float)
-    _check_domain(chart, x)
-    arr = chart_arrays(chart, x[None] if x.ndim == 1 else x, order=1)
-    p = structure_pieces(arr)
+    p = structure_pieces(_checked_arrays(chart, x, order=1))
     c, tau, d = p["c"], p["tau"], p["dcoef"]
-    if x.ndim == 1:
+    if np.ndim(x) == 1:
         return c[0], tau[0], d[0]
     return c, tau, d
 

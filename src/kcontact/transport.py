@@ -9,6 +9,10 @@ coordinate curves with exact tangents).  Both reduce to a
 the sampled-coefficient RK4 transport operates.  Transport of a
 ControlPath runs as a joint (position, frame-matrix) RK4 instead, which is
 what the holonomy sampler uses in batch.
+
+One classical RK4 step, :func:`_rk4_step` on a tuple state, serves every
+ODE here: the batched control-path integration, the sampled-curve frame
+transport, the scalar theta-transport and the Reeb flow with its Jacobian.
 """
 
 from __future__ import annotations
@@ -150,12 +154,37 @@ def _even_steps(duration, step):
 
 
 # ---------------------------------------------------------------------------
-# joint RK4 integration of control paths (batched)
+# the RK4 step and the joint integration of control paths (batched)
+
+REORTH_EVERY = 50  # steps between reprojections of the frame transports
 
 
-def _rhs(chart, kind, x, M, u, w, with_M):
+def _rk4_step(rhs, y, h):
+    """One classical RK4 step of size ``h`` for a tuple state.
+
+    ``rhs(s, y)`` returns the tuple of derivatives; ``None`` entries of the
+    state ride along unchanged.  The stage index ``s`` is 0, 1, 1, 2 (start,
+    midpoint twice, end), so coefficients sampled at half-step spacing are
+    read at sample ``j + s``.
+    """
+    d1 = rhs(0, y)
+    d2 = rhs(1, _stage(y, 0.5 * h, d1))
+    d3 = rhs(1, _stage(y, 0.5 * h, d2))
+    d4 = rhs(2, _stage(y, h, d3))
+    return tuple(
+        None if a is None else a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        for a, k1, k2, k3, k4 in zip(y, d1, d2, d3, d4)
+    )
+
+
+def _stage(y, c, k):
+    return tuple(None if a is None else a + c * b for a, b in zip(y, k))
+
+
+def _rhs(chart, kind, x, M, u, w):
+    """Derivatives of (position, frame transport, theta integral); M may be None."""
     vertical = bool(np.any(w != 0.0))
-    if not with_M:
+    if M is None:
         # positions only: plain chart values, no derivatives
         arr = chart_arrays(chart, x, order=0)
         v = np.einsum("...ia,...a->...i", arr.E, u)
@@ -176,13 +205,8 @@ def _rhs(chart, kind, x, M, u, w, with_M):
     return v, -np.matmul(Om, M), df
 
 
-def _metric_at(chart, x):
-    return chart_arrays(chart, x, order=0).G
-
-
 def _reorthonormalize(chart, x, M, L0t):
-    G = _metric_at(chart, x)
-    P, Lt = orthonormal_frame_change(G)
+    P, Lt = orthonormal_frame_change(chart_arrays(chart, x, order=0).G)
     Mo = Lt @ M @ np.linalg.inv(L0t)
     U, _, Vt = np.linalg.svd(Mo)
     return P @ (U @ Vt) @ L0t
@@ -199,7 +223,6 @@ def _integrate_controls(
     with_M=True,
     collect=False,
     raise_on_exit=True,
-    reorth_every=50,
 ):
     """Lockstep RK4 over a batch of control paths; returns end state.
 
@@ -215,37 +238,25 @@ def _integrate_controls(
     seg = horizon / K
     steps = _even_steps(seg, step)
     h = seg / steps
-    _, L0t = orthonormal_frame_change(_metric_at(chart, x))
+    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0).G)
     history = [x.copy()] if collect else None
     total = 0
     for k in range(K):
         u = controls[:, k, :]
         w = verticals[:, k] if verticals is not None else np.zeros(P_)
+
+        def rhs(s, y):
+            return _rhs(chart, kind, y[0], y[1], u, w)
+
         for _ in range(steps):
-            k1x, k1m, k1f = _rhs(chart, kind, x, M, u, w, with_M)
-            k2x, k2m, k2f = _rhs(
-                chart, kind, x + 0.5 * h * k1x,
-                None if not with_M else M + 0.5 * h * k1m, u, w, with_M,
-            )
-            k3x, k3m, k3f = _rhs(
-                chart, kind, x + 0.5 * h * k2x,
-                None if not with_M else M + 0.5 * h * k2m, u, w, with_M,
-            )
-            k4x, k4m, k4f = _rhs(
-                chart, kind, x + h * k3x,
-                None if not with_M else M + h * k3m, u, w, with_M,
-            )
+            xn, Mn, fn = _rk4_step(rhs, (x, M, f), h)
             # escaped paths stay frozen just outside the boundary, where
             # the chart functions are still well conditioned
             live = alive[:, None]
-            x = np.where(live, x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x), x)
-            f = np.where(alive, f + (h / 6.0) * (k1f + 2.0 * k2f + 2.0 * k3f + k4f), f)
+            x = np.where(live, xn, x)
+            f = np.where(alive, fn, f)
             if with_M:
-                M = np.where(
-                    live[:, :, None],
-                    M + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m),
-                    M,
-                )
+                M = np.where(live[:, :, None], Mn, M)
             total += 1
             inside = chart.domain.contains(x)
             if not np.all(inside):
@@ -253,7 +264,7 @@ def _integrate_controls(
                     bad = x[~inside][0]
                     raise DomainError(f"curve left the chart domain at {bad}", point=bad)
                 alive &= inside
-            if with_M and reorth_every and total % reorth_every == 0:
+            if with_M and total % REORTH_EVERY == 0:
                 M = _reorthonormalize(chart, x, M, L0t)
             if collect:
                 history.append(x.copy())
@@ -275,7 +286,7 @@ def _path_arrays(paths):
     return x0s, controls, verticals
 
 
-def transport_batch(chart, paths, kind, reorth_every=50):
+def transport_batch(chart, paths, kind):
     """Transport matrices for a batch of control paths sharing (K, T, step).
 
     Returns ``(taus, endpoints, theta_integrals)``.
@@ -290,7 +301,7 @@ def transport_batch(chart, paths, kind, reorth_every=50):
         raise ChartError("schouten transport requires a horizontal curve")
     x, M, f, _, _, _, _ = _integrate_controls(
         chart, x0s, controls, verticals, paths[0].horizon, paths[0].step,
-        kind=kind, reorth_every=reorth_every,
+        kind=kind,
     )
     return M, x, f
 
@@ -328,19 +339,12 @@ def _sample_control_path(chart, path, step):
     pos = np.concatenate(history, axis=0)  # (K*steps + 1, n)
     K = path.segments
     per = steps + 1
-    xs = np.empty((K * per, chart.dim))
-    ts = np.empty(K * per)
-    us = np.empty((K * per, 2 * chart.m))
-    ws = np.zeros(K * per)
-    piece_slices = []
-    for k in range(K):
-        i0 = k * per
-        piece_slices.append((i0, i0 + steps))
-        xs[i0 : i0 + per] = pos[k * steps : (k + 1) * steps + 1]
-        ts[i0 : i0 + per] = (np.arange(per) + k * steps) * h
-        us[i0 : i0 + per] = path.controls[k]
-        if path.vertical is not None:
-            ws[i0 : i0 + per] = path.vertical[k]
+    # each segment keeps its own copy of its two end samples
+    sel = (np.arange(K)[:, None] * steps + np.arange(per)).ravel()
+    xs, ts = pos[sel], sel * h
+    us = np.repeat(path.controls, per, axis=0)
+    ws = np.zeros(K * per) if path.vertical is None else np.repeat(path.vertical, per)
+    piece_slices = [(k * per, k * per + steps) for k in range(K)]
     arr = chart_arrays(chart, xs, order=0)
     v = np.einsum("...ia,...a->...i", arr.E, us) + ws[:, None] * arr.xi
     theta_dot = np.einsum("...i,...i->...", arr.th, v)
@@ -371,13 +375,16 @@ def _sample_parametric(chart, curve, step):
     if not np.all(chart.domain.contains(xs)):
         bad = xs[~chart.domain.contains(xs)][0]
         raise DomainError(f"curve leaves the chart domain at {bad}", point=bad)
+    return SampledCurve(ts, xs, *_split_velocities(chart, xs, vs), piece_slices)
+
+
+def _split_velocities(chart, xs, vs):
+    """Frame components, Reeb component and theta value of velocities at xs."""
     arr = chart_arrays(chart, xs, order=0)
     aug = np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1)
     coeff = np.linalg.solve(aug, vs[..., None])[..., 0]
-    us = coeff[:, : 2 * chart.m]
-    ws = coeff[:, 2 * chart.m]
-    theta_dot = np.einsum("...i,...i->...", arr.th, vs)
-    return SampledCurve(ts, xs, us, ws, theta_dot, piece_slices)
+    tm = 2 * chart.m
+    return coeff[:, :tm], coeff[:, tm], np.einsum("...i,...i->...", arr.th, vs)
 
 
 # ---------------------------------------------------------------------------
@@ -404,19 +411,21 @@ def _transport_sampled(chart, sc, kind):
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    Om = _sampled_coefficients(chart, sc, kind)
-    tm = Om.shape[-1]
-    M = np.eye(tm)
+    A = -_sampled_coefficients(chart, sc, kind)
+    (M,) = _integrate_sampled(sc, lambda i, y: (A[i] @ y[0],), (np.eye(A.shape[-1]),))
+    return M
+
+
+def _integrate_sampled(sc, rhs, y):
+    """RK4 over the samples of a curve; one step spans two sample intervals.
+
+    ``rhs(i, y)`` evaluates the derivative with the coefficients at sample i.
+    """
     for i0, i1 in sc.piece_slices:
         for j in range(i0, i1, 2):
             h2 = float(sc.ts[j + 2] - sc.ts[j])
-            A0, A1, A2 = -Om[j], -Om[j + 1], -Om[j + 2]
-            k1 = A0 @ M
-            k2 = A1 @ (M + 0.5 * h2 * k1)
-            k3 = A1 @ (M + 0.5 * h2 * k2)
-            k4 = A2 @ (M + h2 * k3)
-            M = M + (h2 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return M
+            y = _rk4_step(lambda s, y: rhs(j + s, y), y, h2)
+    return y
 
 
 def transport(chart, curve, kind, step=None):
@@ -428,8 +437,6 @@ def transport(chart, curve, kind, step=None):
     if kind not in TRANSPORT_KINDS:
         raise ValueError(f"unknown transport kind {kind!r}")
     if isinstance(curve, ControlPath):
-        if kind == "schouten" and not curve.is_horizontal():
-            raise ChartError("schouten transport requires a horizontal curve")
         taus, ends, fs = transport_batch(chart, [curve], kind)
         return TransportResult(
             tau=taus[0], kind=kind, start=curve.x0, end=ends[0],
@@ -492,16 +499,8 @@ def transport_theta(chart, curve, method="quadrature", step=0.005):
         return float(np.exp(-_theta_integral(sc)))
     if method != "ode":
         raise ValueError(f"unknown method {method!r}")
-    lam = 1.0
-    for i0, i1 in sc.piece_slices:
-        for j in range(i0, i1, 2):
-            h2 = float(sc.ts[j + 2] - sc.ts[j])
-            g0, g1, g2 = sc.theta_dot[j], sc.theta_dot[j + 1], sc.theta_dot[j + 2]
-            k1 = -g0 * lam
-            k2 = -g1 * (lam + 0.5 * h2 * k1)
-            k3 = -g1 * (lam + 0.5 * h2 * k2)
-            k4 = -g2 * (lam + h2 * k3)
-            lam = lam + (h2 / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    g = -sc.theta_dot
+    (lam,) = _integrate_sampled(sc, lambda i, y: (g[i] * y[0],), (1.0,))
     return float(lam)
 
 
@@ -519,9 +518,9 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
     tmax = float(np.max(np.abs(times))) if len(times) else 0.0
     steps = max(1, int(np.ceil(tmax / step)))
     h = 1.0 / steps
-    y = X.copy()
 
-    def rhs(y, J):
+    def rhs(s, state):
+        y, J = state
         arr = chart_arrays(chart, y, order=1 if jacobian else 0)
         v = times[:, None] * arr.xi
         dJ = None
@@ -529,14 +528,9 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
             dJ = times[:, None, None] * np.einsum("...kj,...jl->...kl", arr.dxi, J)
         return v, dJ
 
+    y = X
     for _ in range(steps):
-        k1, j1 = rhs(y, J)
-        k2, j2 = rhs(y + 0.5 * h * k1, None if not jacobian else J + 0.5 * h * j1)
-        k3, j3 = rhs(y + 0.5 * h * k2, None if not jacobian else J + 0.5 * h * j2)
-        k4, j4 = rhs(y + h * k3, None if not jacobian else J + h * j3)
-        y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if jacobian:
-            J = J + (h / 6.0) * (j1 + 2.0 * j2 + 2.0 * j3 + j4)
+        y, J = _rk4_step(rhs, (y, J), h)
         if not np.all(chart.domain.contains(y)):
             bad = y[~chart.domain.contains(y)][0]
             raise DomainError(f"Reeb flow left the chart domain at {bad}", point=bad)
@@ -566,13 +560,8 @@ def horizontalize(chart, curve, step=None, flow_step=0.01):
     v = np.einsum("...ia,...a->...i", arr.E, sc.us) + sc.ws[:, None] * arr.xi
     v_h = v - sc.theta_dot[:, None] * arr.xi
     vt = np.einsum("...kl,...l->...k", J, v_h)
-    arr_y = chart_arrays(chart, ys, order=0)
-    aug = np.concatenate([arr_y.E, arr_y.xi[..., :, None]], axis=-1)
-    coeff = np.linalg.solve(aug, vt[..., None])[..., 0]
-    theta_dot = np.einsum("...i,...i->...", arr_y.th, vt)
     return SampledCurve(
-        sc.ts.copy(), ys, coeff[:, : 2 * chart.m], coeff[:, 2 * chart.m],
-        theta_dot, list(sc.piece_slices),
+        sc.ts.copy(), ys, *_split_velocities(chart, ys, vt), list(sc.piece_slices)
     )
 
 
@@ -712,8 +701,8 @@ def isometry_residual(chart, x0, sampler: SamplerConfig, kind="schouten"):
     _, ends, taus, _ = sampled_path_transports(chart, x0, sampler, kind)
     if not len(taus):
         return 0.0
-    _, L0t = orthonormal_frame_change(_metric_at(chart, x0[None]))
-    _, Lt = orthonormal_frame_change(_metric_at(chart, ends))
+    _, L0t = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0).G)
+    _, Lt = orthonormal_frame_change(chart_arrays(chart, ends, order=0).G)
     taus_o = np.einsum("pij,pjk,kl->pil", Lt, taus, np.linalg.inv(L0t[0]))
     eye = np.eye(2 * chart.m)
     return float(np.max(np.abs(np.einsum("pji,pjk->pik", taus_o, taus_o) - eye)))

@@ -91,19 +91,7 @@ def _symmetric_commutant_element(h: MatrixLieAlgebra, tm, rng):
                 S[a, b] = S[b, a] = 1.0 / np.sqrt(2.0)
             sym_basis.append(S)
     sym_basis = np.array(sym_basis)
-    if h.dim:
-        L = np.array(
-            [
-                np.concatenate([(S @ B - B @ S).ravel() for B in h.basis])
-                for S in sym_basis
-            ]
-        ).T
-        _, s, Vt = np.linalg.svd(L)
-        smax = s[0] if len(s) else 0.0
-        pad = np.concatenate([s, np.zeros(len(sym_basis) - len(s))])
-        comm = Vt[pad <= 1e-8 * max(smax, 1.0)]
-    else:
-        comm = np.eye(len(sym_basis))
+    comm = h.commutant(sym_basis)
     coef = rng.normal(size=len(comm)) @ comm
     C = np.einsum("k,kij->ij", coef, sym_basis)
     return C / max(np.linalg.norm(C), 1e-30)

@@ -274,3 +274,33 @@ def test_chart_failure_exit_5(tmp_path, capsys, monkeypatch):
     assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 5
     err = capsys.readouterr().err
     assert err == "numerical failure: degenerate dtheta: cannot invert the contact 2-form\n"
+
+
+def test_holonomy_cross_variant_failure_exits_1(tmp_path):
+    # a strongly perturbed factor: the Wagner and annihilator routes
+    # disagree, the report is still written, and the exit code says so
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product", "factors": [
+            {"kind": "perturbed_disc", "b": 1.0, "epsilon": 50.0},
+            {"kind": "poincare_disc"},
+        ]},
+    })
+    out = tmp_path / "rep.json"
+    assert run(["holonomy", "--config", cfg, "--seed", "0", "--paths", "8",
+                "--out", str(out)]) == 1
+    rep = read(out)
+    assert rep["cross_variant"]["residual"] > cli.CROSS_VARIANT_TOL
+    assert rep["cross_variant"]["dims"] == {"wagner": 2, "annihilator": 1}
+
+
+@pytest.mark.parametrize("factor, message", [
+    ({"kind": "poincare_disc", "curvature": 1e-300}, "SVD did not converge"),
+    ({"kind": "perturbed_disc", "b": 1.0, "epsilon": 1e8}, "Eigenvalues did not converge"),
+], ids=["tiny_curvature", "huge_epsilon"])
+def test_linalg_failure_exit_5(tmp_path, capsys, factor, message):
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product", "factors": [factor, {"kind": "poincare_disc"}]},
+    })
+    assert run(["verify", "--config", cfg, "--seed", "0"]) == 5
+    err = capsys.readouterr().err
+    assert err == f"numerical failure: {message}\n"

@@ -2,8 +2,11 @@
 
 Each case is a shipped config with a fixed seed.  The bergman and
 disc_disc_11 holonomy seeds and the bergman spinor seed make escaped paths
-that the sampler redraws, so the redraw logic is covered too.  After an
-intended change to report contents, rewrite the golden files with
+that the sampler redraws, so the redraw logic is covered too.  The verify
+cases cover the integrators that only verify runs: the sampled-curve
+transport, the Reeb flow with its Jacobian and the theta-transport ODE.
+After an intended change to report contents, rewrite the golden files
+with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,6 +29,8 @@ CASES = [
     ("holonomy", "perturbed_disc_disc", 967688993, None),
     ("spinor", "bergman", 1121323793, 48),
     ("verify", "perturbed_disc_disc", 1295943086, None),
+    ("verify", "bergman", 1121323793, None),
+    ("verify", "disc_disc_12", 1081993678, None),
 ]
 
 PIPELINES = {
