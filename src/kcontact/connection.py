@@ -279,11 +279,8 @@ def wagner_nabla_N(chart, x, step=1e-4):
     nabla N need third metric derivatives, beyond the order-2 jets.
     Returns an array ``[..., a, e, c]``.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    Xb = x[None] if single else x
-    n = chart.dim
-    data = frame_data(chart, Xb, order=2)
+    data, single = _single(chart, x, 2)
+    Xb, n = data.x, chart.dim
     dN = np.empty(Xb.shape[:-1] + (n,) + data.N.shape[-2:])
     for j in range(n):
         h = np.zeros(n)
@@ -310,16 +307,13 @@ def extended_curvature(chart, x, N=None):
     matrix carries no field information), with ``RNxi=None``.
     Returns ``(RN, RNxi)``.
     """
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    Xb = x[None] if single else x
-    data = frame_data(chart, Xb, order=2)
+    data, single = _single(chart, x, 2)
     if N is None:
         RN = data.R
         RNxi = np.zeros(data.R.shape[:-4] + data.R.shape[-3:])
     elif isinstance(N, str) and N == "wagner":
         RN = data.RW
-        RNxi = -wagner_nabla_N(chart, Xb)
+        RNxi = -wagner_nabla_N(chart, data.x)
     else:
         Nb = np.asarray(N, dtype=float)
         RN = data.R + np.einsum("...ab,...ec->...abec", data.omega, Nb)
@@ -349,6 +343,17 @@ def orthonormal_frame_change(G):
     L = np.linalg.cholesky(G)
     Lt = np.swapaxes(L, -1, -2)
     return np.linalg.inv(Lt), Lt
+
+
+def ortho_curvature(F, P, Pinv):
+    """A curvature field ``F[..., a, b, e, c]`` (the matrix of F(e_a, e_b)) in the
+    orthonormal frame of ``(P, Pinv) = orthonormal_frame_change(G)``."""
+    return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)
+
+
+def ortho_two_form(omega, P):
+    """A frame 2-form ``omega[..., a, b]`` in the orthonormal frame of P."""
+    return np.einsum("...aA,...ab,...bB->...AB", P, omega, P)
 
 
 def connection_invariant_residuals(chart, X):

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import frame_data, orthonormal_frame_change
+from .connection import frame_data, ortho_curvature, ortho_two_form, orthonormal_frame_change
 from .errors import NumericsError
 from .transport import SamplerConfig, sampled_path_transports
 
@@ -137,8 +137,7 @@ def lie_closure(matrices, tol=1e-6):
 
 def _ortho_endpoint_data(chart, ends):
     data = frame_data(chart, ends, order=2)
-    P, Pinv = orthonormal_frame_change(data.G)
-    return data, P, Pinv
+    return (data, *orthonormal_frame_change(data.G))
 
 
 def _conjugated_samples(taus_o, mats):
@@ -151,22 +150,20 @@ def _conjugated_samples(taus_o, mats):
     return out.reshape(-1, out.shape[-2], out.shape[-1])
 
 
-def _pair_matrices(field, P, Pinv):
-    """Orthonormal-frame matrices of field(e_A, e_B) for frame pairs A < B."""
-    tm = field.shape[-1]
-    Fo = np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, field, P)
-    idx = [(a, b) for a in range(tm) for b in range(a + 1, tm)]
-    return np.stack([Fo[:, a, b] for a, b in idx], axis=1)
-
-
-def _wagner_pairs(data, P, Pinv):
-    return _pair_matrices(data.RW, P, Pinv)
+def _pair_matrices(field):
+    """Pair samples of the frame-data curvature ``field`` ("R" or "RW"): its
+    orthonormal-frame matrices on the frame pairs A < B."""
+    def pairs(data, P, Pinv):
+        Fo = ortho_curvature(getattr(data, field), P, Pinv)
+        tm = Fo.shape[-1]
+        return np.stack([Fo[:, a, b] for a in range(tm) for b in range(a + 1, tm)], axis=1)
+    return pairs
 
 
 def _annihilator_pairs(data, P, Pinv):
     """Horizontal curvature on frame-pair bivectors projected to ker dtheta."""
-    omega_o = np.einsum("...aA,...ab,...bB->...AB", P, data.omega, P)
-    R_o = np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, data.R, P)
+    omega_o = ortho_two_form(data.omega, P)
+    R_o = ortho_curvature(data.R, P, Pinv)
     tm = omega_o.shape[-1]
     what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
     mats = []
@@ -180,11 +177,7 @@ def _annihilator_pairs(data, P, Pinv):
     return np.stack(mats, axis=1)
 
 
-def _adapted_pairs(data, P, Pinv):
-    return _pair_matrices(data.R, P, Pinv)
-
-
-_SCHOUTEN_VARIANTS = {"wagner": _wagner_pairs, "annihilator": _annihilator_pairs}
+_SCHOUTEN_VARIANTS = {"wagner": _pair_matrices("RW"), "annihilator": _annihilator_pairs}
 
 
 def _sampling_pass(chart, x, sampler, kind, vertical=False):
@@ -250,7 +243,7 @@ def as_samples_adapted(chart, x, sampler: SamplerConfig):
     arbitrary curves (vertical controls on by default).
     """
     sampling_pass = _sampling_pass(chart, x, sampler, "adapted", vertical=True)
-    return _pass_samples(chart, sampling_pass, _adapted_pairs)
+    return _pass_samples(chart, sampling_pass, _pair_matrices("R"))
 
 
 # ---------------------------------------------------------------------------

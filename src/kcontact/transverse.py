@@ -4,7 +4,9 @@ the regression of dtheta against per-factor Ricci forms, and the
 Sasaki-structure criterion.
 
 All tensors here live in the g-orthonormalized frame, where the metric is
-the identity and complex structures are literal elements of so(2m).
+the identity and complex structures are literal elements of so(2m).  The
+point checks take order-2 frame data, or the Ricci tensor and dtheta that
+:func:`orthonormal_ricci` takes from it, so one evaluation serves them all.
 """
 
 from __future__ import annotations
@@ -13,12 +15,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import frame_data, orthonormal_frame_change
+from .connection import frame_data, ortho_curvature, ortho_two_form, orthonormal_frame_change
 from .errors import ChartError, NumericsError
 from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure
 
 __all__ = [
     "FactorSplit",
+    "orthonormal_ricci",
     "transverse_ricci",
     "ricci_form",
     "dtheta_regression",
@@ -47,23 +50,20 @@ class FactorSplit:
         return len(self.blocks)
 
 
-def _ortho_curvature(chart, X):
-    """Curvature and contact form at points X, in orthonormal frames."""
-    data = frame_data(chart, np.atleast_2d(np.asarray(X, dtype=float)), order=2)
+def orthonormal_ricci(data):
+    """``(ric, omega_o)`` of order-2 frame data, in the orthonormal frame:
+    the transverse Ricci tensor Ric(X, Y) = sum_k g(R(e_k, X) Y, e_k) and
+    the contact 2-form dtheta."""
     P, Pinv = orthonormal_frame_change(data.G)
-    R_o = np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, data.R, P)
-    omega_o = np.einsum("...aA,...ab,...bB->...AB", P, data.omega, P)
-    return data, R_o, omega_o
+    ric = np.einsum("...kakb->...ab", ortho_curvature(data.R, P, Pinv))
+    return ric, ortho_two_form(data.omega, P)
 
 
 def transverse_ricci(chart, x):
-    """Transverse Ricci tensor at a point, in the orthonormal frame:
-    Ric(X, Y) = sum_k g(R(e_k, X) Y, e_k)."""
+    """Transverse Ricci tensor at a point or points, in the orthonormal frame."""
     x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    _, R_o, _ = _ortho_curvature(chart, x)
-    ric = np.einsum("...kakb->...ab", R_o)
-    return ric[0] if single else ric
+    ric, _ = orthonormal_ricci(frame_data(chart, np.atleast_2d(x), order=2))
+    return ric[0] if x.ndim == 1 else ric
 
 
 def ricci_form(chart, x, J):
@@ -71,8 +71,7 @@ def ricci_form(chart, x, J):
     J = np.asarray(J, dtype=float)
     if np.max(np.abs(J.T @ J - np.eye(J.shape[0]))) > 1e-7:
         raise ChartError("complex structure is not compatible with the metric")
-    ric = transverse_ricci(chart, x)
-    return np.einsum("ca,...cb->...ab", J, ric)
+    return np.einsum("ca,...cb->...ab", J, transverse_ricci(chart, x))
 
 
 # ---------------------------------------------------------------------------
@@ -85,10 +84,7 @@ def _symmetric_commutant_element(h: MatrixLieAlgebra, tm, rng):
     for a in range(tm):
         for b in range(a, tm):
             S = np.zeros((tm, tm))
-            if a == b:
-                S[a, a] = 1.0
-            else:
-                S[a, b] = S[b, a] = 1.0 / np.sqrt(2.0)
+            S[a, b] = S[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
             sym_basis.append(S)
     sym_basis = np.array(sym_basis)
     comm = h.commutant(sym_basis)
@@ -151,11 +147,11 @@ def _restricted_algebra(h: MatrixLieAlgebra, block, tol=1e-8):
 
 
 def factor_split(chart, x, h: MatrixLieAlgebra, rng=None):
-    """Blocks plus per-block complex structures, sign-aligned with dtheta."""
+    """Blocks plus per-block complex structures, sign-aligned with dtheta at x."""
     x = np.asarray(x, dtype=float)
     split = split_distribution(h, size=2 * chart.m, rng=rng)
-    _, _, omega_o = _ortho_curvature(chart, x[None])
-    omega_o = omega_o[0]
+    data = frame_data(chart, x[None], order=1)
+    omega_o = ortho_two_form(data.omega, orthonormal_frame_change(data.G)[0])[0]
     tm = 2 * chart.m
     Js = []
     for block in split.blocks:
@@ -179,10 +175,8 @@ def factor_split(chart, x, h: MatrixLieAlgebra, rng=None):
 # the dtheta regression and Einstein checks
 
 
-def _block_ricci_forms(chart, X, split: FactorSplit):
-    """omega and the per-factor Ricci forms at each point (ortho frame)."""
-    _, R_o, omega_o = _ortho_curvature(chart, X)
-    ric = np.einsum("...kakb->...ab", R_o)
+def _block_ricci_forms(ric, split: FactorSplit):
+    """Per-factor Ricci forms ``[..., i, a, b]`` from the Ricci tensor."""
     rhos = []
     for block, J in zip(split.blocks, split.J_blocks):
         ix = np.array(block)
@@ -190,23 +184,23 @@ def _block_ricci_forms(chart, X, split: FactorSplit):
         full = np.zeros_like(rho)
         full[..., ix[:, None], ix[None, :]] = rho[..., ix[:, None], ix[None, :]]
         rhos.append(full)
-    return omega_o, np.stack(rhos, axis=-3) if rhos else None, ric
+    return np.stack(rhos, axis=-3) if rhos else None
 
 
-def dtheta_regression(chart, points, split: FactorSplit):
+def dtheta_regression(ric, omega_o, split: FactorSplit):
     """Least-squares coefficients b with dtheta = sum_i b_i rho^i.
 
-    All frame components at all sample points are stacked into one
-    overdetermined system, solved by normal equations; the residual is the
-    worst pointwise relative misfit.  A near-singular system signals a
-    Ricci-flat factor.
+    ``ric`` and ``omega_o`` are the orthonormal-frame Ricci tensor and
+    dtheta at the sample points (:func:`orthonormal_ricci`).  All frame
+    components at all points are stacked into one overdetermined system,
+    solved by normal equations; the residual is the worst pointwise
+    relative misfit.  A near-singular system signals a Ricci-flat factor.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if len(points) < 10:
+    if np.ndim(ric) < 3 or len(ric) < 10:
         raise ValueError("dtheta_regression needs at least 10 sample points")
     if split.r == 0:
         raise ChartError("regression needs at least one factor block")
-    omega_o, rhos, _ = _block_ricci_forms(chart, points, split)
+    rhos = _block_ricci_forms(ric, split)
     M = np.einsum("piab,pjab->ij", rhos, rhos)
     v = np.einsum("piab,pab->i", rhos, omega_o)
     norms = np.sqrt(np.diag(M))
@@ -219,19 +213,16 @@ def dtheta_regression(chart, points, split: FactorSplit):
     return {"b": b, "residual": float(np.max(num / den))}
 
 
-def einstein_check(chart, points, split: FactorSplit):
-    """Per-factor Einstein constant and relative residual over the points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    ric = transverse_ricci(chart, points)
+def einstein_check(ric, split: FactorSplit):
+    """Per-factor Einstein constant and relative residual over the points
+    at which the orthonormal-frame Ricci tensor ``ric`` was evaluated."""
     out = []
     for block in split.blocks:
         ix = np.array(block)
         sub = ric[..., ix[:, None], ix[None, :]]
         lam = float(np.mean(np.trace(sub, axis1=-2, axis2=-1) / len(block)))
         dev = sub - lam * np.eye(len(block))
-        residual = float(
-            np.max(np.linalg.norm(dev, axis=(-2, -1))) / np.sqrt(len(block))
-        )
+        residual = float(np.max(np.linalg.norm(dev, axis=(-2, -1))) / np.sqrt(len(block)))
         out.append({"block": tuple(int(i) for i in block),
                     "einstein_lambda": lam,
                     "einstein_residual": residual})
@@ -242,14 +233,13 @@ def einstein_check(chart, points, split: FactorSplit):
 # Sasaki criterion
 
 
-def sasaki_psi_check(chart, points, tol=1e-6):
+def sasaki_psi_check(data, tol=1e-6):
     """Residuals of psi^2 = -id and nabla psi = 0 for psi = g^{-1} dtheta.
 
     Both vanish exactly when the associated metric theta x theta + g is
-    Sasaki; the residuals are reported over the sample points.
+    Sasaki; the residuals are reported over the points of the order-2
+    frame data ``data``.
     """
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    data = frame_data(chart, points, order=2)
     psi = np.einsum("...ea,...ac->...ec", data.Ginv, data.omega)
     tm = psi.shape[-1]
     sq = np.einsum("...ed,...dc->...ec", psi, psi) + np.eye(tm)

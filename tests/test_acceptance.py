@@ -156,16 +156,16 @@ def test_criterion_6_holonomy_dimensions(charts, algebra_cache):
     chart12 = charts["disc_disc_12"]
     h0_12 = algebra_cache("disc_disc_12", 0, "adapted", N_PATHS, SPAN_TOL)
     split12 = TV.factor_split(chart12, np.zeros(5), h0_12)
-    reg = TV.dtheta_regression(
-        chart12, domain_points(chart12, 30, seed=106, margin=0.85), split12)
+    reg = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
+        chart12, domain_points(chart12, 30, seed=106, margin=0.85), order=2)), split12)
     ok &= bool(np.allclose(reg["b"], [1.0, 2.0], atol=1e-4)) and reg["residual"] < 1e-5
     lines.append(f"regressed b = {np.round(reg['b'], 6).tolist()}, "
                  f"residual {reg['residual']:.2e}")
     chart_p = charts["perturbed_disc_disc"]
     h0_p = algebra_cache("perturbed_disc_disc", 0, "adapted", N_PATHS, SPAN_TOL)
     split_p = TV.factor_split(chart_p, np.zeros(5), h0_p)
-    reg_p = TV.dtheta_regression(
-        chart_p, domain_points(chart_p, 30, seed=107, margin=0.85), split_p)
+    reg_p = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
+        chart_p, domain_points(chart_p, 30, seed=107, margin=0.85), order=2)), split_p)
     ok &= reg_p["residual"] > 1e-2
     lines.append(f"perturbed regression residual {reg_p['residual']:.2e}")
     emit("criterion-6 holonomy dimensions (5 seeds)", ok, "; ".join(lines))
@@ -227,8 +227,8 @@ def test_criterion_8_spinor_suite(charts, algebra_cache):
     chart = charts["bergman"]
     h0_ball = algebra_cache("bergman", 0, "adapted", N_PATHS, SPAN_TOL)
     split = TV.factor_split(chart, np.zeros(5), h0_ball)
-    reg = TV.dtheta_regression(
-        chart, domain_points(chart, 25, seed=109, margin=0.85), split)
+    reg = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
+        chart, domain_points(chart, 25, seed=109, margin=0.85), order=2)), split)
     ball_ok = kb == 2 and reg["residual"] < 1e-5
     # and on the unequal-weight product: unsatisfiable ratios, zero kernel
     h_12 = algebra_cache("disc_disc_12", 0, "schouten", N_PATHS, SPAN_TOL)

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -304,3 +309,37 @@ def test_linalg_failure_exit_5(tmp_path, capsys, factor, message):
     assert run(["verify", "--config", cfg, "--seed", "0"]) == 5
     err = capsys.readouterr().err
     assert err == f"numerical failure: {message}\n"
+
+
+def test_numerical_failure_stderr_is_one_line(tmp_path):
+    # numpy RuntimeWarnings raised before the failure stay off stderr
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product", "factors": [
+            {"kind": "poincare_disc", "curvature": 1e-300}, {"kind": "poincare_disc"}]},
+    })
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    env.pop("PYTHONWARNINGS", None)
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcontact.cli", "verify", "--config", cfg, "--seed", "0"],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == ["numerical failure: SVD did not converge"]
+
+
+@pytest.mark.parametrize("failure, code", [(None, 0), (ChartError("degenerate"), 5)])
+def test_warnings_shown_only_when_a_report_is_written(tmp_path, monkeypatch, failure, code):
+    def warn_then(cfg):
+        warnings.warn("held back", RuntimeWarning)
+        if failure is not None:
+            raise failure
+        return {"command": "spinor"}
+
+    monkeypatch.setattr(cli, "spinor_report", warn_then)
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 1}})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert run(["spinor", "--config", cfg, "--out", str(tmp_path / "r.json")]) == code
+    assert [str(w.message) for w in caught] == (["held back"] if code == 0 else [])

@@ -5,6 +5,10 @@ disc_disc_11 holonomy seeds and the bergman spinor seed make escaped paths
 that the sampler redraws, so the redraw logic is covered too.  The verify
 cases cover the integrators that only verify runs: the sampled-curve
 transport, the Reeb flow with its Jacobian and the theta-transport ODE.
+The ``disc3_b123`` case (three Poincare discs, 2m = 6, 8 paths) pins a
+product with three complex dimensions; its config lives in
+``tests/golden/configs/`` so that the shipped ``configs/`` set stays as
+it is.
 After an intended change to report contents, rewrite the golden files
 with
 
@@ -31,6 +35,7 @@ CASES = [
     ("verify", "perturbed_disc_disc", 1295943086, None),
     ("verify", "bergman", 1121323793, None),
     ("verify", "disc_disc_12", 1081993678, None),
+    ("holonomy", "disc3_b123", 1826701614, None),
 ]
 
 PIPELINES = {
@@ -45,9 +50,14 @@ def _case_id(case):
     return f"{command}-{name}-{seed}"
 
 
+def _config_path(name):
+    shipped = ROOT / "configs" / f"{name}.json"
+    return shipped if shipped.exists() else GOLDEN / "configs" / f"{name}.json"
+
+
 def render(case):
     command, name, seed, paths = case
-    args = ["--config", str(ROOT / "configs" / f"{name}.json"), "--seed", str(seed)]
+    args = ["--config", str(_config_path(name)), "--seed", str(seed)]
     if paths is not None:
         args += ["--paths", str(paths)]
     parsed = cli.build_parser().parse_args([command] + args)
