@@ -318,11 +318,12 @@ def holonomy_report(cfg: RunConfig):
         except KContactError as exc:
             report["regression"] = {"error": str(exc)}
         if comparison["codim"] == 1:
-            t_alg, _ = t_complement(h0, h)
-            coeffs = [
-                float(np.sum(t_alg.basis[0] * J) / np.sum(J * J))
-                for J in split.J_blocks
-            ]
+            t = t_complement(h0, h)[0].basis[0]
+            # the SVD fixes t only up to sign: orient it along the blocks'
+            # complex structures, which are aligned with dtheta
+            if np.sum(t * sum(split.J_blocks)) < 0:
+                t = -t
+            coeffs = [float(np.sum(t * J) / np.sum(J * J)) for J in split.J_blocks]
             report["t_coefficients"] = coeffs
             ms = [len(b) // 2 for b in split.blocks]
             if all(abs(a) > 1e-8 for a in coeffs):

@@ -351,6 +351,12 @@ def ortho_curvature(F, P, Pinv):
     return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)
 
 
+def ortho_transports(taus, Pinv, P0):
+    """Frame transports ``taus[p]`` from the base point to the end of path p,
+    in the orthonormal frames ``Pinv[p]`` at the ends and ``P0`` at the base."""
+    return np.einsum("pij,pjk,kl->pil", Pinv, taus, P0)
+
+
 def ortho_two_form(omega, P):
     """A frame 2-form ``omega[..., a, b]`` in the orthonormal frame of P."""
     return np.einsum("...aA,...ab,...bB->...AB", P, omega, P)

@@ -11,15 +11,19 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .connection import frame_data, ortho_curvature, ortho_two_form, orthonormal_frame_change
+from .connection import (frame_data, ortho_curvature, ortho_transports, ortho_two_form,
+                         orthonormal_frame_change)
 from .errors import NumericsError
 from .transport import SamplerConfig, sampled_path_transports
 
 __all__ = [
     "MatrixLieAlgebra",
+    "Rank",
+    "numerical_rank",
     "lie_closure",
     "as_samples_schouten",
     "as_samples_schouten_variants",
@@ -29,6 +33,38 @@ __all__ = [
     "t_complement",
     "detect_complex_structure",
 ]
+
+
+class Rank(NamedTuple):
+    """One numerical-rank decision (:func:`numerical_rank`)."""
+
+    rank: int
+    Vt: np.ndarray  # rows [:rank] span the input rows, rows [rank:] their kernel
+    above: float  # smallest kept singular value (inf when nothing is kept)
+    below: float  # largest dropped singular value (0 when nothing is dropped)
+
+
+def numerical_rank(rows, rtol, scale=None):
+    """The one rank rule: one thin SVD of the stacked (real or complex) rows.
+
+    Counts the singular values above ``rtol * scale``.  ``scale`` is the
+    magnitude of the inputs; it defaults to the largest singular value of
+    the rows themselves, so scaling the rows does not change the rank.
+    Callers whose rows are derived from inputs of known size (brackets of
+    orthonormal bases) pass that size instead.  ``Vt`` is always square.
+    """
+    rows = np.asarray(rows)
+    _, s, Vt = np.linalg.svd(rows, full_matrices=rows.shape[0] < rows.shape[1])
+    if scale is None:
+        scale = s[0] if len(s) else 0.0
+    r = int(np.sum(s > rtol * scale))
+    return Rank(r, Vt, float(s[r - 1]) if r else np.inf, float(s[r]) if r < len(s) else 0.0)
+
+
+def _flat(mats):
+    """Matrices as rows (an empty list gives zero rows)."""
+    mats = np.asarray(mats)
+    return mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
 
 
 @dataclass
@@ -56,79 +92,66 @@ class MatrixLieAlgebra:
 
     def commutant(self, mats):
         """Coefficient rows spanning the combinations of ``mats`` that
-        commute with every element of the algebra."""
+        commute with every element of the algebra.
+
+        The rank cut is 1e-8 times the largest norm in ``mats`` (the basis
+        is orthonormal), not relative to the commutator map, whose size
+        says nothing about roundoff when the algebra nearly commutes.
+        """
         if not self.dim:
             return np.eye(len(mats))
-        L = np.array(
-            [np.concatenate([(F @ B - B @ F).ravel() for B in self.basis]) for F in mats]
-        ).T
-        _, s, Vt = np.linalg.svd(L)
-        smax = s[0] if len(s) else 0.0
-        pad = np.concatenate([s, np.zeros(len(mats) - len(s))])
-        return Vt[pad <= 1e-8 * max(smax, 1.0)]
+        cut = _commutator_rank(self, mats, 1e-8)
+        return cut.Vt[cut.rank:]
 
 
-def _try_add(basis, M, cut):
-    """Gram-Schmidt acceptance: keep M iff its part off the span exceeds cut."""
-    r = M.copy()
-    for B in basis:
-        r -= np.sum(B * r) * B
-    nr = np.linalg.norm(r)
-    if nr > cut:
-        basis.append(r / nr)
-        return True
-    return False
+def _commutator_rank(h, mats, rtol):
+    """The rank cut of c -> ([sum_F c_F F, B])_B over the basis B of h."""
+    mats = np.asarray(mats)
+    L = np.array(
+        [np.concatenate([(F @ B - B @ F).ravel() for B in h.basis]) for F in mats]
+    ).T
+    return numerical_rank(L, rtol, scale=np.linalg.norm(_flat(mats), axis=1).max())
 
 
-def _reorthonormalize(basis):
-    out = []
-    for B in basis:
-        _try_add(out, B, 1e-12)
-    return out
+def _algebra(mats, residual_tol, iterations=0):
+    mats = np.asarray(mats)
+    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)), len(mats),
+                            iterations, residual_tol)
+
+
+def _span_basis(mats, tol):
+    """Orthonormal skew basis of the numerical span of ``mats`` (n, n)."""
+    n = mats.shape[-1]
+    cut = numerical_rank(_flat(mats), tol)
+    if cut.rank > n * (n - 1) // 2:
+        raise NumericsError("closure exceeded dim so(2m): numerical blow-up")
+    # SVD rows carry symmetric parts at roundoff level: keep the basis skew
+    B = cut.Vt[: cut.rank].reshape(-1, n, n)
+    return 0.5 * (B - B.swapaxes(-1, -2))
 
 
 def lie_closure(matrices, tol=1e-6):
     """Smallest bracket-closed span containing the given skew matrices.
 
-    Alternates adding pairwise brackets with re-orthonormalization until
-    stable.  The dimension is capped at dim so(2m); exceeding it signals
-    numerical blow-up.
+    ``tol`` is the relative singular-value cut of :func:`numerical_rank`:
+    the samples are stacked and cut once, then the brackets of the basis
+    are stacked with it and cut again until the rank stops growing.
+    Scaling the samples changes no dimension.  The dimension is capped at
+    dim so(2m); exceeding it signals numerical blow-up.
     """
-    matrices = [np.asarray(M, dtype=float) for M in matrices]
-    if matrices:
-        tm = matrices[0].shape[0]
-        m = tm // 2
-        cap = m * (2 * m - 1)
-    else:
-        cap = 0
-    basis = []
-    for M in matrices:
-        _try_add(basis, M, tol * (1.0 + np.linalg.norm(M)))
-        if len(basis) > cap:
-            raise NumericsError("closure exceeded dim so(2m): numerical blow-up")
+    mats = np.array([np.asarray(M, dtype=float) for M in matrices])
+    if not len(mats):
+        return _algebra(mats, tol)
+    basis = _span_basis(mats, tol)
     iterations = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
         iterations += 1
-        current = list(basis)
-        for i in range(len(current)):
-            for j in range(i + 1, len(current)):
-                Bi, Bj = current[i], current[j]
-                br = Bi @ Bj - Bj @ Bi
-                if _try_add(basis, br, tol * (1.0 + np.linalg.norm(br))):
-                    changed = True
-                    if len(basis) > cap:
-                        raise NumericsError(
-                            "closure exceeded dim so(2m): numerical blow-up"
-                        )
-        basis = _reorthonormalize(basis)
-    return MatrixLieAlgebra(
-        basis=np.array(basis) if basis else np.zeros((0, 0, 0)),
-        dim=len(basis),
-        closure_iterations=iterations,
-        residual_tol=tol,
-    )
+        i, j = np.triu_indices(len(basis), 1)
+        brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
+        grown = _span_basis(np.concatenate([basis, brackets]), tol)
+        if len(grown) <= len(basis):
+            return _algebra(basis, tol, iterations)
+        basis = grown
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +217,7 @@ def _sampling_pass(chart, x, sampler, kind, vertical=False):
     if not paths:
         return base, None
     data, P, Pinv = _ortho_endpoint_data(chart, ends)
-    taus_o = np.einsum("pij,pjk,kl->pil", Pinv, taus, base[1][0])
+    taus_o = ortho_transports(taus, Pinv, base[1][0])
     return base, (taus_o, data, P, Pinv)
 
 
@@ -251,56 +274,33 @@ def as_samples_adapted(chart, x, sampler: SamplerConfig):
 
 
 def compare_subalgebras(h_small: MatrixLieAlgebra, h_big: MatrixLieAlgebra, tol=1e-4):
-    """Containment, ideal property and codimension of h_small in h_big."""
+    """Containment, ideal property and codimension of h_small in h_big.
+
+    Both are rank comparisons: h_small is contained when stacking it onto
+    h_big adds no rank, and an ideal when its brackets with h_big add none
+    to h_small.
+    """
     if h_small.dim and h_big.dim and h_small.basis.shape[-1] != h_big.basis.shape[-1]:
         raise ValueError("subalgebras live in different frames")
-    contained = all(
-        h_big.span_residual(B) <= tol * (1.0 + np.linalg.norm(B))
-        for B in h_small.basis
-    )
-    ideal = True
-    for A in h_big.basis:
-        for B in h_small.basis:
-            br = A @ B - B @ A
-            if h_small.span_residual(br) > tol * (1.0 + np.linalg.norm(br)):
-                ideal = False
-                break
-        if not ideal:
-            break
+    small, big = list(h_small.basis), list(h_big.basis)
+    brackets = [A @ B - B @ A for A in big for B in small]
     return {
-        "contained": bool(contained),
-        "ideal": bool(ideal),
+        "contained": numerical_rank(_flat(big + small), tol).rank == h_big.dim,
+        "ideal": numerical_rank(_flat(small + brackets), tol).rank == h_small.dim,
         "codim": int(h_big.dim - h_small.dim),
     }
 
 
-def _adjoint_stack(h: MatrixLieAlgebra):
-    """Matrix of c -> ([sum_i c_i B_i, B_j])_j on span coefficients."""
-    k = h.dim
-    cols = []
-    for i in range(k):
-        rows = [h.basis[i] @ B - B @ h.basis[i] for B in h.basis]
-        cols.append(np.concatenate([r.ravel() for r in rows]))
-    return np.array(cols).T  # (k * (2m)^2, k)
-
-
 def center_decomposition(h: MatrixLieAlgebra, tol=1e-8):
-    """Split a compact subalgebra into commutator part and center."""
+    """Split a compact subalgebra into commutator part and center, the
+    kernel of the adjoint map."""
     if h.dim == 0:
-        empty = MatrixLieAlgebra(np.zeros((0, 0, 0)), 0, 0, h.residual_tol)
+        empty = _algebra([], h.residual_tol)
         return empty, empty
-    A = _adjoint_stack(h)
-    U, s, Vt = np.linalg.svd(A)
-    smax = s[0] if len(s) else 0.0
-    null_mask = s <= tol * max(smax, 1.0)
-    center_coeffs = Vt[null_mask]
-    other_coeffs = Vt[~null_mask]
-
-    def build(coeffs):
-        mats = np.einsum("rk,kij->rij", coeffs, h.basis)
-        return MatrixLieAlgebra(mats, len(mats), 0, h.residual_tol)
-
-    return build(other_coeffs), build(center_coeffs)
+    cut = _commutator_rank(h, h.basis, tol)
+    parts = np.einsum("rk,kij->rij", cut.Vt, h.basis)
+    return (_algebra(parts[: cut.rank], h.residual_tol),
+            _algebra(parts[cut.rank:], h.residual_tol))
 
 
 def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra, tol=1e-6):
@@ -308,34 +308,27 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra, tol=1e-6):
 
     Requires codimension one.  Returns ``(t, t_perp)`` where ``t_perp`` is
     the orthogonal complement of t inside the center of h_big, so that
-    h_small = (commutator of h_big) + t_perp.
+    h_small = (commutator of h_big) + t_perp.  The sign of t is arbitrary.
     """
     if h_big.dim - h_small.dim != 1:
         raise ValueError(
             f"t_complement needs codimension one, got {h_big.dim - h_small.dim}"
         )
-    if h_small.dim == 0:
-        tvec = np.ones(1)
-    else:
-        # coefficients of h_small inside h_big; t spans their null space
-        C = np.einsum("sij,bij->sb", h_small.basis, h_big.basis)
-        _, _, Vt = np.linalg.svd(C)
-        tvec = Vt[-1]
-    T = np.einsum("k,kij->ij", tvec, h_big.basis)
+    # coefficients of h_small inside h_big; t spans their null space
+    C = (np.einsum("sij,bij->sb", h_small.basis, h_big.basis) if h_small.dim
+         else np.zeros((0, h_big.dim)))
+    cut = numerical_rank(C, tol, scale=1.0)
+    if cut.rank != h_small.dim:
+        raise NumericsError("h_small does not project onto a codimension-one subspace of h_big")
+    T = np.einsum("k,kij->ij", cut.Vt[-1], h_big.basis)
     T /= np.linalg.norm(T)
-    t_alg = MatrixLieAlgebra(T[None], 1, 0, h_big.residual_tol)
     _, center = center_decomposition(h_big)
-    # complement of t inside the center
-    if center.dim == 0:
-        t_perp = MatrixLieAlgebra(np.zeros((0, 0, 0)), 0, 0, h_big.residual_tol)
-    else:
-        coefs = np.einsum("ij,kij->k", T, center.basis)
-        P = np.eye(center.dim) - np.outer(coefs, coefs) / max(np.dot(coefs, coefs), 1e-30)
-        U, s, Vt2 = np.linalg.svd(P)
-        keep = Vt2[s > 1e-8]
-        mats = np.einsum("rk,kij->rij", keep, center.basis)
-        t_perp = MatrixLieAlgebra(mats, len(mats), 0, h_big.residual_tol)
-    return t_alg, t_perp
+    t_perp = []
+    if center.dim:
+        # complement of t inside the center: the kernel of t's center coefficients
+        perp = numerical_rank(np.einsum("ij,kij->k", T, center.basis)[None], tol, scale=1.0)
+        t_perp = np.einsum("rk,kij->rij", perp.Vt[perp.rank:], center.basis)
+    return _algebra(T[None], h_big.residual_tol), _algebra(t_perp, h_big.residual_tol)
 
 
 def detect_complex_structure(h: MatrixLieAlgebra, size=None, rng=None, tol=1e-6):

@@ -21,6 +21,8 @@ from itertools import product
 
 import numpy as np
 
+from .holonomy import numerical_rank
+
 __all__ = [
     "SpinRep",
     "build_spin_rep",
@@ -107,21 +109,18 @@ def spin_lift(rep: SpinRep, A):
     return 0.25 * np.einsum("pq,pqik->ik", A, prods)
 
 
-def parallel_spinor_dim(rep: SpinRep, basis, svd_tol=1e-8):
+def parallel_spinor_dim(rep: SpinRep, basis):
     """Dimension of the joint kernel of the lifted algebra basis.
 
-    Stacks the lifts vertically and thresholds singular values at
-    ``svd_tol`` times the largest one.
+    Stacks the (complex) lifts vertically and takes the kernel of the one
+    rank rule, :func:`kcontact.holonomy.numerical_rank`, at a relative cut
+    of 1e-8; scaling the basis does not change the dimension.
     """
     mats = basis.basis if hasattr(basis, "basis") else np.asarray(basis)
     if len(mats) == 0:
         return rep.dim
     stack = np.concatenate([spin_lift(rep, B) for B in mats], axis=0)
-    s = np.linalg.svd(stack, compute_uv=False)
-    smax = s[0] if len(s) else 0.0
-    if smax == 0.0:
-        return rep.dim
-    return int(np.sum(s <= svd_tol * smax) + (rep.dim - len(s)))
+    return rep.dim - numerical_rank(stack, 1e-8).rank
 
 
 def ratio_condition(m_list, a_list, rtol=1e-9):

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import frame_data, orthonormal_frame_change, transport_data
+from .connection import frame_data, ortho_transports, orthonormal_frame_change, transport_data
 from .errors import ChartError, DomainError, SamplingError
 from .manifolds import chart_arrays
 
@@ -701,9 +701,9 @@ def isometry_residual(chart, x0, sampler: SamplerConfig, kind="schouten"):
     _, ends, taus, _ = sampled_path_transports(chart, x0, sampler, kind)
     if not len(taus):
         return 0.0
-    _, L0t = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0).G)
-    _, Lt = orthonormal_frame_change(chart_arrays(chart, ends, order=0).G)
-    taus_o = np.einsum("pij,pjk,kl->pil", Lt, taus, np.linalg.inv(L0t[0]))
+    P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0).G)
+    _, Pinv = orthonormal_frame_change(chart_arrays(chart, ends, order=0).G)
+    taus_o = ortho_transports(taus, Pinv, P0[0])
     eye = np.eye(2 * chart.m)
     return float(np.max(np.abs(np.einsum("pji,pjk->pik", taus_o, taus_o) - eye)))
 

@@ -8,8 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from kcontact import cli
+from kcontact import cli, example_charts
 from kcontact.errors import ChartError
+from kcontact.holonomy import as_samples_adapted
 
 
 CONFIG_DIR = "configs"
@@ -281,21 +282,46 @@ def test_chart_failure_exit_5(tmp_path, capsys, monkeypatch):
     assert err == "numerical failure: degenerate dtheta: cannot invert the contact 2-form\n"
 
 
-def test_holonomy_cross_variant_failure_exits_1(tmp_path):
-    # a strongly perturbed factor: the Wagner and annihilator routes
-    # disagree, the report is still written, and the exit code says so
-    cfg = write_config(tmp_path, {
-        "manifold": {"type": "product", "factors": [
-            {"kind": "perturbed_disc", "b": 1.0, "epsilon": 50.0},
-            {"kind": "poincare_disc"},
-        ]},
-    })
+EPSILON_50 = {"manifold": {"type": "product", "factors": [
+    {"kind": "perturbed_disc", "b": 1.0, "epsilon": 50.0},
+    {"kind": "poincare_disc"},
+]}}
+
+
+def test_holonomy_large_epsilon_routes_agree(tmp_path):
+    # the annihilator samples of this chart have norm at most about 2e-5
+    # and a clear rank 2 (normalized singular values 1, 3e-3, 2e-17); an
+    # absolute rank floor once cut them to rank 1 and failed the report
+    cfg = write_config(tmp_path, EPSILON_50)
     out = tmp_path / "rep.json"
     assert run(["holonomy", "--config", cfg, "--seed", "0", "--paths", "8",
-                "--out", str(out)]) == 1
+                "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["dims"] == {"schouten": 2, "adapted": 2}
+    assert rep["cross_variant"]["dims"] == {"wagner": 2, "annihilator": 2}
+    assert rep["cross_variant"]["residual"] < cli.CROSS_VARIANT_TOL
+
+
+def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):
+    # a genuine disagreement: the annihilator route is fed the adapted
+    # samples of another chart; the report is still written, and the exit
+    # code says so
+    other = example_charts()["disc_disc_11"]
+    variants = cli.as_samples_schouten_variants
+
+    def disagreeing(chart, x, sampler, *args):
+        out = variants(chart, x, sampler, *args)
+        out["annihilator"] = as_samples_adapted(other, np.zeros(other.dim), sampler)
+        return out
+
+    monkeypatch.setattr(cli, "as_samples_schouten_variants", disagreeing)
+    out = tmp_path / "rep.json"
+    bergman = Path(__file__).resolve().parent.parent / "configs" / "bergman.json"
+    assert run(["holonomy", "--config", str(bergman),
+                "--seed", "0", "--paths", "8", "--out", str(out)]) == 1
     rep = read(out)
     assert rep["cross_variant"]["residual"] > cli.CROSS_VARIANT_TOL
-    assert rep["cross_variant"]["dims"] == {"wagner": 2, "annihilator": 1}
+    assert rep["cross_variant"]["dims"] == {"wagner": 3, "annihilator": 2}
 
 
 @pytest.mark.parametrize("factor, message", [

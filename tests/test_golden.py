@@ -13,8 +13,15 @@ After an intended change to report contents, rewrite the golden files
 with
 
     PYTHONPATH=src python tests/test_golden.py
+
+``STRUCTURE`` pins the structural fields of every holonomy and spinor
+case on its own, so that a re-capture cannot move a dimension, a block or
+a spinor kernel without a visible edit here.
 """
 
+import functools
+import json
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,6 +44,33 @@ CASES = [
     ("verify", "disc_disc_12", 1081993678, None),
     ("holonomy", "disc3_b123", 1826701614, None),
 ]
+
+
+def _holonomy(schouten, adapted, blocks, kernels):
+    return {
+        "dims": {"schouten": schouten, "adapted": adapted},
+        "codim": adapted - schouten,
+        "contained": True,
+        "ideal": True,
+        "blocks": blocks,
+        "trivial_block": [] if blocks else [0, 1, 2, 3],
+        "spinor_kernel": dict(zip(("schouten", "adapted"), kernels)),
+        "cross_variant": {"dims": {"wagner": schouten, "annihilator": schouten}},
+    }
+
+
+# structural fields of each holonomy and spinor case
+STRUCTURE = {
+    "holonomy-heisenberg-1826701614": _holonomy(0, 0, [], (4, 4)),
+    "holonomy-bergman-1114088974": _holonomy(3, 4, [[0, 1, 2, 3]], (2, 0)),
+    "holonomy-disc_disc_11-2103381652": _holonomy(1, 2, [[0, 1], [2, 3]], (2, 0)),
+    "holonomy-disc_disc_12-1081993678": _holonomy(1, 2, [[0, 1], [2, 3]], (0, 0)),
+    "holonomy-perturbed_disc_disc-967688993": _holonomy(2, 2, [[0, 1], [2, 3]], (0, 0)),
+    "spinor-bergman-1121323793": {
+        "kernel_dims": {"schouten": 2, "adapted": 0, "trivial_algebra": 4},
+    },
+    "holonomy-disc3_b123-1826701614": _holonomy(2, 3, [[0, 1], [2, 3], [4, 5]], (0, 0)),
+}
 
 PIPELINES = {
     "holonomy": cli.holonomy_report,
@@ -65,10 +99,41 @@ def render(case):
     return cli.render_report(PIPELINES[command](cfg))
 
 
+_rendered = functools.cache(render)
+
+
 @pytest.mark.parametrize("case", CASES, ids=_case_id)
 def test_report_matches_golden(case):
     expected = (GOLDEN / f"{_case_id(case)}.json").read_bytes()
-    assert render(case).encode() == expected
+    assert _rendered(case).encode() == expected
+
+
+def _structure(report):
+    if report["command"] == "spinor":
+        return {"kernel_dims": report["kernel_dims"]}
+    fields = ("dims", "codim", "contained", "ideal", "blocks", "trivial_block", "spinor_kernel")
+    out = {k: report[k] for k in fields}
+    out["cross_variant"] = {"dims": report["cross_variant"]["dims"]}
+    return out
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if _case_id(c) in STRUCTURE], ids=_case_id)
+def test_report_structure(case):
+    assert _structure(json.loads(_rendered(case))) == STRUCTURE[_case_id(case)]
+
+
+@pytest.mark.parametrize("case", [c for c in CASES if c[:2] in {
+    ("holonomy", "bergman"), ("holonomy", "disc_disc_11")}], ids=_case_id)
+def test_t_sign_does_not_reach_the_report(case, monkeypatch):
+    # t_complement fixes t only up to sign; the report orients it
+    t_complement = cli.t_complement
+
+    def flipped(h_big, h_small):
+        t, t_perp = t_complement(h_big, h_small)
+        return replace(t, basis=-t.basis), t_perp
+
+    monkeypatch.setattr(cli, "t_complement", flipped)
+    assert render(case).encode() == (GOLDEN / f"{_case_id(case)}.json").read_bytes()
 
 
 if __name__ == "__main__":

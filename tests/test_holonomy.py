@@ -5,7 +5,12 @@ from kcontact import connection as C
 from kcontact import holonomy as H
 from kcontact import transport as T
 from kcontact.errors import NumericsError
-from kcontact.spinor import real_from_complex, standard_complex_structure
+from kcontact.spinor import (
+    build_spin_rep,
+    parallel_spinor_dim,
+    real_from_complex,
+    standard_complex_structure,
+)
 
 
 PAULI = [
@@ -293,3 +298,58 @@ def test_matrix_lie_algebra_invariants(charts, algebra_cache):
                 for j in range(i + 1, h.dim):
                     br = h.basis[i] @ h.basis[j] - h.basis[j] @ h.basis[i]
                     assert h.span_residual(br) < 1e-6 * (1 + np.linalg.norm(br))
+
+
+def _projector(basis):
+    """Orthogonal projector onto the span of the flattened basis."""
+    rows = np.reshape(basis, (len(basis), -1))
+    return rows.T @ np.linalg.pinv(rows.T)
+
+
+@pytest.fixture(scope="module")
+def unit_samples(charts):
+    """8-path, seed-0 Schouten and adapted samples per chart."""
+    cache = {}
+
+    def get(name):
+        if name not in cache:
+            chart = charts[name]
+            x0 = np.zeros(chart.dim)
+            cfg = T.SamplerConfig(n_paths=8, seed=0)
+            cache[name] = (np.array(H.as_samples_schouten(chart, x0, cfg)),
+                           np.array(H.as_samples_adapted(chart, x0, cfg)))
+        return cache[name]
+
+    return get
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1.0, 1e3, 1e6])
+@pytest.mark.parametrize("name, dims", [
+    ("bergman", (3, 4)), ("perturbed_disc_disc", (2, 2)), ("disc_disc_12", (1, 2)),
+])
+def test_rank_decisions_are_scale_invariant(unit_samples, name, dims, scale):
+    rep = build_spin_rep(2)
+    eye = np.eye(4)
+    skew = np.array([np.outer(eye[a], eye[b]) - np.outer(eye[b], eye[a])
+                     for a in range(4) for b in range(a + 1, 4)])
+    for samples, dim in zip(unit_samples(name), dims):
+        h1 = H.lie_closure(samples, 1e-6)
+        hc = H.lie_closure(scale * samples, 1e-6)
+        assert (h1.dim, hc.dim) == (dim, dim)
+        assert np.max(np.abs(_projector(hc.basis) - _projector(h1.basis))) < 1e-8
+        assert parallel_spinor_dim(rep, scale * h1.basis) == parallel_spinor_dim(rep, h1)
+        comm1, commc = h1.commutant(skew), h1.commutant(scale * skew)
+        assert len(commc) == len(comm1)
+        assert np.max(np.abs(_projector(commc) - _projector(comm1))) < 1e-8
+
+
+def test_t_complement_needs_a_projecting_subalgebra():
+    # h_small is orthogonal to h_big: its coefficients there have rank 0
+    J1 = np.zeros((4, 4))
+    J1[:2, :2] = [[0, -1], [1, 0]]
+    J2 = np.zeros((4, 4))
+    J2[2:, 2:] = [[0, -1], [1, 0]]
+    K = np.zeros((4, 4))
+    K[0, 2], K[2, 0] = 1, -1
+    with pytest.raises(NumericsError):
+        H.t_complement(H.lie_closure([J1, J2], 1e-8), H.lie_closure([K], 1e-8))
