@@ -19,13 +19,9 @@ from .manifolds import (
 from .connection import (
     FramePointData,
     curvature_on_bivector,
-    dtheta_inverse_bivector,
     extended_curvature,
     form_on_bivector,
     frame_data,
-    schouten_coeffs,
-    schouten_curvature,
-    wagner_N,
 )
 # the parallel-transport entry point itself stays on the submodule
 # (kcontact.transport.transport) so the module name is not shadowed

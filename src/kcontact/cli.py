@@ -54,7 +54,6 @@ from .spinor import (
 from .transport import (
     SamplerConfig,
     balanced_loop,
-    horizontalize,
     isometry_residual,
     sample_curve,
     transport_equivalence_check,
@@ -112,6 +111,8 @@ class RunConfig:
             raise ConfigError("sampler sizes must be positive")
         if sampler.magnitude < 0 or sampler.step <= 0:
             raise ConfigError("sampler magnitude/step must be positive")
+        if sampler.seed < 0:
+            raise ConfigError("sampler seed must be nonnegative")
         for name in ("horizon", "magnitude", "step", "vertical_magnitude"):
             if not math.isfinite(getattr(sampler, name)):
                 raise ConfigError(f"sampler {name} must be finite")
@@ -131,13 +132,17 @@ class RunConfig:
             base_point.ndim != 1 or not np.all(np.isfinite(base_point))
         ):
             raise ConfigError("base_point must be a list of finite numbers")
+        outputs = raw.get("outputs")
+        out = outputs.get("report") if isinstance(outputs, dict) else None
+        if out is not None and not isinstance(out, str):
+            raise ConfigError("outputs.report must be a path string")
         return cls(
             manifold=raw["manifold"],
             base_point=base_point,
             sampler=sampler,
             span_tol=span_tol,
             ode_tol=ode_tol,
-            out=raw.get("outputs", {}).get("report") if isinstance(raw.get("outputs"), dict) else None,
+            out=out,
         )
 
 
@@ -198,8 +203,11 @@ def _render(obj):
 def _emit(report, out_path):
     text = render_report(report)
     if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write report: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -246,13 +254,11 @@ def verify_report(cfg: RunConfig, n_points=50):
     rng_loop = np.random.default_rng(cfg.sampler.seed + 1)
     loop = balanced_loop(chart, x0, rng_loop)
     sc = sample_curve(chart, loop, 2e-3)
-    tilde = horizontalize(chart, sc)
+    equivalence, tilde = transport_equivalence_check(chart, sc)
     checks["horizontalization_residual"] = _check(
         float(np.max(np.abs(tilde.theta_dot))), 1e-6
     )
-    checks["transport_equivalence"] = _check(
-        transport_equivalence_check(chart, sc), 1e-4
-    )
+    checks["transport_equivalence"] = _check(equivalence, 1e-4)
     fq = transport_theta(chart, sc, "quadrature")
     fo = transport_theta(chart, sc, "ode")
     checks["theta_transport_agreement"] = _check(abs(fq - fo) / abs(fq), cfg.ode_tol)
@@ -448,6 +454,8 @@ def build_parser():
 def _apply_overrides(cfg: RunConfig, args):
     updates = {}
     if getattr(args, "seed", None) is not None:
+        if args.seed < 0:
+            raise ConfigError("--seed must be nonnegative")
         updates["seed"] = args.seed
     if getattr(args, "paths", None) is not None:
         if args.paths < 0:

@@ -33,10 +33,6 @@ from .manifolds import chart_arrays, frame_brackets, reeb_brackets, structure_pi
 __all__ = [
     "FramePointData",
     "frame_data",
-    "schouten_coeffs",
-    "schouten_curvature",
-    "dtheta_inverse_bivector",
-    "wagner_N",
     "wagner_nabla_N",
     "extended_curvature",
     "curvature_on_bivector",
@@ -243,33 +239,6 @@ def _single(chart, x, order):
     x = np.asarray(x, dtype=float)
     data = frame_data(chart, x[None] if x.ndim == 1 else x, order=order)
     return data, x.ndim == 1
-
-
-def schouten_coeffs(chart, x):
-    """Connection coefficients Gamma[c, a, b] at a point."""
-    data, single = _single(chart, x, 1)
-    return data.Gamma[0] if single else data.Gamma
-
-
-def schouten_curvature(chart, x):
-    """Curvature R[a, b, e, c]: the matrix of R(e_a, e_b) in the frame."""
-    data, single = _single(chart, x, 2)
-    return data.R[0] if single else data.R
-
-
-def dtheta_inverse_bivector(chart, x):
-    """The bivector alpha with dtheta(alpha) = -4m (skew coefficient matrix)."""
-    data, single = _single(chart, x, 1)
-    if np.min(np.abs(np.linalg.det(data.omega))) < 1e-12:
-        raise ChartError("degenerate dtheta: cannot invert the contact 2-form")
-    alpha = 2.0 * np.linalg.inv(data.omega)
-    return alpha[0] if single else alpha
-
-
-def wagner_N(chart, x):
-    """Wagner endomorphism N = R(alpha) / 4m."""
-    data, single = _single(chart, x, 2)
-    return data.N[0] if single else data.N
 
 
 def wagner_nabla_N(chart, x, step=1e-4):

@@ -570,8 +570,10 @@ def transport_equivalence_check(chart, loop, step=None):
     horizontal transport along its horizontalization.
 
     The loop must close and have vanishing theta-integral (so the
-    horizontalized curve is a loop as well); returns the Frobenius norm
-    of the difference of the two transports.
+    horizontalized curve is a loop as well).  Returns ``(residual, tilde)``:
+    the Frobenius norm of the difference of the two transports, and the
+    horizontal companion :class:`SampledCurve` from :func:`horizontalize`,
+    so a caller can check its horizontality without flowing the loop again.
     """
     sc = sample_curve(chart, loop, step)
     if not np.allclose(sc.xs[0], sc.xs[-1], atol=1e-8):
@@ -585,7 +587,7 @@ def transport_equivalence_check(chart, loop, step=None):
     tau0 = _transport_sampled(chart, sc, "adapted")
     tilde = horizontalize(chart, sc)
     tau_t = _transport_sampled(chart, tilde, "schouten")
-    return float(np.linalg.norm(tau0 - tau_t))
+    return float(np.linalg.norm(tau0 - tau_t)), tilde
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,22 @@ def test_verify_heisenberg_passes(tmp_path):
     assert rep["checks"]["dtheta_inverse_pairing"]["tolerance"] == 1e-9
 
 
+def test_verify_flows_the_loop_once(monkeypatch):
+    # the equivalence check hands back its horizontal curve, so the
+    # horizontality check needs no second Reeb flow of the same loop
+    from kcontact import transport
+    flow, calls = transport._reeb_flow_batch, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1].shape)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_reeb_flow_batch", counted)
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"
+    cli.verify_report(cli.load_config(str(shipped)))
+    assert len(calls) == 1
+
+
 def test_verify_perturbed_still_k_contact(tmp_path):
     cfg = write_config(tmp_path, {
         "manifold": {"type": "product", "factors": [
@@ -251,11 +267,28 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
     {"tolerances": {"ode_tol": "tight"}},
     {"base_point": ["origin"]},
     {"base_point": 0.0},
-], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar"])
+    {"sampler": {"seed": -5}},
+    {"outputs": {"report": ["x"]}},
+], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar",
+        "negative_seed", "report_list"])
 def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
     assert run(["verify", "--config", cfg]) == 2
     assert capsys.readouterr().err.startswith("config error:")
+
+
+@pytest.mark.parametrize("argv", [
+    ["holonomy", "--seed", "-1"],
+    ["verify", "--out", "{tmp}/missing/r.json"],
+], ids=["negative_seed", "missing_report_dir"])
+def test_bad_command_line_exit_2(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2},
+                                  "sampler": small_sampler(4)})
+    args = [a.format(tmp=tmp_path) for a in argv] + ["--config", cfg]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.strip().splitlines()) == 1
 
 
 def test_closure_blow_up_exit_5(tmp_path, capsys):

@@ -14,9 +14,10 @@ ALL = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman", "perturbed_disc_
 def test_heisenberg_flat(charts):
     chart = charts["heisenberg"]
     pts = domain_points(chart, 10, seed=0)
-    assert np.max(np.abs(C.schouten_coeffs(chart, pts))) < 1e-13
-    assert np.max(np.abs(C.schouten_curvature(chart, pts))) < 1e-13
-    assert np.max(np.abs(C.wagner_N(chart, pts))) < 1e-13
+    data = C.frame_data(chart, pts, order=2)
+    assert np.max(np.abs(data.Gamma)) < 1e-13
+    assert np.max(np.abs(data.R)) < 1e-13
+    assert np.max(np.abs(data.N)) < 1e-13
     RW, RWxi = C.extended_curvature(chart, pts, "wagner")
     assert np.max(np.abs(RW)) < 1e-13
     assert np.max(np.abs(RWxi)) < 1e-10
@@ -28,7 +29,7 @@ def test_heisenberg_alpha_is_minus_two_omega(charts):
     chart = charts["heisenberg"]
     x = np.zeros(5)
     om = M.d_theta_frame(chart, x)
-    al = C.dtheta_inverse_bivector(chart, x)
+    al = C.frame_data(chart, x, order=2).alpha[0]
     assert np.allclose(al, -2.0 * om, atol=1e-14)
     assert np.allclose(np.linalg.inv(om), -om, atol=1e-14)
     assert abs(C.form_on_bivector(om, al) + 8.0) < 1e-12
@@ -51,7 +52,7 @@ def test_connection_invariants(charts, name):
 def test_gamma_against_finite_differences(charts, name):
     chart = charts[name]
     pts = domain_points(chart, 5, seed=2, margin=0.85)
-    Gam = C.schouten_coeffs(chart, pts)
+    Gam = C.frame_data(chart, pts, order=1).Gamma
     for k, x in enumerate(pts):
         ref = gamma_fd(chart, x)
         scale = np.max(np.abs(ref)) + 1.0
@@ -62,7 +63,7 @@ def test_gamma_against_finite_differences(charts, name):
 def test_curvature_against_finite_differences(charts, name):
     chart = charts[name]
     pts = domain_points(chart, 4, seed=3, margin=0.8)
-    R = C.schouten_curvature(chart, pts)
+    R = C.frame_data(chart, pts, order=2).R
     for k, x in enumerate(pts):
         ref = curvature_fd(chart, x)
         scale = np.max(np.abs(ref)) + 1.0
@@ -71,7 +72,7 @@ def test_curvature_against_finite_differences(charts, name):
 
 def test_disc_origin_gamma_vanishes(charts):
     chart = charts["disc_disc_11"]
-    Gam = C.schouten_coeffs(chart, np.zeros(5))
+    Gam = C.frame_data(chart, np.zeros(5), order=1).Gamma
     assert np.max(np.abs(Gam)) < 1e-12
 
 

@@ -202,7 +202,7 @@ def test_transport_equivalence_on_balanced_loops(charts):
     for name in ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman"]:
         chart = charts[name]
         loop = T.balanced_loop(chart, np.zeros(chart.dim), rng)
-        resid = T.transport_equivalence_check(chart, loop)
+        resid, _ = T.transport_equivalence_check(chart, loop)
         assert resid < 1e-4, name
 
 
@@ -214,7 +214,7 @@ def test_transport_equivalence_trivial_cases(charts):
     # flat chart: both transports are the identity
     tau0 = T._transport_sampled(chart, sc, "adapted")
     assert np.max(np.abs(tau0 - np.eye(4))) < 1e-9
-    assert T.transport_equivalence_check(chart, sc) < 1e-9
+    assert T.transport_equivalence_check(chart, sc)[0] < 1e-9
     # an unbalanced loop is rejected
     bad = T.ControlPath(np.zeros(5), np.zeros((1, 4)), 0.5, vertical=np.array([1.0]))
     with pytest.raises(ChartError):
