@@ -41,6 +41,7 @@ from .manifolds import (
     FACTOR_KINDS,
     chart_from_config,
     chart_invariant_residuals,
+    config_int,
     random_domain_points,
 )
 from .spinor import (
@@ -97,12 +98,12 @@ class RunConfig:
             raise ConfigError("'sampler' must be an object")
         try:
             sampler = SamplerConfig(
-                n_paths=int(samp.get("n_paths", 64)),
-                segments=int(samp.get("segments", 4)),
+                n_paths=config_int(samp.get("n_paths", 64), "sampler n_paths"),
+                segments=config_int(samp.get("segments", 4), "sampler segments"),
                 horizon=float(samp.get("horizon", 1.2)),
                 magnitude=float(samp.get("magnitude", 0.45)),
                 step=float(samp.get("step", 0.02)),
-                seed=int(samp.get("seed", 0)),
+                seed=config_int(samp.get("seed", 0), "sampler seed"),
                 vertical_magnitude=float(samp.get("vertical_magnitude", 0.0)),
             )
         except (TypeError, ValueError) as exc:
@@ -132,8 +133,10 @@ class RunConfig:
             base_point.ndim != 1 or not np.all(np.isfinite(base_point))
         ):
             raise ConfigError("base_point must be a list of finite numbers")
-        outputs = raw.get("outputs")
-        out = outputs.get("report") if isinstance(outputs, dict) else None
+        outputs = raw.get("outputs", {})
+        if not isinstance(outputs, dict):
+            raise ConfigError("'outputs' must be an object")
+        out = outputs.get("report")
         if out is not None and not isinstance(out, str):
             raise ConfigError("outputs.report must be a path string")
         return cls(

@@ -12,6 +12,7 @@ in the package is derived from them.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -27,6 +28,7 @@ __all__ = [
     "heisenberg",
     "product_construction",
     "chart_from_config",
+    "config_int",
     "example_charts",
     "eval_contact",
     "d_theta_frame",
@@ -293,16 +295,26 @@ def product_construction(factors: Sequence[FactorSpec]):
                         name=f"product[{label}]", factors=factors, blocks=blocks)
 
 
+def config_int(value, what):
+    """An integer configuration field: an int or an integral float.
+
+    Booleans, fractions, non-finite values and non-numbers raise
+    :class:`ConfigError` instead of being truncated by ``int()``.
+    """
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    raise ConfigError(f"{what} must be an integer, got {value!r}")
+
+
 def chart_from_config(cfg: dict):
     """Build a chart from the JSON configuration schema."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("manifold config must be an object with a 'type' field")
     kind = cfg["type"]
     if kind == "heisenberg":
-        try:
-            m = int(cfg["m"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ConfigError("heisenberg config needs an integer 'm'") from exc
+        m = config_int(cfg.get("m"), "heisenberg config 'm'")
         try:
             return heisenberg(m)
         except ChartError as exc:
@@ -317,7 +329,7 @@ def chart_from_config(cfg: dict):
                 specs.append(
                     FactorSpec(
                         kind=item["kind"],
-                        complex_dim=int(item.get("complex_dim", 1)),
+                        complex_dim=config_int(item.get("complex_dim", 1), "complex_dim"),
                         b=float(item.get("b", 1.0)),
                         curvature=float(item.get("curvature", 1.0)),
                         epsilon=float(item.get("epsilon", 0.0)),
@@ -358,21 +370,26 @@ def example_charts():
 # evaluation
 
 
+CHART_FIELDS = ("th", "xi", "E", "G")
+
+
 @dataclass
 class ChartArrays:
     """Chart coefficient functions and their coordinate derivatives, batched.
 
     Derivative axes trail the component axes: ``dth[..., i, j]`` is the
     j-th partial of theta_i, ``d2G[..., a, b, i, j]`` the (i, j) second
-    partial of the metric entry (a, b), and so on.
+    partial of the metric entry (a, b), and so on.  A field that was not
+    requested from :func:`chart_arrays` is ``None`` at every order, as are
+    the derivatives above the evaluated order.
     """
 
     X: np.ndarray
     order: int
-    th: np.ndarray
-    xi: np.ndarray
-    E: np.ndarray
-    G: np.ndarray
+    th: np.ndarray = None
+    xi: np.ndarray = None
+    E: np.ndarray = None
+    G: np.ndarray = None
     dth: np.ndarray = None
     dxi: np.ndarray = None
     dE: np.ndarray = None
@@ -383,18 +400,29 @@ class ChartArrays:
     d2G: np.ndarray = None
 
 
-def chart_arrays(chart, X, order=1):
-    """Evaluate theta, xi, frame, metric (and derivatives) at points X (..., n)."""
+def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS):
+    """Evaluate theta, xi, frame, metric (and derivatives) at points X (..., n).
+
+    ``fields`` is a subset of ``("th", "xi", "E", "G")``: only those
+    coefficient functions are called, and the other entries of the
+    returned :class:`ChartArrays` stay ``None``.  A requested field has the
+    same bits whatever else is requested.
+    """
+    unknown = set(fields) - set(CHART_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown chart fields {sorted(unknown)}")
     X = np.asarray(X, dtype=float)
     n = chart.dim
     batch = X.shape[:-1]
     coords = jets.seed(X, order)
-    th, dth, d2th = jets.stack_arrays(chart.theta(coords), order, n, batch)
-    xi, dxi, d2xi = jets.stack_arrays(chart.xi(coords), order, n, batch)
-    Erows, dE, d2E = jets.stack_arrays(chart.frame(coords), order, n, batch)
-    G, dG, d2G = jets.stack_arrays(chart.metric(coords), order, n, batch)
-    return ChartArrays(X, order, th, xi, Erows, G, dth, dxi, dE, dG,
-                       d2th, d2xi, d2E, d2G)
+    out = ChartArrays(X, order)
+    for name, fn in zip(CHART_FIELDS, (chart.theta, chart.xi, chart.frame, chart.metric)):
+        if name in fields:
+            val, d1, d2 = jets.stack_arrays(fn(coords), order, n, batch)
+            setattr(out, name, val)
+            setattr(out, "d" + name, d1)
+            setattr(out, "d2" + name, d2)
+    return out
 
 
 def frame_brackets(arr):

@@ -185,8 +185,8 @@ def _rhs(chart, kind, x, M, u, w):
     """Derivatives of (position, frame transport, theta integral); M may be None."""
     vertical = bool(np.any(w != 0.0))
     if M is None:
-        # positions only: plain chart values, no derivatives
-        arr = chart_arrays(chart, x, order=0)
+        # positions only: plain chart values, no derivatives, no metric
+        arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
         v = np.einsum("...ia,...a->...i", arr.E, u)
         if vertical:
             v = v + w[..., None] * arr.xi
@@ -206,7 +206,7 @@ def _rhs(chart, kind, x, M, u, w):
 
 
 def _reorthonormalize(chart, x, M, L0t):
-    P, Lt = orthonormal_frame_change(chart_arrays(chart, x, order=0).G)
+    P, Lt = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
     Mo = Lt @ M @ np.linalg.inv(L0t)
     U, _, Vt = np.linalg.svd(Mo)
     return P @ (U @ Vt) @ L0t
@@ -238,7 +238,7 @@ def _integrate_controls(
     seg = horizon / K
     steps = _even_steps(seg, step)
     h = seg / steps
-    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0).G)
+    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
     history = [x.copy()] if collect else None
     total = 0
     for k in range(K):
@@ -345,7 +345,7 @@ def _sample_control_path(chart, path, step):
     us = np.repeat(path.controls, per, axis=0)
     ws = np.zeros(K * per) if path.vertical is None else np.repeat(path.vertical, per)
     piece_slices = [(k * per, k * per + steps) for k in range(K)]
-    arr = chart_arrays(chart, xs, order=0)
+    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, us) + ws[:, None] * arr.xi
     theta_dot = np.einsum("...i,...i->...", arr.th, v)
     return SampledCurve(ts, xs, us, ws, theta_dot, piece_slices)
@@ -380,7 +380,7 @@ def _sample_parametric(chart, curve, step):
 
 def _split_velocities(chart, xs, vs):
     """Frame components, Reeb component and theta value of velocities at xs."""
-    arr = chart_arrays(chart, xs, order=0)
+    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
     aug = np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1)
     coeff = np.linalg.solve(aug, vs[..., None])[..., 0]
     tm = 2 * chart.m
@@ -521,7 +521,7 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
 
     def rhs(s, state):
         y, J = state
-        arr = chart_arrays(chart, y, order=1 if jacobian else 0)
+        arr = chart_arrays(chart, y, order=1 if jacobian else 0, fields=("xi",))
         v = times[:, None] * arr.xi
         dJ = None
         if jacobian:
@@ -556,7 +556,7 @@ def horizontalize(chart, curve, step=None, flow_step=0.01):
     sc = sample_curve(chart, curve, step)
     f = -_cumulative_theta_integral(sc)
     ys, J = _reeb_flow_batch(chart, sc.xs, f, step=flow_step, jacobian=True)
-    arr = chart_arrays(chart, sc.xs, order=0)
+    arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, sc.us) + sc.ws[:, None] * arr.xi
     v_h = v - sc.theta_dot[:, None] * arr.xi
     vt = np.einsum("...kl,...l->...k", J, v_h)
@@ -703,8 +703,8 @@ def isometry_residual(chart, x0, sampler: SamplerConfig, kind="schouten"):
     _, ends, taus, _ = sampled_path_transports(chart, x0, sampler, kind)
     if not len(taus):
         return 0.0
-    P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0).G)
-    _, Pinv = orthonormal_frame_change(chart_arrays(chart, ends, order=0).G)
+    P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)
+    _, Pinv = orthonormal_frame_change(chart_arrays(chart, ends, order=0, fields=("G",)).G)
     taus_o = ortho_transports(taus, Pinv, P0[0])
     eye = np.eye(2 * chart.m)
     return float(np.max(np.abs(np.einsum("pji,pjk->pik", taus_o, taus_o) - eye)))

@@ -269,12 +269,35 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
     {"base_point": 0.0},
     {"sampler": {"seed": -5}},
     {"outputs": {"report": ["x"]}},
+    {"sampler": {"n_paths": 2.7}},
+    {"sampler": {"seed": 1.9}},
+    {"sampler": {"seed": True}},
+    {"sampler": {"segments": 2.5}},
+    {"manifold": {"type": "heisenberg", "m": 2.5}},
+    {"manifold": {"type": "product", "factors": [
+        {"kind": "bergman_ball", "complex_dim": True}, {"kind": "poincare_disc"}]}},
+    {"outputs": []},
 ], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar",
-        "negative_seed", "report_list"])
+        "negative_seed", "report_list", "fractional_n_paths", "fractional_seed",
+        "boolean_seed", "fractional_segments", "fractional_m", "boolean_complex_dim",
+        "outputs_list"])
 def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
     assert run(["verify", "--config", cfg]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_integral_float_counts_are_accepted(tmp_path):
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "heisenberg", "m": 2.0},
+        "sampler": {**small_sampler(4), "n_paths": 4.0, "segments": 4.0, "seed": 3.0},
+    })
+    out = tmp_path / "report.json"
+    assert run(["verify", "--config", cfg, "--out", str(out)]) == 0
+    seed = read(out)["seed"]
+    assert seed == 3 and isinstance(seed, int)
 
 
 @pytest.mark.parametrize("argv", [

@@ -7,6 +7,8 @@ import runpy
 from importlib import import_module
 from pathlib import Path
 
+import numpy as np
+
 TRACING = Path(__file__).resolve().parent.parent / "kbench" / "tracing.py"
 
 
@@ -16,3 +18,28 @@ def test_every_trace_target_names_a_kcontact_function():
     missing = [f"kcontact.{mod}.{name}" for mod, name, _, _ in targets
                if not callable(getattr(import_module(f"kcontact.{mod}"), name, None))]
     assert missing == []
+
+
+def test_chart_arrays_span_names_ignore_field_selection():
+    # callers pass fields= by keyword; the per-layer span must still be
+    # named after the order, whether that is positional or a keyword
+    ns = runpy.run_path(str(TRACING))
+    name = ns["_chart_arrays_name"]
+    X = np.zeros((3, 5))
+    for order in (0, 1, 2):
+        want = f"manifolds.chart_arrays.o{order}"
+        assert name(("chart", X, order), {"fields": ("xi",)}) == want
+        assert name(("chart", X), {"order": order, "fields": ("G",)}) == want
+    assert name(("chart", X), {"fields": ("th", "xi", "E")}) == "manifolds.chart_arrays.o1"
+
+    # and through the installed wrapper, as a traced run calls it
+    from kcontact import heisenberg, manifolds
+
+    tracer = ns["Tracer"]()
+    with tracer.installed():
+        for order in (0, 1, 2):
+            arr = manifolds.chart_arrays(heisenberg(2), X, order, fields=("xi",))
+            assert arr.xi is not None and arr.G is None
+    assert {k for k in tracer.self_s if k.startswith("manifolds.chart_arrays")} == {
+        "manifolds.chart_arrays.o0", "manifolds.chart_arrays.o1", "manifolds.chart_arrays.o2"}
+    assert tracer.counts["manifolds.chart_arrays.points"] == 9

@@ -237,3 +237,41 @@ def test_scalar_contract_all_orders(charts):
     assert np.allclose(v1.dG, v2.dG)
     single = M.eval_contact(chart, x[0])
     assert np.allclose(single[3], v0.G[0])
+
+
+FIELD_CHARTS = {
+    **M.example_charts(),
+    "ball_x_disc": M.product_construction(
+        [M.FactorSpec("bergman_ball", complex_dim=2, b=1.0), M.FactorSpec("poincare_disc", b=2.0)]
+    ),
+    "perturbed_x_ball": M.product_construction(
+        [M.FactorSpec("perturbed_disc", b=1.0, epsilon=0.3), M.FactorSpec("bergman_ball", b=-1.0)]
+    ),
+}
+# every field subset a caller of chart_arrays asks for
+FIELD_SUBSETS = [("xi",), ("G",), ("th", "xi", "E"), ("xi", "E")]
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FIELD_CHARTS))
+def test_field_selection_is_bit_identical(name, order):
+    chart = FIELD_CHARTS[name]
+    pts = domain_points(chart, 7, seed=5, margin=0.95)
+    full = M.chart_arrays(chart, pts, order=order)
+    prefixes = ("", "d", "d2")[: order + 1]
+    for fields in FIELD_SUBSETS:
+        part = M.chart_arrays(chart, pts, order=order, fields=fields)
+        for field in M.CHART_FIELDS:
+            for prefix in ("", "d", "d2"):
+                got = getattr(part, prefix + field)
+                if field in fields and prefix in prefixes:
+                    want = getattr(full, prefix + field)
+                    assert got.shape == want.shape, (fields, prefix + field)
+                    assert got.tobytes() == want.tobytes(), (fields, prefix + field)
+                else:
+                    assert got is None, (fields, prefix + field)
+
+
+def test_unknown_chart_field_rejected(charts):
+    with pytest.raises(ValueError, match="unknown chart fields"):
+        M.chart_arrays(charts["heisenberg"], np.zeros((1, 5)), order=0, fields=("metric",))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -152,6 +154,28 @@ def test_reeb_flow_contract(charts):
     hx = charts["heisenberg"]
     z = T.reeb_flow(hx, np.zeros(5), -0.3)
     assert abs(z[4] + 0.3) < 1e-12
+
+
+def test_reeb_flow_evaluates_only_xi(charts):
+    # the flow and its Jacobian read xi and dxi; theta, frame and metric
+    # jets would be built and thrown away at every RK4 stage
+    calls = {"theta": 0, "xi": 0, "frame": 0, "metric": 0}
+
+    def counted(name):
+        fn = getattr(charts["bergman"], name)
+
+        def wrapper(x):
+            calls[name] += 1
+            return fn(x)
+
+        return wrapper
+
+    chart = dataclasses.replace(charts["bergman"], **{k: counted(k) for k in calls})
+    X = np.array([[0.1, -0.2, 0.05, 0.3, 0.0], [0.0, 0.1, -0.3, 0.2, 0.5]])
+    _, J = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), step=0.1, jacobian=True)
+    assert J.shape == (2, 5, 5)
+    # four RK4 stages per step, four steps for the longest time 0.4
+    assert calls == {"theta": 0, "xi": 16, "frame": 0, "metric": 0}
 
 
 def test_horizontalize_fixed_points(charts):
