@@ -8,18 +8,14 @@ from .manifolds import (
     ContactChart,
     FactorSpec,
     chart_from_config,
-    d_theta_frame,
-    eval_contact,
     example_charts,
     heisenberg,
     product_construction,
     random_domain_points,
-    structure_functions,
 )
 from .connection import (
     FramePointData,
     curvature_on_bivector,
-    extended_curvature,
     form_on_bivector,
     frame_data,
 )
@@ -33,8 +29,6 @@ from .transport import (
     TransportResult,
     balanced_loop,
     horizontalize,
-    integrate_horizontal,
-    reeb_flow,
     sample_paths,
     transport_equivalence_check,
     transport_theta,
@@ -54,10 +48,8 @@ from .transverse import (
     dtheta_regression,
     einstein_check,
     factor_split,
-    ricci_form,
     sasaki_psi_check,
     split_distribution,
-    transverse_ricci,
 )
 from .spinor import (
     SpinRep,

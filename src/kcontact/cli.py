@@ -104,7 +104,6 @@ class RunConfig:
                 magnitude=float(samp.get("magnitude", 0.45)),
                 step=float(samp.get("step", 0.02)),
                 seed=config_int(samp.get("seed", 0), "sampler seed"),
-                vertical_magnitude=float(samp.get("vertical_magnitude", 0.0)),
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampler parameters: {exc}") from exc
@@ -114,7 +113,7 @@ class RunConfig:
             raise ConfigError("sampler magnitude/step must be positive")
         if sampler.seed < 0:
             raise ConfigError("sampler seed must be nonnegative")
-        for name in ("horizon", "magnitude", "step", "vertical_magnitude"):
+        for name in ("horizon", "magnitude", "step"):
             if not math.isfinite(getattr(sampler, name)):
                 raise ConfigError(f"sampler {name} must be finite")
         tols = raw.get("tolerances", {})
@@ -129,6 +128,10 @@ class RunConfig:
             raise ConfigError(f"bad tolerances or base_point: {exc}") from exc
         if not (math.isfinite(span_tol) and math.isfinite(ode_tol)):
             raise ConfigError("tolerances must be finite")
+        if not 0.0 < span_tol < 1.0:
+            raise ConfigError(f"span_tol must lie in (0, 1), got {span_tol}")
+        if not ode_tol > 0.0:
+            raise ConfigError(f"ode_tol must be positive, got {ode_tol}")
         if base_point is not None and (
             base_point.ndim != 1 or not np.all(np.isfinite(base_point))
         ):
@@ -248,9 +251,7 @@ def verify_report(cfg: RunConfig, n_points=50):
         "dtheta_inverse_pairing": _check(con["dtheta_pairing"], 1e-9),
     }
     # transport spot checks
-    sampler = replace(
-        cfg.sampler, n_paths=min(8, max(cfg.sampler.n_paths, 1)), vertical_magnitude=0.0
-    )
+    sampler = replace(cfg.sampler, n_paths=min(8, max(cfg.sampler.n_paths, 1)))
     checks["transport_isometry"] = _check(
         isometry_residual(chart, x0, sampler), 1e-6
     )

@@ -33,8 +33,6 @@ from .manifolds import chart_arrays, frame_brackets, reeb_brackets, structure_pi
 __all__ = [
     "FramePointData",
     "frame_data",
-    "wagner_nabla_N",
-    "extended_curvature",
     "curvature_on_bivector",
     "form_on_bivector",
     "orthonormal_frame_change",
@@ -52,8 +50,9 @@ class FramePointData:
     by the vertical part of the zero extension.  At second order,
     ``R[..., a, b, e, c]`` is the matrix of ``R(e_a, e_b)`` (slot ``c`` in,
     slot ``e`` out), ``N`` the Wagner endomorphism and ``RW`` the Wagner
-    curvature on horizontal pairs; the mixed Wagner curvature ``-nabla N``
-    comes from :func:`extended_curvature`.
+    curvature on horizontal pairs.  The zero extension has curvature ``R``
+    on horizontal pairs and none on mixed ones; the mixed Wagner curvature
+    ``-nabla N`` needs third metric derivatives and is not computed here.
     """
 
     x: np.ndarray
@@ -233,64 +232,6 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     data.N = N
     data.RW = RW
     data.domega = domega
-
-
-def _single(chart, x, order):
-    x = np.asarray(x, dtype=float)
-    data = frame_data(chart, x[None] if x.ndim == 1 else x, order=order)
-    return data, x.ndim == 1
-
-
-def wagner_nabla_N(chart, x, step=1e-4):
-    """Frame covariant derivative nabla_{e_a} N of the Wagner field.
-
-    Central differences over the jet-computed N field: the entries of
-    nabla N need third metric derivatives, beyond the order-2 jets.
-    Returns an array ``[..., a, e, c]``.
-    """
-    data, single = _single(chart, x, 2)
-    Xb, n = data.x, chart.dim
-    dN = np.empty(Xb.shape[:-1] + (n,) + data.N.shape[-2:])
-    for j in range(n):
-        h = np.zeros(n)
-        h[j] = step
-        Np = frame_data(chart, Xb + h, order=2).N
-        Nm = frame_data(chart, Xb - h, order=2).N
-        dN[..., j, :, :] = (Np - Nm) / (2.0 * step)
-    # nabla_a N^e_c = e_a(N^e_c) + Gamma^e_{ad} N^d_c - Gamma^d_{ac} N^e_d
-    eN = np.einsum("...ja,...jec->...aec", data.E, dN)
-    nabla = (
-        eN
-        + np.einsum("...ead,...dc->...aec", data.Gamma, data.N)
-        - np.einsum("...dac,...ed->...aec", data.Gamma, data.N)
-    )
-    return nabla[0] if single else nabla
-
-
-def extended_curvature(chart, x, N=None):
-    """Curvature of the extension of the horizontal connection by a field N.
-
-    ``N=None`` selects the zero extension (mixed curvature vanishes);
-    ``N='wagner'`` selects the Wagner extension, whose mixed curvature is
-    ``-nabla N``.  A raw matrix N yields the horizontal part only (a single
-    matrix carries no field information), with ``RNxi=None``.
-    Returns ``(RN, RNxi)``.
-    """
-    data, single = _single(chart, x, 2)
-    if N is None:
-        RN = data.R
-        RNxi = np.zeros(data.R.shape[:-4] + data.R.shape[-3:])
-    elif isinstance(N, str) and N == "wagner":
-        RN = data.RW
-        RNxi = -wagner_nabla_N(chart, data.x)
-    else:
-        Nb = np.asarray(N, dtype=float)
-        RN = data.R + np.einsum("...ab,...ec->...abec", data.omega, Nb)
-        RNxi = None
-    if single:
-        RN = RN[0]
-        RNxi = None if RNxi is None else RNxi[0]
-    return RN, RNxi
 
 
 def curvature_on_bivector(R, beta):

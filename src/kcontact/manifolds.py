@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import jets
-from .errors import ChartError, ConfigError, DomainError
+from .errors import ChartError, ConfigError
 
 __all__ = [
     "Domain",
@@ -30,9 +30,6 @@ __all__ = [
     "chart_from_config",
     "config_int",
     "example_charts",
-    "eval_contact",
-    "d_theta_frame",
-    "structure_functions",
     "random_domain_points",
     "chart_invariant_residuals",
 ]
@@ -469,49 +466,6 @@ def structure_pieces(arr):
         "dcoef": dfull[..., :tm, :],
         "dcoef_theta": dfull[..., tm, :],
     }
-
-
-def _checked_arrays(chart, x, order):
-    """Chart arrays at a validated point (as a batch of one) or batch."""
-    x = np.asarray(x, dtype=float)
-    ok = chart.domain.contains(x)
-    if not np.all(ok):
-        bad = x.reshape(-1, chart.dim)[~np.atleast_1d(ok)][0]
-        raise DomainError(f"point outside chart domain: {bad}", point=bad)
-    return chart_arrays(chart, x[None] if x.ndim == 1 else x, order=order)
-
-
-def eval_contact(chart, x):
-    """Evaluate (theta_x, xi_x, frame E_x, metric G_x) at a point, validated."""
-    arr = _checked_arrays(chart, x, order=0)
-    th, xi, E, G = arr.th, arr.xi, arr.E, arr.G
-    eig = np.linalg.eigvalsh(G)
-    if np.min(eig) <= 0.0:
-        raise ChartError(f"metric not positive definite (min eig {np.min(eig):.3e})")
-    if np.ndim(x) == 1:
-        return th[0], xi[0], E[0], G[0]
-    return th, xi, E, G
-
-
-def d_theta_frame(chart, x):
-    """Matrix of the contact 2-form in the frame: dtheta(e_a, e_b), no 1/2 factor."""
-    omega = structure_pieces(_checked_arrays(chart, x, order=1))["omega"]
-    if np.min(np.abs(np.linalg.det(omega))) < 1e-12:
-        raise ChartError("degenerate dtheta: chart is not contact at this point")
-    return omega[0] if np.ndim(x) == 1 else omega
-
-
-def structure_functions(chart, x):
-    """Structure functions (c, tau, d) of the frame at a point.
-
-    pi[e_a, e_b] = c[c', a, b] e_c',  theta([e_a, e_b]) = tau[a, b],
-    [xi, e_a] = d[b, a] e_b.
-    """
-    p = structure_pieces(_checked_arrays(chart, x, order=1))
-    c, tau, d = p["c"], p["tau"], p["dcoef"]
-    if np.ndim(x) == 1:
-        return c[0], tau[0], d[0]
-    return c, tau, d
 
 
 def random_domain_points(chart, count, rng, margin=1.0):

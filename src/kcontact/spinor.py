@@ -53,27 +53,9 @@ class SpinRep:
         """Occupation bits (n_1, ..., n_m) of a Fock basis index."""
         return tuple((index >> (self.m - j - 1)) & 1 for j in range(self.m))
 
-    def grading(self, index, mode_partition=None):
-        """Level k = total occupation, or per-factor occupations.
-
-        ``mode_partition`` assigns consecutive mode counts to factors,
-        e.g. (1, 1) splits two modes into two one-dimensional factors.
-        """
-        occ = self.occupation(index)
-        if mode_partition is None:
-            return sum(occ)
-        if sum(mode_partition) != self.m:
-            raise ValueError("mode partition does not cover all modes")
-        out = []
-        start = 0
-        for cnt in mode_partition:
-            out.append(sum(occ[start : start + cnt]))
-            start += cnt
-        return tuple(out)
-
-    def vector_matrix(self, v):
-        """Clifford action of a tangent vector, gamma(v) = sum v_p gamma_p."""
-        return np.einsum("p,pij->ij", np.asarray(v, dtype=complex), self.gamma)
+    def grading(self, index):
+        """Level k = total occupation of a Fock basis index."""
+        return sum(self.occupation(index))
 
 
 def build_spin_rep(m):

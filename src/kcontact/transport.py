@@ -31,11 +31,8 @@ __all__ = [
     "SampledCurve",
     "TransportResult",
     "SamplerConfig",
-    "integrate_horizontal",
     "transport",
-    "transport_batch",
     "transport_theta",
-    "reeb_flow",
     "horizontalize",
     "transport_equivalence_check",
     "sample_paths",
@@ -67,9 +64,6 @@ class ControlPath:
     @property
     def segments(self):
         return self.controls.shape[0]
-
-    def is_horizontal(self):
-        return self.vertical is None or np.max(np.abs(self.vertical)) == 0.0
 
     def reversed(self):
         v = None if self.vertical is None else -self.vertical[::-1]
@@ -124,14 +118,11 @@ class SampledCurve:
 
 @dataclass
 class TransportResult:
-    """Parallel transport along a curve: frame-to-frame matrix plus context."""
+    """Parallel transport along a curve: the frame-to-frame matrix and its ends."""
 
     tau: np.ndarray
-    kind: str
     start: np.ndarray
     end: np.ndarray
-    theta_integral: float = 0.0
-    curve: object = None
 
 
 @dataclass(frozen=True)
@@ -144,7 +135,6 @@ class SamplerConfig:
     magnitude: float = 0.45
     step: float = 0.02
     seed: int = 0
-    vertical_magnitude: float = 0.0
 
 
 def _even_steps(duration, step):
@@ -286,33 +276,6 @@ def _path_arrays(paths):
     return x0s, controls, verticals
 
 
-def transport_batch(chart, paths, kind):
-    """Transport matrices for a batch of control paths sharing (K, T, step).
-
-    Returns ``(taus, endpoints, theta_integrals)``.
-    """
-    if kind not in TRANSPORT_KINDS:
-        raise ValueError(f"unknown transport kind {kind!r}")
-    if not paths:
-        tm = 2 * chart.m
-        return np.zeros((0, tm, tm)), np.zeros((0, chart.dim)), np.zeros(0)
-    x0s, controls, verticals = _path_arrays(paths)
-    if kind == "schouten" and verticals is not None and np.max(np.abs(verticals)) > 0:
-        raise ChartError("schouten transport requires a horizontal curve")
-    x, M, f, _, _, _, _ = _integrate_controls(
-        chart, x0s, controls, verticals, paths[0].horizon, paths[0].step,
-        kind=kind,
-    )
-    return M, x, f
-
-
-def integrate_horizontal(chart, path: ControlPath):
-    """Integrate a horizontal control path; returns its :class:`SampledCurve`."""
-    if not path.is_horizontal():
-        raise ChartError("control path has vertical controls; not horizontal")
-    return sample_curve(chart, path)
-
-
 # ---------------------------------------------------------------------------
 # sampling curves
 
@@ -329,11 +292,8 @@ def sample_curve(chart, curve, step=None):
 
 
 def _sample_control_path(chart, path, step):
-    x0s = path.x0[None]
-    controls = path.controls[None]
-    verticals = None if path.vertical is None else path.vertical[None]
     _, _, _, _, history, h, steps = _integrate_controls(
-        chart, x0s, controls, verticals, path.horizon, step,
+        chart, *_path_arrays([path]), path.horizon, step,
         kind="adapted", with_M=False, collect=True,
     )
     pos = np.concatenate(history, axis=0)  # (K*steps + 1, n)
@@ -437,16 +397,16 @@ def transport(chart, curve, kind, step=None):
     if kind not in TRANSPORT_KINDS:
         raise ValueError(f"unknown transport kind {kind!r}")
     if isinstance(curve, ControlPath):
-        taus, ends, fs = transport_batch(chart, [curve], kind)
-        return TransportResult(
-            tau=taus[0], kind=kind, start=curve.x0, end=ends[0],
-            theta_integral=float(fs[0]), curve=curve,
+        x0s, controls, verticals = _path_arrays([curve])
+        if kind == "schouten" and verticals is not None and np.max(np.abs(verticals)) > 0:
+            raise ChartError("schouten transport requires a horizontal curve")
+        x, M, _, _, _, _, _ = _integrate_controls(
+            chart, x0s, controls, verticals, curve.horizon, curve.step, kind=kind,
         )
+        return TransportResult(tau=M[0], start=curve.x0, end=x[0])
     sc = sample_curve(chart, curve, step)
-    tau = _transport_sampled(chart, sc, kind)
     return TransportResult(
-        tau=tau, kind=kind, start=sc.xs[0], end=sc.xs[-1],
-        theta_integral=_theta_integral(sc), curve=sc,
+        tau=_transport_sampled(chart, sc, kind), start=sc.xs[0], end=sc.xs[-1]
     )
 
 
@@ -525,7 +485,7 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
         v = times[:, None] * arr.xi
         dJ = None
         if jacobian:
-            dJ = times[:, None, None] * np.einsum("...kj,...jl->...kl", arr.dxi, J)
+            dJ = times[:, None, None] * (arr.dxi @ J)
         return v, dJ
 
     y = X
@@ -535,15 +495,6 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
             bad = y[~chart.domain.contains(y)][0]
             raise DomainError(f"Reeb flow left the chart domain at {bad}", point=bad)
     return (y, J) if jacobian else y
-
-
-def reeb_flow(chart, x, s, step=0.01):
-    """Point of the Reeb flow after time s."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    y = _reeb_flow_batch(chart, x[None] if single else x,
-                         np.full(1 if single else len(x), float(s)), step=step)
-    return y[0] if single else y
 
 
 def horizontalize(chart, curve, step=None, flow_step=0.01):
@@ -687,9 +638,11 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, kind,
                             vertical=False):
     """Sampled paths together with their transports, in one integration pass.
 
+    The paths are horizontal unless ``vertical`` is set; then each segment
+    also gets a Reeb-direction control at the sampler's ``magnitude``.
     Returns ``(paths, endpoints, taus, theta_integrals)``.
     """
-    vert = sampler.vertical_magnitude or (sampler.magnitude if vertical else 0.0)
+    vert = sampler.magnitude if vertical else 0.0
     return _sample_and_integrate(
         chart, x0, sampler.n_paths, sampler.segments, sampler.horizon,
         sampler.magnitude, sampler.seed, sampler.step, vert,

@@ -22,8 +22,6 @@ from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure
 __all__ = [
     "FactorSplit",
     "orthonormal_ricci",
-    "transverse_ricci",
-    "ricci_form",
     "dtheta_regression",
     "split_distribution",
     "factor_split",
@@ -57,21 +55,6 @@ def orthonormal_ricci(data):
     P, Pinv = orthonormal_frame_change(data.G)
     ric = np.einsum("...kakb->...ab", ortho_curvature(data.R, P, Pinv))
     return ric, ortho_two_form(data.omega, P)
-
-
-def transverse_ricci(chart, x):
-    """Transverse Ricci tensor at a point or points, in the orthonormal frame."""
-    x = np.asarray(x, dtype=float)
-    ric, _ = orthonormal_ricci(frame_data(chart, np.atleast_2d(x), order=2))
-    return ric[0] if x.ndim == 1 else ric
-
-
-def ricci_form(chart, x, J):
-    """Ricci form rho(X, Y) = Ric(JX, Y) for a compatible complex structure."""
-    J = np.asarray(J, dtype=float)
-    if np.max(np.abs(J.T @ J - np.eye(J.shape[0]))) > 1e-7:
-        raise ChartError("complex structure is not compatible with the metric")
-    return np.einsum("ca,...cb->...ab", J, transverse_ricci(chart, x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,14 @@
 """Finite-difference oracles for the connection pipeline.
 
-Everything here is computed from plain chart evaluations and central
-differences only; no jet machinery is touched, so these values are an
-independent route against which the forward-mode results are checked.
+Everything here except :func:`wagner_nabla_N` is computed from plain
+chart evaluations and central differences only; no jet machinery is
+touched, so these values are an independent route against which the
+forward-mode results are checked.
 """
 
 import numpy as np
 
+from kcontact.connection import frame_data
 from kcontact.manifolds import chart_arrays
 
 
@@ -99,3 +101,28 @@ def curvature_fd(chart, x, outer_step=1e-3, inner_step=1e-4):
     T5 = np.einsum("dab,edc->abec", c, Gam)
     T6 = np.einsum("ab,ec->abec", tau, dcoef)
     return T1 - T1.swapaxes(0, 1) + T3 - T3.swapaxes(0, 1) - T5 - T6
+
+
+def wagner_nabla_N(chart, X, step=1e-4):
+    """Frame covariant derivative nabla_{e_a} N of the Wagner field at points X.
+
+    Central differences over the jet-computed N field: the entries of
+    nabla N need third metric derivatives, beyond the order-2 jets.
+    Returns an array ``[..., a, e, c]``.
+    """
+    data = frame_data(chart, X, order=2)
+    n = chart.dim
+    dN = np.empty(data.x.shape[:-1] + (n,) + data.N.shape[-2:])
+    for j in range(n):
+        h = np.zeros(n)
+        h[j] = step
+        Np = frame_data(chart, data.x + h, order=2).N
+        Nm = frame_data(chart, data.x - h, order=2).N
+        dN[..., j, :, :] = (Np - Nm) / (2.0 * step)
+    # nabla_a N^e_c = e_a(N^e_c) + Gamma^e_{ad} N^d_c - Gamma^d_{ac} N^e_d
+    eN = np.einsum("...ja,...jec->...aec", data.E, dN)
+    return (
+        eN
+        + np.einsum("...ead,...dc->...aec", data.Gamma, data.N)
+        - np.einsum("...dac,...ed->...aec", data.Gamma, data.N)
+    )

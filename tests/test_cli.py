@@ -277,10 +277,15 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
     {"manifold": {"type": "product", "factors": [
         {"kind": "bergman_ball", "complex_dim": True}, {"kind": "poincare_disc"}]}},
     {"outputs": []},
+    {"tolerances": {"span_tol": 0.0}},
+    {"tolerances": {"span_tol": -1.0}},
+    {"tolerances": {"span_tol": 1.5}},
+    {"tolerances": {"ode_tol": 0.0}},
 ], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar",
         "negative_seed", "report_list", "fractional_n_paths", "fractional_seed",
         "boolean_seed", "fractional_segments", "fractional_m", "boolean_complex_dim",
-        "outputs_list"])
+        "outputs_list", "zero_span_tol", "negative_span_tol", "span_tol_above_one",
+        "zero_ode_tol"])
 def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
     assert run(["verify", "--config", cfg]) == 2
@@ -314,12 +319,27 @@ def test_bad_command_line_exit_2(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_horizontal_pass_ignores_vertical_magnitude():
+    # the Schouten pass integrates horizontal paths whatever the sampler
+    # section says; a vertical control would give a theta-integral of 0.26
+    from kcontact.transport import sampled_path_transports
+
+    raw = read(Path(__file__).resolve().parent.parent / "configs" / "bergman.json")
+    raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
+    cfg = cli.RunConfig.from_dict(raw)
+    chart, x0 = cli._resolve_chart(cfg)
+    paths, _, _, fs = sampled_path_transports(chart, x0, cfg.sampler, "schouten")
+    assert len(fs) == 8 and np.max(np.abs(fs)) < 1e-12
+    assert all(p.vertical is None for p in paths)
+
+
 def test_closure_blow_up_exit_5(tmp_path, capsys):
     cfg = write_config(tmp_path, {
         "manifold": {"type": "product", "factors": [
             {"kind": "bergman_ball", "complex_dim": 2, "b": 1.0}]},
         "sampler": small_sampler(8),
-        "tolerances": {"span_tol": 0.0},
+        # far below the double-precision noise floor: every sample is independent
+        "tolerances": {"span_tol": 1e-30},
     })
     assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 5
     err = capsys.readouterr().err

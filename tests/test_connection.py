@@ -5,7 +5,7 @@ from kcontact import connection as C
 from kcontact import manifolds as M
 
 from conftest import domain_points
-from fd_oracles import curvature_fd, gamma_fd
+from fd_oracles import curvature_fd, gamma_fd, wagner_nabla_N
 
 
 ALL = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman", "perturbed_disc_disc"]
@@ -18,7 +18,7 @@ def test_heisenberg_flat(charts):
     assert np.max(np.abs(data.Gamma)) < 1e-13
     assert np.max(np.abs(data.R)) < 1e-13
     assert np.max(np.abs(data.N)) < 1e-13
-    RW, RWxi = C.extended_curvature(chart, pts, "wagner")
+    RW, RWxi = data.RW, -wagner_nabla_N(chart, pts)
     assert np.max(np.abs(RW)) < 1e-13
     assert np.max(np.abs(RWxi)) < 1e-10
 
@@ -27,9 +27,8 @@ def test_heisenberg_alpha_is_minus_two_omega(charts):
     # acceptance pins dtheta(alpha) = -4m, which forces alpha = 2 inv(omega);
     # on the flat chart that is -2 omega (the inverse itself is -omega)
     chart = charts["heisenberg"]
-    x = np.zeros(5)
-    om = M.d_theta_frame(chart, x)
-    al = C.frame_data(chart, x, order=2).alpha[0]
+    data = C.frame_data(chart, np.zeros(5), order=2)
+    om, al = data.omega[0], data.alpha[0]
     assert np.allclose(al, -2.0 * om, atol=1e-14)
     assert np.allclose(np.linalg.inv(om), -om, atol=1e-14)
     assert abs(C.form_on_bivector(om, al) + 8.0) < 1e-12
@@ -139,23 +138,6 @@ def test_curvature_on_bivector_contract(charts):
         atol=1e-12,
     )
     assert np.max(np.abs(C.curvature_on_bivector(data.RW[0], data.alpha[0]))) < 1e-10
-
-
-def test_extended_curvature_contract(charts):
-    chart = charts["disc_disc_12"]
-    pts = domain_points(chart, 5, seed=8)
-    data = C.frame_data(chart, pts, order=2)
-    RN, RNxi = C.extended_curvature(chart, pts, None)
-    assert np.allclose(RN, data.R)
-    assert np.max(np.abs(RNxi)) == 0.0
-    RW, RWxi = C.extended_curvature(chart, pts, "wagner")
-    assert np.allclose(RW, data.RW)
-    nab = C.wagner_nabla_N(chart, pts)
-    assert np.allclose(RWxi, -nab)
-    # raw matrix: horizontal part only
-    RNm, RNxim = C.extended_curvature(chart, pts[0], data.N[0])
-    assert np.allclose(RNm, data.RW[0], atol=1e-12)
-    assert RNxim is None
 
 
 def test_wagner_condition_with_any_normalization(charts):

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from kcontact import connection as C
 from kcontact import manifolds as M
-from kcontact.errors import ChartError, ConfigError, DomainError
+from kcontact.errors import ChartError, ConfigError
 
 from conftest import domain_points
-from fd_oracles import fd_first
+from fd_oracles import chart_values, fd_first
 
 
 TOLS = {
@@ -31,7 +32,7 @@ def test_chart_invariants_on_random_points(charts, name):
 
 
 def test_heisenberg_origin_values(charts):
-    th, xi, E, G = M.eval_contact(charts["heisenberg"], np.zeros(5))
+    th, xi, E, G = chart_values(charts["heisenberg"], np.zeros(5))
     assert np.allclose(th, [0, 0, 0, 0, 1])
     assert np.allclose(xi, [0, 0, 0, 0, 1])
     assert np.allclose(G, np.eye(4))
@@ -41,15 +42,15 @@ def test_heisenberg_origin_values(charts):
 def test_reeb_normalization_everywhere(charts):
     for chart in charts.values():
         pts = domain_points(chart, 25, seed=5)
-        th, xi, _, _ = M.eval_contact(chart, pts)
-        assert np.max(np.abs(np.einsum("pi,pi->p", th, xi) - 1.0)) < 1e-12
+        arr = M.chart_arrays(chart, pts, order=0)
+        assert np.max(np.abs(np.einsum("pi,pi->p", arr.th, arr.xi) - 1.0)) < 1e-12
 
 
 def test_product_origin_is_dt(charts):
     chart = charts["disc_disc_11"]
     assert chart.dim == 5
     assert len(chart.factors) == 2
-    th, xi, _, _ = M.eval_contact(chart, np.zeros(5))
+    th, xi, _, _ = chart_values(chart, np.zeros(5))
     assert np.allclose(th, [0, 0, 0, 0, 1])
     assert np.allclose(xi, [0, 0, 0, 0, 1])
     ball = charts["bergman"]
@@ -59,7 +60,7 @@ def test_product_origin_is_dt(charts):
 def test_dtheta_heisenberg_constant_symplectic(charts):
     chart = charts["heisenberg"]
     pts = domain_points(chart, 10, seed=1)
-    om = M.d_theta_frame(chart, pts)
+    om = C.frame_data(chart, pts, order=1).omega
     J = np.array([[0, 1, 0, 0], [-1, 0, 0, 0], [0, 0, 0, 1], [0, 0, -1, 0]], float)
     assert np.allclose(om, J[None], atol=1e-13)
 
@@ -67,7 +68,7 @@ def test_dtheta_heisenberg_constant_symplectic(charts):
 def test_dtheta_skew_and_block_diagonal(charts):
     chart = charts["disc_disc_12"]
     pts = domain_points(chart, 20, seed=2)
-    om = M.d_theta_frame(chart, pts)
+    om = C.frame_data(chart, pts, order=1).omega
     assert np.max(np.abs(om + om.swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(om[:, :2, 2:])) < 1e-13
     assert np.max(np.abs(om[:, 2:, :2])) < 1e-13
@@ -76,8 +77,8 @@ def test_dtheta_skew_and_block_diagonal(charts):
 def test_structure_functions_heisenberg(charts):
     chart = charts["heisenberg"]
     pts = domain_points(chart, 10, seed=4)
-    c, tau, d = M.structure_functions(chart, pts)
-    om = M.d_theta_frame(chart, pts)
+    data = C.frame_data(chart, pts, order=1)
+    c, tau, d, om = data.c, data.tau, data.xi_coeffs, data.omega
     assert np.max(np.abs(c)) < 1e-12
     assert np.max(np.abs(tau + om)) < 1e-12
     assert np.max(np.abs(d)) < 1e-12
@@ -86,11 +87,12 @@ def test_structure_functions_heisenberg(charts):
 def test_structure_functions_antisymmetry_and_blocks(charts):
     chart = charts["bergman"]
     pts = domain_points(chart, 15, seed=6)
-    c, tau, _ = M.structure_functions(chart, pts)
+    data = C.frame_data(chart, pts, order=1)
+    c, tau = data.c, data.tau
     assert np.max(np.abs(c + c.swapaxes(-1, -2))) < 1e-12
     assert np.max(np.abs(tau + tau.swapaxes(-1, -2))) < 1e-12
     chart2 = charts["disc_disc_11"]
-    c2, _, _ = M.structure_functions(chart2, domain_points(chart2, 15, seed=6))
+    c2 = C.frame_data(chart2, domain_points(chart2, 15, seed=6), order=1).c
     # brackets of fields from different factors vanish
     assert np.max(np.abs(c2[:, :, :2, 2:])) < 1e-12
     assert np.max(np.abs(c2[:, :, 2:, :2])) < 1e-12
@@ -158,27 +160,15 @@ def test_heisenberg_k_contact_residual(charts):
     assert res["lie_xi_g"] < 1e-10
 
 
-def test_eval_contact_rejects_outside_domain(charts):
-    with pytest.raises(DomainError):
-        M.eval_contact(charts["disc_disc_11"], np.array([0.95, 0, 0, 0, 0]))
-
-
 def test_bad_chart_definitions_are_reported(charts):
     good = charts["heisenberg"]
-    indefinite = M.ContactChart(
-        m=good.m, domain=good.domain, theta=good.theta, xi=good.xi,
-        frame=good.frame,
-        metric=lambda x: [[-1.0 if a == b else 0.0 for b in range(4)] for a in range(4)],
-    )
-    with pytest.raises(ChartError):
-        M.eval_contact(indefinite, np.zeros(5))
     flat_theta = M.ContactChart(
         m=good.m, domain=good.domain,
         theta=lambda x: [0.0, 0.0, 0.0, 0.0, 1.0],  # closed form: not contact
         xi=good.xi, frame=good.frame, metric=good.metric,
     )
     with pytest.raises(ChartError):
-        M.d_theta_frame(flat_theta, np.zeros(5))
+        C.frame_data(flat_theta, np.zeros(5), order=2)
 
 
 def test_chart_constructor_errors():
@@ -235,7 +225,7 @@ def test_scalar_contract_all_orders(charts):
     v2 = M.chart_arrays(chart, x, order=2)
     assert np.allclose(v0.G, v1.G) and np.allclose(v1.G, v2.G)
     assert np.allclose(v1.dG, v2.dG)
-    single = M.eval_contact(chart, x[0])
+    single = chart_values(chart, x[0])
     assert np.allclose(single[3], v0.G[0])
 
 

@@ -55,8 +55,9 @@ def test_lift_equivariance(rep2):
     sa = S.spin_lift(rep2, A)
     for _ in range(20):
         v = rng.normal(size=4)
-        comm = sa @ rep2.vector_matrix(v) - rep2.vector_matrix(v) @ sa
-        assert np.max(np.abs(comm - rep2.vector_matrix(A @ v))) < 1e-10
+        gv = np.einsum("p,pij->ij", v, rep2.gamma)
+        comm = sa @ gv - gv @ sa
+        assert np.max(np.abs(comm - np.einsum("p,pij->ij", A @ v, rep2.gamma))) < 1e-10
 
 
 def test_rotation_lift_diagonal_with_level_eigenvalues(rep2):
@@ -78,10 +79,6 @@ def test_rotation_lift_diagonal_with_level_eigenvalues(rep2):
 def test_grading_and_occupations(rep2):
     assert [rep2.grading(i) for i in range(4)] == [0, 1, 1, 2]
     assert [rep2.occupation(i) for i in range(4)] == [(0, 0), (0, 1), (1, 0), (1, 1)]
-    assert rep2.grading(1, mode_partition=(1, 1)) == (0, 1)
-    assert rep2.grading(3, mode_partition=(1, 1)) == (1, 1)
-    with pytest.raises(ValueError):
-        rep2.grading(0, mode_partition=(1, 2))
 
 
 def su2():

@@ -8,6 +8,11 @@ from kcontact import transport as T
 from kcontact.errors import ChartError, DomainError, SamplingError
 
 
+def reeb_flow(chart, x, s):
+    """Point of the Reeb flow from x after time s."""
+    return T._reeb_flow_batch(chart, x[None], np.array([s]))[0]
+
+
 def ortho_tau(chart, res):
     P0, L0t = C.orthonormal_frame_change(C.frame_data(chart, res.start[None], order=1).G)
     P1, L1t = C.orthonormal_frame_change(C.frame_data(chart, res.end[None], order=1).G)
@@ -18,7 +23,7 @@ def test_zero_controls_constant_curve(charts):
     chart = charts["disc_disc_11"]
     x0 = np.array([0.1, -0.2, 0.05, 0.0, 0.3])
     path = T.ControlPath(x0, np.zeros((3, 4)), horizon=1.0)
-    sc = T.integrate_horizontal(chart, path)
+    sc = T.sample_curve(chart, path)
     assert np.max(np.abs(sc.xs - x0)) < 1e-14
     res = T.transport(chart, path, "schouten")
     assert np.allclose(res.tau, np.eye(4), atol=1e-14)
@@ -29,7 +34,7 @@ def test_heisenberg_square_loop_area(charts):
     s = 0.4
     controls = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [-1, 0, 0, 0], [0, -1, 0, 0]], float)
     path = T.ControlPath(np.zeros(5), controls, horizon=4 * s, step=0.005)
-    sc = T.integrate_horizontal(chart, path)
+    sc = T.sample_curve(chart, path)
     # oracle: the t-displacement is minus the signed area enclosed in (x1, y1)
     xs, ys = sc.xs[:, 0], sc.xs[:, 1]
     area = 0.5 * np.sum((xs[:-1] * ys[1:] - xs[1:] * ys[:-1]))
@@ -92,8 +97,6 @@ def test_schouten_rejects_non_horizontal(charts):
     path = T.ControlPath(np.zeros(5), np.zeros((2, 4)), 1.0, vertical=np.array([1.0, 0.5]))
     with pytest.raises(ChartError):
         T.transport(chart, path, "schouten")
-    with pytest.raises(ChartError):
-        T.integrate_horizontal(chart, path)
 
 
 def test_transport_theta_contract(charts):
@@ -143,16 +146,16 @@ def test_transport_theta_ode_agreement(charts):
 def test_reeb_flow_contract(charts):
     chart = charts["disc_disc_11"]
     x = np.array([0.1, 0.2, -0.1, 0.05, 0.4])
-    assert np.allclose(T.reeb_flow(chart, x, 0.0), x, atol=1e-14)
-    a = T.reeb_flow(chart, T.reeb_flow(chart, x, 0.3), 0.5)
-    b = T.reeb_flow(chart, x, 0.8)
+    assert np.allclose(reeb_flow(chart, x, 0.0), x, atol=1e-14)
+    a = reeb_flow(chart, reeb_flow(chart, x, 0.3), 0.5)
+    b = reeb_flow(chart, x, 0.8)
     assert np.max(np.abs(a - b)) < 1e-7
     # the flow translates the vertical coordinate
-    y = T.reeb_flow(chart, x, 0.7)
+    y = reeb_flow(chart, x, 0.7)
     assert np.allclose(y[:4], x[:4], atol=1e-12)
     assert abs(y[4] - (x[4] + 0.7)) < 1e-12
     hx = charts["heisenberg"]
-    z = T.reeb_flow(hx, np.zeros(5), -0.3)
+    z = reeb_flow(hx, np.zeros(5), -0.3)
     assert abs(z[4] + 0.3) < 1e-12
 
 
@@ -200,7 +203,7 @@ def test_horizontalize_endpoint_relation(charts):
     sc = T.sample_curve(chart, path)
     tilde = T.horizontalize(chart, sc)
     total = T.transport_theta(chart, sc)  # exp(-integral)
-    target = T.reeb_flow(chart, sc.xs[-1], np.log(total))
+    target = reeb_flow(chart, sc.xs[-1], np.log(total))
     assert np.max(np.abs(tilde.xs[-1] - target)) < 1e-7
     assert np.max(np.abs(tilde.theta_dot)) < 1e-6
 
@@ -283,10 +286,11 @@ def _reference_pass(chart, x0, s):
             path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
                                 s.seed, s.step, 0.0, i, attempt)
             try:
-                taus, ends, fs = T.transport_batch(chart, [path], "schouten")
+                x, M, f, _, _, _, _ = T._integrate_controls(
+                    chart, *T._path_arrays([path]), s.horizon, s.step, kind="schouten")
             except DomainError:
                 continue
-            out.append((attempt, path, ends[0], taus[0], fs[0]))
+            out.append((attempt, path, x[0], M[0], f[0]))
             break
     return out
 
