@@ -107,10 +107,12 @@ class RunConfig:
             )
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad sampler parameters: {exc}") from exc
-        if sampler.n_paths < 0 or sampler.segments <= 0 or sampler.horizon <= 0:
-            raise ConfigError("sampler sizes must be positive")
-        if sampler.magnitude < 0 or sampler.step <= 0:
-            raise ConfigError("sampler magnitude/step must be positive")
+        for name in ("n_paths", "magnitude"):
+            if getattr(sampler, name) < 0:
+                raise ConfigError(f"sampler {name} must be >= 0, got {getattr(sampler, name)}")
+        for name in ("segments", "horizon", "step"):
+            if getattr(sampler, name) <= 0:
+                raise ConfigError(f"sampler {name} must be > 0, got {getattr(sampler, name)}")
         if sampler.seed < 0:
             raise ConfigError("sampler seed must be nonnegative")
         for name in ("horizon", "magnitude", "step"):

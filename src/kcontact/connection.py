@@ -257,8 +257,18 @@ def orthonormal_frame_change(G):
 
 def ortho_curvature(F, P, Pinv):
     """A curvature field ``F[..., a, b, e, c]`` (the matrix of F(e_a, e_b)) in the
-    orthonormal frame of ``(P, Pinv) = orthonormal_frame_change(G)``."""
-    return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)
+    orthonormal frame of ``(P, Pinv) = orthonormal_frame_change(G)``.
+
+    ``P[a, A] P[b, B] Pinv[E, e] F[a, b, e, c] P[c, C]``, contracted one
+    slot pair at a time as batched matmuls: (2m)^5 products per point
+    instead of the (2m)^8 of a single five-operand sum.
+    """
+    tm = F.shape[-1]
+    Pt = np.swapaxes(P, -1, -2)[..., None, :, :]
+    Y = Pinv[..., None, None, :, :] @ F @ P[..., None, None, :, :]  # slots e, c
+    Y = Pt @ Y.reshape(*F.shape[:-4], tm, tm, tm * tm)  # slot b
+    Y = Pt @ np.swapaxes(Y, -3, -2)  # slot a
+    return np.swapaxes(Y, -3, -2).reshape(F.shape)
 
 
 def ortho_transports(taus, Pinv, P0):

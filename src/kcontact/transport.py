@@ -568,7 +568,7 @@ def _sample_and_integrate(
     (endpoint, transport matrix, theta integral).
     """
     if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0:
-        raise ValueError("sampler parameters must be positive")
+        raise ValueError("sampler needs n_paths >= 0, segments > 0, horizon > 0, magnitude >= 0")
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)

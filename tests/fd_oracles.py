@@ -1,9 +1,11 @@
 """Finite-difference oracles for the connection pipeline.
 
-Everything here except :func:`wagner_nabla_N` is computed from plain
-chart evaluations and central differences only; no jet machinery is
-touched, so these values are an independent route against which the
-forward-mode results are checked.
+Everything here except :func:`wagner_nabla_N` and
+:func:`ortho_curvature_reference` is computed from plain chart
+evaluations and central differences only; no jet machinery is touched,
+so these values are an independent route against which the forward-mode
+results are checked.  :func:`ortho_curvature_reference` is the plain
+one-sum form of the orthonormal-frame curvature conversion.
 """
 
 import numpy as np
@@ -126,3 +128,9 @@ def wagner_nabla_N(chart, X, step=1e-4):
         + np.einsum("...ead,...dc->...aec", data.Gamma, data.N)
         - np.einsum("...dac,...ed->...aec", data.Gamma, data.N)
     )
+
+
+def ortho_curvature_reference(F, P, Pinv):
+    """``connection.ortho_curvature`` as one five-operand sum, (2m)^8 products
+    per point: ``P[a, A] P[b, B] Pinv[E, e] F[a, b, e, c] P[c, C]``."""
+    return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)

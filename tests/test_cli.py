@@ -294,6 +294,26 @@ def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_paths", -1, "sampler n_paths must be >= 0, got -1"),
+    ("magnitude", -1, "sampler magnitude must be >= 0, got -1.0"),
+    ("segments", 0, "sampler segments must be > 0, got 0"),
+    ("step", 0, "sampler step must be > 0, got 0.0"),
+], ids=["n_paths", "magnitude", "segments", "step"])
+def test_sampler_bound_messages_name_the_field(tmp_path, capsys, field, value, message):
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2},
+                                  "sampler": {**small_sampler(4), field: value}})
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("field", ["n_paths", "magnitude"])
+def test_sampler_zero_count_and_magnitude_are_accepted(tmp_path, field):
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2},
+                                  "sampler": {**small_sampler(2), field: 0}})
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 0
+
+
 def test_integral_float_counts_are_accepted(tmp_path):
     cfg = write_config(tmp_path, {
         "manifold": {"type": "heisenberg", "m": 2.0},
@@ -376,6 +396,26 @@ def test_holonomy_large_epsilon_routes_agree(tmp_path):
     assert rep["dims"] == {"schouten": 2, "adapted": 2}
     assert rep["cross_variant"]["dims"] == {"wagner": 2, "annihilator": 2}
     assert rep["cross_variant"]["residual"] < cli.CROSS_VARIANT_TOL
+
+
+def test_holonomy_structure_beyond_shipped_configs():
+    # an m = 4 product with two discs and a 2-ball: the dichotomy's ideal
+    # case, h of codimension one in h0, with one block per factor
+    cfg = cli.RunConfig.from_dict({
+        "manifold": {"type": "product", "factors": [
+            {"kind": "poincare_disc", "b": 1.0},
+            {"kind": "poincare_disc", "b": 2.0},
+            {"kind": "bergman_ball", "complex_dim": 2, "b": 1.0},
+        ]},
+        "sampler": {"n_paths": 8, "seed": 0},
+    })
+    rep = cli.holonomy_report(cfg)
+    assert rep["dims"] == {"schouten": 5, "adapted": 6}
+    assert rep["codim"] == 1 and rep["ideal"] and rep["contained"]
+    assert rep["blocks"] == [[0, 1], [2, 3], [4, 5, 6, 7]]
+    assert rep["cross_variant"]["dims"] == {"wagner": 5, "annihilator": 5}
+    assert rep["cross_variant"]["residual"] < cli.CROSS_VARIANT_TOL
+    assert rep["spinor_kernel"] == {"schouten": 0, "adapted": 0}
 
 
 def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):

@@ -5,7 +5,7 @@ from kcontact import connection as C
 from kcontact import manifolds as M
 
 from conftest import domain_points
-from fd_oracles import curvature_fd, gamma_fd, wagner_nabla_N
+from fd_oracles import curvature_fd, gamma_fd, ortho_curvature_reference, wagner_nabla_N
 
 
 ALL = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman", "perturbed_disc_disc"]
@@ -176,3 +176,28 @@ def test_orthonormal_frame_change_properties(charts):
     P, Pinv = C.orthonormal_frame_change(data.G)
     assert np.max(np.abs(np.einsum("...ab,...ac,...cd->...bd", P, data.G, P) - np.eye(4))) < 1e-10
     assert np.max(np.abs(np.matmul(Pinv, P) - np.eye(4))) < 1e-10
+
+
+@pytest.mark.parametrize("tm", [2, 4, 6, 8])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+def test_ortho_curvature_matches_reference(tm, batch):
+    rng = np.random.default_rng(tm + 10 * len(batch))
+    F = rng.standard_normal(batch + (tm,) * 4)
+    A = rng.standard_normal(batch + (tm, tm))
+    G = A @ np.swapaxes(A, -1, -2) + tm * np.eye(tm)
+    P, Pinv = C.orthonormal_frame_change(G)
+    ref = ortho_curvature_reference(F, P, Pinv)
+    got = C.ortho_curvature(F, P, Pinv)
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_ortho_curvature_symmetries(charts):
+    # R(e_a, e_b) is antisymmetric in the pair and g-skew, so in an
+    # orthonormal frame it is antisymmetric in (A, B) and skew in (E, C)
+    data = C.frame_data(charts["bergman"], domain_points(charts["bergman"], 5, seed=12), order=2)
+    P, Pinv = C.orthonormal_frame_change(data.G)
+    Ro = C.ortho_curvature(data.R, P, Pinv)
+    assert np.max(np.abs(Ro)) > 0.1
+    assert np.max(np.abs(Ro + Ro.swapaxes(-4, -3))) < 1e-12
+    assert np.max(np.abs(Ro + Ro.swapaxes(-2, -1))) < 1e-12

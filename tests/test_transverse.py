@@ -231,9 +231,6 @@ def test_ricci_form_closed_by_finite_differences(charts, algebra_cache):
         assert worst < 1e-4
 
 
-R_TO_ORTHO = "...aA,...bB,...Ee,...abec,...cC->...ABEC"
-
-
 def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     # one order-2 frame_data on the 30 transverse points, and one R -> so(2m)
     # conversion for the Einstein check and the regression together: the
@@ -251,22 +248,22 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     chart, x0 = cli._resolve_chart(cfg)
     pts = random_domain_points(chart, 30, np.random.default_rng(5 + 1000), margin=0.85)
     calls = {"pts_order2": 0, "r_to_ortho": 0}
-    frame_data, einsum = C.frame_data, np.einsum
+    frame_data, ortho_curvature = C.frame_data, C.ortho_curvature
 
     def counting_frame_data(chart, X, order=1):
         if order >= 2 and np.shape(X) == pts.shape and np.array_equal(X, pts):
             calls["pts_order2"] += 1
         return frame_data(chart, X, order=order)
 
-    def counting_einsum(subscripts, *operands, **kwargs):
-        if subscripts == R_TO_ORTHO:
-            calls["r_to_ortho"] += 1
-        return einsum(subscripts, *operands, **kwargs)
+    def counting_ortho_curvature(F, P, Pinv):
+        calls["r_to_ortho"] += 1
+        return ortho_curvature(F, P, Pinv)
 
     for mod in (C, cli, H, T, TV):
         if getattr(mod, "frame_data", None) is frame_data:
             monkeypatch.setattr(mod, "frame_data", counting_frame_data)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for mod in (H, TV):
+        monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature)
     report = cli.holonomy_report(cfg)
     assert report["dims"]["adapted"] > 0 and "regression" in report
     assert calls == {"pts_order2": 1, "r_to_ortho": 7}
@@ -275,19 +272,20 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
 def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
     # the sign alignment needs only dtheta at x: first-order frame data, no R
     orders, conversions = [], []
-    frame_data, einsum = C.frame_data, np.einsum
+    frame_data, ortho_curvature = C.frame_data, C.ortho_curvature
 
     def counting_frame_data(chart, X, order=1):
         orders.append(order)
         return frame_data(chart, X, order=order)
 
-    def counting_einsum(subscripts, *operands, **kwargs):
-        conversions.append(subscripts == R_TO_ORTHO)
-        return einsum(subscripts, *operands, **kwargs)
+    def counting_ortho_curvature(F, P, Pinv):
+        conversions.append(F.shape)
+        return ortho_curvature(F, P, Pinv)
 
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
     monkeypatch.setattr(TV, "frame_data", counting_frame_data)
-    monkeypatch.setattr(np, "einsum", counting_einsum)
+    for mod in (H, TV):
+        monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature)
     split = TV.factor_split(charts["disc_disc_12"], np.zeros(5), h0)
     assert len(split.J_blocks) == 2
-    assert orders == [1] and not any(conversions)
+    assert orders == [1] and conversions == []
