@@ -29,7 +29,6 @@ from .transport import (
     TransportResult,
     balanced_loop,
     horizontalize,
-    sample_paths,
     transport_equivalence_check,
     transport_theta,
 )
@@ -40,6 +39,7 @@ from .holonomy import (
     center_decomposition,
     compare_subalgebras,
     detect_complex_structure,
+    holonomy_samples,
     lie_closure,
     t_complement,
 )

@@ -29,14 +29,7 @@ from .errors import (
     NumericsError,
     SamplingError,
 )
-from .holonomy import (
-    as_samples_adapted,
-    as_samples_schouten,
-    as_samples_schouten_variants,
-    compare_subalgebras,
-    lie_closure,
-    t_complement,
-)
+from .holonomy import compare_subalgebras, holonomy_samples, lie_closure, t_complement
 from .manifolds import (
     FACTOR_KINDS,
     chart_from_config,
@@ -287,18 +280,20 @@ def _cross_variant_residual(h_w, h_a):
 def holonomy_report(cfg: RunConfig):
     """The holonomy pipeline: algebras, splitting, regression, spinors.
 
-    One horizontal sampling pass feeds both Wagner and annihilator
-    samples; the Wagner closure is the horizontal algebra ``h`` and is
-    cross-checked against the annihilator closure on the same transports.
+    One sampling pass integrates a horizontal and an adapted half of
+    paths as one batch.  The horizontal half feeds both Wagner and
+    annihilator samples; the Wagner closure is the horizontal algebra
+    ``h`` and is cross-checked against the annihilator closure on the same
+    transports.  The adapted half gives the zero-extension algebra ``h0``.
     The transverse checks share one order-2 evaluation of their 30 points.
     """
     chart, x0 = _resolve_chart(cfg)
     sampler = cfg.sampler
-    horizontal = as_samples_schouten_variants(chart, x0, sampler)
-    h = lie_closure(horizontal["wagner"], cfg.span_tol)
-    h0 = lie_closure(as_samples_adapted(chart, x0, sampler), cfg.span_tol)
+    samples = holonomy_samples(chart, x0, sampler)
+    h = lie_closure(samples["wagner"], cfg.span_tol)
+    h0 = lie_closure(samples["adapted"], cfg.span_tol)
     comparison = compare_subalgebras(h, h0, tol=1e-4)
-    h_a = lie_closure(horizontal["annihilator"], cfg.span_tol)
+    h_a = lie_closure(samples["annihilator"], cfg.span_tol)
     report = {
         "schema": 1,
         "command": "holonomy",
@@ -379,8 +374,9 @@ def spinor_report(cfg: RunConfig):
         {"index": i, "level": rep.grading(i), "eigenvalue_imag": float(np.imag(sig[i, i]))}
         for i in range(rep.dim)
     ]
-    h = lie_closure(as_samples_schouten(chart, x0, cfg.sampler), cfg.span_tol)
-    h0 = lie_closure(as_samples_adapted(chart, x0, cfg.sampler), cfg.span_tol)
+    samples = holonomy_samples(chart, x0, cfg.sampler, ("wagner", "adapted"))
+    h = lie_closure(samples["wagner"], cfg.span_tol)
+    h0 = lie_closure(samples["adapted"], cfg.span_tol)
     return {
         "schema": 1,
         "command": "spinor",

@@ -6,6 +6,10 @@ so the samples land in so(2m), and bracket closure upgrades the sampled
 span to a Lie algebra.  Two independent sampling routes exist for the
 horizontal holonomy: Wagner curvature on frame pairs, and horizontal
 curvature on bivectors annihilated by dtheta; their spans must agree.
+One sampling pass (:func:`holonomy_samples`) feeds both routes and the
+adapted zero-extension samples: its horizontal and adapted halves are
+integrated as one batch and share one order-2 evaluation of the base
+point.
 """
 
 from __future__ import annotations
@@ -18,15 +22,15 @@ import numpy as np
 from .connection import (frame_data, ortho_curvature, ortho_transports, ortho_two_form,
                          orthonormal_frame_change)
 from .errors import NumericsError
-from .transport import SamplerConfig, sampled_path_transports
+from .transport import HALVES, SamplerConfig, sampled_path_transports
 
 __all__ = [
     "MatrixLieAlgebra",
     "Rank",
     "numerical_rank",
     "lie_closure",
+    "holonomy_samples",
     "as_samples_schouten",
-    "as_samples_schouten_variants",
     "as_samples_adapted",
     "compare_subalgebras",
     "center_decomposition",
@@ -200,30 +204,38 @@ def _annihilator_pairs(data, P, Pinv):
     return np.stack(mats, axis=1)
 
 
-_SCHOUTEN_VARIANTS = {"wagner": _pair_matrices("RW"), "annihilator": _annihilator_pairs}
+# sample generators of each variant, and the half of the sampling pass whose
+# transports conjugate them
+_VARIANTS = {
+    "wagner": (_pair_matrices("RW"), "horizontal"),
+    "annihilator": (_annihilator_pairs, "horizontal"),
+    "adapted": (_pair_matrices("R"), "adapted"),
+}
 
 
-def _sampling_pass(chart, x, sampler, kind, vertical=False):
+def _sampling_pass(chart, x, sampler, halves):
     """One sampling pass with its orthonormal-frame data.
 
     Returns ``(base, ends)``: ``base`` is the order-2 frame data at x with
     its orthonormal frame change (the trivial path, tau = identity);
-    ``ends`` is ``(taus_o, data, P, Pinv)`` for the sampled paths, or None
-    when there are none.
+    ``ends[half]`` is ``(taus_o, data, P, Pinv)`` for the paths of that
+    half, or None when there are none.  The end points are evaluated one
+    half at a time: the order-2 temporaries grow with the batch, and one
+    evaluation over both halves doubles the peak memory of a report.
     """
     x = np.asarray(x, dtype=float)
-    paths, ends, taus, _ = sampled_path_transports(chart, x, sampler, kind, vertical=vertical)
+    results = sampled_path_transports(chart, x, sampler, halves)
     base = _ortho_endpoint_data(chart, x[None])
-    if not paths:
-        return base, None
-    data, P, Pinv = _ortho_endpoint_data(chart, ends)
-    taus_o = ortho_transports(taus, Pinv, base[1][0])
-    return base, (taus_o, data, P, Pinv)
+    ends = dict.fromkeys(halves)
+    for half, (paths, points, taus, _) in zip(halves, results):
+        if paths:
+            data, P, Pinv = _ortho_endpoint_data(chart, points)
+            ends[half] = (ortho_transports(taus, Pinv, base[1][0]), data, P, Pinv)
+    return base, ends
 
 
-def _pass_samples(chart, sampling_pass, pair_samples):
+def _pass_samples(chart, base, ends, pair_samples):
     """Base-point samples followed by the conjugated samples of every path."""
-    base, ends = sampling_pass
     tm = 2 * chart.m
     samples = list(pair_samples(*base).reshape(-1, tm, tm))
     if ends is not None:
@@ -232,41 +244,36 @@ def _pass_samples(chart, sampling_pass, pair_samples):
     return samples
 
 
-def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
-    """Horizontal-holonomy generators at x, in the orthonormal frame.
+def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)):
+    """``{variant: samples}`` at x, in the orthonormal frame, from one sampling pass.
 
-    ``variant='wagner'``: Wagner curvature on frame pairs, conjugated along
-    horizontal paths.  ``variant='annihilator'``: horizontal curvature on
-    bivectors with dtheta(beta) = 0.  Both span the same algebra.
-    """
-    return as_samples_schouten_variants(chart, x, sampler, (variant,))[variant]
-
-
-def as_samples_schouten_variants(chart, x, sampler: SamplerConfig,
-                                 variants=tuple(_SCHOUTEN_VARIANTS)):
-    """``{variant: samples}`` for several variants from one horizontal pass.
-
-    Each entry equals ``as_samples_schouten(chart, x, sampler, variant)``;
-    the paths are sampled and transported once for all of them.
+    ``'wagner'``: Wagner curvature on frame pairs, conjugated along
+    horizontal paths.  ``'annihilator'``: horizontal curvature on bivectors
+    with dtheta(beta) = 0, along the same paths; both span the horizontal
+    holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
+    pairs (its mixed curvature vanishes), conjugated along arbitrary paths
+    with Reeb-direction controls (classical Ambrose-Singer).  Only the
+    halves of the pass that the variants need are integrated.
     """
     for v in variants:
-        if v not in _SCHOUTEN_VARIANTS:
+        if v not in _VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
-    sampling_pass = _sampling_pass(chart, x, sampler, "schouten")
-    return {
-        v: _pass_samples(chart, sampling_pass, _SCHOUTEN_VARIANTS[v]) for v in variants
-    }
+    halves = [h for h in HALVES if any(_VARIANTS[v][1] == h for v in variants)]
+    base, ends = _sampling_pass(chart, x, sampler, halves)
+    return {v: _pass_samples(chart, base, ends[_VARIANTS[v][1]], _VARIANTS[v][0])
+            for v in variants}
+
+
+def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
+    """Horizontal-holonomy generators at x (:func:`holonomy_samples`)."""
+    if variant not in ("wagner", "annihilator"):
+        raise ValueError(f"unknown variant {variant!r}")
+    return holonomy_samples(chart, x, sampler, (variant,))[variant]
 
 
 def as_samples_adapted(chart, x, sampler: SamplerConfig):
-    """Zero-extension holonomy generators at x (classical Ambrose-Singer).
-
-    The mixed curvature of the zero extension vanishes, so only
-    horizontal-pair curvature is sampled, but transports run along
-    arbitrary curves (vertical controls on by default).
-    """
-    sampling_pass = _sampling_pass(chart, x, sampler, "adapted", vertical=True)
-    return _pass_samples(chart, sampling_pass, _pair_matrices("R"))
+    """Zero-extension holonomy generators at x (:func:`holonomy_samples`)."""
+    return holonomy_samples(chart, x, sampler, ("adapted",))["adapted"]
 
 
 # ---------------------------------------------------------------------------

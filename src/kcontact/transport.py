@@ -8,7 +8,10 @@ coordinate curves with exact tangents).  Both reduce to a
 :class:`SampledCurve`, dense samples with frame-split velocities, on which
 the sampled-coefficient RK4 transport operates.  Transport of a
 ControlPath runs as a joint (position, frame-matrix) RK4 instead, which is
-what the holonomy sampler uses in batch.
+what the holonomy sampler uses in batch: one sampling pass draws a
+horizontal half and an adapted half of random control paths and
+integrates both halves as one lockstep batch, redrawing escaped paths,
+each from its own (seed, index, attempt) stream.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves every
 ODE here: the batched control-path integration, the sampled-curve frame
@@ -35,13 +38,13 @@ __all__ = [
     "transport_theta",
     "horizontalize",
     "transport_equivalence_check",
-    "sample_paths",
     "sampled_path_transports",
     "sample_curve",
     "balanced_loop",
 ]
 
 TRANSPORT_KINDS = ("schouten", "adapted", "wagner")
+HALVES = ("horizontal", "adapted")  # the two halves of a sampling pass
 HORIZONTAL_TOL = 1e-6
 
 
@@ -557,15 +560,19 @@ def _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
 
 def _sample_and_integrate(
     chart, x0, n_paths, segments, horizon, magnitude, seed, step,
-    vertical_magnitude, kind, with_M, max_attempts=60,
+    vertical_magnitudes, max_attempts=60,
 ):
-    """Draw paths, integrate them in one batch, redraw the ones that escape.
+    """Draw the paths of every half, integrate them in one batch, redraw
+    the ones that escape.
 
-    Attempt k redraws every index still escaped after attempt k - 1, all
-    in one batch.  Each draw comes from its own (seed, path index,
-    attempt) stream, so the accepted paths do not depend on how the
-    batches are formed.  Returns the accepted paths plus their end state
-    (endpoint, transport matrix, theta integral).
+    Half k draws ``n_paths`` paths whose segments carry Reeb-direction
+    controls at ``vertical_magnitudes[k]`` (0 draws horizontal paths); its
+    rows follow those of half k - 1.  Attempt k redraws every row still
+    escaped after attempt k - 1, of every half, all in one batch.  Each
+    draw comes from its own (seed, path index, attempt) stream per half,
+    so the accepted paths depend neither on how the batches are formed
+    nor on the other halves.  Returns one ``(paths, endpoints,
+    transports, theta_integrals)`` per half.
     """
     if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0:
         raise ValueError("sampler needs n_paths >= 0, segments > 0, horizon > 0, magnitude >= 0")
@@ -573,87 +580,65 @@ def _sample_and_integrate(
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
 
-    def draw(i, attempt):
+    def draw(r, attempt):
         return _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
-                          vertical_magnitude, i, attempt)
+                          vertical_magnitudes[r // n_paths], r % n_paths, attempt)
 
-    paths = [draw(i, 0) for i in range(n_paths)]
-    tm = 2 * chart.m
+    paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
     if not paths:
-        return [], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0)
+        tm = 2 * chart.m
+        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0))
+        return [empty for _ in vertical_magnitudes]
+    # horizontal rows add 0 * xi and 0 * xi_coeffs: their bits are those of
+    # a Schouten integration
     x, M, f, alive, _, _, _ = _integrate_controls(
-        chart, *_path_arrays(paths), horizon, step, kind=kind, with_M=with_M,
-        raise_on_exit=False,
+        chart, *_path_arrays(paths), horizon, step, kind="adapted", raise_on_exit=False,
     )
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, max_attempts):
         if not len(pending):
             break
-        cands = [draw(i, attempt) for i in pending]
+        cands = [draw(r, attempt) for r in pending]
         xr, Mr, fr, ok, _, _, _ = _integrate_controls(
-            chart, *_path_arrays(cands), horizon, step, kind=kind,
-            with_M=with_M, raise_on_exit=False,
+            chart, *_path_arrays(cands), horizon, step, kind="adapted", raise_on_exit=False,
         )
         for j in np.nonzero(ok)[0]:
-            i = pending[j]
-            paths[i] = cands[j]
-            x[i], f[i] = xr[j], fr[j]
-            if with_M:
-                M[i] = Mr[j]
+            r = pending[j]
+            paths[r] = cands[j]
+            x[r], M[r], f[r] = xr[j], Mr[j], fr[j]
         pending = pending[~ok]
     if len(pending):
         raise SamplingError(
-            f"could not sample an in-domain path for index {pending[0]} "
+            f"could not sample an in-domain path for index {pending[0] % n_paths} "
             f"after {max_attempts} attempts"
         )
-    return paths, x, M, f
+    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths], f[k:k + n_paths])
+            for k in range(0, len(paths), n_paths)]
 
 
-def sample_paths(
-    chart,
-    x0,
-    n_paths,
-    segments,
-    horizon,
-    magnitude,
-    seed,
-    step=0.02,
-    vertical_magnitude=0.0,
-    max_attempts=60,
-):
-    """Random in-domain control paths from x0, deterministic per (seed, index).
-
-    Controls are drawn per path index from an independent stream; paths
-    whose integration leaves the domain are redrawn (bounded retries).
-    """
-    paths, _, _, _ = _sample_and_integrate(
-        chart, x0, n_paths, segments, horizon, magnitude, seed, step,
-        vertical_magnitude, kind="adapted", with_M=False,
-        max_attempts=max_attempts,
-    )
-    return paths
-
-
-def sampled_path_transports(chart, x0, sampler: SamplerConfig, kind,
-                            vertical=False):
+def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
     """Sampled paths together with their transports, in one integration pass.
 
-    The paths are horizontal unless ``vertical`` is set; then each segment
-    also gets a Reeb-direction control at the sampler's ``magnitude``.
-    Returns ``(paths, endpoints, taus, theta_integrals)``.
+    Each requested half gets ``sampler.n_paths`` paths: the horizontal
+    half draws horizontal paths, the adapted half also gives each segment
+    a Reeb-direction control at the sampler's ``magnitude``.  Returns one
+    ``(paths, endpoints, taus, theta_integrals)`` per half, in the order
+    requested.
     """
-    vert = sampler.magnitude if vertical else 0.0
+    for half in halves:
+        if half not in HALVES:
+            raise ValueError(f"unknown sampling half {half!r}")
     return _sample_and_integrate(
         chart, x0, sampler.n_paths, sampler.segments, sampler.horizon,
-        sampler.magnitude, sampler.seed, sampler.step, vert,
-        kind=kind, with_M=True,
+        sampler.magnitude, sampler.seed, sampler.step,
+        [sampler.magnitude if half == "adapted" else 0.0 for half in halves],
     )
 
 
-def isometry_residual(chart, x0, sampler: SamplerConfig, kind="schouten"):
-    """Worst deviation of sampled transports from metric isometries."""
+def isometry_residual(chart, x0, sampler: SamplerConfig):
+    """Worst deviation of sampled horizontal transports from metric isometries."""
     x0 = np.asarray(x0, dtype=float)
-    _, ends, taus, _ = sampled_path_transports(chart, x0, sampler, kind)
+    ((_, ends, taus, _),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
     if not len(taus):
         return 0.0
     P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)

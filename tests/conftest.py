@@ -2,8 +2,11 @@ import numpy as np
 import pytest
 
 from kcontact import example_charts, lie_closure
-from kcontact.holonomy import as_samples_adapted, as_samples_schouten
+from kcontact.holonomy import holonomy_samples
 from kcontact.transport import SamplerConfig
+
+# algebra_cache routes and the holonomy_samples variant each one closes
+ROUTES = {"schouten": "wagner", "annihilator": "annihilator", "adapted": "adapted"}
 
 
 @pytest.fixture(scope="session")
@@ -13,24 +16,23 @@ def charts():
 
 @pytest.fixture(scope="session")
 def algebra_cache(charts):
-    """Holonomy algebras per (chart, seed, route), computed once per session."""
-    cache = {}
+    """Holonomy algebras per (chart, seed, route), computed once per session.
+
+    One sampling pass per (chart, seed, n_paths) gives the samples of all
+    three routes.
+    """
+    samples, cache = {}, {}
 
     def get(name, seed=0, route="schouten", n_paths=64, span_tol=1e-6):
+        if route not in ROUTES:
+            raise ValueError(route)
         key = (name, seed, route, n_paths, span_tol)
         if key not in cache:
-            chart = charts[name]
-            x0 = np.zeros(chart.dim)
-            cfg = SamplerConfig(n_paths=n_paths, seed=seed)
-            if route == "schouten":
-                samples = as_samples_schouten(chart, x0, cfg)
-            elif route == "annihilator":
-                samples = as_samples_schouten(chart, x0, cfg, variant="annihilator")
-            elif route == "adapted":
-                samples = as_samples_adapted(chart, x0, cfg)
-            else:
-                raise ValueError(route)
-            cache[key] = lie_closure(samples, span_tol)
+            if (name, seed, n_paths) not in samples:
+                chart = charts[name]
+                samples[name, seed, n_paths] = holonomy_samples(
+                    chart, np.zeros(chart.dim), SamplerConfig(n_paths=n_paths, seed=seed))
+            cache[key] = lie_closure(samples[name, seed, n_paths][ROUTES[route]], span_tol)
         return cache[key]
 
     return get

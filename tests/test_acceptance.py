@@ -80,8 +80,8 @@ def test_criterion_4_scalar_transport(charts):
     for name in ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
                  "perturbed_disc_disc"]:
         chart = charts[name]
-        paths = T.sample_paths(chart, np.zeros(chart.dim), 4, 4, 1.0, 0.35,
-                               seed=104, vertical_magnitude=0.4)
+        ((paths, _, _, _),) = T._sample_and_integrate(
+            chart, np.zeros(chart.dim), 4, 4, 1.0, 0.35, 104, 0.02, [0.4])
         for path in paths:
             sc = T.sample_curve(chart, path, 0.005)
             fq = T.transport_theta(chart, sc, "quadrature")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -348,9 +349,35 @@ def test_horizontal_pass_ignores_vertical_magnitude():
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
-    paths, _, _, fs = sampled_path_transports(chart, x0, cfg.sampler, "schouten")
+    (paths, _, _, fs), _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(fs) == 8 and np.max(np.abs(fs)) < 1e-12
     assert all(p.vertical is None for p in paths)
+
+
+@pytest.mark.parametrize("command", ["holonomy", "spinor"])
+def test_report_integrates_one_batch(monkeypatch, command):
+    # heisenberg paths never escape, so the horizontal and the adapted
+    # half of the one sampling pass are integrated as a single batch
+    from kcontact import holonomy, transport
+
+    calls = {"integrate": 0, "pass": 0}
+    integrate, sample_pass = transport._integrate_controls, holonomy.sampled_path_transports
+
+    def counting_integrate(*args, **kwargs):
+        calls["integrate"] += 1
+        return integrate(*args, **kwargs)
+
+    def counting_pass(*args, **kwargs):
+        calls["pass"] += 1
+        return sample_pass(*args, **kwargs)
+
+    monkeypatch.setattr(transport, "_integrate_controls", counting_integrate)
+    monkeypatch.setattr(holonomy, "sampled_path_transports", counting_pass)
+    cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"))
+    cfg.sampler = replace(cfg.sampler, n_paths=16)
+    report = cli.holonomy_report(cfg) if command == "holonomy" else cli.spinor_report(cfg)
+    assert report["command"] == command
+    assert calls == {"integrate": 1, "pass": 1}
 
 
 def test_closure_blow_up_exit_5(tmp_path, capsys):
@@ -423,14 +450,14 @@ def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):
     # samples of another chart; the report is still written, and the exit
     # code says so
     other = example_charts()["disc_disc_11"]
-    variants = cli.as_samples_schouten_variants
+    samples = cli.holonomy_samples
 
     def disagreeing(chart, x, sampler, *args):
-        out = variants(chart, x, sampler, *args)
+        out = samples(chart, x, sampler, *args)
         out["annihilator"] = as_samples_adapted(other, np.zeros(other.dim), sampler)
         return out
 
-    monkeypatch.setattr(cli, "as_samples_schouten_variants", disagreeing)
+    monkeypatch.setattr(cli, "holonomy_samples", disagreeing)
     out = tmp_path / "rep.json"
     bergman = Path(__file__).resolve().parent.parent / "configs" / "bergman.json"
     assert run(["holonomy", "--config", str(bergman),

@@ -78,25 +78,33 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     cfg = T.SamplerConfig(n_paths=6, seed=3)
     single = {v: H.as_samples_schouten(chart, x0, cfg, variant=v)
               for v in ("wagner", "annihilator")}
+    single["adapted"] = H.as_samples_adapted(chart, x0, cfg)
     passes = []
     sample_pass = H.sampled_path_transports
 
     def counting_pass(*args, **kwargs):
-        passes.append(args[3])
+        passes.append(tuple(args[3]))
         return sample_pass(*args, **kwargs)
 
     monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
-    both = H.as_samples_schouten_variants(chart, x0, cfg)
-    assert passes == ["schouten"]
-    assert set(both) == set(single)
+    every = H.holonomy_samples(chart, x0, cfg)
+    assert passes == [("horizontal", "adapted")]
+    assert set(every) == set(single)
     for v, samples in single.items():
-        assert len(both[v]) == len(samples) == 6 * 7
-        assert all(np.array_equal(a, b) for a, b in zip(both[v], samples))
+        assert len(every[v]) == len(samples) == 6 * 7
+        assert all(np.array_equal(a, b) for a, b in zip(every[v], samples))
+    # the Schouten variants alone integrate only the horizontal half
+    horizontal = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
+    assert passes[1:] == [("horizontal",)]
+    for v, samples in horizontal.items():
+        assert all(np.array_equal(a, b) for a, b in zip(samples, single[v]))
     with pytest.raises(ValueError):
         H.as_samples_schouten(chart, x0, cfg, variant="bogus")
     with pytest.raises(ValueError):
-        H.as_samples_schouten_variants(chart, x0, cfg, ("wagner", "bogus"))
-    assert passes == ["schouten"]  # rejected before sampling
+        H.as_samples_schouten(chart, x0, cfg, variant="adapted")
+    with pytest.raises(ValueError):
+        H.holonomy_samples(chart, x0, cfg, ("wagner", "bogus"))
+    assert len(passes) == 2  # rejected before sampling
 
 
 def test_zero_length_paths_give_pointwise_curvature(charts):
@@ -273,7 +281,10 @@ def test_conjugation_covariance(charts):
     chart = charts["bergman"]
     x = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=48, seed=3)
-    path = T.sample_paths(chart, x, 1, 4, 1.0, 0.4, seed=99)[0]
+    ((paths, _, _, _),) = T.sampled_path_transports(
+        chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99),
+        ("horizontal",))
+    path = paths[0]
     res = T.transport(chart, path, "schouten")
     y = res.end
     # orthonormal-frame transport x -> y

@@ -19,6 +19,15 @@ def ortho_tau(chart, res):
     return L1t[0] @ res.tau @ np.linalg.inv(L0t[0])
 
 
+def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02,
+               vertical=0.0, max_attempts=60):
+    """The accepted paths of a one-half sampling pass."""
+    ((paths, _, _, _),) = T._sample_and_integrate(
+        chart, x0, n_paths, segments, horizon, magnitude, seed, step, [vertical],
+        max_attempts=max_attempts)
+    return paths
+
+
 def test_zero_controls_constant_curve(charts):
     chart = charts["disc_disc_11"]
     x0 = np.array([0.1, -0.2, 0.05, 0.0, 0.3])
@@ -51,7 +60,7 @@ def test_heisenberg_square_loop_area(charts):
 def test_reversed_controls_retrace(charts):
     chart = charts["bergman"]
     rng = np.random.default_rng(0)
-    path = T.sample_paths(chart, np.zeros(5), 1, 4, 1.0, 0.4, seed=5)[0]
+    path = draw_paths(chart, np.zeros(5), 1, 4, 1.0, 0.4, seed=5)[0]
     both = T.ControlPath(
         path.x0,
         np.vstack([path.controls, path.reversed().controls]),
@@ -67,8 +76,7 @@ def test_transport_isometry(charts, kind):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
     vertical = 0.0 if kind == "schouten" else 0.3
-    paths = T.sample_paths(chart, x0, 6, 4, 1.2, 0.45, seed=2,
-                           vertical_magnitude=vertical)
+    paths = draw_paths(chart, x0, 6, 4, 1.2, 0.45, seed=2, vertical=vertical)
     for path in paths:
         res = T.transport(chart, path, kind)
         to = ortho_tau(chart, res)
@@ -77,7 +85,7 @@ def test_transport_isometry(charts, kind):
 
 def test_three_kinds_coincide_on_horizontal_curves(charts):
     chart = charts["bergman"]
-    paths = T.sample_paths(chart, np.zeros(5), 4, 4, 1.2, 0.45, seed=3)
+    paths = draw_paths(chart, np.zeros(5), 4, 4, 1.2, 0.45, seed=3)
     for path in paths:
         taus = [T.transport(chart, path, k).tau for k in T.TRANSPORT_KINDS]
         assert np.max(np.abs(taus[0] - taus[1])) < 1e-6
@@ -86,7 +94,7 @@ def test_three_kinds_coincide_on_horizontal_curves(charts):
 
 def test_disc_product_transport_block_diagonal(charts):
     chart = charts["disc_disc_11"]
-    path = T.sample_paths(chart, np.zeros(5), 1, 4, 1.2, 0.5, seed=4)[0]
+    path = draw_paths(chart, np.zeros(5), 1, 4, 1.2, 0.5, seed=4)[0]
     tau = T.transport(chart, path, "schouten").tau
     assert np.max(np.abs(tau[:2, 2:])) < 1e-9
     assert np.max(np.abs(tau[2:, :2])) < 1e-9
@@ -103,7 +111,7 @@ def test_transport_theta_contract(charts):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
     # horizontal curve: factor 1
-    hor = T.sample_paths(chart, x0, 1, 3, 1.0, 0.4, seed=6)[0]
+    hor = draw_paths(chart, x0, 1, 3, 1.0, 0.4, seed=6)[0]
     assert abs(T.transport_theta(chart, hor) - 1.0) < 1e-10
     # Reeb segment for time s: factor e^{-s}
     s = 0.8
@@ -131,8 +139,7 @@ def test_transport_theta_ode_agreement(charts):
     for name in ["heisenberg", "disc_disc_11", "bergman", "perturbed_disc_disc"]:
         chart = charts[name]
         x0 = np.zeros(chart.dim)
-        paths = T.sample_paths(chart, x0, 5, 4, 1.0, 0.35, seed=7,
-                               vertical_magnitude=0.4)
+        paths = draw_paths(chart, x0, 5, 4, 1.0, 0.35, seed=7, vertical=0.4)
         for path in paths:
             sc = T.sample_curve(chart, path, 0.005)
             fq = T.transport_theta(chart, sc, "quadrature")
@@ -185,7 +192,7 @@ def test_horizontalize_fixed_points(charts):
     chart = charts["bergman"]
     x0 = np.zeros(5)
     # horizontal input is unchanged
-    hor = T.sample_paths(chart, x0, 1, 3, 1.0, 0.4, seed=8)[0]
+    hor = draw_paths(chart, x0, 1, 3, 1.0, 0.4, seed=8)[0]
     sc = T.sample_curve(chart, hor)
     tilde = T.horizontalize(chart, sc)
     assert np.max(np.abs(tilde.xs - sc.xs)) < 1e-9
@@ -198,8 +205,7 @@ def test_horizontalize_fixed_points(charts):
 def test_horizontalize_endpoint_relation(charts):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
-    path = T.sample_paths(chart, x0, 1, 4, 1.0, 0.3, seed=9,
-                          vertical_magnitude=0.5)[0]
+    path = draw_paths(chart, x0, 1, 4, 1.0, 0.3, seed=9, vertical=0.5)[0]
     sc = T.sample_curve(chart, path)
     tilde = T.horizontalize(chart, sc)
     total = T.transport_theta(chart, sc)  # exp(-integral)
@@ -251,43 +257,43 @@ def test_transport_equivalence_trivial_cases(charts):
 def test_sampler_contract(charts):
     chart = charts["disc_disc_11"]
     x0 = np.zeros(5)
-    assert T.sample_paths(chart, x0, 0, 4, 1.0, 0.4, seed=0) == []
-    a = T.sample_paths(chart, x0, 6, 4, 1.0, 0.4, seed=13)
-    b = T.sample_paths(chart, x0, 6, 4, 1.0, 0.4, seed=13)
+    assert draw_paths(chart, x0, 0, 4, 1.0, 0.4, seed=0) == []
+    a = draw_paths(chart, x0, 6, 4, 1.0, 0.4, seed=13)
+    b = draw_paths(chart, x0, 6, 4, 1.0, 0.4, seed=13)
     for pa, pb in zip(a, b):
         assert np.array_equal(pa.controls, pb.controls)
-    c = T.sample_paths(chart, x0, 3, 4, 1.0, 0.0, seed=14)
+    c = draw_paths(chart, x0, 3, 4, 1.0, 0.0, seed=14)
     for p in c:
         assert np.max(np.abs(p.controls)) == 0.0
     with pytest.raises(DomainError):
-        T.sample_paths(chart, np.array([2.0, 0, 0, 0, 0]), 2, 4, 1.0, 0.4, seed=0)
+        draw_paths(chart, np.array([2.0, 0, 0, 0, 0]), 2, 4, 1.0, 0.4, seed=0)
     with pytest.raises(ValueError):
-        T.sample_paths(chart, x0, 2, 0, 1.0, 0.4, seed=0)
+        draw_paths(chart, x0, 2, 0, 1.0, 0.4, seed=0)
 
 
 def test_sampler_exhaustion(charts):
     chart = charts["heisenberg"]
     with pytest.raises(SamplingError):
-        T.sample_paths(chart, np.zeros(5), 1, 2, 0.5, 200.0, seed=0,
-                       max_attempts=5)
+        draw_paths(chart, np.zeros(5), 1, 2, 0.5, 200.0, seed=0, max_attempts=5)
 
 
-# a bergman sampler whose pass escapes at indices 1 and 3; index 3 needs
-# four redraws, so later redraw batches shrink
+# a bergman sampler whose pass escapes at indices 1 and 3 of each half;
+# index 3 needs four redraws, so later redraw batches shrink
 REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
                                  magnitude=1.5, step=0.05, seed=1)
 
 
-def _reference_pass(chart, x0, s):
-    """Per-index, attempt-by-attempt reference for one schouten pass."""
+def _reference_pass(chart, x0, s, vertical):
+    """Per-index, attempt-by-attempt reference for one half of a pass."""
+    kind = "adapted" if vertical else "schouten"
     out = []
     for i in range(s.n_paths):
         for attempt in range(60):
             path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
-                                s.seed, s.step, 0.0, i, attempt)
+                                s.seed, s.step, vertical, i, attempt)
             try:
                 x, M, f, _, _, _, _ = T._integrate_controls(
-                    chart, *T._path_arrays([path]), s.horizon, s.step, kind="schouten")
+                    chart, *T._path_arrays([path]), s.horizon, s.step, kind=kind)
             except DomainError:
                 continue
             out.append((attempt, path, x[0], M[0], f[0]))
@@ -296,38 +302,64 @@ def _reference_pass(chart, x0, s):
 
 
 def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
+    # the two halves of one pass, integrated and redrawn as one batch, give
+    # each half bit for bit what that half gives path by path on its own
     chart = charts["bergman"]
     x0 = np.zeros(5)
-    ref = _reference_pass(chart, x0, REDRAW_SAMPLER)
-    assert sum(attempt > 0 for attempt, *_ in ref) >= 2
+    verticals = (0.0, REDRAW_SAMPLER.magnitude)
+    refs = [_reference_pass(chart, x0, REDRAW_SAMPLER, v) for v in verticals]
+    for ref in refs:
+        assert sum(attempt > 0 for attempt, *_ in ref) >= 2
     draws = []
     draw = T._draw_path
 
     def recording_draw(*args):
-        draws.append((int(args[8]), int(args[9])))
+        draws.append((args[7], int(args[8]), int(args[9])))
         return draw(*args)
 
     monkeypatch.setattr(T, "_draw_path", recording_draw)
-    paths, ends, taus, fs = T.sampled_path_transports(chart, x0, REDRAW_SAMPLER, "schouten")
-    expected_draws = {(i, a) for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
+    halves = T.sampled_path_transports(chart, x0, REDRAW_SAMPLER)
+    assert len(halves) == 2
+    expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
+                      for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
-    for i, (_, path, end, tau, f) in enumerate(ref):
-        assert np.array_equal(paths[i].controls, path.controls)
-        assert np.array_equal(ends[i], end)
-        assert np.array_equal(taus[i], tau)
-        assert fs[i] == f
+    for (paths, ends, taus, fs), ref in zip(halves, refs):
+        assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
+        for i, (_, path, end, tau, f) in enumerate(ref):
+            assert np.array_equal(paths[i].controls, path.controls)
+            if path.vertical is None:
+                assert paths[i].vertical is None
+            else:
+                assert np.array_equal(paths[i].vertical, path.vertical)
+            assert np.array_equal(ends[i], end)
+            assert np.array_equal(taus[i], tau)
+            assert fs[i] == f
 
 
 def test_redraw_exhaustion_names_index(charts):
     chart = charts["bergman"]
     s = REDRAW_SAMPLER
     with pytest.raises(SamplingError, match=r"for index 3 after 3 attempts"):
-        T.sample_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
-                       s.magnitude, s.seed, step=s.step, max_attempts=3)
+        draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                   s.magnitude, s.seed, step=s.step, max_attempts=3)
     # with no redraws at all the first escaped index is named
     with pytest.raises(SamplingError, match=r"for index 1 after 1 attempts"):
-        T.sample_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
-                       s.magnitude, s.seed, step=s.step, max_attempts=1)
+        draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                   s.magnitude, s.seed, step=s.step, max_attempts=1)
+
+
+def test_two_half_exhaustion_names_index_within_half(charts):
+    # with Reeb controls at magnitude 6 the second half's index 3 (row 9 of
+    # the batch) needs 14 draws, while the horizontal half is complete
+    # after 5
+    chart = charts["bergman"]
+    s = REDRAW_SAMPLER
+    args = (chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
+            s.seed, s.step, [0.0, 6.0])
+    with pytest.raises(SamplingError, match=r"for index 3 after 5 attempts"):
+        T._sample_and_integrate(*args, max_attempts=5)
+    horizontal, adapted = T._sample_and_integrate(*args, max_attempts=14)
+    assert len(horizontal[0]) == len(adapted[0]) == s.n_paths
 
 
 def test_integrator_fourth_order(charts):
