@@ -39,6 +39,7 @@ from .manifolds import (
 )
 from .spinor import (
     LIFT_LEVEL_CONSTANT,
+    MAX_MODES,
     build_spin_rep,
     parallel_spinor_dim,
     ratio_condition,
@@ -63,6 +64,7 @@ EXIT_DOMAIN = 3
 EXIT_SAMPLING = 4
 EXIT_NUMERICS = 5
 CROSS_VARIANT_TOL = 1e-4  # Wagner vs annihilator span residual of a holonomy report
+VERIFY_POINTS = 50  # random domain points of the verify residual suite
 
 
 # ---------------------------------------------------------------------------
@@ -222,11 +224,11 @@ def _check(residual, tol, larger_is_better=False):
     return {"residual": float(residual), "tolerance": float(tol), "pass": bool(ok)}
 
 
-def verify_report(cfg: RunConfig, n_points=50):
+def verify_report(cfg: RunConfig):
     """Structural residual suite over random domain points."""
     chart, x0 = _resolve_chart(cfg)
     rng = np.random.default_rng(cfg.sampler.seed)
-    pts = random_domain_points(chart, n_points, rng, margin=0.95)
+    pts = random_domain_points(chart, VERIFY_POINTS, rng, margin=0.95)
     man = chart_invariant_residuals(chart, pts)
     con = connection_invariant_residuals(chart, pts)
     checks = {
@@ -265,7 +267,7 @@ def verify_report(cfg: RunConfig, n_points=50):
         "schema": 1,
         "command": "verify",
         "manifold": chart.name,
-        "n_points": n_points,
+        "n_points": VERIFY_POINTS,
         "seed": cfg.sampler.seed,
         "checks": checks,
         "pass": all(c["pass"] for c in checks.values()),
@@ -338,7 +340,7 @@ def holonomy_report(cfg: RunConfig):
     else:
         report["blocks"] = []
         report["trivial_block"] = list(range(2 * chart.m))
-    if chart.m <= 8:
+    if chart.m <= MAX_MODES:
         rep = build_spin_rep(chart.m)
         report["spinor_kernel"] = {
             "schouten": parallel_spinor_dim(rep, h),
@@ -351,6 +353,8 @@ def spinor_report(cfg: RunConfig):
     """Spin-representation sanity checks plus chart kernel dimensions."""
     chart, x0 = _resolve_chart(cfg)
     m = chart.m
+    if m > MAX_MODES:
+        raise ConfigError(f"spinor checks need m <= {MAX_MODES}, the chart has m = {m}")
     rep = build_spin_rep(m)
     tm = 2 * m
     cl = 0.0

@@ -7,7 +7,9 @@ rule to the curvature.  One code path serves every chart; a
 finite-difference oracle in the test suite checks the whole pipeline.
 One bracket computation (``manifolds.frame_brackets``) and one Koszul
 assembly (:func:`_koszul`) serve both the full :func:`frame_data` and the
-lean :func:`transport_data` that the transport right-hand side calls.
+lean first-order :func:`transport_data` that the transport right-hand side
+calls.  The Wagner extension enters only through its curvature ``RW``;
+no transport integrates it.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -108,20 +110,16 @@ class TransportData:
     theta: np.ndarray
     Gamma: np.ndarray
     xi_coeffs: np.ndarray = None
-    N: np.ndarray = None
 
 
-def transport_data(chart, X, vertical=False, wagner=False):
+def transport_data(chart, X, vertical=False):
     """Lean evaluation of the pieces the transport ODE needs.
 
-    Computes the connection coefficients (and, for curves with vertical
-    parts, the Reeb bracket coefficients and optionally the Wagner field)
-    with as few contractions as possible; the hot path of the holonomy
-    sampler.
+    Computes the connection coefficients from first derivatives only and,
+    for curves with Reeb-direction parts (``vertical``), the Reeb bracket
+    coefficients of the zero extension, with as few contractions as
+    possible; the hot path of the holonomy sampler.
     """
-    if wagner and vertical:
-        d = frame_data(chart, X, order=2)
-        return TransportData(d.E, d.xi, d.theta, d.Gamma, d.xi_coeffs, d.N)
     arr = chart_arrays(chart, X, order=1)
     _, Minv, cfull = frame_brackets(arr)
     tm = arr.E.shape[-1]

@@ -36,6 +36,7 @@ __all__ = [
 
 FACTOR_KINDS = ("poincare_disc", "bergman_ball", "perturbed_disc")
 BALL_RADIUS = 0.9  # chart clipping radius for disc/ball factors
+BUMP_RADIUS = 0.8  # support radius of the perturbed disc's bump
 
 
 @dataclass(frozen=True)
@@ -63,12 +64,11 @@ class FactorSpec:
     b: float = 1.0
     curvature: float = 1.0
     epsilon: float = 0.0
-    bump_radius: float = 0.8  # support radius of the perturbation bump
 
     def __post_init__(self):
         if self.kind not in FACTOR_KINDS:
             raise ConfigError(f"unknown factor kind {self.kind!r}")
-        for name in ("b", "curvature", "epsilon", "bump_radius"):
+        for name in ("b", "curvature", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"factor {name} must be finite, got {getattr(self, name)}")
         if self.b == 0.0:
@@ -112,7 +112,7 @@ def _disc_scale(spec, u):
     s = 1.0 - u
     lam = (4.0 / spec.curvature) / (s * s)
     if spec.kind == "perturbed_disc" and spec.epsilon != 0.0:
-        lam = lam * jets.exp(spec.epsilon * _bump(u, spec.bump_radius**2))
+        lam = lam * jets.exp(spec.epsilon * _bump(u, BUMP_RADIUS**2))
     return lam
 
 

@@ -17,6 +17,7 @@ never normalized away.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -57,6 +58,11 @@ class SpinRep:
         """Level k = total occupation of a Fock basis index."""
         return sum(self.occupation(index))
 
+    @cached_property
+    def gamma_products(self):
+        """``[p, q] -> g_q g_p``, built on the first lift (trivial algebras lift nothing)."""
+        return np.einsum("qij,pjk->pqik", self.gamma, self.gamma)
+
 
 def build_spin_rep(m):
     """Gamma matrices of size 2^m via the mode construction."""
@@ -87,8 +93,7 @@ def spin_lift(rep: SpinRep, A):
     A = np.asarray(A, dtype=float)
     if np.max(np.abs(A + A.T)) > 1e-10:
         raise ValueError("spin lift needs a skew-symmetric matrix")
-    prods = np.einsum("qij,pjk->pqik", rep.gamma, rep.gamma)
-    return 0.25 * np.einsum("pq,pqik->ik", A, prods)
+    return 0.25 * np.einsum("pq,pqik->ik", A, rep.gamma_products)
 
 
 def parallel_spinor_dim(rep: SpinRep, basis):

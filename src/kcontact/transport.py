@@ -1,6 +1,8 @@
-"""Curves and parallel-transport ODEs for the horizontal connection and its
-extensions, the scalar line-bundle transport, the Reeb flow, and the
-horizontalization of arbitrary curves.
+"""Curves and parallel-transport ODEs for the horizontal (Schouten)
+connection along horizontal curves and its zero extension along arbitrary
+ones, the scalar line-bundle transport, the Reeb flow, and the
+horizontalization of arbitrary curves.  The Wagner extension enters only
+through its curvature (``connection.frame_data``).
 
 Curves come in two source forms: :class:`ControlPath` (piecewise-constant
 frame controls, integrated with RK4) and :class:`ParametricCurve` (explicit
@@ -43,9 +45,13 @@ __all__ = [
     "balanced_loop",
 ]
 
-TRANSPORT_KINDS = ("schouten", "adapted", "wagner")
+TRANSPORT_KINDS = ("schouten", "adapted")
 HALVES = ("horizontal", "adapted")  # the two halves of a sampling pass
 HORIZONTAL_TOL = 1e-6
+THETA_STEP = 0.005  # sampling step of transport_theta for unsampled curves
+LOOP_RADIUS = 0.12  # base circle radius of balanced_loop
+LOOP_T_AMP = 0.1  # amplitude of its closed t-wiggles
+LOOP_TRIES = 8
 
 
 @dataclass
@@ -56,21 +62,21 @@ class ControlPath:
     controls: np.ndarray  # (K, 2m)
     horizon: float
     step: float = 0.02
-    vertical: np.ndarray = None  # optional (K,) Reeb-direction controls
+    vertical: np.ndarray = None  # (K,) Reeb-direction controls; omitted: zeros
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
-        if self.vertical is not None:
-            self.vertical = np.asarray(self.vertical, dtype=float)
+        v = np.zeros(self.segments) if self.vertical is None else self.vertical
+        self.vertical = np.asarray(v, dtype=float)
 
     @property
     def segments(self):
         return self.controls.shape[0]
 
     def reversed(self):
-        v = None if self.vertical is None else -self.vertical[::-1]
-        return ControlPath(self.x0, -self.controls[::-1], self.horizon, self.step, v)
+        return ControlPath(self.x0, -self.controls[::-1], self.horizon, self.step,
+                           -self.vertical[::-1])
 
 
 @dataclass
@@ -141,7 +147,9 @@ class SamplerConfig:
 
 
 def _even_steps(duration, step):
-    k = int(round(duration / max(step, 1e-12)))
+    if not (step > 0 and np.isfinite(step)):
+        raise ValueError(f"integration step must be positive and finite, got {step}")
+    k = int(round(duration / step))
     k = max(2, k + (k % 2))
     return k
 
@@ -174,8 +182,9 @@ def _stage(y, c, k):
     return tuple(None if a is None else a + c * b for a, b in zip(y, k))
 
 
-def _rhs(chart, kind, x, M, u, w):
-    """Derivatives of (position, frame transport, theta integral); M may be None."""
+def _rhs(chart, x, M, u, w):
+    """Derivatives of (position, zero-extension transport, theta integral); M
+    may be None.  Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits."""
     vertical = bool(np.any(w != 0.0))
     if M is None:
         # positions only: plain chart values, no derivatives, no metric
@@ -184,17 +193,14 @@ def _rhs(chart, kind, x, M, u, w):
         if vertical:
             v = v + w[..., None] * arr.xi
         return v, None, np.einsum("...i,...i->...", arr.th, v)
-    data = transport_data(chart, x, vertical=vertical, wagner=(kind == "wagner"))
+    data = transport_data(chart, x, vertical=vertical)
     v = np.einsum("...ia,...a->...i", data.E, u)
     if vertical:
         v = v + w[..., None] * data.xi
     df = np.einsum("...i,...i->...", data.theta, v)
     Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
-    if kind in ("adapted", "wagner") and vertical:
-        vert = data.xi_coeffs
-        if kind == "wagner":
-            vert = vert + data.N
-        Om = Om + w[..., None, None] * vert
+    if vertical:
+        Om = Om + w[..., None, None] * data.xi_coeffs
     return v, -np.matmul(Om, M), df
 
 
@@ -212,7 +218,6 @@ def _integrate_controls(
     verticals,
     horizon,
     step,
-    kind="schouten",
     with_M=True,
     collect=False,
     raise_on_exit=True,
@@ -236,10 +241,10 @@ def _integrate_controls(
     total = 0
     for k in range(K):
         u = controls[:, k, :]
-        w = verticals[:, k] if verticals is not None else np.zeros(P_)
+        w = verticals[:, k]
 
         def rhs(s, y):
-            return _rhs(chart, kind, y[0], y[1], u, w)
+            return _rhs(chart, y[0], y[1], u, w)
 
         for _ in range(steps):
             xn, Mn, fn = _rk4_step(rhs, (x, M, f), h)
@@ -265,18 +270,8 @@ def _integrate_controls(
 
 
 def _path_arrays(paths):
-    x0s = np.stack([p.x0 for p in paths])
-    controls = np.stack([p.controls for p in paths])
-    if any(p.vertical is not None for p in paths):
-        verticals = np.stack(
-            [
-                p.vertical if p.vertical is not None else np.zeros(p.segments)
-                for p in paths
-            ]
-        )
-    else:
-        verticals = None
-    return x0s, controls, verticals
+    return (np.stack([p.x0 for p in paths]), np.stack([p.controls for p in paths]),
+            np.stack([p.vertical for p in paths]))
 
 
 # ---------------------------------------------------------------------------
@@ -288,16 +283,15 @@ def sample_curve(chart, curve, step=None):
     if isinstance(curve, SampledCurve):
         return curve
     if isinstance(curve, ControlPath):
-        return _sample_control_path(chart, curve, step or curve.step)
+        return _sample_control_path(chart, curve, curve.step if step is None else step)
     if isinstance(curve, ParametricCurve):
-        return _sample_parametric(chart, curve, step or 0.01)
+        return _sample_parametric(chart, curve, 0.01 if step is None else step)
     raise TypeError(f"not a curve: {curve!r}")
 
 
 def _sample_control_path(chart, path, step):
     _, _, _, _, history, h, steps = _integrate_controls(
-        chart, *_path_arrays([path]), path.horizon, step,
-        kind="adapted", with_M=False, collect=True,
+        chart, *_path_arrays([path]), path.horizon, step, with_M=False, collect=True,
     )
     pos = np.concatenate(history, axis=0)  # (K*steps + 1, n)
     K = path.segments
@@ -306,7 +300,7 @@ def _sample_control_path(chart, path, step):
     sel = (np.arange(K)[:, None] * steps + np.arange(per)).ravel()
     xs, ts = pos[sel], sel * h
     us = np.repeat(path.controls, per, axis=0)
-    ws = np.zeros(K * per) if path.vertical is None else np.repeat(path.vertical, per)
+    ws = np.repeat(path.vertical, per)
     piece_slices = [(k * per, k * per + steps) for k in range(K)]
     arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, us) + ws[:, None] * arr.xi
@@ -355,20 +349,14 @@ def _split_velocities(chart, xs, vs):
 
 
 def _sampled_coefficients(chart, sc, kind):
-    order = 2 if (kind == "wagner" and np.max(np.abs(sc.ws)) > HORIZONTAL_TOL) else 1
-    data = frame_data(chart, sc.xs, order=order)
+    data = frame_data(chart, sc.xs, order=1)
     Om = np.einsum("...cab,...a->...cb", data.Gamma, sc.us)
-    if kind in ("adapted", "wagner"):
-        vert = data.xi_coeffs
-        if kind == "wagner" and order == 2:
-            vert = vert + data.N
-        Om = Om + sc.ws[:, None, None] * vert
+    if kind == "adapted":
+        Om = Om + sc.ws[:, None, None] * data.xi_coeffs
     return Om
 
 
 def _transport_sampled(chart, sc, kind):
-    if kind not in TRANSPORT_KINDS:
-        raise ValueError(f"unknown transport kind {kind!r}")
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
@@ -391,23 +379,23 @@ def _integrate_sampled(sc, rhs, y):
     return y
 
 
-def transport(chart, curve, kind, step=None):
+def transport(chart, curve, kind):
     """Parallel transport along a curve for the chosen connection.
 
-    ``kind='schouten'`` demands a horizontal curve; the zero and Wagner
-    extensions accept arbitrary curves via the split v = u^a e_a + w xi.
+    ``kind='schouten'`` is the horizontal connection and demands a
+    horizontal curve; ``kind='adapted'`` is its zero extension and accepts
+    arbitrary curves via the split v = u^a e_a + w xi.  Along a horizontal
+    curve the two agree.  For another step than a curve's default, pass
+    the :class:`SampledCurve` from :func:`sample_curve`.
     """
     if kind not in TRANSPORT_KINDS:
         raise ValueError(f"unknown transport kind {kind!r}")
     if isinstance(curve, ControlPath):
-        x0s, controls, verticals = _path_arrays([curve])
-        if kind == "schouten" and verticals is not None and np.max(np.abs(verticals)) > 0:
+        if kind == "schouten" and np.any(curve.vertical != 0.0):
             raise ChartError("schouten transport requires a horizontal curve")
-        x, M, _, _, _, _, _ = _integrate_controls(
-            chart, x0s, controls, verticals, curve.horizon, curve.step, kind=kind,
-        )
+        x, M, *_ = _integrate_controls(chart, *_path_arrays([curve]), curve.horizon, curve.step)
         return TransportResult(tau=M[0], start=curve.x0, end=x[0])
-    sc = sample_curve(chart, curve, step)
+    sc = sample_curve(chart, curve)
     return TransportResult(
         tau=_transport_sampled(chart, sc, kind), start=sc.xs[0], end=sc.xs[-1]
     )
@@ -448,16 +436,17 @@ def _cumulative_theta_integral(sc):
     return out
 
 
-def transport_theta(chart, curve, method="quadrature", step=0.005):
+def transport_theta(chart, curve, method="quadrature"):
     """Scalar transport factor exp(-integral of theta) along a curve.
 
     ``method='quadrature'`` integrates theta(velocity) by composite
     Simpson; ``method='ode'`` integrates the transport equation
     d(lambda)/dt = -lambda theta(velocity) with RK4 over the same samples.
-    The default sampling step is finer than the transport default; the
-    scalar integrand is cheap and the two routes must agree to 1e-6.
+    A curve that is not yet sampled is sampled at ``THETA_STEP``, finer
+    than the transport default; the scalar integrand is cheap and the two
+    routes must agree to 1e-6.
     """
-    sc = sample_curve(chart, curve, step)
+    sc = sample_curve(chart, curve, THETA_STEP)
     if method == "quadrature":
         return float(np.exp(-_theta_integral(sc)))
     if method != "ode":
@@ -500,16 +489,16 @@ def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
     return (y, J) if jacobian else y
 
 
-def horizontalize(chart, curve, step=None, flow_step=0.01):
+def horizontalize(chart, curve):
     """Flow each curve point down the Reeb direction to kill theta(velocity).
 
     Returns the horizontal companion curve as a :class:`SampledCurve`
     (same parameter grid).  Its endpoint is the Reeb flow of the original
     endpoint for time minus the theta-integral of the curve.
     """
-    sc = sample_curve(chart, curve, step)
+    sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)
-    ys, J = _reeb_flow_batch(chart, sc.xs, f, step=flow_step, jacobian=True)
+    ys, J = _reeb_flow_batch(chart, sc.xs, f, jacobian=True)
     arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, sc.us) + sc.ws[:, None] * arr.xi
     v_h = v - sc.theta_dot[:, None] * arr.xi
@@ -519,7 +508,7 @@ def horizontalize(chart, curve, step=None, flow_step=0.01):
     )
 
 
-def transport_equivalence_check(chart, loop, step=None):
+def transport_equivalence_check(chart, loop):
     """Compare zero-extension transport along a balanced loop with the
     horizontal transport along its horizontalization.
 
@@ -529,7 +518,7 @@ def transport_equivalence_check(chart, loop, step=None):
     horizontal companion :class:`SampledCurve` from :func:`horizontalize`,
     so a caller can check its horizontality without flowing the loop again.
     """
-    sc = sample_curve(chart, loop, step)
+    sc = sample_curve(chart, loop)
     if not np.allclose(sc.xs[0], sc.xs[-1], atol=1e-8):
         raise ChartError("transport_equivalence_check needs a loop")
     total = _theta_integral(sc)
@@ -552,7 +541,8 @@ def _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
                vertical_magnitude, i, attempt):
     rng = np.random.default_rng([int(seed), int(i), int(attempt)])
     controls = rng.normal(0.0, 1.0, (segments, 2 * chart.m)) * magnitude
-    vertical = None
+    # a horizontal draw takes no normals for its Reeb controls
+    vertical = np.zeros(segments)
     if vertical_magnitude > 0:
         vertical = rng.normal(0.0, 1.0, segments) * vertical_magnitude
     return ControlPath(x0, controls, horizon, step, vertical)
@@ -574,8 +564,9 @@ def _sample_and_integrate(
     nor on the other halves.  Returns one ``(paths, endpoints,
     transports, theta_integrals)`` per half.
     """
-    if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0:
-        raise ValueError("sampler needs n_paths >= 0, segments > 0, horizon > 0, magnitude >= 0")
+    if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0 or not step > 0:
+        raise ValueError("sampler needs n_paths >= 0, segments > 0, horizon > 0, "
+                         "magnitude >= 0, step > 0")
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
@@ -589,10 +580,8 @@ def _sample_and_integrate(
         tm = 2 * chart.m
         empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0))
         return [empty for _ in vertical_magnitudes]
-    # horizontal rows add 0 * xi and 0 * xi_coeffs: their bits are those of
-    # a Schouten integration
     x, M, f, alive, _, _, _ = _integrate_controls(
-        chart, *_path_arrays(paths), horizon, step, kind="adapted", raise_on_exit=False,
+        chart, *_path_arrays(paths), horizon, step, raise_on_exit=False,
     )
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, max_attempts):
@@ -600,7 +589,7 @@ def _sample_and_integrate(
             break
         cands = [draw(r, attempt) for r in pending]
         xr, Mr, fr, ok, _, _, _ = _integrate_controls(
-            chart, *_path_arrays(cands), horizon, step, kind="adapted", raise_on_exit=False,
+            chart, *_path_arrays(cands), horizon, step, raise_on_exit=False,
         )
         for j in np.nonzero(ok)[0]:
             r = pending[j]
@@ -680,7 +669,7 @@ def _loop_theta_integral(chart, pieces, step=2e-3):
     return _theta_integral(_sample_parametric(chart, ParametricCurve(pieces), step))
 
 
-def balanced_loop(chart, x0, rng, radius=0.12, t_amp=0.1, max_tries=8):
+def balanced_loop(chart, x0, rng):
     """A non-horizontal coordinate loop at x0 with vanishing theta-integral.
 
     Concatenates a base circle in one coordinate pair with a reversed
@@ -696,12 +685,12 @@ def balanced_loop(chart, x0, rng, radius=0.12, t_amp=0.1, max_tries=8):
     if len(pairs) < 2:
         raise ChartError("balanced loops need at least two coordinate pairs")
     tidx = chart.dim - 1
-    lo, hi = 0.02 * radius, 2.2 * radius
-    for _ in range(max_tries):
+    lo, hi = 0.02 * LOOP_RADIUS, 2.2 * LOOP_RADIUS
+    for _ in range(LOOP_TRIES):
         p1, p2 = [pairs[i] for i in rng.choice(len(pairs), size=2, replace=False)]
-        r1 = radius * (0.7 + 0.6 * rng.random())
+        r1 = LOOP_RADIUS * (0.7 + 0.6 * rng.random())
         ph1, ph2 = rng.uniform(0, 2 * np.pi, 2)
-        amp = t_amp * (0.5 + rng.random())
+        amp = LOOP_T_AMP * (0.5 + rng.random())
         base = _circle_piece(x0, p1, r1, ph1, +1.0, 1.0, amp, tidx)
         base_val = _loop_theta_integral(chart, [base])
         for orient in (-1.0, +1.0):

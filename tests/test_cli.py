@@ -204,6 +204,19 @@ def test_spinor_command(tmp_path):
     assert levels == {0: 0, 1: 1, 2: 1, 3: 2}
 
 
+def test_spinor_beyond_max_modes_exits_2(tmp_path, capsys):
+    # the spin representation stops at MAX_MODES modes; a larger chart is
+    # a configuration the spinor command cannot serve
+    from kcontact.spinor import MAX_MODES
+
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": MAX_MODES + 1},
+                                  "sampler": small_sampler(2)})
+    assert run(["spinor", "--config", cfg]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"m <= {MAX_MODES}" in err
+    assert len(err.strip().splitlines()) == 1
+
+
 def test_list_manifolds(capsys):
     assert run(["list-manifolds"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -351,7 +364,7 @@ def test_horizontal_pass_ignores_vertical_magnitude():
     chart, x0 = cli._resolve_chart(cfg)
     (paths, _, _, fs), _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(fs) == 8 and np.max(np.abs(fs)) < 1e-12
-    assert all(p.vertical is None for p in paths)
+    assert all(not np.any(p.vertical) for p in paths)
 
 
 @pytest.mark.parametrize("command", ["holonomy", "spinor"])

@@ -30,3 +30,27 @@ def test_readme_library_example_prints_its_comment():
     h_dim, h0_dim, comparison = out.getvalue().strip().split(" ", 2)
     assert (h_dim, h0_dim) == ("1", "2")
     assert re.search(r"'codim': 1\b", comparison)
+
+
+def test_every_factor_and_sampler_field_is_settable_from_a_config():
+    # a dataclass field that no config can reach is a library-only knob:
+    # every field must carry a non-default config value through to the object
+    from dataclasses import MISSING, fields
+
+    from kcontact.cli import RunConfig
+    from kcontact.manifolds import FactorSpec, chart_from_config
+    from kcontact.transport import SamplerConfig
+
+    factor = {"kind": "bergman_ball", "complex_dim": 2, "b": 2.5, "curvature": 0.5,
+              "epsilon": 0.3}
+    sampler = {"n_paths": 7, "segments": 3, "horizon": 0.9, "magnitude": 0.3,
+               "step": 0.05, "seed": 11}
+    chart = chart_from_config({"type": "product", "factors": [factor]})
+    cfg = RunConfig.from_dict({"manifold": {"type": "heisenberg", "m": 1},
+                               "sampler": sampler})
+    for cls, raw, obj in ((FactorSpec, factor, chart.factors[0]),
+                          (SamplerConfig, sampler, cfg.sampler)):
+        for f in fields(cls):
+            assert f.name in raw, f"{cls.__name__}.{f.name} cannot be set from a config"
+            assert raw[f.name] != f.default or f.default is MISSING
+            assert getattr(obj, f.name) == raw[f.name], f"{cls.__name__}.{f.name}"

@@ -18,6 +18,30 @@ def test_build_sizes_and_range():
         S.build_spin_rep(9)
 
 
+def test_gamma_products_built_once_per_rep(monkeypatch):
+    # parallel_spinor_dim lifts every basis element; the (2m)^2 gamma
+    # products are built on the first lift only, and every lift keeps the
+    # bits of the reference two-einsum formula
+    builds = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        if subscripts == "qij,pjk->pqik":
+            builds.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    rep = S.build_spin_rep(3)
+    rng = np.random.default_rng(1)
+    basis = [A - A.T for A in rng.normal(size=(3, 6, 6))]
+    assert S.parallel_spinor_dim(rep, basis) >= 0
+    assert len(builds) == 1
+    monkeypatch.setattr(np, "einsum", einsum)
+    prods = np.einsum("qij,pjk->pqik", rep.gamma, rep.gamma)
+    for B in basis:
+        assert np.array_equal(S.spin_lift(rep, B), 0.25 * np.einsum("pq,pqik->ik", B, prods))
+
+
 def test_clifford_relations_exact(rep2):
     tm, d = 4, 4
     for p in range(tm):

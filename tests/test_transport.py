@@ -71,7 +71,7 @@ def test_reversed_controls_retrace(charts):
     assert np.max(np.abs(sc.xs[-1] - path.x0)) < 1e-6
 
 
-@pytest.mark.parametrize("kind", ["schouten", "adapted", "wagner"])
+@pytest.mark.parametrize("kind", ["schouten", "adapted"])
 def test_transport_isometry(charts, kind):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
@@ -83,13 +83,18 @@ def test_transport_isometry(charts, kind):
         assert np.max(np.abs(to.T @ to - np.eye(4))) < 1e-7
 
 
-def test_three_kinds_coincide_on_horizontal_curves(charts):
+def test_two_kinds_coincide_on_horizontal_curves(charts):
+    # on a horizontal curve the zero extension adds 0 * xi_coeffs: both the
+    # control-path and the sampled route give the Schouten bits
     chart = charts["bergman"]
+    assert T.TRANSPORT_KINDS == ("schouten", "adapted")
     paths = draw_paths(chart, np.zeros(5), 4, 4, 1.2, 0.45, seed=3)
     for path in paths:
-        taus = [T.transport(chart, path, k).tau for k in T.TRANSPORT_KINDS]
-        assert np.max(np.abs(taus[0] - taus[1])) < 1e-6
-        assert np.max(np.abs(taus[0] - taus[2])) < 1e-6
+        schouten, adapted = (T.transport(chart, path, k).tau for k in T.TRANSPORT_KINDS)
+        assert np.array_equal(schouten, adapted)
+        sc = T.sample_curve(chart, path)
+        assert np.array_equal(T._transport_sampled(chart, sc, "schouten"),
+                              T._transport_sampled(chart, sc, "adapted"))
 
 
 def test_disc_product_transport_block_diagonal(charts):
@@ -285,7 +290,6 @@ REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
 
 def _reference_pass(chart, x0, s, vertical):
     """Per-index, attempt-by-attempt reference for one half of a pass."""
-    kind = "adapted" if vertical else "schouten"
     out = []
     for i in range(s.n_paths):
         for attempt in range(60):
@@ -293,7 +297,7 @@ def _reference_pass(chart, x0, s, vertical):
                                 s.seed, s.step, vertical, i, attempt)
             try:
                 x, M, f, _, _, _, _ = T._integrate_controls(
-                    chart, *T._path_arrays([path]), s.horizon, s.step, kind=kind)
+                    chart, *T._path_arrays([path]), s.horizon, s.step)
             except DomainError:
                 continue
             out.append((attempt, path, x[0], M[0], f[0]))
@@ -327,10 +331,7 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
         assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
         for i, (_, path, end, tau, f) in enumerate(ref):
             assert np.array_equal(paths[i].controls, path.controls)
-            if path.vertical is None:
-                assert paths[i].vertical is None
-            else:
-                assert np.array_equal(paths[i].vertical, path.vertical)
+            assert np.array_equal(paths[i].vertical, path.vertical)
             assert np.array_equal(ends[i], end)
             assert np.array_equal(taus[i], tau)
             assert fs[i] == f
@@ -386,10 +387,36 @@ def test_sampled_route_matches_joint_route(charts):
     vertical = np.array([0.5, -0.3])
     path = T.ControlPath(np.zeros(5), controls, horizon=0.8, step=0.005,
                          vertical=vertical)
-    for kind in ("adapted", "wagner"):
-        joint = T.transport(chart, path, kind).tau
-        sampled = T._transport_sampled(chart, T.sample_curve(chart, path), kind)
-        assert np.max(np.abs(joint - sampled)) < 1e-6, kind
+    joint = T.transport(chart, path, "adapted").tau
+    sampled = T._transport_sampled(chart, T.sample_curve(chart, path), "adapted")
+    assert np.max(np.abs(joint - sampled)) < 1e-6
+
+
+def test_nonpositive_step_is_rejected(charts):
+    # a zero step once asked for about 3e11 RK4 steps per segment; the
+    # step count is checked first, so no integration starts at step 0
+    for step in (0.0, -0.02, np.nan, np.inf):
+        with pytest.raises(ValueError, match="step"):
+            T._even_steps(0.6, step)
+    chart = charts["disc_disc_11"]
+    x0 = np.zeros(5)
+    path = T.ControlPath(x0, np.zeros((2, 4)), horizon=1.0, step=0.0)
+    with pytest.raises(ValueError):
+        T.transport(chart, path, "schouten")
+    # an explicit step 0 is not a request for the default step
+    with pytest.raises(ValueError):
+        T.sample_curve(chart, dataclasses.replace(path, step=0.02), step=0.0)
+    with pytest.raises(ValueError, match="step > 0"):
+        draw_paths(chart, x0, 2, 4, 1.0, 0.4, seed=0, step=0.0)
+    sampler = T.SamplerConfig(n_paths=2, step=-0.02)
+    with pytest.raises(ValueError, match="step > 0"):
+        T.sampled_path_transports(chart, x0, sampler)
+
+
+def test_omitted_vertical_controls_are_zeros():
+    path = T.ControlPath(np.zeros(5), np.ones((3, 4)), horizon=1.0)
+    assert np.array_equal(path.vertical, np.zeros(3))
+    assert np.array_equal(path.reversed().vertical, np.zeros(3))
 
 
 def test_domain_exit_raises_with_position(charts):
