@@ -47,6 +47,7 @@ from .spinor import (
     standard_complex_structure,
 )
 from .transport import (
+    MAX_SEGMENT_STEPS,
     SamplerConfig,
     balanced_loop,
     isometry_residual,
@@ -113,6 +114,10 @@ class RunConfig:
         for name in ("horizon", "magnitude", "step"):
             if not math.isfinite(getattr(sampler, name)):
                 raise ConfigError(f"sampler {name} must be finite")
+        steps = sampler.horizon / sampler.segments / sampler.step
+        if steps > MAX_SEGMENT_STEPS:
+            raise ConfigError(f"sampler horizon / segments / step must be <= "
+                              f"{MAX_SEGMENT_STEPS} RK4 steps per segment, got {steps:g}")
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")

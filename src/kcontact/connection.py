@@ -11,6 +11,13 @@ lean first-order :func:`transport_data` that the transport right-hand side
 calls.  The Wagner extension enters only through its curvature ``RW``;
 no transport integrates it.
 
+The first-order assembly and the three-operand sums of the second-order
+pass are batched matmuls: the summed index is brought next to the matrix
+axes, any spectator slots are flattened into one, and ``@`` broadcasts
+over the batch.  The single-sum ``np.einsum`` forms they replace are
+kept in the test suite (``tests/fd_oracles.py``, ``*_reference``) as
+oracles for the index layouts.
+
 Conventions fixed here and used everywhere downstream:
 
 * ``dtheta(X, Y) = X theta(Y) - Y theta(X) - theta([X, Y])`` (no 1/2);
@@ -86,9 +93,18 @@ def _koszul(E, G, dG, c):
                                 - g(pi[e_a,e_c], e_b)
 
     Returns ``(K, Ginv, Gamma)`` with ``K[..., a, b, c]`` the right-hand side.
+    Each contraction is one batched matmul over flattened slot pairs:
+    ``E^T`` times ``dG`` flattened to ``[i, (b c)]`` gives the frame
+    derivatives ``Dg[a, b, c]``, ``c`` flattened to ``[(a b), d]`` times
+    ``G`` the bracket terms, and ``Ginv`` times ``K`` flattened to
+    ``[c, (a b)]`` gives Gamma.  Every product comes out C-ordered, so no
+    reshape copies.
     """
-    Dg = np.einsum("...ia,...bci->...abc", E, dG)
-    W = np.einsum("...dab,...dc->...abc", c, G)
+    tm = E.shape[-1]
+    batch = c.shape[:-3]
+    Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
+    Dg = Dg.reshape(*batch, tm, tm, tm)
+    W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
     K = (
         Dg
         + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
@@ -98,7 +114,32 @@ def _koszul(E, G, dG, c):
         - W.swapaxes(-2, -1)
     )
     Ginv = np.linalg.inv(G)
-    return K, Ginv, 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
+    # halved before the reshape, so numpy halves the product in its own buffer
+    Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
+    return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
+
+
+def inverse_derivative(Minv, dM):
+    """Coordinate derivatives ``[..., a, b, j]`` of an inverse matrix:
+    ``-Minv (d_j M) Minv`` from ``Minv`` and ``dM[..., c, d, j]``, one batched
+    matmul chain per derivative slot j."""
+    dMj = np.moveaxis(dM, -1, -3)
+    return np.moveaxis(-(Minv[..., None, :, :] @ dMj @ Minv[..., None, :, :]), -3, -1)
+
+
+def two_form_derivative(E, dE, A, dA):
+    """Coordinate derivatives ``[..., a, b, k]`` of the frame 2-form
+    ``omega = E^T A E`` from the skew coordinate form ``A`` and the
+    derivatives ``dE[..., i, a, k]``, ``dA[..., i, j, k]``.
+
+    The two terms with a differentiated frame are transposes of each other
+    up to sign (A is skew), so one matmul chain gives both.
+    """
+    dEk = np.moveaxis(dE, -1, -3)
+    Ek = E[..., None, :, :]
+    T = dEk.swapaxes(-1, -2) @ (A @ E)[..., None, :, :]
+    dom = T - T.swapaxes(-1, -2) + Ek.swapaxes(-1, -2) @ np.moveaxis(dA, -1, -3) @ Ek
+    return np.moveaxis(dom, -3, -1)
 
 
 @dataclass(slots=True)
@@ -115,10 +156,12 @@ class TransportData:
 def transport_data(chart, X, vertical=False):
     """Lean evaluation of the pieces the transport ODE needs.
 
-    Computes the connection coefficients from first derivatives only and,
-    for curves with Reeb-direction parts (``vertical``), the Reeb bracket
-    coefficients of the zero extension, with as few contractions as
-    possible; the hot path of the holonomy sampler.
+    Computes the connection coefficients ``Gamma[..., c, a, b]`` from first
+    derivatives only and, for curves with Reeb-direction parts
+    (``vertical``), the Reeb bracket coefficients ``xi_coeffs[..., c, a]``
+    of the zero extension; the hot path of the holonomy sampler.  Every
+    contraction on the way (brackets, frame solve, Koszul terms, Reeb
+    brackets) is a batched matmul; none goes through ``np.einsum``.
     """
     arr = chart_arrays(chart, X, order=1)
     _, Minv, cfull = frame_brackets(arr)
@@ -169,11 +212,7 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
 
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
-    domega = (
-        np.einsum("...iak,...ij,...jb->...abk", dE, A, E)
-        + np.einsum("...ia,...ijk,...jb->...abk", E, dA, E)
-        + np.einsum("...ia,...ij,...jbk->...abk", E, A, dE)
-    )
+    domega = two_form_derivative(E, dE, A, dA)
 
     # d_j [e_a, e_b]^k
     dBr = np.einsum("...iaj,...kbi->...kabj", dE, dE) + np.einsum(
@@ -184,7 +223,7 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     # d_j of the frame solve [E | xi]^{-1}
     dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
     Minv = p["Minv"]
-    dMinv = -np.einsum("...ac,...cdj,...db->...abj", Minv, dAug, Minv)
+    dMinv = inverse_derivative(Minv, dAug)
 
     dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, p["Br"]) + np.einsum(
         "...ck,...kabj->...cabj", Minv, dBr
@@ -205,7 +244,7 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
         - np.einsum("...dacj,...db->...abcj", dc, arr.G)
         - np.einsum("...dac,...dbj->...abcj", p["c"], dG)
     )
-    dGinv = -np.einsum("...ac,...cdj,...db->...abj", Ginv, dG, Ginv)
+    dGinv = inverse_derivative(Ginv, dG)
     dGam = 0.5 * (
         np.einsum("...ecj,...abc->...eabj", dGinv, K)
         + np.einsum("...ec,...abcj->...eabj", Ginv, dK)

@@ -170,7 +170,7 @@ def _ortho_endpoint_data(chart, ends):
 def _conjugated_samples(taus_o, mats):
     """tau^{-1} M tau for each path and each matrix batch entry."""
     inv = np.linalg.inv(taus_o)
-    out = np.einsum("pij,pkjl,plq->pkiq", inv, mats, taus_o)
+    out = inv[:, None] @ mats @ taus_o[:, None]
     # transports are isometries up to integrator defect; the samples are
     # skew up to the same defect, so drop the spurious symmetric part
     out = 0.5 * (out - out.swapaxes(-1, -2))

@@ -428,20 +428,20 @@ def frame_brackets(arr):
     Returns ``(Br, Minv, cfull)``: the coordinate components
     ``Br[..., k, a, b]`` of [e_a, e_b], the frame solve ``[E | xi]^-1``,
     and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
-    pi[e_a, e_b] and whose last row is theta([e_a, e_b]).
+    pi[e_a, e_b] and whose last row is theta([e_a, e_b]).  Both products
+    are batched matmuls; ``dE @ E`` comes out in the ``[k, b, a]`` layout.
     """
-    Br = np.einsum("...ia,...kbi->...kab", arr.E, arr.dE)
-    Br = Br - Br.swapaxes(-1, -2)
+    Br = arr.dE @ arr.E[..., None, :, :]
+    Br = Br.swapaxes(-1, -2) - Br
     Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
-    return Br, Minv, np.einsum("...ck,...kab->...cab", Minv, Br)
+    cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
+    return Br, Minv, cfull
 
 
 def reeb_brackets(arr, Minv):
     """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi]."""
-    Bx = np.einsum("...i,...kai->...ka", arr.xi, arr.dE) - np.einsum(
-        "...ia,...ki->...ka", arr.E, arr.dxi
-    )
-    return np.einsum("...ck,...ka->...ca", Minv, Bx)
+    Bx = (arr.dE @ arr.xi[..., None, :, None])[..., 0] - arr.dxi @ arr.E
+    return Minv @ Bx
 
 
 def structure_pieces(arr):
@@ -458,7 +458,7 @@ def structure_pieces(arr):
     tm = E.shape[-1]
     return {
         "A": A,
-        "omega": np.einsum("...ia,...ij,...jb->...ab", E, A, E),
+        "omega": E.swapaxes(-1, -2) @ A @ E,
         "Br": Br,
         "Minv": Minv,
         "c": cfull[..., :tm, :, :],

@@ -52,6 +52,7 @@ THETA_STEP = 0.005  # sampling step of transport_theta for unsampled curves
 LOOP_RADIUS = 0.12  # base circle radius of balanced_loop
 LOOP_T_AMP = 0.1  # amplitude of its closed t-wiggles
 LOOP_TRIES = 8
+MAX_SEGMENT_STEPS = 100_000  # RK4 steps per segment; the default sampler takes 16
 
 
 @dataclass
@@ -149,6 +150,9 @@ class SamplerConfig:
 def _even_steps(duration, step):
     if not (step > 0 and np.isfinite(step)):
         raise ValueError(f"integration step must be positive and finite, got {step}")
+    if not duration / step <= MAX_SEGMENT_STEPS:
+        raise ValueError(f"{duration} / {step} asks for more than "
+                         f"{MAX_SEGMENT_STEPS} RK4 steps per segment")
     k = int(round(duration / step))
     k = max(2, k + (k % 2))
     return k
@@ -184,24 +188,32 @@ def _stage(y, c, k):
 
 def _rhs(chart, x, M, u, w):
     """Derivatives of (position, zero-extension transport, theta integral); M
-    may be None.  Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits."""
+    may be None.  Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits.
+    Every contraction is a batched matmul; none goes through ``np.einsum``."""
     vertical = bool(np.any(w != 0.0))
     if M is None:
         # positions only: plain chart values, no derivatives, no metric
-        arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
-        v = np.einsum("...ia,...a->...i", arr.E, u)
-        if vertical:
-            v = v + w[..., None] * arr.xi
-        return v, None, np.einsum("...i,...i->...", arr.th, v)
-    data = transport_data(chart, x, vertical=vertical)
-    v = np.einsum("...ia,...a->...i", data.E, u)
+        data = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
+        theta = data.th
+    else:
+        data = transport_data(chart, x, vertical=vertical)
+        theta = data.theta
+    v = (data.E @ u[..., None])[..., 0]
     if vertical:
         v = v + w[..., None] * data.xi
-    df = np.einsum("...i,...i->...", data.theta, v)
-    Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
+    df = (theta[..., None, :] @ v[..., None])[..., 0, 0]
+    if M is None:
+        return v, None, df
+    Om = _frame_rates(data.Gamma, u)
     if vertical:
         Om = Om + w[..., None, None] * data.xi_coeffs
     return v, -np.matmul(Om, M), df
+
+
+def _frame_rates(Gamma, u):
+    """``Gamma[..., c, a, b] u[..., a]``: the connection matrix along the frame
+    velocity u, as one batched matmul."""
+    return (u[..., None, None, :] @ Gamma)[..., 0, :]
 
 
 def _reorthonormalize(chart, x, M, L0t):
@@ -350,7 +362,7 @@ def _split_velocities(chart, xs, vs):
 
 def _sampled_coefficients(chart, sc, kind):
     data = frame_data(chart, sc.xs, order=1)
-    Om = np.einsum("...cab,...a->...cb", data.Gamma, sc.us)
+    Om = _frame_rates(data.Gamma, sc.us)
     if kind == "adapted":
         Om = Om + sc.ws[:, None, None] * data.xi_coeffs
     return Om

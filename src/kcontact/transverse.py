@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import frame_data, ortho_curvature, ortho_two_form, orthonormal_frame_change
+from .connection import (frame_data, inverse_derivative, ortho_curvature, ortho_two_form,
+                         orthonormal_frame_change)
 from .errors import ChartError, NumericsError
 from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure
 
@@ -227,7 +228,7 @@ def sasaki_psi_check(data, tol=1e-6):
     tm = psi.shape[-1]
     sq = np.einsum("...ed,...dc->...ec", psi, psi) + np.eye(tm)
     psi_sq_residual = float(np.max(np.abs(sq)))
-    dGinv = -np.einsum("...ea,...abj,...bc->...ecj", data.Ginv, data.dG, data.Ginv)
+    dGinv = inverse_derivative(data.Ginv, data.dG)
     dpsi = np.einsum("...eaj,...ac->...ecj", dGinv, data.omega) + np.einsum(
         "...ea,...acj->...ecj", data.Ginv, data.domega
     )

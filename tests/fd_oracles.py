@@ -1,16 +1,17 @@
 """Finite-difference oracles for the connection pipeline.
 
-Everything here except :func:`wagner_nabla_N` and
-:func:`ortho_curvature_reference` is computed from plain chart
-evaluations and central differences only; no jet machinery is touched,
-so these values are an independent route against which the forward-mode
-results are checked.  :func:`ortho_curvature_reference` is the plain
-one-sum form of the orthonormal-frame curvature conversion.
+Everything here except :func:`wagner_nabla_N` and the ``*_reference``
+functions is computed from plain chart evaluations and central
+differences only; no jet machinery is touched, so these values are an
+independent route against which the forward-mode results are checked.
+The ``*_reference`` functions are the plain ``np.einsum`` forms of the
+kernels that the package contracts as batched matmuls: the same sums,
+written once per index, against which the matmul layouts are checked.
 """
 
 import numpy as np
 
-from kcontact.connection import frame_data
+from kcontact.connection import frame_data, transport_data
 from kcontact.manifolds import chart_arrays
 
 
@@ -134,3 +135,87 @@ def ortho_curvature_reference(F, P, Pinv):
     """``connection.ortho_curvature`` as one five-operand sum, (2m)^8 products
     per point: ``P[a, A] P[b, B] Pinv[E, e] F[a, b, e, c] P[c, C]``."""
     return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)
+
+
+def frame_brackets_reference(arr):
+    """``manifolds.frame_brackets`` as single sums: ``(Br, Minv, cfull)``."""
+    Br = np.einsum("...ia,...kbi->...kab", arr.E, arr.dE)
+    Br = Br - Br.swapaxes(-1, -2)
+    Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    return Br, Minv, np.einsum("...ck,...kab->...cab", Minv, Br)
+
+
+def reeb_brackets_reference(arr, Minv):
+    """``manifolds.reeb_brackets`` as single sums."""
+    Bx = np.einsum("...i,...kai->...ka", arr.xi, arr.dE) - np.einsum(
+        "...ia,...ki->...ka", arr.E, arr.dxi
+    )
+    return np.einsum("...ck,...ka->...ca", Minv, Bx)
+
+
+def frame_two_form_reference(E, A):
+    """The frame 2-form ``omega`` of ``manifolds.structure_pieces``: E^T A E."""
+    return np.einsum("...ia,...ij,...jb->...ab", E, A, E)
+
+
+def koszul_reference(E, G, dG, c):
+    """``connection._koszul`` as single sums: ``(K, Ginv, Gamma)``."""
+    Dg = np.einsum("...ia,...bci->...abc", E, dG)
+    W = np.einsum("...dab,...dc->...abc", c, G)
+    K = (
+        Dg
+        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
+        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
+        + W
+        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
+        - W.swapaxes(-2, -1)
+    )
+    Ginv = np.linalg.inv(G)
+    return K, Ginv, 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
+
+
+def inverse_derivative_reference(Minv, dM):
+    """``connection.inverse_derivative`` as one three-operand sum."""
+    return -np.einsum("...ac,...cdj,...db->...abj", Minv, dM, Minv)
+
+
+def two_form_derivative_reference(E, dE, A, dA):
+    """``connection.two_form_derivative`` as three three-operand sums."""
+    return (
+        np.einsum("...iak,...ij,...jb->...abk", dE, A, E)
+        + np.einsum("...ia,...ijk,...jb->...abk", E, dA, E)
+        + np.einsum("...ia,...ij,...jbk->...abk", E, A, dE)
+    )
+
+
+def conjugated_samples_reference(taus_o, mats):
+    """``holonomy._conjugated_samples`` with its conjugation as one sum."""
+    inv = np.linalg.inv(taus_o)
+    out = np.einsum("pij,pkjl,plq->pkiq", inv, mats, taus_o)
+    out = 0.5 * (out - out.swapaxes(-1, -2))
+    return out.reshape(-1, out.shape[-2], out.shape[-1])
+
+
+def frame_rates_reference(Gamma, u):
+    """``transport._frame_rates`` as one sum: Gamma[c, a, b] u[a]."""
+    return np.einsum("...cab,...a->...cb", Gamma, u)
+
+
+def rhs_reference(chart, x, M, u, w):
+    """``transport._rhs`` with its contractions as single sums."""
+    vertical = bool(np.any(w != 0.0))
+    if M is None:
+        arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
+        v = np.einsum("...ia,...a->...i", arr.E, u)
+        if vertical:
+            v = v + w[..., None] * arr.xi
+        return v, None, np.einsum("...i,...i->...", arr.th, v)
+    data = transport_data(chart, x, vertical=vertical)
+    v = np.einsum("...ia,...a->...i", data.E, u)
+    if vertical:
+        v = v + w[..., None] * data.xi
+    df = np.einsum("...i,...i->...", data.theta, v)
+    Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
+    if vertical:
+        Om = Om + w[..., None, None] * data.xi_coeffs
+    return v, -np.matmul(Om, M), df

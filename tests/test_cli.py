@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kcontact import cli, example_charts
-from kcontact.errors import ChartError
+from kcontact.errors import ChartError, ConfigError
 from kcontact.holonomy import as_samples_adapted
 
 
@@ -319,6 +319,21 @@ def test_sampler_bound_messages_name_the_field(tmp_path, capsys, field, value, m
                                   "sampler": {**small_sampler(4), field: value}})
     assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
+
+
+@pytest.mark.parametrize("sampler", [
+    {"step": 1e-9},
+    {"horizon": 1e9},
+    {"segments": 1, "horizon": 6250.0, "step": 0.0624},
+], ids=["tiny_step", "huge_horizon", "just_above"])
+def test_sampler_step_count_is_bounded(sampler):
+    # parsed only, never run: each asks for more than 100000 RK4 steps per
+    # segment (the tiny step for 3e8), an integration that would not end
+    raw = {"manifold": {"type": "heisenberg", "m": 2}, "sampler": sampler}
+    with pytest.raises(ConfigError, match=r"<= 100000 RK4 steps per segment, got "):
+        cli.RunConfig.from_dict(raw)
+    at_bound = {"segments": 1, "horizon": 6250.0, "step": 0.0625}
+    assert cli.RunConfig.from_dict({**raw, "sampler": at_bound}).sampler.step == 0.0625
 
 
 @pytest.mark.parametrize("field", ["n_paths", "magnitude"])

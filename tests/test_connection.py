@@ -2,10 +2,25 @@ import numpy as np
 import pytest
 
 from kcontact import connection as C
+from kcontact import holonomy as H
 from kcontact import manifolds as M
+from kcontact import transport as T
 
 from conftest import domain_points
-from fd_oracles import curvature_fd, gamma_fd, ortho_curvature_reference, wagner_nabla_N
+from fd_oracles import (
+    conjugated_samples_reference,
+    curvature_fd,
+    frame_brackets_reference,
+    frame_rates_reference,
+    frame_two_form_reference,
+    gamma_fd,
+    inverse_derivative_reference,
+    koszul_reference,
+    ortho_curvature_reference,
+    reeb_brackets_reference,
+    two_form_derivative_reference,
+    wagner_nabla_N,
+)
 
 
 ALL = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman", "perturbed_disc_disc"]
@@ -201,3 +216,96 @@ def test_ortho_curvature_symmetries(charts):
     assert np.max(np.abs(Ro)) > 0.1
     assert np.max(np.abs(Ro + Ro.swapaxes(-4, -3))) < 1e-12
     assert np.max(np.abs(Ro + Ro.swapaxes(-2, -1))) < 1e-12
+
+
+def _generic_arrays(tm, batch, rng):
+    """First-order chart arrays with generic entries (no chart behind them):
+    a well-conditioned [E | xi], an SPD metric, dG symmetric in its pair."""
+    n = tm + 1
+    aug = np.eye(n) + 0.3 * rng.standard_normal(batch + (n, n))
+    B = rng.standard_normal(batch + (tm, tm))
+    dG = rng.standard_normal(batch + (tm, tm, n))
+    return M.ChartArrays(
+        np.zeros(batch + (n,)), 1,
+        th=rng.standard_normal(batch + (n,)), xi=aug[..., tm], E=aug[..., :tm],
+        G=B @ B.swapaxes(-1, -2) + tm * np.eye(tm),
+        dth=rng.standard_normal(batch + (n, n)), dxi=rng.standard_normal(batch + (n, n)),
+        dE=rng.standard_normal(batch + (n, tm, n)), dG=dG + dG.swapaxes(-3, -2),
+    )
+
+
+def _pairs_frame_brackets(arr, rng):
+    return M.frame_brackets(arr), frame_brackets_reference(arr)
+
+
+def _pairs_reeb_brackets(arr, rng):
+    Minv = M.frame_brackets(arr)[1]
+    return (M.reeb_brackets(arr, Minv),), (reeb_brackets_reference(arr, Minv),)
+
+
+def _pairs_frame_two_form(arr, rng):
+    p = M.structure_pieces(arr)
+    return (p["omega"],), (frame_two_form_reference(arr.E, p["A"]),)
+
+
+def _pairs_koszul(arr, rng):
+    c = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
+    return C._koszul(arr.E, arr.G, arr.dG, c), koszul_reference(arr.E, arr.G, arr.dG, c)
+
+
+def _pairs_inverse_derivative(arr, rng):
+    Minv = M.frame_brackets(arr)[1]
+    dM = rng.standard_normal(Minv.shape + Minv.shape[-1:])
+    return (C.inverse_derivative(Minv, dM),), (inverse_derivative_reference(Minv, dM),)
+
+
+def _pairs_two_form_derivative(arr, rng):
+    A = M.structure_pieces(arr)["A"]
+    dA = rng.standard_normal(A.shape + A.shape[-1:])
+    dA = dA - dA.swapaxes(-3, -2)
+    return ((C.two_form_derivative(arr.E, arr.dE, A, dA),),
+            (two_form_derivative_reference(arr.E, arr.dE, A, dA),))
+
+
+def _pairs_frame_rates(arr, rng):
+    # generic Gamma: every built-in chart has Gamma symmetric in (a, b)
+    Gamma = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
+    u = rng.standard_normal(arr.G.shape[:-1])
+    return (T._frame_rates(Gamma, u),), (frame_rates_reference(Gamma, u),)
+
+
+# each rewritten kernel with its single-sum reference, on the same inputs
+KERNELS = {
+    "frame_brackets": _pairs_frame_brackets,
+    "reeb_brackets": _pairs_reeb_brackets,
+    "frame_two_form": _pairs_frame_two_form,
+    "koszul": _pairs_koszul,
+    "inverse_derivative": _pairs_inverse_derivative,
+    "two_form_derivative": _pairs_two_form_derivative,
+    "frame_rates": _pairs_frame_rates,
+}
+
+
+@pytest.mark.parametrize("name", list(KERNELS))
+@pytest.mark.parametrize("tm", [4, 6, 8])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+def test_contraction_kernels_match_references(name, tm, batch):
+    rng = np.random.default_rng([tm, len(batch), len(name)])
+    got, ref = KERNELS[name](_generic_arrays(tm, batch, rng), rng)
+    for g, r in zip(got, ref, strict=True):
+        assert g.shape == r.shape
+        assert np.max(np.abs(g - r)) <= 1e-13 * np.max(np.abs(r))
+
+
+@pytest.mark.parametrize("tm", [4, 6, 8])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+def test_conjugated_samples_match_reference(tm, batch):
+    # batch is (paths, matrices per path), padded with ones
+    p, k = (batch + (1, 1))[:2]
+    rng = np.random.default_rng([tm, len(batch)])
+    taus = np.eye(tm) + 0.3 * rng.standard_normal((p, tm, tm))
+    mats = rng.standard_normal((p, k, tm, tm))
+    ref = conjugated_samples_reference(taus, mats)
+    got = H._conjugated_samples(taus, mats)
+    assert got.shape == ref.shape == (p * k, tm, tm)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))

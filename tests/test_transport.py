@@ -6,6 +6,18 @@ import pytest
 from kcontact import connection as C
 from kcontact import transport as T
 from kcontact.errors import ChartError, DomainError, SamplingError
+from kcontact.manifolds import FactorSpec, chart_arrays, product_construction
+
+from conftest import domain_points
+from fd_oracles import rhs_reference
+
+# one curved chart for each 2m in {4, 6, 8}
+RHS_FACTORS = {
+    2: [FactorSpec("bergman_ball", complex_dim=2)],
+    3: [FactorSpec("poincare_disc", b=b) for b in (1.0, 2.0, 3.0)],
+    4: [FactorSpec("bergman_ball", complex_dim=2), FactorSpec("perturbed_disc", epsilon=0.3),
+        FactorSpec("poincare_disc", b=2.0)],
+}
 
 
 def reeb_flow(chart, x, s):
@@ -425,3 +437,59 @@ def test_domain_exit_raises_with_position(charts):
     with pytest.raises(DomainError) as exc:
         T.transport(chart, path, "schouten")
     assert exc.value.point is not None
+
+
+def _rhs_inputs(m, batch, seed):
+    chart = product_construction(RHS_FACTORS[m])
+    rng = np.random.default_rng([m, len(batch), seed])
+    x = domain_points(chart, max(1, int(np.prod(batch))), seed=seed).reshape(batch + (-1,))
+    tm = 2 * m
+    M = np.eye(tm) + 0.3 * rng.standard_normal(batch + (tm, tm))
+    u = rng.standard_normal(batch + (tm,))
+    w = 0.5 + rng.random(batch)
+    return chart, x, M, u, w
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+@pytest.mark.parametrize("with_M", [True, False], ids=["transport", "positions"])
+def test_rhs_matches_reference(m, batch, with_M):
+    chart, x, M, u, w = _rhs_inputs(m, batch, seed=3)
+    M = M if with_M else None
+    th = chart_arrays(chart, x, order=0, fields=("th",)).th
+    for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rhs
+        got, ref = T._rhs(chart, x, M, *uw), rhs_reference(chart, x, M, *uw)
+        assert (got[1] is None) == (ref[1] is None) == (M is None)
+        # theta(v) cancels to rounding on horizontal rows: scale it by its terms
+        scales = (np.abs(ref[0]), None if M is None else np.abs(ref[1]),
+                  np.sum(np.abs(th * ref[0]), axis=-1))
+        for g, r, scale in zip(got, ref, scales, strict=True):
+            if r is not None:
+                assert g.shape == r.shape
+                assert np.max(np.abs(g - r)) <= 1e-13 * np.max(scale)
+
+
+def test_rhs_makes_no_einsum_call(monkeypatch):
+    # connection, manifolds and transport reach np.einsum through the numpy
+    # module; the transport right-hand side is contracted by matmuls only
+    calls = []
+    einsum = np.einsum
+
+    def counting_einsum(subscripts, *operands, **kwargs):
+        calls.append(subscripts)
+        return einsum(subscripts, *operands, **kwargs)
+
+    chart, x, M, u, w = _rhs_inputs(2, (8,), seed=4)
+    monkeypatch.setattr(np, "einsum", counting_einsum)
+    v, dM, df = T._rhs(chart, x, M, u, w)
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert calls == []
+    assert v.shape == (8, 5) and dM.shape == (8, 4, 4) and df.shape == (8,)
+
+
+def test_segment_step_count_is_bounded():
+    # 6250 / 0.0625 is exactly the bound: accepted without integrating
+    assert T._even_steps(6250.0, 0.0625) == T.MAX_SEGMENT_STEPS
+    for duration, step in ((6250.0, 0.0624), (0.3, 1e-9), (1e300, 1e-300)):
+        with pytest.raises(ValueError, match="RK4 steps per segment"):
+            T._even_steps(duration, step)
