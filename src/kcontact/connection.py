@@ -210,9 +210,13 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     tm = 2 * chart.m
     A = arr.dth.swapaxes(-1, -2) - arr.dth
 
+    # Each temporary below is deleted right after its last use, so the pass
+    # peaks at a few of them per point instead of holding all of them.
+
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
     domega = two_form_derivative(E, dE, A, dA)
+    del A, dA
 
     # d_j [e_a, e_b]^k
     dBr = np.einsum("...iaj,...kbi->...kabj", dE, dE) + np.einsum(
@@ -224,10 +228,12 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
     Minv = p["Minv"]
     dMinv = inverse_derivative(Minv, dAug)
+    del dAug
 
     dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, p["Br"]) + np.einsum(
         "...ck,...kabj->...cabj", Minv, dBr
     )
+    del dMinv, dBr
     dc = dcfull[..., :tm, :, :, :]
 
     dDg = np.einsum("...iaj,...bci->...abcj", dE, dG) + np.einsum(
@@ -244,18 +250,25 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
         - np.einsum("...dacj,...db->...abcj", dc, arr.G)
         - np.einsum("...dac,...dbj->...abcj", p["c"], dG)
     )
+    del dDg, dc, dcfull
     dGinv = inverse_derivative(Ginv, dG)
     dGam = 0.5 * (
         np.einsum("...ecj,...abc->...eabj", dGinv, K)
         + np.einsum("...ec,...abcj->...eabj", Ginv, dK)
     )
+    del dGinv, dK
     DGam = np.einsum("...ja,...ebcj->...aebc", E, dGam)
+    del dGam
 
     T1 = np.einsum("...aebc->...abec", DGam)
+    R = T1 - T1.swapaxes(-4, -3)
+    del T1, DGam
     T3 = np.einsum("...dbc,...ead->...abec", Gam, Gam)
-    T5 = np.einsum("...dab,...edc->...abec", p["c"], Gam)
-    T6 = np.einsum("...ab,...ec->...abec", p["tau"], p["dcoef"])
-    R = T1 - T1.swapaxes(-4, -3) + T3 - T3.swapaxes(-4, -3) - T5 - T6
+    R += T3
+    R -= T3.swapaxes(-4, -3)
+    del T3
+    R -= np.einsum("...dab,...edc->...abec", p["c"], Gam)  # T5
+    R -= np.einsum("...ab,...ec->...abec", p["tau"], p["dcoef"])  # T6
 
     omega = p["omega"]
     if np.min(np.abs(np.linalg.det(omega))) < 1e-12:

@@ -11,6 +11,8 @@ numpy arrays, and jets of either order.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -43,6 +45,16 @@ class Jet:
         self.grad = np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
 
+    @classmethod
+    def _make(cls, val, grad, hess):
+        """A jet from parts that are already float arrays (or float scalars),
+        as jet arithmetic produces them: no ``np.asarray`` conversions."""
+        out = object.__new__(cls)
+        out.val = val
+        out.grad = grad
+        out.hess = hess
+        return out
+
     @property
     def order(self):
         return 1 if self.hess is None else 2
@@ -54,14 +66,14 @@ class Jet:
             h = None
             if self.hess is not None:
                 h = self.hess + other.hess
-            return Jet(self.val + other.val, self.grad + other.grad, h)
-        return Jet(self.val + other, self.grad, self.hess)
+            return Jet._make(self.val + other.val, self.grad + other.grad, h)
+        return Jet._make(self.val + other, self.grad, self.hess)
 
     __radd__ = __add__
 
     def __neg__(self):
         h = None if self.hess is None else -self.hess
-        return Jet(-self.val, -self.grad, h)
+        return Jet._make(-self.val, -self.grad, h)
 
     def __sub__(self, other):
         return self + (-other if isinstance(other, Jet) else -np.asarray(other))
@@ -83,10 +95,14 @@ class Jet:
                     + cross
                     + cross.swapaxes(-1, -2)
                 )
-            return Jet(val, grad, h)
+            return Jet._make(val, grad, h)
+        if isinstance(other, float):
+            # a scalar constant broadcasts as is: same products, no conversion
+            h = None if self.hess is None else other * self.hess
+            return Jet._make(other * self.val, other * self.grad, h)
         c = np.asarray(other, dtype=float)
         h = None if self.hess is None else c[..., None, None] * self.hess
-        return Jet(c * self.val, c[..., None] * self.grad, h)
+        return Jet._make(c * self.val, c[..., None] * self.grad, h)
 
     __rmul__ = __mul__
 
@@ -99,7 +115,7 @@ class Jet:
         if self.hess is not None:
             outer = self.grad[..., :, None] * self.grad[..., None, :]
             h = (2.0 * iv2 * iv)[..., None, None] * outer - iv2[..., None, None] * self.hess
-        return Jet(iv, grad, h)
+        return Jet._make(iv, grad, h)
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -113,8 +129,8 @@ class Jet:
         if not isinstance(k, (int, np.integer)):
             return _unary(self, self.val**k, k * self.val ** (k - 1), k * (k - 1) * self.val ** (k - 2))
         if k == 0:
-            return Jet(np.ones_like(self.val), np.zeros_like(self.grad),
-                       None if self.hess is None else np.zeros_like(self.hess))
+            return Jet._make(np.ones_like(self.val), np.zeros_like(self.grad),
+                             None if self.hess is None else np.zeros_like(self.hess))
         if k < 0:
             return (self ** (-k))._recip()
         out = self
@@ -149,7 +165,7 @@ def _unary(x, f, f1, f2):
     if x.hess is not None:
         outer = x.grad[..., :, None] * x.grad[..., None, :]
         h = f1[..., None, None] * x.hess + f2[..., None, None] * outer
-    return Jet(f, grad, h)
+    return Jet._make(f, grad, h)
 
 
 def exp(x):
@@ -196,7 +212,7 @@ def where(cond, a, b):
     h = None
     if a.hess is not None:
         h = np.where(cond[..., None, None], a.hess, b.hess)
-    return Jet(
+    return Jet._make(
         np.where(cond, a.val, b.val),
         np.where(cond[..., None], a.grad, b.grad),
         h,
@@ -241,36 +257,30 @@ def stack_arrays(nested, order, n, batch):
     ``batch + lead`` (``lead`` = shape of the nested list), ``grad`` has
     the extra trailing axis ``(n,)`` and ``hess`` two of them.  Entries
     may be jets, arrays, or constants; missing derivative data is zero.
+    The output starts zero-filled, so ``+0.0`` constants are not written
+    (``-0.0`` is, to keep its sign).
     """
-    lead = _lead_shape(nested)
+    lead = ()
+    leaves = [nested]
+    while isinstance(leaves[0], (list, tuple)):
+        lead = lead + (len(leaves[0]),)
+        leaves = [leaf for row in leaves for leaf in row]
+    size = math.prod(lead)
     val = np.zeros(batch + lead)
     grad = np.zeros(batch + lead + (n,)) if order >= 1 else None
     hess = np.zeros(batch + lead + (n, n)) if order >= 2 else None
-    for idx, leaf in _walk(nested, ()):
-        sl = (slice(None),) * len(batch) + idx
+    flat_val = val.reshape(batch + (size,))
+    flat_grad = None if grad is None else grad.reshape(batch + (size, n))
+    flat_hess = None if hess is None else hess.reshape(batch + (size, n, n))
+    for i, leaf in enumerate(leaves):
         if isinstance(leaf, Jet):
-            val[sl] = leaf.val
+            flat_val[..., i] = leaf.val
             if order >= 1:
-                grad[sl] = leaf.grad
+                flat_grad[..., i, :] = leaf.grad
             if order >= 2:
-                hess[sl] = leaf.hess
+                flat_hess[..., i, :, :] = leaf.hess
+        elif isinstance(leaf, (float, int)) and leaf == 0 and math.copysign(1.0, leaf) > 0:
+            continue  # +0.0 is already there
         else:
-            val[sl] = leaf
+            flat_val[..., i] = leaf
     return val, grad, hess
-
-
-def _lead_shape(nested):
-    shape = ()
-    node = nested
-    while isinstance(node, (list, tuple)):
-        shape = shape + (len(node),)
-        node = node[0]
-    return shape
-
-
-def _walk(node, idx):
-    if isinstance(node, (list, tuple)):
-        for i, child in enumerate(node):
-            yield from _walk(child, idx + (i,))
-    else:
-        yield idx, node

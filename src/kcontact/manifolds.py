@@ -150,17 +150,28 @@ def _ball_metric(spec, w):
     c = spec.curvature
     G = [[None] * (2 * p) for _ in range(2 * p)]
     for j in range(p):
-        for k in range(p):
-            re = (xs[j] * xs[k] + ys[j] * ys[k]) * inv_s2
-            if j == k:
-                re = re + inv_s
-            im = (xs[j] * ys[k] - ys[j] * xs[k]) * inv_s2
-            re = (2.0 / c) * re
-            im = (2.0 / c) * im
-            G[2 * j][2 * k] = re
-            G[2 * j + 1][2 * k + 1] = re
+        # A diagonal block is re times the identity: its im, x y - y x, is
+        # identically +0.0, and the entry below it -0.0.
+        re = (2.0 / c) * ((xs[j] * xs[j] + ys[j] * ys[j]) * inv_s2 + inv_s)
+        G[2 * j][2 * j] = G[2 * j + 1][2 * j + 1] = re
+        G[2 * j][2 * j + 1] = 0.0
+        G[2 * j + 1][2 * j] = -0.0
+        for k in range(j + 1, p):
+            # The (k, j) block is the (j, k) block transposed: re is symmetric
+            # in j, k and im skew.  im_kj is formed from the shared products
+            # rather than as -im, so that a vanishing im keeps the sign of
+            # zero it has when computed for (k, j).
+            re = (2.0 / c) * ((xs[j] * xs[k] + ys[j] * ys[k]) * inv_s2)
+            xy = xs[j] * ys[k]
+            yx = ys[j] * xs[k]
+            im = (2.0 / c) * ((xy - yx) * inv_s2)
+            im_kj = (2.0 / c) * ((yx - xy) * inv_s2)
+            G[2 * j][2 * k] = G[2 * j + 1][2 * k + 1] = re
+            G[2 * k][2 * j] = G[2 * k + 1][2 * j + 1] = re
             G[2 * j][2 * k + 1] = im
             G[2 * j + 1][2 * k] = -1.0 * im
+            G[2 * k][2 * j + 1] = im_kj
+            G[2 * k + 1][2 * j] = -1.0 * im_kj
     return G
 
 
@@ -250,10 +261,23 @@ def product_construction(factors: Sequence[FactorSpec]):
         offs.append(off)
         off += 2 * f.complex_dim
 
+    def primitives(x):
+        # One primitive per factor.  In a chart_arrays evaluation the first of
+        # theta and frame computes them and leaves them in the memo of the
+        # coordinates; the second takes them out, so they are freed as soon
+        # as both have used them.
+        memo = getattr(x, "memo", None)
+        prims = None if memo is None else memo.pop(primitives, None)
+        if prims is None:
+            prims = [_factor_primitive(f, x[o : o + 2 * f.complex_dim])
+                     for f, o in zip(factors, offs)]
+            if memo is not None:
+                memo[primitives] = prims
+        return prims
+
     def theta(x):
         comps = [0.0] * n
-        for f, o in zip(factors, offs):
-            prim = _factor_primitive(f, x[o : o + 2 * f.complex_dim])
+        for f, o, prim in zip(factors, offs, primitives(x)):
             for k, p in enumerate(prim):
                 comps[o + k] = f.b * p
         comps[n - 1] = 1.0
@@ -261,8 +285,7 @@ def product_construction(factors: Sequence[FactorSpec]):
 
     def frame(x):
         cols = [[0.0] * (2 * m) for _ in range(n)]
-        for f, o in zip(factors, offs):
-            prim = _factor_primitive(f, x[o : o + 2 * f.complex_dim])
+        for f, o, prim in zip(factors, offs, primitives(x)):
             for k in range(2 * f.complex_dim):
                 cols[o + k][o + k] = 1.0
                 cols[n - 1][o + k] = -f.b * prim[k]
@@ -397,6 +420,23 @@ class ChartArrays:
     d2G: np.ndarray = None
 
 
+class _Coords(list):
+    """The seeded coordinates of one :func:`chart_arrays` evaluation.
+
+    ``memo`` lets the coefficient functions of one chart share work within
+    the evaluation (a product chart's factor primitives feed both theta and
+    the frame); it is dropped with the coordinates when the evaluation
+    returns.  A plain list of coordinates has no memo, and each function
+    then computes everything itself.
+    """
+
+    __slots__ = ("memo",)
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.memo = {}
+
+
 def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS):
     """Evaluate theta, xi, frame, metric (and derivatives) at points X (..., n).
 
@@ -411,7 +451,7 @@ def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS):
     X = np.asarray(X, dtype=float)
     n = chart.dim
     batch = X.shape[:-1]
-    coords = jets.seed(X, order)
+    coords = _Coords(jets.seed(X, order))
     out = ChartArrays(X, order)
     for name, fn in zip(CHART_FIELDS, (chart.theta, chart.xi, chart.frame, chart.metric)):
         if name in fields:

@@ -7,11 +7,16 @@ independent route against which the forward-mode results are checked.
 The ``*_reference`` functions are the plain ``np.einsum`` forms of the
 kernels that the package contracts as batched matmuls: the same sums,
 written once per index, against which the matmul layouts are checked.
+:func:`stack_arrays_reference` is likewise the plain form of
+``jets.stack_arrays``, a recursive walk that writes every leaf, and
+:func:`ball_metric_reference` that of ``manifolds._ball_metric``, which
+computes every block of the metric on its own.
 """
 
 import numpy as np
 
 from kcontact.connection import frame_data, transport_data
+from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
 
 
@@ -219,3 +224,67 @@ def rhs_reference(chart, x, M, u, w):
     if vertical:
         Om = Om + w[..., None, None] * data.xi_coeffs
     return v, -np.matmul(Om, M), df
+
+
+def stack_arrays_reference(nested, order, n, batch):
+    """``jets.stack_arrays`` as a recursive walk that writes every leaf."""
+    lead = _lead_shape(nested)
+    val = np.zeros(batch + lead)
+    grad = np.zeros(batch + lead + (n,)) if order >= 1 else None
+    hess = np.zeros(batch + lead + (n, n)) if order >= 2 else None
+    for idx, leaf in _walk(nested, ()):
+        sl = (slice(None),) * len(batch) + idx
+        if isinstance(leaf, Jet):
+            val[sl] = leaf.val
+            if order >= 1:
+                grad[sl] = leaf.grad
+            if order >= 2:
+                hess[sl] = leaf.hess
+        else:
+            val[sl] = leaf
+    return val, grad, hess
+
+
+def _lead_shape(nested):
+    shape = ()
+    node = nested
+    while isinstance(node, (list, tuple)):
+        shape = shape + (len(node),)
+        node = node[0]
+    return shape
+
+
+def _walk(node, idx):
+    if isinstance(node, (list, tuple)):
+        for i, child in enumerate(node):
+            yield from _walk(child, idx + (i,))
+    else:
+        yield idx, node
+
+
+def ball_metric_reference(spec, w):
+    """``manifolds._ball_metric`` computing every (j, k) block on its own."""
+    p = spec.complex_dim
+    xs = w[0::2]
+    ys = w[1::2]
+    u = xs[0] * xs[0] + ys[0] * ys[0]
+    for j in range(1, p):
+        u = u + xs[j] * xs[j] + ys[j] * ys[j]
+    s = 1.0 - u
+    inv_s = 1.0 / s
+    inv_s2 = inv_s * inv_s
+    c = spec.curvature
+    G = [[None] * (2 * p) for _ in range(2 * p)]
+    for j in range(p):
+        for k in range(p):
+            re = (xs[j] * xs[k] + ys[j] * ys[k]) * inv_s2
+            if j == k:
+                re = re + inv_s
+            im = (xs[j] * ys[k] - ys[j] * xs[k]) * inv_s2
+            re = (2.0 / c) * re
+            im = (2.0 / c) * im
+            G[2 * j][2 * k] = re
+            G[2 * j + 1][2 * k + 1] = re
+            G[2 * j][2 * k + 1] = im
+            G[2 * j + 1][2 * k] = -1.0 * im
+    return G

@@ -1,6 +1,9 @@
 import numpy as np
+import pytest
 
 from kcontact import jets
+
+from fd_oracles import stack_arrays_reference
 
 
 def f_scalar(c):
@@ -135,3 +138,43 @@ def test_pow_zero_and_comparisons():
     y = (-x) ** 3
     assert np.isclose(y.val[0], -8.0)
     assert np.isclose(y.grad[0, 0], -12.0)
+
+
+def _mixed_leaves(order, batch, n=3):
+    """A 2 x 3 x 4 nested list mixing every kind of leaf stack_arrays takes."""
+    rng = np.random.default_rng(len(batch) + 10 * order)
+    X = rng.uniform(-1.0, 1.0, batch + (n,))
+    x = jets.seed(X, order)
+    jet_like = (lambda k: x[k] * x[(k + 1) % n] + 0.5) if order else (lambda k: x[k])
+    pool = [
+        jet_like(0), jet_like(1), x[2],
+        rng.uniform(-1.0, 1.0, batch),  # a plain batch array
+        1.5, -2.0, 3, 0, -0.0, 0.0, np.float64(-0.0), np.float64(0.0),
+    ]
+    leaves = [pool[(5 * i) % len(pool)] for i in range(24)]
+    return [[leaves[12 * a + 4 * b: 12 * a + 4 * b + 4] for b in range(3)] for a in range(2)]
+
+
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)])
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_stack_arrays_matches_reference(order, batch):
+    nested = _mixed_leaves(order, batch)
+    got = jets.stack_arrays(nested, order, 3, batch)
+    want = stack_arrays_reference(nested, order, 3, batch)
+    for g, w in zip(got, want):
+        if w is None:
+            assert g is None
+            continue
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+def test_stack_arrays_scalar_and_tuple_leaves():
+    x = jets.seed(np.array([0.3, -0.5]), 1)
+    for nested in (x[0], (x[0], 0.0, -0.0), [(x[1], 1), (0, x[0])]):
+        got = jets.stack_arrays(nested, 1, 2, ())
+        want = stack_arrays_reference(nested, 1, 2, ())
+        assert all(g.tobytes() == w.tobytes() for g, w in zip(got[:2], want[:2]))
+    # only +0.0 is left to the zero fill; a -0.0 constant keeps its sign
+    val = jets.stack_arrays([0.0, -0.0, np.float64(-0.0)], 0, 2, (3,))[0]
+    assert list(np.signbit(val[0])) == [False, True, True]

@@ -1,12 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from kcontact import connection as C
+from kcontact import jets
 from kcontact import manifolds as M
 from kcontact.errors import ChartError, ConfigError
 
 from conftest import domain_points
-from fd_oracles import chart_values, fd_first
+from fd_oracles import ball_metric_reference, chart_values, fd_first
 
 
 TOLS = {
@@ -239,7 +242,9 @@ FIELD_CHARTS = {
     ),
 }
 # every field subset a caller of chart_arrays asks for
-FIELD_SUBSETS = [("xi",), ("G",), ("th", "xi", "E"), ("xi", "E")]
+FIELD_SUBSETS = [("xi",), ("G",), ("th", "xi", "E"), ("xi", "E"),
+                 # theta or the frame alone computes the factor primitives itself
+                 ("th",), ("E",), ("th", "E")]
 
 
 @pytest.mark.parametrize("order", [0, 1, 2])
@@ -265,3 +270,100 @@ def test_field_selection_is_bit_identical(name, order):
 def test_unknown_chart_field_rejected(charts):
     with pytest.raises(ValueError, match="unknown chart fields"):
         M.chart_arrays(charts["heisenberg"], np.zeros((1, 5)), order=0, fields=("metric",))
+
+
+# every product chart built in: the shipped examples and the field-test mixes
+PRODUCT_CHARTS = {name: chart for name, chart in FIELD_CHARTS.items() if chart.factors}
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRODUCT_CHARTS))
+def test_chart_arrays_computes_each_primitive_once(monkeypatch, name, order):
+    chart = PRODUCT_CHARTS[name]
+    calls = []
+    primitive = M._factor_primitive
+
+    def counted(spec, w):
+        calls.append(spec)
+        return primitive(spec, w)
+
+    monkeypatch.setattr(M, "_factor_primitive", counted)
+    M.chart_arrays(chart, domain_points(chart, 4, seed=2), order=order)
+    assert calls == list(chart.factors)
+
+
+@pytest.mark.parametrize("name", sorted(PRODUCT_CHARTS))
+def test_chart_arrays_keeps_no_state_between_calls(name):
+    chart = PRODUCT_CHARTS[name]
+    X1 = domain_points(chart, 5, seed=8)
+    X2 = domain_points(chart, 5, seed=9)
+    fields = [p + f for p in ("", "d", "d2") for f in M.CHART_FIELDS]
+    first = M.chart_arrays(chart, X1, order=2)
+    second = M.chart_arrays(chart, X2, order=2)
+    again = M.chart_arrays(chart, X1, order=2)
+    for field in fields:
+        assert getattr(again, field).tobytes() == getattr(first, field).tobytes(), field
+    # the second call saw its own points, not primitives left from the first
+    plain = [X2[:, i] for i in range(chart.dim)]
+    for field, fn in (("th", chart.theta), ("E", chart.frame)):
+        want, _, _ = jets.stack_arrays(fn(plain), 0, chart.dim, (5,))
+        assert np.allclose(getattr(second, field), want, rtol=1e-14, atol=1e-14), field
+
+
+def test_finished_evaluation_leaves_nothing_allocated():
+    chart = FIELD_CHARTS["ball_x_disc"]
+    X = domain_points(chart, 2000, seed=4)
+    M.chart_arrays(chart, X, order=1)  # warm up caches outside the trace
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        arr = M.chart_arrays(chart, X, order=1)
+        held = tracemalloc.get_traced_memory()[0] - before
+        del arr
+        left = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    # the 2000-point arrays themselves are megabytes; a memo of the
+    # primitive jets would keep hundreds of kilobytes alive
+    assert held > 2_000_000
+    assert left < 20_000, left
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
+def test_ball_metric_matches_reference(p, order):
+    # the blocks filled by symmetry carry the bits of the blocks computed on
+    # their own; only the derivatives of the identically zero im entries of
+    # the diagonal blocks may differ, in the sign of zero
+    spec = M.FactorSpec("bergman_ball", complex_dim=p, b=1.0, curvature=1.5)
+    rng = np.random.default_rng(p)
+    X = rng.uniform(-0.4, 0.4, (9, 2 * p))
+    X[0] = 0.0
+    X[1, 0::2] = 0.0
+    X[2, 1::2] = 0.0
+    X[3, :2] = -0.0
+    coords = jets.seed(X, order)
+    got = jets.stack_arrays(M._ball_metric(spec, coords), order, 2 * p, (9,))
+    want = jets.stack_arrays(ball_metric_reference(spec, coords), order, 2 * p, (9,))
+    assert got[0].tobytes() == want[0].tobytes()
+    for g, w in zip(got[1:], want[1:]):
+        if w is not None:
+            assert np.array_equal(g, w)
+            differ = g.view(np.int64) != w.view(np.int64)
+            assert not np.any(g[differ]), "only zeros may differ"
+
+
+def test_chart_functions_evaluate_standalone():
+    # the four callables need no chart_arrays evaluation around them
+    chart = FIELD_CHARTS["ball_x_disc"]
+    x = domain_points(chart, 3, seed=6)
+    full = M.chart_arrays(chart, x, order=1)
+    th = chart.theta(list(x[0]))
+    cols = chart.frame([float(v) for v in x[0]])
+    assert np.allclose(np.array(th, dtype=float), full.th[0], rtol=0, atol=1e-15)
+    assert np.allclose(np.array(cols, dtype=float), full.E[0], rtol=0, atol=1e-15)
+    coords = [x[:, i] for i in range(chart.dim)]
+    E, _, _ = jets.stack_arrays(chart.frame(coords), 0, chart.dim, (3,))
+    assert E.tobytes() == M.chart_arrays(chart, x, order=0).E.tobytes()
+    jet_cols = chart.frame(jets.seed(x, 1))
+    assert np.array_equal(jet_cols[-1][0].grad, full.dE[:, -1, 0])
