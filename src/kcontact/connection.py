@@ -16,7 +16,11 @@ pass are batched matmuls: the summed index is brought next to the matrix
 axes, any spectator slots are flattened into one, and ``@`` broadcasts
 over the batch.  The single-sum ``np.einsum`` forms they replace are
 kept in the test suite (``tests/fd_oracles.py``, ``*_reference``) as
-oracles for the index layouts.
+oracles for the index layouts.  The bracket products flatten ``dE`` to
+``[(k a), i]``, so each is one matmul per point, and the Koszul sum reads
+its cyclic slot permutations as ``swapaxes`` views; the test suite keeps
+the per-component and ``np.moveaxis`` forms they replace and checks that
+the bits are the same.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -105,12 +109,13 @@ def _koszul(E, G, dG, c):
     Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
     Dg = Dg.reshape(*batch, tm, tm, tm)
     W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
+    # the cyclic slot permutations as views: [b, c, a] and [c, a, b]
     K = (
         Dg
-        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
-        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
+        + Dg.swapaxes(-2, -1).swapaxes(-3, -2)
+        - Dg.swapaxes(-3, -2).swapaxes(-2, -1)
         + W
-        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
+        - W.swapaxes(-2, -1).swapaxes(-3, -2)
         - W.swapaxes(-2, -1)
     )
     Ginv = np.linalg.inv(G)

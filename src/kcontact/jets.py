@@ -32,10 +32,12 @@ class Jet:
     """Truncated Taylor scalar: value, gradient and optional Hessian.
 
     ``val`` has an arbitrary (batch) shape ``S``; ``grad`` has shape
-    ``S + (n,)`` and ``hess``, when present, ``S + (n, n)``.
+    ``S + (n,)`` and ``hess``, when present, ``S + (n, n)``.  A jet's parts
+    are never changed after it is built, so its reciprocal is computed once,
+    on the first division by it, and kept in ``_inv``.
     """
 
-    __slots__ = ("val", "grad", "hess")
+    __slots__ = ("val", "grad", "hess", "_inv")
 
     # keep numpy from consuming us in mixed expressions
     __array_ufunc__ = None
@@ -44,6 +46,7 @@ class Jet:
         self.val = np.asarray(val, dtype=float)
         self.grad = np.asarray(grad, dtype=float)
         self.hess = None if hess is None else np.asarray(hess, dtype=float)
+        self._inv = None
 
     @classmethod
     def _make(cls, val, grad, hess):
@@ -53,6 +56,7 @@ class Jet:
         out.val = val
         out.grad = grad
         out.hess = hess
+        out._inv = None
         return out
 
     @property
@@ -107,6 +111,8 @@ class Jet:
     __rmul__ = __mul__
 
     def _recip(self):
+        if self._inv is not None:
+            return self._inv
         v = self.val
         iv = 1.0 / v
         iv2 = iv * iv
@@ -115,7 +121,8 @@ class Jet:
         if self.hess is not None:
             outer = self.grad[..., :, None] * self.grad[..., None, :]
             h = (2.0 * iv2 * iv)[..., None, None] * outer - iv2[..., None, None] * self.hess
-        return Jet._make(iv, grad, h)
+        self._inv = Jet._make(iv, grad, h)
+        return self._inv
 
     def __truediv__(self, other):
         if isinstance(other, Jet):
@@ -202,31 +209,26 @@ def cos(x):
 
 
 def where(cond, a, b):
-    """Branchless select, jet-aware.  ``cond`` is a boolean array over values."""
+    """Branchless select, jet-aware.  ``cond`` is a boolean array over values.
+
+    A constant branch is selected as it is, with the scalar ``0.0`` as its
+    derivatives; no zero jet is built for it.
+    """
     cond = np.asarray(cond)
     if not (isinstance(a, Jet) or isinstance(b, Jet)):
         return np.where(cond, a, b)
     ref = a if isinstance(a, Jet) else b
-    a = _like(a, ref)
-    b = _like(b, ref)
-    h = None
-    if a.hess is not None:
-        h = np.where(cond[..., None, None], a.hess, b.hess)
-    return Jet._make(
-        np.where(cond, a.val, b.val),
-        np.where(cond[..., None], a.grad, b.grad),
-        h,
-    )
+    va, ga, ha = _branch(a)
+    vb, gb, hb = _branch(b)
+    h = None if ref.hess is None else np.where(cond[..., None, None], ha, hb)
+    return Jet._make(np.where(cond, va, vb), np.where(cond[..., None], ga, gb), h)
 
 
-def _like(x, ref):
-    """Lift a constant to a zero-derivative jet shaped like ``ref``."""
+def _branch(x):
+    """A ``where`` branch as (value, gradient, Hessian); a constant's are 0.0."""
     if isinstance(x, Jet):
-        return x
-    val = np.broadcast_to(np.asarray(x, dtype=float), ref.val.shape)
-    grad = np.zeros(ref.grad.shape)
-    h = None if ref.hess is None else np.zeros(ref.hess.shape)
-    return Jet(val, grad, h)
+        return x.val, x.grad, x.hess
+    return x, 0.0, 0.0
 
 
 def seed(X, order):

@@ -107,9 +107,22 @@ class ContactChart:
 # factor geometry
 
 
-def _disc_scale(spec, u):
+def _radials(w):
+    """A factor's coordinate squares, ``u = |w|^2`` and ``s = 1 - u``.
+
+    The factor's primitive and its metric both read them (as ``rad``).
+    ``u`` adds the squares in coordinate order; another order would move the
+    last bits of every report.
+    """
+    sq = [c * c for c in w]
+    u = sq[0] + sq[1]
+    for j in range(2, len(w), 2):
+        u = u + sq[j] + sq[j + 1]
+    return sq, u, 1.0 - u
+
+
+def _disc_scale(spec, u, s):
     """Conformal coefficient of a hyperbolic disc, optionally perturbed."""
-    s = 1.0 - u
     lam = (4.0 / spec.curvature) / (s * s)
     if spec.kind == "perturbed_disc" and spec.epsilon != 0.0:
         lam = lam * jets.exp(spec.epsilon * _bump(u, BUMP_RADIUS**2))
@@ -125,26 +138,24 @@ def _bump(u, support):
     return jets.where(inside, val, 0.0)
 
 
-def _disc_metric(spec, w):
-    lam = _disc_scale(spec, w[0] * w[0] + w[1] * w[1])
+def _disc_metric(spec, w, rad):
+    _, u, s = rad
+    lam = _disc_scale(spec, u, s)
     return [[lam, 0.0], [0.0, lam]]
 
 
-def _disc_primitive(spec, w):
+def _disc_primitive(spec, w, rad):
     # radial primitive of the Ricci form: f(r) d(phi), f(0) = 0
     x, y = w
-    s = 1.0 - (x * x + y * y)
+    s = rad[2]
     return [2.0 * y / s, -2.0 * x / s]
 
 
-def _ball_metric(spec, w):
+def _ball_metric(spec, w, rad):
     p = spec.complex_dim
     xs = w[0::2]
     ys = w[1::2]
-    u = xs[0] * xs[0] + ys[0] * ys[0]
-    for j in range(1, p):
-        u = u + xs[j] * xs[j] + ys[j] * ys[j]
-    s = 1.0 - u
+    sq, _, s = rad
     inv_s = 1.0 / s
     inv_s2 = inv_s * inv_s
     c = spec.curvature
@@ -152,7 +163,7 @@ def _ball_metric(spec, w):
     for j in range(p):
         # A diagonal block is re times the identity: its im, x y - y x, is
         # identically +0.0, and the entry below it -0.0.
-        re = (2.0 / c) * ((xs[j] * xs[j] + ys[j] * ys[j]) * inv_s2 + inv_s)
+        re = (2.0 / c) * ((sq[2 * j] + sq[2 * j + 1]) * inv_s2 + inv_s)
         G[2 * j][2 * j] = G[2 * j + 1][2 * j + 1] = re
         G[2 * j][2 * j + 1] = 0.0
         G[2 * j + 1][2 * j] = -0.0
@@ -175,12 +186,9 @@ def _ball_metric(spec, w):
     return G
 
 
-def _ball_primitive(spec, w):
+def _ball_primitive(spec, w, rad):
     p = spec.complex_dim
-    u = w[0] * w[0] + w[1] * w[1]
-    for j in range(1, p):
-        u = u + w[2 * j] * w[2 * j] + w[2 * j + 1] * w[2 * j + 1]
-    s = 1.0 - u
+    s = rad[2]
     comps = []
     for j in range(p):
         comps.append((p + 1.0) * w[2 * j + 1] / s)
@@ -188,16 +196,16 @@ def _ball_primitive(spec, w):
     return comps
 
 
-def _factor_metric(spec, w):
+def _factor_metric(spec, w, rad):
     if spec.kind == "bergman_ball":
-        return _ball_metric(spec, w)
-    return _disc_metric(spec, w)
+        return _ball_metric(spec, w, rad)
+    return _disc_metric(spec, w, rad)
 
 
-def _factor_primitive(spec, w):
+def _factor_primitive(spec, w, rad):
     if spec.kind == "bergman_ball":
-        return _ball_primitive(spec, w)
-    return _disc_primitive(spec, w)
+        return _ball_primitive(spec, w, rad)
+    return _disc_primitive(spec, w, rad)
 
 
 # ---------------------------------------------------------------------------
@@ -261,16 +269,28 @@ def product_construction(factors: Sequence[FactorSpec]):
         offs.append(off)
         off += 2 * f.complex_dim
 
+    # In a chart_arrays evaluation the coefficient functions share work
+    # through the memo of the coordinates: the first reader of a piece
+    # computes it and leaves it there, and the last takes it out, so it is
+    # freed as soon as it has served.  Nothing survives the evaluation.
+
+    def radials(x, last):
+        # one _radials per factor, read by its primitive and then its metric
+        memo = getattr(x, "memo", None)
+        rads = None if memo is None else (memo.pop if last else memo.get)(radials, None)
+        if rads is None:
+            rads = [_radials(x[o : o + 2 * f.complex_dim]) for f, o in zip(factors, offs)]
+            if memo is not None and not last:
+                memo[radials] = rads
+        return rads
+
     def primitives(x):
-        # One primitive per factor.  In a chart_arrays evaluation the first of
-        # theta and frame computes them and leaves them in the memo of the
-        # coordinates; the second takes them out, so they are freed as soon
-        # as both have used them.
+        # one primitive per factor, read by theta and the frame
         memo = getattr(x, "memo", None)
         prims = None if memo is None else memo.pop(primitives, None)
         if prims is None:
-            prims = [_factor_primitive(f, x[o : o + 2 * f.complex_dim])
-                     for f, o in zip(factors, offs)]
+            prims = [_factor_primitive(f, x[o : o + 2 * f.complex_dim], rad)
+                     for f, o, rad in zip(factors, offs, radials(x, last=False))]
             if memo is not None:
                 memo[primitives] = prims
         return prims
@@ -293,8 +313,8 @@ def product_construction(factors: Sequence[FactorSpec]):
 
     def metric(x):
         G = [[0.0] * (2 * m) for _ in range(2 * m)]
-        for f, o in zip(factors, offs):
-            block = _factor_metric(f, x[o : o + 2 * f.complex_dim])
+        for f, o, rad in zip(factors, offs, radials(x, last=True)):
+            block = _factor_metric(f, x[o : o + 2 * f.complex_dim], rad)
             for a in range(2 * f.complex_dim):
                 for b in range(2 * f.complex_dim):
                     G[o + a][o + b] = block[a][b]
@@ -424,8 +444,9 @@ class _Coords(list):
     """The seeded coordinates of one :func:`chart_arrays` evaluation.
 
     ``memo`` lets the coefficient functions of one chart share work within
-    the evaluation (a product chart's factor primitives feed both theta and
-    the frame); it is dropped with the coordinates when the evaluation
+    the evaluation (a product chart's factor radials feed both the factor's
+    primitive and its metric, and the primitives feed both theta and the
+    frame); it is dropped with the coordinates when the evaluation
     returns.  A plain list of coordinates has no memo, and each function
     then computes everything itself.
     """
@@ -469,9 +490,11 @@ def frame_brackets(arr):
     ``Br[..., k, a, b]`` of [e_a, e_b], the frame solve ``[E | xi]^-1``,
     and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
     pi[e_a, e_b] and whose last row is theta([e_a, e_b]).  Both products
-    are batched matmuls; ``dE @ E`` comes out in the ``[k, b, a]`` layout.
+    are one batched matmul per point: ``dE`` flattened to ``[(k b), i]``
+    times ``E`` gives ``e_a(E[k, b])`` in the ``[k, b, a]`` layout.
     """
-    Br = arr.dE @ arr.E[..., None, :, :]
+    *batch, n, tm, _ = arr.dE.shape
+    Br = (arr.dE.reshape(*batch, n * tm, n) @ arr.E).reshape(*batch, n, tm, tm)
     Br = Br.swapaxes(-1, -2) - Br
     Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
     cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
@@ -479,8 +502,13 @@ def frame_brackets(arr):
 
 
 def reeb_brackets(arr, Minv):
-    """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi]."""
-    Bx = (arr.dE @ arr.xi[..., None, :, None])[..., 0] - arr.dxi @ arr.E
+    """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi].
+
+    ``xi(E)`` is ``dE`` flattened to ``[(k a), i]`` times ``xi``: one
+    matmul per point."""
+    *batch, n, tm, _ = arr.dE.shape
+    xiE = (arr.dE.reshape(*batch, n * tm, n) @ arr.xi[..., :, None]).reshape(*batch, n, tm)
+    Bx = xiE - arr.dxi @ arr.E
     return Minv @ Bx
 
 

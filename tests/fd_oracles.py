@@ -1,7 +1,7 @@
 """Finite-difference oracles for the connection pipeline.
 
-Everything here except :func:`wagner_nabla_N` and the ``*_reference``
-functions is computed from plain chart evaluations and central
+Everything here except :func:`wagner_nabla_N` and the kernel forms
+described below is computed from plain chart evaluations and central
 differences only; no jet machinery is touched, so these values are an
 independent route against which the forward-mode results are checked.
 The ``*_reference`` functions are the plain ``np.einsum`` forms of the
@@ -11,6 +11,15 @@ written once per index, against which the matmul layouts are checked.
 ``jets.stack_arrays``, a recursive walk that writes every leaf, and
 :func:`ball_metric_reference` that of ``manifolds._ball_metric``, which
 computes every block of the metric on its own.
+
+Some kernels were rewritten to do less work with the same bits; their
+earlier forms are kept here as bit-for-bit oracles:
+:func:`frame_brackets_per_component` and :func:`reeb_brackets_per_component`
+take one matmul per component of ``dE`` where the package flattens ``dE``
+into one, :func:`koszul_moveaxis` permutes slots with ``np.moveaxis``,
+:func:`recip_uncached` is ``Jet._recip`` without its cache and
+:func:`where_reference` is ``jets.where`` lifting a constant branch to a
+zero jet.
 """
 
 import numpy as np
@@ -288,3 +297,79 @@ def ball_metric_reference(spec, w):
             G[2 * j][2 * k + 1] = im
             G[2 * j + 1][2 * k] = -1.0 * im
     return G
+
+
+def frame_brackets_per_component(arr):
+    """``manifolds.frame_brackets`` with ``dE @ E`` as one matmul per
+    component k of ``dE[..., k, b, i]``."""
+    Br = arr.dE @ arr.E[..., None, :, :]
+    Br = Br.swapaxes(-1, -2) - Br
+    Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
+    return Br, Minv, cfull
+
+
+def reeb_brackets_per_component(arr, Minv):
+    """``manifolds.reeb_brackets`` with ``xi(E)`` as one matmul per component."""
+    Bx = (arr.dE @ arr.xi[..., None, :, None])[..., 0] - arr.dxi @ arr.E
+    return Minv @ Bx
+
+
+def koszul_moveaxis(E, G, dG, c):
+    """``connection._koszul`` with its cyclic slot permutations by ``np.moveaxis``."""
+    tm = E.shape[-1]
+    batch = c.shape[:-3]
+    Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
+    Dg = Dg.reshape(*batch, tm, tm, tm)
+    W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
+    K = (
+        Dg
+        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
+        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
+        + W
+        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
+        - W.swapaxes(-2, -1)
+    )
+    Ginv = np.linalg.inv(G)
+    Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
+    return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
+
+
+def recip_uncached(x):
+    """``1 / x`` for a jet ``x``, computed afresh on every call."""
+    iv = 1.0 / x.val
+    iv2 = iv * iv
+    grad = -iv2[..., None] * x.grad
+    h = None
+    if x.hess is not None:
+        outer = x.grad[..., :, None] * x.grad[..., None, :]
+        h = (2.0 * iv2 * iv)[..., None, None] * outer - iv2[..., None, None] * x.hess
+    return Jet._make(iv, grad, h)
+
+
+def where_reference(cond, a, b):
+    """``jets.where`` lifting a constant branch to a zero-derivative jet."""
+    cond = np.asarray(cond)
+    if not (isinstance(a, Jet) or isinstance(b, Jet)):
+        return np.where(cond, a, b)
+    ref = a if isinstance(a, Jet) else b
+    a = _like(a, ref)
+    b = _like(b, ref)
+    h = None
+    if a.hess is not None:
+        h = np.where(cond[..., None, None], a.hess, b.hess)
+    return Jet._make(
+        np.where(cond, a.val, b.val),
+        np.where(cond[..., None], a.grad, b.grad),
+        h,
+    )
+
+
+def _like(x, ref):
+    """Lift a constant to a zero-derivative jet shaped like ``ref``."""
+    if isinstance(x, Jet):
+        return x
+    val = np.broadcast_to(np.asarray(x, dtype=float), ref.val.shape)
+    grad = np.zeros(ref.grad.shape)
+    h = None if ref.hess is None else np.zeros(ref.hess.shape)
+    return Jet(val, grad, h)

@@ -12,13 +12,16 @@ from conftest import domain_points
 from fd_oracles import (
     conjugated_samples_reference,
     curvature_fd,
+    frame_brackets_per_component,
     frame_brackets_reference,
     frame_rates_reference,
     frame_two_form_reference,
     gamma_fd,
     inverse_derivative_reference,
+    koszul_moveaxis,
     koszul_reference,
     ortho_curvature_reference,
+    reeb_brackets_per_component,
     reeb_brackets_reference,
     two_form_derivative_reference,
     wagner_nabla_N,
@@ -326,3 +329,29 @@ def test_conjugated_samples_match_reference(tm, batch):
     got = H._conjugated_samples(taus, mats)
     assert got.shape == ref.shape == (p * k, tm, tm)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("contiguous", [False, True], ids=["views", "contiguous"])
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+def test_bracket_and_koszul_layouts_keep_the_bits(m, batch, contiguous):
+    # the flattened bracket matmuls and the swapaxes views of _koszul give
+    # the bits of the per-component matmuls and the np.moveaxis permutations,
+    # both on strided views (E and xi of _generic_arrays) and on the
+    # C-contiguous arrays chart_arrays returns
+    rng = np.random.default_rng([m, len(batch), contiguous])
+    arr = _generic_arrays(2 * m, batch, rng)
+    if contiguous:
+        for name in ("E", "xi", "G", "dE", "dxi", "dG"):
+            setattr(arr, name, np.ascontiguousarray(getattr(arr, name)))
+    got = M.frame_brackets(arr)
+    want = frame_brackets_per_component(arr)
+    Minv = got[1]
+    got += (M.reeb_brackets(arr, Minv),)
+    want += (reeb_brackets_per_component(arr, Minv),)
+    c = got[2][..., : 2 * m, :, :]
+    got += C._koszul(arr.E, arr.G, arr.dG, c)
+    want += koszul_moveaxis(arr.E, arr.G, arr.dG, c)
+    for g, w in zip(got, want, strict=True):
+        assert g.shape == w.shape
+        assert g.tobytes() == w.tobytes()

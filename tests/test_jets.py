@@ -3,7 +3,7 @@ import pytest
 
 from kcontact import jets
 
-from fd_oracles import stack_arrays_reference
+from fd_oracles import recip_uncached, stack_arrays_reference, where_reference
 
 
 def f_scalar(c):
@@ -178,3 +178,58 @@ def test_stack_arrays_scalar_and_tuple_leaves():
     # only +0.0 is left to the zero fill; a -0.0 constant keeps its sign
     val = jets.stack_arrays([0.0, -0.0, np.float64(-0.0)], 0, 2, (3,))[0]
     assert list(np.signbit(val[0])) == [False, True, True]
+
+
+@pytest.mark.parametrize("batch", [(), (7,)], ids=str)
+@pytest.mark.parametrize("order", [1, 2])
+def test_reciprocal_is_computed_once(order, batch):
+    rng = np.random.default_rng(order + len(batch))
+    x = jets.seed(rng.uniform(0.2, 0.8, batch + (3,)), order)
+    s = 1.0 - (x[0] * x[0] + x[1] * x[1])
+    want = recip_uncached(s)
+    r = s._recip()
+    assert s._recip() is r
+    # every division by s reads the one reciprocal, with its bits
+    for got, ref in ((x[2] / s, x[2] * want), (2.0 / s, want * 2.0), (x[0] / s, x[0] * want)):
+        for part in ("val", "grad", "hess"):
+            g, w = getattr(got, part), getattr(ref, part)
+            assert (g is None) == (w is None)
+            if w is not None:
+                assert g.tobytes() == w.tobytes(), part
+    assert s._recip() is r
+    # a jet from the public constructor caches too; its reciprocal has its own
+    t = jets.Jet(s.val, s.grad, s.hess)
+    assert t._recip() is t._recip() and t._recip() is not r
+    assert t._recip().val.tobytes() == r.val.tobytes()
+    # plain values divide as numpy does
+    assert (1.0 / s.val).tobytes() == r.val.tobytes()
+
+
+def _where_branches(order, batch):
+    rng = np.random.default_rng(order + 3 * len(batch))
+    x = jets.seed(rng.uniform(-1.0, 1.0, batch + (2,)), order)
+    jet = x[0] * x[1] + 0.25
+    other = x[1] * x[1]
+    return x[0] < 0.1, jet, other
+
+
+@pytest.mark.parametrize("const", [0.0, -0.0, 2.5, 0, np.float64(-0.0), "jet"], ids=repr)
+@pytest.mark.parametrize("side", ["a", "b"])
+@pytest.mark.parametrize("batch", [(), (7,)], ids=str)
+@pytest.mark.parametrize("order", [0, 1, 2])
+def test_where_matches_reference(order, batch, side, const):
+    # a constant branch on either side, or ("jet") two jets
+    cond, jet, other = _where_branches(order, batch)
+    branch = other if const == "jet" else const
+    a, b = (branch, jet) if side == "a" else (jet, branch)
+    got = jets.where(cond, a, b)
+    want = where_reference(cond, a, b)
+    if order == 0:
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        return
+    for part in ("val", "grad", "hess"):
+        g, w = getattr(got, part), getattr(want, part)
+        assert (g is None) == (w is None)
+        if w is not None:
+            assert g.shape == w.shape and g.dtype == w.dtype
+            assert g.tobytes() == w.tobytes(), part

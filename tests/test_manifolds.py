@@ -126,7 +126,7 @@ def test_disc_primitive_curl_equals_ricci_form_density():
         h = 1e-5
 
         def prim(w):
-            return np.array(M._disc_primitive(spec, list(w)))
+            return np.array(M._disc_primitive(spec, list(w), M._radials(list(w))))
 
         d1 = (prim(z + [h, 0]) - prim(z - [h, 0])) / (2 * h)
         d2 = (prim(z + [0, h]) - prim(z - [0, h])) / (2 * h)
@@ -142,10 +142,11 @@ def test_bergman_matches_scaled_disc():
     rng = np.random.default_rng(9)
     for _ in range(10):
         w = list(rng.uniform(-0.6, 0.6, 2))
-        Gb = np.array(M._factor_metric(ball, w))
-        Gd = np.array(M._factor_metric(disc, w))
+        rad = M._radials(w)
+        Gb = np.array(M._factor_metric(ball, w, rad))
+        Gd = np.array(M._factor_metric(disc, w, rad))
         assert np.allclose(Gb, Gd, atol=1e-13)
-        assert np.allclose(M._factor_primitive(ball, w), M._factor_primitive(disc, w))
+        assert np.allclose(M._factor_primitive(ball, w, rad), M._factor_primitive(disc, w, rad))
 
 
 def test_perturbed_chart_stays_k_contact(charts):
@@ -283,13 +284,53 @@ def test_chart_arrays_computes_each_primitive_once(monkeypatch, name, order):
     calls = []
     primitive = M._factor_primitive
 
-    def counted(spec, w):
+    def counted(spec, w, rad):
         calls.append(spec)
-        return primitive(spec, w)
+        return primitive(spec, w, rad)
 
     monkeypatch.setattr(M, "_factor_primitive", counted)
     M.chart_arrays(chart, domain_points(chart, 4, seed=2), order=order)
     assert calls == list(chart.factors)
+
+
+@pytest.mark.parametrize("fields", [M.CHART_FIELDS] + FIELD_SUBSETS, ids=",".join)
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRODUCT_CHARTS))
+def test_chart_arrays_computes_each_radial_once(monkeypatch, name, order, fields):
+    # a factor's squares, u and s feed its primitive (theta, the frame) and
+    # its metric: one evaluation computes them once per factor, or not at all
+    chart = PRODUCT_CHARTS[name]
+    calls = []
+    radials = M._radials
+
+    def counted(w):
+        calls.append(len(w))
+        return radials(w)
+
+    monkeypatch.setattr(M, "_radials", counted)
+    M.chart_arrays(chart, domain_points(chart, 4, seed=2), order=order, fields=fields)
+    readers = {"th", "E", "G"} & set(fields)
+    assert calls == ([2 * f.complex_dim for f in chart.factors] if readers else [])
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("name", sorted(PRODUCT_CHARTS))
+def test_shared_factor_work_keeps_the_bits(name, order):
+    # an evaluation that shares radials and primitives between theta, the
+    # frame and the metric has the bits of one in which each function
+    # computes its own (plain coordinates carry no memo)
+    chart = PRODUCT_CHARTS[name]
+    X = domain_points(chart, 6, seed=3, margin=0.95)
+    X[0, :-1] = 0.0
+    X[1, ::2] = -0.0
+    shared = M.chart_arrays(chart, X, order=order)
+    for field, fn in zip(M.CHART_FIELDS, (chart.theta, chart.xi, chart.frame, chart.metric)):
+        alone = jets.stack_arrays(fn(jets.seed(X, order)), order, chart.dim, (6,))
+        for prefix, want in zip(("", "d", "d2"), alone):
+            got = getattr(shared, prefix + field)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tobytes() == want.tobytes(), prefix + field
 
 
 @pytest.mark.parametrize("name", sorted(PRODUCT_CHARTS))
@@ -331,6 +372,24 @@ def test_finished_evaluation_leaves_nothing_allocated():
 
 @pytest.mark.parametrize("order", [0, 1, 2])
 @pytest.mark.parametrize("p", [1, 2, 3])
+def test_radials_add_squares_in_coordinate_order(p, order):
+    # u is the left-to-right sum of the squares in coordinate order; the
+    # goldens pin the last bits of that order
+    X = np.random.default_rng(p).uniform(-0.5, 0.5, (200, 2 * p))
+    w = jets.seed(X, order)
+    _, u, s = M._radials(w)
+    squares = [c * c for c in w]
+    want = sum(squares[1:], squares[0])
+    got = jets.stack_arrays([u, s], order, 2 * p, (200,))
+    ref = jets.stack_arrays([want, 1.0 - want], order, 2 * p, (200,))
+    for g, r in zip(got, ref):
+        assert (g is None) == (r is None)
+        if r is not None:
+            assert g.tobytes() == r.tobytes()
+
+
+@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("p", [1, 2, 3])
 def test_ball_metric_matches_reference(p, order):
     # the blocks filled by symmetry carry the bits of the blocks computed on
     # their own; only the derivatives of the identically zero im entries of
@@ -343,7 +402,7 @@ def test_ball_metric_matches_reference(p, order):
     X[2, 1::2] = 0.0
     X[3, :2] = -0.0
     coords = jets.seed(X, order)
-    got = jets.stack_arrays(M._ball_metric(spec, coords), order, 2 * p, (9,))
+    got = jets.stack_arrays(M._ball_metric(spec, coords, M._radials(coords)), order, 2 * p, (9,))
     want = jets.stack_arrays(ball_metric_reference(spec, coords), order, 2 * p, (9,))
     assert got[0].tobytes() == want[0].tobytes()
     for g, w in zip(got[1:], want[1:]):
