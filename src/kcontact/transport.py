@@ -5,19 +5,21 @@ horizontalization of arbitrary curves.  The Wagner extension enters only
 through its curvature (``connection.frame_data``).
 
 Curves come in two source forms: :class:`ControlPath` (piecewise-constant
-frame controls, integrated with RK4) and :class:`ParametricCurve` (explicit
-coordinate curves with exact tangents).  Both reduce to a
-:class:`SampledCurve`, dense samples with frame-split velocities, on which
-the sampled-coefficient RK4 transport operates.  Transport of a
-ControlPath runs as a joint (position, frame-matrix) RK4 instead, which is
-what the holonomy sampler uses in batch: one sampling pass draws a
-horizontal half and an adapted half of random control paths and
-integrates both halves as one lockstep batch, redrawing escaped paths,
-each from its own (seed, index, attempt) stream.
+frame controls) and :class:`ParametricCurve` (explicit coordinate curves
+with exact tangents).  Both reduce to a :class:`SampledCurve`, dense
+samples with frame-split velocities, on which the sampled-coefficient RK4
+transport operates.  Control paths are transported positions first: one
+RK4 pass integrates the positions alone and settles escapes, then one RK4
+pass transports the frame, reading the connection at each step's end and
+at its cubic-Hermite midpoint.  The holonomy sampler runs both passes in
+batch: one sampling pass draws a horizontal and an adapted half of random
+control paths, integrates their positions as one lockstep batch, redraws
+escaped paths, each from its own (seed, index, attempt) stream, and
+transports the accepted ones.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves every
-ODE here: the batched control-path integration, the sampled-curve frame
-transport, the scalar theta-transport and the Reeb flow with its Jacobian.
+ODE here: positions, the frame transports of control paths and sampled
+curves, the scalar theta-transport and the Reeb flow with its Jacobian.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _even_steps(duration, step):
 
 
 # ---------------------------------------------------------------------------
-# the RK4 step and the joint integration of control paths (batched)
+# the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
 
@@ -186,28 +188,17 @@ def _stage(y, c, k):
     return tuple(None if a is None else a + c * b for a, b in zip(y, k))
 
 
-def _rhs(chart, x, M, u, w):
-    """Derivatives of (position, zero-extension transport, theta integral); M
-    may be None.  Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits.
-    Every contraction is a batched matmul; none goes through ``np.einsum``."""
-    vertical = bool(np.any(w != 0.0))
-    if M is None:
-        # positions only: plain chart values, no derivatives, no metric
-        data = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
-        theta = data.th
-    else:
-        data = transport_data(chart, x, vertical=vertical)
-        theta = data.theta
-    v = (data.E @ u[..., None])[..., 0]
-    if vertical:
-        v = v + w[..., None] * data.xi
-    df = (theta[..., None, :] @ v[..., None])[..., 0, 0]
-    if M is None:
-        return v, None, df
-    Om = _frame_rates(data.Gamma, u)
-    if vertical:
-        Om = Om + w[..., None, None] * data.xi_coeffs
-    return v, -np.matmul(Om, M), df
+def _velocity(E, xi, u, w):
+    """The velocity u^a e_a + w xi, as one batched matmul."""
+    v = (E @ u[..., None])[..., 0]
+    return v + w[..., None] * xi if np.any(w != 0.0) else v
+
+
+def _rhs(chart, x, u, w):
+    """Derivatives of (position, theta integral), from plain chart values."""
+    data = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
+    v = _velocity(data.E, data.xi, u, w)
+    return v, (data.th[..., None, :] @ v[..., None])[..., 0, 0]
 
 
 def _frame_rates(Gamma, u):
@@ -216,69 +207,88 @@ def _frame_rates(Gamma, u):
     return (u[..., None, None, :] @ Gamma)[..., 0, :]
 
 
-def _reorthonormalize(chart, x, M, L0t):
+def _connection_rates(data, u, w):
+    """The connection matrix of ``transport_data`` along u^a e_a + w xi.
+    Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits."""
+    Om = _frame_rates(data.Gamma, u)
+    return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
+
+
+def _reorthonormalize(chart, x, M, P0, L0t):
     P, Lt = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
-    Mo = Lt @ M @ np.linalg.inv(L0t)
-    U, _, Vt = np.linalg.svd(Mo)
+    U, _, Vt = np.linalg.svd(Lt @ M @ P0)
     return P @ (U @ Vt) @ L0t
 
 
-def _integrate_controls(
-    chart,
-    x0s,
-    controls,
-    verticals,
-    horizon,
-    step,
-    with_M=True,
-    collect=False,
-    raise_on_exit=True,
-):
-    """Lockstep RK4 over a batch of control paths; returns end state.
+def _integrate_positions(chart, paths, step, raise_on_exit=True):
+    """Lockstep RK4 of the positions and theta integrals of control paths
+    that share a horizon and a segment count.
 
-    When ``collect`` is true the per-step positions are recorded.  With
-    ``raise_on_exit=False`` escaped paths are flagged in the returned
-    ``alive`` mask instead of raising.
+    Returns ``(xs, f, alive, h)``: ``xs[p, k, i]`` is the position after i
+    steps of segment k (a segment's last sample is the next one's first)
+    and ``f`` the theta integrals.  With ``raise_on_exit=False`` escaped
+    paths freeze and are flagged in ``alive`` instead of raising.
     """
-    x = np.array(x0s, dtype=float)
-    P_, K, tm = controls.shape
-    M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy() if with_M else None
-    f = np.zeros(P_)
-    alive = np.ones(P_, dtype=bool)
-    seg = horizon / K
+    x, controls, verticals = _path_arrays(paths)
+    P_, K, _ = controls.shape
+    seg = paths[0].horizon / K
     steps = _even_steps(seg, step)
     h = seg / steps
-    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
-    history = [x.copy()] if collect else None
-    total = 0
+    xs = np.empty((P_, K, steps + 1, x.shape[-1]))
+    f = np.zeros(P_)
+    alive = np.ones(P_, dtype=bool)
     for k in range(K):
-        u = controls[:, k, :]
-        w = verticals[:, k]
-
-        def rhs(s, y):
-            return _rhs(chart, y[0], y[1], u, w)
-
-        for _ in range(steps):
-            xn, Mn, fn = _rk4_step(rhs, (x, M, f), h)
+        u, w = controls[:, k, :], verticals[:, k]
+        xs[:, k, 0] = x
+        for i in range(1, steps + 1):
+            xn, fn = _rk4_step(lambda s, y: _rhs(chart, y[0], u, w), (x, f), h)
             # escaped paths stay frozen just outside the boundary, where
             # the chart functions are still well conditioned
-            live = alive[:, None]
-            x = np.where(live, xn, x)
+            x = np.where(alive[:, None], xn, x)
             f = np.where(alive, fn, f)
-            if with_M:
-                M = np.where(live[:, :, None], Mn, M)
-            total += 1
+            xs[:, k, i] = x
             inside = chart.domain.contains(x)
             if not np.all(inside):
                 if raise_on_exit:
                     bad = x[~inside][0]
                     raise DomainError(f"curve left the chart domain at {bad}", point=bad)
                 alive &= inside
-            if with_M and total % REORTH_EVERY == 0:
-                M = _reorthonormalize(chart, x, M, L0t)
-            if collect:
-                history.append(x.copy())
-    return x, M, f, alive, history, h, steps
+    return xs, f, alive, h
+
+
+def _transport_positions(chart, xs, paths, h):
+    """Frame transports along the positions ``xs`` of control paths.
+
+    An RK4 step reads the connection at its start, at its end and at the
+    cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The ends are
+    evaluated first, for the whole batch at once, since their velocities
+    place the midpoints; each evaluation is contracted to its rates at once.
+    The transports are reprojected every ``REORTH_EVERY`` steps.
+    """
+    _, controls, verticals = _path_arrays(paths)
+    P_, K, per, _ = xs.shape
+    tm = controls.shape[-1]
+    vertical = bool(np.any(verticals != 0.0))
+    P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
+    M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
+    end = transport_data(chart, xs[:, 0, 0], vertical=vertical)
+    total = 0
+    for k in range(K):
+        u, w = controls[:, k, :], verticals[:, k]
+        v1, Om1 = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
+        for i in range(1, per):
+            x0, x1, v0, Om0 = xs[:, k, i - 1], xs[:, k, i], v1, Om1
+            end = transport_data(chart, x1, vertical=vertical)
+            v1, Om1 = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
+            mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1),
+                                 vertical=vertical)
+            Om = (Om0, _connection_rates(mid, u, w), Om1)
+            (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
+            total += 1
+            if total % REORTH_EVERY == 0:
+                M = _reorthonormalize(chart, x1, M, P0, L0t)
+    return M
 
 
 def _path_arrays(paths):
@@ -302,22 +312,14 @@ def sample_curve(chart, curve, step=None):
 
 
 def _sample_control_path(chart, path, step):
-    _, _, _, _, history, h, steps = _integrate_controls(
-        chart, *_path_arrays([path]), path.horizon, step, with_M=False, collect=True,
-    )
-    pos = np.concatenate(history, axis=0)  # (K*steps + 1, n)
-    K = path.segments
-    per = steps + 1
+    xs, _, _, h = _integrate_positions(chart, [path], step)
+    _, K, per, n = xs.shape
     # each segment keeps its own copy of its two end samples
-    sel = (np.arange(K)[:, None] * steps + np.arange(per)).ravel()
-    xs, ts = pos[sel], sel * h
-    us = np.repeat(path.controls, per, axis=0)
-    ws = np.repeat(path.vertical, per)
-    piece_slices = [(k * per, k * per + steps) for k in range(K)]
-    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
-    v = np.einsum("...ia,...a->...i", arr.E, us) + ws[:, None] * arr.xi
-    theta_dot = np.einsum("...i,...i->...", arr.th, v)
-    return SampledCurve(ts, xs, us, ws, theta_dot, piece_slices)
+    ts = (np.arange(K)[:, None] * (per - 1) + np.arange(per)).ravel() * h
+    us, ws = np.repeat(path.controls, per, axis=0), np.repeat(path.vertical, per)
+    xs = xs[0].reshape(-1, n)
+    return SampledCurve(ts, xs, us, ws, _rhs(chart, xs, us, ws)[1],
+                        [(k * per, (k + 1) * per - 1) for k in range(K)])
 
 
 def _sample_parametric(chart, curve, step):
@@ -360,21 +362,17 @@ def _split_velocities(chart, xs, vs):
 # transport over sampled curves
 
 
-def _sampled_coefficients(chart, sc, kind):
-    data = frame_data(chart, sc.xs, order=1)
-    Om = _frame_rates(data.Gamma, sc.us)
-    if kind == "adapted":
-        Om = Om + sc.ws[:, None, None] * data.xi_coeffs
-    return Om
-
-
 def _transport_sampled(chart, sc, kind):
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    A = -_sampled_coefficients(chart, sc, kind)
+    data = frame_data(chart, sc.xs, order=1)
+    A = _frame_rates(data.Gamma, sc.us)
+    if kind == "adapted":
+        A = A + sc.ws[:, None, None] * data.xi_coeffs
+    A = -A
     (M,) = _integrate_sampled(sc, lambda i, y: (A[i] @ y[0],), (np.eye(A.shape[-1]),))
     return M
 
@@ -405,8 +403,9 @@ def transport(chart, curve, kind):
     if isinstance(curve, ControlPath):
         if kind == "schouten" and np.any(curve.vertical != 0.0):
             raise ChartError("schouten transport requires a horizontal curve")
-        x, M, *_ = _integrate_controls(chart, *_path_arrays([curve]), curve.horizon, curve.step)
-        return TransportResult(tau=M[0], start=curve.x0, end=x[0])
+        xs, _, _, h = _integrate_positions(chart, [curve], curve.step)
+        tau = _transport_positions(chart, xs, [curve], h)[0]
+        return TransportResult(tau=tau, start=curve.x0, end=xs[0, -1, -1])
     sc = sample_curve(chart, curve)
     return TransportResult(
         tau=_transport_sampled(chart, sc, kind), start=sc.xs[0], end=sc.xs[-1]
@@ -564,8 +563,8 @@ def _sample_and_integrate(
     chart, x0, n_paths, segments, horizon, magnitude, seed, step,
     vertical_magnitudes, max_attempts=60,
 ):
-    """Draw the paths of every half, integrate them in one batch, redraw
-    the ones that escape.
+    """Draw the paths of every half, integrate their positions in one
+    batch, redraw the ones that escape, then transport all in one batch.
 
     Half k draws ``n_paths`` paths whose segments carry Reeb-direction
     controls at ``vertical_magnitudes[k]`` (0 draws horizontal paths); its
@@ -592,27 +591,25 @@ def _sample_and_integrate(
         tm = 2 * chart.m
         empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0))
         return [empty for _ in vertical_magnitudes]
-    x, M, f, alive, _, _, _ = _integrate_controls(
-        chart, *_path_arrays(paths), horizon, step, raise_on_exit=False,
-    )
+    xs, f, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, max_attempts):
         if not len(pending):
             break
         cands = [draw(r, attempt) for r in pending]
-        xr, Mr, fr, ok, _, _, _ = _integrate_controls(
-            chart, *_path_arrays(cands), horizon, step, raise_on_exit=False,
-        )
+        xr, fr, ok, _ = _integrate_positions(chart, cands, step, raise_on_exit=False)
         for j in np.nonzero(ok)[0]:
             r = pending[j]
             paths[r] = cands[j]
-            x[r], M[r], f[r] = xr[j], Mr[j], fr[j]
+            xs[r], f[r] = xr[j], fr[j]
         pending = pending[~ok]
     if len(pending):
         raise SamplingError(
             f"could not sample an in-domain path for index {pending[0] % n_paths} "
             f"after {max_attempts} attempts"
         )
+    M = _transport_positions(chart, xs, paths, h)
+    x = xs[:, -1, -1]
     return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths], f[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
 

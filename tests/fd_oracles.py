@@ -20,11 +20,22 @@ into one, :func:`koszul_moveaxis` permutes slots with ``np.moveaxis``,
 :func:`recip_uncached` is ``Jet._recip`` without its cache and
 :func:`where_reference` is ``jets.where`` lifting a constant branch to a
 zero jet.
+
+:func:`coupled_transport_reference` is the transport of control paths
+that the package ran before it integrated positions first: one RK4 on
+(position, transport, theta integral) that reads the connection at every
+stage position.  :func:`rotated_chart` is a coordinate-change oracle: a
+chart pulled back by a t-dependent rotation of one factor's plane, on
+which ``dxi`` is not zero and the coefficients depend on t.
 """
+
+import dataclasses
 
 import numpy as np
 
-from kcontact.connection import frame_data, transport_data
+from kcontact import jets
+from kcontact import transport as T
+from kcontact.connection import frame_data, orthonormal_frame_change, transport_data
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
 
@@ -215,24 +226,116 @@ def frame_rates_reference(Gamma, u):
     return np.einsum("...cab,...a->...cb", Gamma, u)
 
 
-def rhs_reference(chart, x, M, u, w):
+def rhs_reference(chart, x, u, w):
     """``transport._rhs`` with its contractions as single sums."""
-    vertical = bool(np.any(w != 0.0))
-    if M is None:
-        arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
-        v = np.einsum("...ia,...a->...i", arr.E, u)
-        if vertical:
-            v = v + w[..., None] * arr.xi
-        return v, None, np.einsum("...i,...i->...", arr.th, v)
-    data = transport_data(chart, x, vertical=vertical)
-    v = np.einsum("...ia,...a->...i", data.E, u)
-    if vertical:
-        v = v + w[..., None] * data.xi
-    df = np.einsum("...i,...i->...", data.theta, v)
+    arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
+    v = np.einsum("...ia,...a->...i", arr.E, u)
+    if np.any(w != 0.0):
+        v = v + w[..., None] * arr.xi
+    return v, np.einsum("...i,...i->...", arr.th, v)
+
+
+def connection_rates_reference(chart, x, u, w):
+    """``transport._connection_rates`` of ``transport_data`` as single sums."""
+    data = transport_data(chart, x, vertical=bool(np.any(w != 0.0)))
     Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
-    if vertical:
-        Om = Om + w[..., None, None] * data.xi_coeffs
-    return v, -np.matmul(Om, M), df
+    return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
+
+
+def coupled_transport_reference(chart, paths):
+    """Transports of control paths by the coupled (position, transport,
+    theta) RK4, in which every stage reads the connection at its own stage
+    position.
+
+    The paths share horizon, step and segment count and must stay in the
+    chart domain.  The transports are reprojected onto isometries every
+    ``transport.REORTH_EVERY`` steps, as the package does.  Returns
+    ``(ends, transports, theta_integrals)``.
+    """
+    x = np.stack([p.x0 for p in paths])
+    controls = np.stack([p.controls for p in paths])
+    verticals = np.stack([p.vertical for p in paths])
+    P, K, tm = controls.shape
+    steps = T._even_steps(paths[0].horizon / K, paths[0].step)
+    h = paths[0].horizon / K / steps
+    M = np.broadcast_to(np.eye(tm), (P, tm, tm)).copy()
+    f = np.zeros(P)
+    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
+    total = 0
+    for k in range(K):
+        u, w = controls[:, k], verticals[:, k]
+        vertical = bool(np.any(w != 0.0))
+
+        def rhs(s, y):
+            data = transport_data(chart, y[0], vertical=vertical)
+            v = np.einsum("...ia,...a->...i", data.E, u)
+            Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
+            if vertical:
+                v = v + w[:, None] * data.xi
+                Om = Om + w[:, None, None] * data.xi_coeffs
+            return v, -np.matmul(Om, y[1]), np.einsum("...i,...i->...", data.theta, v)
+
+        for _ in range(steps):
+            x, M, f = T._rk4_step(rhs, (x, M, f), h)
+            total += 1
+            if total % T.REORTH_EVERY == 0:
+                Pt, Lt = orthonormal_frame_change(
+                    chart_arrays(chart, x, order=0, fields=("G",)).G)
+                U, _, Vt = np.linalg.svd(Lt @ M @ np.linalg.inv(L0t))
+                M = Pt @ (U @ Vt) @ L0t
+    return x, M, f
+
+
+def rotated_chart(chart, pair, eps):
+    """The pullback of ``chart`` by phi(x) = (R(eps t)(x_p, x_q), ..., t).
+
+    ``pair = (p, q)`` are two coordinates of one disc or ball factor and t
+    is the last coordinate, so the domain is unchanged.  theta pulls back
+    by the Jacobian of phi, the frame and the Reeb field by its inverse,
+    and the frame metric by composition.  On a chart with Reeb field d/dt
+    the pulled-back Reeb field is d/dt + eps (x_q d/dx_p - x_p d/dx_q): it
+    depends on the point, and the coefficients depend on t.
+    """
+    p, q = pair
+    eps = float(eps)
+
+    def phi(x):
+        c, s = jets.cos(x[-1] * eps), jets.sin(x[-1] * eps)
+        y = list(x)
+        y[p], y[q] = c * x[p] - s * x[q], s * x[p] + c * x[q]
+        return y, c, s
+
+    def pull_vector(X, y, c, s):
+        # the components w with D(phi) w = X: R(-eps t) after the t-column
+        a = X[p] + eps * X[-1] * y[q]
+        b = X[q] - eps * X[-1] * y[p]
+        out = list(X)
+        out[p], out[q] = c * a + s * b, c * b - s * a
+        return out
+
+    def theta(x):
+        y, c, s = phi(x)
+        th = chart.theta(y)
+        out = list(th)
+        out[p], out[q] = c * th[p] + s * th[q], c * th[q] - s * th[p]
+        out[-1] = th[-1] + eps * (th[q] * y[p] - th[p] * y[q])
+        return out
+
+    def xi(x):
+        y, c, s = phi(x)
+        return pull_vector(chart.xi(y), y, c, s)
+
+    def frame(x):
+        y, c, s = phi(x)
+        cols = chart.frame(y)
+        pulled = [pull_vector([row[a] for row in cols], y, c, s) for a in range(2 * chart.m)]
+        return [[col[i] for col in pulled] for i in range(chart.dim)]
+
+    def metric(x):
+        return chart.metric(phi(x)[0])
+
+    return dataclasses.replace(chart, theta=theta, xi=xi, frame=frame, metric=metric,
+                               name=f"rotated[{chart.name}, {pair}, {eps:g}]")
 
 
 def stack_arrays_reference(nested, order, n, batch):

@@ -13,8 +13,12 @@ workload, config, seed and the digest of the report text.
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
 ``kbench/``, prints every report whose digest differs, and exits 1 unless
-all reports are byte-identical.  BLAS runs on one thread, as in ``kbench``.
-A sweep takes about 20 s per checkout.  It is not part of the test suite.
+all reports are byte-identical.  For each differing report it also prints
+the largest relative change ``|new - old| / max(1, |old|)`` over the
+report's float leaves and every other leaf (int, bool, string, list) or
+shape that differs, so "last bits only, structure unchanged" is checked
+by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
+about 20 s per checkout.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -26,6 +30,7 @@ os.environ.update(THREAD_ENV)
 
 import argparse  # noqa: E402
 import hashlib  # noqa: E402
+import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -34,8 +39,8 @@ ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
 
 
-def digests(root):
-    """``(workload, label, seed, sha256)`` of every report, rendered from ``root``."""
+def reports(root):
+    """``(workload, label, seed, text)`` of every report, rendered from ``root``."""
     root = Path(root).resolve()
     sys.path[:0] = [str(root / "src"), str(root / "kbench")]
     import workloads
@@ -48,17 +53,55 @@ def digests(root):
         workload = workloads.load(name, root)
         fn = cli.holonomy_report if workload.pipeline == "holonomy" else cli.verify_report
         for label, cfg in workloads.block(workloads.build(workload), workload.sweeps + EXTRA_SWEEPS):
-            text = cli.render_report(fn(cfg))
-            rows.append((name, label, cfg.sampler.seed, hashlib.sha256(text.encode()).hexdigest()))
+            rows.append((name, label, cfg.sampler.seed, cli.render_report(fn(cfg))))
     return rows
 
 
+def _digest(text):
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def _sweep(root):
-    """The digest lines of ``root``, from a fresh interpreter."""
+    """``{(workload, label, seed): text}`` of ``root``, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
-    out = subprocess.run([sys.executable, __file__, "--root", str(root)], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    return dict((tuple(line.split()[:3]), line.split()[3]) for line in out.splitlines())
+    code = ("import json, sys; sys.path.insert(0, sys.argv[1]); import report_digests; "
+            "json.dump(report_digests.reports(sys.argv[2]), sys.stdout)")
+    out = subprocess.run([sys.executable, "-c", code, str(Path(__file__).parent), str(root)],
+                         env=env, capture_output=True, text=True, check=True).stdout
+    return {(w, label, str(seed)): text for w, label, seed, text in json.loads(out)}
+
+
+def _is_number(x):
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def _has_float(node):
+    if isinstance(node, dict):
+        return any(_has_float(v) for v in node.values())
+    if isinstance(node, list):
+        return any(_has_float(v) for v in node)
+    return isinstance(node, float)
+
+
+def leaf_changes(old, new, path=""):
+    """``(largest relative float change, [(path, old, new), ...])`` of two
+    parsed reports.
+
+    A float that renders as an integer parses as an int, so a number that
+    is a float on either side counts as a float leaf.  Lists without floats
+    are compared whole; a dict whose keys or a list whose length changed is
+    a change of shape at its path.
+    """
+    if _is_number(old) and _is_number(new) and (isinstance(old, float) or isinstance(new, float)):
+        return abs(new - old) / max(1.0, abs(old)), []
+    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
+        parts = [leaf_changes(old[k], new[k], f"{path}.{k}") for k in sorted(old)]
+    elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
+          and _has_float(old + new)):
+        parts = [leaf_changes(a, b, f"{path}[{i}]") for i, (a, b) in enumerate(zip(old, new))]
+    else:
+        return 0.0, ([] if old == new else [(path, old, new)])
+    return max((r for r, _ in parts), default=0.0), [c for _, cs in parts for c in cs]
 
 
 def compare(old, new):
@@ -66,7 +109,10 @@ def compare(old, new):
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
     missing = sorted(a.keys() ^ b.keys())
     for key in differ:
-        print("differs:", *key)
+        rel, changes = leaf_changes(json.loads(a[key]), json.loads(b[key]))
+        print("differs:", *key, f"largest relative float change {rel:.2e}")
+        for path, was, now in changes:
+            print(f"  other leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
     same = len(a.keys() & b.keys()) - len(differ)
@@ -81,8 +127,8 @@ def main(argv=None):
     args = p.parse_args(argv)
     if args.compare:
         return compare(*args.compare)
-    for row in digests(args.root):
-        print(*row)
+    for *row, text in reports(args.root):
+        print(*row, _digest(text))
     return 0
 
 

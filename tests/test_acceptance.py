@@ -7,6 +7,7 @@ charts; nothing here is tuned to the implementation.
 """
 
 import numpy as np
+import pytest
 
 from kcontact import connection as C
 from kcontact import manifolds as M
@@ -16,6 +17,7 @@ from kcontact import transverse as TV
 from kcontact.holonomy import compare_subalgebras, t_complement
 
 from conftest import domain_points
+from fd_oracles import rotated_chart
 
 ALL_CHARTS = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
               "perturbed_disc_disc"]
@@ -252,9 +254,15 @@ def test_criterion_8_spinor_suite(charts, algebra_cache):
          f"unequal-weight kernel {k12} with ratios unsatisfiable")
 
 
-def test_criterion_9_integrator_order(charts):
-    chart = charts["disc_disc_11"]
-    rng = np.random.default_rng(110)
+@pytest.mark.parametrize("case", [("disc_disc_11", None, 110), ("disc_disc_12", None, 15),
+                                  ("disc_disc_12", 0.7, 110)],
+                         ids=["disc_disc_11", "disc_disc_12", "rotated_disc_disc_12"])
+def test_criterion_9_integrator_order(charts, case):
+    # the rotated chart's Reeb field and t-dependent coefficients put the
+    # Hermite midpoints of the transport pass to the test
+    name, eps, seed = case
+    chart = charts[name] if eps is None else rotated_chart(charts[name], (0, 1), eps)
+    rng = np.random.default_rng(seed)
     controls = rng.normal(0, 0.5, (3, 4))
     h0 = 0.12
 
@@ -266,6 +274,6 @@ def test_criterion_9_integrator_order(charts):
     e1 = float(np.linalg.norm(tau(h0) - ref))
     e2 = float(np.linalg.norm(tau(h0 / 2) - ref))
     ratio = e1 / e2
-    emit("criterion-9 integrator order",
+    emit(f"criterion-9 integrator order ({chart.name})",
          11.0 < ratio < 22.0,
          f"error {e1:.2e} -> {e2:.2e}, ratio {ratio:.1f} (expect ~16)")

@@ -385,27 +385,28 @@ def test_horizontal_pass_ignores_vertical_magnitude():
 @pytest.mark.parametrize("command", ["holonomy", "spinor"])
 def test_report_integrates_one_batch(monkeypatch, command):
     # heisenberg paths never escape, so the horizontal and the adapted
-    # half of the one sampling pass are integrated as a single batch
+    # half of the one sampling pass make one positions pass and one
+    # transport pass
     from kcontact import holonomy, transport
 
-    calls = {"integrate": 0, "pass": 0}
-    integrate, sample_pass = transport._integrate_controls, holonomy.sampled_path_transports
+    calls = {"positions": 0, "transport": 0, "pass": 0}
+    positions, transports = transport._integrate_positions, transport._transport_positions
+    sample_pass = holonomy.sampled_path_transports
 
-    def counting_integrate(*args, **kwargs):
-        calls["integrate"] += 1
-        return integrate(*args, **kwargs)
+    def counting(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
-    def counting_pass(*args, **kwargs):
-        calls["pass"] += 1
-        return sample_pass(*args, **kwargs)
-
-    monkeypatch.setattr(transport, "_integrate_controls", counting_integrate)
-    monkeypatch.setattr(holonomy, "sampled_path_transports", counting_pass)
+    monkeypatch.setattr(transport, "_integrate_positions", counting("positions", positions))
+    monkeypatch.setattr(transport, "_transport_positions", counting("transport", transports))
+    monkeypatch.setattr(holonomy, "sampled_path_transports", counting("pass", sample_pass))
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"))
     cfg.sampler = replace(cfg.sampler, n_paths=16)
     report = cli.holonomy_report(cfg) if command == "holonomy" else cli.spinor_report(cfg)
     assert report["command"] == command
-    assert calls == {"integrate": 1, "pass": 1}
+    assert calls == {"positions": 1, "transport": 1, "pass": 1}
 
 
 def test_closure_blow_up_exit_5(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +10,12 @@ from kcontact.errors import ChartError, DomainError, SamplingError
 from kcontact.manifolds import FactorSpec, chart_arrays, product_construction
 
 from conftest import domain_points
-from fd_oracles import rhs_reference
+from fd_oracles import (
+    connection_rates_reference,
+    coupled_transport_reference,
+    rhs_reference,
+    rotated_chart,
+)
 
 # one curved chart for each 2m in {4, 6, 8}
 RHS_FACTORS = {
@@ -301,18 +307,20 @@ REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
 
 
 def _reference_pass(chart, x0, s, vertical):
-    """Per-index, attempt-by-attempt reference for one half of a pass."""
+    """Per-index, attempt-by-attempt reference for one half of a pass:
+    ``transport`` of each path on its own."""
+    kind = "adapted" if vertical else "schouten"
     out = []
     for i in range(s.n_paths):
         for attempt in range(60):
             path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
                                 s.seed, s.step, vertical, i, attempt)
             try:
-                x, M, f, _, _, _, _ = T._integrate_controls(
-                    chart, *T._path_arrays([path]), s.horizon, s.step)
+                res = T.transport(chart, path, kind)
             except DomainError:
                 continue
-            out.append((attempt, path, x[0], M[0], f[0]))
+            _, f, _, _ = T._integrate_positions(chart, [path], s.step)
+            out.append((attempt, path, res.end, res.tau, f[0]))
             break
     return out
 
@@ -375,33 +383,52 @@ def test_two_half_exhaustion_names_index_within_half(charts):
     assert len(horizontal[0]) == len(adapted[0]) == s.n_paths
 
 
-def test_integrator_fourth_order(charts):
-    chart = charts["disc_disc_12"]
-    rng = np.random.default_rng(15)
-    controls = rng.normal(0, 0.5, (3, 4))
-    h0 = 0.12
-
-    def tau(step):
-        path = T.ControlPath(np.zeros(5), controls, horizon=1.2, step=step)
-        return T.transport(chart, path, "schouten").tau
-
-    ref = tau(h0 / 8)
-    e1 = np.linalg.norm(tau(h0) - ref)
-    e2 = np.linalg.norm(tau(h0 / 2) - ref)
-    ratio = e1 / e2
-    assert 11.0 < ratio < 22.0, (e1, e2, ratio)
+def _pass_and_reference(chart, sampler):
+    """The largest differences of ends, transports and theta integrals
+    between a sampling pass and the coupled reference on its paths."""
+    worst = np.zeros(3)
+    for paths, *got in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
+        for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
+            worst[i] = max(worst[i], np.max(np.abs(g - r)))
+    return worst
 
 
-def test_sampled_route_matches_joint_route(charts):
-    chart = charts["disc_disc_12"]
-    rng = np.random.default_rng(16)
-    controls = rng.normal(0, 0.3, (2, 4))
-    vertical = np.array([0.5, -0.3])
-    path = T.ControlPath(np.zeros(5), controls, horizon=0.8, step=0.005,
-                         vertical=vertical)
-    joint = T.transport(chart, path, "adapted").tau
-    sampled = T._transport_sampled(chart, T.sample_curve(chart, path), "adapted")
-    assert np.max(np.abs(joint - sampled)) < 1e-6
+@pytest.mark.parametrize("name", ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
+                                  "perturbed_disc_disc"])
+def test_transport_pass_matches_coupled_reference(charts, name):
+    # every built-in chart moves its horizontal coordinates linearly and
+    # has t-independent coefficients, so the Hermite midpoints and the
+    # coupled stage positions read the same connection up to rounding
+    worst = _pass_and_reference(charts[name], T.SamplerConfig(n_paths=6, seed=21))
+    assert np.all(worst <= 1e-13), worst
+    if name == "bergman":
+        # the redraw sampler: later attempts replace escaped rows
+        worst = _pass_and_reference(charts[name], REDRAW_SAMPLER)
+        assert np.all(worst <= 1e-13), worst
+
+
+def test_transport_pass_on_rotated_chart_matches_coupled_reference(charts):
+    # on a rotated chart the Hermite midpoints and the coupled stage
+    # positions read different connections: the transports differ by the
+    # two schemes' O(h^4) truncation errors (measured 1.03e-8), while the
+    # positions, integrated alike, agree to rounding (1.1e-16)
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    worst = _pass_and_reference(chart, T.SamplerConfig(n_paths=6, seed=21))
+    assert worst[0] <= 1e-15 and worst[2] <= 1e-15, worst
+    assert 1e-9 < worst[1] < 2e-8, worst
+
+
+def test_sampled_route_matches_transport_pass(charts):
+    # the sampled-curve RK4 over a control path's samples (one step per two
+    # sample intervals) against the positions-first pass
+    plain = charts["disc_disc_12"]
+    for chart in (plain, rotated_chart(plain, (0, 1), 0.7)):
+        rng = np.random.default_rng(16)
+        path = T.ControlPath(np.zeros(5), rng.normal(0, 0.3, (2, 4)), horizon=0.8,
+                             step=0.005, vertical=np.array([0.5, -0.3]))
+        tau = T.transport(chart, path, "adapted").tau
+        sampled = T._transport_sampled(chart, T.sample_curve(chart, path), "adapted")
+        assert np.max(np.abs(tau - sampled)) < 1e-6
 
 
 def test_nonpositive_step_is_rejected(charts):
@@ -443,35 +470,38 @@ def _rhs_inputs(m, batch, seed):
     chart = product_construction(RHS_FACTORS[m])
     rng = np.random.default_rng([m, len(batch), seed])
     x = domain_points(chart, max(1, int(np.prod(batch))), seed=seed).reshape(batch + (-1,))
-    tm = 2 * m
-    M = np.eye(tm) + 0.3 * rng.standard_normal(batch + (tm, tm))
-    u = rng.standard_normal(batch + (tm,))
+    u = rng.standard_normal(batch + (2 * m,))
     w = 0.5 + rng.random(batch)
-    return chart, x, M, u, w
+    return chart, x, u, w
 
 
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
-@pytest.mark.parametrize("with_M", [True, False], ids=["transport", "positions"])
-def test_rhs_matches_reference(m, batch, with_M):
-    chart, x, M, u, w = _rhs_inputs(m, batch, seed=3)
-    M = M if with_M else None
+@pytest.mark.parametrize("part", ["transport", "positions"])
+def test_rhs_matches_reference(m, batch, part):
+    # "positions": the position and theta rates; "transport": the
+    # connection matrix that the transport pass contracts
+    chart, x, u, w = _rhs_inputs(m, batch, seed=3)
     th = chart_arrays(chart, x, order=0, fields=("th",)).th
-    for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rhs
-        got, ref = T._rhs(chart, x, M, *uw), rhs_reference(chart, x, M, *uw)
-        assert (got[1] is None) == (ref[1] is None) == (M is None)
-        # theta(v) cancels to rounding on horizontal rows: scale it by its terms
-        scales = (np.abs(ref[0]), None if M is None else np.abs(ref[1]),
-                  np.sum(np.abs(th * ref[0]), axis=-1))
+    for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rates
+        if part == "transport":
+            data = C.transport_data(chart, x, vertical=bool(np.any(uw[1])))
+            got = (T._connection_rates(data, *uw),)
+            ref = (connection_rates_reference(chart, x, *uw),)
+            scales = (np.abs(ref[0]),)
+        else:
+            got, ref = T._rhs(chart, x, *uw), rhs_reference(chart, x, *uw)
+            # theta(v) cancels to rounding on horizontal rows: scale it by its terms
+            scales = (np.abs(ref[0]), np.sum(np.abs(th * ref[0]), axis=-1))
         for g, r, scale in zip(got, ref, scales, strict=True):
-            if r is not None:
-                assert g.shape == r.shape
-                assert np.max(np.abs(g - r)) <= 1e-13 * np.max(scale)
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-13 * np.max(scale)
 
 
-def test_rhs_makes_no_einsum_call(monkeypatch):
+def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     # connection, manifolds and transport reach np.einsum through the numpy
-    # module; the transport right-hand side is contracted by matmuls only
+    # module; the position rates and the whole sampling pass, transport
+    # included, are contracted by matmuls only
     calls = []
     einsum = np.einsum
 
@@ -479,12 +509,31 @@ def test_rhs_makes_no_einsum_call(monkeypatch):
         calls.append(subscripts)
         return einsum(subscripts, *operands, **kwargs)
 
-    chart, x, M, u, w = _rhs_inputs(2, (8,), seed=4)
+    chart, x, u, w = _rhs_inputs(2, (8,), seed=4)
     monkeypatch.setattr(np, "einsum", counting_einsum)
-    v, dM, df = T._rhs(chart, x, M, u, w)
+    v, df = T._rhs(chart, x, u, w)
+    sampler = T.SamplerConfig(n_paths=2, segments=2, horizon=0.2)
+    halves = T.sampled_path_transports(charts["bergman"], np.zeros(5), sampler)
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
-    assert v.shape == (8, 5) and dM.shape == (8, 4, 4) and df.shape == (8,)
+    assert v.shape == (8, 5) and df.shape == (8,)
+    assert [taus.shape for _, _, taus, _ in halves] == [(2, 4, 4)] * 2
+
+
+def test_sampling_pass_memory_is_bounded(charts):
+    # a 64-path bergman pass (128 rows, both halves) peaks at 1.6 MB: the
+    # positions plus one 128-row transport evaluation; Gamma kept at every
+    # sample would take about 29 MB
+    chart = charts["bergman"]
+    sampler = T.SamplerConfig(n_paths=64)
+    T.sampled_path_transports(chart, np.zeros(5), sampler)
+    tracemalloc.start()
+    try:
+        T.sampled_path_transports(chart, np.zeros(5), sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, peak
 
 
 def test_segment_step_count_is_bounded():
