@@ -57,10 +57,6 @@ def reports(root):
     return rows
 
 
-def _digest(text):
-    return hashlib.sha256(text.encode()).hexdigest()
-
-
 def _sweep(root):
     """``{(workload, label, seed): text}`` of ``root``, from a fresh interpreter."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
@@ -128,7 +124,7 @@ def main(argv=None):
     if args.compare:
         return compare(*args.compare)
     for *row, text in reports(args.root):
-        print(*row, _digest(text))
+        print(*row, hashlib.sha256(text.encode()).hexdigest())
     return 0
 
 
