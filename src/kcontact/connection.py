@@ -153,7 +153,6 @@ class TransportData:
 
     E: np.ndarray
     xi: np.ndarray
-    theta: np.ndarray
     Gamma: np.ndarray
     xi_coeffs: np.ndarray = None
 
@@ -168,12 +167,12 @@ def transport_data(chart, X, vertical=False):
     contraction on the way (brackets, frame solve, Koszul terms, Reeb
     brackets) is a batched matmul; none goes through ``np.einsum``.
     """
-    arr = chart_arrays(chart, X, order=1)
+    arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr)
     tm = arr.E.shape[-1]
     _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :])
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, arr.xi, arr.th, Gam, xi_coeffs)
+    return TransportData(arr.E, arr.xi, Gam, xi_coeffs)
 
 
 def frame_data(chart, X, order=1):

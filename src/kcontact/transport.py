@@ -11,11 +11,11 @@ samples with frame-split velocities, on which the sampled-coefficient RK4
 transport operates.  Control paths are transported positions first: one
 RK4 pass integrates the positions alone and settles escapes, then one RK4
 pass transports the frame, reading the connection at each step's end and
-at its cubic-Hermite midpoint.  The holonomy sampler runs both passes in
-batch: one sampling pass draws a horizontal and an adapted half of random
-control paths, integrates their positions as one lockstep batch, redraws
-escaped paths, each from its own (seed, index, attempt) stream, and
-transports the accepted ones.
+at its cubic-Hermite midpoint, evaluated over blocks of steps.  The
+holonomy sampler runs both passes in batch: one sampling pass draws a
+horizontal and an adapted half of random control paths, integrates their
+positions as one lockstep batch, redraws escaped paths, each from its own
+(seed, index, attempt) stream, and transports the accepted ones.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves every
 ODE here: positions, the frame transports of control paths and sampled
@@ -164,6 +164,7 @@ def _even_steps(duration, step):
 # the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
+ROWS = 128  # rows per connection evaluation of the transport pass, at least one step
 
 
 def _rk4_step(rhs, y, h):
@@ -261,33 +262,41 @@ def _transport_positions(chart, xs, paths, h):
 
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  The ends are
-    evaluated first, for the whole batch at once, since their velocities
-    place the midpoints; each evaluation is contracted to its rates at once.
-    The transports are reprojected every ``REORTH_EVERY`` steps.
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  A segment's steps
+    go in blocks of ``max(1, ROWS // P)`` for P paths: the block's ends are
+    evaluated in one call, since their velocities place the midpoints, then
+    its midpoints in another; each evaluation is contracted to its rates at
+    once.  The transports are reprojected every ``REORTH_EVERY`` steps.
     """
     _, controls, verticals = _path_arrays(paths)
     P_, K, per, _ = xs.shape
     tm = controls.shape[-1]
     vertical = bool(np.any(verticals != 0.0))
+    block = max(1, ROWS // P_)
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end = transport_data(chart, xs[:, 0, 0], vertical=vertical)
+    end = transport_data(chart, xs[:, 0, :1], vertical=vertical)
     total = 0
     for k in range(K):
-        u, w = controls[:, k, :], verticals[:, k]
-        v1, Om1 = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
-        for i in range(1, per):
-            x0, x1, v0, Om0 = xs[:, k, i - 1], xs[:, k, i], v1, Om1
-            end = transport_data(chart, x1, vertical=vertical)
-            v1, Om1 = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
-            mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1),
-                                 vertical=vertical)
-            Om = (Om0, _connection_rates(mid, u, w), Om1)
-            (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
-            total += 1
-            if total % REORTH_EVERY == 0:
-                M = _reorthonormalize(chart, x1, M, P0, L0t)
+        # a segment starts at the last evaluated end, under its own controls
+        u, w = controls[:, k, None, :], verticals[:, k, None]
+        v1, Om1 = _velocity(end.E, end.xi, u, w)[:, -1], _connection_rates(end, u, w)[:, -1]
+        for a in range(1, per, block):
+            b = min(a + block, per)
+            end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
+            v, Om_end = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
+            v0 = np.concatenate([v1[:, None], v[:, :-1]], axis=1)
+            mid = transport_data(chart, 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
+                                 + (0.125 * h) * (v0 - v), vertical=vertical)
+            Om_mid = _connection_rates(mid, u, w)
+            for j in range(b - a):
+                Om = (Om1, Om_mid[:, j], Om_end[:, j])
+                (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
+                Om1 = Om_end[:, j]
+                total += 1
+                if total % REORTH_EVERY == 0:
+                    M = _reorthonormalize(chart, xs[:, k, a + j], M, P0, L0t)
+            v1 = v[:, -1]
     return M
 
 

@@ -24,9 +24,13 @@ zero jet.
 :func:`coupled_transport_reference` is the transport of control paths
 that the package ran before it integrated positions first: one RK4 on
 (position, transport, theta integral) that reads the connection at every
-stage position.  :func:`rotated_chart` is a coordinate-change oracle: a
-chart pulled back by a t-dependent rotation of one factor's plane, on
-which ``dxi`` is not zero and the coefficients depend on t.
+stage position.  :func:`transport_positions_per_step` is the frame
+transport over integrated positions as the package ran it before it
+evaluated the connection over blocks of steps: one evaluation of the ends
+and one of the midpoints per step, a bit-for-bit oracle.
+:func:`rotated_chart` is a coordinate-change oracle: a chart pulled back
+by a t-dependent rotation of one factor's plane, on which ``dxi`` is not
+zero and the coefficients depend on t.
 """
 
 import dataclasses
@@ -268,12 +272,13 @@ def coupled_transport_reference(chart, paths):
 
         def rhs(s, y):
             data = transport_data(chart, y[0], vertical=vertical)
+            th = chart_arrays(chart, y[0], order=0, fields=("th",)).th
             v = np.einsum("...ia,...a->...i", data.E, u)
             Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
             if vertical:
                 v = v + w[:, None] * data.xi
                 Om = Om + w[:, None, None] * data.xi_coeffs
-            return v, -np.matmul(Om, y[1]), np.einsum("...i,...i->...", data.theta, v)
+            return v, -np.matmul(Om, y[1]), np.einsum("...i,...i->...", th, v)
 
         for _ in range(steps):
             x, M, f = T._rk4_step(rhs, (x, M, f), h)
@@ -284,6 +289,34 @@ def coupled_transport_reference(chart, paths):
                 U, _, Vt = np.linalg.svd(Lt @ M @ np.linalg.inv(L0t))
                 M = Pt @ (U @ Vt) @ L0t
     return x, M, f
+
+
+def transport_positions_per_step(chart, xs, paths, h):
+    """``transport._transport_positions`` with one connection evaluation of
+    the ends and one of the midpoints per RK4 step, whatever the batch."""
+    _, controls, verticals = T._path_arrays(paths)
+    P_, K, per, _ = xs.shape
+    tm = controls.shape[-1]
+    vertical = bool(np.any(verticals != 0.0))
+    P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
+    M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
+    end = transport_data(chart, xs[:, 0, 0], vertical=vertical)
+    total = 0
+    for k in range(K):
+        u, w = controls[:, k, :], verticals[:, k]
+        v1, Om1 = T._velocity(end.E, end.xi, u, w), T._connection_rates(end, u, w)
+        for i in range(1, per):
+            x0, x1, v0, Om0 = xs[:, k, i - 1], xs[:, k, i], v1, Om1
+            end = transport_data(chart, x1, vertical=vertical)
+            v1, Om1 = T._velocity(end.E, end.xi, u, w), T._connection_rates(end, u, w)
+            mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1),
+                                 vertical=vertical)
+            Om = (Om0, T._connection_rates(mid, u, w), Om1)
+            (M,) = T._rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
+            total += 1
+            if total % T.REORTH_EVERY == 0:
+                M = T._reorthonormalize(chart, x1, M, P0, L0t)
+    return M
 
 
 def rotated_chart(chart, pair, eps):

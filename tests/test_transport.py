@@ -15,6 +15,7 @@ from fd_oracles import (
     coupled_transport_reference,
     rhs_reference,
     rotated_chart,
+    transport_positions_per_step,
 )
 
 # one curved chart for each 2m in {4, 6, 8}
@@ -418,6 +419,54 @@ def test_transport_pass_on_rotated_chart_matches_coupled_reference(charts):
     assert 1e-9 < worst[1] < 2e-8, worst
 
 
+# (paths, step): one path in one block per segment; 10 paths in blocks of
+# 12 + 4 steps; 16 paths at 60 steps per segment, whose 50th step, a
+# reprojection, falls inside a block; 128 paths at one step per block
+BLOCK_CASES = [(1, 0.02), (10, 0.02), (16, 0.005), (128, 0.02)]
+
+
+@pytest.mark.parametrize("n_paths, step", BLOCK_CASES)
+@pytest.mark.parametrize("vertical", [0.0, 0.45])
+def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
+    # evaluating the connection over blocks of steps changes no bit of the
+    # transports against one evaluation of the ends and one of the
+    # midpoints per step; on the rotated chart the midpoints' t-coordinates
+    # and the Reeb brackets enter the connection
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    x0 = np.zeros(chart.dim)
+    paths = [T._draw_path(chart, x0, 4, 1.2, 0.45, 17, step, vertical, i, 0)
+             for i in range(n_paths)]
+    xs, _, _, h = T._integrate_positions(chart, paths, step)
+    got = T._transport_positions(chart, xs, paths, h)
+    assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
+
+
+@pytest.mark.parametrize("n_paths, rows", [(64, 128), (8, 16), (None, 1)])
+def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, n_paths, rows):
+    # a pass over P rows evaluates the connection over blocks of
+    # max(1, ROWS // P) of a segment's 16 steps: the 64-path pass (both
+    # halves, 128 rows) still makes one call per step, an 8-path pass and
+    # a single path make one per block; every pass evaluates its start and
+    # two samples per step, as the per-step loop does
+    chart = charts["heisenberg"]
+    counts = {"calls": 0, "points": 0}
+    evaluate = T.transport_data
+
+    def counting(chart, X, vertical=False):
+        counts["calls"] += 1
+        counts["points"] += int(np.prod(np.shape(X)[:-1]))
+        return evaluate(chart, X, vertical=vertical)
+
+    monkeypatch.setattr(T, "transport_data", counting)
+    if n_paths is None:
+        path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
+        T.transport(chart, path, "schouten")
+    else:
+        T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths))
+    block = max(1, T.ROWS // rows)
+    assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": rows * (1 + 2 * 4 * 16)}
+
+
 def test_sampled_route_matches_transport_pass(charts):
     # the sampled-curve RK4 over a control path's samples (one step per two
     # sample intervals) against the positions-first pass
@@ -518,6 +567,23 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     assert calls == []
     assert v.shape == (8, 5) and df.shape == (8,)
     assert [taus.shape for _, _, taus, _ in halves] == [(2, 4, 4)] * 2
+
+
+def test_wide_sampling_pass_memory_is_bounded():
+    # an 8-path pass on three discs (2m = 6, both halves: 16 rows)
+    # evaluates the connection over blocks of 8 steps, 128 rows per call,
+    # and peaks at 3.3 MB (0.5 MB at one step per call, 6.1 MB at 256 rows
+    # per call); the bound leaves 20%
+    chart = product_construction(RHS_FACTORS[3])
+    sampler = T.SamplerConfig(n_paths=8)
+    T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
+    tracemalloc.start()
+    try:
+        T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, peak
 
 
 def test_sampling_pass_memory_is_bounded(charts):
