@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import warnings
 from dataclasses import dataclass, field, replace
@@ -34,6 +33,7 @@ from .manifolds import (
     FACTOR_KINDS,
     chart_from_config,
     chart_invariant_residuals,
+    config_float,
     config_int,
     random_domain_points,
 )
@@ -92,17 +92,14 @@ class RunConfig:
         samp = raw.get("sampler", {})
         if not isinstance(samp, dict):
             raise ConfigError("'sampler' must be an object")
-        try:
-            sampler = SamplerConfig(
-                n_paths=config_int(samp.get("n_paths", 64), "sampler n_paths"),
-                segments=config_int(samp.get("segments", 4), "sampler segments"),
-                horizon=float(samp.get("horizon", 1.2)),
-                magnitude=float(samp.get("magnitude", 0.45)),
-                step=float(samp.get("step", 0.02)),
-                seed=config_int(samp.get("seed", 0), "sampler seed"),
-            )
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad sampler parameters: {exc}") from exc
+        sampler = SamplerConfig(
+            n_paths=config_int(samp.get("n_paths", 64), "sampler n_paths"),
+            segments=config_int(samp.get("segments", 4), "sampler segments"),
+            horizon=config_float(samp.get("horizon", 1.2), "sampler horizon"),
+            magnitude=config_float(samp.get("magnitude", 0.45), "sampler magnitude"),
+            step=config_float(samp.get("step", 0.02), "sampler step"),
+            seed=config_int(samp.get("seed", 0), "sampler seed"),
+        )
         for name in ("n_paths", "magnitude"):
             if getattr(sampler, name) < 0:
                 raise ConfigError(f"sampler {name} must be >= 0, got {getattr(sampler, name)}")
@@ -111,9 +108,6 @@ class RunConfig:
                 raise ConfigError(f"sampler {name} must be > 0, got {getattr(sampler, name)}")
         if sampler.seed < 0:
             raise ConfigError("sampler seed must be nonnegative")
-        for name in ("horizon", "magnitude", "step"):
-            if not math.isfinite(getattr(sampler, name)):
-                raise ConfigError(f"sampler {name} must be finite")
         steps = sampler.horizon / sampler.segments / sampler.step
         if steps > MAX_SEGMENT_STEPS:
             raise ConfigError(f"sampler horizon / segments / step must be <= "
@@ -121,23 +115,17 @@ class RunConfig:
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")
-        base = raw.get("base_point")
-        try:
-            span_tol = float(tols.get("span_tol", 1e-6))
-            ode_tol = float(tols.get("ode_tol", 1e-6))
-            base_point = None if base is None else np.asarray(base, dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad tolerances or base_point: {exc}") from exc
-        if not (math.isfinite(span_tol) and math.isfinite(ode_tol)):
-            raise ConfigError("tolerances must be finite")
+        span_tol = config_float(tols.get("span_tol", 1e-6), "span_tol")
+        ode_tol = config_float(tols.get("ode_tol", 1e-6), "ode_tol")
         if not 0.0 < span_tol < 1.0:
             raise ConfigError(f"span_tol must lie in (0, 1), got {span_tol}")
         if not ode_tol > 0.0:
             raise ConfigError(f"ode_tol must be positive, got {ode_tol}")
-        if base_point is not None and (
-            base_point.ndim != 1 or not np.all(np.isfinite(base_point))
-        ):
+        base = raw.get("base_point")
+        if base is not None and not isinstance(base, list):
             raise ConfigError("base_point must be a list of finite numbers")
+        base_point = None if base is None else np.array(
+            [config_float(v, "base_point entry") for v in base], dtype=float)
         outputs = raw.get("outputs", {})
         if not isinstance(outputs, dict):
             raise ConfigError("'outputs' must be an object")

@@ -227,7 +227,7 @@ def _sampling_pass(chart, x, sampler, halves):
     results = sampled_path_transports(chart, x, sampler, halves)
     base = _ortho_endpoint_data(chart, x[None])
     ends = dict.fromkeys(halves)
-    for half, (paths, points, taus, _) in zip(halves, results):
+    for half, (paths, points, taus) in zip(halves, results):
         if paths:
             data, P, Pinv = _ortho_endpoint_data(chart, points)
             ends[half] = (ortho_transports(taus, Pinv, base[1][0]), data, P, Pinv)

@@ -29,6 +29,7 @@ __all__ = [
     "product_construction",
     "chart_from_config",
     "config_int",
+    "config_float",
     "example_charts",
     "random_domain_points",
     "chart_invariant_residuals",
@@ -348,6 +349,17 @@ def config_int(value, what):
     raise ConfigError(f"{what} must be an integer, got {value!r}")
 
 
+def config_float(value, what):
+    """A real-valued configuration field: a finite int or float.
+
+    Booleans, strings, non-finite values and non-numbers raise
+    :class:`ConfigError` instead of being coerced by ``float()``.
+    """
+    if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+        return float(value)
+    raise ConfigError(f"{what} must be a finite number, got {value!r}")
+
+
 def chart_from_config(cfg: dict):
     """Build a chart from the JSON configuration schema."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -370,9 +382,9 @@ def chart_from_config(cfg: dict):
                     FactorSpec(
                         kind=item["kind"],
                         complex_dim=config_int(item.get("complex_dim", 1), "complex_dim"),
-                        b=float(item.get("b", 1.0)),
-                        curvature=float(item.get("curvature", 1.0)),
-                        epsilon=float(item.get("epsilon", 0.0)),
+                        b=config_float(item.get("b", 1.0), "factor b"),
+                        curvature=config_float(item.get("curvature", 1.0), "factor curvature"),
+                        epsilon=config_float(item.get("epsilon", 0.0), "factor epsilon"),
                     )
                 )
             except (KeyError, TypeError, ValueError) as exc:

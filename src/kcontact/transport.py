@@ -12,6 +12,8 @@ transport operates.  Control paths are transported positions first: one
 RK4 pass integrates the positions alone and settles escapes, then one RK4
 pass transports the frame, reading the connection at each step's end and
 at its cubic-Hermite midpoint, evaluated over blocks of steps.  The
+positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  Both
+routes read the connection through ``connection.transport_data``.  The
 holonomy sampler runs both passes in batch: one sampling pass draws a
 horizontal and an adapted half of random control paths, integrates their
 positions as one lockstep batch, redraws escaped paths, each from its own
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import frame_data, ortho_transports, orthonormal_frame_change, transport_data
+from .connection import ortho_transports, orthonormal_frame_change, transport_data
 from .errors import ChartError, DomainError, SamplingError
 from .manifolds import chart_arrays
 
@@ -93,16 +95,6 @@ class ParametricCurve:
 
     pieces: list
 
-    @property
-    def horizon(self):
-        return sum(p[0] for p in self.pieces)
-
-    def start(self):
-        return np.asarray(self.pieces[0][1](np.zeros(1))[0], dtype=float)
-
-    def end(self):
-        return np.asarray(self.pieces[-1][1](np.ones(1))[0], dtype=float)
-
 
 @dataclass
 class SampledCurve:
@@ -122,10 +114,6 @@ class SampledCurve:
     ws: np.ndarray
     theta_dot: np.ndarray
     piece_slices: list
-
-    @property
-    def horizon(self):
-        return float(self.ts[-1] - self.ts[0])
 
 
 @dataclass
@@ -196,22 +184,17 @@ def _velocity(E, xi, u, w):
 
 
 def _rhs(chart, x, u, w):
-    """Derivatives of (position, theta integral), from plain chart values."""
-    data = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
-    v = _velocity(data.E, data.xi, u, w)
-    return v, (data.th[..., None, :] @ v[..., None])[..., 0, 0]
-
-
-def _frame_rates(Gamma, u):
-    """``Gamma[..., c, a, b] u[..., a]``: the connection matrix along the frame
-    velocity u, as one batched matmul."""
-    return (u[..., None, None, :] @ Gamma)[..., 0, :]
+    """The velocity u^a e_a + w xi of a position, from plain chart values."""
+    data = chart_arrays(chart, x, order=0, fields=("xi", "E"))
+    return _velocity(data.E, data.xi, u, w)
 
 
 def _connection_rates(data, u, w):
-    """The connection matrix of ``transport_data`` along u^a e_a + w xi.
-    Rows with w = 0 add 0 * xi_coeffs: they keep the Schouten bits."""
-    Om = _frame_rates(data.Gamma, u)
+    """The connection matrix of ``transport_data`` along u^a e_a + w xi:
+    ``Gamma[..., c, a, b] u[..., a]`` as one batched matmul, plus
+    ``w xi_coeffs`` when the data has them.  Rows with w = 0 add
+    0 * xi_coeffs: they keep the Schouten bits."""
+    Om = (u[..., None, None, :] @ data.Gamma)[..., 0, :]
     return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
 
 
@@ -222,13 +205,13 @@ def _reorthonormalize(chart, x, M, P0, L0t):
 
 
 def _integrate_positions(chart, paths, step, raise_on_exit=True):
-    """Lockstep RK4 of the positions and theta integrals of control paths
-    that share a horizon and a segment count.
+    """Lockstep RK4 of the positions of control paths that share a horizon
+    and a segment count.
 
-    Returns ``(xs, f, alive, h)``: ``xs[p, k, i]`` is the position after i
-    steps of segment k (a segment's last sample is the next one's first)
-    and ``f`` the theta integrals.  With ``raise_on_exit=False`` escaped
-    paths freeze and are flagged in ``alive`` instead of raising.
+    Returns ``(xs, alive, h)``: ``xs[p, k, i]`` is the position after i
+    steps of segment k (a segment's last sample is the next one's first).
+    With ``raise_on_exit=False`` escaped paths freeze and are flagged in
+    ``alive`` instead of raising.
     """
     x, controls, verticals = _path_arrays(paths)
     P_, K, _ = controls.shape
@@ -236,17 +219,15 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     steps = _even_steps(seg, step)
     h = seg / steps
     xs = np.empty((P_, K, steps + 1, x.shape[-1]))
-    f = np.zeros(P_)
     alive = np.ones(P_, dtype=bool)
     for k in range(K):
         u, w = controls[:, k, :], verticals[:, k]
         xs[:, k, 0] = x
         for i in range(1, steps + 1):
-            xn, fn = _rk4_step(lambda s, y: _rhs(chart, y[0], u, w), (x, f), h)
+            (xn,) = _rk4_step(lambda s, y: (_rhs(chart, y[0], u, w),), (x,), h)
             # escaped paths stay frozen just outside the boundary, where
             # the chart functions are still well conditioned
             x = np.where(alive[:, None], xn, x)
-            f = np.where(alive, fn, f)
             xs[:, k, i] = x
             inside = chart.domain.contains(x)
             if not np.all(inside):
@@ -254,7 +235,7 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
                     bad = x[~inside][0]
                     raise DomainError(f"curve left the chart domain at {bad}", point=bad)
                 alive &= inside
-    return xs, f, alive, h
+    return xs, alive, h
 
 
 def _transport_positions(chart, xs, paths, h):
@@ -321,13 +302,15 @@ def sample_curve(chart, curve, step=None):
 
 
 def _sample_control_path(chart, path, step):
-    xs, _, _, h = _integrate_positions(chart, [path], step)
+    xs, _, h = _integrate_positions(chart, [path], step)
     _, K, per, n = xs.shape
     # each segment keeps its own copy of its two end samples
     ts = (np.arange(K)[:, None] * (per - 1) + np.arange(per)).ravel() * h
     us, ws = np.repeat(path.controls, per, axis=0), np.repeat(path.vertical, per)
     xs = xs[0].reshape(-1, n)
-    return SampledCurve(ts, xs, us, ws, _rhs(chart, xs, us, ws)[1],
+    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
+    v = _velocity(arr.E, arr.xi, us, ws)
+    return SampledCurve(ts, xs, us, ws, (arr.th[:, None, :] @ v[:, :, None])[:, 0, 0],
                         [(k * per, (k + 1) * per - 1) for k in range(K)])
 
 
@@ -377,11 +360,8 @@ def _transport_sampled(chart, sc, kind):
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    data = frame_data(chart, sc.xs, order=1)
-    A = _frame_rates(data.Gamma, sc.us)
-    if kind == "adapted":
-        A = A + sc.ws[:, None, None] * data.xi_coeffs
-    A = -A
+    A = -_connection_rates(transport_data(chart, sc.xs, vertical=kind == "adapted"),
+                           sc.us, sc.ws)
     (M,) = _integrate_sampled(sc, lambda i, y: (A[i] @ y[0],), (np.eye(A.shape[-1]),))
     return M
 
@@ -412,7 +392,7 @@ def transport(chart, curve, kind):
     if isinstance(curve, ControlPath):
         if kind == "schouten" and np.any(curve.vertical != 0.0):
             raise ChartError("schouten transport requires a horizontal curve")
-        xs, _, _, h = _integrate_positions(chart, [curve], curve.step)
+        xs, _, h = _integrate_positions(chart, [curve], curve.step)
         tau = _transport_positions(chart, xs, [curve], h)[0]
         return TransportResult(tau=tau, start=curve.x0, end=xs[0, -1, -1])
     sc = sample_curve(chart, curve)
@@ -582,11 +562,16 @@ def _sample_and_integrate(
     draw comes from its own (seed, path index, attempt) stream per half,
     so the accepted paths depend neither on how the batches are formed
     nor on the other halves.  Returns one ``(paths, endpoints,
-    transports, theta_integrals)`` per half.
+    transports)`` per half.
     """
-    if n_paths < 0 or segments <= 0 or horizon <= 0 or magnitude < 0 or not step > 0:
-        raise ValueError("sampler needs n_paths >= 0, segments > 0, horizon > 0, "
-                         "magnitude >= 0, step > 0")
+    for need, value, ok in (
+        ("n_paths >= 0", n_paths, n_paths >= 0), ("segments > 0", segments, segments > 0),
+        ("a finite horizon > 0", horizon, 0 < horizon < np.inf),
+        ("a finite magnitude >= 0", magnitude, 0 <= magnitude < np.inf),
+        ("step > 0", step, step > 0),
+    ):
+        if not ok:
+            raise ValueError(f"sampler needs {need}, got {value}")
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
@@ -598,19 +583,19 @@ def _sample_and_integrate(
     paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
     if not paths:
         tm = 2 * chart.m
-        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0))
+        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)))
         return [empty for _ in vertical_magnitudes]
-    xs, f, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
+    xs, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, max_attempts):
         if not len(pending):
             break
         cands = [draw(r, attempt) for r in pending]
-        xr, fr, ok, _ = _integrate_positions(chart, cands, step, raise_on_exit=False)
+        xr, ok, _ = _integrate_positions(chart, cands, step, raise_on_exit=False)
         for j in np.nonzero(ok)[0]:
             r = pending[j]
             paths[r] = cands[j]
-            xs[r], f[r] = xr[j], fr[j]
+            xs[r] = xr[j]
         pending = pending[~ok]
     if len(pending):
         raise SamplingError(
@@ -619,7 +604,7 @@ def _sample_and_integrate(
         )
     M = _transport_positions(chart, xs, paths, h)
     x = xs[:, -1, -1]
-    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths], f[k:k + n_paths])
+    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
 
 
@@ -629,8 +614,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
     Each requested half gets ``sampler.n_paths`` paths: the horizontal
     half draws horizontal paths, the adapted half also gives each segment
     a Reeb-direction control at the sampler's ``magnitude``.  Returns one
-    ``(paths, endpoints, taus, theta_integrals)`` per half, in the order
-    requested.
+    ``(paths, endpoints, taus)`` per half, in the order requested.
     """
     for half in halves:
         if half not in HALVES:
@@ -645,7 +629,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
 def isometry_residual(chart, x0, sampler: SamplerConfig):
     """Worst deviation of sampled horizontal transports from metric isometries."""
     x0 = np.asarray(x0, dtype=float)
-    ((_, ends, taus, _),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
+    ((_, ends, taus),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
     if not len(taus):
         return 0.0
     P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)

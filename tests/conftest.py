@@ -1,9 +1,23 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from kcontact import example_charts, lie_closure
 from kcontact.holonomy import holonomy_samples
 from kcontact.transport import SamplerConfig
+
+# property sweeps draw the same examples on every run and keep no example
+# database; a slow machine must not fail an example on time
+settings.register_profile("kcontact", derandomize=True, database=None, deadline=None)
+settings.load_profile("kcontact")
+# hypothesis still caches the constants it mines from the source at
+# collection; the cache goes to the system's temporary directory, not into
+# the checkout
+set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kcontact-hypothesis")
 
 # algebra_cache routes and the holonomy_samples variant each one closes
 ROUTES = {"schouten": "wagner", "annihilator": "annihilator", "adapted": "adapted"}

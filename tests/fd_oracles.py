@@ -23,11 +23,11 @@ zero jet.
 
 :func:`coupled_transport_reference` is the transport of control paths
 that the package ran before it integrated positions first: one RK4 on
-(position, transport, theta integral) that reads the connection at every
-stage position.  :func:`transport_positions_per_step` is the frame
-transport over integrated positions as the package ran it before it
-evaluated the connection over blocks of steps: one evaluation of the ends
-and one of the midpoints per step, a bit-for-bit oracle.
+(position, transport) that reads the connection at every stage position.
+:func:`transport_positions_per_step` is the frame transport over
+integrated positions as the package ran it before it evaluated the
+connection over blocks of steps: one evaluation of the ends and one of the
+midpoints per step, a bit-for-bit oracle.
 :func:`rotated_chart` is a coordinate-change oracle: a chart pulled back
 by a t-dependent rotation of one factor's plane, on which ``dxi`` is not
 zero and the coefficients depend on t.
@@ -226,17 +226,16 @@ def conjugated_samples_reference(taus_o, mats):
 
 
 def frame_rates_reference(Gamma, u):
-    """``transport._frame_rates`` as one sum: Gamma[c, a, b] u[a]."""
+    """The frame part of ``transport._connection_rates`` as one sum:
+    Gamma[c, a, b] u[a]."""
     return np.einsum("...cab,...a->...cb", Gamma, u)
 
 
 def rhs_reference(chart, x, u, w):
-    """``transport._rhs`` with its contractions as single sums."""
-    arr = chart_arrays(chart, x, order=0, fields=("th", "xi", "E"))
+    """``transport._rhs``, the velocity, with its contraction as one sum."""
+    arr = chart_arrays(chart, x, order=0, fields=("xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, u)
-    if np.any(w != 0.0):
-        v = v + w[..., None] * arr.xi
-    return v, np.einsum("...i,...i->...", arr.th, v)
+    return v + w[..., None] * arr.xi if np.any(w != 0.0) else v
 
 
 def connection_rates_reference(chart, x, u, w):
@@ -247,14 +246,14 @@ def connection_rates_reference(chart, x, u, w):
 
 
 def coupled_transport_reference(chart, paths):
-    """Transports of control paths by the coupled (position, transport,
-    theta) RK4, in which every stage reads the connection at its own stage
+    """Transports of control paths by the coupled (position, transport)
+    RK4, in which every stage reads the connection at its own stage
     position.
 
     The paths share horizon, step and segment count and must stay in the
     chart domain.  The transports are reprojected onto isometries every
     ``transport.REORTH_EVERY`` steps, as the package does.  Returns
-    ``(ends, transports, theta_integrals)``.
+    ``(ends, transports)``.
     """
     x = np.stack([p.x0 for p in paths])
     controls = np.stack([p.controls for p in paths])
@@ -263,7 +262,6 @@ def coupled_transport_reference(chart, paths):
     steps = T._even_steps(paths[0].horizon / K, paths[0].step)
     h = paths[0].horizon / K / steps
     M = np.broadcast_to(np.eye(tm), (P, tm, tm)).copy()
-    f = np.zeros(P)
     _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
     total = 0
     for k in range(K):
@@ -272,23 +270,22 @@ def coupled_transport_reference(chart, paths):
 
         def rhs(s, y):
             data = transport_data(chart, y[0], vertical=vertical)
-            th = chart_arrays(chart, y[0], order=0, fields=("th",)).th
             v = np.einsum("...ia,...a->...i", data.E, u)
             Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
             if vertical:
                 v = v + w[:, None] * data.xi
                 Om = Om + w[:, None, None] * data.xi_coeffs
-            return v, -np.matmul(Om, y[1]), np.einsum("...i,...i->...", th, v)
+            return v, -np.matmul(Om, y[1])
 
         for _ in range(steps):
-            x, M, f = T._rk4_step(rhs, (x, M, f), h)
+            x, M = T._rk4_step(rhs, (x, M), h)
             total += 1
             if total % T.REORTH_EVERY == 0:
                 Pt, Lt = orthonormal_frame_change(
                     chart_arrays(chart, x, order=0, fields=("G",)).G)
                 U, _, Vt = np.linalg.svd(Lt @ M @ np.linalg.inv(L0t))
                 M = Pt @ (U @ Vt) @ L0t
-    return x, M, f
+    return x, M
 
 
 def transport_positions_per_step(chart, xs, paths, h):

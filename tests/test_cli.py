@@ -295,11 +295,21 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
     {"tolerances": {"span_tol": -1.0}},
     {"tolerances": {"span_tol": 1.5}},
     {"tolerances": {"ode_tol": 0.0}},
+    # float() once read true as 1.0 and "0.3" as 0.3: an ode_tol of true
+    # loosened verify's theta_transport_agreement gate to 1
+    {"tolerances": {"ode_tol": True}},
+    {"sampler": {"horizon": True}},
+    {"sampler": {"magnitude": "0.3"}},
+    {"manifold": {"type": "product", "factors": [
+        {"kind": "bergman_ball", "complex_dim": 2, "b": "2"}]}},
+    {"base_point": ["0", "0", "0", "0", "0"]},
+    {"base_point": [True, 0.0, 0.0, 0.0, 0.0]},
 ], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar",
         "negative_seed", "report_list", "fractional_n_paths", "fractional_seed",
         "boolean_seed", "fractional_segments", "fractional_m", "boolean_complex_dim",
         "outputs_list", "zero_span_tol", "negative_span_tol", "span_tol_above_one",
-        "zero_ode_tol"])
+        "zero_ode_tol", "boolean_ode_tol", "boolean_horizon", "string_magnitude",
+        "string_factor_b", "numeric_string_base_point", "boolean_base_point"])
 def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
     assert run(["verify", "--config", cfg]) == 2
@@ -370,15 +380,15 @@ def test_bad_command_line_exit_2(tmp_path, capsys, argv):
 
 def test_horizontal_pass_ignores_vertical_magnitude():
     # the Schouten pass integrates horizontal paths whatever the sampler
-    # section says; a vertical control would give a theta-integral of 0.26
+    # section says
     from kcontact.transport import sampled_path_transports
 
     raw = read(Path(__file__).resolve().parent.parent / "configs" / "bergman.json")
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
-    (paths, _, _, fs), _ = sampled_path_transports(chart, x0, cfg.sampler)
-    assert len(fs) == 8 and np.max(np.abs(fs)) < 1e-12
+    (paths, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
+    assert len(paths) == 8
     assert all(not np.any(p.vertical) for p in paths)
 
 

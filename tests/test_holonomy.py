@@ -281,7 +281,7 @@ def test_conjugation_covariance(charts):
     chart = charts["bergman"]
     x = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=48, seed=3)
-    ((paths, _, _, _),) = T.sampled_path_transports(
+    ((paths, _, _),) = T.sampled_path_transports(
         chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99),
         ("horizontal",))
     path = paths[0]
