@@ -19,9 +19,10 @@ horizontal and an adapted half of random control paths, integrates their
 positions as one lockstep batch, redraws escaped paths, each from its own
 (seed, index, attempt) stream, and transports the accepted ones.
 
-One classical RK4 step, :func:`_rk4_step` on a tuple state, serves every
-ODE here: positions, the frame transports of control paths and sampled
-curves, the scalar theta-transport and the Reeb flow with its Jacobian.
+One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
+paths and the Reeb flow with the pushforward of vectors.  The frame and
+theta transports of sampled curves take the same steps as one product of
+RK4 step propagators, :func:`_sampled_propagator`.
 """
 
 from __future__ import annotations
@@ -360,22 +361,36 @@ def _transport_sampled(chart, sc, kind):
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    A = -_connection_rates(transport_data(chart, sc.xs, vertical=kind == "adapted"),
-                           sc.us, sc.ws)
-    (M,) = _integrate_sampled(sc, lambda i, y: (A[i] @ y[0],), (np.eye(A.shape[-1]),))
-    return M
+    return _sampled_propagator(sc, -_connection_rates(
+        transport_data(chart, sc.xs, vertical=kind == "adapted"), sc.us, sc.ws))
 
 
-def _integrate_sampled(sc, rhs, y):
-    """RK4 over the samples of a curve; one step spans two sample intervals.
+def _step_starts(sc):
+    """First sample of each RK4 step of a sampled curve (two intervals each)."""
+    return np.concatenate([np.arange(i0, i1, 2) for i0, i1 in sc.piece_slices])
 
-    ``rhs(i, y)`` evaluates the derivative with the coefficients at sample i.
+
+def _sampled_propagator(sc, A):
+    """RK4 transport matrix of y' = A y, ``A[i]`` read at sample i of a curve.
+
+    The step from sample j to j + 2 is y -> S_j y, S_j = I + h/6 (A0 + 2 B2
+    + 2 B3 + B4) with B2 = A1 (I + h/2 A0), B3 = A1 (I + h/2 B2) and
+    B4 = A2 (I + h B3), A0-A2 read at j..j + 2.  All S_j are built in one
+    batch and multiplied pairwise in step order, later steps on the left.
     """
-    for i0, i1 in sc.piece_slices:
-        for j in range(i0, i1, 2):
-            h2 = float(sc.ts[j + 2] - sc.ts[j])
-            y = _rk4_step(lambda s, y: rhs(j + s, y), y, h2)
-    return y
+    j = _step_starts(sc)
+    h = (sc.ts[j + 2] - sc.ts[j])[:, None, None]
+    eye = np.eye(A.shape[-1])
+    A0, A1, A2 = A[j], A[j + 1], A[j + 2]
+    B2 = A1 @ (eye + (0.5 * h) * A0)
+    B3 = A1 @ (eye + (0.5 * h) * B2)
+    B4 = A2 @ (eye + h * B3)
+    S = eye + (h / 6.0) * (A0 + 2.0 * B2 + 2.0 * B3 + B4)
+    while len(S) > 1:
+        if len(S) % 2:
+            S = np.concatenate([S, eye[None]])
+        S = S[1::2] @ S[0::2]
+    return S[0]
 
 
 def transport(chart, curve, kind):
@@ -406,15 +421,10 @@ def transport(chart, curve, kind):
 
 
 def _theta_integral(sc):
-    """Composite-Simpson integral of theta(velocity) over the samples."""
-    total = 0.0
-    for i0, i1 in sc.piece_slices:
-        for j in range(i0, i1, 2):
-            h2 = float(sc.ts[j + 2] - sc.ts[j])
-            total += (h2 / 6.0) * (
-                sc.theta_dot[j] + 4.0 * sc.theta_dot[j + 1] + sc.theta_dot[j + 2]
-            )
-    return total
+    """Composite-Simpson integral of theta(velocity), summed left to right."""
+    j, g = _step_starts(sc), sc.theta_dot
+    terms = ((sc.ts[j + 2] - sc.ts[j]) / 6.0) * (g[j] + 4.0 * g[j + 1] + g[j + 2])
+    return np.cumsum(np.concatenate([[0.0], terms]))[-1]
 
 
 def _cumulative_theta_integral(sc):
@@ -423,16 +433,13 @@ def _cumulative_theta_integral(sc):
     Duplicated breakpoint samples carry the accumulated value across
     pieces.
     """
-    out = np.zeros(len(sc.ts))
-    carry = 0.0
-    for i0, i1 in sc.piece_slices:
-        out[i0] = carry
-        for j in range(i0, i1, 2):
-            h = float(sc.ts[j + 1] - sc.ts[j])
-            g0, g1, g2 = sc.theta_dot[j], sc.theta_dot[j + 1], sc.theta_dot[j + 2]
-            out[j + 1] = out[j] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
-            out[j + 2] = out[j] + (h / 3.0) * (g0 + 4.0 * g1 + g2)
-        carry = out[i1]
+    j, g = _step_starts(sc), sc.theta_dot
+    h = sc.ts[j + 1] - sc.ts[j]
+    g0, g1, g2 = g[j], g[j + 1], g[j + 2]
+    ends = np.cumsum(np.concatenate([[0.0], (h / 3.0) * (g0 + 4.0 * g1 + g2)]))
+    out = np.empty(len(sc.ts))
+    out[j], out[j + 2] = ends[:-1], ends[1:]
+    out[j + 1] = ends[:-1] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
     return out
 
 
@@ -451,42 +458,35 @@ def transport_theta(chart, curve, method="quadrature"):
         return float(np.exp(-_theta_integral(sc)))
     if method != "ode":
         raise ValueError(f"unknown method {method!r}")
-    g = -sc.theta_dot
-    (lam,) = _integrate_sampled(sc, lambda i, y: (g[i] * y[0],), (1.0,))
-    return float(lam)
+    return float(_sampled_propagator(sc, -sc.theta_dot[:, None, None])[0, 0])
 
 
 # ---------------------------------------------------------------------------
 # Reeb flow and horizontalization
 
 
-def _reeb_flow_batch(chart, X, times, step=0.01, jacobian=False):
-    """Flow of the Reeb field for per-point durations (time-rescaled RK4)."""
+def _reeb_flow_batch(chart, X, times, step=0.01, vectors=None):
+    """Flow of the Reeb field for per-point durations (time-rescaled RK4).
+    With ``vectors`` (one per point) returns ``(points, pushforwards)``: the
+    variational equation z' = t Dxi(y) z rides along the same steps."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = chart.dim
-    P = X.shape[0]
-    J = np.broadcast_to(np.eye(n), (P, n, n)).copy() if jacobian else None
-    tmax = float(np.max(np.abs(times))) if len(times) else 0.0
+    t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
+    tmax = float(np.max(np.abs(t))) if len(t) else 0.0
     steps = max(1, int(np.ceil(tmax / step)))
     h = 1.0 / steps
 
     def rhs(s, state):
-        y, J = state
-        arr = chart_arrays(chart, y, order=1 if jacobian else 0, fields=("xi",))
-        v = times[:, None] * arr.xi
-        dJ = None
-        if jacobian:
-            dJ = times[:, None, None] * (arr.dxi @ J)
-        return v, dJ
+        y, z = state
+        arr = chart_arrays(chart, y, order=0 if z is None else 1, fields=("xi",))
+        return t * arr.xi, None if z is None else t * np.einsum("...ij,...j->...i", arr.dxi, z)
 
-    y = X
+    y, z = X, vectors
     for _ in range(steps):
-        y, J = _rk4_step(rhs, (y, J), h)
+        y, z = _rk4_step(rhs, (y, z), h)
         if not np.all(chart.domain.contains(y)):
             bad = y[~chart.domain.contains(y)][0]
             raise DomainError(f"Reeb flow left the chart domain at {bad}", point=bad)
-    return (y, J) if jacobian else y
+    return y if vectors is None else (y, z)
 
 
 def horizontalize(chart, curve):
@@ -498,11 +498,9 @@ def horizontalize(chart, curve):
     """
     sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)
-    ys, J = _reeb_flow_batch(chart, sc.xs, f, jacobian=True)
     arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
     v = np.einsum("...ia,...a->...i", arr.E, sc.us) + sc.ws[:, None] * arr.xi
-    v_h = v - sc.theta_dot[:, None] * arr.xi
-    vt = np.einsum("...kl,...l->...k", J, v_h)
+    ys, vt = _reeb_flow_batch(chart, sc.xs, f, vectors=v - sc.theta_dot[:, None] * arr.xi)
     return SampledCurve(
         sc.ts.copy(), ys, *_split_velocities(chart, ys, vt), list(sc.piece_slices)
     )

@@ -28,6 +28,13 @@ that the package ran before it integrated positions first: one RK4 on
 integrated positions as the package ran it before it evaluated the
 connection over blocks of steps: one evaluation of the ends and one of the
 midpoints per step, a bit-for-bit oracle.
+:func:`integrate_sampled_reference` is the stage-by-stage RK4 over sampled
+coefficients that the sampled-curve transports ran before they became
+products of step propagators, and :func:`reeb_flow_jacobian_reference`
+the Reeb flow with its full Jacobian, which the package replaced by the
+pushforward of the vectors it needs.  :func:`theta_integral_loop` and
+:func:`cumulative_theta_integral_loop` are the per-step loops of the
+Simpson theta-integrals, bit-for-bit oracles of the array forms.
 :func:`rotated_chart` is a coordinate-change oracle: a chart pulled back
 by a t-dependent rotation of one factor's plane, on which ``dxi`` is not
 zero and the coefficients depend on t.
@@ -314,6 +321,59 @@ def transport_positions_per_step(chart, xs, paths, h):
             if total % T.REORTH_EVERY == 0:
                 M = T._reorthonormalize(chart, x1, M, P0, L0t)
     return M
+
+
+def integrate_sampled_reference(sc, rhs, y):
+    """RK4 over the samples of a curve, one ``transport._rk4_step`` per step
+    of two sample intervals; ``rhs(i, y)`` reads the coefficients at sample i."""
+    for i0, i1 in sc.piece_slices:
+        for j in range(i0, i1, 2):
+            h2 = float(sc.ts[j + 2] - sc.ts[j])
+            y = T._rk4_step(lambda s, y: rhs(j + s, y), y, h2)
+    return y
+
+
+def reeb_flow_jacobian_reference(chart, X, times, step=0.01):
+    """The Reeb flow of ``transport._reeb_flow_batch`` together with its
+    Jacobian J' = t Dxi(y) J, integrated by the same RK4.  Returns ``(y, J)``."""
+    times = np.asarray(times, dtype=float)
+    steps = max(1, int(np.ceil(float(np.max(np.abs(times))) / step)))
+
+    def rhs(s, state):
+        arr = chart_arrays(chart, state[0], order=1, fields=("xi",))
+        return times[:, None] * arr.xi, times[:, None, None] * (arr.dxi @ state[1])
+
+    y = (X, np.broadcast_to(np.eye(chart.dim), (len(X), chart.dim, chart.dim)).copy())
+    for _ in range(steps):
+        y = T._rk4_step(rhs, y, 1.0 / steps)
+    return y
+
+
+def theta_integral_loop(sc):
+    """``transport._theta_integral`` as a loop over the Simpson steps."""
+    total = 0.0
+    for i0, i1 in sc.piece_slices:
+        for j in range(i0, i1, 2):
+            h2 = float(sc.ts[j + 2] - sc.ts[j])
+            total += (h2 / 6.0) * (
+                sc.theta_dot[j] + 4.0 * sc.theta_dot[j + 1] + sc.theta_dot[j + 2]
+            )
+    return total
+
+
+def cumulative_theta_integral_loop(sc):
+    """``transport._cumulative_theta_integral`` as a loop over the steps."""
+    out = np.zeros(len(sc.ts))
+    carry = 0.0
+    for i0, i1 in sc.piece_slices:
+        out[i0] = carry
+        for j in range(i0, i1, 2):
+            h = float(sc.ts[j + 1] - sc.ts[j])
+            g0, g1, g2 = sc.theta_dot[j], sc.theta_dot[j + 1], sc.theta_dot[j + 2]
+            out[j + 1] = out[j] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
+            out[j + 2] = out[j] + (h / 3.0) * (g0 + 4.0 * g1 + g2)
+        carry = out[i1]
+    return out
 
 
 def rotated_chart(chart, pair, eps):

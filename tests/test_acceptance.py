@@ -114,6 +114,23 @@ def test_criterion_5_horizontalization_equivalence(charts):
          f"50 loops, horizontality {worst_h:.2e}, equivalence {worst_eq:.2e}")
 
 
+@pytest.mark.parametrize("name", ["bergman", "disc_disc_12"])
+def test_criterion_5_on_rotated_charts(charts, name):
+    # on the built-in charts dxi vanishes and the Reeb flow's pushforward is
+    # the identity; the rotated chart's point-dependent Reeb field is not
+    chart = rotated_chart(charts[name], (0, 1), 0.7)
+    rng = np.random.default_rng(205)
+    worst_h = worst_eq = 0.0
+    for _ in range(2):
+        loop = T.balanced_loop(chart, np.zeros(chart.dim), rng)
+        resid, tilde = T.transport_equivalence_check(chart, T.sample_curve(chart, loop, 4e-3))
+        worst_h = max(worst_h, float(np.max(np.abs(tilde.theta_dot))))
+        worst_eq = max(worst_eq, resid)
+    emit(f"criterion-5 on {chart.name}",
+         worst_h < 1e-6 and worst_eq < 1e-4,
+         f"2 loops, horizontality {worst_h:.2e}, equivalence {worst_eq:.2e}")
+
+
 EXPECTED_DIMS = {
     "heisenberg": (0, 0, 0),
     "disc_disc_11": (1, 2, 1),

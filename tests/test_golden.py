@@ -4,7 +4,8 @@ Each case is a shipped config with a fixed seed.  The bergman and
 disc_disc_11 holonomy seeds and the bergman spinor seed make escaped paths
 that the sampler redraws, so the redraw logic is covered too.  The verify
 cases cover the integrators that only verify runs: the sampled-curve
-transport, the Reeb flow with its Jacobian and the theta-transport ODE.
+transport, the Reeb flow with the pushforward of the loop's velocities and
+the theta-transport ODE.
 The ``disc3_b123`` case (three Poincare discs, 2m = 6, 8 paths) pins a
 product with three complex dimensions; its config lives in
 ``tests/golden/configs/`` so that the shipped ``configs/`` set stays as

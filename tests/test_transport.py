@@ -13,8 +13,12 @@ from conftest import domain_points
 from fd_oracles import (
     connection_rates_reference,
     coupled_transport_reference,
+    cumulative_theta_integral_loop,
+    integrate_sampled_reference,
+    reeb_flow_jacobian_reference,
     rhs_reference,
     rotated_chart,
+    theta_integral_loop,
     transport_positions_per_step,
 )
 
@@ -191,7 +195,7 @@ def test_reeb_flow_contract(charts):
 
 
 def test_reeb_flow_evaluates_only_xi(charts):
-    # the flow and its Jacobian read xi and dxi; theta, frame and metric
+    # the flow and its pushforward read xi and dxi; theta, frame and metric
     # jets would be built and thrown away at every RK4 stage
     calls = {"theta": 0, "xi": 0, "frame": 0, "metric": 0}
 
@@ -206,10 +210,73 @@ def test_reeb_flow_evaluates_only_xi(charts):
 
     chart = dataclasses.replace(charts["bergman"], **{k: counted(k) for k in calls})
     X = np.array([[0.1, -0.2, 0.05, 0.3, 0.0], [0.0, 0.1, -0.3, 0.2, 0.5]])
-    _, J = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), step=0.1, jacobian=True)
-    assert J.shape == (2, 5, 5)
+    _, z = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), step=0.1, vectors=X[::-1])
+    assert z.shape == (2, 5)
     # four RK4 stages per step, four steps for the longest time 0.4
     assert calls == {"theta": 0, "xi": 16, "frame": 0, "metric": 0}
+
+
+# every built-in chart has dxi = 0 and t-independent coefficients; the
+# rotated charts have neither
+ORACLE_CHARTS = [(name, None) for name in
+                 ("heisenberg", "disc_disc_11", "disc_disc_12", "bergman", "perturbed_disc_disc")
+                 ] + [("bergman", 0.7), ("disc_disc_12", 0.7)]
+
+
+def _oracle_chart(charts, name, eps):
+    return charts[name] if eps is None else rotated_chart(charts[name], (0, 1), eps)
+
+
+@pytest.mark.parametrize("name,eps", ORACLE_CHARTS)
+def test_sampled_transports_match_stage_walk(charts, name, eps):
+    chart = _oracle_chart(charts, name, eps)
+    x0 = np.zeros(chart.dim)
+    eye = np.eye(2 * chart.m)
+    for kind, vertical in (("schouten", 0.0), ("adapted", 0.4)):
+        path = draw_paths(chart, x0, 1, 3, 1.0, 0.35, seed=13, vertical=vertical)[0]
+        sc = T.sample_curve(chart, path)
+        A = -T._connection_rates(C.transport_data(chart, sc.xs, vertical=vertical > 0),
+                                 sc.us, sc.ws)
+        (ref,) = integrate_sampled_reference(sc, lambda i, y: (A[i] @ y[0],), (eye,))
+        assert np.max(np.abs(T._transport_sampled(chart, sc, kind) - ref)) < 1e-13, kind
+        sc = T.sample_curve(chart, path, T.THETA_STEP)
+        g = -sc.theta_dot
+        (lam,) = integrate_sampled_reference(sc, lambda i, y: (g[i] * y[0],), (1.0,))
+        assert abs(T.transport_theta(chart, sc, "ode") - lam) < 1e-13, kind
+
+
+def test_reeb_pushforward_matches_jacobian(charts):
+    # only a chart with dxi != 0 moves the pushed-forward vectors at all
+    chart = rotated_chart(charts["bergman"], (0, 1), 0.7)
+    rng = np.random.default_rng(14)
+    X = domain_points(chart, 12, seed=14, margin=0.6)
+    times, V = rng.uniform(-0.5, 0.5, 12), rng.normal(size=(12, 5))
+    y, z = T._reeb_flow_batch(chart, X, times, vectors=V)
+    y_ref, J = reeb_flow_jacobian_reference(chart, X, times)
+    assert np.array_equal(y, y_ref)
+    assert np.max(np.abs(z - V)) > 1e-2
+    assert np.max(np.abs(z - (J @ V[..., None])[..., 0])) < 1e-13
+
+
+@pytest.mark.parametrize("name,eps", ORACLE_CHARTS)
+def test_theta_integrals_match_loops_bitwise(charts, name, eps):
+    chart = _oracle_chart(charts, name, eps)
+    x0 = np.zeros(chart.dim)
+    rng = np.random.default_rng(15)
+    curves = [draw_paths(chart, x0, 1, 4, 1.0, 0.35, seed=15, vertical=0.4)[0]]
+    for _ in range(2):
+        r1, r2, ph1, ph2 = rng.uniform(0.05, 0.15, 2).tolist() + rng.uniform(0, 6, 2).tolist()
+        curves.append(T.ParametricCurve([
+            T._circle_piece(x0, (0, 1), r1, ph1, 1.0, 1.0, 0.1, chart.dim - 1),
+            T._circle_piece(x0, (2, 3), r2, ph2, -1.0, 1.0, 0.1, chart.dim - 1)]))
+    for curve in curves:
+        for step in (2e-3, 4e-3):
+            sc = T.sample_curve(chart, curve, step)
+            assert len(sc.piece_slices) > 1
+            assert np.asarray(T._theta_integral(sc)).tobytes() == \
+                np.asarray(theta_integral_loop(sc)).tobytes()
+            assert T._cumulative_theta_integral(sc).tobytes() == \
+                cumulative_theta_integral_loop(sc).tobytes()
 
 
 def test_horizontalize_fixed_points(charts):
