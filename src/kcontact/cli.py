@@ -47,7 +47,6 @@ from .spinor import (
     standard_complex_structure,
 )
 from .transport import (
-    MAX_SEGMENT_STEPS,
     SamplerConfig,
     balanced_loop,
     isometry_residual,
@@ -100,18 +99,6 @@ class RunConfig:
             step=config_float(samp.get("step", 0.02), "sampler step"),
             seed=config_int(samp.get("seed", 0), "sampler seed"),
         )
-        for name in ("n_paths", "magnitude"):
-            if getattr(sampler, name) < 0:
-                raise ConfigError(f"sampler {name} must be >= 0, got {getattr(sampler, name)}")
-        for name in ("segments", "horizon", "step"):
-            if getattr(sampler, name) <= 0:
-                raise ConfigError(f"sampler {name} must be > 0, got {getattr(sampler, name)}")
-        if sampler.seed < 0:
-            raise ConfigError("sampler seed must be nonnegative")
-        steps = sampler.horizon / sampler.segments / sampler.step
-        if steps > MAX_SEGMENT_STEPS:
-            raise ConfigError(f"sampler horizon / segments / step must be <= "
-                              f"{MAX_SEGMENT_STEPS} RK4 steps per segment, got {steps:g}")
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")
@@ -451,14 +438,11 @@ def build_parser():
 
 
 def _apply_overrides(cfg: RunConfig, args):
+    # replace() runs SamplerConfig's checks on the overridden fields
     updates = {}
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError("--seed must be nonnegative")
         updates["seed"] = args.seed
     if getattr(args, "paths", None) is not None:
-        if args.paths < 0:
-            raise ConfigError("--paths must be nonnegative")
         updates["n_paths"] = args.paths
     if updates:
         cfg.sampler = replace(cfg.sampler, **updates)
@@ -508,7 +492,7 @@ def _run(args):
     except SamplingError as exc:
         print(f"sampling failure: {exc}", file=sys.stderr)
         return EXIT_SAMPLING
-    except (NumericsError, ChartError, np.linalg.LinAlgError) as exc:
+    except (NumericsError, ChartError, np.linalg.LinAlgError, MemoryError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
 

@@ -27,12 +27,13 @@ RK4 step propagators, :func:`_sampled_propagator`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .connection import ortho_transports, orthonormal_frame_change, transport_data
-from .errors import ChartError, DomainError, SamplingError
+from .errors import ChartError, ConfigError, DomainError, SamplingError
 from .manifolds import chart_arrays
 
 __all__ = [
@@ -57,7 +58,8 @@ THETA_STEP = 0.005  # sampling step of transport_theta for unsampled curves
 LOOP_RADIUS = 0.12  # base circle radius of balanced_loop
 LOOP_T_AMP = 0.1  # amplitude of its closed t-wiggles
 LOOP_TRIES = 8
-MAX_SEGMENT_STEPS = 100_000  # RK4 steps per segment; the default sampler takes 16
+MAX_SEGMENT_STEPS = 100_000  # RK4 steps per segment and per sampled path (default: 16, 64)
+MAX_ATTEMPTS = 60  # draws of one sampled path before the sampler gives up
 
 
 @dataclass
@@ -128,7 +130,15 @@ class TransportResult:
 
 @dataclass(frozen=True)
 class SamplerConfig:
-    """Parameters of the horizontal path sampler."""
+    """Parameters of the horizontal path sampler, checked on construction.
+
+    ``n_paths`` and ``seed`` are >= 0, ``magnitude`` is finite and >= 0,
+    ``segments`` is > 0, ``horizon`` and ``step`` are finite and > 0.  A
+    segment takes horizon / segments / step RK4 steps, at least 2; neither
+    a segment nor a whole path may take more than ``MAX_SEGMENT_STEPS``
+    (``n_paths`` is not bounded).  A violation raises :class:`ConfigError`
+    naming the field, also from ``dataclasses.replace``.
+    """
 
     n_paths: int = 64
     segments: int = 4
@@ -136,6 +146,22 @@ class SamplerConfig:
     magnitude: float = 0.45
     step: float = 0.02
     seed: int = 0
+
+    def __post_init__(self):
+        for name, need in (("n_paths", ">="), ("magnitude", ">="), ("seed", ">="),
+                           ("segments", ">"), ("horizon", ">"), ("step", ">")):
+            value = getattr(self, name)
+            if not abs(value) < math.inf:
+                raise ConfigError(f"sampler {name} must be finite, got {value}")
+            if not (value >= 0 if need == ">=" else value > 0):
+                raise ConfigError(f"sampler {name} must be {need} 0, got {value}")
+        steps = self.horizon / self.segments / self.step
+        path_steps = self.segments * max(2.0, steps)  # a segment takes at least 2
+        for what, count, per in (("horizon / segments / step", steps, "segment"),
+                                 ("segments * steps per segment", path_steps, "path")):
+            if count > MAX_SEGMENT_STEPS:
+                raise ConfigError(f"sampler {what} must be <= {MAX_SEGMENT_STEPS} "
+                                  f"RK4 steps per {per}, got {count:g}")
 
 
 def _even_steps(duration, step):
@@ -546,37 +572,28 @@ def _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
     return ControlPath(x0, controls, horizon, step, vertical)
 
 
-def _sample_and_integrate(
-    chart, x0, n_paths, segments, horizon, magnitude, seed, step,
-    vertical_magnitudes, max_attempts=60,
-):
+def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes):
     """Draw the paths of every half, integrate their positions in one
     batch, redraw the ones that escape, then transport all in one batch.
 
-    Half k draws ``n_paths`` paths whose segments carry Reeb-direction
-    controls at ``vertical_magnitudes[k]`` (0 draws horizontal paths); its
-    rows follow those of half k - 1.  Attempt k redraws every row still
-    escaped after attempt k - 1, of every half, all in one batch.  Each
-    draw comes from its own (seed, path index, attempt) stream per half,
-    so the accepted paths depend neither on how the batches are formed
-    nor on the other halves.  Returns one ``(paths, endpoints,
-    transports)`` per half.
+    Half k draws ``sampler.n_paths`` paths whose segments carry
+    Reeb-direction controls at ``vertical_magnitudes[k]`` (0 draws
+    horizontal paths); its rows follow those of half k - 1.  Attempt k
+    redraws every row still escaped after attempt k - 1, of every half, all
+    in one batch, up to ``MAX_ATTEMPTS`` draws per row.  Each draw comes
+    from its own (seed, path index, attempt) stream per half, so the
+    accepted paths depend neither on how the batches are formed nor on the
+    other halves.  Returns one ``(paths, endpoints, transports)`` per half.
     """
-    for need, value, ok in (
-        ("n_paths >= 0", n_paths, n_paths >= 0), ("segments > 0", segments, segments > 0),
-        ("a finite horizon > 0", horizon, 0 < horizon < np.inf),
-        ("a finite magnitude >= 0", magnitude, 0 <= magnitude < np.inf),
-        ("step > 0", step, step > 0),
-    ):
-        if not ok:
-            raise ValueError(f"sampler needs {need}, got {value}")
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
+    n_paths, step = sampler.n_paths, sampler.step
 
     def draw(r, attempt):
-        return _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
-                          vertical_magnitudes[r // n_paths], r % n_paths, attempt)
+        return _draw_path(chart, x0, sampler.segments, sampler.horizon, sampler.magnitude,
+                          sampler.seed, step, vertical_magnitudes[r // n_paths],
+                          r % n_paths, attempt)
 
     paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
     if not paths:
@@ -585,7 +602,7 @@ def _sample_and_integrate(
         return [empty for _ in vertical_magnitudes]
     xs, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
-    for attempt in range(1, max_attempts):
+    for attempt in range(1, MAX_ATTEMPTS):
         if not len(pending):
             break
         cands = [draw(r, attempt) for r in pending]
@@ -598,7 +615,7 @@ def _sample_and_integrate(
     if len(pending):
         raise SamplingError(
             f"could not sample an in-domain path for index {pending[0] % n_paths} "
-            f"after {max_attempts} attempts"
+            f"after {MAX_ATTEMPTS} attempts"
         )
     M = _transport_positions(chart, xs, paths, h)
     x = xs[:, -1, -1]
@@ -618,10 +635,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
         if half not in HALVES:
             raise ValueError(f"unknown sampling half {half!r}")
     return _sample_and_integrate(
-        chart, x0, sampler.n_paths, sampler.segments, sampler.horizon,
-        sampler.magnitude, sampler.seed, sampler.step,
-        [sampler.magnitude if half == "adapted" else 0.0 for half in halves],
-    )
+        chart, x0, sampler, [sampler.magnitude if half == "adapted" else 0.0 for half in halves])
 
 
 def isometry_residual(chart, x0, sampler: SamplerConfig):

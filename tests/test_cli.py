@@ -331,16 +331,19 @@ def test_sampler_bound_messages_name_the_field(tmp_path, capsys, field, value, m
     assert capsys.readouterr().err == f"config error: {message}\n"
 
 
-@pytest.mark.parametrize("sampler", [
-    {"step": 1e-9},
-    {"horizon": 1e9},
-    {"segments": 1, "horizon": 6250.0, "step": 0.0624},
-], ids=["tiny_step", "huge_horizon", "just_above"])
-def test_sampler_step_count_is_bounded(sampler):
+@pytest.mark.parametrize("sampler, per", [
+    ({"step": 1e-9}, "segment"),
+    ({"horizon": 1e9}, "segment"),
+    ({"segments": 1, "horizon": 6250.0, "step": 0.0624}, "segment"),
+    ({"segments": 100000000}, "path"),
+], ids=["tiny_step", "huge_horizon", "just_above", "huge_segments"])
+def test_sampler_step_count_is_bounded(sampler, per):
     # parsed only, never run: each asks for more than 100000 RK4 steps per
-    # segment (the tiny step for 3e8), an integration that would not end
+    # segment (the tiny step for 3e8), an integration that would not end,
+    # or per path (1e8 segments of 2 steps each; the first draw alone
+    # would allocate 3 GB)
     raw = {"manifold": {"type": "heisenberg", "m": 2}, "sampler": sampler}
-    with pytest.raises(ConfigError, match=r"<= 100000 RK4 steps per segment, got "):
+    with pytest.raises(ConfigError, match=rf"<= 100000 RK4 steps per {per}, got "):
         cli.RunConfig.from_dict(raw)
     at_bound = {"segments": 1, "horizon": 6250.0, "step": 0.0625}
     assert cli.RunConfig.from_dict({**raw, "sampler": at_bound}).sampler.step == 0.0625
@@ -366,8 +369,9 @@ def test_integral_float_counts_are_accepted(tmp_path):
 
 @pytest.mark.parametrize("argv", [
     ["holonomy", "--seed", "-1"],
+    ["holonomy", "--seed", "0", "--paths", "-1"],
     ["verify", "--out", "{tmp}/missing/r.json"],
-], ids=["negative_seed", "missing_report_dir"])
+], ids=["negative_seed", "negative_paths", "missing_report_dir"])
 def test_bad_command_line_exit_2(tmp_path, capsys, argv):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2},
                                   "sampler": small_sampler(4)})
@@ -504,6 +508,18 @@ def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):
     rep = read(out)
     assert rep["cross_variant"]["residual"] > cli.CROSS_VARIANT_TOL
     assert rep["cross_variant"]["dims"] == {"wagner": 3, "annihilator": 2}
+
+
+def test_memory_error_exit_5(tmp_path, capsys, monkeypatch):
+    # a heisenberg m = 40 verify once died in its order-2 jets with a numpy
+    # allocation traceback and exit 1; simulated here, never allocated
+    def exhausted(cfg):
+        raise MemoryError("Unable to allocate 15.8 GiB")
+
+    monkeypatch.setattr(cli, "verify_report", exhausted)
+    cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}})
+    assert run(["verify", "--config", cfg, "--seed", "0"]) == 5
+    assert capsys.readouterr().err == "numerical failure: Unable to allocate 15.8 GiB\n"
 
 
 @pytest.mark.parametrize("factor, message", [

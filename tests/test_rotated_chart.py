@@ -104,18 +104,34 @@ def test_rotated_product_sweep(case):
     assert abs(th @ (E @ u + w * xi) - w) <= 8 * np.finfo(float).eps * terms
 
 
-@pytest.mark.parametrize("name", ["disc_disc_12", "bergman"])
+# the m = 3 factor mixes of the wide_products benchmark workload
+WIDE_MIXES = {
+    "disc3_b123": [{"kind": "poincare_disc", "b": b} for b in (1.0, 2.0, 3.0)],
+    "ball2_disc": [{"kind": "bergman_ball", "complex_dim": 2}, {"kind": "poincare_disc"}],
+    "perturbed_disc_disc_disc": [{"kind": "perturbed_disc", "epsilon": 0.3},
+                                 {"kind": "poincare_disc"}, {"kind": "poincare_disc"}],
+}
+
+
+@pytest.mark.parametrize("name", ["disc_disc_12", "bergman", *WIDE_MIXES])
 def test_rotated_holonomy_structure(monkeypatch, name):
-    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+    # the shipped configs rotate the pair (0, 1); the m = 3 mixes rotate
+    # (2, 3), the second disc or the ball's second complex direction
+    if name in WIDE_MIXES:
+        raw = {"manifold": {"type": "product", "factors": WIDE_MIXES[name]}}
+        cfg, pair = cli.RunConfig.from_dict(raw), (2, 3)
+    else:
+        cfg, pair = cli.load_config(str(CONFIGS / f"{name}.json")), (0, 1)
     cfg.sampler = replace(cfg.sampler, n_paths=8)
     plain = _structure(cli.holonomy_report(cfg))
     resolve = cli._resolve_chart
 
     def rotated(cfg):
         chart, x0 = resolve(cfg)
-        return rotated_chart(chart, (0, 1), EPS), x0
+        return rotated_chart(chart, pair, EPS), x0
 
     monkeypatch.setattr(cli, "_resolve_chart", rotated)
     report = cli.holonomy_report(cfg)
     assert report["manifold"].startswith("rotated[")
     assert _structure(report) == plain
+    assert report["cross_variant"]["residual"] <= cli.CROSS_VARIANT_TOL

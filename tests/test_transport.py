@@ -6,7 +6,7 @@ import pytest
 
 from kcontact import connection as C
 from kcontact import transport as T
-from kcontact.errors import ChartError, DomainError, SamplingError
+from kcontact.errors import ChartError, ConfigError, DomainError, SamplingError
 from kcontact.manifolds import FactorSpec, product_construction
 
 from conftest import domain_points
@@ -43,11 +43,12 @@ def ortho_tau(chart, res):
 
 
 def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02,
-               vertical=0.0, max_attempts=60):
+               vertical=0.0, max_attempts=T.MAX_ATTEMPTS):
     """The accepted paths of a one-half sampling pass."""
-    ((paths, _, _),) = T._sample_and_integrate(
-        chart, x0, n_paths, segments, horizon, magnitude, seed, step, [vertical],
-        max_attempts=max_attempts)
+    sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
+        ((paths, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
     return paths
 
 
@@ -358,7 +359,7 @@ def test_sampler_contract(charts):
         assert np.max(np.abs(p.controls)) == 0.0
     with pytest.raises(DomainError):
         draw_paths(chart, np.array([2.0, 0, 0, 0, 0]), 2, 4, 1.0, 0.4, seed=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError, match="segments"):
         draw_paths(chart, x0, 2, 0, 1.0, 0.4, seed=0)
 
 
@@ -435,18 +436,18 @@ def test_redraw_exhaustion_names_index(charts):
                    s.magnitude, s.seed, step=s.step, max_attempts=1)
 
 
-def test_two_half_exhaustion_names_index_within_half(charts):
+def test_two_half_exhaustion_names_index_within_half(charts, monkeypatch):
     # with Reeb controls at magnitude 6 the second half's index 3 (row 9 of
     # the batch) needs 14 draws, while the horizontal half is complete
     # after 5
     chart = charts["bergman"]
-    s = REDRAW_SAMPLER
-    args = (chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
-            s.seed, s.step, [0.0, 6.0])
+    args = (chart, np.zeros(5), REDRAW_SAMPLER, [0.0, 6.0])
+    monkeypatch.setattr(T, "MAX_ATTEMPTS", 5)
     with pytest.raises(SamplingError, match=r"for index 3 after 5 attempts"):
-        T._sample_and_integrate(*args, max_attempts=5)
-    horizontal, adapted = T._sample_and_integrate(*args, max_attempts=14)
-    assert len(horizontal[0]) == len(adapted[0]) == s.n_paths
+        T._sample_and_integrate(*args)
+    monkeypatch.setattr(T, "MAX_ATTEMPTS", 14)
+    horizontal, adapted = T._sample_and_integrate(*args)
+    assert len(horizontal[0]) == len(adapted[0]) == REDRAW_SAMPLER.n_paths
 
 
 def _pass_and_reference(chart, sampler):
@@ -559,21 +560,28 @@ def test_nonpositive_step_is_rejected(charts):
     # an explicit step 0 is not a request for the default step
     with pytest.raises(ValueError):
         T.sample_curve(chart, dataclasses.replace(path, step=0.02), step=0.0)
-    with pytest.raises(ValueError, match="step > 0"):
-        draw_paths(chart, x0, 2, 4, 1.0, 0.4, seed=0, step=0.0)
-    sampler = T.SamplerConfig(n_paths=2, step=-0.02)
-    with pytest.raises(ValueError, match="step > 0"):
-        T.sampled_path_transports(chart, x0, sampler)
+    # the sampler's step is checked when its config is built
+    for step in (0.0, -0.02):
+        with pytest.raises(ConfigError, match="sampler step must be > 0"):
+            T.SamplerConfig(n_paths=2, step=step)
 
 
 @pytest.mark.parametrize("field, value", [("magnitude", np.nan), ("magnitude", np.inf),
                                           ("horizon", np.nan)])
-def test_non_finite_sampler_inputs_are_rejected(charts, field, value):
+def test_non_finite_sampler_inputs_are_rejected(field, value):
     # a NaN or infinite magnitude once ran 60 redraw batches before raising
     # SamplingError, and a NaN horizon reached the RK4 step count
-    sampler = T.SamplerConfig(n_paths=2, **{field: value})
-    with pytest.raises(ValueError, match=f"finite {field}"):
-        T.sampled_path_transports(charts["disc_disc_12"], np.zeros(5), sampler)
+    with pytest.raises(ConfigError, match=f"sampler {field} must be finite"):
+        T.SamplerConfig(n_paths=2, **{field: value})
+
+
+def test_replaced_sampler_config_is_checked_again():
+    # the CLI's --seed/--paths overrides and kbench's seed sweeps build
+    # their samplers by replace()
+    with pytest.raises(ConfigError, match="sampler n_paths must be >= 0, got -1"):
+        dataclasses.replace(T.SamplerConfig(), n_paths=-1)
+    with pytest.raises(ConfigError, match="sampler seed must be >= 0, got -3"):
+        dataclasses.replace(T.SamplerConfig(), seed=-3)
 
 
 def test_omitted_vertical_controls_are_zeros():
