@@ -33,8 +33,8 @@ from .manifolds import (
     FACTOR_KINDS,
     chart_from_config,
     chart_invariant_residuals,
+    config_fields,
     config_float,
-    config_int,
     random_domain_points,
 )
 from .spinor import (
@@ -91,14 +91,7 @@ class RunConfig:
         samp = raw.get("sampler", {})
         if not isinstance(samp, dict):
             raise ConfigError("'sampler' must be an object")
-        sampler = SamplerConfig(
-            n_paths=config_int(samp.get("n_paths", 64), "sampler n_paths"),
-            segments=config_int(samp.get("segments", 4), "sampler segments"),
-            horizon=config_float(samp.get("horizon", 1.2), "sampler horizon"),
-            magnitude=config_float(samp.get("magnitude", 0.45), "sampler magnitude"),
-            step=config_float(samp.get("step", 0.02), "sampler step"),
-            seed=config_int(samp.get("seed", 0), "sampler seed"),
-        )
+        sampler = SamplerConfig(**config_fields(SamplerConfig, samp, "sampler"))
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")
@@ -131,11 +124,12 @@ class RunConfig:
 
 def load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, a file that is not UTF-8, or nesting too deep to parse
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return RunConfig.from_dict(raw)
 
@@ -274,7 +268,7 @@ def holonomy_report(cfg: RunConfig):
     samples = holonomy_samples(chart, x0, sampler)
     h = lie_closure(samples["wagner"], cfg.span_tol)
     h0 = lie_closure(samples["adapted"], cfg.span_tol)
-    comparison = compare_subalgebras(h, h0, tol=1e-4)
+    comparison = compare_subalgebras(h, h0)
     h_a = lie_closure(samples["annihilator"], cfg.span_tol)
     report = {
         "schema": 1,
@@ -296,7 +290,7 @@ def holonomy_report(cfg: RunConfig):
     pts_data = frame_data(chart, random_domain_points(chart, 30, rng_pts, margin=0.85), order=2)
     report["sasaki"] = sasaki_psi_check(pts_data)
     if h0.dim > 0:
-        split = factor_split(chart, x0, h0)
+        split = factor_split(chart, x0, h0, cfg.span_tol)
         report["blocks"] = [list(b) for b in split.blocks]
         report["trivial_block"] = list(split.trivial)
         ric, omega_o = orthonormal_ricci(pts_data)

@@ -9,7 +9,8 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
 adapted zero-extension samples: its horizontal and adapted halves are
 integrated as one batch and share one order-2 evaluation of the base
-point.
+point.  The span cut of :func:`lie_closure` is the one threshold a caller sets;
+the structure analysis cuts at fixed thresholds, written where applied.
 """
 
 from __future__ import annotations
@@ -76,9 +77,11 @@ class MatrixLieAlgebra:
     """Subalgebra of so(2m) given by a trace-orthonormal basis."""
 
     basis: np.ndarray  # (dim, 2m, 2m)
-    dim: int
     closure_iterations: int
-    residual_tol: float
+
+    @property
+    def dim(self):
+        return len(self.basis)
 
     @property
     def size(self):
@@ -117,10 +120,9 @@ def _commutator_rank(h, mats, rtol):
     return numerical_rank(L, rtol, scale=np.linalg.norm(_flat(mats), axis=1).max())
 
 
-def _algebra(mats, residual_tol, iterations=0):
+def _algebra(mats, iterations=0):
     mats = np.asarray(mats)
-    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)), len(mats),
-                            iterations, residual_tol)
+    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)), iterations)
 
 
 def _span_basis(mats, tol):
@@ -145,7 +147,7 @@ def lie_closure(matrices, tol=1e-6):
     """
     mats = np.array([np.asarray(M, dtype=float) for M in matrices])
     if not len(mats):
-        return _algebra(mats, tol)
+        return _algebra(mats)
     basis = _span_basis(mats, tol)
     iterations = 0
     while True:
@@ -154,7 +156,7 @@ def lie_closure(matrices, tol=1e-6):
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         grown = _span_basis(np.concatenate([basis, brackets]), tol)
         if len(grown) <= len(basis):
-            return _algebra(basis, tol, iterations)
+            return _algebra(basis, iterations)
         basis = grown
 
 
@@ -280,42 +282,42 @@ def as_samples_adapted(chart, x, sampler: SamplerConfig):
 # subalgebra structure
 
 
-def compare_subalgebras(h_small: MatrixLieAlgebra, h_big: MatrixLieAlgebra, tol=1e-4):
+def compare_subalgebras(h_small: MatrixLieAlgebra, h_big: MatrixLieAlgebra):
     """Containment, ideal property and codimension of h_small in h_big.
 
-    Both are rank comparisons: h_small is contained when stacking it onto
-    h_big adds no rank, and an ideal when its brackets with h_big add none
-    to h_small.
+    Both are rank comparisons at a relative cut of 1e-4: h_small is
+    contained when stacking it onto h_big adds no rank, and an ideal when
+    its brackets with h_big add none to h_small.
     """
     if h_small.dim and h_big.dim and h_small.basis.shape[-1] != h_big.basis.shape[-1]:
         raise ValueError("subalgebras live in different frames")
     small, big = list(h_small.basis), list(h_big.basis)
     brackets = [A @ B - B @ A for A in big for B in small]
     return {
-        "contained": numerical_rank(_flat(big + small), tol).rank == h_big.dim,
-        "ideal": numerical_rank(_flat(small + brackets), tol).rank == h_small.dim,
+        "contained": numerical_rank(_flat(big + small), 1e-4).rank == h_big.dim,
+        "ideal": numerical_rank(_flat(small + brackets), 1e-4).rank == h_small.dim,
         "codim": int(h_big.dim - h_small.dim),
     }
 
 
-def center_decomposition(h: MatrixLieAlgebra, tol=1e-8):
+def center_decomposition(h: MatrixLieAlgebra):
     """Split a compact subalgebra into commutator part and center, the
-    kernel of the adjoint map."""
+    kernel of the adjoint map (rank cut 1e-8, as in ``commutant``)."""
     if h.dim == 0:
-        empty = _algebra([], h.residual_tol)
+        empty = _algebra([])
         return empty, empty
-    cut = _commutator_rank(h, h.basis, tol)
+    cut = _commutator_rank(h, h.basis, 1e-8)
     parts = np.einsum("rk,kij->rij", cut.Vt, h.basis)
-    return (_algebra(parts[: cut.rank], h.residual_tol),
-            _algebra(parts[cut.rank:], h.residual_tol))
+    return _algebra(parts[: cut.rank]), _algebra(parts[cut.rank:])
 
 
-def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra, tol=1e-6):
+def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra):
     """The one-dimensional trace-orthogonal complement of h_small in h_big.
 
-    Requires codimension one.  Returns ``(t, t_perp)`` where ``t_perp`` is
-    the orthogonal complement of t inside the center of h_big, so that
-    h_small = (commutator of h_big) + t_perp.  The sign of t is arbitrary.
+    Requires codimension one (rank cuts at 1e-6).  Returns ``(t, t_perp)``:
+    ``t_perp`` is the orthogonal complement of t inside the center of h_big,
+    so that h_small = (commutator of h_big) + t_perp.  The sign of t is
+    arbitrary.
     """
     if h_big.dim - h_small.dim != 1:
         raise ValueError(
@@ -324,7 +326,7 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra, tol=1e-6):
     # coefficients of h_small inside h_big; t spans their null space
     C = (np.einsum("sij,bij->sb", h_small.basis, h_big.basis) if h_small.dim
          else np.zeros((0, h_big.dim)))
-    cut = numerical_rank(C, tol, scale=1.0)
+    cut = numerical_rank(C, 1e-6, scale=1.0)
     if cut.rank != h_small.dim:
         raise NumericsError("h_small does not project onto a codimension-one subspace of h_big")
     T = np.einsum("k,kij->ij", cut.Vt[-1], h_big.basis)
@@ -333,19 +335,20 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra, tol=1e-6):
     t_perp = []
     if center.dim:
         # complement of t inside the center: the kernel of t's center coefficients
-        perp = numerical_rank(np.einsum("ij,kij->k", T, center.basis)[None], tol, scale=1.0)
+        perp = numerical_rank(np.einsum("ij,kij->k", T, center.basis)[None], 1e-6, scale=1.0)
         t_perp = np.einsum("rk,kij->rij", perp.Vt[perp.rank:], center.basis)
-    return _algebra(T[None], h_big.residual_tol), _algebra(t_perp, h_big.residual_tol)
+    return _algebra(T[None]), _algebra(t_perp)
 
 
-def detect_complex_structure(h: MatrixLieAlgebra, size=None, rng=None, tol=1e-6):
+def detect_complex_structure(h: MatrixLieAlgebra, size=None):
     """A complex structure in so(2m) commuting with the algebra, or None.
 
-    Draws a random skew element of the commutant and maps it to the
-    orthogonal complex structure with the same invariant planes; retries
-    with fresh draws when the element is singular.
+    Draws a random skew element of the commutant (seed 0) and maps it to
+    the orthogonal complex structure with the same invariant planes;
+    retries when the element is singular, or when J^2 + 1 or a commutator
+    of J with the basis exceeds 1e-6.
     """
-    rng = rng or np.random.default_rng(0)
+    rng = np.random.default_rng(0)
     tm = size or h.size
     if tm is None:
         raise ValueError("need the matrix size for a trivial algebra")
@@ -368,11 +371,11 @@ def detect_complex_structure(h: MatrixLieAlgebra, size=None, rng=None, tol=1e-6)
         if w.min() < 1e-10 * max(w.max(), 1.0):
             continue
         J = C @ (V @ np.diag(1.0 / np.sqrt(w)) @ V.T)
-        if np.max(np.abs(J @ J + np.eye(tm))) > tol:
+        if np.max(np.abs(J @ J + np.eye(tm))) > 1e-6:
             continue
         if h.dim and max(
             np.max(np.abs(J @ B - B @ J)) for B in h.basis
-        ) > tol:
+        ) > 1e-6:
             continue
         return J
     return None

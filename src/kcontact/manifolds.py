@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from dataclasses import dataclass, fields
+from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -30,6 +30,7 @@ __all__ = [
     "chart_from_config",
     "config_int",
     "config_float",
+    "config_fields",
     "example_charts",
     "random_domain_points",
     "chart_invariant_residuals",
@@ -250,6 +251,18 @@ def heisenberg(m):
                         name=f"heisenberg({m})", blocks=blocks)
 
 
+def _memoized(x, key, build):
+    """``build()`` once per :func:`chart_arrays` evaluation, whoever reads
+    first: kept in the memo of the coordinates ``x``, which goes with them.
+    Plain coordinates have no memo, and every reader builds its own."""
+    memo = getattr(x, "memo", None)
+    if memo is None:
+        return build()
+    if key not in memo:
+        memo[key] = build()
+    return memo[key]
+
+
 def product_construction(factors: Sequence[FactorSpec]):
     """Chart on R x M1 x ... x Mr with theta = dt + sum bi theta^i.
 
@@ -270,31 +283,16 @@ def product_construction(factors: Sequence[FactorSpec]):
         offs.append(off)
         off += 2 * f.complex_dim
 
-    # In a chart_arrays evaluation the coefficient functions share work
-    # through the memo of the coordinates: the first reader of a piece
-    # computes it and leaves it there, and the last takes it out, so it is
-    # freed as soon as it has served.  Nothing survives the evaluation.
-
-    def radials(x, last):
-        # one _radials per factor, read by its primitive and then its metric
-        memo = getattr(x, "memo", None)
-        rads = None if memo is None else (memo.pop if last else memo.get)(radials, None)
-        if rads is None:
-            rads = [_radials(x[o : o + 2 * f.complex_dim]) for f, o in zip(factors, offs)]
-            if memo is not None and not last:
-                memo[radials] = rads
-        return rads
+    def radials(x):
+        # one _radials per factor, read by its primitive and its metric
+        return _memoized(x, radials, lambda: [
+            _radials(x[o : o + 2 * f.complex_dim]) for f, o in zip(factors, offs)])
 
     def primitives(x):
         # one primitive per factor, read by theta and the frame
-        memo = getattr(x, "memo", None)
-        prims = None if memo is None else memo.pop(primitives, None)
-        if prims is None:
-            prims = [_factor_primitive(f, x[o : o + 2 * f.complex_dim], rad)
-                     for f, o, rad in zip(factors, offs, radials(x, last=False))]
-            if memo is not None:
-                memo[primitives] = prims
-        return prims
+        return _memoized(x, primitives, lambda: [
+            _factor_primitive(f, x[o : o + 2 * f.complex_dim], rad)
+            for f, o, rad in zip(factors, offs, radials(x))])
 
     def theta(x):
         comps = [0.0] * n
@@ -314,7 +312,7 @@ def product_construction(factors: Sequence[FactorSpec]):
 
     def metric(x):
         G = [[0.0] * (2 * m) for _ in range(2 * m)]
-        for f, o, rad in zip(factors, offs, radials(x, last=True)):
+        for f, o, rad in zip(factors, offs, radials(x)):
             block = _factor_metric(f, x[o : o + 2 * f.complex_dim], rad)
             for a in range(2 * f.complex_dim):
                 for b in range(2 * f.complex_dim):
@@ -360,6 +358,16 @@ def config_float(value, what):
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
+def config_fields(cls, raw, what):
+    """Keyword arguments for the dataclass ``cls``: the fields that the JSON
+    object ``raw`` names, parsed by their annotated types (``int`` and
+    ``float`` by the two functions above, others as they stand).  Absent
+    fields keep the dataclass's defaults; other keys are ignored."""
+    hints, parse = get_type_hints(cls), {int: config_int, float: config_float}
+    return {f.name: parse.get(hints[f.name], lambda v, _: v)(raw[f.name], f"{what} {f.name}")
+            for f in fields(cls) if f.name in raw}
+
+
 def chart_from_config(cfg: dict):
     """Build a chart from the JSON configuration schema."""
     if not isinstance(cfg, dict) or "type" not in cfg:
@@ -377,18 +385,9 @@ def chart_from_config(cfg: dict):
             raise ConfigError("product config needs a nonempty 'factors' list")
         specs = []
         for item in raw:
-            try:
-                specs.append(
-                    FactorSpec(
-                        kind=item["kind"],
-                        complex_dim=config_int(item.get("complex_dim", 1), "complex_dim"),
-                        b=config_float(item.get("b", 1.0), "factor b"),
-                        curvature=config_float(item.get("curvature", 1.0), "factor curvature"),
-                        epsilon=config_float(item.get("epsilon", 0.0), "factor epsilon"),
-                    )
-                )
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ConfigError(f"bad factor spec {item!r}") from exc
+            if not isinstance(item, dict) or "kind" not in item:
+                raise ConfigError(f"bad factor spec {item!r}")
+            specs.append(FactorSpec(**config_fields(FactorSpec, item, "factor")))
         try:
             return product_construction(specs)
         except ChartError as exc:

@@ -110,8 +110,9 @@ def parallel_spinor_dim(rep: SpinRep, basis):
     return rep.dim - numerical_rank(stack, 1e-8).rank
 
 
-def ratio_condition(m_list, a_list, rtol=1e-9):
-    """Search occupations k_i in {0, m_i} making (m_i - 2k_i)/(m_i a_i) equal.
+def ratio_condition(m_list, a_list):
+    """Search occupations k_i in {0, m_i} making (m_i - 2k_i)/(m_i a_i) equal
+    (to 1e-9 of the largest ratio).
 
     This is the abstract solvability test for a holonomy line inside the
     span of the block rotations to annihilate a spinor of extreme
@@ -130,7 +131,7 @@ def ratio_condition(m_list, a_list, rtol=1e-9):
             (mi - 2.0 * ki) / (mi * ai) for mi, ai, ki in zip(m_list, a_list, ks)
         ]
         spread = max(ratios) - min(ratios)
-        if spread <= rtol * max(abs(r) for r in ratios):
+        if spread <= 1e-9 * max(abs(r) for r in ratios):
             witnesses.append(ks)
             witness_ratios.append(ratios[0])
     return {

@@ -20,9 +20,9 @@ positions as one lockstep batch, redraws escaped paths, each from its own
 (seed, index, attempt) stream, and transports the accepted ones.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
-paths and the Reeb flow with the pushforward of vectors.  The frame and
-theta transports of sampled curves take the same steps as one product of
-RK4 step propagators, :func:`_sampled_propagator`.
+paths, the Reeb flow with the pushforward of vectors, and sampled curves:
+their frame and theta transports take it once, on the identity, to build
+every step propagator in one batch (:func:`_sampled_propagator`).
 """
 
 from __future__ import annotations
@@ -55,6 +55,7 @@ TRANSPORT_KINDS = ("schouten", "adapted")
 HALVES = ("horizontal", "adapted")  # the two halves of a sampling pass
 HORIZONTAL_TOL = 1e-6
 THETA_STEP = 0.005  # sampling step of transport_theta for unsampled curves
+REEB_STEP = 0.01  # largest RK4 step of the Reeb flow, in flow time
 LOOP_RADIUS = 0.12  # base circle radius of balanced_loop
 LOOP_T_AMP = 0.1  # amplitude of its closed t-wiggles
 LOOP_TRIES = 8
@@ -399,19 +400,16 @@ def _step_starts(sc):
 def _sampled_propagator(sc, A):
     """RK4 transport matrix of y' = A y, ``A[i]`` read at sample i of a curve.
 
-    The step from sample j to j + 2 is y -> S_j y, S_j = I + h/6 (A0 + 2 B2
-    + 2 B3 + B4) with B2 = A1 (I + h/2 A0), B3 = A1 (I + h/2 B2) and
-    B4 = A2 (I + h B3), A0-A2 read at j..j + 2.  All S_j are built in one
-    batch and multiplied pairwise in step order, later steps on the left.
+    The step from sample j to j + 2 is y -> S_j y, where S_j is one
+    :func:`_rk4_step` applied to the identity, with its stages reading A at
+    samples j, j + 1, j + 1 and j + 2.  All S_j are built in one batch and
+    multiplied pairwise in step order, later steps on the left.
     """
     j = _step_starts(sc)
     h = (sc.ts[j + 2] - sc.ts[j])[:, None, None]
     eye = np.eye(A.shape[-1])
-    A0, A1, A2 = A[j], A[j + 1], A[j + 2]
-    B2 = A1 @ (eye + (0.5 * h) * A0)
-    B3 = A1 @ (eye + (0.5 * h) * B2)
-    B4 = A2 @ (eye + h * B3)
-    S = eye + (h / 6.0) * (A0 + 2.0 * B2 + 2.0 * B3 + B4)
+    As = (A[j], A[j + 1], A[j + 2])
+    (S,) = _rk4_step(lambda s, y: (As[s] @ y[0],), (eye,), h)
     while len(S) > 1:
         if len(S) % 2:
             S = np.concatenate([S, eye[None]])
@@ -491,14 +489,15 @@ def transport_theta(chart, curve, method="quadrature"):
 # Reeb flow and horizontalization
 
 
-def _reeb_flow_batch(chart, X, times, step=0.01, vectors=None):
-    """Flow of the Reeb field for per-point durations (time-rescaled RK4).
+def _reeb_flow_batch(chart, X, times, vectors=None):
+    """Flow of the Reeb field for per-point durations (time-rescaled RK4,
+    in steps of at most ``REEB_STEP`` of the longest duration).
     With ``vectors`` (one per point) returns ``(points, pushforwards)``: the
     variational equation z' = t Dxi(y) z rides along the same steps."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
-    steps = max(1, int(np.ceil(tmax / step)))
+    steps = max(1, int(np.ceil(tmax / REEB_STEP)))
     h = 1.0 / steps
 
     def rhs(s, state):
@@ -525,7 +524,7 @@ def horizontalize(chart, curve):
     sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)
     arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
-    v = np.einsum("...ia,...a->...i", arr.E, sc.us) + sc.ws[:, None] * arr.xi
+    v = _velocity(arr.E, arr.xi, sc.us, sc.ws)
     ys, vt = _reeb_flow_batch(chart, sc.xs, f, vectors=v - sc.theta_dot[:, None] * arr.xi)
     return SampledCurve(
         sc.ts.copy(), ys, *_split_velocities(chart, ys, vt), list(sc.piece_slices)

@@ -7,6 +7,8 @@ All tensors here live in the g-orthonormalized frame, where the metric is
 the identity and complex structures are literal elements of so(2m).  The
 point checks take order-2 frame data, or the Ricci tensor and dtheta that
 :func:`orthonormal_ricci` takes from it, so one evaluation serves them all.
+The splitting's draws are seeded and its thresholds fixed; its one
+setting is the span cut that closed the algebra (:func:`factor_split`).
 """
 
 from __future__ import annotations
@@ -62,8 +64,8 @@ def orthonormal_ricci(data):
 # de Rham-style splitting
 
 
-def _symmetric_commutant_element(h: MatrixLieAlgebra, tm, rng):
-    """A random symmetric matrix commuting with the algebra."""
+def _symmetric_commutant_element(h: MatrixLieAlgebra, tm):
+    """A random symmetric matrix (seed 0) commuting with the algebra."""
     sym_basis = []
     for a in range(tm):
         for b in range(a, tm):
@@ -72,27 +74,27 @@ def _symmetric_commutant_element(h: MatrixLieAlgebra, tm, rng):
             sym_basis.append(S)
     sym_basis = np.array(sym_basis)
     comm = h.commutant(sym_basis)
-    coef = rng.normal(size=len(comm)) @ comm
+    coef = np.random.default_rng(0).normal(size=len(comm)) @ comm
     C = np.einsum("k,kij->ij", coef, sym_basis)
     return C / max(np.linalg.norm(C), 1e-30)
 
 
-def split_distribution(h: MatrixLieAlgebra, size=None, rng=None, gap=1e-6):
+def split_distribution(h: MatrixLieAlgebra, size=None):
     """Invariant orthogonal splitting of the contact plane under the algebra.
 
     Clusters the eigenspaces of the Casimir-type operator sum(B^T B),
-    degeneracy-broken by a random symmetric commutant element; blocks that
-    the algebra annihilates are merged into the trivial part.  The blocks
-    must align with frame-index groups (true for the built-in charts).
+    degeneracy-broken by a random symmetric commutant element, at a
+    relative gap of 1e-6; blocks that the algebra annihilates are merged
+    into the trivial part.  The blocks must align with frame-index groups
+    (true for the built-in charts).
     """
-    rng = rng or np.random.default_rng(0)
     tm = size or h.size
     if tm is None:
         raise ValueError("need the matrix size for a trivial algebra")
     S = np.zeros((tm, tm))
     for B in h.basis:
         S += B.T @ B
-    C = _symmetric_commutant_element(h, tm, rng)
+    C = _symmetric_commutant_element(h, tm)
     scale = 0.37 * (1.0 + np.linalg.norm(S))
     w, V = np.linalg.eigh(S + scale * C)
     order = np.argsort(w)
@@ -100,7 +102,7 @@ def split_distribution(h: MatrixLieAlgebra, size=None, rng=None, gap=1e-6):
     clusters = []
     start = 0
     for i in range(1, tm + 1):
-        if i == tm or w[i] - w[i - 1] > gap * max(1.0, np.max(np.abs(w))):
+        if i == tm or w[i] - w[i - 1] > 1e-6 * max(1.0, np.max(np.abs(w))):
             clusters.append(V[:, start:i])
             start = i
     blocks = []
@@ -124,28 +126,28 @@ def split_distribution(h: MatrixLieAlgebra, size=None, rng=None, gap=1e-6):
     return FactorSplit(blocks=sorted(blocks), trivial=trivial)
 
 
-def _restricted_algebra(h: MatrixLieAlgebra, block, tol=1e-8):
+def _restricted_algebra(h: MatrixLieAlgebra, block, span_tol):
+    """The closure of h restricted to a block, cut at span_tol but no finer than 1e-8."""
     ix = np.array(block)
     mats = [B[np.ix_(ix, ix)] for B in h.basis]
-    return lie_closure(mats, tol=max(tol, h.residual_tol))
+    return lie_closure(mats, tol=max(1e-8, span_tol))
 
 
-def factor_split(chart, x, h: MatrixLieAlgebra, rng=None):
-    """Blocks plus per-block complex structures, sign-aligned with dtheta at x."""
+def factor_split(chart, x, h: MatrixLieAlgebra, span_tol):
+    """Blocks plus per-block complex structures, sign-aligned with dtheta at x;
+    each block's restriction of h is closed at ``span_tol``, h's span cut."""
     x = np.asarray(x, dtype=float)
-    split = split_distribution(h, size=2 * chart.m, rng=rng)
+    split = split_distribution(h, size=2 * chart.m)
     data = frame_data(chart, x[None], order=1)
     omega_o = ortho_two_form(data.omega, orthonormal_frame_change(data.G)[0])[0]
     tm = 2 * chart.m
     Js = []
     for block in split.blocks:
         ix = np.array(block)
-        hb = _restricted_algebra(h, block)
-        Jb = detect_complex_structure(hb, size=len(block), rng=rng)
+        hb = _restricted_algebra(h, block, span_tol)
+        Jb = detect_complex_structure(hb, size=len(block))
         if Jb is None:
-            raise ChartError(
-                f"block {block} carries no invariant complex structure"
-            )
+            raise ChartError(f"block {block} carries no invariant complex structure")
         if np.sum(Jb * omega_o[np.ix_(ix, ix)]) < 0:
             Jb = -Jb
         J = np.zeros((tm, tm))
@@ -217,12 +219,12 @@ def einstein_check(ric, split: FactorSplit):
 # Sasaki criterion
 
 
-def sasaki_psi_check(data, tol=1e-6):
+def sasaki_psi_check(data):
     """Residuals of psi^2 = -id and nabla psi = 0 for psi = g^{-1} dtheta.
 
     Both vanish exactly when the associated metric theta x theta + g is
     Sasaki; the residuals are reported over the points of the order-2
-    frame data ``data``.
+    frame data ``data``, and both below 1e-6 flag a Sasaki candidate.
     """
     psi = np.einsum("...ea,...ac->...ec", data.Ginv, data.omega)
     tm = psi.shape[-1]
@@ -240,7 +242,7 @@ def sasaki_psi_check(data, tol=1e-6):
     )
     nabla_psi_residual = float(np.max(np.abs(nabla)))
     return {
-        "is_sasaki_candidate": bool(psi_sq_residual < tol and nabla_psi_residual < tol),
+        "is_sasaki_candidate": bool(psi_sq_residual < 1e-6 and nabla_psi_residual < 1e-6),
         "psi_sq_residual": psi_sq_residual,
         "nabla_psi_residual": nabla_psi_residual,
     }

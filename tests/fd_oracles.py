@@ -333,11 +333,12 @@ def integrate_sampled_reference(sc, rhs, y):
     return y
 
 
-def reeb_flow_jacobian_reference(chart, X, times, step=0.01):
+def reeb_flow_jacobian_reference(chart, X, times):
     """The Reeb flow of ``transport._reeb_flow_batch`` together with its
-    Jacobian J' = t Dxi(y) J, integrated by the same RK4.  Returns ``(y, J)``."""
+    Jacobian J' = t Dxi(y) J, integrated by the same RK4 in the same
+    ``transport.REEB_STEP`` steps.  Returns ``(y, J)``."""
     times = np.asarray(times, dtype=float)
-    steps = max(1, int(np.ceil(float(np.max(np.abs(times))) / step)))
+    steps = max(1, int(np.ceil(float(np.max(np.abs(times))) / T.REEB_STEP)))
 
     def rhs(s, state):
         arr = chart_arrays(chart, state[0], order=1, fields=("xi",))

@@ -92,6 +92,17 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["verify", "--config", str(garbled)]) == 2
     nomanifold = write_config(tmp_path, {"sampler": {}}, "m.json")
     assert run(["verify", "--config", nomanifold]) == 2
+    # a file that is not UTF-8 raised UnicodeDecodeError, and one nested
+    # deeper than the parser recurses raised RecursionError: both exited 1
+    # with a traceback
+    for name, content in (("bad.json", b"\xff\xfe"), ("deep.json", b"[" * 100000 + b"\n")):
+        undecodable = tmp_path / name
+        undecodable.write_bytes(content)
+        capsys.readouterr()
+        assert run(["verify", "--config", str(undecodable)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: config is not valid JSON:")
+        assert len(err.strip().splitlines()) == 1
 
 
 def test_domain_violation_exit_3(tmp_path):

@@ -211,10 +211,10 @@ def test_reeb_flow_evaluates_only_xi(charts):
 
     chart = dataclasses.replace(charts["bergman"], **{k: counted(k) for k in calls})
     X = np.array([[0.1, -0.2, 0.05, 0.3, 0.0], [0.0, 0.1, -0.3, 0.2, 0.5]])
-    _, z = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), step=0.1, vectors=X[::-1])
+    _, z = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), vectors=X[::-1])
     assert z.shape == (2, 5)
-    # four RK4 stages per step, four steps for the longest time 0.4
-    assert calls == {"theta": 0, "xi": 16, "frame": 0, "metric": 0}
+    # four RK4 stages per step, 0.4 / REEB_STEP = 40 steps for the longest time
+    assert calls == {"theta": 0, "xi": 160, "frame": 0, "metric": 0}
 
 
 # every built-in chart has dxi = 0 and t-independent coefficients; the

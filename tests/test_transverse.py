@@ -96,7 +96,7 @@ def test_split_invariance_postcondition(charts, algebra_cache):
 def test_factor_split_complex_structures(charts, algebra_cache):
     chart = charts["disc_disc_12"]
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
-    split = TV.factor_split(chart, np.zeros(5), h0)
+    split = TV.factor_split(chart, np.zeros(5), h0, 1e-6)
     assert len(split.J_blocks) == 2
     data = C.frame_data(chart, np.zeros(5)[None], order=1)
     P, _ = C.orthonormal_frame_change(data.G)
@@ -110,9 +110,27 @@ def test_factor_split_complex_structures(charts, algebra_cache):
     assert np.max(np.abs(omega_o[:2, 2:])) < 1e-7
 
 
+@pytest.mark.parametrize("span_tol, block_tol", [(1e-5, 1e-5), (1e-10, 1e-8)])
+def test_factor_split_closes_blocks_at_the_span_tol(charts, algebra_cache, monkeypatch,
+                                                    span_tol, block_tol):
+    # each block's restriction is closed at the span_tol that closed the
+    # algebra, never finer than 1e-8
+    tols, lie_closure = [], H.lie_closure
+
+    def recording(mats, tol=1e-6):
+        tols.append(tol)
+        return lie_closure(mats, tol)
+
+    monkeypatch.setattr(TV, "lie_closure", recording)
+    split = TV.factor_split(charts["disc_disc_12"], np.zeros(5),
+                            algebra_cache("disc_disc_12", 0, "adapted"), span_tol)
+    assert len(split.blocks) == 2
+    assert tols == [block_tol, block_tol]
+
+
 def test_regression_recovers_coefficients(charts, algebra_cache):
     chart = charts["disc_disc_12"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"))
+    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
     pts = domain_points(chart, 30, seed=5, margin=0.85)
     reg = TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     assert np.allclose(reg["b"], [1.0, 2.0], atol=1e-4)
@@ -121,7 +139,7 @@ def test_regression_recovers_coefficients(charts, algebra_cache):
 
 def test_regression_single_factor(charts, algebra_cache):
     chart = charts["bergman"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"))
+    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"), 1e-6)
     pts = domain_points(chart, 25, seed=6, margin=0.85)
     reg = TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     assert np.allclose(reg["b"], [1.0], atol=1e-4)
@@ -131,7 +149,7 @@ def test_regression_single_factor(charts, algebra_cache):
 def test_regression_perturbed_branch(charts, algebra_cache):
     chart = charts["perturbed_disc_disc"]
     h0 = algebra_cache("perturbed_disc_disc", 0, "adapted")
-    split = TV.factor_split(chart, np.zeros(5), h0)
+    split = TV.factor_split(chart, np.zeros(5), h0, 1e-6)
     pts = domain_points(chart, 30, seed=7, margin=0.85)
     ric, omega_o = ortho_ricci(chart, pts)
     reg = TV.dtheta_regression(ric, omega_o, split)
@@ -146,7 +164,7 @@ def test_einstein_regression_chain(charts, algebra_cache):
     # Einstein residual small <=> regression residual small, on both branches
     for name, clean in [("disc_disc_11", True), ("perturbed_disc_disc", False)]:
         chart = charts[name]
-        split = TV.factor_split(chart, np.zeros(5), algebra_cache(name, 0, "adapted"))
+        split = TV.factor_split(chart, np.zeros(5), algebra_cache(name, 0, "adapted"), 1e-6)
         pts = domain_points(chart, 25, seed=8, margin=0.85)
         ric, omega_o = ortho_ricci(chart, pts)
         reg = TV.dtheta_regression(ric, omega_o, split)
@@ -165,14 +183,14 @@ def test_regression_requires_blocks_and_points(charts, algebra_cache):
     with pytest.raises(ChartError):
         TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     chart2 = charts["disc_disc_11"]
-    split2 = TV.factor_split(chart2, np.zeros(5), algebra_cache("disc_disc_11", 0, "adapted"))
+    split2 = TV.factor_split(chart2, np.zeros(5), algebra_cache("disc_disc_11", 0, "adapted"), 1e-6)
     with pytest.raises(ValueError):
         TV.dtheta_regression(*ortho_ricci(chart2, domain_points(chart2, 5, seed=9)), split2)
 
 
 def test_einstein_constants(charts, algebra_cache):
     chart = charts["bergman"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"))
+    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"), 1e-6)
     eins = TV.einstein_check(ortho_ricci(chart, domain_points(chart, 20, seed=10))[0], split)
     assert len(eins) == 1
     assert abs(eins[0]["einstein_lambda"] + 3.0) < 1e-6
@@ -202,7 +220,7 @@ def test_ricci_form_closed_by_finite_differences(charts, algebra_cache):
     # d(rho^i) = 0: finite-difference exterior derivative of the pullback
     # of each factor Ricci form to coordinate components
     chart = charts["disc_disc_12"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"))
+    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
 
     def rho_coords(x, which):
         data = C.frame_data(chart, np.atleast_2d(x), order=2)
@@ -286,6 +304,6 @@ def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
     monkeypatch.setattr(TV, "frame_data", counting_frame_data)
     for mod in (H, TV):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature)
-    split = TV.factor_split(charts["disc_disc_12"], np.zeros(5), h0)
+    split = TV.factor_split(charts["disc_disc_12"], np.zeros(5), h0, 1e-6)
     assert len(split.J_blocks) == 2
     assert orders == [1] and conversions == []
