@@ -94,9 +94,6 @@ class MatrixLieAlgebra:
         coef = np.einsum("kij,ij->k", self.basis, M)
         return float(np.linalg.norm(M - np.einsum("k,kij->ij", coef, self.basis)))
 
-    def contains(self, M, tol=1e-6):
-        return self.span_residual(M) <= tol * (1.0 + np.linalg.norm(M))
-
     def commutant(self, mats):
         """Coefficient rows spanning the combinations of ``mats`` that
         commute with every element of the algebra.

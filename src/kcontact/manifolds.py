@@ -469,21 +469,23 @@ class _Coords(list):
         self.memo = {}
 
 
-def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS):
+def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
     """Evaluate theta, xi, frame, metric (and derivatives) at points X (..., n).
 
     ``fields`` is a subset of ``("th", "xi", "E", "G")``: only those
     coefficient functions are called, and the other entries of the
     returned :class:`ChartArrays` stay ``None``.  A requested field has the
-    same bits whatever else is requested.
+    same bits whatever else is requested.  With a ``direction`` (one vector
+    per point) each derivative axis has length 1 and holds the derivative
+    along that direction (``dxi[..., i, 0]`` is Dxi_i(X) direction).
     """
     unknown = set(fields) - set(CHART_FIELDS)
     if unknown:
         raise ValueError(f"unknown chart fields {sorted(unknown)}")
     X = np.asarray(X, dtype=float)
-    n = chart.dim
+    n = chart.dim if direction is None else 1  # width of the derivative axes
     batch = X.shape[:-1]
-    coords = _Coords(jets.seed(X, order))
+    coords = _Coords(jets.seed(X, order, direction))
     out = ChartArrays(X, order)
     for name, fn in zip(CHART_FIELDS, (chart.theta, chart.xi, chart.frame, chart.metric)):
         if name in fields:

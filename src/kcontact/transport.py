@@ -22,7 +22,10 @@ positions as one lockstep batch, redraws escaped paths, each from its own
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
 their frame and theta transports take it once, on the identity, to build
-every step propagator in one batch (:func:`_sampled_propagator`).
+every step propagator in one batch (:func:`_sampled_propagator`).  Work
+nothing reads is not done: the pushforward seeds its jets with the pushed
+vectors, one gradient column wide, and theta-integrals of parametric curves
+(the loop builder's probes) evaluate theta alone, without the frame split.
 """
 
 from __future__ import annotations
@@ -342,7 +345,9 @@ def _sample_control_path(chart, path, step):
                         [(k * per, (k + 1) * per - 1) for k in range(K)])
 
 
-def _sample_parametric(chart, curve, step):
+def _sample_parametric(chart, curve, step, split=True):
+    """Samples of a parametric curve; with ``split=False`` theta(velocity)
+    alone, with the same bits (``us`` and ``ws`` are None)."""
     ts_all, xs_all, vs_all = [], [], []
     piece_slices = []
     t0 = 0.0
@@ -366,6 +371,9 @@ def _sample_parametric(chart, curve, step):
     if not np.all(chart.domain.contains(xs)):
         bad = xs[~chart.domain.contains(xs)][0]
         raise DomainError(f"curve leaves the chart domain at {bad}", point=bad)
+    if not split:
+        th = chart_arrays(chart, xs, order=0, fields=("th",)).th
+        return SampledCurve(ts, xs, None, None, np.einsum("...i,...i->...", th, vs), piece_slices)
     return SampledCurve(ts, xs, *_split_velocities(chart, xs, vs), piece_slices)
 
 
@@ -475,9 +483,11 @@ def transport_theta(chart, curve, method="quadrature"):
     d(lambda)/dt = -lambda theta(velocity) with RK4 over the same samples.
     A curve that is not yet sampled is sampled at ``THETA_STEP``, finer
     than the transport default; the scalar integrand is cheap and the two
-    routes must agree to 1e-6.
+    routes must agree to 1e-6.  Neither route reads the frame split, so a
+    parametric curve's samples evaluate theta alone.
     """
-    sc = sample_curve(chart, curve, THETA_STEP)
+    sc = (_sample_parametric(chart, curve, THETA_STEP, split=False)
+          if isinstance(curve, ParametricCurve) else sample_curve(chart, curve, THETA_STEP))
     if method == "quadrature":
         return float(np.exp(-_theta_integral(sc)))
     if method != "ode":
@@ -493,7 +503,9 @@ def _reeb_flow_batch(chart, X, times, vectors=None):
     """Flow of the Reeb field for per-point durations (time-rescaled RK4,
     in steps of at most ``REEB_STEP`` of the longest duration).
     With ``vectors`` (one per point) returns ``(points, pushforwards)``: the
-    variational equation z' = t Dxi(y) z rides along the same steps."""
+    variational equation z' = t Dxi(y) z rides along the same steps, each
+    stage seeding the coordinates with the one direction z, so the jets of
+    xi carry Dxi(y) z as their single gradient column."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
@@ -502,8 +514,8 @@ def _reeb_flow_batch(chart, X, times, vectors=None):
 
     def rhs(s, state):
         y, z = state
-        arr = chart_arrays(chart, y, order=0 if z is None else 1, fields=("xi",))
-        return t * arr.xi, None if z is None else t * np.einsum("...ij,...j->...i", arr.dxi, z)
+        arr = chart_arrays(chart, y, order=0 if z is None else 1, fields=("xi",), direction=z)
+        return t * arr.xi, None if z is None else t * arr.dxi[..., 0]
 
     y, z = X, vectors
     for _ in range(steps):
@@ -679,7 +691,7 @@ def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp=0.0, t_i
 
 
 def _loop_theta_integral(chart, pieces, step=2e-3):
-    return _theta_integral(_sample_parametric(chart, ParametricCurve(pieces), step))
+    return _theta_integral(_sample_parametric(chart, ParametricCurve(pieces), step, split=False))
 
 
 def balanced_loop(chart, x0, rng):
@@ -688,7 +700,9 @@ def balanced_loop(chart, x0, rng):
     Concatenates a base circle in one coordinate pair with a reversed
     circle in another pair whose radius is root-found so the two
     theta-integrals cancel; closed t-wiggles make the loop non-horizontal
-    without contributing to the integral.
+    without contributing to the integral.  The root-finding probes and the
+    final check evaluate theta alone.  A try ends when any of its circles
+    leaves the chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
     """
     from scipy.optimize import brentq
 
@@ -705,23 +719,20 @@ def balanced_loop(chart, x0, rng):
         ph1, ph2 = rng.uniform(0, 2 * np.pi, 2)
         amp = LOOP_T_AMP * (0.5 + rng.random())
         base = _circle_piece(x0, p1, r1, ph1, +1.0, 1.0, amp, tidx)
-        base_val = _loop_theta_integral(chart, [base])
-        for orient in (-1.0, +1.0):
+        try:
+            base_val = _loop_theta_integral(chart, [base])
+            for orient in (-1.0, +1.0):
 
-            def total(r2, orient=orient):
-                second = _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)
-                return base_val + _loop_theta_integral(chart, [second])
+                def total(r2, orient=orient):
+                    second = _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)
+                    return base_val + _loop_theta_integral(chart, [second])
 
-            if total(lo) * total(hi) > 0:
-                continue
-            r2 = brentq(total, lo, hi, xtol=1e-13, rtol=1e-15)
-            curve = ParametricCurve(
-                [base, _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)]
-            )
-            try:
-                sc = _sample_parametric(chart, curve, 2e-3)
-            except DomainError:
-                break
-            if abs(_theta_integral(sc)) < 1e-10:
-                return curve
+                if total(lo) * total(hi) > 0:
+                    continue
+                r2 = brentq(total, lo, hi, xtol=1e-13, rtol=1e-15)
+                pieces = [base, _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)]
+                if abs(_loop_theta_integral(chart, pieces)) < 1e-10:
+                    return ParametricCurve(pieces)
+        except DomainError:
+            continue
     raise SamplingError("could not build a balanced loop at this base point")

@@ -113,6 +113,21 @@ def test_domain_violation_exit_3(tmp_path):
     assert run(["verify", "--config", cfg]) == 3
 
 
+def test_no_balanced_loop_near_the_boundary_exits_4(tmp_path, capsys):
+    # the loop builder's root-finding probes leave the ball here; a probe
+    # circle is no point the user gave, so this is a sampling failure
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product", "factors": [
+            {"kind": "bergman_ball", "complex_dim": 2, "b": 1.0, "curvature": 1.0}]},
+        "base_point": [0.8, 0, 0, 0, 0],
+        "sampler": {**small_sampler(8), "seed": 3},
+    })
+    capsys.readouterr()
+    assert run(["verify", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == "sampling failure: could not build a balanced loop at this base point\n"
+
+
 def test_holonomy_requires_seed(tmp_path):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}})
     with pytest.raises(SystemExit):

@@ -197,14 +197,17 @@ def test_reeb_flow_contract(charts):
 
 def test_reeb_flow_evaluates_only_xi(charts):
     # the flow and its pushforward read xi and dxi; theta, frame and metric
-    # jets would be built and thrown away at every RK4 stage
+    # jets would be built and thrown away at every RK4 stage.  The jets are
+    # seeded with z itself, one gradient column, not the 5-wide identity
     calls = {"theta": 0, "xi": 0, "frame": 0, "metric": 0}
+    widths = set()
 
     def counted(name):
         fn = getattr(charts["bergman"], name)
 
         def wrapper(x):
             calls[name] += 1
+            widths.update(c.grad.shape[-1] for c in x if hasattr(c, "grad"))
             return fn(x)
 
         return wrapper
@@ -215,6 +218,7 @@ def test_reeb_flow_evaluates_only_xi(charts):
     assert z.shape == (2, 5)
     # four RK4 stages per step, 0.4 / REEB_STEP = 40 steps for the longest time
     assert calls == {"theta": 0, "xi": 160, "frame": 0, "metric": 0}
+    assert widths == {1}
 
 
 # every built-in chart has dxi = 0 and t-independent coefficients; the
@@ -246,9 +250,10 @@ def test_sampled_transports_match_stage_walk(charts, name, eps):
         assert abs(T.transport_theta(chart, sc, "ode") - lam) < 1e-13, kind
 
 
-def test_reeb_pushforward_matches_jacobian(charts):
+@pytest.mark.parametrize("name", ["bergman", "disc_disc_12"])
+def test_reeb_pushforward_matches_jacobian(charts, name):
     # only a chart with dxi != 0 moves the pushed-forward vectors at all
-    chart = rotated_chart(charts["bergman"], (0, 1), 0.7)
+    chart = rotated_chart(charts[name], (0, 1), 0.7)
     rng = np.random.default_rng(14)
     X = domain_points(chart, 12, seed=14, margin=0.6)
     times, V = rng.uniform(-0.5, 0.5, 12), rng.normal(size=(12, 5))
@@ -278,6 +283,25 @@ def test_theta_integrals_match_loops_bitwise(charts, name, eps):
                 np.asarray(theta_integral_loop(sc)).tobytes()
             assert T._cumulative_theta_integral(sc).tobytes() == \
                 cumulative_theta_integral_loop(sc).tobytes()
+            if isinstance(curve, T.ParametricCurve):
+                # the loop builder's theta-only samples keep every bit
+                assert np.asarray(T._loop_theta_integral(chart, curve.pieces, step)).tobytes() \
+                    == np.asarray(T._theta_integral(sc)).tobytes()
+
+
+def test_balanced_loop_splits_no_velocity(charts, monkeypatch):
+    # the root-finding probes and the final check read theta alone; the
+    # frame split of every sample, one solve each, would be thrown away
+    calls = []
+    split = T._split_velocities
+    monkeypatch.setattr(T, "_split_velocities", lambda *a: calls.append(1) or split(*a))
+    chart = charts["bergman"]
+    loop = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(1))
+    assert calls == []
+    assert 0.0 < T.transport_theta(chart, loop) < 2.0
+    assert calls == []
+    T.sample_curve(chart, loop)
+    assert calls == [1]
 
 
 def test_horizontalize_fixed_points(charts):
