@@ -30,6 +30,7 @@ from .errors import (
 )
 from .holonomy import compare_subalgebras, holonomy_samples, lie_closure, t_complement
 from .manifolds import (
+    EXAMPLES,
     FACTOR_KINDS,
     chart_from_config,
     chart_invariant_residuals,
@@ -47,6 +48,7 @@ from .spinor import (
     standard_complex_structure,
 )
 from .transport import (
+    LOOP_STEP,
     SamplerConfig,
     balanced_loop,
     isometry_residual,
@@ -199,12 +201,16 @@ def _check(residual, tol, larger_is_better=False):
 
 
 def verify_report(cfg: RunConfig):
-    """Structural residual suite over random domain points."""
+    """Structural residual suite over random domain points.
+
+    One order-2 evaluation of the points serves the chart and the
+    connection invariant suites."""
     chart, x0 = _resolve_chart(cfg)
     rng = np.random.default_rng(cfg.sampler.seed)
     pts = random_domain_points(chart, VERIFY_POINTS, rng, margin=0.95)
-    man = chart_invariant_residuals(chart, pts)
-    con = connection_invariant_residuals(chart, pts)
+    data = frame_data(chart, pts, order=2)
+    man = chart_invariant_residuals(data)
+    con = connection_invariant_residuals(data)
     checks = {
         "theta_xi_normalization": _check(man["theta_xi"], 1e-10),
         "theta_annihilates_frame": _check(man["theta_frame"], 1e-10),
@@ -228,7 +234,7 @@ def verify_report(cfg: RunConfig):
     )
     rng_loop = np.random.default_rng(cfg.sampler.seed + 1)
     loop = balanced_loop(chart, x0, rng_loop)
-    sc = sample_curve(chart, loop, 2e-3)
+    sc = sample_curve(chart, loop, LOOP_STEP)
     equivalence, tilde = transport_equivalence_check(chart, sc)
     checks["horizontalization_residual"] = _check(
         float(np.max(np.abs(tilde.theta_dot))), 1e-6
@@ -378,27 +384,7 @@ def list_manifolds_report():
         "command": "list-manifolds",
         "types": ["heisenberg", "product"],
         "factor_kinds": list(FACTOR_KINDS),
-        "examples": [
-            {"type": "heisenberg", "m": 2},
-            {
-                "type": "product",
-                "factors": [
-                    {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0},
-                    {"kind": "poincare_disc", "complex_dim": 1, "b": 2.0, "curvature": 1.0},
-                ],
-            },
-            {
-                "type": "product",
-                "factors": [{"kind": "bergman_ball", "complex_dim": 2, "b": 1.0, "curvature": 1.0}],
-            },
-            {
-                "type": "product",
-                "factors": [
-                    {"kind": "perturbed_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0, "epsilon": 0.3},
-                    {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0},
-                ],
-            },
-        ],
+        "examples": list(EXAMPLES.values()),
     }
 
 

@@ -9,7 +9,10 @@ One bracket computation (``manifolds.frame_brackets``) and one Koszul
 assembly (:func:`_koszul`) serve both the full :func:`frame_data` and the
 lean first-order :func:`transport_data` that the transport right-hand side
 calls.  The Wagner extension enters only through its curvature ``RW``;
-no transport integrates it.
+no transport integrates it.  The connection invariant suite
+(:func:`connection_invariant_residuals`) and the chart one
+(``manifolds.chart_invariant_residuals``) both read one second-order
+:class:`FramePointData`, so ``verify`` evaluates its points once.
 
 The first-order assembly and the three-operand sums of the second-order
 pass are batched matmuls: the summed index is brought next to the matrix
@@ -60,7 +63,9 @@ class FramePointData:
     ``Gamma[..., c, a, b]`` are the coefficients of the horizontal
     Levi-Civita connection (``nabla_{e_a} e_b = Gamma[c,a,b] e_c``);
     ``xi_coeffs[..., c, b]`` the frame coefficients of ``[xi, e_b]`` used
-    by the vertical part of the zero extension.  At second order,
+    by the vertical part of the zero extension, and ``xi_theta[..., b]``
+    its theta part ``theta([xi, e_b])``.  ``A`` is the coordinate matrix
+    ``d_i theta_j - d_j theta_i`` and ``omega = E^T A E``.  At second order,
     ``R[..., a, b, e, c]`` is the matrix of ``R(e_a, e_b)`` (slot ``c`` in,
     slot ``e`` out), ``N`` the Wagner endomorphism and ``RW`` the Wagner
     curvature on horizontal pairs.  The zero extension has curvature ``R``
@@ -70,16 +75,17 @@ class FramePointData:
 
     x: np.ndarray
     m: int
-    order: int
     theta: np.ndarray
     xi: np.ndarray
     E: np.ndarray
     G: np.ndarray
     Ginv: np.ndarray
+    A: np.ndarray
     omega: np.ndarray
     c: np.ndarray
     tau: np.ndarray
     xi_coeffs: np.ndarray
+    xi_theta: np.ndarray
     Gamma: np.ndarray
     R: np.ndarray = None
     alpha: np.ndarray = None
@@ -185,16 +191,17 @@ def frame_data(chart, X, order=1):
     data = FramePointData(
         x=Xb,
         m=chart.m,
-        order=order,
         theta=arr.th,
         xi=arr.xi,
         E=arr.E,
         G=arr.G,
         Ginv=Ginv,
+        A=p["A"],
         omega=p["omega"],
         c=p["c"],
         tau=p["tau"],
         xi_coeffs=p["dcoef"],
+        xi_theta=p["dcoef_theta"],
         Gamma=Gam,
         dG=arr.dG,
     )
@@ -212,15 +219,14 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     E, dE, d2E = arr.E, arr.dE, arr.d2E
     dG, d2G = arr.dG, arr.d2G
     tm = 2 * chart.m
-    A = arr.dth.swapaxes(-1, -2) - arr.dth
 
     # Each temporary below is deleted right after its last use, so the pass
     # peaks at a few of them per point instead of holding all of them.
 
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
-    domega = two_form_derivative(E, dE, A, dA)
-    del A, dA
+    domega = two_form_derivative(E, dE, p["A"], dA)
+    del dA
 
     # d_j [e_a, e_b]^k
     dBr = np.einsum("...iaj,...kbi->...kabj", dE, dE) + np.einsum(
@@ -336,9 +342,9 @@ def ortho_two_form(omega, P):
     return np.einsum("...aA,...ab,...bB->...AB", P, omega, P)
 
 
-def connection_invariant_residuals(chart, X):
-    """Max residuals of the connection-level invariants over points X."""
-    data = frame_data(chart, X, order=2)
+def connection_invariant_residuals(data):
+    """Max residuals of the connection-level invariants over the points of
+    one second-order :class:`FramePointData`."""
     res = {}
     tors = data.Gamma - data.Gamma.swapaxes(-2, -1) - data.c
     res["torsion"] = float(np.max(np.abs(tors)))
@@ -359,6 +365,6 @@ def connection_invariant_residuals(chart, X):
         np.max(np.linalg.norm(curvature_on_bivector(data.RW, data.alpha), axis=(-2, -1)))
     )
     res["dtheta_pairing"] = float(
-        np.max(np.abs(form_on_bivector(data.omega, data.alpha) + 4.0 * chart.m))
+        np.max(np.abs(form_on_bivector(data.omega, data.alpha) + 4.0 * data.m))
     )
     return res

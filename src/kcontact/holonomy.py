@@ -77,15 +77,10 @@ class MatrixLieAlgebra:
     """Subalgebra of so(2m) given by a trace-orthonormal basis."""
 
     basis: np.ndarray  # (dim, 2m, 2m)
-    closure_iterations: int
 
     @property
     def dim(self):
         return len(self.basis)
-
-    @property
-    def size(self):
-        return self.basis.shape[-1] if self.dim else None
 
     def span_residual(self, M):
         """Norm of the component of M outside the span."""
@@ -117,9 +112,9 @@ def _commutator_rank(h, mats, rtol):
     return numerical_rank(L, rtol, scale=np.linalg.norm(_flat(mats), axis=1).max())
 
 
-def _algebra(mats, iterations=0):
+def _algebra(mats):
     mats = np.asarray(mats)
-    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)), iterations)
+    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)))
 
 
 def _span_basis(mats, tol):
@@ -146,14 +141,12 @@ def lie_closure(matrices, tol=1e-6):
     if not len(mats):
         return _algebra(mats)
     basis = _span_basis(mats, tol)
-    iterations = 0
     while True:
-        iterations += 1
         i, j = np.triu_indices(len(basis), 1)
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         grown = _span_basis(np.concatenate([basis, brackets]), tol)
         if len(grown) <= len(basis):
-            return _algebra(basis, iterations)
+            return _algebra(basis)
         basis = grown
 
 
@@ -337,8 +330,8 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra):
     return _algebra(T[None]), _algebra(t_perp)
 
 
-def detect_complex_structure(h: MatrixLieAlgebra, size=None):
-    """A complex structure in so(2m) commuting with the algebra, or None.
+def detect_complex_structure(h: MatrixLieAlgebra, size):
+    """A complex structure in so(size) commuting with the algebra, or None.
 
     Draws a random skew element of the commutant (seed 0) and maps it to
     the orthogonal complex structure with the same invariant planes;
@@ -346,14 +339,11 @@ def detect_complex_structure(h: MatrixLieAlgebra, size=None):
     of J with the basis exceeds 1e-6.
     """
     rng = np.random.default_rng(0)
-    tm = size or h.size
-    if tm is None:
-        raise ValueError("need the matrix size for a trivial algebra")
-    # orthonormal basis of so(tm)
+    # orthonormal basis of so(size)
     skew_basis = []
-    for a in range(tm):
-        for b in range(a + 1, tm):
-            F = np.zeros((tm, tm))
+    for a in range(size):
+        for b in range(a + 1, size):
+            F = np.zeros((size, size))
             F[a, b] = 1.0 / np.sqrt(2.0)
             F[b, a] = -1.0 / np.sqrt(2.0)
             skew_basis.append(F)
@@ -368,7 +358,7 @@ def detect_complex_structure(h: MatrixLieAlgebra, size=None):
         if w.min() < 1e-10 * max(w.max(), 1.0):
             continue
         J = C @ (V @ np.diag(1.0 / np.sqrt(w)) @ V.T)
-        if np.max(np.abs(J @ J + np.eye(tm))) > 1e-6:
+        if np.max(np.abs(J @ J + np.eye(size))) > 1e-6:
             continue
         if h.dim and max(
             np.max(np.abs(J @ B - B @ J)) for B in h.basis

@@ -6,7 +6,12 @@ form ``theta``, the Reeb field ``xi``, a horizontal frame spanning
 ``ker(theta)``, and the metric expressed in that frame.  The functions take
 a list of coordinate scalars and must evaluate on plain numbers and on the
 forward-differentiation scalars from :mod:`kcontact.jets`; everything else
-in the package is derived from them.
+in the package is derived from them.  The built-in examples are JSON
+configs (:data:`EXAMPLES`) built through :func:`chart_from_config`.
+
+The chart invariant suite (:func:`chart_invariant_residuals`) reads the
+frame data of :func:`kcontact.connection.frame_data`, as the connection
+suite does, so one evaluation of a batch of points serves both.
 """
 
 from __future__ import annotations
@@ -31,6 +36,7 @@ __all__ = [
     "config_int",
     "config_float",
     "config_fields",
+    "EXAMPLES",
     "example_charts",
     "random_domain_points",
     "chart_invariant_residuals",
@@ -395,26 +401,27 @@ def chart_from_config(cfg: dict):
     raise ConfigError(f"unknown manifold type {kind!r}")
 
 
+# The standard laboratory charts, by name: the ``manifold`` section of each
+# shipped ``configs/<name>.json``, and the catalogue of ``list-manifolds``.
+EXAMPLES = {
+    "heisenberg": {"type": "heisenberg", "m": 2},
+    "disc_disc_11": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0},
+        {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0}]},
+    "disc_disc_12": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0},
+        {"kind": "poincare_disc", "complex_dim": 1, "b": 2.0, "curvature": 1.0}]},
+    "bergman": {"type": "product", "factors": [
+        {"kind": "bergman_ball", "complex_dim": 2, "b": 1.0, "curvature": 1.0}]},
+    "perturbed_disc_disc": {"type": "product", "factors": [
+        {"kind": "perturbed_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0, "epsilon": 0.3},
+        {"kind": "poincare_disc", "complex_dim": 1, "b": 1.0, "curvature": 1.0}]},
+}
+
+
 def example_charts():
-    """The standard laboratory charts used throughout the test-bench."""
-    return {
-        "heisenberg": heisenberg(2),
-        "disc_disc_11": product_construction(
-            [FactorSpec("poincare_disc", b=1.0), FactorSpec("poincare_disc", b=1.0)]
-        ),
-        "disc_disc_12": product_construction(
-            [FactorSpec("poincare_disc", b=1.0), FactorSpec("poincare_disc", b=2.0)]
-        ),
-        "bergman": product_construction(
-            [FactorSpec("bergman_ball", complex_dim=2, b=1.0)]
-        ),
-        "perturbed_disc_disc": product_construction(
-            [
-                FactorSpec("perturbed_disc", b=1.0, epsilon=0.3),
-                FactorSpec("poincare_disc", b=1.0),
-            ]
-        ),
-    }
+    """The charts of :data:`EXAMPLES`, by name."""
+    return {name: chart_from_config(cfg) for name, cfg in EXAMPLES.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -565,24 +572,23 @@ def random_domain_points(chart, count, rng, margin=1.0):
     return pts[:count]
 
 
-def chart_invariant_residuals(chart, X):
-    """Max residuals of the chart invariants over a batch of points."""
-    arr = chart_arrays(chart, X, order=1)
-    p = structure_pieces(arr)
-    th, xi, E, G = arr.th, arr.xi, arr.E, arr.G
+def chart_invariant_residuals(data):
+    """Max residuals of the chart invariants over the points of one
+    :class:`~kcontact.connection.FramePointData` (any order)."""
+    th, xi, E, G = data.theta, data.xi, data.E, data.G
     res = {}
     res["theta_xi"] = float(np.max(np.abs(np.einsum("...i,...i->...", th, xi) - 1.0)))
     res["theta_frame"] = float(np.max(np.abs(np.einsum("...i,...ia->...a", th, E))))
     res["spd_min_eig"] = float(np.min(np.linalg.eigvalsh(G)))
     res["reeb_interior"] = float(
-        np.max(np.abs(np.einsum("...i,...ij,...ja->...a", xi, p["A"], E)))
+        np.max(np.abs(np.einsum("...i,...ij,...ja->...a", xi, data.A, E)))
     )
-    res["det_omega_min"] = float(np.min(np.abs(np.linalg.det(p["omega"]))))
+    res["det_omega_min"] = float(np.min(np.abs(np.linalg.det(data.omega))))
     # Lie derivative of g along xi, evaluated on frame pairs
-    xiG = np.einsum("...i,...abi->...ab", xi, arr.dG)
-    d_low = np.einsum("...ca,...cb->...ab", p["dcoef"], G)
+    xiG = np.einsum("...i,...abi->...ab", xi, data.dG)
+    d_low = np.einsum("...ca,...cb->...ab", data.xi_coeffs, G)
     lie = xiG - d_low - d_low.swapaxes(-1, -2)
     res["lie_xi_g"] = float(np.max(np.abs(lie)))
-    res["tau_plus_omega"] = float(np.max(np.abs(p["tau"] + p["omega"])))
-    res["theta_xi_bracket"] = float(np.max(np.abs(p["dcoef_theta"])))
+    res["tau_plus_omega"] = float(np.max(np.abs(data.tau + data.omega)))
+    res["theta_xi_bracket"] = float(np.max(np.abs(data.xi_theta)))
     return res

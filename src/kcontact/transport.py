@@ -62,6 +62,7 @@ REEB_STEP = 0.01  # largest RK4 step of the Reeb flow, in flow time
 LOOP_RADIUS = 0.12  # base circle radius of balanced_loop
 LOOP_T_AMP = 0.1  # amplitude of its closed t-wiggles
 LOOP_TRIES = 8
+LOOP_STEP = 2e-3  # sampling step of a balanced loop: its check and verify's sampled loop
 MAX_SEGMENT_STEPS = 100_000  # RK4 steps per segment and per sampled path (default: 16, 64)
 MAX_ATTEMPTS = 60  # draws of one sampled path before the sampler gives up
 
@@ -662,9 +663,9 @@ def isometry_residual(chart, x0, sampler: SamplerConfig):
     return float(np.max(np.abs(np.einsum("pji,pjk->pik", taus_o, taus_o) - eye)))
 
 
-def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp=0.0, t_index=None):
+def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp, t_index):
     """One full coordinate circle through x0 in the given coordinate pair,
-    with an optional closed wiggle in the t coordinate."""
+    with a closed wiggle of amplitude ``t_amp`` in the coordinate ``t_index``."""
     i, j = pair
     cx = x0[i] - radius * np.cos(phase)
     cy = x0[j] - radius * np.sin(phase)
@@ -674,8 +675,7 @@ def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp=0.0, t_i
         out = np.tile(x0, (len(s), 1))
         out[:, i] = cx + radius * np.cos(ang)
         out[:, j] = cy + radius * np.sin(ang)
-        if t_amp:
-            out[:, t_index] = x0[t_index] + t_amp * np.sin(2.0 * np.pi * s)
+        out[:, t_index] = x0[t_index] + t_amp * np.sin(2.0 * np.pi * s)
         return out
 
     def vel(s):
@@ -683,15 +683,15 @@ def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp=0.0, t_i
         out = np.zeros((len(s), len(x0)))
         out[:, i] = -radius * orientation * 2.0 * np.pi * np.sin(ang)
         out[:, j] = radius * orientation * 2.0 * np.pi * np.cos(ang)
-        if t_amp:
-            out[:, t_index] = t_amp * 2.0 * np.pi * np.cos(2.0 * np.pi * s)
+        out[:, t_index] = t_amp * 2.0 * np.pi * np.cos(2.0 * np.pi * s)
         return out
 
     return (duration, pos, vel)
 
 
-def _loop_theta_integral(chart, pieces, step=2e-3):
-    return _theta_integral(_sample_parametric(chart, ParametricCurve(pieces), step, split=False))
+def _loop_theta_integral(chart, pieces):
+    curve = ParametricCurve(pieces)
+    return _theta_integral(_sample_parametric(chart, curve, LOOP_STEP, split=False))
 
 
 def balanced_loop(chart, x0, rng):

@@ -79,8 +79,9 @@ def _symmetric_commutant_element(h: MatrixLieAlgebra, tm):
     return C / max(np.linalg.norm(C), 1e-30)
 
 
-def split_distribution(h: MatrixLieAlgebra, size=None):
-    """Invariant orthogonal splitting of the contact plane under the algebra.
+def split_distribution(h: MatrixLieAlgebra, size):
+    """Invariant orthogonal splitting of the contact plane, of dimension
+    ``size``, under the algebra.
 
     Clusters the eigenspaces of the Casimir-type operator sum(B^T B),
     degeneracy-broken by a random symmetric commutant element, at a
@@ -88,21 +89,18 @@ def split_distribution(h: MatrixLieAlgebra, size=None):
     into the trivial part.  The blocks must align with frame-index groups
     (true for the built-in charts).
     """
-    tm = size or h.size
-    if tm is None:
-        raise ValueError("need the matrix size for a trivial algebra")
-    S = np.zeros((tm, tm))
+    S = np.zeros((size, size))
     for B in h.basis:
         S += B.T @ B
-    C = _symmetric_commutant_element(h, tm)
+    C = _symmetric_commutant_element(h, size)
     scale = 0.37 * (1.0 + np.linalg.norm(S))
     w, V = np.linalg.eigh(S + scale * C)
     order = np.argsort(w)
     w, V = w[order], V[:, order]
     clusters = []
     start = 0
-    for i in range(1, tm + 1):
-        if i == tm or w[i] - w[i - 1] > 1e-6 * max(1.0, np.max(np.abs(w))):
+    for i in range(1, size + 1):
+        if i == size or w[i] - w[i - 1] > 1e-6 * max(1.0, np.max(np.abs(w))):
             clusters.append(V[:, start:i])
             start = i
     blocks = []
@@ -120,7 +118,7 @@ def split_distribution(h: MatrixLieAlgebra, size=None):
         if covered & set(blk):
             raise NumericsError("invariant blocks overlap")
         covered |= set(blk)
-    trivial = tuple(sorted(set(range(tm)) - covered))
+    trivial = tuple(sorted(set(range(size)) - covered))
     if len(trivial) != n_trivial:
         raise NumericsError("trivial part does not align with frame indices")
     return FactorSplit(blocks=sorted(blocks), trivial=trivial)

@@ -36,8 +36,8 @@ def test_criterion_1_structural_residuals(charts):
     for name in ALL_CHARTS:
         chart = charts[name]
         pts = domain_points(chart, 50, seed=101, margin=0.97)
-        man = M.chart_invariant_residuals(chart, pts)
-        con = C.connection_invariant_residuals(chart, pts)
+        man = M.chart_invariant_residuals(C.frame_data(chart, pts, order=1))
+        con = C.connection_invariant_residuals(C.frame_data(chart, pts, order=2))
         for key, val in [
             ("torsion", con["torsion"]),
             ("bianchi", con["bianchi"]),

@@ -12,6 +12,7 @@ import pytest
 from kcontact import cli, example_charts
 from kcontact.errors import ChartError, ConfigError
 from kcontact.holonomy import as_samples_adapted
+from kcontact.manifolds import EXAMPLES
 
 
 CONFIG_DIR = "configs"
@@ -64,6 +65,27 @@ def test_verify_flows_the_loop_once(monkeypatch):
     shipped = Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"
     cli.verify_report(cli.load_config(str(shipped)))
     assert len(calls) == 1
+
+
+def test_verify_evaluates_its_points_once(monkeypatch):
+    # the chart and the connection invariant suites read one order-2
+    # evaluation of verify's points
+    from kcontact import connection, manifolds
+    cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
+    chart = manifolds.chart_from_config(cfg.manifold)
+    pts = manifolds.random_domain_points(
+        chart, cli.VERIFY_POINTS, np.random.default_rng(cfg.sampler.seed), margin=0.95)
+    evaluate, orders = manifolds.chart_arrays, []
+
+    def counted(chart, X, order=1, **kwargs):
+        if np.array_equal(X, pts):
+            orders.append(order)
+        return evaluate(chart, X, order, **kwargs)
+
+    for module in (manifolds, connection):
+        monkeypatch.setattr(module, "chart_arrays", counted)
+    cli.verify_report(cfg)
+    assert orders == [2]
 
 
 def test_verify_perturbed_still_k_contact(tmp_path):
@@ -249,6 +271,13 @@ def test_list_manifolds(capsys):
     assert payload["types"] == ["heisenberg", "product"]
     assert set(payload["factor_kinds"]) == {
         "poincare_disc", "bergman_ball", "perturbed_disc"}
+    assert payload["examples"] == list(EXAMPLES.values())
+
+
+def test_shipped_configs_are_the_examples():
+    # one config file per example, whose manifold is that example's
+    configs = (Path(__file__).resolve().parent.parent / "configs").glob("*.json")
+    assert {p.stem: read(p)["manifold"] for p in configs} == EXAMPLES
 
 
 def test_sampling_failure_exit_4(tmp_path):

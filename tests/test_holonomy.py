@@ -149,7 +149,7 @@ def test_bergman_spans(charts, algebra_cache):
     h = algebra_cache("bergman", 0, "schouten")
     h0 = algebra_cache("bergman", 0, "adapted")
     assert h.dim == 3 and h0.dim == 4
-    J = H.detect_complex_structure(h0)
+    J = H.detect_complex_structure(h0, size=4)
     assert J is not None
     # horizontal part is trace-free against J: the su-part of u(2)
     for B in h.basis:
@@ -244,7 +244,7 @@ def test_t_complement_cases(charts, algebra_cache):
 
 def test_detect_complex_structure_cases():
     hu = H.lie_closure(u2_so4(), 1e-8)
-    J = H.detect_complex_structure(hu)
+    J = H.detect_complex_structure(hu, size=4)
     assert J is not None
     assert np.allclose(J @ J, -np.eye(4), atol=1e-10)
     assert np.allclose(J, -J.T, atol=1e-12)
@@ -257,7 +257,7 @@ def test_detect_complex_structure_cases():
             F = np.zeros((4, 4))
             F[a, b], F[b, a] = 1, -1
             so4.append(F)
-    assert H.detect_complex_structure(H.lie_closure(so4, 1e-8)) is None
+    assert H.detect_complex_structure(H.lie_closure(so4, 1e-8), size=4) is None
     # the trivial algebra admits any complex structure
     J0 = H.detect_complex_structure(H.lie_closure([]), size=4)
     assert J0 is not None and np.allclose(J0 @ J0, -np.eye(4), atol=1e-10)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kcontact import cli
+from kcontact.connection import frame_data
 from kcontact.manifolds import (
     BALL_RADIUS,
     FACTOR_KINDS,
@@ -96,7 +97,7 @@ def test_rotated_product_sweep(case):
     chart, x, u, w = case
     arr = chart_arrays(chart, x[None], order=1)
     _check_jets(chart, arr, 0, x)
-    res = chart_invariant_residuals(chart, x[None])
+    res = chart_invariant_residuals(frame_data(chart, x[None], order=1))
     assert all(res[k] <= tol for k, tol in VERIFY_UPPER.items()), res
     assert all(res[k] > tol for k, tol in VERIFY_LOWER.items()), res
     th, xi, E = arr.th[0], arr.xi[0], arr.E[0]

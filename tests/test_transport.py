@@ -285,8 +285,12 @@ def test_theta_integrals_match_loops_bitwise(charts, name, eps):
                 cumulative_theta_integral_loop(sc).tobytes()
             if isinstance(curve, T.ParametricCurve):
                 # the loop builder's theta-only samples keep every bit
-                assert np.asarray(T._loop_theta_integral(chart, curve.pieces, step)).tobytes() \
+                theta_only = T._sample_parametric(chart, curve, step, split=False)
+                assert np.asarray(T._theta_integral(theta_only)).tobytes() \
                     == np.asarray(T._theta_integral(sc)).tobytes()
+                if step == T.LOOP_STEP:
+                    assert np.asarray(T._loop_theta_integral(chart, curve.pieces)).tobytes() \
+                        == np.asarray(T._theta_integral(sc)).tobytes()
 
 
 def test_balanced_loop_splits_no_velocity(charts, monkeypatch):

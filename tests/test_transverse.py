@@ -71,11 +71,11 @@ def test_ricci_form_contract(charts):
 
 def test_split_distribution_cases(charts, algebra_cache):
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
-    split = TV.split_distribution(h0)
+    split = TV.split_distribution(h0, size=4)
     assert split.blocks == [(0, 1), (2, 3)]
     assert split.trivial == ()
     hb = algebra_cache("bergman", 0, "adapted")
-    split_b = TV.split_distribution(hb)
+    split_b = TV.split_distribution(hb, size=4)
     assert split_b.blocks == [(0, 1, 2, 3)]
     assert split_b.trivial == ()
     trivial = TV.split_distribution(H.lie_closure([]), size=4)
@@ -85,7 +85,7 @@ def test_split_distribution_cases(charts, algebra_cache):
 def test_split_invariance_postcondition(charts, algebra_cache):
     for name in ["disc_disc_11", "bergman"]:
         h0 = algebra_cache(name, 0, "adapted")
-        split = TV.split_distribution(h0)
+        split = TV.split_distribution(h0, size=4)
         for B in h0.basis:
             for blk in split.blocks:
                 other = [i for i in range(4) if i not in blk]
