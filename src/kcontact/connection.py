@@ -14,16 +14,18 @@ no transport integrates it.  The connection invariant suite
 (``manifolds.chart_invariant_residuals``) both read one second-order
 :class:`FramePointData`, so ``verify`` evaluates its points once.
 
-The first-order assembly and the three-operand sums of the second-order
-pass are batched matmuls: the summed index is brought next to the matrix
-axes, any spectator slots are flattened into one, and ``@`` broadcasts
-over the batch.  The single-sum ``np.einsum`` forms they replace are
-kept in the test suite (``tests/fd_oracles.py``, ``*_reference``) as
-oracles for the index layouts.  The bracket products flatten ``dE`` to
-``[(k a), i]``, so each is one matmul per point, and the Koszul sum reads
-its cyclic slot permutations as ``swapaxes`` views; the test suite keeps
-the per-component and ``np.moveaxis`` forms they replace and checks that
-the bits are the same.
+The first-order assembly and every sum of the second-order pass, the
+two-operand ones included, are batched matmuls: the summed index is
+brought next to the matrix axes, any spectator slots are flattened into
+one, and ``@`` broadcasts over the batch; no ``np.einsum`` call is left
+in :func:`frame_data`.  The ``np.einsum`` forms they replace are kept in
+the test suite (``tests/fd_oracles.py``, ``*_reference``, the whole
+second-order pass as ``curvature_reference``) as oracles for the index
+layouts.  The bracket products flatten ``dE`` to ``[(k a), i]``, so each
+is one matmul per point, and the Koszul sum (:func:`_koszul_sum`, shared
+by the pass and its derivative) reads its cyclic slot permutations as
+transposed views; the test suite keeps the per-component and
+``np.moveaxis`` forms they replace and checks that the bits are the same.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -39,6 +41,7 @@ Conventions fixed here and used everywhere downstream:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,27 +118,60 @@ def _koszul(E, G, dG, c):
     Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
     Dg = Dg.reshape(*batch, tm, tm, tm)
     W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
-    # the cyclic slot permutations as views: [b, c, a] and [c, a, b]
-    K = (
-        Dg
-        + Dg.swapaxes(-2, -1).swapaxes(-3, -2)
-        - Dg.swapaxes(-3, -2).swapaxes(-2, -1)
-        + W
-        - W.swapaxes(-2, -1).swapaxes(-3, -2)
-        - W.swapaxes(-2, -1)
-    )
+    K = _koszul_sum(Dg, W)
     Ginv = np.linalg.inv(G)
     # halved before the reshape, so numpy halves the product in its own buffer
     Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
     return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
 
 
+def _koszul_sum(Dg, W, slots="abc"):
+    """``K[a,b,c] = Dg[a,b,c] + Dg[b,c,a] - Dg[c,a,b] + W[a,b,c] - W[b,c,a] - W[a,c,b]``:
+    the Koszul right-hand side from the frame metric derivatives
+    ``Dg[a, b, c] = e_a g_bc`` and the bracket terms
+    ``W[a, b, c] = g(pi[e_a, e_b], e_c)``, or its derivative from theirs.
+
+    ``slots`` names the trailing axes of ``Dg``, ``W`` and ``K`` in order;
+    letters other than a, b, c are spectators (``"cabj"`` holds
+    ``d_j K[a, b, c]`` at ``[c, a, b, j]``).  The permuted terms are
+    transposed views, and ``K`` comes out C-ordered.
+    """
+    bca, cab, acb = _koszul_axes(Dg.ndim, slots)
+    K = np.add(Dg, Dg.transpose(bca), order="C")
+    K -= Dg.transpose(cab)
+    K += W
+    K -= W.transpose(bca)
+    K -= W.transpose(acb)
+    return K
+
+
+@functools.cache
+def _koszul_axes(ndim, slots):
+    """The axes that read ``x[b,c,a]``, ``x[c,a,b]`` and ``x[a,c,b]`` in the
+    layout of ``x``, whose trailing slots are named ``slots``."""
+    return tuple(_axes(ndim, slots.translate(str.maketrans("abc", order)), slots)
+                 for order in ("bca", "cab", "acb"))
+
+
+@functools.cache
+def _axes(ndim, src, dst):
+    lead = ndim - len(src)
+    return (*range(lead), *(lead + src.index(s) for s in dst))
+
+
+def _view(x, src, dst):
+    """The view of ``x`` whose trailing slots, named ``src`` in memory
+    order (one letter each), read in the order ``dst``:
+    ``_view(x, "bcaj", "jabc")[..., j, a, b, c] == x[..., b, c, a, j]``."""
+    return x.transpose(_axes(x.ndim, src, dst))
+
+
 def inverse_derivative(Minv, dM):
     """Coordinate derivatives ``[..., a, b, j]`` of an inverse matrix:
     ``-Minv (d_j M) Minv`` from ``Minv`` and ``dM[..., c, d, j]``, one batched
     matmul chain per derivative slot j."""
-    dMj = np.moveaxis(dM, -1, -3)
-    return np.moveaxis(-(Minv[..., None, :, :] @ dMj @ Minv[..., None, :, :]), -3, -1)
+    dMj = _view(dM, "cdj", "jcd")
+    return _view(-(Minv[..., None, :, :] @ dMj @ Minv[..., None, :, :]), "jab", "abj")
 
 
 def two_form_derivative(E, dE, A, dA):
@@ -146,11 +182,11 @@ def two_form_derivative(E, dE, A, dA):
     The two terms with a differentiated frame are transposes of each other
     up to sign (A is skew), so one matmul chain gives both.
     """
-    dEk = np.moveaxis(dE, -1, -3)
+    dEk = _view(dE, "iak", "kia")
     Ek = E[..., None, :, :]
     T = dEk.swapaxes(-1, -2) @ (A @ E)[..., None, :, :]
-    dom = T - T.swapaxes(-1, -2) + Ek.swapaxes(-1, -2) @ np.moveaxis(dA, -1, -3) @ Ek
-    return np.moveaxis(dom, -3, -1)
+    dom = T - T.swapaxes(-1, -2) + Ek.swapaxes(-1, -2) @ _view(dA, "ijk", "kij") @ Ek
+    return _view(dom, "kab", "abk")
 
 
 @dataclass(slots=True)
@@ -215,10 +251,27 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
 
     R(e_a, e_b) e_c = nabla_{e_a} nabla_{e_b} e_c - nabla_{e_b} nabla_{e_a} e_c
                       - nabla_{pi[e_a, e_b]} e_c - pi[ theta([e_a,e_b]) xi, e_c ]
+
+    Every two-operand sum is a batched matmul, laid out as in
+    :func:`_koszul`: the summed slot is brought next to the matrix axes,
+    the spectator slots are flattened into one and ``@`` broadcasts over
+    the batch.  Where the summed slot of ``d2E`` or ``d2G`` is the first of
+    its Hessian pair, ``E^T`` multiplies each ``[i, j]`` block (the jets'
+    Hessians are not exactly symmetric, so the pair is not swapped).  Each
+    product keeps the slot order it comes out in, named in the comments as
+    ``name[slots]``.  The derivatives carry their coordinate slot j last,
+    so the sums of permuted terms run along unit strides; they read the
+    permutations through :func:`_view`.  R is assembled in the
+    ``[e, a, b, c]`` order of its last terms and returned as a view.
+    ``tests/fd_oracles.py`` keeps the single-sum form of this pass as
+    ``curvature_reference``.
     """
     E, dE, d2E = arr.E, arr.dE, arr.d2E
     dG, d2G = arr.dG, arr.d2G
-    tm = 2 * chart.m
+    *batch, n, tm = E.shape
+    Et = E.swapaxes(-1, -2)
+    Et2 = Et[..., None, None, :, :]  # against each [i, j] block of d2E and d2G
+    cT = p["c"].reshape(*batch, tm, tm * tm).swapaxes(-1, -2)  # c[(a b), d]
 
     # Each temporary below is deleted right after its last use, so the pass
     # peaks at a few of them per point instead of holding all of them.
@@ -228,69 +281,82 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     domega = two_form_derivative(E, dE, p["A"], dA)
     del dA
 
-    # d_j [e_a, e_b]^k
-    dBr = np.einsum("...iaj,...kbi->...kabj", dE, dE) + np.einsum(
-        "...ia,...kbij->...kabj", E, d2E
-    )
-    dBr = dBr - dBr.swapaxes(-3, -2)
+    # Y[k, b, a, j] = d_j e_a(E[k, b]): dE flattened to [(k b), i] times dE
+    # flattened to [i, (a j)], plus E^T d2E; dBr[k, a, b, j] = d_j [e_a, e_b]^k
+    Y = (dE.reshape(*batch, n * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
+        *batch, n, tm, tm, n)
+    Y += Et2 @ d2E
+    dBr = np.subtract(Y.swapaxes(-3, -2), Y, order="C")
+    del Y
 
-    # d_j of the frame solve [E | xi]^{-1}
+    # d_j of the frame solve [E | xi]^{-1}: dMinv[c, k, j]
     dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
     Minv = p["Minv"]
     dMinv = inverse_derivative(Minv, dAug)
     del dAug
 
-    dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, p["Br"]) + np.einsum(
-        "...ck,...kabj->...cabj", Minv, dBr
-    )
-    del dMinv, dBr
-    dc = dcfull[..., :tm, :, :, :]
+    # dc[d, a, b, j] = d_j c[d, a, b] from the first 2m rows of the solve:
+    # Minv times dBr flattened to [k, (a b j)], plus Br^T [(a b), k] times
+    # each [k, j] block of dMinv
+    BrT = p["Br"].reshape(*batch, n, tm * tm).swapaxes(-1, -2)[..., None, :, :]
+    dc = (Minv[..., :tm, :] @ dBr.reshape(*batch, n, tm * tm * n)
+          + (BrT @ dMinv[..., :tm, :, :]).reshape(*batch, tm, tm * tm * n))
+    del dBr, dMinv, BrT
 
-    dDg = np.einsum("...iaj,...bci->...abcj", dE, dG) + np.einsum(
-        "...ia,...bcij->...abcj", E, d2G
-    )
-    dK = (
-        dDg
-        + np.einsum("...bcaj->...abcj", dDg)
-        - np.einsum("...cabj->...abcj", dDg)
-        + np.einsum("...dabj,...dc->...abcj", dc, arr.G)
-        + np.einsum("...dab,...dcj->...abcj", p["c"], dG)
-        - np.einsum("...dbcj,...da->...abcj", dc, arr.G)
-        - np.einsum("...dbc,...daj->...abcj", p["c"], dG)
-        - np.einsum("...dacj,...db->...abcj", dc, arr.G)
-        - np.einsum("...dac,...dbj->...abcj", p["c"], dG)
-    )
-    del dDg, dc, dcfull
+    # dDg[b, c, a, j] = d_j e_a(g_bc)
+    dDg = (dG.reshape(*batch, tm * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
+        *batch, tm, tm, tm, n)
+    dDg += Et2 @ d2G
+    # dW[c, a, b, j] = d_j g(pi[e_a, e_b], e_c): G^T dc plus c^T dG
+    dW = (arr.G.swapaxes(-1, -2) @ dc).reshape(*batch, tm, tm, tm, n)
+    del dc
+    cdG = (cT @ dG.reshape(*batch, tm, tm * n)).reshape(*batch, tm, tm, tm, n)
+    dW += _view(cdG, "abcj", "cabj")
+    del cdG
+    # dK[c, a, b, j] = d_j K[a, b, c], in the layout the Ginv product reads
+    dK = _koszul_sum(_view(dDg, "bcaj", "cabj"), dW, "cabj")
+    del dDg, dW
+
+    # dGam[e, a, b, j] = d_j Gamma[e, a, b]: K[(a b), c] times each [c, j]
+    # block of dGinv, plus Ginv times dK flattened to [c, (a b j)]
     dGinv = inverse_derivative(Ginv, dG)
     dGam = 0.5 * (
-        np.einsum("...ecj,...abc->...eabj", dGinv, K)
-        + np.einsum("...ec,...abcj->...eabj", Ginv, dK)
+        (K.reshape(*batch, 1, tm * tm, tm) @ dGinv).reshape(*batch, tm, tm * tm * n)
+        + Ginv @ dK.reshape(*batch, tm, tm * tm * n)
     )
     del dGinv, dK
-    DGam = np.einsum("...ja,...ebcj->...aebc", E, dGam)
-    del dGam
 
-    T1 = np.einsum("...aebc->...abec", DGam)
-    R = T1 - T1.swapaxes(-4, -3)
-    del T1, DGam
-    T3 = np.einsum("...dbc,...ead->...abec", Gam, Gam)
-    R += T3
-    R -= T3.swapaxes(-4, -3)
-    del T3
-    R -= np.einsum("...dab,...edc->...abec", p["c"], Gam)  # T5
-    R -= np.einsum("...ab,...ec->...abec", p["tau"], p["dcoef"])  # T6
+    # S[e, a, b, c] = e_a(Gamma[e, b, c]) + Gamma[e, a, d] Gamma[d, b, c]: E^T
+    # times each [j, (b c)] block of dGam, plus Gam[(e a), d] times Gam[d, (b c)]
+    S = Et[..., None, :, :] @ dGam.reshape(*batch, tm, tm * tm, n).swapaxes(-1, -2)
+    del dGam
+    S = S.reshape(*batch, tm, tm, tm, tm)
+    S += (Gam.reshape(*batch, tm * tm, tm) @ Gam.reshape(*batch, tm, tm * tm)).reshape(
+        *batch, tm, tm, tm, tm)
+    # Rm[e, a, b, c] = R[a, b, e, c]: S antisymmetrized in (a, b), minus
+    # c[d, a, b] Gamma[e, d, c] and theta([e_a, e_b]) [xi, e_c]^e
+    Rm = S - S.swapaxes(-3, -2)
+    del S
+    Rm -= (cT[..., None, :, :] @ Gam).reshape(*batch, tm, tm, tm, tm)
+    Rm -= p["dcoef"][..., :, None, None, :] * p["tau"][..., None, :, :, None]
 
     omega = p["omega"]
-    if np.min(np.abs(np.linalg.det(omega))) < 1e-12:
+    # a scale-free test: the singular-value ratio, not det(omega), which
+    # scales as the 2m-th power of dtheta
+    sv = np.linalg.svd(omega, compute_uv=False)
+    if np.any(sv[..., -1] <= 1e-12 * sv[..., 0]):
         raise ChartError("degenerate dtheta: cannot invert the contact 2-form")
     alpha = 2.0 * np.linalg.inv(omega)
-    N = np.einsum("...abec,...ab->...ec", R, alpha) / (4.0 * chart.m)
-    RW = R + np.einsum("...ab,...ec->...abec", omega, N)
+    # N[e, c] = R[a, b, e, c] alpha[a, b] / 4m: alpha flattened to [1, (a b)]
+    # times each [(a b), c] block of Rm
+    N = (alpha.reshape(*batch, 1, 1, tm * tm) @ Rm.reshape(*batch, tm, tm * tm, tm)).reshape(
+        *batch, tm, tm) / (4.0 * chart.m)
+    RWm = Rm + N[..., :, None, None, :] * omega[..., None, :, :, None]
 
-    data.R = R
+    data.R = _view(Rm, "eabc", "abec")
     data.alpha = alpha
     data.N = N
-    data.RW = RW
+    data.RW = _view(RWm, "eabc", "abec")
     data.domega = domega
 
 
@@ -333,13 +399,15 @@ def ortho_curvature(F, P, Pinv):
 
 def ortho_transports(taus, Pinv, P0):
     """Frame transports ``taus[p]`` from the base point to the end of path p,
-    in the orthonormal frames ``Pinv[p]`` at the ends and ``P0`` at the base."""
-    return np.einsum("pij,pjk,kl->pil", Pinv, taus, P0)
+    in the orthonormal frames ``Pinv[p]`` at the ends and ``P0`` at the base:
+    ``Pinv[p] taus[p] P0``."""
+    return Pinv @ taus @ P0
 
 
 def ortho_two_form(omega, P):
-    """A frame 2-form ``omega[..., a, b]`` in the orthonormal frame of P."""
-    return np.einsum("...aA,...ab,...bB->...AB", P, omega, P)
+    """A frame 2-form ``omega[..., a, b]`` in the orthonormal frame of P:
+    ``P^T omega P``."""
+    return np.swapaxes(P, -1, -2) @ omega @ P
 
 
 def connection_invariant_residuals(data):

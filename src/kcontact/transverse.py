@@ -17,8 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import (frame_data, inverse_derivative, ortho_curvature, ortho_two_form,
-                         orthonormal_frame_change)
+from .connection import frame_data, inverse_derivative, ortho_two_form, orthonormal_frame_change
 from .errors import ChartError, NumericsError
 from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure
 
@@ -54,9 +53,14 @@ class FactorSplit:
 def orthonormal_ricci(data):
     """``(ric, omega_o)`` of order-2 frame data, in the orthonormal frame:
     the transverse Ricci tensor Ric(X, Y) = sum_k g(R(e_k, X) Y, e_k) and
-    the contact 2-form dtheta."""
-    P, Pinv = orthonormal_frame_change(data.G)
-    ric = np.einsum("...kakb->...ab", ortho_curvature(data.R, P, Pinv))
+    the contact 2-form dtheta.
+
+    The trace over k does not depend on the frame, so it is taken in the
+    chart frame, ``sum_a R[a, b, a, c]``, and the result changed to the
+    orthonormal frame as a bilinear form, ``P^T Ric P``.
+    """
+    P = orthonormal_frame_change(data.G)[0]
+    ric = np.swapaxes(P, -1, -2) @ np.trace(data.R, axis1=-4, axis2=-2) @ P
     return ric, ortho_two_form(data.omega, P)
 
 
@@ -224,19 +228,22 @@ def sasaki_psi_check(data):
     Sasaki; the residuals are reported over the points of the order-2
     frame data ``data``, and both below 1e-6 flag a Sasaki candidate.
     """
-    psi = np.einsum("...ea,...ac->...ec", data.Ginv, data.omega)
-    tm = psi.shape[-1]
-    sq = np.einsum("...ed,...dc->...ec", psi, psi) + np.eye(tm)
+    psi = data.Ginv @ data.omega
+    *batch, n, tm = data.E.shape
+    sq = psi @ psi + np.eye(tm)
     psi_sq_residual = float(np.max(np.abs(sq)))
-    dGinv = inverse_derivative(data.Ginv, data.dG)
-    dpsi = np.einsum("...eaj,...ac->...ecj", dGinv, data.omega) + np.einsum(
-        "...ea,...acj->...ecj", data.Ginv, data.domega
-    )
-    epsi = np.einsum("...ja,...ecj->...aec", data.E, dpsi)
+    # dpsi[j, e, c] = d_j psi[e, c], the coordinate slot j first
+    dGinv = np.moveaxis(inverse_derivative(data.Ginv, data.dG), -1, -3)
+    dpsi = (dGinv @ data.omega[..., None, :, :]
+            + data.Ginv[..., None, :, :] @ np.moveaxis(data.domega, -1, -3))
+    # nabla[e, a, c] = e_a(psi[e, c]) + Gamma[e, a, d] psi[d, c] - psi[e, d] Gamma[d, a, c],
+    # e_a(psi) as E^T times dpsi flattened to [j, (e c)]
+    Gam = data.Gamma
+    epsi = (np.swapaxes(data.E, -1, -2) @ dpsi.reshape(*batch, n, tm * tm)).reshape(Gam.shape)
     nabla = (
-        epsi
-        + np.einsum("...ead,...dc->...aec", data.Gamma, psi)
-        - np.einsum("...dac,...ed->...aec", data.Gamma, psi)
+        epsi.swapaxes(-3, -2)
+        + (Gam.reshape(*batch, tm * tm, tm) @ psi).reshape(Gam.shape)
+        - (psi @ Gam.reshape(*batch, tm, tm * tm)).reshape(Gam.shape)
     )
     nabla_psi_residual = float(np.max(np.abs(nabla)))
     return {

@@ -46,9 +46,10 @@ import numpy as np
 
 from kcontact import jets
 from kcontact import transport as T
-from kcontact.connection import frame_data, orthonormal_frame_change, transport_data
+from kcontact.connection import (_koszul, frame_data, inverse_derivative, ortho_curvature,
+                                 orthonormal_frame_change, transport_data, two_form_derivative)
 from kcontact.jets import Jet
-from kcontact.manifolds import chart_arrays
+from kcontact.manifolds import chart_arrays, structure_pieces
 
 
 def chart_values(chart, x):
@@ -171,6 +172,122 @@ def ortho_curvature_reference(F, P, Pinv):
     """``connection.ortho_curvature`` as one five-operand sum, (2m)^8 products
     per point: ``P[a, A] P[b, B] Pinv[E, e] F[a, b, e, c] P[c, C]``."""
     return np.einsum("...aA,...bB,...Ee,...abec,...cC->...ABEC", P, P, Pinv, F, P)
+
+
+def curvature_reference(chart, X):
+    """The second-order pass of ``connection.frame_data`` as single sums.
+
+    The body of ``connection._curvature_inplace`` as it was before its sums
+    became batched matmuls, less the non-degeneracy check of dtheta.
+    Returns a dict of ``R``, ``alpha``, ``N``, ``RW`` and ``domega`` at the
+    points ``X`` of shape (p, n).
+    """
+    arr = chart_arrays(chart, np.asarray(X, dtype=float), order=2)
+    p = structure_pieces(arr)
+    K, Ginv, Gam = _koszul(arr.E, arr.G, arr.dG, p["c"])
+    E, dE, d2E = arr.E, arr.dE, arr.d2E
+    dG, d2G = arr.dG, arr.d2G
+    tm = 2 * chart.m
+
+    # d_k A_ij, and the frame 2-form derivative d_k omega_ab
+    dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
+    domega = two_form_derivative(E, dE, p["A"], dA)
+    del dA
+
+    # d_j [e_a, e_b]^k
+    dBr = np.einsum("...iaj,...kbi->...kabj", dE, dE) + np.einsum(
+        "...ia,...kbij->...kabj", E, d2E
+    )
+    dBr = dBr - dBr.swapaxes(-3, -2)
+
+    # d_j of the frame solve [E | xi]^{-1}
+    dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
+    Minv = p["Minv"]
+    dMinv = inverse_derivative(Minv, dAug)
+    del dAug
+
+    dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, p["Br"]) + np.einsum(
+        "...ck,...kabj->...cabj", Minv, dBr
+    )
+    del dMinv, dBr
+    dc = dcfull[..., :tm, :, :, :]
+
+    dDg = np.einsum("...iaj,...bci->...abcj", dE, dG) + np.einsum(
+        "...ia,...bcij->...abcj", E, d2G
+    )
+    dK = (
+        dDg
+        + np.einsum("...bcaj->...abcj", dDg)
+        - np.einsum("...cabj->...abcj", dDg)
+        + np.einsum("...dabj,...dc->...abcj", dc, arr.G)
+        + np.einsum("...dab,...dcj->...abcj", p["c"], dG)
+        - np.einsum("...dbcj,...da->...abcj", dc, arr.G)
+        - np.einsum("...dbc,...daj->...abcj", p["c"], dG)
+        - np.einsum("...dacj,...db->...abcj", dc, arr.G)
+        - np.einsum("...dac,...dbj->...abcj", p["c"], dG)
+    )
+    del dDg, dc, dcfull
+    dGinv = inverse_derivative(Ginv, dG)
+    dGam = 0.5 * (
+        np.einsum("...ecj,...abc->...eabj", dGinv, K)
+        + np.einsum("...ec,...abcj->...eabj", Ginv, dK)
+    )
+    del dGinv, dK
+    DGam = np.einsum("...ja,...ebcj->...aebc", E, dGam)
+    del dGam
+
+    T1 = np.einsum("...aebc->...abec", DGam)
+    R = T1 - T1.swapaxes(-4, -3)
+    del T1, DGam
+    T3 = np.einsum("...dbc,...ead->...abec", Gam, Gam)
+    R += T3
+    R -= T3.swapaxes(-4, -3)
+    del T3
+    R -= np.einsum("...dab,...edc->...abec", p["c"], Gam)  # T5
+    R -= np.einsum("...ab,...ec->...abec", p["tau"], p["dcoef"])  # T6
+
+    omega = p["omega"]
+    alpha = 2.0 * np.linalg.inv(omega)
+    N = np.einsum("...abec,...ab->...ec", R, alpha) / (4.0 * chart.m)
+    RW = R + np.einsum("...ab,...ec->...abec", omega, N)
+    return {"R": R, "alpha": alpha, "N": N, "RW": RW, "domega": domega}
+
+
+def sasaki_psi_check_reference(data):
+    """The residuals of ``transverse.sasaki_psi_check`` with its sums as
+    single einsums: ``(psi_sq_residual, nabla_psi_residual)``."""
+    psi = np.einsum("...ea,...ac->...ec", data.Ginv, data.omega)
+    tm = psi.shape[-1]
+    sq = np.einsum("...ed,...dc->...ec", psi, psi) + np.eye(tm)
+    dGinv = inverse_derivative(data.Ginv, data.dG)
+    dpsi = np.einsum("...eaj,...ac->...ecj", dGinv, data.omega) + np.einsum(
+        "...ea,...acj->...ecj", data.Ginv, data.domega
+    )
+    epsi = np.einsum("...ja,...ecj->...aec", data.E, dpsi)
+    nabla = (
+        epsi
+        + np.einsum("...ead,...dc->...aec", data.Gamma, psi)
+        - np.einsum("...dac,...ed->...aec", data.Gamma, psi)
+    )
+    return float(np.max(np.abs(sq))), float(np.max(np.abs(nabla)))
+
+
+def orthonormal_ricci_reference(data):
+    """``transverse.orthonormal_ricci``: the trace of the orthonormal-frame
+    curvature as one einsum, and the 2-form by ``ortho_two_form_reference``."""
+    P, Pinv = orthonormal_frame_change(data.G)
+    ric = np.einsum("...kakb->...ab", ortho_curvature(data.R, P, Pinv))
+    return ric, ortho_two_form_reference(data.omega, P)
+
+
+def ortho_two_form_reference(omega, P):
+    """``connection.ortho_two_form`` as one three-operand sum."""
+    return np.einsum("...aA,...ab,...bB->...AB", P, omega, P)
+
+
+def ortho_transports_reference(taus, Pinv, P0):
+    """``connection.ortho_transports`` as one three-operand sum."""
+    return np.einsum("pij,pjk,kl->pil", Pinv, taus, P0)
 
 
 def frame_brackets_reference(arr):

@@ -523,6 +523,19 @@ def test_holonomy_large_epsilon_routes_agree(tmp_path):
     assert rep["cross_variant"]["residual"] < cli.CROSS_VARIANT_TOL
 
 
+def test_holonomy_runs_at_small_dtheta(tmp_path):
+    # three discs with b = 0.001: det(omega) scales as b^6 and falls below
+    # 1e-12, but omega is well conditioned (cond about 8), so the report runs
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "b": 0.001}] * 3}})
+    out = tmp_path / "rep.json"
+    assert run(["holonomy", "--config", cfg, "--seed", "1", "--paths", "8",
+                "--out", str(out)]) == 0
+    rep = read(out)
+    assert rep["dims"] == {"schouten": 2, "adapted": 3}
+    assert rep["blocks"] == [[0, 1], [2, 3], [4, 5]]
+
+
 def test_holonomy_structure_beyond_shipped_configs():
     # an m = 4 product with two discs and a 2-ball: the dichotomy's ideal
     # case, h of codimension one in h0, with one block per factor

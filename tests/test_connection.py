@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -7,11 +8,14 @@ from kcontact import connection as C
 from kcontact import holonomy as H
 from kcontact import manifolds as M
 from kcontact import transport as T
+from kcontact import transverse as TV
+from kcontact.errors import ChartError
 
 from conftest import domain_points
 from fd_oracles import (
     conjugated_samples_reference,
     curvature_fd,
+    curvature_reference,
     frame_brackets_per_component,
     frame_brackets_reference,
     frame_rates_reference,
@@ -21,8 +25,13 @@ from fd_oracles import (
     koszul_moveaxis,
     koszul_reference,
     ortho_curvature_reference,
+    ortho_transports_reference,
+    ortho_two_form_reference,
+    orthonormal_ricci_reference,
     reeb_brackets_per_component,
     reeb_brackets_reference,
+    rotated_chart,
+    sasaki_psi_check_reference,
     two_form_derivative_reference,
     wagner_nabla_N,
 )
@@ -202,6 +211,148 @@ def test_order_two_frame_data_peak_memory(charts):
     finally:
         tracemalloc.stop()
     assert peak <= 4.0e6, peak
+
+
+def _disc3():
+    return M.product_construction([M.FactorSpec("poincare_disc", b=b) for b in (1.0, 2.0, 3.0)])
+
+
+# charts for the second-order layouts: m = 2 and m = 3 products, a flat
+# chart at m = 4, and a rotated chart, the only one whose dxi and dMinv are
+# not zero (every built-in chart has dxi = 0)
+ORDER_TWO_CHARTS = {
+    "bergman": lambda charts: charts["bergman"],
+    "disc_disc_12": lambda charts: charts["disc_disc_12"],
+    "perturbed_disc_disc": lambda charts: charts["perturbed_disc_disc"],
+    "disc3_b123": lambda charts: _disc3(),
+    "heisenberg(4)": lambda charts: M.heisenberg(4),
+    "rotated_disc_disc_12": lambda charts: rotated_chart(charts["disc_disc_12"], (0, 1), 0.7),
+}
+
+
+def _close(got, ref, rel=1e-12):
+    assert got.shape == ref.shape
+    assert np.max(np.abs(got - ref)) <= rel * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", list(ORDER_TWO_CHARTS))
+def test_curvature_matches_reference(charts, name):
+    # the batched-matmul layouts of the second-order pass against its
+    # single-sum form, field by field
+    chart = ORDER_TWO_CHARTS[name](charts)
+    pts = domain_points(chart, 12, seed=13, margin=0.9)
+    data = C.frame_data(chart, pts, order=2)
+    ref = curvature_reference(chart, pts)
+    for field in ("R", "RW", "N", "alpha", "domega"):
+        _close(getattr(data, field), ref[field])
+
+
+@pytest.mark.parametrize("name", list(ORDER_TWO_CHARTS))
+def test_order_two_consumers_match_references(charts, name):
+    chart = ORDER_TWO_CHARTS[name](charts)
+    data = C.frame_data(chart, domain_points(chart, 12, seed=14, margin=0.9), order=2)
+    for got, ref in zip(TV.orthonormal_ricci(data), orthonormal_ricci_reference(data),
+                        strict=True):
+        _close(got, ref)
+    # the residuals vanish on Sasaki charts: rounding noise is compared absolutely
+    res = TV.sasaki_psi_check(data)
+    for key, ref in zip(("psi_sq_residual", "nabla_psi_residual"),
+                        sasaki_psi_check_reference(data), strict=True):
+        assert abs(res[key] - ref) <= 1e-12 * max(1.0, ref)
+
+
+@pytest.mark.parametrize("tm", [4, 6, 8])
+@pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
+def test_ortho_two_form_matches_reference(tm, batch):
+    rng = np.random.default_rng([tm, len(batch)])
+    A = rng.standard_normal(batch + (tm, tm))
+    P = C.orthonormal_frame_change(A @ np.swapaxes(A, -1, -2) + tm * np.eye(tm))[0]
+    omega = rng.standard_normal(batch + (tm, tm))
+    omega = omega - np.swapaxes(omega, -1, -2)
+    _close(C.ortho_two_form(omega, P), ortho_two_form_reference(omega, P), 1e-13)
+
+
+@pytest.mark.parametrize("tm", [4, 6, 8])
+@pytest.mark.parametrize("paths", [1, 7])
+def test_ortho_transports_match_reference(tm, paths):
+    rng = np.random.default_rng([tm, paths])
+    A = rng.standard_normal((paths + 1, tm, tm))
+    P, Pinv = C.orthonormal_frame_change(A @ np.swapaxes(A, -1, -2) + tm * np.eye(tm))
+    taus = np.eye(tm) + 0.3 * rng.standard_normal((paths, tm, tm))
+    _close(C.ortho_transports(taus, Pinv[1:], P[0]),
+           ortho_transports_reference(taus, Pinv[1:], P[0]), 1e-13)
+
+
+@pytest.mark.parametrize("name", ["bergman", "disc3_b123", "rotated_disc_disc_12"])
+def test_order_two_frame_data_makes_no_einsum_call(charts, name, monkeypatch):
+    # connection and manifolds reach np.einsum through the numpy module; no
+    # sum of two or more operands in the second-order pass goes through it
+    chart = ORDER_TWO_CHARTS[name](charts)
+    pts = domain_points(chart, 6, seed=15)
+    operands = []
+    einsum = np.einsum
+
+    def recording_einsum(subscripts, *args, **kwargs):
+        operands.append(len(args))
+        return einsum(subscripts, *args, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", recording_einsum)
+    data = C.frame_data(chart, pts, order=2)
+    monkeypatch.setattr(np, "einsum", einsum)
+    assert data.RW.shape == (6,) + (2 * chart.m,) * 4
+    assert all(k < 2 for k in operands), operands
+
+
+def test_order_two_frame_data_peak_memory_at_m3():
+    # three discs (2m = 6) on 30 points: the order-2 batch of the transverse
+    # checks of a wide report; the single-sum pass peaked at 3.24 MB
+    chart = _disc3()
+    pts = domain_points(chart, 30, seed=0, margin=0.95)
+    C.frame_data(chart, pts, order=2)  # warm up caches outside the trace
+    tracemalloc.start()
+    try:
+        C.frame_data(chart, pts, order=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.9e6, peak
+
+
+def test_small_dtheta_is_not_degenerate():
+    # det(omega) scales as b^(2m): at b = 0.001 on three discs it falls
+    # below 1e-12 at points away from the origin, yet omega is well
+    # conditioned at every point
+    chart = M.product_construction([M.FactorSpec("poincare_disc", b=0.001)] * 3)
+    pts = domain_points(chart, 10, seed=16)
+    data = C.frame_data(chart, pts, order=2)
+    assert np.min(np.abs(np.linalg.det(data.omega))) < 1e-12
+    assert np.max(np.linalg.cond(data.omega)) < 100.0
+    pairing = C.form_on_bivector(data.omega, data.alpha)
+    assert np.max(np.abs(pairing + 4.0 * chart.m)) < 1e-9
+
+
+def test_degenerate_dtheta_raises_chart_error_at_any_scale():
+    # theta = dt + S sum_r (u_r . x) (w_r . dx) on the m = 3 Heisenberg frame:
+    # dtheta = S sum_r du_r ^ dw_r has rank 4 < 2m = 6.  At S = 1e4 rounding
+    # leaves |det omega| near 3e-10, above the old absolute cut-off of 1e-12
+    U = [[0.3, -0.7, 0.5, 0.2, 0.9, -0.1], [0.6, 0.1, -0.4, 0.9, -0.3, 0.8]]
+    W = [[-0.2, 0.5, 0.7, -0.6, 0.4, 0.3], [0.9, -0.8, 0.1, 0.2, 0.6, -0.5]]
+    scale = 1e4
+
+    def theta(x):
+        comps = [0.0] * 6
+        for u, w in zip(U, W):
+            f = sum(ui * xi for ui, xi in zip(u, x[:6]))
+            comps = [c + (scale * wi) * f for c, wi in zip(comps, w)]
+        return comps + [1.0]
+
+    chart = dataclasses.replace(M.heisenberg(3), theta=theta, name="rank-4 dtheta")
+    pts = domain_points(chart, 4, seed=17, margin=0.2)
+    omega = C.frame_data(chart, pts, order=1).omega
+    assert np.linalg.matrix_rank(omega[0]) == 4
+    assert np.min(np.abs(np.linalg.det(omega))) > 1e-12
+    with pytest.raises(ChartError, match="degenerate dtheta"):
+        C.frame_data(chart, pts, order=2)
 
 
 def test_orthonormal_frame_change_properties(charts):
