@@ -68,7 +68,10 @@ class FramePointData:
     ``xi_coeffs[..., c, b]`` the frame coefficients of ``[xi, e_b]`` used
     by the vertical part of the zero extension, and ``xi_theta[..., b]``
     its theta part ``theta([xi, e_b])``.  ``A`` is the coordinate matrix
-    ``d_i theta_j - d_j theta_i`` and ``omega = E^T A E``.  At second order,
+    ``d_i theta_j - d_j theta_i`` and ``omega = E^T A E``.  ``(P, Pinv)``
+    is the orthonormal frame change of ``G``
+    (:func:`orthonormal_frame_change`), so the samplers and the transverse
+    checks change frames without computing it again.  At second order,
     ``R[..., a, b, e, c]`` is the matrix of ``R(e_a, e_b)`` (slot ``c`` in,
     slot ``e`` out), ``N`` the Wagner endomorphism and ``RW`` the Wagner
     curvature on horizontal pairs.  The zero extension has curvature ``R``
@@ -90,6 +93,8 @@ class FramePointData:
     xi_coeffs: np.ndarray
     xi_theta: np.ndarray
     Gamma: np.ndarray
+    P: np.ndarray
+    Pinv: np.ndarray
     R: np.ndarray = None
     alpha: np.ndarray = None
     N: np.ndarray = None
@@ -224,6 +229,7 @@ def frame_data(chart, X, order=1):
     arr = chart_arrays(chart, Xb, order=max(order, 1))
     p = structure_pieces(arr)
     K, Ginv, Gam = _koszul(arr.E, arr.G, arr.dG, p["c"])
+    P, Pinv = orthonormal_frame_change(arr.G)
     data = FramePointData(
         x=Xb,
         m=chart.m,
@@ -239,6 +245,8 @@ def frame_data(chart, X, order=1):
         xi_coeffs=p["dcoef"],
         xi_theta=p["dcoef_theta"],
         Gamma=Gam,
+        P=P,
+        Pinv=Pinv,
         dG=arr.dG,
     )
     if order >= 2:
@@ -405,8 +413,8 @@ def ortho_transports(taus, Pinv, P0):
 
 
 def ortho_two_form(omega, P):
-    """A frame 2-form ``omega[..., a, b]`` in the orthonormal frame of P:
-    ``P^T omega P``."""
+    """A frame bilinear form ``omega[..., a, b]`` (dtheta, the Ricci tensor)
+    in the orthonormal frame of P: ``P^T omega P``."""
     return np.swapaxes(P, -1, -2) @ omega @ P
 
 

@@ -9,8 +9,10 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
 adapted zero-extension samples: its horizontal and adapted halves are
 integrated as one batch and share one order-2 evaluation of the base
-point.  The span cut of :func:`lie_closure` is the one threshold a caller sets;
-the structure analysis cuts at fixed thresholds, written where applied.
+point.  The frame data carries its orthonormal frame, and each variant's
+samples come out as one array.  The span cut of :func:`lie_closure` is
+the one threshold a caller sets; the structure analysis cuts at fixed
+thresholds, written where applied.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .connection import (frame_data, ortho_curvature, ortho_transports, ortho_two_form,
-                         orthonormal_frame_change)
+from .connection import frame_data, ortho_curvature, ortho_transports, ortho_two_form
 from .errors import NumericsError
 from .transport import HALVES, SamplerConfig, sampled_path_transports
 
@@ -70,6 +71,19 @@ def _flat(mats):
     """Matrices as rows (an empty list gives zero rows)."""
     mats = np.asarray(mats)
     return mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
+
+
+def matrix_basis(size, skew):
+    """Trace-orthonormal basis of the skew (``skew``) or the symmetric
+    size x size matrices: one element per index pair a < b (a <= b when
+    symmetric), in row-major order."""
+    a, b = np.triu_indices(size, 1 if skew else 0)
+    k = np.arange(len(a))
+    w = np.where(a == b, 1.0, 1.0 / np.sqrt(2.0))
+    basis = np.zeros((len(a), size, size))
+    basis[k, a, b] = w
+    basis[k, b, a] = -w if skew else w
+    return basis
 
 
 @dataclass
@@ -137,7 +151,7 @@ def lie_closure(matrices, tol=1e-6):
     Scaling the samples changes no dimension.  The dimension is capped at
     dim so(2m); exceeding it signals numerical blow-up.
     """
-    mats = np.array([np.asarray(M, dtype=float) for M in matrices])
+    mats = np.asarray(matrices, dtype=float)
     if not len(mats):
         return _algebra(mats)
     basis = _span_basis(mats, tol)
@@ -154,11 +168,6 @@ def lie_closure(matrices, tol=1e-6):
 # Ambrose-Singer sampling
 
 
-def _ortho_endpoint_data(chart, ends):
-    data = frame_data(chart, ends, order=2)
-    return (data, *orthonormal_frame_change(data.G))
-
-
 def _conjugated_samples(taus_o, mats):
     """tau^{-1} M tau for each path and each matrix batch entry."""
     inv = np.linalg.inv(taus_o)
@@ -172,28 +181,24 @@ def _conjugated_samples(taus_o, mats):
 def _pair_matrices(field):
     """Pair samples of the frame-data curvature ``field`` ("R" or "RW"): its
     orthonormal-frame matrices on the frame pairs A < B."""
-    def pairs(data, P, Pinv):
-        Fo = ortho_curvature(getattr(data, field), P, Pinv)
-        tm = Fo.shape[-1]
-        return np.stack([Fo[:, a, b] for a in range(tm) for b in range(a + 1, tm)], axis=1)
+    def pairs(data):
+        Fo = ortho_curvature(getattr(data, field), data.P, data.Pinv)
+        a, b = np.triu_indices(Fo.shape[-1], 1)
+        return Fo[:, a, b]
     return pairs
 
 
-def _annihilator_pairs(data, P, Pinv):
+def _annihilator_pairs(data):
     """Horizontal curvature on frame-pair bivectors projected to ker dtheta."""
-    omega_o = ortho_two_form(data.omega, P)
-    R_o = ortho_curvature(data.R, P, Pinv)
-    tm = omega_o.shape[-1]
+    omega_o = ortho_two_form(data.omega, data.P)
+    R_o = ortho_curvature(data.R, data.P, data.Pinv)
     what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
-    mats = []
-    for a in range(tm):
-        for b in range(a + 1, tm):
-            beta = np.zeros(omega_o.shape)
-            beta[..., a, b] = 1.0
-            beta[..., b, a] = -1.0
-            beta = beta - np.einsum("...ab,...ab->...", what, beta)[..., None, None] * what
-            mats.append(np.einsum("...abec,...ab->...ec", R_o, beta))
-    return np.stack(mats, axis=1)
+    # the bivectors e_a ^ e_b, a < b: entries +-1, to which sqrt(2) rescales
+    # the basis exactly
+    beta = np.sqrt(2.0) * matrix_basis(omega_o.shape[-1], skew=True)
+    coef = np.einsum("...ab,pab->...p", what, beta)
+    beta = beta - coef[..., None, None] * what[..., None, :, :]
+    return np.einsum("...abec,...pab->...pec", R_o, beta)
 
 
 # sample generators of each variant, and the half of the sampling pass whose
@@ -205,37 +210,6 @@ _VARIANTS = {
 }
 
 
-def _sampling_pass(chart, x, sampler, halves):
-    """One sampling pass with its orthonormal-frame data.
-
-    Returns ``(base, ends)``: ``base`` is the order-2 frame data at x with
-    its orthonormal frame change (the trivial path, tau = identity);
-    ``ends[half]`` is ``(taus_o, data, P, Pinv)`` for the paths of that
-    half, or None when there are none.  The end points are evaluated one
-    half at a time: the order-2 temporaries grow with the batch, and one
-    evaluation over both halves doubles the peak memory of a report.
-    """
-    x = np.asarray(x, dtype=float)
-    results = sampled_path_transports(chart, x, sampler, halves)
-    base = _ortho_endpoint_data(chart, x[None])
-    ends = dict.fromkeys(halves)
-    for half, (paths, points, taus) in zip(halves, results):
-        if paths:
-            data, P, Pinv = _ortho_endpoint_data(chart, points)
-            ends[half] = (ortho_transports(taus, Pinv, base[1][0]), data, P, Pinv)
-    return base, ends
-
-
-def _pass_samples(chart, base, ends, pair_samples):
-    """Base-point samples followed by the conjugated samples of every path."""
-    tm = 2 * chart.m
-    samples = list(pair_samples(*base).reshape(-1, tm, tm))
-    if ends is not None:
-        taus_o, data, P, Pinv = ends
-        samples += list(_conjugated_samples(taus_o, pair_samples(data, P, Pinv)))
-    return samples
-
-
 def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)):
     """``{variant: samples}`` at x, in the orthonormal frame, from one sampling pass.
 
@@ -245,15 +219,33 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
     pairs (its mixed curvature vanishes), conjugated along arbitrary paths
     with Reeb-direction controls (classical Ambrose-Singer).  Only the
-    halves of the pass that the variants need are integrated.
+    halves of the pass that the variants need are integrated.  Each
+    variant's samples are one ``(count, 2m, 2m)`` array: the base point's
+    (the trivial path), then the conjugated samples of every path.
     """
     for v in variants:
         if v not in _VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
     halves = [h for h in HALVES if any(_VARIANTS[v][1] == h for v in variants)]
-    base, ends = _sampling_pass(chart, x, sampler, halves)
-    return {v: _pass_samples(chart, base, ends[_VARIANTS[v][1]], _VARIANTS[v][0])
-            for v in variants}
+    x = np.asarray(x, dtype=float)
+    results = sampled_path_transports(chart, x, sampler, halves)
+    base = frame_data(chart, x[None], order=2)
+    # The end points are evaluated one half at a time: the order-2
+    # temporaries grow with the batch, and one evaluation over both halves
+    # doubles the peak memory of a report.
+    ends = {}
+    for half, (paths, points, taus) in zip(halves, results):
+        if paths:
+            data = frame_data(chart, points, order=2)
+            ends[half] = (ortho_transports(taus, data.Pinv, base.P[0]), data)
+    samples = {}
+    for v in variants:
+        generate, half = _VARIANTS[v]
+        samples[v] = generate(base)[0]
+        if half in ends:
+            taus_o, data = ends[half]
+            samples[v] = np.concatenate([samples[v], _conjugated_samples(taus_o, generate(data))])
+    return samples
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
@@ -339,15 +331,7 @@ def detect_complex_structure(h: MatrixLieAlgebra, size):
     of J with the basis exceeds 1e-6.
     """
     rng = np.random.default_rng(0)
-    # orthonormal basis of so(size)
-    skew_basis = []
-    for a in range(size):
-        for b in range(a + 1, size):
-            F = np.zeros((size, size))
-            F[a, b] = 1.0 / np.sqrt(2.0)
-            F[b, a] = -1.0 / np.sqrt(2.0)
-            skew_basis.append(F)
-    skew_basis = np.array(skew_basis)
+    skew_basis = matrix_basis(size, skew=True)
     comm = h.commutant(skew_basis)
     if len(comm) == 0:
         return None

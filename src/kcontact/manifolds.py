@@ -485,6 +485,13 @@ def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
     same bits whatever else is requested.  With a ``direction`` (one vector
     per point) each derivative axis has length 1 and holds the derivative
     along that direction (``dxi[..., i, 0]`` is Dxi_i(X) direction).
+
+    Orders 1 and 2 give bit-identical values and first derivatives, so one
+    order-2 evaluation serves first-order readers too.  Order-0 values can
+    differ from them in the last bits, because a jet divides by multiplying
+    with its reciprocal and a plain float divides directly: on 200 random
+    points of each built-in product chart, ``th`` and ``E`` differ at most
+    of them.
     """
     unknown = set(fields) - set(CHART_FIELDS)
     if unknown:

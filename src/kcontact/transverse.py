@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import frame_data, inverse_derivative, ortho_two_form, orthonormal_frame_change
+from .connection import frame_data, inverse_derivative, ortho_two_form
 from .errors import ChartError, NumericsError
-from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure
+from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure, matrix_basis
 
 __all__ = [
     "FactorSplit",
@@ -59,9 +59,8 @@ def orthonormal_ricci(data):
     chart frame, ``sum_a R[a, b, a, c]``, and the result changed to the
     orthonormal frame as a bilinear form, ``P^T Ric P``.
     """
-    P = orthonormal_frame_change(data.G)[0]
-    ric = np.swapaxes(P, -1, -2) @ np.trace(data.R, axis1=-4, axis2=-2) @ P
-    return ric, ortho_two_form(data.omega, P)
+    ric = ortho_two_form(np.trace(data.R, axis1=-4, axis2=-2), data.P)
+    return ric, ortho_two_form(data.omega, data.P)
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +69,7 @@ def orthonormal_ricci(data):
 
 def _symmetric_commutant_element(h: MatrixLieAlgebra, tm):
     """A random symmetric matrix (seed 0) commuting with the algebra."""
-    sym_basis = []
-    for a in range(tm):
-        for b in range(a, tm):
-            S = np.zeros((tm, tm))
-            S[a, b] = S[b, a] = 1.0 if a == b else 1.0 / np.sqrt(2.0)
-            sym_basis.append(S)
-    sym_basis = np.array(sym_basis)
+    sym_basis = matrix_basis(tm, skew=False)
     comm = h.commutant(sym_basis)
     coef = np.random.default_rng(0).normal(size=len(comm)) @ comm
     C = np.einsum("k,kij->ij", coef, sym_basis)
@@ -141,7 +134,7 @@ def factor_split(chart, x, h: MatrixLieAlgebra, span_tol):
     x = np.asarray(x, dtype=float)
     split = split_distribution(h, size=2 * chart.m)
     data = frame_data(chart, x[None], order=1)
-    omega_o = ortho_two_form(data.omega, orthonormal_frame_change(data.G)[0])[0]
+    omega_o = ortho_two_form(data.omega, data.P)[0]
     tm = 2 * chart.m
     Js = []
     for block in split.blocks:

@@ -17,7 +17,8 @@ earlier forms are kept here as bit-for-bit oracles:
 :func:`frame_brackets_per_component` and :func:`reeb_brackets_per_component`
 take one matmul per component of ``dE`` where the package flattens ``dE``
 into one, :func:`koszul_moveaxis` permutes slots with ``np.moveaxis``,
-:func:`recip_uncached` is ``Jet._recip`` without its cache and
+:func:`annihilator_pairs_reference` projects and contracts one frame-pair
+bivector at a time, :func:`recip_uncached` is ``Jet._recip`` without its cache and
 :func:`where_reference` is ``jets.where`` lifting a constant branch to a
 zero jet.
 
@@ -47,7 +48,8 @@ import numpy as np
 from kcontact import jets
 from kcontact import transport as T
 from kcontact.connection import (_koszul, frame_data, inverse_derivative, ortho_curvature,
-                                 orthonormal_frame_change, transport_data, two_form_derivative)
+                                 ortho_two_form, orthonormal_frame_change, transport_data,
+                                 two_form_derivative)
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays, structure_pieces
 
@@ -347,6 +349,24 @@ def conjugated_samples_reference(taus_o, mats):
     out = np.einsum("pij,pkjl,plq->pkiq", inv, mats, taus_o)
     out = 0.5 * (out - out.swapaxes(-1, -2))
     return out.reshape(-1, out.shape[-2], out.shape[-1])
+
+
+def annihilator_pairs_reference(data):
+    """``holonomy._annihilator_pairs`` as it ran before it projected every
+    frame pair at once: one bivector, projection and contraction per pair."""
+    omega_o = ortho_two_form(data.omega, data.P)
+    R_o = ortho_curvature(data.R, data.P, data.Pinv)
+    tm = omega_o.shape[-1]
+    what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
+    mats = []
+    for a in range(tm):
+        for b in range(a + 1, tm):
+            beta = np.zeros(omega_o.shape)
+            beta[..., a, b] = 1.0
+            beta[..., b, a] = -1.0
+            beta = beta - np.einsum("...ab,...ab->...", what, beta)[..., None, None] * what
+            mats.append(np.einsum("...abec,...ab->...ec", R_o, beta))
+    return np.stack(mats, axis=1)
 
 
 def frame_rates_reference(Gamma, u):

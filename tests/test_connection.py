@@ -13,6 +13,7 @@ from kcontact.errors import ChartError
 
 from conftest import domain_points
 from fd_oracles import (
+    annihilator_pairs_reference,
     conjugated_samples_reference,
     curvature_fd,
     curvature_reference,
@@ -483,6 +484,31 @@ def test_conjugated_samples_match_reference(tm, batch):
     got = H._conjugated_samples(taus, mats)
     assert got.shape == ref.shape == (p * k, tm, tm)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name", ["bergman", "disc3_b123", "rotated_disc_disc_12"])
+def test_annihilator_pairs_keep_the_bits(charts, name):
+    # every frame-pair bivector projected and contracted in one batch gives
+    # the bits of the per-pair loop
+    chart = ORDER_TWO_CHARTS[name](charts)
+    data = C.frame_data(chart, domain_points(chart, 8, seed=18), order=2)
+    tm = 2 * chart.m
+    got = H._annihilator_pairs(data)
+    assert got.shape == (8, tm * (tm - 1) // 2, tm, tm)
+    assert np.array_equal(got, annihilator_pairs_reference(data))
+
+
+@pytest.mark.parametrize("name", list(ORDER_TWO_CHARTS))
+def test_frame_data_carries_its_orthonormal_frame(charts, name):
+    # P and Pinv are the frame change of G at either order, and the same at
+    # both, since orders 1 and 2 evaluate the chart to the same bits
+    chart = ORDER_TWO_CHARTS[name](charts)
+    pts = domain_points(chart, 6, seed=19)
+    one, two = (C.frame_data(chart, pts, order=k) for k in (1, 2))
+    for data in (one, two):
+        P, Pinv = C.orthonormal_frame_change(data.G)
+        assert np.array_equal(data.P, P) and np.array_equal(data.Pinv, Pinv)
+    assert np.array_equal(one.P, two.P) and np.array_equal(one.Pinv, two.Pinv)
 
 
 @pytest.mark.parametrize("contiguous", [False, True], ids=["views", "contiguous"])

@@ -96,13 +96,16 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     assert passes == [("horizontal", "adapted")]
     assert set(every) == set(single)
     for v, samples in single.items():
-        assert len(every[v]) == len(samples) == 6 * 7
-        assert all(np.array_equal(a, b) for a, b in zip(every[v], samples))
+        assert isinstance(every[v], np.ndarray) and every[v].shape == (6 * 7, 4, 4)
+        assert np.array_equal(every[v], samples)
+    # lists of samples close to the same algebra as their array
+    for v in ("wagner", "adapted"):
+        assert np.array_equal(H.lie_closure(every[v]).basis, H.lie_closure(list(every[v])).basis)
     # the Schouten variants alone integrate only the horizontal half
     horizontal = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
     assert passes[1:] == [("horizontal",)]
     for v, samples in horizontal.items():
-        assert all(np.array_equal(a, b) for a, b in zip(samples, single[v]))
+        assert np.array_equal(samples, single[v])
     with pytest.raises(ValueError):
         H.as_samples_schouten(chart, x0, cfg, variant="bogus")
     with pytest.raises(ValueError):
@@ -116,7 +119,8 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
     chart = charts["disc_disc_11"]
     x0 = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=0, seed=0)
-    samples = np.array(H.as_samples_schouten(chart, x0, cfg))
+    samples = H.as_samples_schouten(chart, x0, cfg)
+    assert isinstance(samples, np.ndarray) and samples.shape == (6, 4, 4)
     data = C.frame_data(chart, x0[None], order=2)
     P, Pinv = C.orthonormal_frame_change(data.G)
     RWo = np.einsum(

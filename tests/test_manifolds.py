@@ -9,7 +9,7 @@ from kcontact import manifolds as M
 from kcontact.errors import ChartError, ConfigError
 
 from conftest import domain_points
-from fd_oracles import ball_metric_reference, chart_values, fd_first
+from fd_oracles import ball_metric_reference, chart_values, fd_first, rotated_chart
 
 
 TOLS = {
@@ -32,6 +32,20 @@ def test_chart_invariants_on_random_points(charts, name):
         assert res[key] < tol, (name, key, res[key])
     assert res["spd_min_eig"] > 0.0
     assert res["det_omega_min"] > 1e-6
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
+                                  "perturbed_disc_disc", "rotated_disc_disc_12"])
+def test_orders_one_and_two_agree_bit_for_bit(charts, name):
+    # one order-2 evaluation serves first-order readers (verify's suites,
+    # frame_data's orthonormal frame) only because these bits agree
+    chart = (rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if name.startswith("rotated")
+             else charts[name])
+    pts = domain_points(chart, 50, seed=20)
+    one, two = (M.chart_arrays(chart, pts, order=k) for k in (1, 2))
+    for field in M.CHART_FIELDS:
+        for key in (field, "d" + field):
+            assert np.array_equal(getattr(one, key), getattr(two, key)), key
 
 
 def test_heisenberg_origin_values(charts):
