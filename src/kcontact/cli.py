@@ -216,7 +216,7 @@ def verify_report(cfg: RunConfig):
         "theta_annihilates_frame": _check(man["theta_frame"], 1e-10),
         "metric_min_eigenvalue": _check(man["spd_min_eig"], 0.0, larger_is_better=True),
         "reeb_contracts_dtheta": _check(man["reeb_interior"], 1e-8),
-        "dtheta_nondegenerate": _check(man["det_omega_min"], 1e-6, larger_is_better=True),
+        "dtheta_nondegenerate": _check(man["omega_sv_ratio_min"], 1e-6, larger_is_better=True),
         "reeb_flow_isometry": _check(man["lie_xi_g"], 1e-7),
         "tau_equals_minus_omega": _check(man["tau_plus_omega"], 1e-7),
         "xi_brackets_horizontal": _check(man["theta_xi_bracket"], 1e-7),

@@ -590,7 +590,10 @@ def chart_invariant_residuals(data):
     res["reeb_interior"] = float(
         np.max(np.abs(np.einsum("...i,...ij,...ja->...a", xi, data.A, E)))
     )
-    res["det_omega_min"] = float(np.min(np.abs(np.linalg.det(data.omega))))
+    # omega's singular-value ratio, as in frame_data's guard: det(omega)
+    # would scale as the 2m-th power of dtheta
+    sv = np.linalg.svd(data.omega, compute_uv=False)
+    res["omega_sv_ratio_min"] = float(np.min(sv[..., -1] / sv[..., 0]))
     # Lie derivative of g along xi, evaluated on frame pairs
     xiG = np.einsum("...i,...abi->...ab", xi, data.dG)
     d_low = np.einsum("...ca,...cb->...ab", data.xi_coeffs, G)

@@ -15,9 +15,9 @@ workload, config, seed and the digest of the report text.
 ``kbench/``, prints every report whose digest differs, and exits 1 unless
 all reports are byte-identical.  For each differing report it also prints
 the largest relative change ``|new - old| / max(1, |old|)`` over the
-report's float leaves and every other leaf (int, bool, string, list) or
-shape that differs, so "last bits only, structure unchanged" is checked
-by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
+report's float leaves, and lists every leaf (float, int, bool, string,
+list) or shape that differs, so both "last bits only, structure
+unchanged" and "only this leaf moved" are checked by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
 about 20 s per checkout.  It is not part of the test suite.
 """
 
@@ -81,7 +81,7 @@ def _has_float(node):
 
 def leaf_changes(old, new, path=""):
     """``(largest relative float change, [(path, old, new), ...])`` of two
-    parsed reports.
+    parsed reports; the list holds every leaf that differs.
 
     A float that renders as an integer parses as an int, so a number that
     is a float on either side counts as a float leaf.  Lists without floats
@@ -89,7 +89,7 @@ def leaf_changes(old, new, path=""):
     a change of shape at its path.
     """
     if _is_number(old) and _is_number(new) and (isinstance(old, float) or isinstance(new, float)):
-        return abs(new - old) / max(1.0, abs(old)), []
+        return abs(new - old) / max(1.0, abs(old)), ([] if old == new else [(path, old, new)])
     if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
         parts = [leaf_changes(old[k], new[k], f"{path}.{k}") for k in sorted(old)]
     elif (isinstance(old, list) and isinstance(new, list) and len(old) == len(new)
@@ -108,7 +108,7 @@ def compare(old, new):
         rel, changes = leaf_changes(json.loads(a[key]), json.loads(b[key]))
         print("differs:", *key, f"largest relative float change {rel:.2e}")
         for path, was, now in changes:
-            print(f"  other leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
+            print(f"  leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
     same = len(a.keys() & b.keys()) - len(differ)

@@ -536,6 +536,19 @@ def test_holonomy_runs_at_small_dtheta(tmp_path):
     assert rep["blocks"] == [[0, 1], [2, 3], [4, 5]]
 
 
+def test_verify_passes_at_small_dtheta(tmp_path):
+    # three discs with b = 0.01: |det omega| scales as b^6 (about 1e-8 here),
+    # while omega's singular-value ratio stays near 0.1, so dtheta is
+    # nondegenerate at verify's scale-free tolerance
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "b": 0.01}] * 3}})
+    out = tmp_path / "rep.json"
+    assert run(["verify", "--config", cfg, "--seed", "1", "--paths", "8",
+                "--out", str(out)]) == 0
+    check = read(out)["checks"]["dtheta_nondegenerate"]
+    assert check["pass"] and check["tolerance"] == 1e-6
+
+
 def test_holonomy_structure_beyond_shipped_configs():
     # an m = 4 product with two discs and a 2-ball: the dichotomy's ideal
     # case, h of codimension one in h0, with one block per factor

@@ -31,7 +31,7 @@ def test_chart_invariants_on_random_points(charts, name):
     for key, tol in TOLS.items():
         assert res[key] < tol, (name, key, res[key])
     assert res["spd_min_eig"] > 0.0
-    assert res["det_omega_min"] > 1e-6
+    assert res["omega_sv_ratio_min"] > 1e-6
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",

@@ -36,7 +36,7 @@ EPS = 0.7
 # verify's gates on the chart invariants: upper bounds, then lower bounds
 VERIFY_UPPER = {"theta_xi": 1e-10, "theta_frame": 1e-10, "reeb_interior": 1e-8,
                 "lie_xi_g": 1e-7, "tau_plus_omega": 1e-7, "theta_xi_bracket": 1e-7}
-VERIFY_LOWER = {"spd_min_eig": 0.0, "det_omega_min": 1e-6}
+VERIFY_LOWER = {"spd_min_eig": 0.0, "omega_sv_ratio_min": 1e-6}
 
 
 def _check_jets(chart, arr, k, x):
