@@ -230,21 +230,18 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     x = np.asarray(x, dtype=float)
     results = sampled_path_transports(chart, x, sampler, halves)
     base = frame_data(chart, x[None], order=2)
+    samples = {v: _VARIANTS[v][0](base)[0] for v in variants}
     # The end points are evaluated one half at a time: the order-2
     # temporaries grow with the batch, and one evaluation over both halves
     # doubles the peak memory of a report.
-    ends = {}
     for half, (paths, points, taus) in zip(halves, results):
-        if paths:
-            data = frame_data(chart, points, order=2)
-            ends[half] = (ortho_transports(taus, data.Pinv, base.P[0]), data)
-    samples = {}
-    for v in variants:
-        generate, half = _VARIANTS[v]
-        samples[v] = generate(base)[0]
-        if half in ends:
-            taus_o, data = ends[half]
-            samples[v] = np.concatenate([samples[v], _conjugated_samples(taus_o, generate(data))])
+        if not paths:
+            continue
+        data = frame_data(chart, points, order=2)
+        taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+        for v in (v for v in variants if _VARIANTS[v][1] == half):
+            conjugated = _conjugated_samples(taus_o, _VARIANTS[v][0](data))
+            samples[v] = np.concatenate([samples[v], conjugated])
     return samples
 
 

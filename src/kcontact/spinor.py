@@ -31,7 +31,6 @@ __all__ = [
     "parallel_spinor_dim",
     "ratio_condition",
     "standard_complex_structure",
-    "real_from_complex",
     "LIFT_LEVEL_CONSTANT",
 ]
 
@@ -148,23 +147,3 @@ def standard_complex_structure(m):
         J[2 * j + 1, 2 * j] = 1.0
         J[2 * j, 2 * j + 1] = -1.0
     return J
-
-
-def real_from_complex(U):
-    """Real 2p x 2p matrix of a complex p x p matrix on interleaved coords.
-
-    The complex coordinate z_j = x_j + i y_j occupies real slots
-    (2j, 2j+1); anti-Hermitian input yields a skew output commuting with
-    the standard complex structure.
-    """
-    U = np.asarray(U, dtype=complex)
-    p = U.shape[0]
-    out = np.zeros((2 * p, 2 * p))
-    for j in range(p):
-        for k in range(p):
-            a, b = U[j, k].real, U[j, k].imag
-            out[2 * j, 2 * k] = a
-            out[2 * j + 1, 2 * k + 1] = a
-            out[2 * j, 2 * k + 1] = -b
-            out[2 * j + 1, 2 * k] = b
-    return out

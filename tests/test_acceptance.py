@@ -16,7 +16,7 @@ from kcontact import transport as T
 from kcontact import transverse as TV
 from kcontact.holonomy import compare_subalgebras, t_complement
 
-from conftest import domain_points
+from conftest import domain_points, real_from_complex
 from fd_oracles import rotated_chart
 
 ALL_CHARTS = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
@@ -234,8 +234,8 @@ def test_criterion_8_spinor_suite(charts, algebra_cache):
     pauli = [np.array([[0, 1], [1, 0]], complex),
              np.array([[0, -1j], [1j, 0]], complex),
              np.array([[1, 0], [0, -1]], complex)]
-    su2 = [S.real_from_complex(1j * p) for p in pauli]
-    u2 = su2 + [S.real_from_complex(1j * np.eye(2))]
+    su2 = [real_from_complex(1j * p) for p in pauli]
+    u2 = su2 + [real_from_complex(1j * np.eye(2))]
     kernels_ok = (
         S.parallel_spinor_dim(rep, su2) == 2
         and S.parallel_spinor_dim(rep, u2) == 0

@@ -5,12 +5,9 @@ from kcontact import connection as C
 from kcontact import holonomy as H
 from kcontact import transport as T
 from kcontact.errors import NumericsError
-from kcontact.spinor import (
-    build_spin_rep,
-    parallel_spinor_dim,
-    real_from_complex,
-    standard_complex_structure,
-)
+from kcontact.spinor import build_spin_rep, parallel_spinor_dim, standard_complex_structure
+
+from conftest import real_from_complex
 
 
 PAULI = [

@@ -3,6 +3,8 @@ import pytest
 
 from kcontact import spinor as S
 
+from conftest import real_from_complex
+
 
 @pytest.fixture(scope="module")
 def rep2():
@@ -111,25 +113,25 @@ def su2():
         np.array([[0, -1j], [1j, 0]], complex),
         np.array([[1, 0], [0, -1]], complex),
     ]
-    return [S.real_from_complex(1j * p) for p in pauli]
+    return [real_from_complex(1j * p) for p in pauli]
 
 
 def test_kernel_dimensions(rep2):
     assert S.parallel_spinor_dim(rep2, []) == 4
     assert S.parallel_spinor_dim(rep2, su2()) == 2
-    u2 = su2() + [S.real_from_complex(1j * np.eye(2))]
+    u2 = su2() + [real_from_complex(1j * np.eye(2))]
     assert S.parallel_spinor_dim(rep2, u2) == 0
     # a single rotation line with unequal weights kills everything
-    line = [S.real_from_complex(1j * np.diag([1.0, 2.0]))]
+    line = [real_from_complex(1j * np.diag([1.0, 2.0]))]
     assert S.parallel_spinor_dim(rep2, line) == 0
     # equal weights with opposite signs annihilate the extreme levels
-    line2 = [S.real_from_complex(1j * np.diag([1.0, -1.0]))]
+    line2 = [real_from_complex(1j * np.diag([1.0, -1.0]))]
     assert S.parallel_spinor_dim(rep2, line2) == 2
 
 
 def test_kernel_monotone_under_containment(rep2):
     small = S.parallel_spinor_dim(rep2, su2())
-    big = S.parallel_spinor_dim(rep2, su2() + [S.real_from_complex(1j * np.eye(2))])
+    big = S.parallel_spinor_dim(rep2, su2() + [real_from_complex(1j * np.eye(2))])
     assert big <= small
 
 
@@ -138,7 +140,7 @@ def test_unitary_lift_preserves_grading(rep2):
     levels = np.array([rep2.grading(i) for i in range(4)])
     for _ in range(5):
         X = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        sig = S.spin_lift(rep2, S.real_from_complex(X - X.conj().T))
+        sig = S.spin_lift(rep2, real_from_complex(X - X.conj().T))
         for i in range(4):
             for j in range(4):
                 if levels[i] != levels[j]:
