@@ -91,7 +91,17 @@ class FactorSpec:
 
 @dataclass(frozen=True)
 class ContactChart:
-    """Single-chart description of a K-contact sub-Riemannian manifold."""
+    """Single-chart description of a K-contact sub-Riemannian manifold.
+
+    ``normal_form`` declares the form every built-in chart has: the Reeb
+    field is ``d/dt`` along the last coordinate t, the frame is
+    ``e_a = d/dx_a + f_a d/dt`` (the first 2m rows of ``E`` are the
+    identity), and no coefficient function reads t.  The positions pass of
+    control paths and the Reeb flow then take shortcuts with the same bits
+    (:mod:`kcontact.transport`).  A chart built by hand keeps the general
+    path unless it sets the field; setting it on a chart that is not in
+    this form gives wrong positions and Reeb flows.
+    """
 
     m: int
     domain: Domain
@@ -102,6 +112,7 @@ class ContactChart:
     name: str = "chart"
     factors: tuple = ()
     blocks: tuple = ()  # frame-index blocks, one per factor
+    normal_form: bool = False
 
     @property
     def dim(self):
@@ -254,7 +265,7 @@ def heisenberg(m):
     lo[-1], hi[-1] = -6.0, 6.0
     blocks = tuple(tuple(range(2 * i, 2 * i + 2)) for i in range(m))
     return ContactChart(m, Domain(lo, hi), theta, _vertical_reeb(n), frame, metric,
-                        name=f"heisenberg({m})", blocks=blocks)
+                        name=f"heisenberg({m})", blocks=blocks, normal_form=True)
 
 
 def _memoized(x, key, build):
@@ -337,7 +348,8 @@ def product_construction(factors: Sequence[FactorSpec]):
     )
     label = "x".join(f"{f.kind}(b={f.b:g})" for f in factors)
     return ContactChart(m, Domain(lo, hi, balls), theta, _vertical_reeb(n), frame, metric,
-                        name=f"product[{label}]", factors=factors, blocks=blocks)
+                        name=f"product[{label}]", factors=factors, blocks=blocks,
+                        normal_form=True)
 
 
 def config_int(value, what):

@@ -12,8 +12,13 @@ transport operates.  Control paths are transported positions first: one
 RK4 pass integrates the positions alone and settles escapes, then one RK4
 pass transports the frame, reading the connection at each step's end and
 at its cubic-Hermite midpoint, evaluated over blocks of steps.  The
-positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  Both
-routes read the connection through ``connection.transport_data``.  The
+positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  On a
+chart in normal form (``ContactChart.normal_form``: xi = d/dt, frame
+d/dx_a + f_a d/dt, no coefficient reading t) the horizontal coordinates
+are running sums of one RK4 increment, t needs one order-0 evaluation per
+chunk of stage points, and the Reeb flow shifts t without a chart call;
+the bits are those of the general path.  Both routes read the connection
+through ``connection.transport_data``.  The
 holonomy sampler runs both passes in batch: one sampling pass draws a
 horizontal and an adapted half of random control paths, integrates their
 positions as one lockstep batch, redraws escaped paths, each from its own
@@ -185,6 +190,7 @@ def _even_steps(duration, step):
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
 ROWS = 128  # rows per connection evaluation of the transport pass, at least one step
+STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pass
 
 
 def _rk4_step(rhs, y, h):
@@ -243,7 +249,8 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     Returns ``(xs, alive, h)``: ``xs[p, k, i]`` is the position after i
     steps of segment k (a segment's last sample is the next one's first).
     With ``raise_on_exit=False`` escaped paths freeze and are flagged in
-    ``alive`` instead of raising.
+    ``alive`` instead of raising.  On a chart in normal form each segment
+    takes :func:`_normal_form_segment` instead, with the same bits.
     """
     x, controls, verticals = _path_arrays(paths)
     P_, K, _ = controls.shape
@@ -255,6 +262,10 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     for k in range(K):
         u, w = controls[:, k, :], verticals[:, k]
         xs[:, k, 0] = x
+        if chart.normal_form:
+            _normal_form_segment(chart, xs[:, k], alive, u, w, h, raise_on_exit)
+            x = xs[:, k, -1]
+            continue
         for i in range(1, steps + 1):
             (xn,) = _rk4_step(lambda s, y: (_rhs(chart, y[0], u, w),), (x,), h)
             # escaped paths stay frozen just outside the boundary, where
@@ -264,10 +275,78 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
             inside = chart.domain.contains(x)
             if not np.all(inside):
                 if raise_on_exit:
-                    bad = x[~inside][0]
-                    raise DomainError(f"curve left the chart domain at {bad}", point=bad)
+                    _exit(x[~inside][0])
                 alive &= inside
     return xs, alive, h
+
+
+def _exit(bad):
+    raise DomainError(f"curve left the chart domain at {bad}", point=bad)
+
+
+def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
+    """Fill the positions ``xs[:, 1:]`` of one segment on a chart in normal
+    form, from its first samples ``xs[:, 0]``, as :func:`_integrate_positions`.
+
+    The horizontal velocity is the control u itself, so every RK4 step moves
+    the horizontal coordinates by the same increment, and they are its
+    running sums.  Only the t-velocity f_a u^a (+ w) needs the chart, at
+    three points per step: its start, its midpoint (both midpoint stages
+    share it, since f does not read t) and its end.  Each row is evaluated
+    up to its first step that ends outside the domain whatever t, in one
+    order-0 call per chunk of ``STAGE_POINTS`` points; then t is summed,
+    escapes are found, and escaped rows freeze at their first exit.  Sums
+    and products are those of :func:`_rk4_step`.
+    """
+    _, per, n = xs.shape
+    tm = n - 1
+    xs[~alive, 1:] = xs[~alive, :1]
+    live = np.nonzero(alive)[0]
+    u = u[live]
+    # X[:, i] is the position after i steps; t is held until it is summed
+    X = np.repeat(xs[live, :1], per, axis=1)
+    X[:, 1:, :tm] = ((h / 6.0) * (u + 2.0 * u + 2.0 * u + u))[:, None]
+    X[..., :tm] = np.cumsum(X[..., :tm], axis=1)
+    todo = np.ones((len(live), per - 1), dtype=bool)
+    todo[:, 1:] = ~np.logical_or.accumulate(_outside_for_any_t(chart.domain, X[:, 1:-1, :tm]),
+                                            axis=1)
+    rows = np.nonzero(todo)[0]
+    pts = np.repeat(X[:, :-1][todo][:, None], 3, axis=1)
+    pts[:, 1, :tm] += (0.5 * h) * u[rows]
+    pts[:, 2, :tm] += h * u[rows]
+    vt = np.zeros(todo.shape + (3,))
+    sel = np.empty((len(pts), 3))
+    chunk = STAGE_POINTS // 3
+    for a in range(0, len(pts), chunk):
+        E = chart_arrays(chart, pts[a:a + chunk], order=0, fields=("E",)).E
+        sel[a:a + chunk] = (E @ u[rows[a:a + chunk], None, :, None])[..., -1, 0]
+    vt[todo] = sel
+    if np.any(w != 0.0):
+        vt += w[live, None, None]  # w xi, with xi = d/dt
+    X[:, 1:, tm] = (h / 6.0) * (vt[..., 0] + 2.0 * vt[..., 1] + 2.0 * vt[..., 1] + vt[..., 2])
+    X[..., tm] = np.cumsum(X[..., tm], axis=1)
+    out = ~chart.domain.contains(X[:, 1:])
+    esc = np.nonzero(np.any(out, axis=1))[0]
+    if len(esc):
+        first = np.argmax(out, axis=1)
+        if raise_on_exit:
+            i = np.min(first[esc])
+            _exit(X[np.nonzero(out[:, i])[0][0], i + 1])
+        for r in esc:
+            X[r, first[r] + 2:] = X[r, first[r] + 1]
+        alive[live[esc]] = False
+    xs[live, 1:] = X[:, 1:]
+
+
+def _outside_for_any_t(domain, H):
+    """Flags of horizontal positions ``H`` that are outside ``domain`` for
+    every t: outside the box, or outside a ball that leaves t out."""
+    tm = H.shape[-1]
+    out = np.any((H < domain.lo[:tm]) | (H > domain.hi[:tm]), axis=-1)
+    for idx, radius in domain.balls:
+        if max(idx) < tm:
+            out |= np.sum(H[..., list(idx)] ** 2, axis=-1) > radius**2
+    return out
 
 
 def _transport_positions(chart, xs, paths, h):
@@ -506,15 +585,20 @@ def _reeb_flow_batch(chart, X, times, vectors=None):
     With ``vectors`` (one per point) returns ``(points, pushforwards)``: the
     variational equation z' = t Dxi(y) z rides along the same steps, each
     stage seeding the coordinates with the one direction z, so the jets of
-    xi carry Dxi(y) z as their single gradient column."""
+    xi carry Dxi(y) z as their single gradient column.  On a chart in
+    normal form the stages read xi = d/dt and Dxi = 0 without a chart call,
+    so the flow shifts t alone, with the same steps and bits."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
     steps = max(1, int(np.ceil(tmax / REEB_STEP)))
     h = 1.0 / steps
+    reeb = np.eye(X.shape[-1])[-1]
 
     def rhs(s, state):
         y, z = state
+        if chart.normal_form:
+            return t * reeb, None if z is None else t * (0.0 * reeb)
         arr = chart_arrays(chart, y, order=0 if z is None else 1, fields=("xi",), direction=z)
         return t * arr.xi, None if z is None else t * arr.dxi[..., 0]
 

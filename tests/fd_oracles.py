@@ -522,7 +522,8 @@ def rotated_chart(chart, pair, eps):
     by the Jacobian of phi, the frame and the Reeb field by its inverse,
     and the frame metric by composition.  On a chart with Reeb field d/dt
     the pulled-back Reeb field is d/dt + eps (x_q d/dx_p - x_p d/dx_q): it
-    depends on the point, and the coefficients depend on t.
+    depends on the point, and the coefficients depend on t, so the
+    pullback is not in normal form.
     """
     p, q = pair
     eps = float(eps)
@@ -563,7 +564,7 @@ def rotated_chart(chart, pair, eps):
         return chart.metric(phi(x)[0])
 
     return dataclasses.replace(chart, theta=theta, xi=xi, frame=frame, metric=metric,
-                               name=f"rotated[{chart.name}, {pair}, {eps:g}]")
+                               name=f"rotated[{chart.name}, {pair}, {eps:g}]", normal_form=False)
 
 
 def stack_arrays_reference(nested, order, n, batch):

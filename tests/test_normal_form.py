@@ -1,0 +1,195 @@
+"""Charts in normal form against the general path.
+
+Every built-in chart declares ``normal_form``: its Reeb field is d/dt, its
+frame is e_a = d/dx_a + f_a d/dt, and no coefficient function reads t.  The
+positions pass of control paths and the Reeb flow take shortcuts there;
+``dataclasses.replace(chart, normal_form=False)`` runs the same chart on
+the general path, and both must give the same bits.
+"""
+
+import dataclasses
+import warnings
+
+import numpy as np
+import pytest
+
+from kcontact import manifolds as M
+from kcontact import transport as T
+from kcontact.errors import DomainError
+
+from conftest import domain_points
+from fd_oracles import rotated_chart
+from test_rotated_chart import WIDE_MIXES
+
+# the five examples and the three m = 3 mixes of the wide_products workload
+CONFIGS = {**M.EXAMPLES,
+           **{name: {"type": "product", "factors": mix} for name, mix in WIDE_MIXES.items()}}
+
+
+def _chart(name):
+    return M.chart_from_config(CONFIGS[name])
+
+
+def _outcome(fn):
+    """``fn()``, or the message and point of the :class:`DomainError` it raises."""
+    try:
+        return fn()
+    except DomainError as exc:
+        return str(exc), exc.point.tobytes()
+
+
+def both_ways(chart, run):
+    """``run(chart)`` on the normal-form path and on the general path, with
+    every warning an error."""
+    assert chart.normal_form
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return run(chart), run(dataclasses.replace(chart, normal_form=False))
+
+
+@pytest.mark.parametrize("t_frac", [0.0, 0.9])
+@pytest.mark.parametrize("name", CONFIGS)
+def test_positions_pass_matches_general_path(name, t_frac):
+    # a horizontal and an adapted half of 12 rows each; from t = 0 some rows
+    # leave the balls or the box, from t near the top of the box most leave
+    # through t, whose velocity the chart gives
+    chart = _chart(name)
+    x0 = np.zeros(chart.dim)
+    x0[-1] = t_frac * chart.domain.hi[-1]
+    mag = 3.0 if name == "heisenberg" else 0.9
+    paths = [T._draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, v, i, 0)
+             for v in (0.0, mag) for i in range(12)]
+
+    def run(c):
+        xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
+        raised = _outcome(lambda: T._integrate_positions(c, paths, 0.02))
+        return xs.tobytes(), alive.tobytes(), h, alive, raised
+
+    (*fast, alive, raised), (*slow, _, raised_slow) = both_ways(chart, run)
+    assert fast == slow
+    assert raised == raised_slow
+    assert 0 < alive.sum() < len(paths)
+    assert raised[0].startswith("curve left the chart domain at")
+
+
+def test_positions_pass_with_every_row_frozen_matches_general_path(charts):
+    # every row escapes in an early segment; the later ones only copy them
+    chart = charts["bergman"]
+    paths = [T._draw_path(chart, np.zeros(5), 6, 3.0, 3.0, 1, 0.02, 0.0, i, 0) for i in range(3)]
+
+    def run(c):
+        xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
+        return xs.tobytes(), alive.tobytes(), h, alive.any()
+
+    fast, slow = both_ways(chart, run)
+    assert fast == slow and not fast[-1]
+
+
+def test_positions_pass_evaluates_no_step_past_an_exit(charts, monkeypatch):
+    # a row is evaluated up to the step on which it leaves the balls, whose
+    # start is inside, and not at the points it would reach afterwards
+    chart = charts["bergman"]
+    paths = [T._draw_path(chart, np.zeros(5), 3, 1.2, 0.9, 7, 0.02, 0.0, i, 0) for i in range(12)]
+    evaluate, starts = T.chart_arrays, []
+
+    def recording(c, X, order=1, **kwargs):
+        starts.append(X[:, 0])
+        return evaluate(c, X, order, **kwargs)
+
+    monkeypatch.setattr(T, "chart_arrays", recording)
+    _, alive, _ = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
+    assert 0 < alive.sum() < len(paths)
+    assert np.all(chart.domain.contains(np.concatenate(starts)))
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_reeb_flow_matches_general_path(name):
+    chart = _chart(name)
+    X = domain_points(chart, 40, seed=1, margin=0.8)
+    rng = np.random.default_rng(2)
+    times, V = rng.uniform(-0.5, 0.5, len(X)), rng.normal(size=X.shape)
+    # the last rows start near the top of the box and flow up out of it
+    X_out = X[-3:].copy()
+    X_out[:, -1] = chart.domain.hi[-1] - 0.05
+
+    def run(c):
+        y, z = T._reeb_flow_batch(c, X, times, vectors=V)
+        return (y.tobytes(), z.tobytes(), T._reeb_flow_batch(c, X, times).tobytes(),
+                _outcome(lambda: T._reeb_flow_batch(c, X_out, np.full(3, 0.5), vectors=V[:3])))
+
+    fast, slow = both_ways(chart, run)
+    assert fast == slow
+    assert fast[-1][0].startswith("Reeb flow left the chart domain at")
+
+
+def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
+    # at horizon 4.8 most first draws escape: the pass redraws in many
+    # batches, each with rows frozen at their escape
+    sampler = T.SamplerConfig(n_paths=16, segments=16, horizon=4.8)
+    integrate, batches = T._integrate_positions, []
+
+    def recording(*args, **kwargs):
+        xs, alive, h = integrate(*args, **kwargs)
+        batches.append((xs.tobytes(), alive.tobytes(), h, int(np.sum(~alive))))
+        return xs, alive, h
+
+    monkeypatch.setattr(T, "_integrate_positions", recording)
+
+    def run(c):
+        batches.clear()
+        halves = T.sampled_path_transports(c, np.zeros(5), sampler)
+        return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes(),
+                                taus.tobytes()) for paths, ends, taus in halves]
+
+    fast, slow = both_ways(charts["bergman"], run)
+    assert fast == slow
+    frozen = [b[-1] for b in fast[0]]
+    assert len(frozen) > 2 and frozen[0] > 0
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
+def test_declared_normal_form_holds(name):
+    chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
+    assert chart.normal_form
+    arr = M.chart_arrays(chart, domain_points(chart, 64, seed=5), order=1)
+    tm, n = 2 * chart.m, chart.dim
+    assert np.array_equal(arr.E[:, :tm], np.broadcast_to(np.eye(tm), (64, tm, tm)))
+    assert np.array_equal(arr.xi, np.broadcast_to(np.eye(n)[-1], (64, n)))
+    for d in (arr.dth, arr.dxi, arr.dE, arr.dG):
+        assert not np.any(d[..., -1])
+
+
+def test_rotated_chart_is_not_declared_normal(charts):
+    # the coordinate-change oracle leaves the form: its Reeb field and
+    # frame move with the point and t
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    assert not chart.normal_form
+    arr = M.chart_arrays(chart, domain_points(chart, 8, seed=5), order=1)
+    assert np.any(arr.dE[..., -1]) and np.any(arr.dxi)
+
+
+def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
+    # a positions pass of 64 paths makes one order-0 evaluation per chunk
+    # of STAGE_POINTS stage points (a third of them per step and row), not
+    # four per step, and the Reeb flow makes none
+    chart = charts["heisenberg"]  # these paths never escape
+    paths = [T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, 0.0, i, 0) for i in range(64)]
+    evaluate, calls = T.chart_arrays, []
+
+    def counted(c, X, order=1, **kwargs):
+        calls.append((order, X.shape))
+        return evaluate(c, X, order, **kwargs)
+
+    monkeypatch.setattr(T, "chart_arrays", counted)
+    xs, alive, _ = T._integrate_positions(chart, paths, 0.02)
+    steps, chunk = xs.shape[2] - 1, T.STAGE_POINTS // 3
+    assert alive.all() and 64 * steps % chunk == 0
+    assert calls == [(0, (chunk, 3, 5))] * (4 * 64 * steps // chunk)
+    calls.clear()
+    T._integrate_positions(dataclasses.replace(chart, normal_form=False), paths, 0.02)
+    assert len(calls) == 4 * 4 * steps
+    calls.clear()
+    X = domain_points(chart, 16, seed=1)
+    T._reeb_flow_batch(chart, X, np.full(16, 0.3), vectors=X[::-1])
+    T._reeb_flow_batch(chart, X, np.full(16, -0.3))
+    assert calls == []
