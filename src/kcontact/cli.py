@@ -267,11 +267,12 @@ def holonomy_report(cfg: RunConfig):
     annihilator samples; the Wagner closure is the horizontal algebra
     ``h`` and is cross-checked against the annihilator closure on the same
     transports.  The adapted half gives the zero-extension algebra ``h0``.
-    The transverse checks share one order-2 evaluation of their 30 points.
+    The transverse checks share one order-2 evaluation of their 30 points;
+    the splitting reads the pass's order-2 data at x0.
     """
     chart, x0 = _resolve_chart(cfg)
     sampler = cfg.sampler
-    samples = holonomy_samples(chart, x0, sampler)
+    samples, base = holonomy_samples(chart, x0, sampler)
     h = lie_closure(samples["wagner"], cfg.span_tol)
     h0 = lie_closure(samples["adapted"], cfg.span_tol)
     comparison = compare_subalgebras(h, h0)
@@ -296,7 +297,7 @@ def holonomy_report(cfg: RunConfig):
     pts_data = frame_data(chart, random_domain_points(chart, 30, rng_pts, margin=0.85), order=2)
     report["sasaki"] = sasaki_psi_check(pts_data)
     if h0.dim > 0:
-        split = factor_split(chart, x0, h0, cfg.span_tol)
+        split = factor_split(base, h0, cfg.span_tol)
         report["blocks"] = [list(b) for b in split.blocks]
         report["trivial_block"] = list(split.trivial)
         ric, omega_o = orthonormal_ricci(pts_data)
@@ -358,7 +359,7 @@ def spinor_report(cfg: RunConfig):
         {"index": i, "level": rep.grading(i), "eigenvalue_imag": float(np.imag(sig[i, i]))}
         for i in range(rep.dim)
     ]
-    samples = holonomy_samples(chart, x0, cfg.sampler, ("wagner", "adapted"))
+    samples, _ = holonomy_samples(chart, x0, cfg.sampler, ("wagner", "adapted"))
     h = lie_closure(samples["wagner"], cfg.span_tol)
     h0 = lie_closure(samples["adapted"], cfg.span_tol)
     return {

@@ -5,11 +5,12 @@ functions.  First derivatives give the connection coefficients via the
 Koszul formula; second derivatives propagate through an explicit chain
 rule to the curvature.  One code path serves every chart; a
 finite-difference oracle in the test suite checks the whole pipeline.
-One bracket computation (``manifolds.frame_brackets``) and one Koszul
-assembly (:func:`_koszul`) serve both the full :func:`frame_data` and the
-lean first-order :func:`transport_data` that the transport right-hand side
-calls.  The Wagner extension enters only through its curvature ``RW``;
-no transport integrates it.  The connection invariant suite
+One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
+and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
+which fills :class:`FramePointData` from them, and the lean first-order
+:func:`transport_data` that the transport right-hand side calls.  The
+Wagner extension enters only through its curvature ``RW``; no transport
+integrates it.  The connection invariant suite
 (:func:`connection_invariant_residuals`) and the chart one
 (``manifolds.chart_invariant_residuals``) both read one second-order
 :class:`FramePointData`, so ``verify`` evaluates its points once.
@@ -47,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ChartError
-from .manifolds import chart_arrays, frame_brackets, reeb_brackets, structure_pieces
+from .manifolds import chart_arrays
 
 __all__ = [
     "FramePointData",
@@ -101,6 +102,35 @@ class FramePointData:
     RW: np.ndarray = None
     dG: np.ndarray = None
     domega: np.ndarray = None
+
+
+def frame_brackets(arr):
+    """Frame brackets and their coefficients in the basis [E | xi].
+
+    Returns ``(Br, Minv, cfull)``: the coordinate components
+    ``Br[..., k, a, b]`` of [e_a, e_b], the frame solve ``[E | xi]^-1``,
+    and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
+    pi[e_a, e_b] and whose last row is theta([e_a, e_b]).  Both products
+    are one batched matmul per point: ``dE`` flattened to ``[(k b), i]``
+    times ``E`` gives ``e_a(E[k, b])`` in the ``[k, b, a]`` layout.
+    """
+    *batch, n, tm, _ = arr.dE.shape
+    Br = (arr.dE.reshape(*batch, n * tm, n) @ arr.E).reshape(*batch, n, tm, tm)
+    Br = Br.swapaxes(-1, -2) - Br
+    Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
+    return Br, Minv, cfull
+
+
+def reeb_brackets(arr, Minv):
+    """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi].
+
+    ``xi(E)`` is ``dE`` flattened to ``[(k a), i]`` times ``xi``: one
+    matmul per point."""
+    *batch, n, tm, _ = arr.dE.shape
+    xiE = (arr.dE.reshape(*batch, n * tm, n) @ arr.xi[..., :, None]).reshape(*batch, n, tm)
+    Bx = xiE - arr.dxi @ arr.E
+    return Minv @ Bx
 
 
 def _koszul(E, G, dG, c):
@@ -227,34 +257,38 @@ def frame_data(chart, X, order=1):
     X = np.asarray(X, dtype=float)
     Xb = X if X.ndim > 1 else X[None]
     arr = chart_arrays(chart, Xb, order=max(order, 1))
-    p = structure_pieces(arr)
-    K, Ginv, Gam = _koszul(arr.E, arr.G, arr.dG, p["c"])
+    E, tm = arr.E, arr.E.shape[-1]
+    A = arr.dth.swapaxes(-1, -2) - arr.dth  # A_ij = d_i theta_j - d_j theta_i
+    Br, Minv, cfull = frame_brackets(arr)
+    c = cfull[..., :tm, :, :]
+    xi_full = reeb_brackets(arr, Minv)
+    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c)
     P, Pinv = orthonormal_frame_change(arr.G)
     data = FramePointData(
         x=Xb,
         m=chart.m,
         theta=arr.th,
         xi=arr.xi,
-        E=arr.E,
+        E=E,
         G=arr.G,
         Ginv=Ginv,
-        A=p["A"],
-        omega=p["omega"],
-        c=p["c"],
-        tau=p["tau"],
-        xi_coeffs=p["dcoef"],
-        xi_theta=p["dcoef_theta"],
+        A=A,
+        omega=E.swapaxes(-1, -2) @ A @ E,
+        c=c,
+        tau=cfull[..., tm, :, :],
+        xi_coeffs=xi_full[..., :tm, :],
+        xi_theta=xi_full[..., tm, :],
         Gamma=Gam,
         P=P,
         Pinv=Pinv,
         dG=arr.dG,
     )
     if order >= 2:
-        _curvature_inplace(chart, arr, p, K, Ginv, Gam, data)
+        _curvature_inplace(arr, Br, Minv, K, data)
     return data
 
 
-def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
+def _curvature_inplace(arr, Br, Minv, K, data):
     """Second-order pass: differentiate the Koszul output and assemble R.
 
     R(e_a, e_b) e_c = nabla_{e_a} nabla_{e_b} e_c - nabla_{e_b} nabla_{e_a} e_c
@@ -272,21 +306,23 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     permutations through :func:`_view`.  R is assembled in the
     ``[e, a, b, c]`` order of its last terms and returned as a view.
     ``tests/fd_oracles.py`` keeps the single-sum form of this pass as
-    ``curvature_reference``.
+    ``curvature_reference``.  ``(Br, Minv)`` are from :func:`frame_brackets`
+    and ``K`` from :func:`_koszul`; the first-order fields are ``data``'s.
     """
     E, dE, d2E = arr.E, arr.dE, arr.d2E
     dG, d2G = arr.dG, arr.d2G
+    Ginv, Gam = data.Ginv, data.Gamma
     *batch, n, tm = E.shape
     Et = E.swapaxes(-1, -2)
     Et2 = Et[..., None, None, :, :]  # against each [i, j] block of d2E and d2G
-    cT = p["c"].reshape(*batch, tm, tm * tm).swapaxes(-1, -2)  # c[(a b), d]
+    cT = data.c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2)  # c[(a b), d]
 
     # Each temporary below is deleted right after its last use, so the pass
     # peaks at a few of them per point instead of holding all of them.
 
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
-    domega = two_form_derivative(E, dE, p["A"], dA)
+    domega = two_form_derivative(E, dE, data.A, dA)
     del dA
 
     # Y[k, b, a, j] = d_j e_a(E[k, b]): dE flattened to [(k b), i] times dE
@@ -299,14 +335,13 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
 
     # d_j of the frame solve [E | xi]^{-1}: dMinv[c, k, j]
     dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
-    Minv = p["Minv"]
     dMinv = inverse_derivative(Minv, dAug)
     del dAug
 
     # dc[d, a, b, j] = d_j c[d, a, b] from the first 2m rows of the solve:
     # Minv times dBr flattened to [k, (a b j)], plus Br^T [(a b), k] times
     # each [k, j] block of dMinv
-    BrT = p["Br"].reshape(*batch, n, tm * tm).swapaxes(-1, -2)[..., None, :, :]
+    BrT = Br.reshape(*batch, n, tm * tm).swapaxes(-1, -2)[..., None, :, :]
     dc = (Minv[..., :tm, :] @ dBr.reshape(*batch, n, tm * tm * n)
           + (BrT @ dMinv[..., :tm, :, :]).reshape(*batch, tm, tm * tm * n))
     del dBr, dMinv, BrT
@@ -346,9 +381,9 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     Rm = S - S.swapaxes(-3, -2)
     del S
     Rm -= (cT[..., None, :, :] @ Gam).reshape(*batch, tm, tm, tm, tm)
-    Rm -= p["dcoef"][..., :, None, None, :] * p["tau"][..., None, :, :, None]
+    Rm -= data.xi_coeffs[..., :, None, None, :] * data.tau[..., None, :, :, None]
 
-    omega = p["omega"]
+    omega = data.omega
     # a scale-free test: the singular-value ratio, not det(omega), which
     # scales as the 2m-th power of dtheta
     sv = np.linalg.svd(omega, compute_uv=False)
@@ -358,7 +393,7 @@ def _curvature_inplace(chart, arr, p, K, Ginv, Gam, data):
     # N[e, c] = R[a, b, e, c] alpha[a, b] / 4m: alpha flattened to [1, (a b)]
     # times each [(a b), c] block of Rm
     N = (alpha.reshape(*batch, 1, 1, tm * tm) @ Rm.reshape(*batch, tm, tm * tm, tm)).reshape(
-        *batch, tm, tm) / (4.0 * chart.m)
+        *batch, tm, tm) / (4.0 * data.m)
     RWm = Rm + N[..., :, None, None, :] * omega[..., None, :, :, None]
 
     data.R = _view(Rm, "eabc", "abec")

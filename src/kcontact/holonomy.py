@@ -9,10 +9,10 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
 adapted zero-extension samples: its horizontal and adapted halves are
 integrated as one batch and share one order-2 evaluation of the base
-point.  The frame data carries its orthonormal frame, and each variant's
-samples come out as one array.  The span cut of :func:`lie_closure` is
-the one threshold a caller sets; the structure analysis cuts at fixed
-thresholds, written where applied.
+point, which the transverse splitting reads too.  The frame data carries
+its orthonormal frame, and each variant's samples come out as one array.
+The span cut of :func:`lie_closure` is the one threshold a caller sets;
+the structure analysis cuts at fixed thresholds, written where applied.
 """
 
 from __future__ import annotations
@@ -211,7 +211,7 @@ _VARIANTS = {
 
 
 def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)):
-    """``{variant: samples}`` at x, in the orthonormal frame, from one sampling pass.
+    """``({variant: samples}, base)`` at x, from one sampling pass.
 
     ``'wagner'``: Wagner curvature on frame pairs, conjugated along
     horizontal paths.  ``'annihilator'``: horizontal curvature on bivectors
@@ -221,7 +221,8 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     with Reeb-direction controls (classical Ambrose-Singer).  Only the
     halves of the pass that the variants need are integrated.  Each
     variant's samples are one ``(count, 2m, 2m)`` array: the base point's
-    (the trivial path), then the conjugated samples of every path.
+    (the trivial path), then the conjugated samples of every path, in the
+    orthonormal frame.  ``base`` is the order-2 frame data of x alone.
     """
     for v in variants:
         if v not in _VARIANTS:
@@ -242,19 +243,19 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
         for v in (v for v in variants if _VARIANTS[v][1] == half):
             conjugated = _conjugated_samples(taus_o, _VARIANTS[v][0](data))
             samples[v] = np.concatenate([samples[v], conjugated])
-    return samples
+    return samples, base
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
     """Horizontal-holonomy generators at x (:func:`holonomy_samples`)."""
     if variant not in ("wagner", "annihilator"):
         raise ValueError(f"unknown variant {variant!r}")
-    return holonomy_samples(chart, x, sampler, (variant,))[variant]
+    return holonomy_samples(chart, x, sampler, (variant,))[0][variant]
 
 
 def as_samples_adapted(chart, x, sampler: SamplerConfig):
     """Zero-extension holonomy generators at x (:func:`holonomy_samples`)."""
-    return holonomy_samples(chart, x, sampler, ("adapted",))["adapted"]
+    return holonomy_samples(chart, x, sampler, ("adapted",))[0]["adapted"]
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,9 @@ in the package is derived from them.  The built-in examples are JSON
 configs (:data:`EXAMPLES`) built through :func:`chart_from_config`.
 
 The chart invariant suite (:func:`chart_invariant_residuals`) reads the
-frame data of :func:`kcontact.connection.frame_data`, as the connection
-suite does, so one evaluation of a batch of points serves both.
+frame data of :func:`kcontact.connection.frame_data` (which computes the
+frame brackets too), as the connection suite does, so one evaluation of a
+batch of points serves both.
 """
 
 from __future__ import annotations
@@ -520,59 +521,6 @@ def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
             setattr(out, "d" + name, d1)
             setattr(out, "d2" + name, d2)
     return out
-
-
-def frame_brackets(arr):
-    """Frame brackets and their coefficients in the basis [E | xi].
-
-    Returns ``(Br, Minv, cfull)``: the coordinate components
-    ``Br[..., k, a, b]`` of [e_a, e_b], the frame solve ``[E | xi]^-1``,
-    and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
-    pi[e_a, e_b] and whose last row is theta([e_a, e_b]).  Both products
-    are one batched matmul per point: ``dE`` flattened to ``[(k b), i]``
-    times ``E`` gives ``e_a(E[k, b])`` in the ``[k, b, a]`` layout.
-    """
-    *batch, n, tm, _ = arr.dE.shape
-    Br = (arr.dE.reshape(*batch, n * tm, n) @ arr.E).reshape(*batch, n, tm, tm)
-    Br = Br.swapaxes(-1, -2) - Br
-    Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
-    cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
-    return Br, Minv, cfull
-
-
-def reeb_brackets(arr, Minv):
-    """Coefficients ``[..., c, a]`` of [xi, e_a] in the basis [E | xi].
-
-    ``xi(E)`` is ``dE`` flattened to ``[(k a), i]`` times ``xi``: one
-    matmul per point."""
-    *batch, n, tm, _ = arr.dE.shape
-    xiE = (arr.dE.reshape(*batch, n * tm, n) @ arr.xi[..., :, None]).reshape(*batch, n, tm)
-    Bx = xiE - arr.dxi @ arr.E
-    return Minv @ Bx
-
-
-def structure_pieces(arr):
-    """First-order frame data: omega, brackets, structure functions.
-
-    Returns a dict with omega (2m x 2m), the coefficients ``c`` of
-    pi[e_a, e_b], ``tau`` = theta([e_a, e_b]), ``dcoef`` = frame
-    coefficients of [xi, e_a], plus the frame solve matrix and raw pieces.
-    """
-    E = arr.E
-    A = arr.dth.swapaxes(-1, -2) - arr.dth  # A_ij = d_i theta_j - d_j theta_i
-    Br, Minv, cfull = frame_brackets(arr)
-    dfull = reeb_brackets(arr, Minv)
-    tm = E.shape[-1]
-    return {
-        "A": A,
-        "omega": E.swapaxes(-1, -2) @ A @ E,
-        "Br": Br,
-        "Minv": Minv,
-        "c": cfull[..., :tm, :, :],
-        "tau": cfull[..., tm, :, :],
-        "dcoef": dfull[..., :tm, :],
-        "dcoef_theta": dfull[..., tm, :],
-    }
 
 
 def random_domain_points(chart, count, rng, margin=1.0):

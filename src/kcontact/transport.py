@@ -21,8 +21,9 @@ the bits are those of the general path.  Both routes read the connection
 through ``connection.transport_data``.  The
 holonomy sampler runs both passes in batch: one sampling pass draws a
 horizontal and an adapted half of random control paths, integrates their
-positions as one lockstep batch, redraws escaped paths, each from its own
-(seed, index, attempt) stream, and transports the accepted ones.
+positions as one lockstep batch, redraws escaped paths, and transports the
+accepted ones.  Path i of both halves draws its horizontal controls from
+one (seed, i, attempt) stream; the adapted half then draws Reeb controls.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -677,9 +678,10 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     horizontal paths); its rows follow those of half k - 1.  Attempt k
     redraws every row still escaped after attempt k - 1, of every half, all
     in one batch, up to ``MAX_ATTEMPTS`` draws per row.  Each draw comes
-    from its own (seed, path index, attempt) stream per half, so the
-    accepted paths depend neither on how the batches are formed nor on the
-    other halves.  Returns one ``(paths, endpoints, transports)`` per half.
+    from the (seed, path index, attempt) stream, which every half shares
+    (a half with Reeb controls draws them after the horizontal ones), so
+    the accepted paths depend neither on how the batches are formed nor on
+    the other halves.  Returns one ``(paths, endpoints, transports)`` per half.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):

@@ -7,8 +7,9 @@ All tensors here live in the g-orthonormalized frame, where the metric is
 the identity and complex structures are literal elements of so(2m).  The
 point checks take order-2 frame data, or the Ricci tensor and dtheta that
 :func:`orthonormal_ricci` takes from it, so one evaluation serves them all.
-The splitting's draws are seeded and its thresholds fixed; its one
-setting is the span cut that closed the algebra (:func:`factor_split`).
+The splitting reads dtheta from the base point's frame data, evaluating no
+chart; its draws are seeded, its thresholds fixed, and its one setting is
+the span cut that closed the algebra (:func:`factor_split`).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .connection import frame_data, inverse_derivative, ortho_two_form
+from .connection import FramePointData, inverse_derivative, ortho_two_form
 from .errors import ChartError, NumericsError
 from .holonomy import MatrixLieAlgebra, detect_complex_structure, lie_closure, matrix_basis
 
@@ -128,14 +129,13 @@ def _restricted_algebra(h: MatrixLieAlgebra, block, span_tol):
     return lie_closure(mats, tol=max(1e-8, span_tol))
 
 
-def factor_split(chart, x, h: MatrixLieAlgebra, span_tol):
-    """Blocks plus per-block complex structures, sign-aligned with dtheta at x;
-    each block's restriction of h is closed at ``span_tol``, h's span cut."""
-    x = np.asarray(x, dtype=float)
-    split = split_distribution(h, size=2 * chart.m)
-    data = frame_data(chart, x[None], order=1)
-    omega_o = ortho_two_form(data.omega, data.P)[0]
-    tm = 2 * chart.m
+def factor_split(base: FramePointData, h: MatrixLieAlgebra, span_tol):
+    """Blocks plus per-block complex structures, sign-aligned with dtheta at
+    the point of the frame data ``base`` (any order); each block's
+    restriction of h is closed at ``span_tol``, h's span cut."""
+    tm = 2 * base.m
+    split = split_distribution(h, size=tm)
+    omega_o = ortho_two_form(base.omega, base.P)[0]
     Js = []
     for block in split.blocks:
         ix = np.array(block)

@@ -45,7 +45,7 @@ def algebra_cache(charts):
             if (name, seed, n_paths) not in samples:
                 chart = charts[name]
                 samples[name, seed, n_paths] = holonomy_samples(
-                    chart, np.zeros(chart.dim), SamplerConfig(n_paths=n_paths, seed=seed))
+                    chart, np.zeros(chart.dim), SamplerConfig(n_paths=n_paths, seed=seed))[0]
             cache[key] = lie_closure(samples[name, seed, n_paths][ROUTES[route]], span_tol)
         return cache[key]
 

@@ -47,11 +47,11 @@ import numpy as np
 
 from kcontact import jets
 from kcontact import transport as T
-from kcontact.connection import (_koszul, frame_data, inverse_derivative, ortho_curvature,
-                                 ortho_two_form, orthonormal_frame_change, transport_data,
-                                 two_form_derivative)
+from kcontact.connection import (_koszul, frame_brackets, frame_data, inverse_derivative,
+                                 ortho_curvature, ortho_two_form, orthonormal_frame_change,
+                                 reeb_brackets, transport_data, two_form_derivative)
 from kcontact.jets import Jet
-from kcontact.manifolds import chart_arrays, structure_pieces
+from kcontact.manifolds import chart_arrays
 
 
 def chart_values(chart, x):
@@ -182,18 +182,23 @@ def curvature_reference(chart, X):
     The body of ``connection._curvature_inplace`` as it was before its sums
     became batched matmuls, less the non-degeneracy check of dtheta.
     Returns a dict of ``R``, ``alpha``, ``N``, ``RW`` and ``domega`` at the
-    points ``X`` of shape (p, n).
+    points ``X`` of shape (p, n).  The first-order pieces are those
+    ``frame_data`` fills: the brackets of ``frame_brackets`` and
+    ``reeb_brackets``, ``A`` and ``omega = E^T A E``.
     """
     arr = chart_arrays(chart, np.asarray(X, dtype=float), order=2)
-    p = structure_pieces(arr)
-    K, Ginv, Gam = _koszul(arr.E, arr.G, arr.dG, p["c"])
     E, dE, d2E = arr.E, arr.dE, arr.d2E
     dG, d2G = arr.dG, arr.d2G
     tm = 2 * chart.m
+    Br, Minv, cfull = frame_brackets(arr)
+    c, tau = cfull[..., :tm, :, :], cfull[..., tm, :, :]
+    dcoef = reeb_brackets(arr, Minv)[..., :tm, :]
+    A = arr.dth.swapaxes(-1, -2) - arr.dth
+    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c)
 
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
-    domega = two_form_derivative(E, dE, p["A"], dA)
+    domega = two_form_derivative(E, dE, A, dA)
     del dA
 
     # d_j [e_a, e_b]^k
@@ -204,11 +209,10 @@ def curvature_reference(chart, X):
 
     # d_j of the frame solve [E | xi]^{-1}
     dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
-    Minv = p["Minv"]
     dMinv = inverse_derivative(Minv, dAug)
     del dAug
 
-    dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, p["Br"]) + np.einsum(
+    dcfull = np.einsum("...ckj,...kab->...cabj", dMinv, Br) + np.einsum(
         "...ck,...kabj->...cabj", Minv, dBr
     )
     del dMinv, dBr
@@ -222,11 +226,11 @@ def curvature_reference(chart, X):
         + np.einsum("...bcaj->...abcj", dDg)
         - np.einsum("...cabj->...abcj", dDg)
         + np.einsum("...dabj,...dc->...abcj", dc, arr.G)
-        + np.einsum("...dab,...dcj->...abcj", p["c"], dG)
+        + np.einsum("...dab,...dcj->...abcj", c, dG)
         - np.einsum("...dbcj,...da->...abcj", dc, arr.G)
-        - np.einsum("...dbc,...daj->...abcj", p["c"], dG)
+        - np.einsum("...dbc,...daj->...abcj", c, dG)
         - np.einsum("...dacj,...db->...abcj", dc, arr.G)
-        - np.einsum("...dac,...dbj->...abcj", p["c"], dG)
+        - np.einsum("...dac,...dbj->...abcj", c, dG)
     )
     del dDg, dc, dcfull
     dGinv = inverse_derivative(Ginv, dG)
@@ -245,10 +249,10 @@ def curvature_reference(chart, X):
     R += T3
     R -= T3.swapaxes(-4, -3)
     del T3
-    R -= np.einsum("...dab,...edc->...abec", p["c"], Gam)  # T5
-    R -= np.einsum("...ab,...ec->...abec", p["tau"], p["dcoef"])  # T6
+    R -= np.einsum("...dab,...edc->...abec", c, Gam)  # T5
+    R -= np.einsum("...ab,...ec->...abec", tau, dcoef)  # T6
 
-    omega = p["omega"]
+    omega = E.swapaxes(-1, -2) @ A @ E
     alpha = 2.0 * np.linalg.inv(omega)
     N = np.einsum("...abec,...ab->...ec", R, alpha) / (4.0 * chart.m)
     RW = R + np.einsum("...ab,...ec->...abec", omega, N)
@@ -293,7 +297,7 @@ def ortho_transports_reference(taus, Pinv, P0):
 
 
 def frame_brackets_reference(arr):
-    """``manifolds.frame_brackets`` as single sums: ``(Br, Minv, cfull)``."""
+    """``connection.frame_brackets`` as single sums: ``(Br, Minv, cfull)``."""
     Br = np.einsum("...ia,...kbi->...kab", arr.E, arr.dE)
     Br = Br - Br.swapaxes(-1, -2)
     Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
@@ -301,7 +305,7 @@ def frame_brackets_reference(arr):
 
 
 def reeb_brackets_reference(arr, Minv):
-    """``manifolds.reeb_brackets`` as single sums."""
+    """``connection.reeb_brackets`` as single sums."""
     Bx = np.einsum("...i,...kai->...ka", arr.xi, arr.dE) - np.einsum(
         "...ia,...ki->...ka", arr.E, arr.dxi
     )
@@ -309,7 +313,7 @@ def reeb_brackets_reference(arr, Minv):
 
 
 def frame_two_form_reference(E, A):
-    """The frame 2-form ``omega`` of ``manifolds.structure_pieces``: E^T A E."""
+    """The frame 2-form ``omega`` of ``connection.frame_data``: E^T A E."""
     return np.einsum("...ia,...ij,...jb->...ab", E, A, E)
 
 
@@ -632,7 +636,7 @@ def ball_metric_reference(spec, w):
 
 
 def frame_brackets_per_component(arr):
-    """``manifolds.frame_brackets`` with ``dE @ E`` as one matmul per
+    """``connection.frame_brackets`` with ``dE @ E`` as one matmul per
     component k of ``dE[..., k, b, i]``."""
     Br = arr.dE @ arr.E[..., None, :, :]
     Br = Br.swapaxes(-1, -2) - Br
@@ -642,7 +646,7 @@ def frame_brackets_per_component(arr):
 
 
 def reeb_brackets_per_component(arr, Minv):
-    """``manifolds.reeb_brackets`` with ``xi(E)`` as one matmul per component."""
+    """``connection.reeb_brackets`` with ``xi(E)`` as one matmul per component."""
     Bx = (arr.dE @ arr.xi[..., None, :, None])[..., 0] - arr.dxi @ arr.E
     return Minv @ Bx
 

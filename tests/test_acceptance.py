@@ -163,7 +163,7 @@ def test_criterion_6_holonomy_dimensions(charts, algebra_cache):
     chart = charts["disc_disc_11"]
     h = algebra_cache("disc_disc_11", 0, "schouten", N_PATHS, SPAN_TOL)
     h0 = algebra_cache("disc_disc_11", 0, "adapted", N_PATHS, SPAN_TOL)
-    split = TV.factor_split(chart, np.zeros(5), h0, SPAN_TOL)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)), h0, SPAN_TOL)
     t_alg, _ = t_complement(h0, h)
     coeffs = np.array([
         float(np.sum(t_alg.basis[0] * J) / np.sum(J * J)) for J in split.J_blocks
@@ -175,7 +175,7 @@ def test_criterion_6_holonomy_dimensions(charts, algebra_cache):
     lines.append(f"t-direction angle to J1+J2: {angle:.2e} rad")
     chart12 = charts["disc_disc_12"]
     h0_12 = algebra_cache("disc_disc_12", 0, "adapted", N_PATHS, SPAN_TOL)
-    split12 = TV.factor_split(chart12, np.zeros(5), h0_12, SPAN_TOL)
+    split12 = TV.factor_split(C.frame_data(chart12, np.zeros(5)), h0_12, SPAN_TOL)
     reg = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
         chart12, domain_points(chart12, 30, seed=106, margin=0.85), order=2)), split12)
     ok &= bool(np.allclose(reg["b"], [1.0, 2.0], atol=1e-4)) and reg["residual"] < 1e-5
@@ -183,7 +183,7 @@ def test_criterion_6_holonomy_dimensions(charts, algebra_cache):
                  f"residual {reg['residual']:.2e}")
     chart_p = charts["perturbed_disc_disc"]
     h0_p = algebra_cache("perturbed_disc_disc", 0, "adapted", N_PATHS, SPAN_TOL)
-    split_p = TV.factor_split(chart_p, np.zeros(5), h0_p, SPAN_TOL)
+    split_p = TV.factor_split(C.frame_data(chart_p, np.zeros(5)), h0_p, SPAN_TOL)
     reg_p = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
         chart_p, domain_points(chart_p, 30, seed=107, margin=0.85), order=2)), split_p)
     ok &= reg_p["residual"] > 1e-2
@@ -246,7 +246,7 @@ def test_criterion_8_spinor_suite(charts, algebra_cache):
     kb = S.parallel_spinor_dim(rep, h_ball)
     chart = charts["bergman"]
     h0_ball = algebra_cache("bergman", 0, "adapted", N_PATHS, SPAN_TOL)
-    split = TV.factor_split(chart, np.zeros(5), h0_ball, SPAN_TOL)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)), h0_ball, SPAN_TOL)
     reg = TV.dtheta_regression(*TV.orthonormal_ricci(C.frame_data(
         chart, domain_points(chart, 25, seed=109, margin=0.85), order=2)), split)
     ball_ok = kb == 2 and reg["residual"] < 1e-5
@@ -254,7 +254,7 @@ def test_criterion_8_spinor_suite(charts, algebra_cache):
     h_12 = algebra_cache("disc_disc_12", 0, "schouten", N_PATHS, SPAN_TOL)
     h0_12 = algebra_cache("disc_disc_12", 0, "adapted", N_PATHS, SPAN_TOL)
     chart12 = charts["disc_disc_12"]
-    split12 = TV.factor_split(chart12, np.zeros(5), h0_12, SPAN_TOL)
+    split12 = TV.factor_split(C.frame_data(chart12, np.zeros(5)), h0_12, SPAN_TOL)
     t_alg, _ = t_complement(h0_12, h_12)
     coeffs = [float(np.sum(t_alg.basis[0] * J) / np.sum(J * J))
               for J in split12.J_blocks]

@@ -577,9 +577,9 @@ def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):
     samples = cli.holonomy_samples
 
     def disagreeing(chart, x, sampler, *args):
-        out = samples(chart, x, sampler, *args)
+        out, base = samples(chart, x, sampler, *args)
         out["annihilator"] = as_samples_adapted(other, np.zeros(other.dim), sampler)
-        return out
+        return out, base
 
     monkeypatch.setattr(cli, "holonomy_samples", disagreeing)
     out = tmp_path / "rep.json"

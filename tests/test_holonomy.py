@@ -89,8 +89,10 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
         return sample_pass(*args, **kwargs)
 
     monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
-    every = H.holonomy_samples(chart, x0, cfg)
+    every, base = H.holonomy_samples(chart, x0, cfg)
     assert passes == [("horizontal", "adapted")]
+    # the base point's order-2 data, as a report's splitting reads it
+    assert base.R is not None and np.array_equal(base.x, x0[None])
     assert set(every) == set(single)
     for v, samples in single.items():
         assert isinstance(every[v], np.ndarray) and every[v].shape == (6 * 7, 4, 4)
@@ -99,7 +101,7 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     for v in ("wagner", "adapted"):
         assert np.array_equal(H.lie_closure(every[v]).basis, H.lie_closure(list(every[v])).basis)
     # the Schouten variants alone integrate only the horizontal half
-    horizontal = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
+    horizontal, _ = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
     assert passes[1:] == [("horizontal",)]
     for v, samples in horizontal.items():
         assert np.array_equal(samples, single[v])

@@ -24,12 +24,13 @@ def test_readme_library_example_prints_its_comment():
     text = README.read_text()
     section = text[text.index("## Library"):]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
-    out = io.StringIO()
+    out, scope = io.StringIO(), {}
     with contextlib.redirect_stdout(out):
-        exec(code, {})
+        exec(code, scope)
     h_dim, h0_dim, comparison = out.getvalue().strip().split(" ", 2)
     assert (h_dim, h0_dim) == ("1", "2")
     assert re.search(r"'codim': 1\b", comparison)
+    assert scope["split"].blocks == [(0, 1), (2, 3)]
 
 
 def test_every_factor_and_sampler_field_is_settable_from_a_config():

@@ -454,6 +454,22 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
             assert np.array_equal(taus[i], tau)
 
 
+@pytest.mark.parametrize("index, attempt", [(0, 0), (3, 0), (5, 2)])
+def test_halves_share_draw_streams(charts, index, attempt):
+    # the stream is keyed by (seed, index, attempt) alone: path i of the
+    # adapted half draws the horizontal controls of path i of the horizontal
+    # half, then its Reeb controls
+    chart, s = charts["bergman"], T.SamplerConfig()
+    horizontal, adapted = (
+        T._draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed, s.step,
+                     vertical, index, attempt) for vertical in (0.0, s.magnitude))
+    assert np.array_equal(horizontal.controls, adapted.controls)
+    rng = np.random.default_rng([s.seed, index, attempt])
+    rng.normal(0.0, 1.0, horizontal.controls.shape)
+    assert np.array_equal(adapted.vertical, rng.normal(0.0, 1.0, s.segments) * s.magnitude)
+    assert not np.any(horizontal.vertical) and np.all(adapted.vertical != 0.0)
+
+
 def test_redraw_exhaustion_names_index(charts):
     chart = charts["bergman"]
     s = REDRAW_SAMPLER

@@ -4,6 +4,7 @@ import pytest
 from kcontact import connection as C
 from kcontact import holonomy as H
 from kcontact import manifolds as M
+from kcontact import transport as T
 from kcontact import transverse as TV
 from kcontact.errors import ChartError
 
@@ -96,9 +97,9 @@ def test_split_invariance_postcondition(charts, algebra_cache):
 def test_factor_split_complex_structures(charts, algebra_cache):
     chart = charts["disc_disc_12"]
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
-    split = TV.factor_split(chart, np.zeros(5), h0, 1e-6)
-    assert len(split.J_blocks) == 2
     data = C.frame_data(chart, np.zeros(5)[None], order=1)
+    split = TV.factor_split(data, h0, 1e-6)
+    assert len(split.J_blocks) == 2
     P, _ = C.orthonormal_frame_change(data.G)
     omega_o = np.einsum("...aA,...ab,...bB->...AB", P, data.omega, P)[0]
     for blk, J in zip(split.blocks, split.J_blocks):
@@ -122,7 +123,7 @@ def test_factor_split_closes_blocks_at_the_span_tol(charts, algebra_cache, monke
         return lie_closure(mats, tol)
 
     monkeypatch.setattr(TV, "lie_closure", recording)
-    split = TV.factor_split(charts["disc_disc_12"], np.zeros(5),
+    split = TV.factor_split(C.frame_data(charts["disc_disc_12"], np.zeros(5)),
                             algebra_cache("disc_disc_12", 0, "adapted"), span_tol)
     assert len(split.blocks) == 2
     assert tols == [block_tol, block_tol]
@@ -130,7 +131,8 @@ def test_factor_split_closes_blocks_at_the_span_tol(charts, algebra_cache, monke
 
 def test_regression_recovers_coefficients(charts, algebra_cache):
     chart = charts["disc_disc_12"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                            algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
     pts = domain_points(chart, 30, seed=5, margin=0.85)
     reg = TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     assert np.allclose(reg["b"], [1.0, 2.0], atol=1e-4)
@@ -139,7 +141,8 @@ def test_regression_recovers_coefficients(charts, algebra_cache):
 
 def test_regression_single_factor(charts, algebra_cache):
     chart = charts["bergman"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"), 1e-6)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                            algebra_cache("bergman", 0, "adapted"), 1e-6)
     pts = domain_points(chart, 25, seed=6, margin=0.85)
     reg = TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     assert np.allclose(reg["b"], [1.0], atol=1e-4)
@@ -149,7 +152,7 @@ def test_regression_single_factor(charts, algebra_cache):
 def test_regression_perturbed_branch(charts, algebra_cache):
     chart = charts["perturbed_disc_disc"]
     h0 = algebra_cache("perturbed_disc_disc", 0, "adapted")
-    split = TV.factor_split(chart, np.zeros(5), h0, 1e-6)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)), h0, 1e-6)
     pts = domain_points(chart, 30, seed=7, margin=0.85)
     ric, omega_o = ortho_ricci(chart, pts)
     reg = TV.dtheta_regression(ric, omega_o, split)
@@ -164,7 +167,8 @@ def test_einstein_regression_chain(charts, algebra_cache):
     # Einstein residual small <=> regression residual small, on both branches
     for name, clean in [("disc_disc_11", True), ("perturbed_disc_disc", False)]:
         chart = charts[name]
-        split = TV.factor_split(chart, np.zeros(5), algebra_cache(name, 0, "adapted"), 1e-6)
+        split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                                algebra_cache(name, 0, "adapted"), 1e-6)
         pts = domain_points(chart, 25, seed=8, margin=0.85)
         ric, omega_o = ortho_ricci(chart, pts)
         reg = TV.dtheta_regression(ric, omega_o, split)
@@ -183,14 +187,16 @@ def test_regression_requires_blocks_and_points(charts, algebra_cache):
     with pytest.raises(ChartError):
         TV.dtheta_regression(*ortho_ricci(chart, pts), split)
     chart2 = charts["disc_disc_11"]
-    split2 = TV.factor_split(chart2, np.zeros(5), algebra_cache("disc_disc_11", 0, "adapted"), 1e-6)
+    split2 = TV.factor_split(C.frame_data(chart2, np.zeros(5)),
+                             algebra_cache("disc_disc_11", 0, "adapted"), 1e-6)
     with pytest.raises(ValueError):
         TV.dtheta_regression(*ortho_ricci(chart2, domain_points(chart2, 5, seed=9)), split2)
 
 
 def test_einstein_constants(charts, algebra_cache):
     chart = charts["bergman"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("bergman", 0, "adapted"), 1e-6)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                            algebra_cache("bergman", 0, "adapted"), 1e-6)
     eins = TV.einstein_check(ortho_ricci(chart, domain_points(chart, 20, seed=10))[0], split)
     assert len(eins) == 1
     assert abs(eins[0]["einstein_lambda"] + 3.0) < 1e-6
@@ -220,7 +226,8 @@ def test_ricci_form_closed_by_finite_differences(charts, algebra_cache):
     # d(rho^i) = 0: finite-difference exterior derivative of the pullback
     # of each factor Ricci form to coordinate components
     chart = charts["disc_disc_12"]
-    split = TV.factor_split(chart, np.zeros(5), algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                            algebra_cache("disc_disc_12", 0, "adapted"), 1e-6)
 
     def rho_coords(x, which):
         data = C.frame_data(chart, np.atleast_2d(x), order=2)
@@ -253,10 +260,10 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     # one order-2 frame_data on the 30 transverse points, and no R -> so(2m)
     # conversion for the Einstein check and the regression (the Ricci trace
     # is taken in the chart frame): the 6 conversions are the Wagner,
-    # annihilator and adapted pair samples at the base point and at the path ends
+    # annihilator and adapted pair samples at the base point and at the path
+    # ends.  x0 alone is evaluated once, at order 2, by the sampling pass,
+    # whose data the splitting reads.
     from kcontact import cli
-    from kcontact import holonomy as H
-    from kcontact import transport as T
     from kcontact.manifolds import random_domain_points
 
     raw = {"manifold": {"type": "product", "factors": [
@@ -265,8 +272,8 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
     pts = random_domain_points(chart, 30, np.random.default_rng(5 + 1000), margin=0.85)
-    calls = {"pts_order2": 0, "r_to_ortho": 0}
-    frame_data, ortho_curvature = C.frame_data, C.ortho_curvature
+    calls = {"pts_order2": 0, "r_to_ortho": 0, "x0_orders": []}
+    frame_data, ortho_curvature, chart_arrays = C.frame_data, C.ortho_curvature, M.chart_arrays
 
     def counting_frame_data(chart, X, order=1):
         if order >= 2 and np.shape(X) == pts.shape and np.array_equal(X, pts):
@@ -277,6 +284,13 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
         calls["r_to_ortho"] += 1
         return ortho_curvature(F, P, Pinv)
 
+    def counting_chart_arrays(chart, X, order=1, **kwargs):
+        if np.array_equal(np.reshape(X, (-1, chart.dim)), x0[None]):
+            calls["x0_orders"].append(order)
+        return chart_arrays(chart, X, order, **kwargs)
+
+    for mod in (M, C, T):
+        monkeypatch.setattr(mod, "chart_arrays", counting_chart_arrays)
     for mod in (C, cli, H, T, TV):
         if getattr(mod, "frame_data", None) is frame_data:
             monkeypatch.setattr(mod, "frame_data", counting_frame_data)
@@ -284,26 +298,44 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
     report = cli.holonomy_report(cfg)
     assert report["dims"]["adapted"] > 0 and "regression" in report
-    assert calls == {"pts_order2": 1, "r_to_ortho": 6}
+    assert calls == {"pts_order2": 1, "r_to_ortho": 6, "x0_orders": [2]}
 
 
 def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
-    # the sign alignment needs only dtheta at x: first-order frame data, no R
-    orders, conversions = [], []
-    frame_data, ortho_curvature = C.frame_data, C.ortho_curvature
+    # the sign alignment reads dtheta from the base data it is given: no
+    # chart evaluation, and no R converted even when the data carries it
+    evaluations, conversions = [], []
+    chart_arrays, ortho_curvature = M.chart_arrays, C.ortho_curvature
+    base = C.frame_data(charts["disc_disc_12"], np.zeros(5), order=2)
 
-    def counting_frame_data(chart, X, order=1):
-        orders.append(order)
-        return frame_data(chart, X, order=order)
+    def counting_chart_arrays(*args, **kwargs):
+        evaluations.append(args[1])
+        return chart_arrays(*args, **kwargs)
 
     def counting_ortho_curvature(F, P, Pinv):
         conversions.append(F.shape)
         return ortho_curvature(F, P, Pinv)
 
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
-    monkeypatch.setattr(TV, "frame_data", counting_frame_data)
+    for mod in (M, C, T):
+        monkeypatch.setattr(mod, "chart_arrays", counting_chart_arrays)
     for mod in (H, TV):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
-    split = TV.factor_split(charts["disc_disc_12"], np.zeros(5), h0, 1e-6)
+    split = TV.factor_split(base, h0, 1e-6)
     assert len(split.J_blocks) == 2
-    assert orders == [1] and conversions == []
+    assert evaluations == [] and conversions == []
+
+
+@pytest.mark.parametrize("name", list(M.EXAMPLES))
+def test_factor_split_is_the_same_on_order_one_and_two_base_data(charts, algebra_cache, name):
+    # a report passes the sampling pass's order-2 data at x0; the order-1
+    # data once evaluated for the split has the same omega and P bits, so
+    # the blocks and complex structures are the same bits too
+    chart = charts[name]
+    h0 = algebra_cache(name, 0, "adapted")
+    one, two = (TV.factor_split(C.frame_data(chart, np.zeros(5), order=k), h0, 1e-6)
+                for k in (1, 2))
+    assert one.blocks == two.blocks and one.trivial == two.trivial
+    assert len(one.J_blocks) == len(two.J_blocks) == len(one.blocks)
+    for J1, J2 in zip(one.J_blocks, two.J_blocks):
+        assert J1.tobytes() == J2.tobytes()
