@@ -97,11 +97,14 @@ class ContactChart:
     ``normal_form`` declares the form every built-in chart has: the Reeb
     field is ``d/dt`` along the last coordinate t, the frame is
     ``e_a = d/dx_a + f_a d/dt`` (the first 2m rows of ``E`` are the
-    identity), and no coefficient function reads t.  The positions pass of
-    control paths and the Reeb flow then take shortcuts with the same bits
-    (:mod:`kcontact.transport`).  A chart built by hand keeps the general
-    path unless it sets the field; setting it on a chart that is not in
-    this form gives wrong positions and Reeb flows.
+    identity), no coefficient function reads t, and the metric ``G`` is
+    block diagonal over ``blocks`` (exactly zero off them, symmetric on
+    each) when there are two or more.  The positions pass of control paths
+    and the Reeb flow then take shortcuts with the same bits
+    (:mod:`kcontact.transport`), and the frame solve and ``G^-1`` take
+    closed forms (:mod:`kcontact.connection`).  A chart built by hand keeps
+    the general path unless it sets the field; setting it on a chart that
+    is not in this form gives wrong positions, Reeb flows and connections.
     """
 
     m: int

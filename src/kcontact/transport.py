@@ -41,7 +41,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import ortho_transports, orthonormal_frame_change, transport_data
+from .connection import (normal_form_solve, ortho_transports, orthonormal_frame_change,
+                         transport_data)
 from .errors import ChartError, ConfigError, DomainError, SamplingError
 from .manifolds import chart_arrays
 
@@ -459,10 +460,15 @@ def _sample_parametric(chart, curve, step, split=True):
 
 
 def _split_velocities(chart, xs, vs):
-    """Frame components, Reeb component and theta value of velocities at xs."""
+    """Frame components, Reeb component and theta value of velocities at xs.
+    On a chart in normal form the solve is :func:`normal_form_solve`:
+    ``u = v_top`` and ``w = v_t - f u``."""
     arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
-    aug = np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1)
-    coeff = np.linalg.solve(aug, vs[..., None])[..., 0]
+    if chart.normal_form:
+        coeff = normal_form_solve(arr.E, vs[..., None])[..., 0]
+    else:
+        aug = np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1)
+        coeff = np.linalg.solve(aug, vs[..., None])[..., 0]
     tm = 2 * chart.m
     return coeff[:, :tm], coeff[:, tm], np.einsum("...i,...i->...", arr.th, vs)
 

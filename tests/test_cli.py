@@ -603,31 +603,45 @@ def test_memory_error_exit_5(tmp_path, capsys, monkeypatch):
     assert capsys.readouterr().err == "numerical failure: Unable to allocate 15.8 GiB\n"
 
 
-@pytest.mark.parametrize("factor, message", [
-    ({"kind": "poincare_disc", "curvature": 1e-300}, "SVD did not converge"),
-    ({"kind": "perturbed_disc", "b": 1.0, "epsilon": 1e8}, "Eigenvalues did not converge"),
+TINY_DISCS = [{"kind": "poincare_disc", "curvature": 1e-300}] * 2
+
+
+@pytest.mark.parametrize("command, factors, message", [
+    ("holonomy", TINY_DISCS, "SVD did not converge"),
+    ("verify", [{"kind": "perturbed_disc", "b": 1.0, "epsilon": 1e8}, {"kind": "poincare_disc"}],
+     "Eigenvalues did not converge"),
 ], ids=["tiny_curvature", "huge_epsilon"])
-def test_linalg_failure_exit_5(tmp_path, capsys, factor, message):
-    cfg = write_config(tmp_path, {
-        "manifold": {"type": "product", "factors": [factor, {"kind": "poincare_disc"}]},
-    })
-    assert run(["verify", "--config", cfg, "--seed", "0"]) == 5
+def test_linalg_failure_exit_5(tmp_path, capsys, command, factors, message):
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": factors}})
+    assert run([command, "--config", cfg, "--seed", "0"]) == 5
     err = capsys.readouterr().err
     assert err == f"numerical failure: {message}\n"
 
 
+def test_tiny_curvature_next_to_a_unit_disc_fails_only_absolute_checks(tmp_path):
+    # a disc of curvature 1e-300 has a metric block of scale 1e300; its
+    # inverse block is closed-form, so Gamma stays finite and only the two
+    # residuals measured in the metric's own scale fail
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": [
+        TINY_DISCS[0], {"kind": "poincare_disc"}]}})
+    out = tmp_path / "verify.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert run(["verify", "--config", cfg, "--seed", "0", "--out", str(out)]) == 1
+    checks = read(out)["checks"]
+    assert sorted(k for k, c in checks.items() if not c["pass"]) == [
+        "curvature_g_skew", "metric_compatibility"]
+
+
 def test_numerical_failure_stderr_is_one_line(tmp_path):
     # numpy RuntimeWarnings raised before the failure stay off stderr
-    cfg = write_config(tmp_path, {
-        "manifold": {"type": "product", "factors": [
-            {"kind": "poincare_disc", "curvature": 1e-300}, {"kind": "poincare_disc"}]},
-    })
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": TINY_DISCS}})
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("PYTHONWARNINGS", None)
     proc = subprocess.run(
-        [sys.executable, "-m", "kcontact.cli", "verify", "--config", cfg, "--seed", "0"],
+        [sys.executable, "-m", "kcontact.cli", "holonomy", "--config", cfg, "--seed", "0"],
         capture_output=True, text=True, env=env, timeout=300,
     )
     assert proc.returncode == 5

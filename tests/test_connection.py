@@ -419,9 +419,10 @@ def _pairs_reeb_brackets(arr, rng):
 
 def _first_order_frame_data(arr):
     """``frame_data`` at order 1 on the arrays ``arr`` in place of a chart
-    evaluation."""
+    evaluation, on the general path: generic arrays are not in normal form."""
+    chart = SimpleNamespace(m=arr.E.shape[-1] // 2, normal_form=False, blocks=())
     with mock.patch.object(C, "chart_arrays", lambda chart, X, order: arr):
-        return C.frame_data(SimpleNamespace(m=arr.E.shape[-1] // 2), arr.X)
+        return C.frame_data(chart, arr.X)
 
 
 def _pairs_frame_two_form(arr, rng):

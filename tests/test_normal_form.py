@@ -1,18 +1,23 @@
 """Charts in normal form against the general path.
 
 Every built-in chart declares ``normal_form``: its Reeb field is d/dt, its
-frame is e_a = d/dx_a + f_a d/dt, and no coefficient function reads t.  The
-positions pass of control paths and the Reeb flow take shortcuts there;
-``dataclasses.replace(chart, normal_form=False)`` runs the same chart on
-the general path, and both must give the same bits.
+frame is e_a = d/dx_a + f_a d/dt, no coefficient function reads t, and its
+metric is block diagonal over ``chart.blocks``.  The positions pass of
+control paths and the Reeb flow take shortcuts there with the same bits;
+the frame solve and the metric inverse take closed forms, which agree with
+LAPACK's up to rounding.  ``dataclasses.replace(chart, normal_form=False)``
+runs the same chart on the general path.
 """
 
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kcontact import cli
+from kcontact import connection as C
 from kcontact import manifolds as M
 from kcontact import transport as T
 from kcontact.errors import DomainError
@@ -138,11 +143,14 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
     def run(c):
         batches.clear()
         halves = T.sampled_path_transports(c, np.zeros(5), sampler)
-        return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes(),
-                                taus.tobytes()) for paths, ends, taus in halves]
+        return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
+                               for paths, ends, _ in halves], [taus for *_, taus in halves]
 
     fast, slow = both_ways(charts["bergman"], run)
-    assert fast == slow
+    # positions, alive flags, controls and ends keep their bits; the
+    # transports read the closed-form Gamma, which moves by rounding only
+    assert fast[:2] == slow[:2]
+    assert max(_rel(g, r) for g, r in zip(fast[2], slow[2], strict=True)) <= 1e-14
     frozen = [b[-1] for b in fast[0]]
     assert len(frozen) > 2 and frozen[0] > 0
 
@@ -157,6 +165,15 @@ def test_declared_normal_form_holds(name):
     assert np.array_equal(arr.xi, np.broadcast_to(np.eye(n)[-1], (64, n)))
     for d in (arr.dth, arr.dxi, arr.dE, arr.dG):
         assert not np.any(d[..., -1])
+    # G is exactly zero off the blocks and symmetric on each: the blocks
+    # are what the metric inverse of a normal-form chart inverts
+    on = np.zeros((tm, tm), dtype=bool)
+    for blk in chart.blocks:
+        ix = np.ix_(blk, blk)
+        on[ix] = True
+        assert np.array_equal(arr.G[(..., *ix)], arr.G[(..., *ix)].swapaxes(-1, -2))
+    assert sorted(i for blk in chart.blocks for i in blk) == list(range(tm))
+    assert not np.any(arr.G[:, ~on])
 
 
 def test_rotated_chart_is_not_declared_normal(charts):
@@ -193,3 +210,75 @@ def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
     T._reeb_flow_batch(chart, X, np.full(16, 0.3), vectors=X[::-1])
     T._reeb_flow_batch(chart, X, np.full(16, -0.3))
     assert calls == []
+
+
+def _rel(got, ref):
+    """Largest difference relative to ``max(1, |ref|)``: the closed forms
+    give exact zeros where LAPACK leaves rounding noise."""
+    return float(np.max(np.abs(got - ref), initial=0.0) / max(1.0, np.max(np.abs(ref), initial=0.0)))
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
+def test_closed_form_solve_matches_general_path(name):
+    # the closed-form [E | xi]^-1 and block G^-1 move Gamma, the curvature
+    # and the velocity split by rounding only
+    chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
+    X = domain_points(chart, 32, seed=6)
+    V = np.random.default_rng(7).normal(size=X.shape)
+
+    def run(c):
+        lean = [C.transport_data(c, X, vertical=v) for v in (False, True)]
+        data = C.frame_data(c, X, order=2)
+        return ([d.Gamma for d in lean] + [lean[1].xi_coeffs]
+                + [getattr(data, f.name) for f in dataclasses.fields(data)
+                   if isinstance(getattr(data, f.name), np.ndarray)]
+                + list(T._split_velocities(c, X, V)))
+
+    fast, slow = both_ways(chart, run)
+    assert len(fast) == len(slow) == 27
+    assert max(_rel(g, r) for g, r in zip(fast, slow, strict=True)) <= 1e-14
+
+
+def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
+    # the frame solve and the width-2 G blocks of disc_disc_12 are closed
+    # forms, and the velocity split solves nothing
+    chart = charts["disc_disc_12"]
+    X = domain_points(chart, 16, seed=8)
+    calls = []
+    for name in ("inv", "solve"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
+    for vertical in (False, True):
+        C.transport_data(chart, X, vertical=vertical)
+    T._split_velocities(chart, X, X)
+    assert calls == []
+    C.transport_data(dataclasses.replace(chart, normal_form=False), X)
+    assert calls == ["inv", "inv"]
+
+
+@pytest.mark.parametrize("block, singular", [
+    ([[1.0, 2.0], [2.0, 4.0]], True), ([[0.0, 0.0], [0.0, 1.0]], True),
+    ([[0.0, 1.0], [1.0, 0.0]], False), ([[2.0, 1.0], [1.0, 3.0]], False),
+], ids=["singular", "singular_zero_pivot", "zero_pivot", "regular"])
+def test_metric_inverse_fails_where_lapack_does(block, singular):
+    # a 2x2 block raises np.linalg.LinAlgError exactly when np.linalg.inv
+    # does; an invertible block with a zero pivot goes to LAPACK
+    G = np.tile(np.diag([1.0, 1.0, 2.0, 3.0]), (3, 1, 1))
+    G[1, 2:, 2:] = block
+    blocks = ((0, 1), (2, 3))
+    if singular:
+        for inverse in (np.linalg.inv, lambda G: C.metric_inverse(G, blocks)):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                inverse(G)
+    else:
+        assert np.max(np.abs(C.metric_inverse(G, blocks) - np.linalg.inv(G))) <= 1e-15
+
+
+def test_singular_metric_block_exits_5(monkeypatch, capsys):
+    # a disc metric that is singular everywhere: the run stops with the
+    # message np.linalg.inv gives, not with a traceback
+    monkeypatch.setattr(M, "_disc_metric", lambda spec, w, rad: [[1.0, 2.0], [2.0, 4.0]])
+    cfg = Path(__file__).resolve().parent.parent / "configs" / "disc_disc_12.json"
+    assert cli.main(["verify", "--config", str(cfg), "--seed", "0"]) == 5
+    assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
