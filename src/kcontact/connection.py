@@ -5,10 +5,10 @@ functions.  First derivatives give the connection coefficients via the
 Koszul formula; second derivatives propagate through an explicit chain
 rule to the curvature.  One code path serves every chart, with two
 closed forms on a chart in normal form (``ContactChart.normal_form``):
-the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]``
-(:func:`normal_form_solve`) and ``G^-1`` block by block over the chart's
-blocks (:func:`metric_inverse`), so the transport's hot path makes no
-LAPACK inverse there; they move the results by rounding only.  A
+the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` (:func:`frame_solve`,
+its one owner) and ``G^-1`` block by block over the chart's blocks
+(:func:`metric_inverse`), so the transport's hot path makes no LAPACK
+inverse there; they move the results by rounding only.  A
 finite-difference oracle in the test suite checks the whole pipeline.
 One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
 and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
@@ -117,34 +117,33 @@ def frame_brackets(arr, normal_form=False):
     and ``cfull = Minv Br``, whose first 2m rows are the coefficients of
     pi[e_a, e_b] and whose last row is theta([e_a, e_b]).  Both products
     are one batched matmul per point: ``dE`` flattened to ``[(k b), i]``
-    times ``E`` gives ``e_a(E[k, b])`` in the ``[k, b, a]`` layout.  With
-    ``normal_form`` (``ContactChart.normal_form``) ``Minv`` is
-    :func:`normal_form_solve` of I, ``[[I, 0], [-f, 1]]``, instead of a
-    LAPACK inverse: the first 2m rows of ``cfull`` are then ``Br``'s and
-    the last is ``Br_t - f Br_top``.  The batched matmul by ``Minv`` takes
-    about half the time of applying the closed form to ``Br`` row by row.
+    times ``E`` gives ``e_a(E[k, b])`` in the ``[k, b, a]`` layout.
+    ``Minv`` is :func:`frame_solve` of I; with ``normal_form``
+    (``ContactChart.normal_form``) it is ``[[I, 0], [-f, 1]]``, so the
+    first 2m rows of ``cfull`` are ``Br``'s and the last is
+    ``Br_t - f Br_top``.  The batched matmul by ``Minv`` takes about half
+    the time of applying the closed form to ``Br`` row by row.
     """
     *batch, n, tm, _ = arr.dE.shape
     Br = (arr.dE.reshape(*batch, n * tm, n) @ arr.E).reshape(*batch, n, tm, tm)
     Br = Br.swapaxes(-1, -2) - Br
-    if normal_form:
-        Minv = normal_form_solve(arr.E, np.broadcast_to(np.eye(n), (*batch, n, n)))
-    else:
-        Minv = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    Minv = frame_solve(arr, np.broadcast_to(np.eye(n), (*batch, n, n)), normal_form)
     cfull = (Minv @ Br.reshape(*Br.shape[:-2], -1)).reshape(Br.shape)
     return Br, Minv, cfull
 
 
-def normal_form_solve(E, B):
-    """``[E | xi]^-1 B`` on a chart in normal form, for ``B[..., k, j]``.
+def frame_solve(arr, B, normal_form):
+    """``[E | xi]^-1 B`` for ``B[..., k, j]`` and chart values ``arr``.
 
-    There ``xi = e_n`` and ``E = [I; f]`` with ``f = E[..., -1, :]``, so
-    ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` exactly: the first 2m rows of the
+    In normal form ``xi = e_n`` and ``E = [I; f]`` with ``f = E[..., -1, :]``,
+    so ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` exactly: the first 2m rows of the
     solution are ``B``'s and the last is ``B_t - f B_top``.  No LAPACK call.
-    """
-    tm = E.shape[-1]
+    Otherwise ``np.linalg.solve``, whose solve of I is ``np.linalg.inv``'s."""
+    if not normal_form:
+        return np.linalg.solve(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1), B)
+    tm = arr.E.shape[-1]
     X = B.copy()
-    X[..., tm, :] -= (E[..., tm:, :] @ B[..., :tm, :])[..., 0, :]
+    X[..., tm, :] -= (arr.E[..., tm:, :] @ B[..., :tm, :])[..., 0, :]
     return X
 
 

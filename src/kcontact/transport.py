@@ -41,8 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .connection import (normal_form_solve, ortho_transports, orthonormal_frame_change,
-                         transport_data)
+from .connection import frame_solve, ortho_transports, orthonormal_frame_change, transport_data
 from .errors import ChartError, ConfigError, DomainError, SamplingError
 from .manifolds import chart_arrays
 
@@ -360,16 +359,17 @@ def _transport_positions(chart, xs, paths, h):
     go in blocks of ``max(1, ROWS // P)`` for P paths: the block's ends are
     evaluated in one call, since their velocities place the midpoints, then
     its midpoints in another; each evaluation is contracted to its rates at
-    once.  The transports are reprojected every ``REORTH_EVERY`` steps.
+    once; the paths' shared start is one row.  The transports are
+    reprojected every ``REORTH_EVERY`` steps.
     """
     _, controls, verticals = _path_arrays(paths)
     P_, K, per, _ = xs.shape
     tm = controls.shape[-1]
     vertical = bool(np.any(verticals != 0.0))
     block = max(1, ROWS // P_)
-    P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
+    P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:1, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end = transport_data(chart, xs[:, 0, :1], vertical=vertical)
+    end = transport_data(chart, xs[:1, 0, :1], vertical=vertical)
     total = 0
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
@@ -460,15 +460,11 @@ def _sample_parametric(chart, curve, step, split=True):
 
 
 def _split_velocities(chart, xs, vs):
-    """Frame components, Reeb component and theta value of velocities at xs.
-    On a chart in normal form the solve is :func:`normal_form_solve`:
+    """Frame components, Reeb component and theta value of velocities at xs,
+    through ``connection.frame_solve``: on a chart in normal form
     ``u = v_top`` and ``w = v_t - f u``."""
     arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
-    if chart.normal_form:
-        coeff = normal_form_solve(arr.E, vs[..., None])[..., 0]
-    else:
-        aug = np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1)
-        coeff = np.linalg.solve(aug, vs[..., None])[..., 0]
+    coeff = frame_solve(arr, vs[..., None], chart.normal_form)[..., 0]
     tm = 2 * chart.m
     return coeff[:, :tm], coeff[:, tm], np.einsum("...i,...i->...", arr.th, vs)
 

@@ -241,7 +241,8 @@ def test_closed_form_solve_matches_general_path(name):
 
 def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
     # the frame solve and the width-2 G blocks of disc_disc_12 are closed
-    # forms, and the velocity split solves nothing
+    # forms, and the velocity split solves nothing; the general path solves
+    # [E | xi] against I and inverts G
     chart = charts["disc_disc_12"]
     X = domain_points(chart, 16, seed=8)
     calls = []
@@ -254,7 +255,19 @@ def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
     T._split_velocities(chart, X, X)
     assert calls == []
     C.transport_data(dataclasses.replace(chart, normal_form=False), X)
-    assert calls == ["inv", "inv"]
+    assert calls == ["solve", "inv"]
+
+
+def test_general_frame_solve_is_the_lapack_inverse(charts):
+    # off normal form the frame solve of I is np.linalg.inv([E | xi]) bit
+    # for bit, so the general path's Minv did not move when the solve
+    # replaced the inverse
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    arr = M.chart_arrays(chart, domain_points(chart, 64, seed=9), order=0, fields=("xi", "E"))
+    n = chart.dim
+    got = C.frame_solve(arr, np.broadcast_to(np.eye(n), (64, n, n)), False)
+    ref = np.linalg.inv(np.concatenate([arr.E, arr.xi[..., :, None]], axis=-1))
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("block, singular", [

@@ -558,8 +558,8 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, n_paths, 
     # a pass over P rows evaluates the connection over blocks of
     # max(1, ROWS // P) of a segment's 16 steps: the 64-path pass (both
     # halves, 128 rows) still makes one call per step, an 8-path pass and
-    # a single path make one per block; every pass evaluates its start and
-    # two samples per step, as the per-step loop does
+    # a single path make one per block; every pass evaluates its shared
+    # start once and two samples per row and step, as the per-step loop does
     chart = charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
@@ -576,7 +576,32 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, n_paths, 
     else:
         T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths))
     block = max(1, T.ROWS // rows)
-    assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": rows * (1 + 2 * 4 * 16)}
+    assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": 1 + rows * 2 * 4 * 16}
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+def test_transport_pass_evaluates_its_shared_start_once(charts, monkeypatch, rotated):
+    # every path of a pass starts at x0, so the pass's first connection
+    # evaluation and the metric of its reprojections (64 steps: one falls
+    # inside) read one row, which broadcasts over the paths with the bits
+    # of the per-step loop's one row per path
+    chart = charts["disc_disc_12"]
+    chart = rotated_chart(chart, (0, 1), 0.7) if rotated else chart
+    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 3, 0.02, v, i, 0)
+             for v in (0.0, 0.45) for i in range(8)]
+    xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
+    evaluate, shapes = T.transport_data, []
+
+    def recording(chart, X, vertical=False):
+        shapes.append(np.shape(X))
+        return evaluate(chart, X, vertical=vertical)
+
+    monkeypatch.setattr(T, "transport_data", recording)
+    got = T._transport_positions(chart, xs, paths, h)
+    monkeypatch.undo()
+    assert shapes[0] == (1, 1, chart.dim)
+    assert all(s[0] == len(paths) for s in shapes[1:])
+    assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 
 
 def test_sampled_route_matches_transport_pass(charts):

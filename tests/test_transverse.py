@@ -261,8 +261,9 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     # conversion for the Einstein check and the regression (the Ricci trace
     # is taken in the chart frame): the 6 conversions are the Wagner,
     # annihilator and adapted pair samples at the base point and at the path
-    # ends.  x0 alone is evaluated once, at order 2, by the sampling pass,
-    # whose data the splitting reads.
+    # ends.  Frame data at x0 alone is evaluated once, at order 2, by the
+    # sampling pass, whose data the splitting reads; the transport pass
+    # evaluates its shared start x0 as one point, at orders 0 (G) and 1.
     from kcontact import cli
     from kcontact.manifolds import random_domain_points
 
@@ -298,7 +299,7 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
     report = cli.holonomy_report(cfg)
     assert report["dims"]["adapted"] > 0 and "regression" in report
-    assert calls == {"pts_order2": 1, "r_to_ortho": 6, "x0_orders": [2]}
+    assert calls == {"pts_order2": 1, "r_to_ortho": 6, "x0_orders": [0, 1, 2]}
 
 
 def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
