@@ -153,7 +153,9 @@ def _resolve_chart(cfg: RunConfig):
 
 
 def render_report(obj):
-    """Serialize a report with sorted keys and 17-significant-digit floats."""
+    """Serialize a report with sorted keys and 17-significant-digit floats.
+    A non-finite float raises :class:`NumericsError`, so no report with
+    one is written."""
     return _render(obj) + "\n"
 
 
@@ -174,7 +176,7 @@ def _render(obj):
     if isinstance(obj, (float, np.floating)):
         v = float(obj)
         if not np.isfinite(v):
-            return json.dumps(None)
+            raise NumericsError(f"non-finite value {v} in the report")
         return format(v, ".17g")
     return json.dumps(obj)
 

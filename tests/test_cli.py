@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kcontact import cli, example_charts
-from kcontact.errors import ChartError, ConfigError
+from kcontact.errors import ChartError, ConfigError, NumericsError
 from kcontact.holonomy import as_samples_adapted
 from kcontact.manifolds import EXAMPLES
 
@@ -631,6 +631,21 @@ def test_tiny_curvature_next_to_a_unit_disc_fails_only_absolute_checks(tmp_path)
     checks = read(out)["checks"]
     assert sorted(k for k, c in checks.items() if not c["pass"]) == [
         "curvature_g_skew", "metric_compatibility"]
+
+
+def test_non_finite_report_value_exits_5_and_writes_no_report(tmp_path, capsys):
+    # a disc of curvature 1e300 next to a unit disc overflows the Sasaki
+    # check and the regression; the report would hold inf, so none is
+    # written and the run fails as numerical, with one stderr line
+    cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "curvature": 1e300}, {"kind": "poincare_disc"}]}})
+    out = tmp_path / "holonomy.json"
+    assert run(["holonomy", "--config", cfg, "--seed", "0", "--out", str(out)]) == 5
+    assert capsys.readouterr().err == "numerical failure: non-finite value inf in the report\n"
+    assert not out.exists()
+    assert cli.render_report({"a": None, "b": [1.5]}) == '{"a": null, "b": [1.5]}\n'
+    with pytest.raises(NumericsError, match="non-finite value nan"):
+        cli.render_report({"a": [np.float64("nan")]})
 
 
 def test_numerical_failure_stderr_is_one_line(tmp_path):
