@@ -10,6 +10,7 @@ runs the same chart on the general path.
 """
 
 import dataclasses
+import inspect
 import warnings
 from pathlib import Path
 
@@ -295,3 +296,47 @@ def test_singular_metric_block_exits_5(monkeypatch, capsys):
     cfg = Path(__file__).resolve().parent.parent / "configs" / "disc_disc_12.json"
     assert cli.main(["verify", "--config", str(cfg), "--seed", "0"]) == 5
     assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
+
+
+def _accepted_draws(chart, sampler, monkeypatch):
+    """Both halves of one sampling pass, and the attempt of each half's
+    accepted draw of each path index (its last draw)."""
+    draw = T._draw_path
+    signature = inspect.signature(draw)
+    accepted = {}
+
+    def recording(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        accepted[bound["vertical_magnitude"] > 0, bound["i"]] = bound["attempt"]
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(T, "_draw_path", recording)
+    halves = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
+    monkeypatch.undo()
+    same = [i for i in range(sampler.n_paths) if accepted[False, i] == accepted[True, i]]
+    return halves, same
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
+    # on a normal-form chart [xi, e_a] = 0 and no coefficient reads t, so
+    # Reeb controls move only t: where both halves accept the same attempt
+    # of path i, the adapted transport is the horizontal one bit for bit
+    # and the ends differ in t alone
+    sampler = T.SamplerConfig(n_paths=16)
+    ((_, h_ends, h_taus), (_, a_ends, a_taus)), same = _accepted_draws(
+        _chart(name), sampler, monkeypatch)
+    assert len(same) >= sampler.n_paths // 2
+    assert a_taus[same].tobytes() == h_taus[same].tobytes()
+    assert a_ends[same, :-1].tobytes() == h_ends[same, :-1].tobytes()
+    assert np.all(a_ends[same, -1] != h_ends[same, -1])
+
+
+def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
+    # on the rotated chart the Reeb brackets do not vanish, so the same
+    # draw transports differently in the two halves
+    sampler = T.SamplerConfig(n_paths=16)
+    ((*_, h_taus), (*_, a_taus)), same = _accepted_draws(
+        rotated_chart(charts["disc_disc_12"], (0, 1), 0.7), sampler, monkeypatch)
+    assert len(same) >= sampler.n_paths // 2
+    assert all(np.any(a_taus[i] != h_taus[i]) for i in same)
