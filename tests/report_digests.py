@@ -4,11 +4,13 @@
     python tests/report_digests.py --root DIR         # digests of another checkout
     python tests/report_digests.py --compare OLD NEW  # diff two checkouts
 
-Renders 70 reports exactly as ``kcontact`` writes them: the blocks of the
+Renders 90 reports exactly as ``kcontact`` writes them: the blocks of the
 three ``kbench`` workloads (``holonomy_shipped``, ``verify_shipped`` and
 ``wide_products``), plus two more report seeds per config
-(``workloads.report_seed`` of the next two sweeps).  One line per report:
-workload, config, seed and the digest of the report text.
+(``workloads.report_seed`` of the next two sweeps), and a ``spinor``
+report of each shipped config at each ``holonomy_shipped`` seed.  One line
+per report: workload (``spinor`` for the spinor reports), config, seed and
+the digest of the report text.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
@@ -18,7 +20,7 @@ the largest relative change ``|new - old| / max(1, |old|)`` over the
 report's float leaves, and lists every leaf (float, int, bool, string,
 list) or shape that differs, so both "last bits only, structure
 unchanged" and "only this leaf moved" are checked by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
-about 20 s per checkout.  It is not part of the test suite.
+about 9 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -54,6 +56,9 @@ def reports(root):
         fn = cli.holonomy_report if workload.pipeline == "holonomy" else cli.verify_report
         for label, cfg in workloads.block(workloads.build(workload), workload.sweeps + EXTRA_SWEEPS):
             rows.append((name, label, cfg.sampler.seed, cli.render_report(fn(cfg))))
+            if name == "holonomy_shipped":
+                rows.append(("spinor", label, cfg.sampler.seed,
+                             cli.render_report(cli.spinor_report(cfg))))
     return rows
 
 
