@@ -9,22 +9,24 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
 adapted zero-extension samples: its horizontal and adapted halves are
 integrated as one batch and share one order-2 evaluation of the base
-point, which the transverse splitting reads too.  The frame data carries
-its orthonormal frame, and each variant's samples come out as one array.
+point, which the transverse splitting reads too.  On a chart in normal
+form an adapted path that repeats its horizontal twin's draw also shares
+the twin's transport and end data.  The frame data carries its
+orthonormal frame, and each variant's samples come out as one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
 the structure analysis cuts at fixed thresholds, written where applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
 
 from .connection import frame_data, ortho_curvature, ortho_transports, ortho_two_form
 from .errors import NumericsError
-from .transport import HALVES, SamplerConfig, sampled_path_transports
+from .transport import HALVES, SamplerConfig, sampled_path_transports, shared_draws
 
 __all__ = [
     "MatrixLieAlgebra",
@@ -168,9 +170,9 @@ def lie_closure(matrices, tol=1e-6):
 # Ambrose-Singer sampling
 
 
-def _conjugated_samples(taus_o, mats):
-    """tau^{-1} M tau for each path and each matrix batch entry."""
-    inv = np.linalg.inv(taus_o)
+def _conjugated_samples(taus_o, inv, mats):
+    """tau^{-1} M tau for each path and each matrix batch entry, with
+    ``inv`` the inverses of the transports ``taus_o``."""
     out = inv[:, None] @ mats @ taus_o[:, None]
     # transports are isometries up to integrator defect; the samples are
     # skew up to the same defect, so drop the spurious symmetric part
@@ -219,10 +221,14 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
     pairs (its mixed curvature vanishes), conjugated along arbitrary paths
     with Reeb-direction controls (classical Ambrose-Singer).  Only the
-    halves of the pass that the variants need are integrated.  Each
-    variant's samples are one ``(count, 2m, 2m)`` array: the base point's
-    (the trivial path), then the conjugated samples of every path, in the
-    orthonormal frame.  ``base`` is the order-2 frame data of x alone.
+    halves of the pass that the variants need are integrated.  Each half's
+    ends are evaluated at order 2 and its transports inverted once, for
+    all of its variants; on a chart in normal form an adapted path that
+    shares its horizontal twin's draw takes the twin's end data and
+    inverse (:func:`_end_frames`).  Each variant's samples are one
+    ``(count, 2m, 2m)`` array: the base point's (the trivial path), then
+    the conjugated samples of every path, in the orthonormal frame.
+    ``base`` is the order-2 frame data of x alone.
     """
     for v in variants:
         if v not in _VARIANTS:
@@ -235,15 +241,50 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     # The end points are evaluated one half at a time: the order-2
     # temporaries grow with the batch, and one evaluation over both halves
     # doubles the peak memory of a report.
+    prior = None  # the previous half's paths and end frames
     for half, (paths, points, taus) in zip(halves, results):
         if not paths:
             continue
-        data = frame_data(chart, points, order=2)
-        taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+        ends = _end_frames(chart, paths, points, taus, base.P[0], prior)
+        data, taus_o, inv = ends
         for v in (v for v in variants if _VARIANTS[v][1] == half):
-            conjugated = _conjugated_samples(taus_o, _VARIANTS[v][0](data))
+            conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
             samples[v] = np.concatenate([samples[v], conjugated])
+        prior = paths, ends
     return samples, base
+
+
+def _end_frames(chart, paths, points, taus, P0, prior):
+    """``(data, taus_o, inv)`` of one half of a sampling pass: the order-2
+    frame data at its path ends ``points``, its transports ``taus`` in the
+    orthonormal frames, and their inverses.
+
+    ``prior`` is the other half's paths and triple, or None.  A row whose
+    draw it shares (:func:`shared_draws`) takes its row of the triple: the
+    ends differ in t alone, which no coefficient reads, and the transports
+    are the same.  Only the other rows are evaluated and inverted.
+    """
+    todo = np.ones(len(paths), dtype=bool)
+    if prior is not None:
+        todo = ~shared_draws(chart, prior[0], paths)
+    if not np.any(todo):
+        data, taus_o, inv = prior[1]
+        return replace(data, x=points), taus_o, inv
+    data = frame_data(chart, points[todo], order=2)
+    taus_o = ortho_transports(taus[todo], data.Pinv, P0)
+    own = data, taus_o, np.linalg.inv(taus_o)
+    if np.all(todo):
+        return own
+
+    def merged(a, b):
+        out = a.copy()
+        out[todo] = b
+        return out
+
+    rows = {f.name: merged(getattr(prior[1][0], f.name), getattr(data, f.name))
+            for f in fields(data) if isinstance(getattr(data, f.name), np.ndarray)}
+    return (replace(data, **{**rows, "x": points}),
+            merged(prior[1][1], own[1]), merged(prior[1][2], own[2]))
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):

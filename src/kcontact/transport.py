@@ -24,6 +24,9 @@ horizontal and an adapted half of random control paths, integrates their
 positions as one lockstep batch, redraws escaped paths, and transports the
 accepted ones.  Path i of both halves draws its horizontal controls from
 one (seed, i, attempt) stream; the adapted half then draws Reeb controls.
+On a chart in normal form Reeb controls move t alone, so an adapted path
+that accepted the same draw as its horizontal twin takes the twin's
+transport (:func:`shared_draws`): such a pass transports each draw once.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -683,7 +686,11 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     from the (seed, path index, attempt) stream, which every half shares
     (a half with Reeb controls draws them after the horizontal ones), so
     the accepted paths depend neither on how the batches are formed nor on
-    the other halves.  Returns one ``(paths, endpoints, transports)`` per half.
+    the other halves.  With two halves, a row of the second whose draw
+    repeats the first half's (:func:`shared_draws`, normal-form charts
+    only) is not transported again: it takes that row's transport, and
+    only the first half and the other rows are transported, in one batch.
+    Returns one ``(paths, endpoints, transports)`` per half.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
@@ -717,10 +724,35 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
             f"could not sample an in-domain path for index {pending[0] % n_paths} "
             f"after {MAX_ATTEMPTS} attempts"
         )
-    M = _transport_positions(chart, xs, paths, h)
+    # a row whose draw the first half shares takes that row's transport
+    src = np.arange(len(paths))
+    if len(vertical_magnitudes) == 2:
+        shared = shared_draws(chart, paths[:n_paths], paths[n_paths:])
+        src[n_paths:][shared] = np.nonzero(shared)[0]
+    rows = np.unique(src)
+    M = _transport_positions(chart, xs[rows], [paths[r] for r in rows], h)
+    M = M[np.searchsorted(rows, src)]
     x = xs[:, -1, -1]
     return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
+
+
+def shared_draws(chart, first, second):
+    """Flags of the paths of ``second`` whose transport is that of the path
+    at the same index of ``first``, the other half of one sampling pass.
+
+    On a chart in normal form ``[xi, e_a] = 0`` and no coefficient reads t,
+    so Reeb controls move only t, and a path's transport (like its end's
+    frame data) is that of its horizontal projection: two paths from x0
+    with the same horizontal controls transport alike, bit for bit.  Path i
+    of every half draws its horizontal controls first from one (seed, i,
+    attempt) stream, so equal controls mean the same accepted attempt.  On
+    any other chart nothing is shared.
+    """
+    if not chart.normal_form:
+        return np.zeros(len(second), dtype=bool)
+    return np.array([np.array_equal(a.controls, b.controls) for a, b in zip(first, second)],
+                    dtype=bool)
 
 
 def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):

@@ -491,7 +491,7 @@ def test_conjugated_samples_match_reference(tm, batch):
     taus = np.eye(tm) + 0.3 * rng.standard_normal((p, tm, tm))
     mats = rng.standard_normal((p, k, tm, tm))
     ref = conjugated_samples_reference(taus, mats)
-    got = H._conjugated_samples(taus, mats)
+    got = H._conjugated_samples(taus, np.linalg.inv(taus), mats)
     assert got.shape == ref.shape == (p * k, tm, tm)
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 

@@ -321,15 +321,28 @@ def _accepted_draws(chart, sampler, monkeypatch):
 def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # on a normal-form chart [xi, e_a] = 0 and no coefficient reads t, so
     # Reeb controls move only t: where both halves accept the same attempt
-    # of path i, the adapted transport is the horizontal one bit for bit
-    # and the ends differ in t alone
+    # of path i, the adapted paths transported on their own, Reeb brackets
+    # included, give the horizontal transports bit for bit, the ends differ
+    # in t alone and their order-2 frame data do not differ at all; the
+    # sampling pass shares exactly those rows (transport.shared_draws)
+    chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
-    ((_, h_ends, h_taus), (_, a_ends, a_taus)), same = _accepted_draws(
-        _chart(name), sampler, monkeypatch)
+    ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
+        chart, sampler, monkeypatch)
     assert len(same) >= sampler.n_paths // 2
+    assert list(np.nonzero(T.shared_draws(chart, h_paths, a_paths))[0]) == same
+    adapted = [a_paths[i] for i in same]
+    assert all(np.all(p.vertical != 0.0) for p in adapted)
+    xs, alive, h = T._integrate_positions(chart, adapted, sampler.step, raise_on_exit=False)
+    assert np.all(alive)
+    assert T._transport_positions(chart, xs, adapted, h).tobytes() == h_taus[same].tobytes()
     assert a_taus[same].tobytes() == h_taus[same].tobytes()
     assert a_ends[same, :-1].tobytes() == h_ends[same, :-1].tobytes()
     assert np.all(a_ends[same, -1] != h_ends[same, -1])
+    h_data, a_data = (C.frame_data(chart, ends[same], order=2) for ends in (h_ends, a_ends))
+    for field in dataclasses.fields(h_data):
+        if field.name != "x" and isinstance(getattr(h_data, field.name), np.ndarray):
+            assert getattr(a_data, field.name).tobytes() == getattr(h_data, field.name).tobytes()
 
 
 def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
@@ -340,3 +353,43 @@ def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
         rotated_chart(charts["disc_disc_12"], (0, 1), 0.7), sampler, monkeypatch)
     assert len(same) >= sampler.n_paths // 2
     assert all(np.any(a_taus[i] != h_taus[i]) for i in same)
+
+
+def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
+    # bergman at horizon 2.4, seed 3, 8 paths: path 4 accepts attempt 6 in
+    # the horizontal half and attempt 5 in the adapted half.  The pass
+    # transports the 8 horizontal rows and that one adapted row; its
+    # adapted transports and ends are, bit for bit, those of all 16 rows
+    # transported together, and the report is the one rendered with
+    # nothing shared
+    from kcontact import holonomy as H
+
+    cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
+    cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
+    chart, x0 = cli._resolve_chart(cfg)
+    assert not np.any(x0)
+    transported = []
+    transport_positions = T._transport_positions
+
+    def recording(chart, xs, paths, h):
+        transported.append(len(paths))
+        return transport_positions(chart, xs, paths, h)
+
+    monkeypatch.setattr(T, "_transport_positions", recording)
+    ((h_paths, _, _), (a_paths, a_ends, a_taus)), same = _accepted_draws(
+        chart, cfg.sampler, monkeypatch)
+    assert same == [0, 1, 2, 3, 5, 6, 7]
+    assert transported == [8 + 1]
+    xs, alive, h = T._integrate_positions(chart, h_paths + a_paths, cfg.sampler.step,
+                                          raise_on_exit=False)
+    assert np.all(alive)
+    assert a_taus.tobytes() == T._transport_positions(chart, xs, h_paths + a_paths, h)[8:].tobytes()
+    assert a_ends.tobytes() == xs[8:, -1, -1].tobytes()
+    shared = cli.render_report(cli.holonomy_report(cfg))
+
+    def nothing_shared(chart, first, second):
+        return np.zeros(len(second), dtype=bool)
+
+    for module in (T, H):
+        monkeypatch.setattr(module, "shared_draws", nothing_shared)
+    assert cli.render_report(cli.holonomy_report(cfg)) == shared

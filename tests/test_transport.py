@@ -553,14 +553,19 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
     assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 
 
-@pytest.mark.parametrize("n_paths, rows", [(64, 128), (8, 16), (None, 1)])
-def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, n_paths, rows):
+@pytest.mark.parametrize("rotated, n_paths, rows", [
+    pytest.param(False, 64, 64, id="64-64"), pytest.param(False, 8, 8, id="8-8"),
+    pytest.param(False, None, 1, id="None-1"), pytest.param(True, 64, 128, id="rotated-64-128"),
+    pytest.param(True, 8, 16, id="rotated-8-16")])
+def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, n_paths, rows):
     # a pass over P rows evaluates the connection over blocks of
-    # max(1, ROWS // P) of a segment's 16 steps: the 64-path pass (both
-    # halves, 128 rows) still makes one call per step, an 8-path pass and
-    # a single path make one per block; every pass evaluates its shared
-    # start once and two samples per row and step, as the per-step loop does
-    chart = charts["heisenberg"]
+    # max(1, ROWS // P) of a segment's 16 steps: a 64-path pass on the
+    # rotated chart (both halves, 128 rows) makes one call per step, every
+    # smaller pass one per block; on heisenberg, in normal form, the
+    # adapted half repeats every horizontal draw, so a pass transports its
+    # n horizontal rows alone; every pass evaluates its shared start once
+    # and two samples per row and step, as the per-step loop does
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if rotated else charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
 
