@@ -725,13 +725,15 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
             f"after {MAX_ATTEMPTS} attempts"
         )
     # a row whose draw the first half shares takes that row's transport
+    # (not through np.unique, whose first call imports numpy.ma: 1.7 MB of RSS)
     src = np.arange(len(paths))
     if len(vertical_magnitudes) == 2:
         shared = shared_draws(chart, paths[:n_paths], paths[n_paths:])
         src[n_paths:][shared] = np.nonzero(shared)[0]
-    rows = np.unique(src)
-    M = _transport_positions(chart, xs[rows], [paths[r] for r in rows], h)
-    M = M[np.searchsorted(rows, src)]
+    rows = np.nonzero(src == np.arange(len(paths)))[0]
+    M = np.empty((len(paths), 2 * chart.m, 2 * chart.m))
+    M[rows] = _transport_positions(chart, xs[rows], [paths[r] for r in rows], h)
+    M = M[src]
     x = xs[:, -1, -1]
     return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
