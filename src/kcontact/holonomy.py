@@ -245,8 +245,7 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     for half, (paths, points, taus) in zip(halves, results):
         if not paths:
             continue
-        ends = _end_frames(chart, paths, points, taus, base.P[0], prior)
-        data, taus_o, inv = ends
+        data, taus_o, inv = ends = _end_frames(chart, paths, points, taus, base.P[0], prior)
         for v in (v for v in variants if _VARIANTS[v][1] == half):
             conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
             samples[v] = np.concatenate([samples[v], conjugated])
@@ -266,10 +265,10 @@ def _end_frames(chart, paths, points, taus, P0, prior):
     """
     todo = np.ones(len(paths), dtype=bool)
     if prior is not None:
-        todo = ~shared_draws(chart, prior[0], paths)
+        prior_paths, prior = prior
+        todo = ~shared_draws(chart, prior_paths, paths)
     if not np.any(todo):
-        data, taus_o, inv = prior[1]
-        return replace(data, x=points), taus_o, inv
+        return (replace(prior[0], x=points), *prior[1:])
     data = frame_data(chart, points[todo], order=2)
     taus_o = ortho_transports(taus[todo], data.Pinv, P0)
     own = data, taus_o, np.linalg.inv(taus_o)
@@ -281,10 +280,9 @@ def _end_frames(chart, paths, points, taus, P0, prior):
         out[todo] = b
         return out
 
-    rows = {f.name: merged(getattr(prior[1][0], f.name), getattr(data, f.name))
-            for f in fields(data) if isinstance(getattr(data, f.name), np.ndarray)}
-    return (replace(data, **{**rows, "x": points}),
-            merged(prior[1][1], own[1]), merged(prior[1][2], own[2]))
+    rows = {f.name: merged(getattr(prior[0], f.name), getattr(data, f.name)) for f in fields(data)
+            if f.name != "x" and isinstance(getattr(data, f.name), np.ndarray)}
+    return replace(data, x=points, **rows), merged(prior[1], own[1]), merged(prior[2], own[2])
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
