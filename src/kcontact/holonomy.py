@@ -9,9 +9,10 @@ curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
 adapted zero-extension samples: its horizontal and adapted halves are
 integrated as one batch and share one order-2 evaluation of the base
-point, which the transverse splitting reads too.  On a chart in normal
-form an adapted path that repeats its horizontal twin's draw also shares
-the twin's transport and end data.  The frame data carries its
+point, which the transverse splitting reads too.  The pass names each
+row's source, the row whose transport it took (on a chart in normal form
+an adapted path that repeats its horizontal twin's draw takes the twin's),
+and only the sources' ends are evaluated.  The frame data carries its
 orthonormal frame, and each variant's samples come out as one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
 the structure analysis cuts at fixed thresholds, written where applied.
@@ -19,14 +20,14 @@ the structure analysis cuts at fixed thresholds, written where applied.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .connection import frame_data, ortho_curvature, ortho_transports, ortho_two_form
 from .errors import NumericsError
-from .transport import HALVES, SamplerConfig, sampled_path_transports, shared_draws
+from .transport import HALVES, SamplerConfig, sampled_path_transports
 
 __all__ = [
     "MatrixLieAlgebra",
@@ -221,11 +222,11 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
     pairs (its mixed curvature vanishes), conjugated along arbitrary paths
     with Reeb-direction controls (classical Ambrose-Singer).  Only the
-    halves of the pass that the variants need are integrated.  Each half's
-    ends are evaluated at order 2 and its transports inverted once, for
-    all of its variants; on a chart in normal form an adapted path that
-    shares its horizontal twin's draw takes the twin's end data and
-    inverse (:func:`_end_frames`).  Each variant's samples are one
+    halves of the pass that the variants need are integrated.  The rows
+    that are their own ``source`` have their ends evaluated at order 2 and
+    their transports inverted once, for all variants; a row whose source
+    is another (an adapted path sharing its horizontal twin's draw, on a
+    chart in normal form) takes its source's.  Each variant's samples are one
     ``(count, 2m, 2m)`` array: the base point's (the trivial path), then
     the conjugated samples of every path, in the orthonormal frame.
     ``base`` is the order-2 frame data of x alone.
@@ -238,51 +239,28 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     results = sampled_path_transports(chart, x, sampler, halves)
     base = frame_data(chart, x[None], order=2)
     samples = {v: _VARIANTS[v][0](base)[0] for v in variants}
-    # The end points are evaluated one half at a time: the order-2
-    # temporaries grow with the batch, and one evaluation over both halves
-    # doubles the peak memory of a report.
-    prior = None  # the previous half's paths and end frames
-    for half, (paths, points, taus) in zip(halves, results):
-        if not paths:
-            continue
-        data, taus_o, inv = ends = _end_frames(chart, paths, points, taus, base.P[0], prior)
+    n = sampler.n_paths
+    if not n or not halves:
+        return samples, base
+    points, taus, source = (np.concatenate([r[i] for r in results]) for i in (1, 2, 3))
+    own = np.nonzero(source == np.arange(len(source)))[0]  # the rows that are sources
+    # Their ends are evaluated one half at a time: the order-2 temporaries
+    # grow with the batch, and one evaluation over both halves doubles the
+    # peak memory of a report.  A half whose rows are all copies has none.
+    data = [frame_data(chart, points[rows], order=2) if len(rows) else None
+            for rows in np.split(own, np.searchsorted(own, n * np.arange(1, len(halves))))]
+    Pinv = np.concatenate([d.Pinv for d in data if d is not None])
+    taus_o = ortho_transports(taus[own], Pinv, base.P[0])
+    inv = np.linalg.inv(taus_o)
+    at = np.searchsorted(own, source)  # each row's source among the own rows
+    for k, half in enumerate(halves):
+        rows = at[k * n:(k + 1) * n]
         for v in (v for v in variants if _VARIANTS[v][1] == half):
-            conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
+            # a row's source lies in its own half or an earlier one
+            mats = np.concatenate([_VARIANTS[v][0](d) for d in data[:k + 1] if d is not None])
+            conjugated = _conjugated_samples(taus_o[rows], inv[rows], mats[rows])
             samples[v] = np.concatenate([samples[v], conjugated])
-        prior = paths, ends
     return samples, base
-
-
-def _end_frames(chart, paths, points, taus, P0, prior):
-    """``(data, taus_o, inv)`` of one half of a sampling pass: the order-2
-    frame data at its path ends ``points``, its transports ``taus`` in the
-    orthonormal frames, and their inverses.
-
-    ``prior`` is the other half's paths and triple, or None.  A row whose
-    draw it shares (:func:`shared_draws`) takes its row of the triple: the
-    ends differ in t alone, which no coefficient reads, and the transports
-    are the same.  Only the other rows are evaluated and inverted.
-    """
-    todo = np.ones(len(paths), dtype=bool)
-    if prior is not None:
-        prior_paths, prior = prior
-        todo = ~shared_draws(chart, prior_paths, paths)
-    if not np.any(todo):
-        return (replace(prior[0], x=points), *prior[1:])
-    data = frame_data(chart, points[todo], order=2)
-    taus_o = ortho_transports(taus[todo], data.Pinv, P0)
-    own = data, taus_o, np.linalg.inv(taus_o)
-    if np.all(todo):
-        return own
-
-    def merged(a, b):
-        out = a.copy()
-        out[todo] = b
-        return out
-
-    rows = {f.name: merged(getattr(prior[0], f.name), getattr(data, f.name)) for f in fields(data)
-            if f.name != "x" and isinstance(getattr(data, f.name), np.ndarray)}
-    return replace(data, x=points, **rows), merged(prior[1], own[1]), merged(prior[2], own[2])
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):

@@ -26,7 +26,8 @@ accepted ones.  Path i of both halves draws its horizontal controls from
 one (seed, i, attempt) stream; the adapted half then draws Reeb controls.
 On a chart in normal form Reeb controls move t alone, so an adapted path
 that accepted the same draw as its horizontal twin takes the twin's
-transport (:func:`shared_draws`): such a pass transports each draw once.
+transport (:func:`shared_draws`), and the pass names the twin as the row's
+source: such a pass transports each draw once.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -690,7 +691,8 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     repeats the first half's (:func:`shared_draws`, normal-form charts
     only) is not transported again: it takes that row's transport, and
     only the first half and the other rows are transported, in one batch.
-    Returns one ``(paths, endpoints, transports)`` per half.
+    Returns one ``(paths, endpoints, transports, source)`` per half, with
+    ``source`` as in :func:`sampled_path_transports`.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
@@ -705,7 +707,7 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
     if not paths:
         tm = 2 * chart.m
-        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)))
+        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0, dtype=int))
         return [empty for _ in vertical_magnitudes]
     xs, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
@@ -735,7 +737,7 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     M[rows] = _transport_positions(chart, xs[rows], [paths[r] for r in rows], h)
     M = M[src]
     x = xs[:, -1, -1]
-    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
+    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths], src[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
 
 
@@ -763,7 +765,9 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
     Each requested half gets ``sampler.n_paths`` paths: the horizontal
     half draws horizontal paths, the adapted half also gives each segment
     a Reeb-direction control at the sampler's ``magnitude``.  Returns one
-    ``(paths, endpoints, taus)`` per half, in the order requested.
+    ``(paths, endpoints, taus, source)`` per half, in the order requested;
+    ``source[i]`` is the row of the pass, halves in order, whose transport
+    row i took.
     """
     for half in halves:
         if half not in HALVES:
@@ -775,7 +779,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
 def isometry_residual(chart, x0, sampler: SamplerConfig):
     """Worst deviation of sampled horizontal transports from metric isometries."""
     x0 = np.asarray(x0, dtype=float)
-    ((_, ends, taus),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
+    ((_, ends, taus, _),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
     if not len(taus):
         return 0.0
     P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)

@@ -4,13 +4,15 @@
     python tests/report_digests.py --root DIR         # digests of another checkout
     python tests/report_digests.py --compare OLD NEW  # diff two checkouts
 
-Renders 90 reports exactly as ``kcontact`` writes them: the blocks of the
+Renders 93 reports exactly as ``kcontact`` writes them: the blocks of the
 three ``kbench`` workloads (``holonomy_shipped``, ``verify_shipped`` and
 ``wide_products``), plus two more report seeds per config
-(``workloads.report_seed`` of the next two sweeps), and a ``spinor``
-report of each shipped config at each ``holonomy_shipped`` seed.  One line
-per report: workload (``spinor`` for the spinor reports), config, seed and
-the digest of the report text.
+(``workloads.report_seed`` of the next two sweeps), a ``spinor`` report of
+each shipped config at each ``holonomy_shipped`` seed, and three
+``partly_shared`` holonomy reports at long horizons, whose sampling passes
+share all but one row between their halves (``PARTLY_SHARED``).  One line
+per report: workload (``spinor`` and ``partly_shared`` for the extra
+reports), config, seed and the digest of the report text.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
@@ -20,7 +22,7 @@ the largest relative change ``|new - old| / max(1, |old|)`` over the
 report's float leaves, and lists every leaf (float, int, bool, string,
 list) or shape that differs, so both "last bits only, structure
 unchanged" and "only this leaf moved" are checked by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
-about 9 s per checkout on 2 cores.  It is not part of the test suite.
+about 12 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -35,10 +37,18 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
+# (label, config, sampler fields): one adapted path of each pass accepts
+# another draw than its horizontal twin and is transported on its own
+PARTLY_SHARED = [
+    ("bergman_h4.8", "bergman", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
+    ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
+    ("bergman_h2.4", "bergman", {"horizon": 2.4, "n_paths": 8, "seed": 3}),
+]
 
 
 def reports(root):
@@ -59,6 +69,11 @@ def reports(root):
             if name == "holonomy_shipped":
                 rows.append(("spinor", label, cfg.sampler.seed,
                              cli.render_report(cli.spinor_report(cfg))))
+    for label, name, fields in PARTLY_SHARED:
+        cfg = cli.load_config(str(root / "configs" / f"{name}.json"))
+        cfg.sampler = replace(cfg.sampler, **fields)
+        rows.append(("partly_shared", label, cfg.sampler.seed,
+                     cli.render_report(cli.holonomy_report(cfg))))
     return rows
 
 

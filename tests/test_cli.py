@@ -446,7 +446,7 @@ def test_horizontal_pass_ignores_vertical_magnitude():
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
-    (paths, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
+    (paths, _, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(paths) == 8
     assert all(not np.any(p.vertical) for p in paths)
 

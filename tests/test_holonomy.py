@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from kcontact.errors import NumericsError
 from kcontact.spinor import build_spin_rep, parallel_spinor_dim, standard_complex_structure
 
 from conftest import real_from_complex
+from fd_oracles import rotated_chart
 
 
 PAULI = [
@@ -130,6 +133,24 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
         for b in range(a + 1, 4):
             assert np.allclose(samples[k], RWo[a, b], atol=1e-12)
             k += 1
+    # no variants: the pass integrates no half and gives no samples
+    assert H.holonomy_samples(chart, x0, T.SamplerConfig(n_paths=4, seed=0), ())[0] == {}
+
+
+def test_report_samples_memory_is_bounded(charts):
+    # off normal form every row of a 64-path pass is its own source, and
+    # the order-2 ends are evaluated one half at a time: the peak is about
+    # 2.8 MB, and one evaluation over both halves would reach 3.7 MB
+    chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    sampler = T.SamplerConfig(n_paths=64)
+    H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
+    tracemalloc.start()
+    try:
+        H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.3e6, peak
 
 
 def test_disc_product_spans(charts, algebra_cache):
@@ -289,7 +310,7 @@ def test_conjugation_covariance(charts):
     chart = charts["bergman"]
     x = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=48, seed=3)
-    ((paths, _, _),) = T.sampled_path_transports(
+    ((paths, _, _, _),) = T.sampled_path_transports(
         chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99),
         ("horizontal",))
     path = paths[0]

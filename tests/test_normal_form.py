@@ -145,7 +145,7 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
         batches.clear()
         halves = T.sampled_path_transports(c, np.zeros(5), sampler)
         return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
-                               for paths, ends, _ in halves], [taus for *_, taus in halves]
+                               for paths, ends, *_ in halves], [taus for _, _, taus, _ in halves]
 
     fast, slow = both_ways(charts["bergman"], run)
     # positions, alive flags, controls and ends keep their bits; the
@@ -324,13 +324,18 @@ def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # of path i, the adapted paths transported on their own, Reeb brackets
     # included, give the horizontal transports bit for bit, the ends differ
     # in t alone and their order-2 frame data do not differ at all; the
-    # sampling pass shares exactly those rows (transport.shared_draws)
+    # sampling pass shares exactly those rows (transport.shared_draws) and
+    # names horizontal row i as their source, every other row its own
     chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
-    ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
+    ((h_paths, h_ends, h_taus, h_src), (a_paths, a_ends, a_taus, a_src)), same = _accepted_draws(
         chart, sampler, monkeypatch)
-    assert len(same) >= sampler.n_paths // 2
-    assert list(np.nonzero(T.shared_draws(chart, h_paths, a_paths))[0]) == same
+    n = sampler.n_paths
+    assert len(same) >= n // 2
+    shared = T.shared_draws(chart, h_paths, a_paths)
+    assert list(np.nonzero(shared)[0]) == same
+    assert list(h_src) == list(range(n))
+    assert list(a_src) == list(np.where(shared, np.arange(n), n + np.arange(n)))
     adapted = [a_paths[i] for i in same]
     assert all(np.all(p.vertical != 0.0) for p in adapted)
     xs, alive, h = T._integrate_positions(chart, adapted, sampler.step, raise_on_exit=False)
@@ -349,10 +354,11 @@ def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
     # on the rotated chart the Reeb brackets do not vanish, so the same
     # draw transports differently in the two halves
     sampler = T.SamplerConfig(n_paths=16)
-    ((*_, h_taus), (*_, a_taus)), same = _accepted_draws(
+    ((*_, h_taus, h_src), (*_, a_taus, a_src)), same = _accepted_draws(
         rotated_chart(charts["disc_disc_12"], (0, 1), 0.7), sampler, monkeypatch)
     assert len(same) >= sampler.n_paths // 2
     assert all(np.any(a_taus[i] != h_taus[i]) for i in same)
+    assert list(np.concatenate([h_src, a_src])) == list(range(2 * sampler.n_paths))
 
 
 def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
@@ -362,8 +368,6 @@ def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
     # adapted transports and ends are, bit for bit, those of all 16 rows
     # transported together, and the report is the one rendered with
     # nothing shared
-    from kcontact import holonomy as H
-
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
     chart, x0 = cli._resolve_chart(cfg)
@@ -376,7 +380,7 @@ def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
         return transport_positions(chart, xs, paths, h)
 
     monkeypatch.setattr(T, "_transport_positions", recording)
-    ((h_paths, _, _), (a_paths, a_ends, a_taus)), same = _accepted_draws(
+    ((h_paths, *_), (a_paths, a_ends, a_taus, _)), same = _accepted_draws(
         chart, cfg.sampler, monkeypatch)
     assert same == [0, 1, 2, 3, 5, 6, 7]
     assert transported == [8 + 1]
@@ -390,6 +394,5 @@ def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
     def nothing_shared(chart, first, second):
         return np.zeros(len(second), dtype=bool)
 
-    for module in (T, H):
-        monkeypatch.setattr(module, "shared_draws", nothing_shared)
+    monkeypatch.setattr(T, "shared_draws", nothing_shared)
     assert cli.render_report(cli.holonomy_report(cfg)) == shared

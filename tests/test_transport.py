@@ -48,7 +48,7 @@ def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02
     sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
-        ((paths, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
+        ((paths, _, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
     return paths
 
 
@@ -445,7 +445,7 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
     expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
                       for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
-    for (paths, ends, taus), ref in zip(halves, refs):
+    for (paths, ends, taus, _), ref in zip(halves, refs):
         assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
         for i, (_, path, end, tau) in enumerate(ref):
             assert np.array_equal(paths[i].controls, path.controls)
@@ -500,7 +500,7 @@ def _pass_and_reference(chart, sampler):
     """The largest differences of ends and transports between a sampling
     pass and the coupled reference on its paths."""
     worst = np.zeros(2)
-    for paths, *got in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
+    for paths, *got, _ in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
         for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
             worst[i] = max(worst[i], np.max(np.abs(g - r)))
     return worst
@@ -719,7 +719,7 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
     assert v.shape == (8, 5)
-    assert [taus.shape for _, _, taus in halves] == [(2, 4, 4)] * 2
+    assert [taus.shape for _, _, taus, _ in halves] == [(2, 4, 4)] * 2
 
 
 def test_wide_sampling_pass_memory_is_bounded():
