@@ -20,6 +20,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields
+from itertools import accumulate
 from typing import Callable, Sequence, get_type_hints
 
 import numpy as np
@@ -99,12 +100,16 @@ class ContactChart:
     ``e_a = d/dx_a + f_a d/dt`` (the first 2m rows of ``E`` are the
     identity), no coefficient function reads t, and the metric ``G`` is
     block diagonal over ``blocks`` (exactly zero off them, symmetric on
-    each) when there are two or more.  The positions pass of control paths
-    and the Reeb flow then take shortcuts with the same bits
-    (:mod:`kcontact.transport`), and the frame solve and ``G^-1`` take
-    closed forms (:mod:`kcontact.connection`).  A chart built by hand keeps
-    the general path unless it sets the field; setting it on a chart that
-    is not in this form gives wrong positions, Reeb flows and connections.
+    each) when there are two or more.  The built-in charts all come from
+    one constructor, which builds theta, xi, the frame, ``G`` and
+    ``blocks`` from f and the metric blocks, so they hold the form they
+    declare.  The positions pass of control paths and the Reeb flow then
+    take shortcuts with the same bits (:mod:`kcontact.transport`), and the
+    frame solve and ``G^-1`` take closed forms (:mod:`kcontact.connection`).
+    A chart built by hand keeps the general path unless it sets the field,
+    and one that sets it must hold the form: the flag is not checked, and
+    on a chart not in this form it gives wrong positions, Reeb flows and
+    connections.
     """
 
     m: int
@@ -235,43 +240,6 @@ def _factor_primitive(spec, w, rad):
 # built-in charts
 
 
-def _vertical_reeb(n):
-    """Reeb field d/dt along the last of n coordinates, as every built-in chart has."""
-    return lambda x: [0.0] * (n - 1) + [1.0]
-
-
-def heisenberg(m):
-    """Flat test chart: coordinates (x1, y1, ..., xm, ym, t), theta = dt - sum yi dxi."""
-    if m < 2:
-        raise ChartError("heisenberg chart needs m >= 2")
-    n = 2 * m + 1
-
-    def theta(x):
-        comps = [0.0] * n
-        for i in range(m):
-            comps[2 * i] = -1.0 * x[2 * i + 1]
-        comps[n - 1] = 1.0
-        return comps
-
-    def frame(x):
-        cols = [[0.0] * (2 * m) for _ in range(n)]
-        for i in range(m):
-            cols[2 * i][2 * i] = 1.0
-            cols[n - 1][2 * i] = x[2 * i + 1]
-            cols[2 * i + 1][2 * i + 1] = 1.0
-        return cols
-
-    def metric(x):
-        return [[1.0 if a == b else 0.0 for b in range(2 * m)] for a in range(2 * m)]
-
-    lo = -np.full(n, 3.0)
-    hi = np.full(n, 3.0)
-    lo[-1], hi[-1] = -6.0, 6.0
-    blocks = tuple(tuple(range(2 * i, 2 * i + 2)) for i in range(m))
-    return ContactChart(m, Domain(lo, hi), theta, _vertical_reeb(n), frame, metric,
-                        name=f"heisenberg({m})", blocks=blocks, normal_form=True)
-
-
 def _memoized(x, key, build):
     """``build()`` once per :func:`chart_arrays` evaluation, whoever reads
     first: kept in the memo of the coordinates ``x``, which goes with them.
@@ -284,12 +252,66 @@ def _memoized(x, key, build):
     return memo[key]
 
 
+def _normal_form_chart(m, f, blocks, domain, **fields):
+    """The chart in normal form (``ContactChart.normal_form``) that ``f`` and
+    ``blocks`` give; every built-in chart is built here.
+
+    ``f(x)`` is the frame's t-row as the pairs ``(a, f_a)`` of its nonzero
+    components, read once per evaluation by both theta = dt - f_a dx^a and
+    the frame e_a = d/dx_a + f_a d/dt; xi = d/dt.  ``blocks`` holds the
+    metric's blocks as pairs ``(indices, block)``: ``G`` is ``block(x)`` on
+    each and exactly zero off them, and ``chart.blocks`` lists the indices.
+    ``fields`` are the chart's other fields (name, factors).
+    """
+    n = 2 * m + 1
+
+    def t_row(x):
+        return _memoized(x, t_row, lambda: f(x))
+
+    def theta(x):
+        comps = [0.0] * n
+        for a, fa in t_row(x):
+            comps[a] = -1.0 * fa
+        comps[n - 1] = 1.0
+        return comps
+
+    def frame(x):
+        cols = [[1.0 if i == a else 0.0 for a in range(2 * m)] for i in range(n)]
+        for a, fa in t_row(x):
+            cols[n - 1][a] = fa
+        return cols
+
+    def metric(x):
+        G = [[0.0] * (2 * m) for _ in range(2 * m)]
+        for idx, block in blocks:
+            for row, a in zip(block(x), idx):
+                for entry, b in zip(row, idx):
+                    G[a][b] = entry
+        return G
+
+    return ContactChart(m, domain, theta, lambda x: [0.0] * (n - 1) + [1.0], frame, metric,
+                        blocks=tuple(idx for idx, _ in blocks), normal_form=True, **fields)
+
+
+def heisenberg(m):
+    """Flat test chart: coordinates (x1, y1, ..., xm, ym, t), theta = dt - sum yi dxi."""
+    if m < 2:
+        raise ChartError("heisenberg chart needs m >= 2")
+    n = 2 * m + 1
+    lo = -np.full(n, 3.0)
+    hi = np.full(n, 3.0)
+    lo[-1], hi[-1] = -6.0, 6.0
+    return _normal_form_chart(m, lambda x: [(2 * i, x[2 * i + 1]) for i in range(m)],
+                              [((2 * i, 2 * i + 1), lambda x: [[1.0, 0.0], [0.0, 1.0]])
+                               for i in range(m)], Domain(lo, hi), name=f"heisenberg({m})")
+
+
 def product_construction(factors: Sequence[FactorSpec]):
     """Chart on R x M1 x ... x Mr with theta = dt + sum bi theta^i.
 
     Each factor is a Kahler disc or ball whose Ricci form is exact with the
     shipped primitive theta^i; the horizontal frame lifts the factor
-    coordinate fields into ker(theta).
+    coordinate fields into ker(theta), f = -bi theta^i.
     """
     factors = tuple(factors)
     if not factors:
@@ -298,62 +320,29 @@ def product_construction(factors: Sequence[FactorSpec]):
     if m < 2:
         raise ChartError("total complex dimension must be >= 2 (dim M >= 5)")
     n = 2 * m + 1
-    offs = []
-    off = 0
-    for f in factors:
-        offs.append(off)
-        off += 2 * f.complex_dim
+    offs = list(accumulate((2 * f.complex_dim for f in factors), initial=0))
+    idxs = [tuple(range(o, o + 2 * f.complex_dim)) for f, o in zip(factors, offs)]
 
     def radials(x):
         # one _radials per factor, read by its primitive and its metric
         return _memoized(x, radials, lambda: [
             _radials(x[o : o + 2 * f.complex_dim]) for f, o in zip(factors, offs)])
 
-    def primitives(x):
-        # one primitive per factor, read by theta and the frame
-        return _memoized(x, primitives, lambda: [
-            _factor_primitive(f, x[o : o + 2 * f.complex_dim], rad)
-            for f, o, rad in zip(factors, offs, radials(x))])
+    def t_row(x):
+        return [(o + k, -f.b * p) for f, o, rad in zip(factors, offs, radials(x))
+                for k, p in enumerate(_factor_primitive(f, x[o : o + 2 * f.complex_dim], rad))]
 
-    def theta(x):
-        comps = [0.0] * n
-        for f, o, prim in zip(factors, offs, primitives(x)):
-            for k, p in enumerate(prim):
-                comps[o + k] = f.b * p
-        comps[n - 1] = 1.0
-        return comps
-
-    def frame(x):
-        cols = [[0.0] * (2 * m) for _ in range(n)]
-        for f, o, prim in zip(factors, offs, primitives(x)):
-            for k in range(2 * f.complex_dim):
-                cols[o + k][o + k] = 1.0
-                cols[n - 1][o + k] = -f.b * prim[k]
-        return cols
-
-    def metric(x):
-        G = [[0.0] * (2 * m) for _ in range(2 * m)]
-        for f, o, rad in zip(factors, offs, radials(x)):
-            block = _factor_metric(f, x[o : o + 2 * f.complex_dim], rad)
-            for a in range(2 * f.complex_dim):
-                for b in range(2 * f.complex_dim):
-                    G[o + a][o + b] = block[a][b]
-        return G
+    def block(k):
+        f, o = factors[k], offs[k]
+        return lambda x: _factor_metric(f, x[o : o + 2 * f.complex_dim], radials(x)[k])
 
     lo = -np.full(n, BALL_RADIUS)
     hi = np.full(n, BALL_RADIUS)
     lo[-1], hi[-1] = -4.0, 4.0
-    balls = tuple(
-        (tuple(range(o, o + 2 * f.complex_dim)), BALL_RADIUS)
-        for f, o in zip(factors, offs)
-    )
-    blocks = tuple(
-        tuple(range(o, o + 2 * f.complex_dim)) for f, o in zip(factors, offs)
-    )
     label = "x".join(f"{f.kind}(b={f.b:g})" for f in factors)
-    return ContactChart(m, Domain(lo, hi, balls), theta, _vertical_reeb(n), frame, metric,
-                        name=f"product[{label}]", factors=factors, blocks=blocks,
-                        normal_form=True)
+    return _normal_form_chart(m, t_row, [(idx, block(k)) for k, idx in enumerate(idxs)],
+                              Domain(lo, hi, tuple((idx, BALL_RADIUS) for idx in idxs)),
+                              name=f"product[{label}]", factors=factors)
 
 
 def config_int(value, what):
@@ -479,10 +468,10 @@ class _Coords(list):
 
     ``memo`` lets the coefficient functions of one chart share work within
     the evaluation (a product chart's factor radials feed both the factor's
-    primitive and its metric, and the primitives feed both theta and the
-    frame); it is dropped with the coordinates when the evaluation
-    returns.  A plain list of coordinates has no memo, and each function
-    then computes everything itself.
+    primitive and its metric, and a normal-form chart's frame t-row feeds
+    both theta and the frame); it is dropped with the coordinates when the
+    evaluation returns.  A plain list of coordinates has no memo, and each
+    function then computes everything itself.
     """
 
     __slots__ = ("memo",)

@@ -827,13 +827,15 @@ def balanced_loop(chart, x0, rng):
     circle in another pair whose radius is root-found so the two
     theta-integrals cancel; closed t-wiggles make the loop non-horizontal
     without contributing to the integral.  The root-finding probes and the
-    final check evaluate theta alone.  A try ends when any of its circles
-    leaves the chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
+    final check evaluate theta alone.  The circles lie in the coordinate
+    pairs of the chart's blocks, or of all 2m horizontal coordinates on a
+    chart without blocks.  A try ends when any of its circles leaves the
+    chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
     """
     from scipy.optimize import brentq
 
     x0 = np.asarray(x0, dtype=float)
-    pairs = [(blk[2 * k], blk[2 * k + 1]) for blk in chart.blocks
+    pairs = [(blk[2 * k], blk[2 * k + 1]) for blk in chart.blocks or [range(2 * chart.m)]
              for k in range(len(blk) // 2)]
     if len(pairs) < 2:
         raise ChartError("balanced loops need at least two coordinate pairs")

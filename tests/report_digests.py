@@ -1,4 +1,4 @@
-"""Byte-identity sweep: SHA-256 digests of rendered reports.
+"""Byte-identity sweep: SHA-256 digests of rendered reports and chart arrays.
 
     python tests/report_digests.py                    # digests of this checkout
     python tests/report_digests.py --root DIR         # digests of another checkout
@@ -14,10 +14,19 @@ share all but one row between their halves (``PARTLY_SHARED``).  One line
 per report: workload (``spinor`` and ``partly_shared`` for the extra
 reports), config, seed and the digest of the report text.
 
+It also digests 120 ``chart_arrays`` outputs: every chart of
+``EXAMPLES`` and the three ``wide_products`` mixes, at orders 0-2, for
+each of ``CHART_FIELD_MIXES``, on the fixed points of ``chart_points``,
+which include coordinates of +0.0 and -0.0.  Each line is ``chart_arrays``,
+chart and field mix, order and the digest of a JSON object that holds the
+SHA-256 of every returned array's bytes, so a sign of zero that no report
+shows still counts.  These take about 0.1 s.
+
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
-``kbench/``, prints every report whose digest differs, and exits 1 unless
-all reports are byte-identical.  For each differing report it also prints
+``kbench/``, prints every report or chart-array entry whose digest
+differs (for a chart-array entry, each array whose digest changed), and
+exits 1 unless all are byte-identical.  For each differing report it also prints
 the largest relative change ``|new - old| / max(1, |old|)`` over the
 report's float leaves, and lists every leaf (float, int, bool, string,
 list) or shape that differs, so both "last bits only, structure
@@ -40,6 +49,8 @@ import sys  # noqa: E402
 from dataclasses import replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
 # (label, config, sampler fields): one adapted path of each pass accepts
@@ -49,6 +60,44 @@ PARTLY_SHARED = [
     ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("bergman_h2.4", "bergman", {"horizon": 2.4, "n_paths": 8, "seed": 3}),
 ]
+# field mixes of the chart-array digests: all fields, theta, the frame and
+# the metric alone, and the (th, xi, E) that sampled curves ask for
+CHART_FIELD_MIXES = [("th", "xi", "E", "G"), ("th",), ("E",), ("G",), ("th", "xi", "E")]
+CHART_POINTS = 40
+
+
+def chart_points(n):
+    """Fixed points of an n-dimensional chart for the chart-array digests:
+    inside every built-in domain, and with coordinates of +0.0 and -0.0."""
+    X = np.random.default_rng(11).uniform(-0.4, 0.4, (CHART_POINTS, n))
+    X[0], X[1] = 0.0, -0.0
+    for i in range(2, CHART_POINTS):
+        X[i, i % n] = 0.0 if i % 2 else -0.0
+    return X
+
+
+def chart_digests():
+    """``("chart_arrays", label, order, text)`` of every built-in chart and the
+    ``wide_products`` mixes: ``text`` holds, as JSON, the SHA-256 digest of
+    the bytes of each array that ``chart_arrays`` returns for one field mix
+    at one order, so a sign of zero counts."""
+    import workloads
+    from kcontact import manifolds
+
+    charts = {**manifolds.example_charts(), **{
+        label: manifolds.chart_from_config({"type": "product", "factors": factors})
+        for label, factors in workloads.WIDE.items()}}
+    rows = []
+    for label, chart in charts.items():
+        X = chart_points(chart.dim)
+        for order in range(3):
+            for mix in CHART_FIELD_MIXES:
+                arr = manifolds.chart_arrays(chart, X, order, fields=mix)
+                digests = {prefix + f: hashlib.sha256(getattr(arr, prefix + f).tobytes()).hexdigest()
+                           for f in mix for prefix in ("", "d", "d2")[: order + 1]}
+                rows.append(("chart_arrays", f"{label}/{'+'.join(mix)}", order,
+                             json.dumps(digests, sort_keys=True)))
+    return rows
 
 
 def reports(root):
@@ -74,7 +123,7 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows.append(("partly_shared", label, cfg.sampler.seed,
                      cli.render_report(cli.holonomy_report(cfg))))
-    return rows
+    return rows + chart_digests()
 
 
 def _sweep(root):
@@ -131,8 +180,10 @@ def compare(old, new):
             print(f"  leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
-    same = len(a.keys() & b.keys()) - len(differ)
-    print(f"{same} of {len(a.keys() | b.keys())} reports byte-identical")
+    for what, is_chart in (("reports", False), ("chart-array digests", True)):
+        keys = {k for k in a.keys() | b.keys() if (k[0] == "chart_arrays") == is_chart}
+        same = sum(k in a and k in b and a[k] == b[k] for k in keys)
+        print(f"{same} of {len(keys)} {what} byte-identical")
     return 1 if differ or missing else 0
 
 

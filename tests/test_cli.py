@@ -114,6 +114,10 @@ def test_config_errors_exit_2(tmp_path, capsys):
     assert run(["verify", "--config", str(garbled)]) == 2
     nomanifold = write_config(tmp_path, {"sampler": {}}, "m.json")
     assert run(["verify", "--config", nomanifold]) == 2
+    capsys.readouterr()
+    toplist = write_config(tmp_path, [{"manifold": {"type": "heisenberg", "m": 2}}], "l.json")
+    assert run(["verify", "--config", toplist]) == 2
+    assert capsys.readouterr().err == "config error: config must be a JSON object\n"
     # a file that is not UTF-8 raised UnicodeDecodeError, and one nested
     # deeper than the parser recurses raised RecursionError: both exited 1
     # with a traceback
@@ -359,12 +363,27 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
         {"kind": "bergman_ball", "complex_dim": 2, "b": "2"}]}},
     {"base_point": ["0", "0", "0", "0", "0"]},
     {"base_point": [True, 0.0, 0.0, 0.0, 0.0]},
+    {"sampler": [1]},
+    {"base_point": [0.0, 0.0, 0.0]},
+    {"manifold": {"type": "heisenberg", "m": 1}},
+    {"manifold": {"type": "product", "factors": [3, {"kind": "poincare_disc"}]}},
+    {"manifold": {"type": "product", "factors": [{"b": 1.0}, {"kind": "poincare_disc"}]}},
+    {"manifold": {"type": "product", "factors": [{"kind": "poincare_disc"}]}},
+    {"manifold": {"type": "product", "factors": [
+        {"kind": "bergman_ball", "complex_dim": 0}, {"kind": "bergman_ball", "complex_dim": 2}]}},
+    {"manifold": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "complex_dim": 2}, {"kind": "poincare_disc"}]}},
+    {"manifold": {"type": "product", "factors": [
+        {"kind": "poincare_disc", "curvature": 0.0}, {"kind": "poincare_disc"}]}},
 ], ids=["tolerances_list", "tolerance_string", "base_point_string", "base_point_scalar",
         "negative_seed", "report_list", "fractional_n_paths", "fractional_seed",
         "boolean_seed", "fractional_segments", "fractional_m", "boolean_complex_dim",
         "outputs_list", "zero_span_tol", "negative_span_tol", "span_tol_above_one",
         "zero_ode_tol", "boolean_ode_tol", "boolean_horizon", "string_magnitude",
-        "string_factor_b", "numeric_string_base_point", "boolean_base_point"])
+        "string_factor_b", "numeric_string_base_point", "boolean_base_point",
+        "sampler_list", "short_base_point", "heisenberg_m1", "numeric_factor",
+        "factor_without_kind", "single_disc", "zero_complex_dim", "disc_complex_dim_2",
+        "zero_curvature"])
 def test_malformed_tolerances_and_base_point_exit_2(tmp_path, capsys, extra):
     cfg = write_config(tmp_path, {"manifold": {"type": "heisenberg", "m": 2}, **extra})
     assert run(["verify", "--config", cfg]) == 2

@@ -16,16 +16,24 @@ def f_plain(v):
     return np.exp(0.3 * x * y) / (1.0 + x * x) + np.sqrt(2.0 + np.sin(y * z)) - np.log(2.0 + np.cos(x)) + (x - 2.0 * z) ** 3 / 7.0
 
 
-def fd_grad(v, h=1e-6):
+def g_mixed(c, w):
+    """Operands of the general branch: ints on either side, an array ``w`` of
+    the batch's shape, and ``<=`` / ``>=`` masks of ``where``."""
+    x, y, z = c
+    return (3 * x * y - x * 2 + (y * w) * z + w * (x * x)
+            + jets.where(x <= 0.1, x * z, 2 * z) + jets.where(y >= -0.2, y * y, 0.5))
+
+
+def fd_grad(v, h=1e-6, f=f_plain):
     g = np.zeros(3)
     for i in range(3):
         e = np.zeros(3)
         e[i] = h
-        g[i] = (f_plain(v + e) - f_plain(v - e)) / (2 * h)
+        g[i] = (f(v + e) - f(v - e)) / (2 * h)
     return g
 
 
-def fd_hess(v, h=1e-4):
+def fd_hess(v, h=1e-4, f=f_plain):
     H = np.zeros((3, 3))
     for i in range(3):
         for j in range(3):
@@ -34,8 +42,8 @@ def fd_hess(v, h=1e-4):
             ei[i] = h
             ej[j] = h
             H[i, j] = (
-                f_plain(v + ei + ej) - f_plain(v + ei - ej)
-                - f_plain(v - ei + ej) + f_plain(v - ei - ej)
+                f(v + ei + ej) - f(v + ei - ej)
+                - f(v - ei + ej) + f(v - ei - ej)
             ) / (4 * h * h)
     return H
 
@@ -56,6 +64,26 @@ def test_second_order_matches_fd():
         out = f_scalar(jets.seed(v, 2))
         assert np.allclose(out.hess, out.hess.swapaxes(-1, -2), atol=1e-13)
         assert np.allclose(out.hess, fd_hess(v), rtol=1e-5, atol=1e-6)
+
+
+@pytest.mark.parametrize("order", [1, 2])
+def test_general_operands_match_fd(order):
+    rng = np.random.default_rng(3)
+    X = rng.uniform(-1, 1, (8, 3))
+    w = rng.uniform(0.5, 1.5, 8)
+    # both sides of each mask, away from its edge by more than the fd steps
+    assert 0 < np.sum(X[:, 0] <= 0.1) < 8 and 0 < np.sum(X[:, 1] >= -0.2) < 8
+    assert np.min(np.abs(X[:, 0] - 0.1)) > 1e-3 and np.min(np.abs(X[:, 1] + 0.2)) > 1e-3
+    out = g_mixed(jets.seed(X, order), w)
+    assert out.order == order
+    for k in range(8):
+        def plain(v, wk=w[k]):
+            return g_mixed(list(v), wk)
+
+        assert np.allclose(out.val[k], plain(X[k]), atol=1e-14)
+        assert np.allclose(out.grad[k], fd_grad(X[k], f=plain), rtol=1e-7, atol=1e-9)
+        if order == 2:
+            assert np.allclose(out.hess[k], fd_hess(X[k], f=plain), rtol=1e-5, atol=1e-6)
 
 
 def test_batched_evaluation_matches_pointwise():

@@ -376,6 +376,67 @@ def test_transport_equivalence_trivial_cases(charts):
         T.transport_equivalence_check(chart, bad)
 
 
+def test_balanced_loop_on_a_chart_without_blocks(charts):
+    # a chart built by hand keeps blocks=(): its loops take the coordinate
+    # pairs of all 2m horizontal coordinates, here those of bergman's one
+    # block, so the loop is the built-in chart's, bit for bit
+    chart = charts["bergman"]
+    bare = dataclasses.replace(chart, blocks=(), normal_form=False)
+    loop = T.balanced_loop(bare, np.zeros(5), np.random.default_rng(4))
+    same = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(4))
+    assert T.sample_curve(bare, loop).xs.tobytes() == T.sample_curve(chart, same).xs.tobytes()
+    resid, tilde = T.transport_equivalence_check(bare, loop)
+    assert resid < 1e-4
+    assert np.max(np.abs(tilde.theta_dot)) < 1e-6
+
+
+def _segment(a, b):
+    """The straight parametric piece from a to b, of unit duration."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return (1.0, lambda s: a + s[:, None] * (b - a), lambda s: np.tile(b - a, (len(s), 1)))
+
+
+def test_transport_of_parametric_and_sampled_curves(charts):
+    # transport() of a ParametricCurve samples it at the default step, and
+    # of a SampledCurve reads it as it is: the two equivalence routes give
+    # the residual that transport_equivalence_check returns (nonzero off
+    # normal form)
+    chart = rotated_chart(charts["bergman"], (0, 1), 0.7)
+    loop = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(2))
+    sc = T.sample_curve(chart, loop)
+    resid, tilde = T.transport_equivalence_check(chart, loop)
+    adapted = T.transport(chart, sc, "adapted")
+    assert adapted.tau.tobytes() == T.transport(chart, loop, "adapted").tau.tobytes()
+    assert np.array_equal(adapted.start, sc.xs[0]) and np.array_equal(adapted.end, sc.xs[-1])
+    schouten = T.transport(chart, tilde, "schouten")
+    assert float(np.linalg.norm(adapted.tau - schouten.tau)) == resid
+    assert 0.0 < resid < 1e-4
+
+
+def test_curve_api_refusals(charts):
+    chart = charts["heisenberg"]
+    loop = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(3))
+    with pytest.raises(ChartError, match="schouten transport requires a horizontal curve"):
+        T.transport(chart, loop, "schouten")
+    with pytest.raises(ValueError, match="unknown transport kind 'wagner'"):
+        T.transport(chart, loop, "wagner")
+    with pytest.raises(TypeError, match="not a curve"):
+        T.sample_curve(chart, np.zeros((3, 5)))
+    apart = T.ParametricCurve([_segment(np.zeros(5), [0.3, 0, 0, 0, 0]),
+                               _segment([0.3, 0.1, 0, 0, 0], [0.3, 0.3, 0, 0, 0])])
+    with pytest.raises(ChartError, match="pieces do not join continuously"):
+        T.sample_curve(chart, apart)
+    with pytest.raises(ValueError, match="unknown method 'trapezoid'"):
+        T.transport_theta(chart, loop, "trapezoid")
+    # a closed square in (x1, y1): theta = dt - y1 dx1 integrates to its area
+    corners = [[0, 0, 0, 0, 0], [0.3, 0, 0, 0, 0], [0.3, 0.3, 0, 0, 0], [0, 0.3, 0, 0, 0]]
+    square = T.ParametricCurve([_segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])])
+    with pytest.raises(ChartError, match="loop is not balanced: integral of theta = 9.000e-02"):
+        T.transport_equivalence_check(chart, square)
+    with pytest.raises(ValueError, match="unknown sampling half 'vertical'"):
+        T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=2), ("vertical",))
+
+
 def test_sampler_contract(charts):
     chart = charts["disc_disc_11"]
     x0 = np.zeros(5)
