@@ -58,10 +58,15 @@ class Domain:
     balls: tuple = ()  # tuple of (coordinate-index tuple, radius)
 
     def contains(self, X):
+        """Flags of the points ``X`` inside the domain.  Points given by their
+        first k coordinates only are tested against the box on those and the
+        balls among them: with k = 2m, whether some t puts them inside."""
         X = np.asarray(X, dtype=float)
-        ok = np.all((X >= self.lo) & (X <= self.hi), axis=-1)
+        k = X.shape[-1]
+        ok = np.all((X >= self.lo[:k]) & (X <= self.hi[:k]), axis=-1)
         for idx, radius in self.balls:
-            ok = ok & (np.sum(X[..., list(idx)] ** 2, axis=-1) <= radius**2)
+            if max(idx) < k:
+                ok = ok & (np.sum(X[..., list(idx)] ** 2, axis=-1) <= radius**2)
         return ok
 
 
@@ -516,18 +521,17 @@ def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
 
 
 def random_domain_points(chart, count, rng, margin=1.0):
-    """Uniform points in the chart domain (rejection-sampled), deterministic."""
+    """Uniform points in the chart domain, its box and ball radii shrunk by
+    ``margin`` if below 1 (rejection-sampled), deterministic."""
     dom = chart.domain
     n = chart.dim
     center = 0.5 * (dom.lo + dom.hi)
     half = 0.5 * (dom.hi - dom.lo) * margin
+    inner = Domain(dom.lo, dom.hi, tuple((idx, r * min(margin, 1.0)) for idx, r in dom.balls))
     pts = np.empty((0, n))
     while len(pts) < count:
         cand = center + (2.0 * rng.random((2 * count, n)) - 1.0) * half
-        ok = dom.contains(cand)
-        for idx, radius in dom.balls:
-            ok = ok & (np.sum(cand[:, list(idx)] ** 2, axis=1) <= (radius * margin) ** 2)
-        pts = np.vstack([pts, cand[ok]])
+        pts = np.vstack([pts, cand[inner.contains(cand)]])
     return pts[:count]
 
 

@@ -313,8 +313,7 @@ def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
     X[:, 1:, :tm] = ((h / 6.0) * (u + 2.0 * u + 2.0 * u + u))[:, None]
     X[..., :tm] = np.cumsum(X[..., :tm], axis=1)
     todo = np.ones((len(live), per - 1), dtype=bool)
-    todo[:, 1:] = ~np.logical_or.accumulate(_outside_for_any_t(chart.domain, X[:, 1:-1, :tm]),
-                                            axis=1)
+    todo[:, 1:] = np.logical_and.accumulate(chart.domain.contains(X[:, 1:-1, :tm]), axis=1)
     rows = np.nonzero(todo)[0]
     pts = np.repeat(X[:, :-1][todo][:, None], 3, axis=1)
     pts[:, 1, :tm] += (0.5 * h) * u[rows]
@@ -341,17 +340,6 @@ def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
             X[r, first[r] + 2:] = X[r, first[r] + 1]
         alive[live[esc]] = False
     xs[live, 1:] = X[:, 1:]
-
-
-def _outside_for_any_t(domain, H):
-    """Flags of horizontal positions ``H`` that are outside ``domain`` for
-    every t: outside the box, or outside a ball that leaves t out."""
-    tm = H.shape[-1]
-    out = np.any((H < domain.lo[:tm]) | (H > domain.hi[:tm]), axis=-1)
-    for idx, radius in domain.balls:
-        if max(idx) < tm:
-            out |= np.sum(H[..., list(idx)] ** 2, axis=-1) > radius**2
-    return out
 
 
 def _transport_positions(chart, xs, paths, h):

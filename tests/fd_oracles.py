@@ -36,6 +36,9 @@ the Reeb flow with its full Jacobian, which the package replaced by the
 pushforward of the vectors it needs.  :func:`theta_integral_loop` and
 :func:`cumulative_theta_integral_loop` are the per-step loops of the
 Simpson theta-integrals, bit-for-bit oracles of the array forms.
+:func:`outside_for_any_t_reference` is the t-free domain test that the
+positions pass ran on its own before ``Domain.contains`` accepted points
+given by their horizontal coordinates.
 :func:`rotated_chart` is a coordinate-change oracle: a chart pulled back
 by a t-dependent rotation of one factor's plane, on which ``dxi`` is not
 zero and the coefficients depend on t.
@@ -515,6 +518,17 @@ def cumulative_theta_integral_loop(sc):
             out[j + 1] = out[j] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
             out[j + 2] = out[j] + (h / 3.0) * (g0 + 4.0 * g1 + g2)
         carry = out[i1]
+    return out
+
+
+def outside_for_any_t_reference(domain, H):
+    """Flags of horizontal positions ``H`` that are outside ``domain`` for
+    every t: outside the box, or outside a ball that leaves t out."""
+    tm = H.shape[-1]
+    out = np.any((H < domain.lo[:tm]) | (H > domain.hi[:tm]), axis=-1)
+    for idx, radius in domain.balls:
+        if max(idx) < tm:
+            out |= np.sum(H[..., list(idx)] ** 2, axis=-1) > radius**2
     return out
 
 

@@ -30,7 +30,10 @@ exits 1 unless all are byte-identical.  For each differing report it also prints
 the largest relative change ``|new - old| / max(1, |old|)`` over the
 report's float leaves, and lists every leaf (float, int, bool, string,
 list) or shape that differs, so both "last bits only, structure
-unchanged" and "only this leaf moved" are checked by the tool.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
+unchanged" and "only this leaf moved" are checked by the tool.  It also
+prints the line total of each checkout's ``src/kcontact/*.py``, as
+``wc -l`` counts it, so one run gives a change's size and its byte
+identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
 about 12 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
@@ -169,6 +172,11 @@ def leaf_changes(old, new, path=""):
     return max((r for r, _ in parts), default=0.0), [c for _, cs in parts for c in cs]
 
 
+def src_lines(root):
+    """Line total of ``src/kcontact/*.py`` in the checkout ``root``."""
+    return sum(p.read_bytes().count(b"\n") for p in Path(root, "src", "kcontact").glob("*.py"))
+
+
 def compare(old, new):
     a, b = _sweep(old), _sweep(new)
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
@@ -184,6 +192,7 @@ def compare(old, new):
         keys = {k for k in a.keys() | b.keys() if (k[0] == "chart_arrays") == is_chart}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)
         print(f"{same} of {len(keys)} {what} byte-identical")
+    print(f"src/kcontact/*.py: {src_lines(old)} -> {src_lines(new)} lines")
     return 1 if differ or missing else 0
 
 

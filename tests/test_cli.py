@@ -522,6 +522,21 @@ def test_chart_failure_exit_5(tmp_path, capsys, monkeypatch):
     assert err == "numerical failure: degenerate dtheta: cannot invert the contact 2-form\n"
 
 
+def test_regression_failure_is_reported_with_exit_0(tmp_path, monkeypatch):
+    # a failed dtheta regression is one field of the report, not a failed run
+    message = "rank-deficient regression: a factor Ricci form vanishes"
+
+    def refusing(*args):
+        raise ChartError(message)
+
+    monkeypatch.setattr(cli, "dtheta_regression", refusing)
+    out = tmp_path / "rep.json"
+    disc = Path(__file__).resolve().parent.parent / "configs" / "disc_disc_12.json"
+    assert run(["holonomy", "--config", str(disc), "--seed", "0", "--paths", "8",
+                "--out", str(out)]) == 0
+    assert read(out)["regression"] == {"error": message}
+
+
 EPSILON_50 = {"manifold": {"type": "product", "factors": [
     {"kind": "perturbed_disc", "b": 1.0, "epsilon": 50.0},
     {"kind": "poincare_disc"},

@@ -123,6 +123,7 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
     cfg = T.SamplerConfig(n_paths=0, seed=0)
     samples = H.as_samples_schouten(chart, x0, cfg)
     assert isinstance(samples, np.ndarray) and samples.shape == (6, 4, 4)
+    assert T.isometry_residual(chart, x0, cfg) == 0.0  # no transports to test
     data = C.frame_data(chart, x0[None], order=2)
     P, Pinv = C.orthonormal_frame_change(data.G)
     RWo = np.einsum(
@@ -237,6 +238,9 @@ def test_center_decomposition_cases():
     hs = H.lie_closure(su2_so4(), 1e-8)
     semi, center = H.center_decomposition(hs)
     assert center.dim == 0 and semi.dim == 3
+    # the zero algebra splits into two zero algebras
+    semi, center = H.center_decomposition(H.lie_closure([]))
+    assert center.dim == 0 and semi.dim == 0
 
 
 def test_t_complement_cases(charts, algebra_cache):
@@ -285,6 +289,8 @@ def test_detect_complex_structure_cases():
     # the trivial algebra admits any complex structure
     J0 = H.detect_complex_structure(H.lie_closure([]), size=4)
     assert J0 is not None and np.allclose(J0 @ J0, -np.eye(4), atol=1e-10)
+    # in odd dimension every skew draw is singular, so none is found
+    assert H.detect_complex_structure(H.lie_closure([]), size=3) is None
 
 
 def test_seed_stability_dims(charts, algebra_cache):

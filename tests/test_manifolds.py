@@ -197,6 +197,10 @@ def test_chart_constructor_errors():
         M.FactorSpec("poincare_disc", b=0.0)
     with pytest.raises(ConfigError):
         M.FactorSpec("nonsense")
+    # a config refuses a NaN first (config_float); a spec built in code does here
+    for name in ("b", "curvature", "epsilon"):
+        with pytest.raises(ConfigError, match=f"factor {name} must be finite, got nan"):
+            M.FactorSpec("poincare_disc", **{name: float("nan")})
     with pytest.raises(ChartError):
         # total complex dimension too small
         M.product_construction([M.FactorSpec("poincare_disc", b=1.0)])

@@ -24,7 +24,7 @@ from kcontact import transport as T
 from kcontact.errors import DomainError
 
 from conftest import domain_points
-from fd_oracles import rotated_chart
+from fd_oracles import outside_for_any_t_reference, rotated_chart
 from test_rotated_chart import WIDE_MIXES
 
 # the five examples and the three m = 3 mixes of the wide_products workload
@@ -106,6 +106,28 @@ def test_positions_pass_evaluates_no_step_past_an_exit(charts, monkeypatch):
     _, alive, _ = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
     assert 0 < alive.sum() < len(paths)
     assert np.all(chart.domain.contains(np.concatenate(starts)))
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "rotated_bergman"])
+def test_contains_on_horizontal_coordinates_is_the_t_free_rule(name):
+    # the positions pass masks its evaluations with Domain.contains on the
+    # first 2m coordinates: the box on those and the balls among them decide,
+    # as in the rule the pass applied on its own before, also at a point
+    # exactly on lo, hi or a ball's radius and one float beyond
+    chart = rotated_chart(_chart("bergman"), (0, 1), 0.7) if name.startswith("rotated") \
+        else _chart(name)
+    dom, tm = chart.domain, 2 * chart.m
+    H = np.random.default_rng(7).uniform(1.2 * dom.lo[:tm], 1.2 * dom.hi[:tm], (4, 16, tm))
+    # (coordinate, boundary value) pairs: lo, hi and minus each ball's radius
+    edges = [(i, bound[i]) for i in range(tm) for bound in (dom.lo, dom.hi)]
+    edges += [(idx[-1], -radius) for idx, radius in dom.balls]
+    on, beyond = np.zeros((2, len(edges), tm))
+    for k, (i, v) in enumerate(edges):
+        on[k, i], beyond[k, i] = v, np.nextafter(v, np.copysign(np.inf, v))
+    for X in (H, on, beyond):
+        assert np.array_equal(dom.contains(X), ~outside_for_any_t_reference(dom, X))
+    assert np.all(dom.contains(on)) and not np.any(dom.contains(beyond))
+    assert 0 < np.count_nonzero(dom.contains(H)) < 64
 
 
 @pytest.mark.parametrize("name", CONFIGS)

@@ -370,9 +370,10 @@ def test_transport_equivalence_trivial_cases(charts):
     tau0 = T._transport_sampled(chart, sc, "adapted")
     assert np.max(np.abs(tau0 - np.eye(4))) < 1e-9
     assert T.transport_equivalence_check(chart, sc)[0] < 1e-9
-    # an unbalanced loop is rejected
+    # a path that does not return to its start is not a loop (a closed
+    # unbalanced one is refused in test_curve_api_refusals)
     bad = T.ControlPath(np.zeros(5), np.zeros((1, 4)), 0.5, vertical=np.array([1.0]))
-    with pytest.raises(ChartError):
+    with pytest.raises(ChartError, match="transport_equivalence_check needs a loop"):
         T.transport_equivalence_check(chart, bad)
 
 
@@ -435,6 +436,9 @@ def test_curve_api_refusals(charts):
         T.transport_equivalence_check(chart, square)
     with pytest.raises(ValueError, match="unknown sampling half 'vertical'"):
         T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=2), ("vertical",))
+    one_pair = dataclasses.replace(chart, blocks=((0, 1),))
+    with pytest.raises(ChartError, match="balanced loops need at least two coordinate pairs"):
+        T.balanced_loop(one_pair, np.zeros(5), np.random.default_rng(3))
 
 
 def test_sampler_contract(charts):

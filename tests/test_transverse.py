@@ -109,6 +109,14 @@ def test_factor_split_complex_structures(charts, algebra_cache):
         assert np.sum(Jb * omega_o[np.ix_(ix, ix)]) > 0
     # blocks are omega-orthogonal
     assert np.max(np.abs(omega_o[:2, 2:])) < 1e-7
+    # so(3) on three frame directions leaves an odd block, which carries no
+    # complex structure
+    so3 = np.zeros((3, 4, 4))
+    for k, (a, b) in enumerate([(0, 1), (0, 2), (1, 2)]):
+        so3[k, a, b], so3[k, b, a] = 1.0, -1.0
+    with pytest.raises(ChartError,
+                       match=r"block \(0, 1, 2\) carries no invariant complex structure"):
+        TV.factor_split(data, H.lie_closure(list(so3), 1e-8), 1e-6)
 
 
 @pytest.mark.parametrize("span_tol, block_tol", [(1e-5, 1e-5), (1e-10, 1e-8)])
