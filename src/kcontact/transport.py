@@ -36,6 +36,8 @@ every step propagator in one batch (:func:`_sampled_propagator`).  Work
 nothing reads is not done: the pushforward seeds its jets with the pushed
 vectors, one gradient column wide, and theta-integrals of parametric curves
 (the loop builder's probes) evaluate theta alone, without the frame split.
+The loop builder finds the radius of its second circle with
+:func:`_brentq`, the package's own bracketed root finder (Brent's method).
 """
 
 from __future__ import annotations
@@ -808,6 +810,44 @@ def _loop_theta_integral(chart, pieces):
     return _theta_integral(_sample_parametric(chart, curve, LOOP_STEP, split=False))
 
 
+def _brentq(f, a, b, xtol, rtol, maxiter=100):
+    """A root of f in [a, b] by Brent's method, or None when f(a) and f(b) have
+    the same sign or ``maxiter`` steps do not converge.  Takes the steps of the
+    classic ``brentq`` routine one for one (Brent 1973, ch. 4), with its tests
+    and updates in its order, so its roots have the same bits."""
+    xpre, xcur = float(a), float(b)
+    fpre, fcur = f(xpre), f(xcur)
+    if fpre == 0 or fcur == 0:
+        return xpre if fpre == 0 else xcur
+    if (fpre < 0) == (fcur < 0):
+        return None
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and (fpre < 0) != (fcur < 0):
+            xblk, fblk, spre, scur = xpre, fpre, xcur - xpre, xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk, fpre, fcur, fblk = xcur, xblk, xcur, fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+        stry = None
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # secant
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # inverse quadratic interpolation
+                dpre, dblk = (fpre - fcur) / (xpre - xcur), (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+        if stry is not None and 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:  # bisect
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = f(xcur)
+    return None
+
+
 def balanced_loop(chart, x0, rng):
     """A non-horizontal coordinate loop at x0 with vanishing theta-integral.
 
@@ -820,8 +860,6 @@ def balanced_loop(chart, x0, rng):
     chart without blocks.  A try ends when any of its circles leaves the
     chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
     """
-    from scipy.optimize import brentq
-
     x0 = np.asarray(x0, dtype=float)
     pairs = [(blk[2 * k], blk[2 * k + 1]) for blk in chart.blocks or [range(2 * chart.m)]
              for k in range(len(blk) // 2)]
@@ -843,9 +881,9 @@ def balanced_loop(chart, x0, rng):
                     second = _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)
                     return base_val + _loop_theta_integral(chart, [second])
 
-                if total(lo) * total(hi) > 0:
+                r2 = _brentq(total, lo, hi, xtol=1e-13, rtol=1e-15)
+                if r2 is None:
                     continue
-                r2 = brentq(total, lo, hi, xtol=1e-13, rtol=1e-15)
                 pieces = [base, _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)]
                 if abs(_loop_theta_integral(chart, pieces)) < 1e-10:
                     return ParametricCurve(pieces)

@@ -41,7 +41,9 @@ positions pass ran on its own before ``Domain.contains`` accepted points
 given by their horizontal coordinates.
 :func:`rotated_chart` is a coordinate-change oracle: a chart pulled back
 by a t-dependent rotation of one factor's plane, on which ``dxi`` is not
-zero and the coefficients depend on t.
+zero and the coefficients depend on t.  :func:`gauged_chart` is a
+change-of-frame oracle: the same structure in a frame rotated as t grows,
+on which ``[xi, e_a]`` is not zero.
 """
 
 import dataclasses
@@ -583,6 +585,40 @@ def rotated_chart(chart, pair, eps):
 
     return dataclasses.replace(chart, theta=theta, xi=xi, frame=frame, metric=metric,
                                name=f"rotated[{chart.name}, {pair}, {eps:g}]", normal_form=False)
+
+
+def gauged_chart(chart, pair, eps):
+    """``chart`` in the frame e'_a = e_b g_ba, with g(t) the rotation by
+    eps t in the frame plane ``pair = (p, q)``, and the metric G' = g^T G g.
+
+    theta, xi and the sub-Riemannian structure are unchanged, but G' reads
+    t and, on a chart with [xi, e_a] = 0, [xi, e'_a] = e'_c (g^-1 dg/dt)_ca
+    is eps times the generator of the rotation: the Reeb term of the zero
+    extension is not zero.  The frame is no longer block diagonal over
+    ``chart.blocks``, so the gauged chart has none, and it is not in normal
+    form.  A plane inside one block gives a gauge that commutes with the
+    transports of the block-diagonal charts; take one that mixes blocks.
+    """
+    p, q = pair
+    eps = float(eps)
+
+    def gauge(rows, x):
+        # rows @ g: only the columns p and q change
+        c, s = jets.cos(x[-1] * eps), jets.sin(x[-1] * eps)
+        out = [list(row) for row in rows]
+        for row, new in zip(rows, out):
+            new[p], new[q] = c * row[p] + s * row[q], c * row[q] - s * row[p]
+        return out
+
+    def frame(x):
+        return gauge(chart.frame(x), x)
+
+    def metric(x):
+        Gg = gauge(chart.metric(x), x)
+        return [list(col) for col in zip(*gauge([list(col) for col in zip(*Gg)], x))]
+
+    return dataclasses.replace(chart, frame=frame, metric=metric, blocks=(), normal_form=False,
+                               name=f"gauged[{chart.name}, {pair}, {eps:g}]")
 
 
 def stack_arrays_reference(nested, order, n, batch):

@@ -1,3 +1,4 @@
+import functools
 import json
 import os
 import subprocess
@@ -150,6 +151,17 @@ def test_no_balanced_loop_near_the_boundary_exits_4(tmp_path, capsys):
     })
     capsys.readouterr()
     assert run(["verify", "--config", cfg]) == 4
+    err = capsys.readouterr().err
+    assert err == "sampling failure: could not build a balanced loop at this base point\n"
+
+
+def test_unconverged_loop_root_exits_4(monkeypatch, capsys):
+    # a root find that does not converge fails that try of the loop builder;
+    # when every try fails, verify exits 4 with one line, not a traceback
+    from kcontact import transport
+    monkeypatch.setattr(transport, "_brentq", functools.partial(transport._brentq, maxiter=0))
+    capsys.readouterr()
+    assert run(["verify", "--config", f"{CONFIG_DIR}/heisenberg.json"]) == 4
     err = capsys.readouterr().err
     assert err == "sampling failure: could not build a balanced loop at this base point\n"
 
@@ -685,16 +697,42 @@ def test_non_finite_report_value_exits_5_and_writes_no_report(tmp_path, capsys):
 def test_numerical_failure_stderr_is_one_line(tmp_path):
     # numpy RuntimeWarnings raised before the failure stay off stderr
     cfg = write_config(tmp_path, {"manifold": {"type": "product", "factors": TINY_DISCS}})
+    proc = subprocess.run(
+        [sys.executable, "-m", "kcontact.cli", "holonomy", "--config", cfg, "--seed", "0"],
+        capture_output=True, text=True, env=_fresh_env(), timeout=300,
+    )
+    assert proc.returncode == 5
+    assert proc.stderr.splitlines() == ["numerical failure: SVD did not converge"]
+
+
+def _fresh_env():
+    """The environment of a fresh process that imports this checkout's kcontact."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     env.pop("PYTHONWARNINGS", None)
+    return env
+
+
+# runs the command line, then prints its exit code and every scipy module loaded
+SCIPY_PROBE = """
+import sys
+from kcontact import cli
+code = cli.main(sys.argv[1:])
+print(code, *sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+@pytest.mark.parametrize("command", ["verify", "holonomy", "spinor"])
+def test_commands_do_not_import_scipy(command):
+    # numpy is the one runtime dependency; the tests alone use scipy, as the
+    # loop builder's root-finding oracle
     proc = subprocess.run(
-        [sys.executable, "-m", "kcontact.cli", "holonomy", "--config", cfg, "--seed", "0"],
-        capture_output=True, text=True, env=env, timeout=300,
+        [sys.executable, "-c", SCIPY_PROBE, command, "--config", f"{CONFIG_DIR}/heisenberg.json",
+         "--paths", "4", "--seed", "0", "--out", os.devnull],
+        capture_output=True, text=True, env=_fresh_env(), timeout=300,
     )
-    assert proc.returncode == 5
-    assert proc.stderr.splitlines() == ["numerical failure: SVD did not converge"]
+    assert proc.stdout.split() == ["0"], proc.stderr
 
 
 @pytest.mark.parametrize("failure, code", [(None, 0), (ChartError("degenerate"), 5)])

@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -389,6 +390,72 @@ def test_balanced_loop_on_a_chart_without_blocks(charts):
     resid, tilde = T.transport_equivalence_check(bare, loop)
     assert resid < 1e-4
     assert np.max(np.abs(tilde.theta_dot)) < 1e-6
+
+
+# closed-form root finds over a bracket; the last one does not converge in
+# 100 steps, at the loop builder's tolerances or at scipy's defaults
+BRENT_CASES = [
+    (lambda x: x * x - 1.0, 0.0, 2.0),
+    (lambda x: math.cos(x) - x, 0.0, 1.0),
+    (lambda x: x ** 3 - 2.0 * x - 5.0, 2.0, 3.0),
+    (lambda x: math.exp(x) - 2.0, -1.0, 3.0),
+    (lambda x: math.sin(x), 3.0, 4.0),
+    (lambda x: math.tanh(50.0 * (x - 0.123)), -1.0, 1.0),
+    (lambda x: (x - 0.3) ** 5, 0.0, 1.0),
+]
+# the loop builder's (xtol, rtol), and scipy's defaults
+BRENT_TOLS = [(1e-13, 1e-15), (2e-12, 4 * np.finfo(float).eps)]
+
+
+def _scipy_root(optimize, f, a, b, xtol, rtol, maxiter=100):
+    """scipy's brentq read as the port reports: the root, or None."""
+    try:
+        root, res = optimize.brentq(f, a, b, xtol=xtol, rtol=rtol, maxiter=maxiter,
+                                    full_output=True, disp=False)
+    except ValueError:  # f(a) and f(b) have the same sign
+        return None
+    return root if res.converged else None
+
+
+def _same_root(got, want):
+    return got is None if want is None else got is not None and float(got).hex() == want.hex()
+
+
+def test_brentq_contract():
+    # where scipy's brentq raises RuntimeError, the port returns None
+    assert T._brentq(lambda x: (x - 0.3) ** 5, 0.0, 1.0, 1e-13, 1e-15) is None
+    calls = []
+    assert T._brentq(lambda x: calls.append(x) or 1.0 + x * x, -1.0, 2.0, 1e-13, 1e-15) is None
+    assert calls == [-1.0, 2.0]
+    assert T._brentq(lambda x: x - 0.5, 0.5, 2.0, 1e-13, 1e-15) == 0.5
+    assert T._brentq(lambda x: x - 2.0, 0.5, 2.0, 1e-13, 1e-15) == 2.0
+
+
+@pytest.mark.parametrize("tols", BRENT_TOLS)
+@pytest.mark.parametrize("case", range(len(BRENT_CASES)))
+def test_brentq_matches_scipy_on_closed_forms(case, tols):
+    optimize = pytest.importorskip("scipy.optimize")
+    f, a, b = BRENT_CASES[case]
+    assert _same_root(T._brentq(f, a, b, *tols), _scipy_root(optimize, f, a, b, *tols))
+
+
+def test_brentq_matches_scipy_on_loop_functions(charts, monkeypatch):
+    # every root find of the loop builder on the shipped charts, loop seeds
+    # 1-5, gives scipy's float bit for bit
+    optimize = pytest.importorskip("scipy.optimize")
+    port, finds = T._brentq, []
+
+    def both(f, a, b, xtol, rtol, maxiter=100):
+        finds.append((port(f, a, b, xtol, rtol, maxiter),
+                      _scipy_root(optimize, f, a, b, xtol, rtol, maxiter)))
+        return finds[-1][0]
+
+    monkeypatch.setattr(T, "_brentq", both)
+    for chart in charts.values():
+        for seed in range(1, 6):
+            T.balanced_loop(chart, chart.origin(), np.random.default_rng(seed))
+    assert len(finds) >= 25 and all(want is not None for _, want in finds)
+    assert all(_same_root(got, want) for got, want in finds)
 
 
 def _segment(a, b):
