@@ -614,8 +614,9 @@ def gauged_chart(chart, pair, eps):
         return gauge(chart.frame(x), x)
 
     def metric(x):
+        # G g, transposed to g^T G, times g
         Gg = gauge(chart.metric(x), x)
-        return [list(col) for col in zip(*gauge([list(col) for col in zip(*Gg)], x))]
+        return [list(col) for col in zip(*gauge(list(zip(*Gg)), x))]
 
     return dataclasses.replace(chart, frame=frame, metric=metric, blocks=(), normal_form=False,
                                name=f"gauged[{chart.name}, {pair}, {eps:g}]")

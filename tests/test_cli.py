@@ -16,7 +16,7 @@ from kcontact.holonomy import as_samples_adapted
 from kcontact.manifolds import EXAMPLES
 
 
-CONFIG_DIR = "configs"
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def run(args):
@@ -161,7 +161,7 @@ def test_unconverged_loop_root_exits_4(monkeypatch, capsys):
     from kcontact import transport
     monkeypatch.setattr(transport, "_brentq", functools.partial(transport._brentq, maxiter=0))
     capsys.readouterr()
-    assert run(["verify", "--config", f"{CONFIG_DIR}/heisenberg.json"]) == 4
+    assert run(["verify", "--config", str(CONFIG_DIR / "heisenberg.json")]) == 4
     err = capsys.readouterr().err
     assert err == "sampling failure: could not build a balanced loop at this base point\n"
 
@@ -728,8 +728,8 @@ def test_commands_do_not_import_scipy(command):
     # numpy is the one runtime dependency; the tests alone use scipy, as the
     # loop builder's root-finding oracle
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, command, "--config", f"{CONFIG_DIR}/heisenberg.json",
-         "--paths", "4", "--seed", "0", "--out", os.devnull],
+        [sys.executable, "-c", SCIPY_PROBE, command, "--config",
+         str(CONFIG_DIR / "heisenberg.json"), "--paths", "4", "--seed", "0", "--out", os.devnull],
         capture_output=True, text=True, env=_fresh_env(), timeout=300,
     )
     assert proc.stdout.split() == ["0"], proc.stderr
