@@ -313,10 +313,9 @@ def transport_data(chart, X, vertical=False):
     for width-2 blocks of ``G``.
     """
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
-    nf = chart.normal_form
-    _, Minv, cfull = frame_brackets(arr, nf)
+    _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]
-    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks if nf else ())
+    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
     return TransportData(arr.E, arr.xi, Gam, xi_coeffs)
 
@@ -328,11 +327,10 @@ def frame_data(chart, X, order=1):
     arr = chart_arrays(chart, Xb, order=max(order, 1))
     E, tm = arr.E, arr.E.shape[-1]
     A = arr.dth.swapaxes(-1, -2) - arr.dth  # A_ij = d_i theta_j - d_j theta_i
-    nf = chart.normal_form
-    Br, Minv, cfull = frame_brackets(arr, nf)
+    Br, Minv, cfull = frame_brackets(arr, chart.normal_form)
     c = cfull[..., :tm, :, :]
     xi_full = reeb_brackets(arr, Minv)
-    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c, chart.blocks if nf else ())
+    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c, chart.blocks)
     P, Pinv = orthonormal_frame_change(arr.G)
     data = FramePointData(
         x=Xb,

@@ -231,13 +231,11 @@ def _branch(x):
     return x, 0.0, 0.0
 
 
-def seed(X, order, direction=None):
+def seed(X, order):
     """Seed coordinates of points ``X`` (shape ``(..., n)``) as jets.
 
     Returns a list of ``n`` scalars: plain arrays for ``order == 0``,
-    jets carrying the identity gradient otherwise.  With a ``direction``
-    (shape ``(..., n)``) the gradient is one column wide instead, coordinate
-    i carrying ``direction[..., i]``, so jets differentiate along it.
+    jets carrying the identity gradient otherwise.
     """
     X = np.asarray(X, dtype=float)
     n = X.shape[-1]
@@ -247,12 +245,9 @@ def seed(X, order, direction=None):
         if order == 0:
             coords.append(X[..., i].copy())
             continue
-        if direction is None:
-            grad = np.zeros(batch + (n,))
-            grad[..., i] = 1.0
-        else:
-            grad = direction[..., i, None]
-        hess = np.zeros(grad.shape + grad.shape[-1:]) if order >= 2 else None
+        grad = np.zeros(batch + (n,))
+        grad[..., i] = 1.0
+        hess = np.zeros(batch + (n, n)) if order >= 2 else None
         coords.append(Jet(X[..., i].copy(), grad, hess))
     return coords
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from itertools import accumulate
 from typing import Callable, Sequence, get_type_hints
 
@@ -100,21 +100,19 @@ class FactorSpec:
 class ContactChart:
     """Single-chart description of a K-contact sub-Riemannian manifold.
 
-    ``normal_form`` declares the form every built-in chart has: the Reeb
-    field is ``d/dt`` along the last coordinate t, the frame is
+    ``normal_form`` marks the form every built-in chart has: the Reeb field
+    is ``d/dt`` along the last coordinate t, the frame is
     ``e_a = d/dx_a + f_a d/dt`` (the first 2m rows of ``E`` are the
     identity), no coefficient function reads t, and the metric ``G`` is
     block diagonal over ``blocks`` (exactly zero off them, symmetric on
-    each) when there are two or more.  The built-in charts all come from
-    one constructor, which builds theta, xi, the frame, ``G`` and
-    ``blocks`` from f and the metric blocks, so they hold the form they
-    declare.  The positions pass of control paths and the Reeb flow then
-    take shortcuts with the same bits (:mod:`kcontact.transport`), and the
-    frame solve and ``G^-1`` take closed forms (:mod:`kcontact.connection`).
-    A chart built by hand keeps the general path unless it sets the field,
-    and one that sets it must hold the form: the flag is not checked, and
-    on a chart not in this form it gives wrong positions, Reeb flows and
-    connections.
+    each).  Only the constructor of the built-in charts sets the two
+    fields, from the f and the metric blocks it builds the chart from, so
+    a chart holds the form it is marked with.  The positions pass of
+    control paths and the Reeb flow then take shortcuts with the same bits
+    (:mod:`kcontact.transport`), and the frame solve and ``G^-1`` take
+    closed forms (:mod:`kcontact.connection`).  Any other chart, a built-in
+    one changed by ``dataclasses.replace`` among them, has
+    ``normal_form=False`` and ``blocks=()`` and takes the general path.
     """
 
     m: int
@@ -125,8 +123,8 @@ class ContactChart:
     metric: Callable
     name: str = "chart"
     factors: tuple = ()
-    blocks: tuple = ()  # frame-index blocks, one per factor
-    normal_form: bool = False
+    blocks: tuple = field(default=(), init=False)  # frame-index blocks, one per factor
+    normal_form: bool = field(default=False, init=False)
 
     @property
     def dim(self):
@@ -294,8 +292,11 @@ def _normal_form_chart(m, f, blocks, domain, **fields):
                     G[a][b] = entry
         return G
 
-    return ContactChart(m, domain, theta, lambda x: [0.0] * (n - 1) + [1.0], frame, metric,
-                        blocks=tuple(idx for idx, _ in blocks), normal_form=True, **fields)
+    chart = ContactChart(m, domain, theta, lambda x: [0.0] * (n - 1) + [1.0], frame, metric,
+                         **fields)
+    object.__setattr__(chart, "blocks", tuple(idx for idx, _ in blocks))
+    object.__setattr__(chart, "normal_form", True)
+    return chart
 
 
 def heisenberg(m):
@@ -486,15 +487,13 @@ class _Coords(list):
         self.memo = {}
 
 
-def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
+def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS):
     """Evaluate theta, xi, frame, metric (and derivatives) at points X (..., n).
 
     ``fields`` is a subset of ``("th", "xi", "E", "G")``: only those
     coefficient functions are called, and the other entries of the
     returned :class:`ChartArrays` stay ``None``.  A requested field has the
-    same bits whatever else is requested.  With a ``direction`` (one vector
-    per point) each derivative axis has length 1 and holds the derivative
-    along that direction (``dxi[..., i, 0]`` is Dxi_i(X) direction).
+    same bits whatever else is requested.
 
     Orders 1 and 2 give bit-identical values and first derivatives, so one
     order-2 evaluation serves first-order readers too.  Order-0 values can
@@ -507,13 +506,12 @@ def chart_arrays(chart, X, order=1, *, fields=CHART_FIELDS, direction=None):
     if unknown:
         raise ValueError(f"unknown chart fields {sorted(unknown)}")
     X = np.asarray(X, dtype=float)
-    n = chart.dim if direction is None else 1  # width of the derivative axes
     batch = X.shape[:-1]
-    coords = _Coords(jets.seed(X, order, direction))
+    coords = _Coords(jets.seed(X, order))
     out = ChartArrays(X, order)
     for name, fn in zip(CHART_FIELDS, (chart.theta, chart.xi, chart.frame, chart.metric)):
         if name in fields:
-            val, d1, d2 = jets.stack_arrays(fn(coords), order, n, batch)
+            val, d1, d2 = jets.stack_arrays(fn(coords), order, chart.dim, batch)
             setattr(out, name, val)
             setattr(out, "d" + name, d1)
             setattr(out, "d2" + name, d2)

@@ -32,10 +32,9 @@ source: such a pass transports each draw once.
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
 their frame and theta transports take it once, on the identity, to build
-every step propagator in one batch (:func:`_sampled_propagator`).  Work
-nothing reads is not done: the pushforward seeds its jets with the pushed
-vectors, one gradient column wide, and theta-integrals of parametric curves
-(the loop builder's probes) evaluate theta alone, without the frame split.
+every step propagator in one batch (:func:`_sampled_propagator`).
+Theta-integrals of parametric curves (the loop builder's probes) evaluate
+theta alone, without the frame split.
 The loop builder finds the radius of its second circle with
 :func:`_brentq`, the package's own bracketed root finder (Brent's method).
 """
@@ -203,23 +202,23 @@ STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pas
 def _rk4_step(rhs, y, h):
     """One classical RK4 step of size ``h`` for a tuple state.
 
-    ``rhs(s, y)`` returns the tuple of derivatives; ``None`` entries of the
-    state ride along unchanged.  The stage index ``s`` is 0, 1, 1, 2 (start,
-    midpoint twice, end), so coefficients sampled at half-step spacing are
-    read at sample ``j + s``.
+    ``rhs(s, y)`` returns the tuple of derivatives, one array per entry of
+    the state.  The stage index ``s`` is 0, 1, 1, 2 (start, midpoint twice,
+    end), so coefficients sampled at half-step spacing are read at sample
+    ``j + s``.
     """
     d1 = rhs(0, y)
     d2 = rhs(1, _stage(y, 0.5 * h, d1))
     d3 = rhs(1, _stage(y, 0.5 * h, d2))
     d4 = rhs(2, _stage(y, h, d3))
     return tuple(
-        None if a is None else a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        a + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         for a, k1, k2, k3, k4 in zip(y, d1, d2, d3, d4)
     )
 
 
 def _stage(y, c, k):
-    return tuple(None if a is None else a + c * b for a, b in zip(y, k))
+    return tuple(a + c * b for a, b in zip(y, k))
 
 
 def _velocity(E, xi, u, w):
@@ -576,15 +575,15 @@ def transport_theta(chart, curve, method="quadrature"):
 # Reeb flow and horizontalization
 
 
-def _reeb_flow_batch(chart, X, times, vectors=None):
+def _reeb_flow_batch(chart, X, times, vectors):
     """Flow of the Reeb field for per-point durations (time-rescaled RK4,
-    in steps of at most ``REEB_STEP`` of the longest duration).
-    With ``vectors`` (one per point) returns ``(points, pushforwards)``: the
-    variational equation z' = t Dxi(y) z rides along the same steps, each
-    stage seeding the coordinates with the one direction z, so the jets of
-    xi carry Dxi(y) z as their single gradient column.  On a chart in
-    normal form the stages read xi = d/dt and Dxi = 0 without a chart call,
-    so the flow shifts t alone, with the same steps and bits."""
+    in steps of at most ``REEB_STEP`` of the longest duration), with the
+    pushforward of ``vectors`` (one per point): returns
+    ``(points, pushforwards)``.  The variational equation z' = t Dxi(y) z
+    rides along the same steps, reading Dxi from an order-1 evaluation of
+    xi.  On a chart in normal form the stages read xi = d/dt and Dxi = 0
+    without a chart call, so the flow shifts t alone, with the same steps
+    and bits."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
@@ -595,9 +594,9 @@ def _reeb_flow_batch(chart, X, times, vectors=None):
     def rhs(s, state):
         y, z = state
         if chart.normal_form:
-            return t * reeb, None if z is None else t * (0.0 * reeb)
-        arr = chart_arrays(chart, y, order=0 if z is None else 1, fields=("xi",), direction=z)
-        return t * arr.xi, None if z is None else t * arr.dxi[..., 0]
+            return t * reeb, t * (0.0 * reeb)
+        arr = chart_arrays(chart, y, order=1, fields=("xi",))
+        return t * arr.xi, t * (arr.dxi @ z[..., None])[..., 0]
 
     y, z = X, vectors
     for _ in range(steps):
@@ -605,7 +604,7 @@ def _reeb_flow_batch(chart, X, times, vectors=None):
         if not np.all(chart.domain.contains(y)):
             bad = y[~chart.domain.contains(y)][0]
             raise DomainError(f"Reeb flow left the chart domain at {bad}", point=bad)
-    return y if vectors is None else (y, z)
+    return y, z
 
 
 def horizontalize(chart, curve):
@@ -856,13 +855,11 @@ def balanced_loop(chart, x0, rng):
     theta-integrals cancel; closed t-wiggles make the loop non-horizontal
     without contributing to the integral.  The root-finding probes and the
     final check evaluate theta alone.  The circles lie in the coordinate
-    pairs of the chart's blocks, or of all 2m horizontal coordinates on a
-    chart without blocks.  A try ends when any of its circles leaves the
-    chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
+    pairs ``(2k, 2k + 1)``, k < m.  A try ends when any of its circles
+    leaves the chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
     """
     x0 = np.asarray(x0, dtype=float)
-    pairs = [(blk[2 * k], blk[2 * k + 1]) for blk in chart.blocks or [range(2 * chart.m)]
-             for k in range(len(blk) // 2)]
+    pairs = [(2 * k, 2 * k + 1) for k in range(chart.m)]
     if len(pairs) < 2:
         raise ChartError("balanced loops need at least two coordinate pairs")
     tidx = chart.dim - 1

@@ -534,6 +534,14 @@ def outside_for_any_t_reference(domain, H):
     return out
 
 
+def block_pairs_reference(chart):
+    """The coordinate pairs of ``transport.balanced_loop`` as it derived them
+    from ``chart.blocks``: consecutive pairs within each block, or within
+    all 2m horizontal coordinates on a chart without blocks."""
+    return [(blk[2 * k], blk[2 * k + 1]) for blk in chart.blocks or [range(2 * chart.m)]
+            for k in range(len(blk) // 2)]
+
+
 def rotated_chart(chart, pair, eps):
     """The pullback of ``chart`` by phi(x) = (R(eps t)(x_p, x_q), ..., t).
 
@@ -543,7 +551,8 @@ def rotated_chart(chart, pair, eps):
     and the frame metric by composition.  On a chart with Reeb field d/dt
     the pulled-back Reeb field is d/dt + eps (x_q d/dx_p - x_p d/dx_q): it
     depends on the point, and the coefficients depend on t, so the
-    pullback is not in normal form.
+    pullback is not in normal form (``dataclasses.replace`` leaves it
+    unmarked, with no blocks).
     """
     p, q = pair
     eps = float(eps)
@@ -584,7 +593,7 @@ def rotated_chart(chart, pair, eps):
         return chart.metric(phi(x)[0])
 
     return dataclasses.replace(chart, theta=theta, xi=xi, frame=frame, metric=metric,
-                               name=f"rotated[{chart.name}, {pair}, {eps:g}]", normal_form=False)
+                               name=f"rotated[{chart.name}, {pair}, {eps:g}]")
 
 
 def gauged_chart(chart, pair, eps):
@@ -594,10 +603,11 @@ def gauged_chart(chart, pair, eps):
     theta, xi and the sub-Riemannian structure are unchanged, but G' reads
     t and, on a chart with [xi, e_a] = 0, [xi, e'_a] = e'_c (g^-1 dg/dt)_ca
     is eps times the generator of the rotation: the Reeb term of the zero
-    extension is not zero.  The frame is no longer block diagonal over
-    ``chart.blocks``, so the gauged chart has none, and it is not in normal
-    form.  A plane inside one block gives a gauge that commutes with the
-    transports of the block-diagonal charts; take one that mixes blocks.
+    extension is not zero.  The metric is no longer block diagonal over
+    ``chart.blocks``; like every chart that ``dataclasses.replace`` makes,
+    the gauged chart has no blocks and is not in normal form.  A plane
+    inside one block gives a gauge that commutes with the transports of the
+    block-diagonal charts; take one that mixes blocks.
     """
     p, q = pair
     eps = float(eps)
@@ -618,7 +628,7 @@ def gauged_chart(chart, pair, eps):
         Gg = gauge(chart.metric(x), x)
         return [list(col) for col in zip(*gauge(list(zip(*Gg)), x))]
 
-    return dataclasses.replace(chart, frame=frame, metric=metric, blocks=(), normal_form=False,
+    return dataclasses.replace(chart, frame=frame, metric=metric,
                                name=f"gauged[{chart.name}, {pair}, {eps:g}]")
 
 

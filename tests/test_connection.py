@@ -24,6 +24,7 @@ from fd_oracles import (
     frame_rates_reference,
     frame_two_form_reference,
     gamma_fd,
+    gauged_chart,
     inverse_derivative_reference,
     koszul_moveaxis,
     koszul_reference,
@@ -79,9 +80,20 @@ def test_connection_invariants(charts, name):
     assert res["dtheta_pairing"] < 1e-9
 
 
-@pytest.mark.parametrize("name", ["disc_disc_12", "bergman", "perturbed_disc_disc"])
+# the gauged charts (frame plane (1, 2), eps 0.7) have [xi, e'_a] != 0: only
+# they exercise the curvature's tau . xi_coeffs term (T6 of curvature_fd)
+FD_CHARTS = ["disc_disc_12", "bergman", "perturbed_disc_disc", "gauged_bergman",
+             "gauged_disc_disc_12"]
+
+
+def _fd_chart(charts, name):
+    base = name.removeprefix("gauged_")
+    return charts[base] if base == name else gauged_chart(charts[base], (1, 2), 0.7)
+
+
+@pytest.mark.parametrize("name", FD_CHARTS)
 def test_gamma_against_finite_differences(charts, name):
-    chart = charts[name]
+    chart = _fd_chart(charts, name)
     pts = domain_points(chart, 5, seed=2, margin=0.85)
     Gam = C.frame_data(chart, pts, order=1).Gamma
     for k, x in enumerate(pts):
@@ -90,9 +102,9 @@ def test_gamma_against_finite_differences(charts, name):
         assert np.max(np.abs(Gam[k] - ref)) < 1e-3 * scale
 
 
-@pytest.mark.parametrize("name", ["disc_disc_12", "bergman", "perturbed_disc_disc"])
+@pytest.mark.parametrize("name", FD_CHARTS)
 def test_curvature_against_finite_differences(charts, name):
-    chart = charts[name]
+    chart = _fd_chart(charts, name)
     pts = domain_points(chart, 4, seed=3, margin=0.8)
     R = C.frame_data(chart, pts, order=2).R
     for k, x in enumerate(pts):

@@ -1,12 +1,12 @@
 """Charts in normal form against the general path.
 
-Every built-in chart declares ``normal_form``: its Reeb field is d/dt, its
+Every built-in chart is marked ``normal_form``: its Reeb field is d/dt, its
 frame is e_a = d/dx_a + f_a d/dt, no coefficient function reads t, and its
 metric is block diagonal over ``chart.blocks``.  The positions pass of
 control paths and the Reeb flow take shortcuts there with the same bits;
 the frame solve and the metric inverse take closed forms, which agree with
-LAPACK's up to rounding.  ``dataclasses.replace(chart, normal_form=False)``
-runs the same chart on the general path.
+LAPACK's up to rounding.  Only the charts' constructor sets the mark, so
+``dataclasses.replace(chart)`` runs the same chart on the general path.
 """
 
 import dataclasses
@@ -24,7 +24,7 @@ from kcontact import transport as T
 from kcontact.errors import DomainError
 
 from conftest import domain_points
-from fd_oracles import outside_for_any_t_reference, rotated_chart
+from fd_oracles import block_pairs_reference, outside_for_any_t_reference, rotated_chart
 from test_rotated_chart import WIDE_MIXES
 
 # the five examples and the three m = 3 mixes of the wide_products workload
@@ -50,7 +50,7 @@ def both_ways(chart, run):
     assert chart.normal_form
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return run(chart), run(dataclasses.replace(chart, normal_form=False))
+        return run(chart), run(dataclasses.replace(chart))
 
 
 @pytest.mark.parametrize("t_frac", [0.0, 0.9])
@@ -142,7 +142,8 @@ def test_reeb_flow_matches_general_path(name):
 
     def run(c):
         y, z = T._reeb_flow_batch(c, X, times, vectors=V)
-        return (y.tobytes(), z.tobytes(), T._reeb_flow_batch(c, X, times).tobytes(),
+        return (y.tobytes(), z.tobytes(),
+                T._reeb_flow_batch(c, X, times, vectors=np.zeros_like(X))[0].tobytes(),
                 _outcome(lambda: T._reeb_flow_batch(c, X_out, np.full(3, 0.5), vectors=V[:3])))
 
     fast, slow = both_ways(chart, run)
@@ -199,6 +200,31 @@ def test_declared_normal_form_holds(name):
     assert not np.any(arr.G[:, ~on])
 
 
+def test_only_the_constructor_marks_the_form():
+    # no caller can mark a chart that does not hold the form
+    chart = _chart("bergman")
+    parts = (chart.m, chart.domain, chart.theta, chart.xi, chart.frame, chart.metric)
+    with pytest.raises(TypeError):
+        M.ContactChart(*parts, normal_form=True)
+    with pytest.raises(TypeError):
+        M.ContactChart(*parts, blocks=chart.blocks)
+    with pytest.raises(ValueError):
+        dataclasses.replace(chart, blocks=chart.blocks)
+    bare = M.ContactChart(*parts)
+    assert (bare.normal_form, bare.blocks) == (False, ())
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_replaced_chart_is_unmarked(name):
+    # replace runs __init__, which leaves the mark and the blocks unset; the
+    # loop builder's pairs (2k, 2k + 1) are those the blocks gave
+    chart = _chart(name)
+    bare = dataclasses.replace(chart)
+    assert chart.normal_form and not bare.normal_form
+    assert bare.blocks == ()
+    assert block_pairs_reference(chart) == [(2 * k, 2 * k + 1) for k in range(chart.m)]
+
+
 def test_rotated_chart_is_not_declared_normal(charts):
     # the coordinate-change oracle leaves the form: its Reeb field and
     # frame move with the point and t
@@ -226,12 +252,12 @@ def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
     assert alive.all() and 64 * steps % chunk == 0
     assert calls == [(0, (chunk, 3, 5))] * (4 * 64 * steps // chunk)
     calls.clear()
-    T._integrate_positions(dataclasses.replace(chart, normal_form=False), paths, 0.02)
+    T._integrate_positions(dataclasses.replace(chart), paths, 0.02)
     assert len(calls) == 4 * 4 * steps
     calls.clear()
     X = domain_points(chart, 16, seed=1)
     T._reeb_flow_batch(chart, X, np.full(16, 0.3), vectors=X[::-1])
-    T._reeb_flow_batch(chart, X, np.full(16, -0.3))
+    T._reeb_flow_batch(chart, X, np.full(16, -0.3), vectors=X)
     assert calls == []
 
 
@@ -277,7 +303,7 @@ def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
         C.transport_data(chart, X, vertical=vertical)
     T._split_velocities(chart, X, X)
     assert calls == []
-    C.transport_data(dataclasses.replace(chart, normal_form=False), X)
+    C.transport_data(dataclasses.replace(chart), X)
     assert calls == ["solve", "inv"]
 
 

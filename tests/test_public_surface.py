@@ -55,3 +55,19 @@ def test_every_factor_and_sampler_field_is_settable_from_a_config():
             assert f.name in raw, f"{cls.__name__}.{f.name} cannot be set from a config"
             assert raw[f.name] != f.default or f.default is MISSING
             assert getattr(obj, f.name) == raw[f.name], f"{cls.__name__}.{f.name}"
+
+
+def test_chart_options_are_pinned():
+    # a new option of the chart type or of chart evaluation changes one of
+    # these and shows up in review
+    import inspect
+    from dataclasses import fields
+
+    from kcontact import jets
+    from kcontact.manifolds import ContactChart, chart_arrays
+
+    assert (str(inspect.signature(chart_arrays))
+            == "(chart, X, order=1, *, fields=('th', 'xi', 'E', 'G'))")
+    assert str(inspect.signature(jets.seed)) == "(X, order)"
+    assert [f.name for f in fields(ContactChart) if f.init] == [
+        "m", "domain", "theta", "xi", "frame", "metric", "name", "factors"]

@@ -76,11 +76,12 @@ def rotated_cases(draw):
         factors.append(FactorSpec(kind, dim, b, draw(_reals(0.5, 2.0)), draw(_reals(-0.5, 0.5))))
     chart = product_construction(factors)
     # a rotation inside one factor's disc or ball leaves the domain unchanged
-    block = draw(st.sampled_from(chart.blocks))
+    blocks = chart.blocks  # the rotated chart has none
+    block = draw(st.sampled_from(blocks))
     pair = draw(st.lists(st.sampled_from(block), min_size=2, max_size=2, unique=True))
     chart = rotated_chart(chart, tuple(pair), draw(_reals(-1.0, 1.0)))
     x = np.array(draw(st.lists(_reals(-1.0, 1.0), min_size=chart.dim, max_size=chart.dim)))
-    for blk in map(list, chart.blocks):
+    for blk in map(list, blocks):
         x[blk] *= 0.9 * BALL_RADIUS / max(1.0, np.linalg.norm(x[blk]))
     x[-1] *= 3.6
     u = np.array(draw(st.lists(_reals(-1.0, 1.0), min_size=2 * m, max_size=2 * m)))

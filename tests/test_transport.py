@@ -8,7 +8,7 @@ import pytest
 from kcontact import connection as C
 from kcontact import transport as T
 from kcontact.errors import ChartError, ConfigError, DomainError, SamplingError
-from kcontact.manifolds import FactorSpec, product_construction
+from kcontact.manifolds import ContactChart, Domain, FactorSpec, product_construction
 
 from conftest import domain_points
 from fd_oracles import (
@@ -34,7 +34,8 @@ RHS_FACTORS = {
 
 def reeb_flow(chart, x, s):
     """Point of the Reeb flow from x after time s."""
-    return T._reeb_flow_batch(chart, x[None], np.array([s]))[0]
+    y, _ = T._reeb_flow_batch(chart, x[None], np.array([s]), vectors=np.zeros((1, len(x))))
+    return y[0]
 
 
 def ortho_tau(chart, res):
@@ -197,10 +198,9 @@ def test_reeb_flow_contract(charts):
 
 
 def test_reeb_flow_evaluates_only_xi(charts):
-    # on the general path the flow and its pushforward read xi and dxi;
-    # theta, frame and metric jets would be built and thrown away at every
-    # RK4 stage.  The jets are seeded with z itself, one gradient column,
-    # not the 5-wide identity
+    # on the general path the flow and its pushforward read xi and dxi from
+    # one order-1 evaluation per RK4 stage; theta, frame and metric jets
+    # would be built and thrown away
     calls = {"theta": 0, "xi": 0, "frame": 0, "metric": 0}
     widths = set()
 
@@ -214,14 +214,13 @@ def test_reeb_flow_evaluates_only_xi(charts):
 
         return wrapper
 
-    chart = dataclasses.replace(charts["bergman"], normal_form=False,
-                                **{k: counted(k) for k in calls})
+    chart = dataclasses.replace(charts["bergman"], **{k: counted(k) for k in calls})
     X = np.array([[0.1, -0.2, 0.05, 0.3, 0.0], [0.0, 0.1, -0.3, 0.2, 0.5]])
     _, z = T._reeb_flow_batch(chart, X, np.array([0.4, -0.2]), vectors=X[::-1])
     assert z.shape == (2, 5)
     # four RK4 stages per step, 0.4 / REEB_STEP = 40 steps for the longest time
     assert calls == {"theta": 0, "xi": 160, "frame": 0, "metric": 0}
-    assert widths == {1}
+    assert widths == {5}
 
 
 # every built-in chart has dxi = 0 and t-independent coefficients; the
@@ -379,11 +378,11 @@ def test_transport_equivalence_trivial_cases(charts):
 
 
 def test_balanced_loop_on_a_chart_without_blocks(charts):
-    # a chart built by hand keeps blocks=(): its loops take the coordinate
-    # pairs of all 2m horizontal coordinates, here those of bergman's one
-    # block, so the loop is the built-in chart's, bit for bit
+    # a built-in chart changed by replace has blocks=() and takes the
+    # general path; its loops take the same coordinate pairs (2k, 2k + 1),
+    # so the loop is the built-in chart's, bit for bit
     chart = charts["bergman"]
-    bare = dataclasses.replace(chart, blocks=(), normal_form=False)
+    bare = dataclasses.replace(chart)
     loop = T.balanced_loop(bare, np.zeros(5), np.random.default_rng(4))
     same = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(4))
     assert T.sample_curve(bare, loop).xs.tobytes() == T.sample_curve(chart, same).xs.tobytes()
@@ -503,9 +502,13 @@ def test_curve_api_refusals(charts):
         T.transport_equivalence_check(chart, square)
     with pytest.raises(ValueError, match="unknown sampling half 'vertical'"):
         T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=2), ("vertical",))
-    one_pair = dataclasses.replace(chart, blocks=((0, 1),))
+    # m = 1: theta = dt - y dx on the unit box has one coordinate pair
+    one_pair = ContactChart(1, Domain(-np.ones(3), np.ones(3)),
+                            lambda x: [-1.0 * x[1], 0.0, 1.0], lambda x: [0.0, 0.0, 1.0],
+                            lambda x: [[1.0, 0.0], [0.0, 1.0], [x[1], 0.0]],
+                            lambda x: [[1.0, 0.0], [0.0, 1.0]], name="one pair")
     with pytest.raises(ChartError, match="balanced loops need at least two coordinate pairs"):
-        T.balanced_loop(one_pair, np.zeros(5), np.random.default_rng(3))
+        T.balanced_loop(one_pair, np.zeros(3), np.random.default_rng(3))
 
 
 def test_sampler_contract(charts):
