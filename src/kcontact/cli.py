@@ -264,11 +264,11 @@ def _cross_variant_residual(h_w, h_a):
 def holonomy_report(cfg: RunConfig):
     """The holonomy pipeline: algebras, splitting, regression, spinors.
 
-    One sampling pass integrates a horizontal and an adapted half of
-    paths as one batch.  The horizontal half feeds both Wagner and
-    annihilator samples; the Wagner closure is the horizontal algebra
-    ``h`` and is cross-checked against the annihilator closure on the same
-    transports.  The adapted half gives the zero-extension algebra ``h0``.
+    One sampling pass (``holonomy_samples``) feeds both Wagner and
+    annihilator samples from its horizontal half; the Wagner closure is
+    the horizontal algebra ``h`` and is cross-checked against the
+    annihilator closure on the same transports.  The adapted samples give
+    the zero-extension algebra ``h0``.
     The transverse checks share one order-2 evaluation of their 30 points;
     the splitting reads the pass's order-2 data at x0.
     """

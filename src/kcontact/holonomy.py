@@ -7,13 +7,15 @@ span to a Lie algebra.  Two independent sampling routes exist for the
 horizontal holonomy: Wagner curvature on frame pairs, and horizontal
 curvature on bivectors annihilated by dtheta; their spans must agree.
 One sampling pass (:func:`holonomy_samples`) feeds both routes and the
-adapted zero-extension samples: its horizontal and adapted halves are
-integrated as one batch and share one order-2 evaluation of the base
-point, which the transverse splitting reads too.  The pass names each
-row's source, the row whose transport it took (on a chart in normal form
-an adapted path that repeats its horizontal twin's draw takes the twin's),
-and only the sources' ends are evaluated.  The frame data carries its
-orthonormal frame, and each variant's samples come out as one array.
+adapted zero-extension samples, with one order-2 evaluation of the base
+point, which the transverse splitting reads too.  On a chart in normal
+form ``[xi, e_a] = 0`` and no coefficient reads t, so a path's
+zero-extension transport and its end's curvature are those of the
+horizontal path with the same horizontal controls: every variant takes
+the pass's horizontal half.  Off normal form the adapted samples take an
+adapted half, integrated with the horizontal one as one batch.  The frame
+data carries its orthonormal frame, and each variant's samples come out
+as one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
 the structure analysis cuts at fixed thresholds, written where applied.
 """
@@ -221,44 +223,35 @@ def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)
     with dtheta(beta) = 0, along the same paths; both span the horizontal
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
     pairs (its mixed curvature vanishes), conjugated along arbitrary paths
-    with Reeb-direction controls (classical Ambrose-Singer).  Only the
-    halves of the pass that the variants need are integrated.  The rows
-    that are their own ``source`` have their ends evaluated at order 2 and
-    their transports inverted once, for all variants; a row whose source
-    is another (an adapted path sharing its horizontal twin's draw, on a
-    chart in normal form) takes its source's.  Each variant's samples are one
-    ``(count, 2m, 2m)`` array: the base point's (the trivial path), then
-    the conjugated samples of every path, in the orthonormal frame.
+    with Reeb-direction controls (classical Ambrose-Singer), or on a chart
+    in normal form along the horizontal paths, which give the same
+    transports and end curvatures.  Only the halves that the variants need
+    are integrated; each half's ends are evaluated at order 2 and its
+    transports inverted once, for all its variants.  Each variant's samples
+    are one ``(count, 2m, 2m)`` array: the base point's (the trivial path),
+    then the conjugated samples of every path, in the orthonormal frame.
     ``base`` is the order-2 frame data of x alone.
     """
     for v in variants:
         if v not in _VARIANTS:
             raise ValueError(f"unknown variant {v!r}")
-    halves = [h for h in HALVES if any(_VARIANTS[v][1] == h for v in variants)]
+    half_of = {v: "horizontal" if chart.normal_form else _VARIANTS[v][1] for v in variants}
+    halves = [h for h in HALVES if h in half_of.values()]
     x = np.asarray(x, dtype=float)
     results = sampled_path_transports(chart, x, sampler, halves)
     base = frame_data(chart, x[None], order=2)
     samples = {v: _VARIANTS[v][0](base)[0] for v in variants}
-    n = sampler.n_paths
-    if not n or not halves:
+    if not sampler.n_paths:
         return samples, base
-    points, taus, source = (np.concatenate([r[i] for r in results]) for i in (1, 2, 3))
-    own = np.nonzero(source == np.arange(len(source)))[0]  # the rows that are sources
-    # Their ends are evaluated one half at a time: the order-2 temporaries
+    # the ends are evaluated one half at a time: the order-2 temporaries
     # grow with the batch, and one evaluation over both halves doubles the
-    # peak memory of a report.  A half whose rows are all copies has none.
-    data = [frame_data(chart, points[rows], order=2) if len(rows) else None
-            for rows in np.split(own, np.searchsorted(own, n * np.arange(1, len(halves))))]
-    Pinv = np.concatenate([d.Pinv for d in data if d is not None])
-    taus_o = ortho_transports(taus[own], Pinv, base.P[0])
-    inv = np.linalg.inv(taus_o)
-    at = np.searchsorted(own, source)  # each row's source among the own rows
-    for k, half in enumerate(halves):
-        rows = at[k * n:(k + 1) * n]
-        for v in (v for v in variants if _VARIANTS[v][1] == half):
-            # a row's source lies in its own half or an earlier one
-            mats = np.concatenate([_VARIANTS[v][0](d) for d in data[:k + 1] if d is not None])
-            conjugated = _conjugated_samples(taus_o[rows], inv[rows], mats[rows])
+    # peak memory of a report
+    for half, (_, points, taus) in zip(halves, results):
+        data = frame_data(chart, points, order=2)
+        taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+        inv = np.linalg.inv(taus_o)
+        for v in (v for v in variants if half_of[v] == half):
+            conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
             samples[v] = np.concatenate([samples[v], conjugated])
     return samples, base
 

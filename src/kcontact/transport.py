@@ -4,7 +4,7 @@ ones, the scalar line-bundle transport, the Reeb flow, and the
 horizontalization of arbitrary curves.  The Wagner extension enters only
 through its curvature (``connection.frame_data``).
 
-Curves come in two source forms: :class:`ControlPath` (piecewise-constant
+Curves come in two forms: :class:`ControlPath` (piecewise-constant
 frame controls) and :class:`ParametricCurve` (explicit coordinate curves
 with exact tangents).  Both reduce to a :class:`SampledCurve`, dense
 samples with frame-split velocities, on which the sampled-coefficient RK4
@@ -20,14 +20,11 @@ chunk of stage points, and the Reeb flow shifts t without a chart call;
 the bits are those of the general path.  Both routes read the connection
 through ``connection.transport_data``.  The
 holonomy sampler runs both passes in batch: one sampling pass draws a
-horizontal and an adapted half of random control paths, integrates their
-positions as one lockstep batch, redraws escaped paths, and transports the
-accepted ones.  Path i of both halves draws its horizontal controls from
-one (seed, i, attempt) stream; the adapted half then draws Reeb controls.
-On a chart in normal form Reeb controls move t alone, so an adapted path
-that accepted the same draw as its horizontal twin takes the twin's
-transport (:func:`shared_draws`), and the pass names the twin as the row's
-source: such a pass transports each draw once.
+horizontal half, an adapted half or both of random control paths,
+integrates their positions as one lockstep batch, redraws escaped paths,
+and transports the accepted ones.  Path i of both halves draws its
+horizontal controls from one (seed, i, attempt) stream; the adapted half
+then draws Reeb controls.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -562,12 +559,12 @@ def transport_theta(chart, curve, method="quadrature"):
     routes must agree to 1e-6.  Neither route reads the frame split, so a
     parametric curve's samples evaluate theta alone.
     """
+    if method not in ("quadrature", "ode"):
+        raise ValueError(f"unknown method {method!r}")
     sc = (_sample_parametric(chart, curve, THETA_STEP, split=False)
           if isinstance(curve, ParametricCurve) else sample_curve(chart, curve, THETA_STEP))
     if method == "quadrature":
         return float(np.exp(-_theta_integral(sc)))
-    if method != "ode":
-        raise ValueError(f"unknown method {method!r}")
     return float(_sampled_propagator(sc, -sc.theta_dot[:, None, None])[0, 0])
 
 
@@ -676,12 +673,8 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     from the (seed, path index, attempt) stream, which every half shares
     (a half with Reeb controls draws them after the horizontal ones), so
     the accepted paths depend neither on how the batches are formed nor on
-    the other halves.  With two halves, a row of the second whose draw
-    repeats the first half's (:func:`shared_draws`, normal-form charts
-    only) is not transported again: it takes that row's transport, and
-    only the first half and the other rows are transported, in one batch.
-    Returns one ``(paths, endpoints, transports, source)`` per half, with
-    ``source`` as in :func:`sampled_path_transports`.
+    the other halves.  Returns one ``(paths, endpoints, transports)`` per
+    half.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
@@ -696,8 +689,7 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
     paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
     if not paths:
         tm = 2 * chart.m
-        empty = ([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm)), np.zeros(0, dtype=int))
-        return [empty for _ in vertical_magnitudes]
+        return [([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm))) for _ in vertical_magnitudes]
     xs, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, MAX_ATTEMPTS):
@@ -715,37 +707,10 @@ def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes
             f"could not sample an in-domain path for index {pending[0] % n_paths} "
             f"after {MAX_ATTEMPTS} attempts"
         )
-    # a row whose draw the first half shares takes that row's transport
-    # (not through np.unique, whose first call imports numpy.ma: 1.7 MB of RSS)
-    src = np.arange(len(paths))
-    if len(vertical_magnitudes) == 2:
-        shared = shared_draws(chart, paths[:n_paths], paths[n_paths:])
-        src[n_paths:][shared] = np.nonzero(shared)[0]
-    rows = np.nonzero(src == np.arange(len(paths)))[0]
-    M = np.empty((len(paths), 2 * chart.m, 2 * chart.m))
-    M[rows] = _transport_positions(chart, xs[rows], [paths[r] for r in rows], h)
-    M = M[src]
+    M = _transport_positions(chart, xs, paths, h)
     x = xs[:, -1, -1]
-    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths], src[k:k + n_paths])
+    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
             for k in range(0, len(paths), n_paths)]
-
-
-def shared_draws(chart, first, second):
-    """Flags of the paths of ``second`` whose transport is that of the path
-    at the same index of ``first``, the other half of one sampling pass.
-
-    On a chart in normal form ``[xi, e_a] = 0`` and no coefficient reads t,
-    so Reeb controls move only t, and a path's transport (like its end's
-    frame data) is that of its horizontal projection: two paths from x0
-    with the same horizontal controls transport alike, bit for bit.  Path i
-    of every half draws its horizontal controls first from one (seed, i,
-    attempt) stream, so equal controls mean the same accepted attempt.  On
-    any other chart nothing is shared.
-    """
-    if not chart.normal_form:
-        return np.zeros(len(second), dtype=bool)
-    return np.array([np.array_equal(a.controls, b.controls) for a, b in zip(first, second)],
-                    dtype=bool)
 
 
 def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
@@ -754,9 +719,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
     Each requested half gets ``sampler.n_paths`` paths: the horizontal
     half draws horizontal paths, the adapted half also gives each segment
     a Reeb-direction control at the sampler's ``magnitude``.  Returns one
-    ``(paths, endpoints, taus, source)`` per half, in the order requested;
-    ``source[i]`` is the row of the pass, halves in order, whose transport
-    row i took.
+    ``(paths, endpoints, taus)`` per half, in the order requested.
     """
     for half in halves:
         if half not in HALVES:
@@ -768,7 +731,7 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
 def isometry_residual(chart, x0, sampler: SamplerConfig):
     """Worst deviation of sampled horizontal transports from metric isometries."""
     x0 = np.asarray(x0, dtype=float)
-    ((_, ends, taus, _),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
+    ((_, ends, taus),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
     if not len(taus):
         return 0.0
     P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)

@@ -9,10 +9,11 @@ three ``kbench`` workloads (``holonomy_shipped``, ``verify_shipped`` and
 ``wide_products``), plus two more report seeds per config
 (``workloads.report_seed`` of the next two sweeps), a ``spinor`` report of
 each shipped config at each ``holonomy_shipped`` seed, and three
-``partly_shared`` holonomy reports at long horizons, whose sampling passes
-share all but one row between their halves (``PARTLY_SHARED``).  One line
-per report: workload (``spinor`` and ``partly_shared`` for the extra
-reports), config, seed and the digest of the report text.
+``partly_shared`` holonomy reports at long horizons, where an adapted half
+would accept another draw than the horizontal half for one path
+(``PARTLY_SHARED``).  One line per report: workload (``spinor`` and
+``partly_shared`` for the extra reports), config, seed and the digest of
+the report text.
 
 It also digests 120 ``chart_arrays`` outputs: every chart of
 ``EXAMPLES`` and the three ``wide_products`` mixes, at orders 0-2, for
@@ -56,8 +57,9 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
-# (label, config, sampler fields): one adapted path of each pass accepts
-# another draw than its horizontal twin and is transported on its own
+# (label, config, sampler fields): for one path index an adapted half would
+# accept another draw than the horizontal half, whose path the normal-form
+# route conjugates the adapted samples along
 PARTLY_SHARED = [
     ("bergman_h4.8", "bergman", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),

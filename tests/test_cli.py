@@ -4,7 +4,6 @@ import os
 import subprocess
 import sys
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -477,36 +476,36 @@ def test_horizontal_pass_ignores_vertical_magnitude():
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
-    (paths, _, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
+    (paths, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(paths) == 8
     assert all(not np.any(p.vertical) for p in paths)
 
 
 @pytest.mark.parametrize("command", ["holonomy", "spinor"])
 def test_report_integrates_one_batch(monkeypatch, command):
-    # heisenberg paths never escape, so the horizontal and the adapted
-    # half of the one sampling pass make one positions pass and one
-    # transport pass
+    # heisenberg is in normal form, so the one sampling pass of a 64-path
+    # report has one half, the horizontal one, and its paths never escape:
+    # one positions pass and one transport pass, each of 64 rows
     from kcontact import holonomy, transport
 
-    calls = {"positions": 0, "transport": 0, "pass": 0}
+    rows = {"positions": [], "transport": [], "halves": []}
     positions, transports = transport._integrate_positions, transport._transport_positions
     sample_pass = holonomy.sampled_path_transports
 
-    def counting(key, fn):
+    def counting(key, fn, paths_at):
         def wrapper(*args, **kwargs):
-            calls[key] += 1
+            rows[key].append(len(args[paths_at]))
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(transport, "_integrate_positions", counting("positions", positions))
-    monkeypatch.setattr(transport, "_transport_positions", counting("transport", transports))
-    monkeypatch.setattr(holonomy, "sampled_path_transports", counting("pass", sample_pass))
+    monkeypatch.setattr(transport, "_integrate_positions", counting("positions", positions, 1))
+    monkeypatch.setattr(transport, "_transport_positions", counting("transport", transports, 2))
+    monkeypatch.setattr(holonomy, "sampled_path_transports", counting("halves", sample_pass, 3))
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"))
-    cfg.sampler = replace(cfg.sampler, n_paths=16)
+    assert cfg.sampler.n_paths == 64
     report = cli.holonomy_report(cfg) if command == "holonomy" else cli.spinor_report(cfg)
     assert report["command"] == command
-    assert calls == {"positions": 1, "transport": 1, "pass": 1}
+    assert rows == {"positions": [64], "transport": [64], "halves": [1]}
 
 
 def test_closure_blow_up_exit_5(tmp_path, capsys):

@@ -25,6 +25,7 @@ from kcontact.holonomy import holonomy_samples, lie_closure
 from conftest import domain_points
 from fd_oracles import gauged_chart, structure_fd
 from test_golden import _structure
+from test_rotated_chart import WIDE_MIXES
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -39,11 +40,8 @@ BUILT_IN_DIMS = {"disc_disc_12": (1, 2, 1, 1), "bergman": (3, 4, 3, 1),
                  "perturbed_disc_disc": (2, 2, 2, 0)}
 
 
-def _gauged_config(monkeypatch, name):
-    """The shipped config ``name`` at 8 paths and seed 0, with
-    ``cli._resolve_chart`` patched to gauge its chart."""
-    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
-    cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, seed=0)
+def _gauge_resolved_charts(monkeypatch):
+    """Patch ``cli._resolve_chart`` to gauge the chart it resolves."""
     resolve = cli._resolve_chart
 
     def gauged(cfg):
@@ -51,6 +49,14 @@ def _gauged_config(monkeypatch, name):
         return gauged_chart(chart, PAIR, EPS), x0
 
     monkeypatch.setattr(cli, "_resolve_chart", gauged)
+
+
+def _gauged_config(monkeypatch, name):
+    """The shipped config ``name`` at 8 paths and seed 0, with
+    ``cli._resolve_chart`` patched to gauge its chart."""
+    cfg = cli.load_config(str(CONFIGS / f"{name}.json"))
+    cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, seed=0)
+    _gauge_resolved_charts(monkeypatch)
     return cfg
 
 
@@ -97,6 +103,20 @@ def test_gauged_holonomy_structure(monkeypatch, name):
             report["codim"]) == BUILT_IN_DIMS[name]
     monkeypatch.undo()
     assert _structure(report) == _structure(cli.holonomy_report(cfg))
+
+
+@pytest.mark.parametrize("name", WIDE_MIXES)
+def test_gauged_wide_mix_structure(monkeypatch, name):
+    # at m = 3 the gauged chart, off normal form, takes both halves of the
+    # sampling pass and the Reeb term: the report keeps the built-in
+    # chart's dims, codim, cross-variant dims, blocks and spinor kernels
+    cfg = cli.RunConfig.from_dict({"manifold": {"type": "product", "factors": WIDE_MIXES[name]}})
+    cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, seed=0)
+    built_in = _structure(cli.holonomy_report(cfg))
+    _gauge_resolved_charts(monkeypatch)
+    report = cli.holonomy_report(cfg)
+    assert report["manifold"].startswith("gauged[")
+    assert _structure(report) == built_in
 
 
 @pytest.mark.parametrize("name", ["disc_disc_12", "bergman", "perturbed_disc_disc", "heisenberg"])

@@ -93,7 +93,8 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
 
     monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
     every, base = H.holonomy_samples(chart, x0, cfg)
-    assert passes == [("horizontal", "adapted")]
+    # bergman is in normal form: the adapted samples take the horizontal half
+    assert passes == [("horizontal",)]
     # the base point's order-2 data, as a report's splitting reads it
     assert base.R is not None and np.array_equal(base.x, x0[None])
     assert set(every) == set(single)
@@ -103,7 +104,7 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     # lists of samples close to the same algebra as their array
     for v in ("wagner", "adapted"):
         assert np.array_equal(H.lie_closure(every[v]).basis, H.lie_closure(list(every[v])).basis)
-    # the Schouten variants alone integrate only the horizontal half
+    # so do the Schouten variants alone
     horizontal, _ = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
     assert passes[1:] == [("horizontal",)]
     for v, samples in horizontal.items():
@@ -139,9 +140,9 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
 
 
 def test_report_samples_memory_is_bounded(charts):
-    # off normal form every row of a 64-path pass is its own source, and
-    # the order-2 ends are evaluated one half at a time: the peak is about
-    # 2.8 MB, and one evaluation over both halves would reach 3.7 MB
+    # off normal form a 64-path pass has both halves, and their order-2
+    # ends are evaluated one half at a time: the peak is about 2.8 MB, and
+    # one evaluation over both halves would reach 3.7 MB
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     sampler = T.SamplerConfig(n_paths=64)
     H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
@@ -316,7 +317,7 @@ def test_conjugation_covariance(charts):
     chart = charts["bergman"]
     x = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=48, seed=3)
-    ((paths, _, _, _),) = T.sampled_path_transports(
+    ((paths, _, _),) = T.sampled_path_transports(
         chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99),
         ("horizontal",))
     path = paths[0]

@@ -19,6 +19,7 @@ import pytest
 
 from kcontact import cli
 from kcontact import connection as C
+from kcontact import holonomy as H
 from kcontact import manifolds as M
 from kcontact import transport as T
 from kcontact.errors import DomainError
@@ -168,7 +169,7 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
         batches.clear()
         halves = T.sampled_path_transports(c, np.zeros(5), sampler)
         return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
-                               for paths, ends, *_ in halves], [taus for _, _, taus, _ in halves]
+                               for paths, ends, _ in halves], [taus for _, _, taus in halves]
 
     fast, slow = both_ways(charts["bergman"], run)
     # positions, alive flags, controls and ends keep their bits; the
@@ -347,8 +348,8 @@ def test_singular_metric_block_exits_5(monkeypatch, capsys):
 
 
 def _accepted_draws(chart, sampler, monkeypatch):
-    """Both halves of one sampling pass, and the attempt of each half's
-    accepted draw of each path index (its last draw)."""
+    """Both halves of one sampling pass, and the path indices whose
+    accepted draw (the last) has the same attempt in both halves."""
     draw = T._draw_path
     signature = inspect.signature(draw)
     accepted = {}
@@ -369,26 +370,18 @@ def _accepted_draws(chart, sampler, monkeypatch):
 def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # on a normal-form chart [xi, e_a] = 0 and no coefficient reads t, so
     # Reeb controls move only t: where both halves accept the same attempt
-    # of path i, the adapted paths transported on their own, Reeb brackets
-    # included, give the horizontal transports bit for bit, the ends differ
-    # in t alone and their order-2 frame data do not differ at all; the
-    # sampling pass shares exactly those rows (transport.shared_draws) and
-    # names horizontal row i as their source, every other row its own
+    # of path i, the adapted paths, transported with their Reeb brackets in
+    # a two-half pass, give the horizontal transports bit for bit, the ends
+    # differ in t alone and their order-2 frame data do not differ at all.
+    # This is why holonomy_samples conjugates the adapted samples along the
+    # horizontal half there
     chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
-    ((h_paths, h_ends, h_taus, h_src), (a_paths, a_ends, a_taus, a_src)), same = _accepted_draws(
+    ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
         chart, sampler, monkeypatch)
-    n = sampler.n_paths
-    assert len(same) >= n // 2
-    shared = T.shared_draws(chart, h_paths, a_paths)
-    assert list(np.nonzero(shared)[0]) == same
-    assert list(h_src) == list(range(n))
-    assert list(a_src) == list(np.where(shared, np.arange(n), n + np.arange(n)))
-    adapted = [a_paths[i] for i in same]
-    assert all(np.all(p.vertical != 0.0) for p in adapted)
-    xs, alive, h = T._integrate_positions(chart, adapted, sampler.step, raise_on_exit=False)
-    assert np.all(alive)
-    assert T._transport_positions(chart, xs, adapted, h).tobytes() == h_taus[same].tobytes()
+    assert len(same) >= sampler.n_paths // 2
+    assert all(np.array_equal(a_paths[i].controls, h_paths[i].controls) for i in same)
+    assert all(np.all(a_paths[i].vertical != 0.0) for i in same)
     assert a_taus[same].tobytes() == h_taus[same].tobytes()
     assert a_ends[same, :-1].tobytes() == h_ends[same, :-1].tobytes()
     assert np.all(a_ends[same, -1] != h_ends[same, -1])
@@ -402,45 +395,70 @@ def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
     # on the rotated chart the Reeb brackets do not vanish, so the same
     # draw transports differently in the two halves
     sampler = T.SamplerConfig(n_paths=16)
-    ((*_, h_taus, h_src), (*_, a_taus, a_src)), same = _accepted_draws(
+    ((*_, h_taus), (*_, a_taus)), same = _accepted_draws(
         rotated_chart(charts["disc_disc_12"], (0, 1), 0.7), sampler, monkeypatch)
     assert len(same) >= sampler.n_paths // 2
     assert all(np.any(a_taus[i] != h_taus[i]) for i in same)
-    assert list(np.concatenate([h_src, a_src])) == list(range(2 * sampler.n_paths))
 
 
-def test_pass_with_unmatched_draws_takes_the_full_route_for_them(monkeypatch):
+@pytest.mark.parametrize("name", ["bergman", "disc_disc_12", "perturbed_disc_disc"])
+def test_adapted_samples_are_those_of_the_adapted_half(name):
+    # holonomy_samples conjugates the adapted samples along the horizontal
+    # half; where every draw matches they are the zero-extension curvature
+    # R at the adapted half's own ends, conjugated by its own transports
+    chart, x0 = _chart(name), np.zeros(5)
+    sampler = T.SamplerConfig(n_paths=16, seed=4)
+    got = H.holonomy_samples(chart, x0, sampler, ("adapted",))[0]["adapted"]
+    (h_paths, _, _), (paths, ends, taus) = T.sampled_path_transports(chart, x0, sampler)
+    assert all(np.array_equal(a.controls, b.controls) for a, b in zip(h_paths, paths))
+    base, data = C.frame_data(chart, x0[None], order=2), C.frame_data(chart, ends, order=2)
+    taus_o = C.ortho_transports(taus, data.Pinv, base.P[0])
+    a, b = np.triu_indices(4, 1)
+    R0 = C.ortho_curvature(base.R, base.P, base.Pinv)[0, a, b]
+    R = C.ortho_curvature(data.R, data.P, data.Pinv)[:, a, b]
+    want = np.linalg.inv(taus_o)[:, None] @ R @ taus_o[:, None]
+    want = np.concatenate([R0, 0.5 * (want - want.swapaxes(-1, -2)).reshape(-1, 4, 4)])
+    assert got.shape == want.shape == (6 * 17, 4, 4)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+def test_normal_form_pass_has_the_horizontal_half_alone(charts, monkeypatch):
+    # every normal-form chart asks the pass for its horizontal half; the
+    # rotated chart, off normal form, asks for an adapted half as well
+    # when the adapted variant is wanted
+    passes = []
+    sample_pass = H.sampled_path_transports
+
+    def recording(chart, x, sampler, halves):
+        passes.append(tuple(halves))
+        return sample_pass(chart, x, sampler, halves)
+
+    monkeypatch.setattr(H, "sampled_path_transports", recording)
+    sampler = T.SamplerConfig(n_paths=2)
+    for name in CONFIGS:
+        chart = _chart(name)
+        H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
+    assert passes == [("horizontal",)] * len(CONFIGS)
+    rotated = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
+    for variants in (("wagner", "annihilator", "adapted"), ("wagner",), ("adapted",)):
+        H.holonomy_samples(rotated, np.zeros(5), sampler, variants)
+    assert passes[len(CONFIGS):] == [("horizontal", "adapted"), ("horizontal",), ("adapted",)]
+
+
+def test_unmatched_draws_keep_the_structure():
     # bergman at horizon 2.4, seed 3, 8 paths: path 4 accepts attempt 6 in
-    # the horizontal half and attempt 5 in the adapted half.  The pass
-    # transports the 8 horizontal rows and that one adapted row; its
-    # adapted transports and ends are, bit for bit, those of all 16 rows
-    # transported together, and the report is the one rendered with
-    # nothing shared
+    # the horizontal half and attempt 5 in the adapted half, so the adapted
+    # samples of the normal-form route, along the horizontal path 4, are
+    # not those of the adapted path 4 that the general route, taking both
+    # halves, conjugates along.  Both routes find the same structure
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
     chart, x0 = cli._resolve_chart(cfg)
-    assert not np.any(x0)
-    transported = []
-    transport_positions = T._transport_positions
-
-    def recording(chart, xs, paths, h):
-        transported.append(len(paths))
-        return transport_positions(chart, xs, paths, h)
-
-    monkeypatch.setattr(T, "_transport_positions", recording)
-    ((h_paths, *_), (a_paths, a_ends, a_taus, _)), same = _accepted_draws(
-        chart, cfg.sampler, monkeypatch)
-    assert same == [0, 1, 2, 3, 5, 6, 7]
-    assert transported == [8 + 1]
-    xs, alive, h = T._integrate_positions(chart, h_paths + a_paths, cfg.sampler.step,
-                                          raise_on_exit=False)
-    assert np.all(alive)
-    assert a_taus.tobytes() == T._transport_positions(chart, xs, h_paths + a_paths, h)[8:].tobytes()
-    assert a_ends.tobytes() == xs[8:, -1, -1].tobytes()
-    shared = cli.render_report(cli.holonomy_report(cfg))
-
-    def nothing_shared(chart, first, second):
-        return np.zeros(len(second), dtype=bool)
-
-    monkeypatch.setattr(T, "shared_draws", nothing_shared)
-    assert cli.render_report(cli.holonomy_report(cfg)) == shared
+    with pytest.MonkeyPatch.context() as mp:
+        assert _accepted_draws(chart, cfg.sampler, mp)[1] == [0, 1, 2, 3, 5, 6, 7]
+    fields = ("dims", "codim", "contained", "ideal", "spinor_kernel")
+    normal_form = cli.holonomy_report(cfg)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_resolve_chart", lambda cfg: (dataclasses.replace(chart), x0))
+        general = cli.holonomy_report(cfg)
+    assert {k: normal_form[k] for k in fields} == {k: general[k] for k in fields}

@@ -50,7 +50,7 @@ def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02
     sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
-        ((paths, _, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
+        ((paths, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
     return paths
 
 
@@ -511,6 +511,16 @@ def test_curve_api_refusals(charts):
         T.balanced_loop(one_pair, np.zeros(3), np.random.default_rng(3))
 
 
+def test_transport_theta_checks_method_before_sampling(charts):
+    # a curve that leaves the bergman ball: an unknown method is named
+    # before the samples meet the boundary
+    outward = T.ParametricCurve([_segment(np.zeros(5), [2.0, 0, 0, 0, 0])])
+    with pytest.raises(ValueError, match="unknown method 'trapezoid'"):
+        T.transport_theta(charts["bergman"], outward, "trapezoid")
+    with pytest.raises(DomainError):
+        T.transport_theta(charts["bergman"], outward, "ode")
+
+
 def test_sampler_contract(charts):
     chart = charts["disc_disc_11"]
     x0 = np.zeros(5)
@@ -580,7 +590,7 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
     expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
                       for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
-    for (paths, ends, taus, _), ref in zip(halves, refs):
+    for (paths, ends, taus), ref in zip(halves, refs):
         assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
         for i, (_, path, end, tau) in enumerate(ref):
             assert np.array_equal(paths[i].controls, path.controls)
@@ -635,7 +645,7 @@ def _pass_and_reference(chart, sampler):
     """The largest differences of ends and transports between a sampling
     pass and the coupled reference on its paths."""
     worst = np.zeros(2)
-    for paths, *got, _ in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
+    for paths, *got in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
         for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
             worst[i] = max(worst[i], np.max(np.abs(g - r)))
     return worst
@@ -694,12 +704,12 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
     pytest.param(True, 8, 16, id="rotated-8-16")])
 def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, n_paths, rows):
     # a pass over P rows evaluates the connection over blocks of
-    # max(1, ROWS // P) of a segment's 16 steps: a 64-path pass on the
-    # rotated chart (both halves, 128 rows) makes one call per step, every
-    # smaller pass one per block; on heisenberg, in normal form, the
-    # adapted half repeats every horizontal draw, so a pass transports its
-    # n horizontal rows alone; every pass evaluates its shared start once
-    # and two samples per row and step, as the per-step loop does
+    # max(1, ROWS // P) of a segment's 16 steps: a 64-path pass with both
+    # halves (128 rows, the holonomy pass off normal form, here on the
+    # rotated chart) makes one call per step, every smaller pass one per
+    # block; heisenberg, in normal form, gets the horizontal half alone
+    # (n rows); every pass evaluates its shared start once and two samples
+    # per row and step, as the per-step loop does
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if rotated else charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
@@ -714,7 +724,9 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
         path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
         T.transport(chart, path, "schouten")
     else:
-        T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths))
+        halves = T.HALVES if rotated else ("horizontal",)
+        T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths),
+                                  halves)
     block = max(1, T.ROWS // rows)
     assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": 1 + rows * 2 * 4 * 16}
 
@@ -854,7 +866,7 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
     assert v.shape == (8, 5)
-    assert [taus.shape for _, _, taus, _ in halves] == [(2, 4, 4)] * 2
+    assert [taus.shape for _, _, taus in halves] == [(2, 4, 4)] * 2
 
 
 def test_wide_sampling_pass_memory_is_bounded():
