@@ -264,8 +264,8 @@ def _cross_variant_residual(h_w, h_a):
 def holonomy_report(cfg: RunConfig):
     """The holonomy pipeline: algebras, splitting, regression, spinors.
 
-    One sampling pass (``holonomy_samples``) feeds both Wagner and
-    annihilator samples from its horizontal half; the Wagner closure is
+    The horizontal sampling pass of ``holonomy_samples`` feeds both Wagner
+    and annihilator samples; the Wagner closure is
     the horizontal algebra ``h`` and is cross-checked against the
     annihilator closure on the same transports.  The adapted samples give
     the zero-extension algebra ``h0``.
@@ -361,7 +361,7 @@ def spinor_report(cfg: RunConfig):
         {"index": i, "level": rep.grading(i), "eigenvalue_imag": float(np.imag(sig[i, i]))}
         for i in range(rep.dim)
     ]
-    samples, _ = holonomy_samples(chart, x0, cfg.sampler, ("wagner", "adapted"))
+    samples, _ = holonomy_samples(chart, x0, cfg.sampler)
     h = lie_closure(samples["wagner"], cfg.span_tol)
     h0 = lie_closure(samples["adapted"], cfg.span_tol)
     return {

@@ -6,14 +6,13 @@ so the samples land in so(2m), and bracket closure upgrades the sampled
 span to a Lie algebra.  Two independent sampling routes exist for the
 horizontal holonomy: Wagner curvature on frame pairs, and horizontal
 curvature on bivectors annihilated by dtheta; their spans must agree.
-One sampling pass (:func:`holonomy_samples`) feeds both routes and the
-adapted zero-extension samples, with one order-2 evaluation of the base
-point, which the transverse splitting reads too.  On a chart in normal
-form ``[xi, e_a] = 0`` and no coefficient reads t, so a path's
-zero-extension transport and its end's curvature are those of the
-horizontal path with the same horizontal controls: every variant takes
-the pass's horizontal half.  Off normal form the adapted samples take an
-adapted half, integrated with the horizontal one as one batch.  The frame
+On a chart in normal form ``[xi, e_a] = 0`` and no coefficient reads t,
+so a path's zero-extension transport and its end's curvature are those of
+the horizontal path with the same horizontal controls: one horizontal
+sampling pass (:func:`holonomy_samples`) feeds both routes and the adapted
+zero-extension samples.  Off normal form the adapted samples take a second
+pass, of paths with Reeb-direction controls.  The base point is evaluated
+at order 2 once, and the transverse splitting reads it too.  The frame
 data carries its orthonormal frame, and each variant's samples come out
 as one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
@@ -29,7 +28,7 @@ import numpy as np
 
 from .connection import frame_data, ortho_curvature, ortho_transports, ortho_two_form
 from .errors import NumericsError
-from .transport import HALVES, SamplerConfig, sampled_path_transports
+from .transport import SamplerConfig, sampled_path_transports
 
 __all__ = [
     "MatrixLieAlgebra",
@@ -206,53 +205,53 @@ def _annihilator_pairs(data):
     return np.einsum("...abec,...pab->...pec", R_o, beta)
 
 
-# sample generators of each variant, and the half of the sampling pass whose
-# transports conjugate them
+# sample generators of each variant, and whether, off normal form, they are
+# conjugated along paths with Reeb-direction controls
 _VARIANTS = {
-    "wagner": (_pair_matrices("RW"), "horizontal"),
-    "annihilator": (_annihilator_pairs, "horizontal"),
-    "adapted": (_pair_matrices("R"), "adapted"),
+    "wagner": (_pair_matrices("RW"), False),
+    "annihilator": (_annihilator_pairs, False),
+    "adapted": (_pair_matrices("R"), True),
 }
 
 
-def holonomy_samples(chart, x, sampler: SamplerConfig, variants=tuple(_VARIANTS)):
-    """``({variant: samples}, base)`` at x, from one sampling pass.
+def holonomy_samples(chart, x, sampler: SamplerConfig):
+    """``({variant: samples}, base)`` at x for every variant.
 
     ``'wagner'``: Wagner curvature on frame pairs, conjugated along
     horizontal paths.  ``'annihilator'``: horizontal curvature on bivectors
     with dtheta(beta) = 0, along the same paths; both span the horizontal
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
-    pairs (its mixed curvature vanishes), conjugated along arbitrary paths
-    with Reeb-direction controls (classical Ambrose-Singer), or on a chart
-    in normal form along the horizontal paths, which give the same
-    transports and end curvatures.  Only the halves that the variants need
-    are integrated; each half's ends are evaluated at order 2 and its
-    transports inverted once, for all its variants.  Each variant's samples
-    are one ``(count, 2m, 2m)`` array: the base point's (the trivial path),
-    then the conjugated samples of every path, in the orthonormal frame.
-    ``base`` is the order-2 frame data of x alone.
+    pairs (its mixed curvature vanishes), conjugated along paths with
+    Reeb-direction controls at the sampler's ``magnitude`` (classical
+    Ambrose-Singer), or on a chart in normal form along the horizontal
+    paths, which give the same transports and end curvatures.  So a chart
+    in normal form takes one sampling pass and any other chart two
+    (horizontal, then Reeb); each pass's ends are evaluated at order 2 and
+    its transports inverted once, for all its variants.  Each variant's
+    samples are one ``(count, 2m, 2m)`` array: the base point's (the
+    trivial path), then the conjugated samples of every path, in the
+    orthonormal frame.  ``base`` is the order-2 frame data of x alone.
     """
-    for v in variants:
-        if v not in _VARIANTS:
-            raise ValueError(f"unknown variant {v!r}")
-    half_of = {v: "horizontal" if chart.normal_form else _VARIANTS[v][1] for v in variants}
-    halves = [h for h in HALVES if h in half_of.values()]
     x = np.asarray(x, dtype=float)
-    results = sampled_path_transports(chart, x, sampler, halves)
+    horizontal = sampled_path_transports(chart, x, sampler)
     base = frame_data(chart, x[None], order=2)
-    samples = {v: _VARIANTS[v][0](base)[0] for v in variants}
+    samples = {v: pairs(base)[0] for v, (pairs, _) in _VARIANTS.items()}
     if not sampler.n_paths:
         return samples, base
-    # the ends are evaluated one half at a time: the order-2 temporaries
-    # grow with the batch, and one evaluation over both halves doubles the
-    # peak memory of a report
-    for half, (_, points, taus) in zip(halves, results):
+
+    def conjugate(variants, sampled):  # its order-2 data goes before the next pass
+        _, points, taus = sampled
         data = frame_data(chart, points, order=2)
         taus_o = ortho_transports(taus, data.Pinv, base.P[0])
         inv = np.linalg.inv(taus_o)
-        for v in (v for v in variants if half_of[v] == half):
+        for v in variants:
             conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
             samples[v] = np.concatenate([samples[v], conjugated])
+
+    reeb = [v for v, (_, needs_reeb) in _VARIANTS.items() if needs_reeb and not chart.normal_form]
+    conjugate([v for v in _VARIANTS if v not in reeb], horizontal)
+    if reeb:
+        conjugate(reeb, sampled_path_transports(chart, x, sampler, sampler.magnitude))
     return samples, base
 
 
@@ -260,12 +259,12 @@ def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):
     """Horizontal-holonomy generators at x (:func:`holonomy_samples`)."""
     if variant not in ("wagner", "annihilator"):
         raise ValueError(f"unknown variant {variant!r}")
-    return holonomy_samples(chart, x, sampler, (variant,))[0][variant]
+    return holonomy_samples(chart, x, sampler)[0][variant]
 
 
 def as_samples_adapted(chart, x, sampler: SamplerConfig):
     """Zero-extension holonomy generators at x (:func:`holonomy_samples`)."""
-    return holonomy_samples(chart, x, sampler, ("adapted",))[0]["adapted"]
+    return holonomy_samples(chart, x, sampler)[0]["adapted"]
 
 
 # ---------------------------------------------------------------------------

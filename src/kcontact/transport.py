@@ -19,12 +19,11 @@ are running sums of one RK4 increment, t needs one order-0 evaluation per
 chunk of stage points, and the Reeb flow shifts t without a chart call;
 the bits are those of the general path.  Both routes read the connection
 through ``connection.transport_data``.  The
-holonomy sampler runs both passes in batch: one sampling pass draws a
-horizontal half, an adapted half or both of random control paths,
+holonomy sampler runs both passes in batch: one sampling pass draws random
+control paths, horizontal or with Reeb controls at one magnitude,
 integrates their positions as one lockstep batch, redraws escaped paths,
-and transports the accepted ones.  Path i of both halves draws its
-horizontal controls from one (seed, i, attempt) stream; the adapted half
-then draws Reeb controls.
+and transports the accepted ones.  Path i draws its horizontal controls
+from one (seed, i, attempt) stream, then its Reeb controls, if any.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -63,7 +62,6 @@ __all__ = [
 ]
 
 TRANSPORT_KINDS = ("schouten", "adapted")
-HALVES = ("horizontal", "adapted")  # the two halves of a sampling pass
 HORIZONTAL_TOL = 1e-6
 THETA_STEP = 0.005  # sampling step of transport_theta for unsampled curves
 REEB_STEP = 0.01  # largest RK4 step of the Reeb flow, in flow time
@@ -661,77 +659,54 @@ def _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
     return ControlPath(x0, controls, horizon, step, vertical)
 
 
-def _sample_and_integrate(chart, x0, sampler: SamplerConfig, vertical_magnitudes):
-    """Draw the paths of every half, integrate their positions in one
+def sampled_path_transports(chart, x0, sampler: SamplerConfig, vertical_magnitude=0.0):
+    """Draw ``sampler.n_paths`` paths, integrate their positions in one
     batch, redraw the ones that escape, then transport all in one batch.
 
-    Half k draws ``sampler.n_paths`` paths whose segments carry
-    Reeb-direction controls at ``vertical_magnitudes[k]`` (0 draws
-    horizontal paths); its rows follow those of half k - 1.  Attempt k
-    redraws every row still escaped after attempt k - 1, of every half, all
-    in one batch, up to ``MAX_ATTEMPTS`` draws per row.  Each draw comes
-    from the (seed, path index, attempt) stream, which every half shares
-    (a half with Reeb controls draws them after the horizontal ones), so
-    the accepted paths depend neither on how the batches are formed nor on
-    the other halves.  Returns one ``(paths, endpoints, transports)`` per
-    half.
+    Each segment of a path carries a Reeb-direction control at
+    ``vertical_magnitude`` (0 draws horizontal paths).  Attempt k redraws
+    every path still escaped after attempt k - 1, in one batch, up to
+    ``MAX_ATTEMPTS`` draws per path.  Each draw comes from the (seed, path
+    index, attempt) stream, and a path with Reeb controls draws them after
+    its horizontal ones, so the accepted paths do not depend on how the
+    batches are formed.  Returns ``(paths, endpoints, taus)``.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
         raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
-    n_paths, step = sampler.n_paths, sampler.step
+    step = sampler.step
 
-    def draw(r, attempt):
+    def draw(i, attempt):
         return _draw_path(chart, x0, sampler.segments, sampler.horizon, sampler.magnitude,
-                          sampler.seed, step, vertical_magnitudes[r // n_paths],
-                          r % n_paths, attempt)
+                          sampler.seed, step, vertical_magnitude, i, attempt)
 
-    paths = [draw(r, 0) for r in range(n_paths * len(vertical_magnitudes))]
+    paths = [draw(i, 0) for i in range(sampler.n_paths)]
     if not paths:
-        tm = 2 * chart.m
-        return [([], np.zeros((0, chart.dim)), np.zeros((0, tm, tm))) for _ in vertical_magnitudes]
+        return [], np.zeros((0, chart.dim)), np.zeros((0, 2 * chart.m, 2 * chart.m))
     xs, alive, h = _integrate_positions(chart, paths, step, raise_on_exit=False)
     pending = np.nonzero(~alive)[0]
     for attempt in range(1, MAX_ATTEMPTS):
         if not len(pending):
             break
-        cands = [draw(r, attempt) for r in pending]
+        cands = [draw(i, attempt) for i in pending]
         xr, ok, _ = _integrate_positions(chart, cands, step, raise_on_exit=False)
         for j in np.nonzero(ok)[0]:
-            r = pending[j]
-            paths[r] = cands[j]
-            xs[r] = xr[j]
+            i = pending[j]
+            paths[i] = cands[j]
+            xs[i] = xr[j]
         pending = pending[~ok]
     if len(pending):
         raise SamplingError(
-            f"could not sample an in-domain path for index {pending[0] % n_paths} "
+            f"could not sample an in-domain path for index {pending[0]} "
             f"after {MAX_ATTEMPTS} attempts"
         )
-    M = _transport_positions(chart, xs, paths, h)
-    x = xs[:, -1, -1]
-    return [(paths[k:k + n_paths], x[k:k + n_paths], M[k:k + n_paths])
-            for k in range(0, len(paths), n_paths)]
-
-
-def sampled_path_transports(chart, x0, sampler: SamplerConfig, halves=HALVES):
-    """Sampled paths together with their transports, in one integration pass.
-
-    Each requested half gets ``sampler.n_paths`` paths: the horizontal
-    half draws horizontal paths, the adapted half also gives each segment
-    a Reeb-direction control at the sampler's ``magnitude``.  Returns one
-    ``(paths, endpoints, taus)`` per half, in the order requested.
-    """
-    for half in halves:
-        if half not in HALVES:
-            raise ValueError(f"unknown sampling half {half!r}")
-    return _sample_and_integrate(
-        chart, x0, sampler, [sampler.magnitude if half == "adapted" else 0.0 for half in halves])
+    return paths, xs[:, -1, -1], _transport_positions(chart, xs, paths, h)
 
 
 def isometry_residual(chart, x0, sampler: SamplerConfig):
     """Worst deviation of sampled horizontal transports from metric isometries."""
     x0 = np.asarray(x0, dtype=float)
-    ((_, ends, taus),) = sampled_path_transports(chart, x0, sampler, ("horizontal",))
+    _, ends, taus = sampled_path_transports(chart, x0, sampler)
     if not len(taus):
         return 0.0
     P0, _ = orthonormal_frame_change(chart_arrays(chart, x0[None], order=0, fields=("G",)).G)

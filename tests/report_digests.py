@@ -4,15 +4,19 @@
     python tests/report_digests.py --root DIR         # digests of another checkout
     python tests/report_digests.py --compare OLD NEW  # diff two checkouts
 
-Renders 93 reports exactly as ``kcontact`` writes them: the blocks of the
+Renders 109 reports exactly as ``kcontact`` writes them: the blocks of the
 three ``kbench`` workloads (``holonomy_shipped``, ``verify_shipped`` and
 ``wide_products``), plus two more report seeds per config
 (``workloads.report_seed`` of the next two sweeps), a ``spinor`` report of
-each shipped config at each ``holonomy_shipped`` seed, and three
-``partly_shared`` holonomy reports at long horizons, where an adapted half
-would accept another draw than the horizontal half for one path
-(``PARTLY_SHARED``).  One line per report: workload (``spinor`` and
-``partly_shared`` for the extra reports), config, seed and the digest of
+each shipped config at each ``holonomy_shipped`` seed, three
+``partly_shared`` holonomy reports at long horizons, where a pass of paths
+with Reeb controls would accept another draw than the horizontal pass for
+one path (``PARTLY_SHARED``), and 16 ``general_path`` reports: holonomy
+and verify on four charts off normal form (``GENERAL_PATH``), the only
+charts whose adapted samples take a second pass.  The gauged charts come
+from ``fd_oracles.gauged_chart`` in this script's own ``tests/``.  One
+line per report: workload (``spinor``, ``partly_shared`` and
+``general_path`` for the extra reports), config, seed and the digest of
 the report text.
 
 It also digests 120 ``chart_arrays`` outputs: every chart of
@@ -35,7 +39,7 @@ unchanged" and "only this leaf moved" are checked by the tool.  It also
 prints the line total of each checkout's ``src/kcontact/*.py``, as
 ``wc -l`` counts it, so one run gives a change's size and its byte
 identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
-about 12 s per checkout on 2 cores.  It is not part of the test suite.
+about 10 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -57,14 +61,25 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
-# (label, config, sampler fields): for one path index an adapted half would
-# accept another draw than the horizontal half, whose path the normal-form
-# route conjugates the adapted samples along
+# (label, config, sampler fields): for one path index a pass with Reeb
+# controls would accept another draw than the horizontal pass, whose path
+# the normal-form route conjugates the adapted samples along
 PARTLY_SHARED = [
     ("bergman_h4.8", "bergman", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("bergman_h2.4", "bergman", {"horizon": 2.4, "n_paths": 8, "seed": 3}),
 ]
+# (label, shipped config or ``wide_products`` mix, chart change): charts off
+# normal form, whose adapted samples take a second pass of paths with Reeb
+# controls; each gives a holonomy and a verify report at each of
+# GENERAL_PATH_SEEDS, at 8 paths
+GENERAL_PATH = [
+    ("gauged_bergman", "bergman", "gauged"),
+    ("gauged_disc_disc_12", "disc_disc_12", "gauged"),
+    ("gauged_disc3_b123", "disc3_b123", "gauged"),
+    ("replaced_bergman", "bergman", "replaced"),
+]
+GENERAL_PATH_SEEDS = (0, 1)
 # field mixes of the chart-array digests: all fields, theta, the frame and
 # the metric alone, and the (th, xi, E) that sampled curves ask for
 CHART_FIELD_MIXES = [("th", "xi", "E", "G"), ("th",), ("E",), ("G",), ("th", "xi", "E")]
@@ -128,7 +143,41 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows.append(("partly_shared", label, cfg.sampler.seed,
                      cli.render_report(cli.holonomy_report(cfg))))
-    return rows + chart_digests()
+    return rows + general_path_reports(root) + chart_digests()
+
+
+def general_path_reports(root):
+    """``("general_path", label, seed, text)`` of the ``GENERAL_PATH``
+    reports: ``cli._resolve_chart`` is patched to gauge the chart it
+    resolves (``fd_oracles.gauged_chart`` in frame plane (1, 2), eps 0.7)
+    or to copy it with ``dataclasses.replace``, which leaves normal form."""
+    import workloads
+    from fd_oracles import gauged_chart
+    from kcontact import cli
+
+    change = {"gauged": lambda chart: gauged_chart(chart, (1, 2), 0.7), "replaced": replace}
+    resolve = cli._resolve_chart
+    rows = []
+    try:
+        for label, name, how in GENERAL_PATH:
+            cfg = (cli.RunConfig.from_dict({"manifold": {"type": "product",
+                                                         "factors": workloads.WIDE[name]}})
+                   if name in workloads.WIDE
+                   else cli.load_config(str(Path(root) / "configs" / f"{name}.json")))
+
+            def changed(cfg, how=how):
+                chart, x0 = resolve(cfg)
+                return change[how](chart), x0
+
+            cli._resolve_chart = changed
+            for seed in GENERAL_PATH_SEEDS:
+                cfg.sampler = replace(cfg.sampler, n_paths=8, seed=seed)
+                for fn in (cli.holonomy_report, cli.verify_report):
+                    rows.append(("general_path", f"{label}/{fn.__name__}", seed,
+                                 cli.render_report(fn(cfg))))
+    finally:
+        cli._resolve_chart = resolve
+    return rows
 
 
 def _sweep(root):

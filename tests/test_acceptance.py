@@ -84,7 +84,7 @@ def test_criterion_4_scalar_transport(charts):
         chart = charts[name]
         sampler = T.SamplerConfig(n_paths=4, segments=4, horizon=1.0, magnitude=0.35,
                                   step=0.02, seed=104)
-        ((paths, _, _),) = T._sample_and_integrate(chart, np.zeros(chart.dim), sampler, [0.4])
+        paths, _, _ = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, 0.4)
         for path in paths:
             sc = T.sample_curve(chart, path, 0.005)
             fq = T.transport_theta(chart, sc, "quadrature")

@@ -476,19 +476,19 @@ def test_horizontal_pass_ignores_vertical_magnitude():
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
-    (paths, _, _), _ = sampled_path_transports(chart, x0, cfg.sampler)
+    paths, _, _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(paths) == 8
     assert all(not np.any(p.vertical) for p in paths)
 
 
 @pytest.mark.parametrize("command", ["holonomy", "spinor"])
 def test_report_integrates_one_batch(monkeypatch, command):
-    # heisenberg is in normal form, so the one sampling pass of a 64-path
-    # report has one half, the horizontal one, and its paths never escape:
-    # one positions pass and one transport pass, each of 64 rows
+    # heisenberg is in normal form, so a 64-path report makes one sampling
+    # pass, of horizontal paths, and its paths never escape: one positions
+    # pass and one transport pass, each of 64 rows
     from kcontact import holonomy, transport
 
-    rows = {"positions": [], "transport": [], "halves": []}
+    rows = {"positions": [], "transport": [], "passes": []}
     positions, transports = transport._integrate_positions, transport._transport_positions
     sample_pass = holonomy.sampled_path_transports
 
@@ -498,14 +498,18 @@ def test_report_integrates_one_batch(monkeypatch, command):
             return fn(*args, **kwargs)
         return wrapper
 
+    def recording_pass(*args):
+        rows["passes"].append(args[3:])  # the Reeb magnitude, if one is passed
+        return sample_pass(*args)
+
     monkeypatch.setattr(transport, "_integrate_positions", counting("positions", positions, 1))
     monkeypatch.setattr(transport, "_transport_positions", counting("transport", transports, 2))
-    monkeypatch.setattr(holonomy, "sampled_path_transports", counting("halves", sample_pass, 3))
+    monkeypatch.setattr(holonomy, "sampled_path_transports", recording_pass)
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "heisenberg.json"))
     assert cfg.sampler.n_paths == 64
     report = cli.holonomy_report(cfg) if command == "holonomy" else cli.spinor_report(cfg)
     assert report["command"] == command
-    assert rows == {"positions": [64], "transport": [64], "halves": [1]}
+    assert rows == {"positions": [64], "transport": [64], "passes": [()]}
 
 
 def test_closure_blow_up_exit_5(tmp_path, capsys):

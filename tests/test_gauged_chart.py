@@ -107,9 +107,10 @@ def test_gauged_holonomy_structure(monkeypatch, name):
 
 @pytest.mark.parametrize("name", WIDE_MIXES)
 def test_gauged_wide_mix_structure(monkeypatch, name):
-    # at m = 3 the gauged chart, off normal form, takes both halves of the
-    # sampling pass and the Reeb term: the report keeps the built-in
-    # chart's dims, codim, cross-variant dims, blocks and spinor kernels
+    # at m = 3 the gauged chart, off normal form, takes a second sampling
+    # pass, with Reeb controls, and the Reeb term: the report keeps the
+    # built-in chart's dims, codim, cross-variant dims, blocks and spinor
+    # kernels
     cfg = cli.RunConfig.from_dict({"manifold": {"type": "product", "factors": WIDE_MIXES[name]}})
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, seed=0)
     built_in = _structure(cli.holonomy_report(cfg))
@@ -133,7 +134,7 @@ def test_adapted_dims_see_the_reeb_term(monkeypatch):
     cfg = _gauged_config(monkeypatch, "disc_disc_12")
 
     def adapted_dim():
-        samples, _ = holonomy_samples(*cli._resolve_chart(cfg), cfg.sampler, ("adapted",))
+        samples, _ = holonomy_samples(*cli._resolve_chart(cfg), cfg.sampler)
         return lie_closure(samples["adapted"], cfg.span_tol).dim
 
     assert adapted_dim() == 2

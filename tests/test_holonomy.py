@@ -88,13 +88,13 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     sample_pass = H.sampled_path_transports
 
     def counting_pass(*args, **kwargs):
-        passes.append(tuple(args[3]))
+        passes.append(args[3:])
         return sample_pass(*args, **kwargs)
 
     monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
     every, base = H.holonomy_samples(chart, x0, cfg)
-    # bergman is in normal form: the adapted samples take the horizontal half
-    assert passes == [("horizontal",)]
+    # bergman is in normal form: the adapted samples take the horizontal pass
+    assert passes == [()]
     # the base point's order-2 data, as a report's splitting reads it
     assert base.R is not None and np.array_equal(base.x, x0[None])
     assert set(every) == set(single)
@@ -104,18 +104,11 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
     # lists of samples close to the same algebra as their array
     for v in ("wagner", "adapted"):
         assert np.array_equal(H.lie_closure(every[v]).basis, H.lie_closure(list(every[v])).basis)
-    # so do the Schouten variants alone
-    horizontal, _ = H.holonomy_samples(chart, x0, cfg, ("wagner", "annihilator"))
-    assert passes[1:] == [("horizontal",)]
-    for v, samples in horizontal.items():
-        assert np.array_equal(samples, single[v])
     with pytest.raises(ValueError):
         H.as_samples_schouten(chart, x0, cfg, variant="bogus")
     with pytest.raises(ValueError):
         H.as_samples_schouten(chart, x0, cfg, variant="adapted")
-    with pytest.raises(ValueError):
-        H.holonomy_samples(chart, x0, cfg, ("wagner", "bogus"))
-    assert len(passes) == 2  # rejected before sampling
+    assert len(passes) == 1  # rejected before sampling
 
 
 def test_zero_length_paths_give_pointwise_curvature(charts):
@@ -135,14 +128,13 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
         for b in range(a + 1, 4):
             assert np.allclose(samples[k], RWo[a, b], atol=1e-12)
             k += 1
-    # no variants: the pass integrates no half and gives no samples
-    assert H.holonomy_samples(chart, x0, T.SamplerConfig(n_paths=4, seed=0), ())[0] == {}
 
 
 def test_report_samples_memory_is_bounded(charts):
-    # off normal form a 64-path pass has both halves, and their order-2
-    # ends are evaluated one half at a time: the peak is about 2.8 MB, and
-    # one evaluation over both halves would reach 3.7 MB
+    # off normal form a 64-path report makes two passes, and their order-2
+    # ends are evaluated one pass at a time, the first freed before the
+    # second pass: the peak is about 2.3 MB, and one evaluation over both
+    # passes' ends would reach 3.7 MB
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     sampler = T.SamplerConfig(n_paths=64)
     H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
@@ -317,9 +309,8 @@ def test_conjugation_covariance(charts):
     chart = charts["bergman"]
     x = np.zeros(5)
     cfg = T.SamplerConfig(n_paths=48, seed=3)
-    ((paths, _, _),) = T.sampled_path_transports(
-        chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99),
-        ("horizontal",))
+    paths, _, _ = T.sampled_path_transports(
+        chart, x, T.SamplerConfig(n_paths=1, segments=4, horizon=1.0, magnitude=0.4, seed=99))
     path = paths[0]
     res = T.transport(chart, path, "schouten")
     y = res.end

@@ -45,7 +45,7 @@ def test_chart_arrays_span_names_ignore_field_selection():
     assert tracer.counts["manifolds.chart_arrays.points"] == 9
 
 
-def test_tracer_counts_the_draws_of_a_two_half_pass(charts, monkeypatch):
+def test_tracer_counts_the_draws_of_a_redrawing_pass(charts, monkeypatch):
     # the tracer reads a draw's attempt at a fixed position of _draw_path;
     # a recorder that binds the arguments by name must see the same draws,
     # so reordering _draw_path's parameters fails here instead of
@@ -66,10 +66,11 @@ def test_tracer_counts_the_draws_of_a_two_half_pass(charts, monkeypatch):
     monkeypatch.setattr(transport, "_draw_path", recording_draw)
     tracer = runpy.run_path(str(TRACING))["Tracer"]()
     with tracer.installed():
-        halves = transport.sampled_path_transports(charts["bergman"], np.zeros(5), REDRAW_SAMPLER)
-    assert len(halves) == 2
+        paths, _, _ = transport.sampled_path_transports(charts["bergman"], np.zeros(5),
+                                                        REDRAW_SAMPLER)
+    assert len(paths) == REDRAW_SAMPLER.n_paths
     redraws = sum(a > 0 for a in attempts)
-    assert redraws >= 2 * 2  # each half redraws indices 1 and 3
+    assert redraws >= 2  # the pass redraws indices 1 and 3
     assert tracer.counts["transport.sampling_passes"] == 1
     assert tracer.counts["transport.paths_integrated"] == len(attempts)
     assert tracer.counts["transport.redraws"] == redraws

@@ -25,7 +25,8 @@ from kcontact import transport as T
 from kcontact.errors import DomainError
 
 from conftest import domain_points
-from fd_oracles import block_pairs_reference, outside_for_any_t_reference, rotated_chart
+from fd_oracles import (block_pairs_reference, gauged_chart, outside_for_any_t_reference,
+                        rotated_chart)
 from test_rotated_chart import WIDE_MIXES
 
 # the five examples and the three m = 3 mixes of the wide_products workload
@@ -57,7 +58,7 @@ def both_ways(chart, run):
 @pytest.mark.parametrize("t_frac", [0.0, 0.9])
 @pytest.mark.parametrize("name", CONFIGS)
 def test_positions_pass_matches_general_path(name, t_frac):
-    # a horizontal and an adapted half of 12 rows each; from t = 0 some rows
+    # 12 horizontal rows and 12 with Reeb controls; from t = 0 some rows
     # leave the balls or the box, from t near the top of the box most leave
     # through t, whose velocity the chart gives
     chart = _chart(name)
@@ -167,9 +168,10 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
 
     def run(c):
         batches.clear()
-        halves = T.sampled_path_transports(c, np.zeros(5), sampler)
+        passes = [T.sampled_path_transports(c, np.zeros(5), sampler, vertical)
+                  for vertical in (0.0, sampler.magnitude)]
         return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
-                               for paths, ends, _ in halves], [taus for _, _, taus in halves]
+                               for paths, ends, _ in passes], [taus for _, _, taus in passes]
 
     fast, slow = both_ways(charts["bergman"], run)
     # positions, alive flags, controls and ends keep their bits; the
@@ -348,8 +350,9 @@ def test_singular_metric_block_exits_5(monkeypatch, capsys):
 
 
 def _accepted_draws(chart, sampler, monkeypatch):
-    """Both halves of one sampling pass, and the path indices whose
-    accepted draw (the last) has the same attempt in both halves."""
+    """The horizontal pass and the pass with Reeb controls at the sampler's
+    magnitude, and the path indices whose accepted draw (the last) has the
+    same attempt in both."""
     draw = T._draw_path
     signature = inspect.signature(draw)
     accepted = {}
@@ -360,21 +363,22 @@ def _accepted_draws(chart, sampler, monkeypatch):
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(T, "_draw_path", recording)
-    halves = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
+    passes = [T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
+              for vertical in (0.0, sampler.magnitude)]
     monkeypatch.undo()
     same = [i for i in range(sampler.n_paths) if accepted[False, i] == accepted[True, i]]
-    return halves, same
+    return passes, same
 
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # on a normal-form chart [xi, e_a] = 0 and no coefficient reads t, so
-    # Reeb controls move only t: where both halves accept the same attempt
-    # of path i, the adapted paths, transported with their Reeb brackets in
-    # a two-half pass, give the horizontal transports bit for bit, the ends
-    # differ in t alone and their order-2 frame data do not differ at all.
-    # This is why holonomy_samples conjugates the adapted samples along the
-    # horizontal half there
+    # Reeb controls move only t: where both passes accept the same attempt
+    # of path i, the adapted paths, transported with their Reeb brackets,
+    # give the horizontal transports bit for bit, the ends differ in t
+    # alone and their order-2 frame data do not differ at all.  This is why
+    # holonomy_samples conjugates the adapted samples along the horizontal
+    # pass there
     chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
     ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
@@ -393,7 +397,7 @@ def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
 
 def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
     # on the rotated chart the Reeb brackets do not vanish, so the same
-    # draw transports differently in the two halves
+    # draw transports differently in the two passes
     sampler = T.SamplerConfig(n_paths=16)
     ((*_, h_taus), (*_, a_taus)), same = _accepted_draws(
         rotated_chart(charts["disc_disc_12"], (0, 1), 0.7), sampler, monkeypatch)
@@ -401,56 +405,72 @@ def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
     assert all(np.any(a_taus[i] != h_taus[i]) for i in same)
 
 
-@pytest.mark.parametrize("name", ["bergman", "disc_disc_12", "perturbed_disc_disc"])
+@pytest.mark.parametrize("name", ["bergman", "disc_disc_12", "perturbed_disc_disc",
+                                  "gauged_bergman", "gauged_disc_disc_12"])
 def test_adapted_samples_are_those_of_the_adapted_half(name):
-    # holonomy_samples conjugates the adapted samples along the horizontal
-    # half; where every draw matches they are the zero-extension curvature
-    # R at the adapted half's own ends, conjugated by its own transports
-    chart, x0 = _chart(name), np.zeros(5)
+    # the Wagner samples are the Wagner curvature RW at the horizontal
+    # pass's ends, conjugated by its transports; the adapted samples are
+    # the zero-extension curvature R at the ends of the pass with Reeb
+    # controls, conjugated by its transports.  On a normal-form chart
+    # holonomy_samples takes both from the horizontal pass, which gives the
+    # same where every draw matches; off normal form (the gauged charts)
+    # it makes the second pass
+    gauged = name.startswith("gauged_")
+    chart = gauged_chart(_chart(name[7:]), (1, 2), 0.7) if gauged else _chart(name)
+    x0 = np.zeros(5)
     sampler = T.SamplerConfig(n_paths=16, seed=4)
-    got = H.holonomy_samples(chart, x0, sampler, ("adapted",))[0]["adapted"]
-    (h_paths, _, _), (paths, ends, taus) = T.sampled_path_transports(chart, x0, sampler)
-    assert all(np.array_equal(a.controls, b.controls) for a, b in zip(h_paths, paths))
-    base, data = C.frame_data(chart, x0[None], order=2), C.frame_data(chart, ends, order=2)
-    taus_o = C.ortho_transports(taus, data.Pinv, base.P[0])
+    got = H.holonomy_samples(chart, x0, sampler)[0]
+    passes = [T.sampled_path_transports(chart, x0, sampler, vertical)
+              for vertical in (0.0, sampler.magnitude)]
+    if not gauged:
+        assert all(np.array_equal(a.controls, b.controls)
+                   for a, b in zip(passes[0][0], passes[1][0]))
+    base = C.frame_data(chart, x0[None], order=2)
     a, b = np.triu_indices(4, 1)
-    R0 = C.ortho_curvature(base.R, base.P, base.Pinv)[0, a, b]
-    R = C.ortho_curvature(data.R, data.P, data.Pinv)[:, a, b]
-    want = np.linalg.inv(taus_o)[:, None] @ R @ taus_o[:, None]
-    want = np.concatenate([R0, 0.5 * (want - want.swapaxes(-1, -2)).reshape(-1, 4, 4)])
-    assert got.shape == want.shape == (6 * 17, 4, 4)
-    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    for variant, field, (_, ends, taus) in (("wagner", "RW", passes[0]),
+                                            ("adapted", "R", passes[1])):
+        data = C.frame_data(chart, ends, order=2)
+        taus_o = C.ortho_transports(taus, data.Pinv, base.P[0])
+        F0 = C.ortho_curvature(getattr(base, field), base.P, base.Pinv)[0, a, b]
+        F = C.ortho_curvature(getattr(data, field), data.P, data.Pinv)[:, a, b]
+        want = np.linalg.inv(taus_o)[:, None] @ F @ taus_o[:, None]
+        want = np.concatenate([F0, 0.5 * (want - want.swapaxes(-1, -2)).reshape(-1, 4, 4)])
+        assert got[variant].shape == want.shape == (6 * 17, 4, 4)
+        assert np.max(np.abs(got[variant] - want)) <= 1e-13 * np.max(np.abs(want)), variant
 
 
 def test_normal_form_pass_has_the_horizontal_half_alone(charts, monkeypatch):
-    # every normal-form chart asks the pass for its horizontal half; the
-    # rotated chart, off normal form, asks for an adapted half as well
-    # when the adapted variant is wanted
+    # every normal-form chart makes one horizontal pass; the rotated and
+    # gauged charts, off normal form, make a second pass with Reeb controls
+    # at the sampler's magnitude for the adapted samples
     passes = []
     sample_pass = H.sampled_path_transports
 
-    def recording(chart, x, sampler, halves):
-        passes.append(tuple(halves))
-        return sample_pass(chart, x, sampler, halves)
+    def recording(chart, x, sampler, vertical_magnitude=0.0):
+        passes.append(vertical_magnitude)
+        return sample_pass(chart, x, sampler, vertical_magnitude)
 
     monkeypatch.setattr(H, "sampled_path_transports", recording)
     sampler = T.SamplerConfig(n_paths=2)
     for name in CONFIGS:
         chart = _chart(name)
         H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
-    assert passes == [("horizontal",)] * len(CONFIGS)
-    rotated = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
-    for variants in (("wagner", "annihilator", "adapted"), ("wagner",), ("adapted",)):
-        H.holonomy_samples(rotated, np.zeros(5), sampler, variants)
-    assert passes[len(CONFIGS):] == [("horizontal", "adapted"), ("horizontal",), ("adapted",)]
+    assert passes == [0.0] * len(CONFIGS)
+    for chart in (rotated_chart(charts["disc_disc_12"], (0, 1), 0.7),
+                  gauged_chart(charts["bergman"], (1, 2), 0.7),
+                  gauged_chart(charts["disc_disc_12"], (1, 2), 0.7)):
+        passes.clear()
+        H.holonomy_samples(chart, np.zeros(5), sampler)
+        assert passes == [0.0, sampler.magnitude]
 
 
 def test_unmatched_draws_keep_the_structure():
     # bergman at horizon 2.4, seed 3, 8 paths: path 4 accepts attempt 6 in
-    # the horizontal half and attempt 5 in the adapted half, so the adapted
-    # samples of the normal-form route, along the horizontal path 4, are
-    # not those of the adapted path 4 that the general route, taking both
-    # halves, conjugates along.  Both routes find the same structure
+    # the horizontal pass and attempt 5 in the pass with Reeb controls, so
+    # the adapted samples of the normal-form route, along the horizontal
+    # path 4, are not those of the adapted path 4 that the general route,
+    # making the second pass, conjugates along.  Both routes find the same
+    # structure
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
     chart, x0 = cli._resolve_chart(cfg)

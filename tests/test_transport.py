@@ -46,11 +46,11 @@ def ortho_tau(chart, res):
 
 def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02,
                vertical=0.0, max_attempts=T.MAX_ATTEMPTS):
-    """The accepted paths of a one-half sampling pass."""
+    """The accepted paths of one sampling pass."""
     sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
-        ((paths, _, _),) = T._sample_and_integrate(chart, x0, sampler, [vertical])
+        paths, _, _ = T.sampled_path_transports(chart, x0, sampler, vertical)
     return paths
 
 
@@ -500,8 +500,6 @@ def test_curve_api_refusals(charts):
     square = T.ParametricCurve([_segment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])])
     with pytest.raises(ChartError, match="loop is not balanced: integral of theta = 9.000e-02"):
         T.transport_equivalence_check(chart, square)
-    with pytest.raises(ValueError, match="unknown sampling half 'vertical'"):
-        T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=2), ("vertical",))
     # m = 1: theta = dt - y dx on the unit box has one coordinate pair
     one_pair = ContactChart(1, Domain(-np.ones(3), np.ones(3)),
                             lambda x: [-1.0 * x[1], 0.0, 1.0], lambda x: [0.0, 0.0, 1.0],
@@ -544,14 +542,15 @@ def test_sampler_exhaustion(charts):
         draw_paths(chart, np.zeros(5), 1, 2, 0.5, 200.0, seed=0, max_attempts=5)
 
 
-# a bergman sampler whose pass escapes at indices 1 and 3 of each half;
+# a bergman sampler whose pass escapes at indices 1 and 3, with or without
+# Reeb controls;
 # index 3 needs four redraws, so later redraw batches shrink
 REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
                                  magnitude=1.5, step=0.05, seed=1)
 
 
 def _reference_pass(chart, x0, s, vertical):
-    """Per-index, attempt-by-attempt reference for one half of a pass:
+    """Per-index, attempt-by-attempt reference for one pass:
     ``transport`` of each path on its own."""
     kind = "adapted" if vertical else "schouten"
     out = []
@@ -569,8 +568,8 @@ def _reference_pass(chart, x0, s, vertical):
 
 
 def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
-    # the two halves of one pass, integrated and redrawn as one batch, give
-    # each half bit for bit what that half gives path by path on its own
+    # a horizontal pass and a pass with Reeb controls, each integrated and
+    # redrawn in batches, give bit for bit what each gives path by path
     chart = charts["bergman"]
     x0 = np.zeros(5)
     verticals = (0.0, REDRAW_SAMPLER.magnitude)
@@ -585,12 +584,11 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
         return draw(*args)
 
     monkeypatch.setattr(T, "_draw_path", recording_draw)
-    halves = T.sampled_path_transports(chart, x0, REDRAW_SAMPLER)
-    assert len(halves) == 2
+    passes = [T.sampled_path_transports(chart, x0, REDRAW_SAMPLER, v) for v in verticals]
     expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
                       for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
-    for (paths, ends, taus), ref in zip(halves, refs):
+    for (paths, ends, taus), ref in zip(passes, refs):
         assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
         for i, (_, path, end, tau) in enumerate(ref):
             assert np.array_equal(paths[i].controls, path.controls)
@@ -601,9 +599,9 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
 
 @pytest.mark.parametrize("index, attempt", [(0, 0), (3, 0), (5, 2)])
 def test_halves_share_draw_streams(charts, index, attempt):
-    # the stream is keyed by (seed, index, attempt) alone: path i of the
-    # adapted half draws the horizontal controls of path i of the horizontal
-    # half, then its Reeb controls
+    # the stream is keyed by (seed, index, attempt) alone: path i with Reeb
+    # controls draws the horizontal controls of horizontal path i, then its
+    # Reeb controls
     chart, s = charts["bergman"], T.SamplerConfig()
     horizontal, adapted = (
         T._draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed, s.step,
@@ -625,27 +623,24 @@ def test_redraw_exhaustion_names_index(charts):
     with pytest.raises(SamplingError, match=r"for index 1 after 1 attempts"):
         draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
                    s.magnitude, s.seed, step=s.step, max_attempts=1)
-
-
-def test_two_half_exhaustion_names_index_within_half(charts, monkeypatch):
-    # with Reeb controls at magnitude 6 the second half's index 3 (row 9 of
-    # the batch) needs 14 draws, while the horizontal half is complete
-    # after 5
-    chart = charts["bergman"]
-    args = (chart, np.zeros(5), REDRAW_SAMPLER, [0.0, 6.0])
-    monkeypatch.setattr(T, "MAX_ATTEMPTS", 5)
+    # with Reeb controls at magnitude 6 index 3 needs 14 draws, while the
+    # horizontal pass is complete after 5
+    assert len(draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
+                          s.seed, step=s.step, max_attempts=5)) == s.n_paths
     with pytest.raises(SamplingError, match=r"for index 3 after 5 attempts"):
-        T._sample_and_integrate(*args)
-    monkeypatch.setattr(T, "MAX_ATTEMPTS", 14)
-    horizontal, adapted = T._sample_and_integrate(*args)
-    assert len(horizontal[0]) == len(adapted[0]) == REDRAW_SAMPLER.n_paths
+        draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                   s.magnitude, s.seed, step=s.step, vertical=6.0, max_attempts=5)
+    assert len(draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
+                          s.seed, step=s.step, vertical=6.0, max_attempts=14)) == s.n_paths
 
 
 def _pass_and_reference(chart, sampler):
-    """The largest differences of ends and transports between a sampling
-    pass and the coupled reference on its paths."""
+    """The largest differences of ends and transports between the
+    horizontal and the Reeb sampling pass and the coupled reference on
+    their paths."""
     worst = np.zeros(2)
-    for paths, *got in T.sampled_path_transports(chart, np.zeros(chart.dim), sampler):
+    for vertical in (0.0, sampler.magnitude):
+        paths, *got = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
         for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
             worst[i] = max(worst[i], np.max(np.abs(g - r)))
     return worst
@@ -700,16 +695,16 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
 
 @pytest.mark.parametrize("rotated, n_paths, rows", [
     pytest.param(False, 64, 64, id="64-64"), pytest.param(False, 8, 8, id="8-8"),
-    pytest.param(False, None, 1, id="None-1"), pytest.param(True, 64, 128, id="rotated-64-128"),
-    pytest.param(True, 8, 16, id="rotated-8-16")])
+    pytest.param(False, None, 1, id="None-1"),
+    pytest.param(True, 128, 128, id="rotated-128-128"),
+    pytest.param(True, 16, 16, id="rotated-16-16")])
 def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, n_paths, rows):
     # a pass over P rows evaluates the connection over blocks of
-    # max(1, ROWS // P) of a segment's 16 steps: a 64-path pass with both
-    # halves (128 rows, the holonomy pass off normal form, here on the
-    # rotated chart) makes one call per step, every smaller pass one per
-    # block; heisenberg, in normal form, gets the horizontal half alone
-    # (n rows); every pass evaluates its shared start once and two samples
-    # per row and step, as the per-step loop does
+    # max(1, ROWS // P) of a segment's 16 steps: a 128-path pass (here on
+    # the rotated chart, whose Reeb controls enter the connection) makes
+    # one call per step, every smaller pass one per block; every pass
+    # evaluates its shared start once and two samples per row and step, as
+    # the per-step loop does
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if rotated else charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
@@ -724,9 +719,9 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
         path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
         T.transport(chart, path, "schouten")
     else:
-        halves = T.HALVES if rotated else ("horizontal",)
-        T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths),
-                                  halves)
+        sampler = T.SamplerConfig(n_paths=n_paths)
+        T.sampled_path_transports(chart, np.zeros(chart.dim), sampler,
+                                  sampler.magnitude if rotated else 0.0)
     block = max(1, T.ROWS // rows)
     assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": 1 + rows * 2 * 4 * 16}
 
@@ -862,20 +857,21 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     monkeypatch.setattr(np, "einsum", counting_einsum)
     v = T._rhs(chart, x, u, w)
     sampler = T.SamplerConfig(n_paths=2, segments=2, horizon=0.2)
-    halves = T.sampled_path_transports(charts["bergman"], np.zeros(5), sampler)
+    passes = [T.sampled_path_transports(charts["bergman"], np.zeros(5), sampler, vertical)
+              for vertical in (0.0, sampler.magnitude)]
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
     assert v.shape == (8, 5)
-    assert [taus.shape for _, _, taus in halves] == [(2, 4, 4)] * 2
+    assert [taus.shape for _, _, taus in passes] == [(2, 4, 4)] * 2
 
 
 def test_wide_sampling_pass_memory_is_bounded():
-    # an 8-path pass on three discs (2m = 6, both halves: 16 rows)
+    # a 16-path pass on three discs (2m = 6)
     # evaluates the connection over blocks of 8 steps, 128 rows per call,
     # and peaks at 3.3 MB (0.5 MB at one step per call, 6.1 MB at 256 rows
     # per call); the bound leaves 20%
     chart = product_construction(RHS_FACTORS[3])
-    sampler = T.SamplerConfig(n_paths=8)
+    sampler = T.SamplerConfig(n_paths=16)
     T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
     tracemalloc.start()
     try:
@@ -887,11 +883,11 @@ def test_wide_sampling_pass_memory_is_bounded():
 
 
 def test_sampling_pass_memory_is_bounded(charts):
-    # a 64-path bergman pass (128 rows, both halves) peaks at 1.6 MB: the
-    # positions plus one 128-row transport evaluation; Gamma kept at every
-    # sample would take about 29 MB
+    # a 128-path bergman pass peaks at 1.6 MB: the positions plus one
+    # 128-row transport evaluation; Gamma kept at every sample would take
+    # about 29 MB
     chart = charts["bergman"]
-    sampler = T.SamplerConfig(n_paths=64)
+    sampler = T.SamplerConfig(n_paths=128)
     T.sampled_path_transports(chart, np.zeros(5), sampler)
     tracemalloc.start()
     try:
