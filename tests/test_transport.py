@@ -623,8 +623,15 @@ def test_redraw_exhaustion_names_index(charts):
     with pytest.raises(SamplingError, match=r"for index 1 after 1 attempts"):
         draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
                    s.magnitude, s.seed, step=s.step, max_attempts=1)
-    # with Reeb controls at magnitude 6 index 3 needs 14 draws, while the
-    # horizontal pass is complete after 5
+
+
+def test_two_half_exhaustion_names_index_within_half(charts):
+    # of the two kinds of path a holonomy pass off normal form draws, the
+    # one with Reeb controls at magnitude 6 needs 14 draws for its index 3,
+    # while the horizontal pass is complete after 5; the error names the
+    # index within its own pass
+    chart = charts["bergman"]
+    s = REDRAW_SAMPLER
     assert len(draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
                           s.seed, step=s.step, max_attempts=5)) == s.n_paths
     with pytest.raises(SamplingError, match=r"for index 3 after 5 attempts"):
