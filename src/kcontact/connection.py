@@ -3,12 +3,14 @@
 Everything is computed in the chart frame from the jet-evaluated chart
 functions.  First derivatives give the connection coefficients via the
 Koszul formula; second derivatives propagate through an explicit chain
-rule to the curvature.  One code path serves every chart, with two
+rule to the curvature.  One code path serves every chart, with three
 closed forms on a chart in normal form (``ContactChart.normal_form``):
 the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` (:func:`frame_solve`,
 its one owner) and ``G^-1`` block by block over the chart's blocks
-(:func:`metric_inverse`), so the transport's hot path makes no LAPACK
-inverse there; they move the results by rounding only.  A
+(:func:`metric_inverse`), which move the results by rounding only, and the
+horizontal ``Gamma`` of :func:`transport_data`, the Christoffel symbols of
+``G`` in the 2m horizontal coordinates with the bits of the full assembly;
+so the transport's hot path makes no LAPACK inverse there.  A
 finite-difference oracle in the test suite checks the whole pipeline.
 One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
 and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
@@ -179,7 +181,12 @@ def _koszul(E, G, dG, c, blocks=()):
     Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
     Dg = Dg.reshape(*batch, tm, tm, tm)
     W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
-    K = _koszul_sum(Dg, W)
+    return _christoffel(_koszul_sum(Dg, W), G, blocks)
+
+
+def _christoffel(K, G, blocks):
+    """``(K, Ginv, Gamma)``, ``Gamma[..., e, a, b] = 1/2 Ginv[e, c] K[a, b, c]``."""
+    *batch, tm, _ = G.shape
     Ginv = metric_inverse(G, blocks)
     # halved before the reshape, so numpy halves the product in its own buffer
     Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
@@ -230,7 +237,7 @@ def _koszul_sum(Dg, W, slots="abc"):
     """``K[a,b,c] = Dg[a,b,c] + Dg[b,c,a] - Dg[c,a,b] + W[a,b,c] - W[b,c,a] - W[a,c,b]``:
     the Koszul right-hand side from the frame metric derivatives
     ``Dg[a, b, c] = e_a g_bc`` and the bracket terms
-    ``W[a, b, c] = g(pi[e_a, e_b], e_c)``, or its derivative from theirs.
+    ``W[a, b, c] = g(pi[e_a, e_b], e_c)`` (None: none), or its derivative.
 
     ``slots`` names the trailing axes of ``Dg``, ``W`` and ``K`` in order;
     letters other than a, b, c are spectators (``"cabj"`` holds
@@ -240,9 +247,10 @@ def _koszul_sum(Dg, W, slots="abc"):
     bca, cab, acb = _koszul_axes(Dg.ndim, slots)
     K = np.add(Dg, Dg.transpose(bca), order="C")
     K -= Dg.transpose(cab)
-    K += W
-    K -= W.transpose(bca)
-    K -= W.transpose(acb)
+    if W is not None:
+        K += W
+        K -= W.transpose(bca)
+        K -= W.transpose(acb)
     return K
 
 
@@ -292,7 +300,7 @@ def two_form_derivative(E, dE, A, dA):
 
 @dataclass(slots=True)
 class TransportData:
-    """Minimal per-point data for the transport right-hand side."""
+    """Per-point transport data; ``E`` and ``xi`` are None on a normal-form horizontal call."""
 
     E: np.ndarray
     xi: np.ndarray
@@ -310,8 +318,16 @@ def transport_data(chart, X, vertical=False):
     contraction on the way (brackets, frame solve, Koszul terms, Reeb
     brackets) is a batched matmul; none goes through ``np.einsum``.  On a
     chart in normal form it makes no LAPACK call for the frame solve or
-    for width-2 blocks of ``G``.
+    for width-2 blocks of ``G``; ``[e_a, e_b]`` is vertical and ``G`` reads
+    no t there, so a horizontal call evaluates ``G`` alone and ``Gamma`` is
+    ``1/2 G^-1 (d_a g_bc + d_b g_ca - d_c g_ab)`` in the horizontal
+    coordinates, with the bits of the Koszul assembly.
     """
+    if chart.normal_form and not vertical:
+        arr = chart_arrays(chart, X, order=1, fields=("G",))
+        Dg = _view(arr.dG[..., :arr.G.shape[-1]], "bca", "abc")  # Dg[a, b, c] = d_a g_bc
+        _, _, Gam = _christoffel(_koszul_sum(Dg, None), arr.G, chart.blocks)
+        return TransportData(None, None, Gam)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]

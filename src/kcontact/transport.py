@@ -16,10 +16,11 @@ positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  On a
 chart in normal form (``ContactChart.normal_form``: xi = d/dt, frame
 d/dx_a + f_a d/dt, no coefficient reading t) the horizontal coordinates
 are running sums of one RK4 increment, t needs one order-0 evaluation per
-chunk of stage points, and the Reeb flow shifts t without a chart call;
-the bits are those of the general path.  Both routes read the connection
-through ``connection.transport_data``.  The
-holonomy sampler runs both passes in batch: one sampling pass draws random
+chunk of stage points, a horizontal transport takes the plain midpoint,
+and the Reeb flow shifts t without a chart call; the bits are those of
+the general path.  Both routes read the connection through
+``connection.transport_data``.  The holonomy sampler runs both passes in
+batch: one sampling pass draws random
 control paths, horizontal or with Reeb controls at one magnitude,
 integrates their positions as one lockstep batch, redraws escaped paths,
 and transports the accepted ones.  Path i draws its horizontal controls
@@ -343,12 +344,14 @@ def _transport_positions(chart, xs, paths, h):
 
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  A segment's steps
-    go in blocks of ``max(1, ROWS // P)`` for P paths: the block's ends are
-    evaluated in one call, since their velocities place the midpoints, then
-    its midpoints in another; each evaluation is contracted to its rates at
-    once; the paths' shared start is one row.  The transports are
-    reprojected every ``REORTH_EVERY`` steps.
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6); on a normal-form
+    chart without Reeb controls it is (x0 + x1)/2 with the same bits (the
+    h/8 term moves only t, which the connection does not read), so the pass
+    needs no velocity.  A segment's steps go in blocks of
+    ``max(1, ROWS // P)`` for P paths: the block's ends are evaluated in one
+    call, then its midpoints in another; each evaluation is contracted to
+    its rates at once; the paths' shared start is one row.  The transports
+    are reprojected every ``REORTH_EVERY`` steps.
     """
     _, controls, verticals = _path_arrays(paths)
     P_, K, per, _ = xs.shape
@@ -362,15 +365,18 @@ def _transport_positions(chart, xs, paths, h):
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
         u, w = controls[:, k, None, :], verticals[:, k, None]
-        v1, Om1 = _velocity(end.E, end.xi, u, w)[:, -1], _connection_rates(end, u, w)[:, -1]
+        Om1 = _connection_rates(end, u, w)[:, -1]
+        v1 = None if end.E is None else _velocity(end.E, end.xi, u, w)[:, -1]
         for a in range(1, per, block):
             b = min(a + block, per)
             end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
-            v, Om_end = _velocity(end.E, end.xi, u, w), _connection_rates(end, u, w)
-            v0 = np.concatenate([v1[:, None], v[:, :-1]], axis=1)
-            mid = transport_data(chart, 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
-                                 + (0.125 * h) * (v0 - v), vertical=vertical)
-            Om_mid = _connection_rates(mid, u, w)
+            Om_end = _connection_rates(end, u, w)
+            mid = 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
+            if v1 is not None:
+                v = _velocity(end.E, end.xi, u, w)
+                mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
+                v1 = v[:, -1]
+            Om_mid = _connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
             for j in range(b - a):
                 Om = (Om1, Om_mid[:, j], Om_end[:, j])
                 (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
@@ -378,7 +384,6 @@ def _transport_positions(chart, xs, paths, h):
                 total += 1
                 if total % REORTH_EVERY == 0:
                     M = _reorthonormalize(chart, xs[:, k, a + j], M, P0, L0t)
-            v1 = v[:, -1]
     return M
 
 

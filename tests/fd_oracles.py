@@ -22,13 +22,20 @@ bivector at a time, :func:`recip_uncached` is ``Jet._recip`` without its cache a
 :func:`where_reference` is ``jets.where`` lifting a constant branch to a
 zero jet.
 
+:func:`transport_data_reference` is ``connection.transport_data`` as it
+ran on a chart in normal form before the horizontal route read the metric
+alone: brackets, frame solve and the Koszul sum with its bracket terms,
+a bit-for-bit oracle of that route's ``Gamma``.
+
 :func:`coupled_transport_reference` is the transport of control paths
 that the package ran before it integrated positions first: one RK4 on
-(position, transport) that reads the connection at every stage position.
+(position, transport) that reads the connection at every stage position
+and the velocity from plain chart values.
 :func:`transport_positions_per_step` is the frame transport over
 integrated positions as the package ran it before it evaluated the
 connection over blocks of steps: one evaluation of the ends and one of the
-midpoints per step, a bit-for-bit oracle.
+Hermite midpoints per step, with the velocity from order-1 chart values
+on every chart, a bit-for-bit oracle.
 :func:`integrate_sampled_reference` is the stage-by-stage RK4 over sampled
 coefficients that the sampled-curve transports ran before they became
 products of step propagators, and :func:`reeb_flow_jacobian_reference`
@@ -52,9 +59,10 @@ import numpy as np
 
 from kcontact import jets
 from kcontact import transport as T
-from kcontact.connection import (_koszul, frame_brackets, frame_data, inverse_derivative,
-                                 ortho_curvature, ortho_two_form, orthonormal_frame_change,
-                                 reeb_brackets, transport_data, two_form_derivative)
+from kcontact.connection import (TransportData, _koszul, frame_brackets, frame_data,
+                                 inverse_derivative, ortho_curvature, ortho_two_form,
+                                 orthonormal_frame_change, reeb_brackets, transport_data,
+                                 two_form_derivative)
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
 
@@ -338,6 +346,18 @@ def koszul_reference(E, G, dG, c):
     return K, Ginv, 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
 
 
+def transport_data_reference(chart, X, vertical=False):
+    """``connection.transport_data`` through the brackets, the frame solve
+    and the full Koszul sum on every chart, the assembly that the normal
+    form's horizontal route replaced."""
+    arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
+    _, Minv, cfull = frame_brackets(arr, chart.normal_form)
+    tm = arr.E.shape[-1]
+    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
+    xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
+    return TransportData(arr.E, arr.xi, Gam, xi_coeffs)
+
+
 def inverse_derivative_reference(Minv, dM):
     """``connection.inverse_derivative`` as one three-operand sum."""
     return -np.einsum("...ac,...cdj,...db->...abj", Minv, dM, Minv)
@@ -419,16 +439,10 @@ def coupled_transport_reference(chart, paths):
     total = 0
     for k in range(K):
         u, w = controls[:, k], verticals[:, k]
-        vertical = bool(np.any(w != 0.0))
 
         def rhs(s, y):
-            data = transport_data(chart, y[0], vertical=vertical)
-            v = np.einsum("...ia,...a->...i", data.E, u)
-            Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
-            if vertical:
-                v = v + w[:, None] * data.xi
-                Om = Om + w[:, None, None] * data.xi_coeffs
-            return v, -np.matmul(Om, y[1])
+            return (rhs_reference(chart, y[0], u, w),
+                    -np.matmul(connection_rates_reference(chart, y[0], u, w), y[1]))
 
         for _ in range(steps):
             x, M = T._rk4_step(rhs, (x, M), h)
@@ -450,15 +464,16 @@ def transport_positions_per_step(chart, xs, paths, h):
     vertical = bool(np.any(verticals != 0.0))
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end = transport_data(chart, xs[:, 0, 0], vertical=vertical)
     total = 0
     for k in range(K):
         u, w = controls[:, k, :], verticals[:, k]
-        v1, Om1 = T._velocity(end.E, end.xi, u, w), T._connection_rates(end, u, w)
+        x1 = xs[:, k, 0]
+        v1 = _first_order_velocity(chart, x1, u, w)
+        Om1 = T._connection_rates(transport_data(chart, x1, vertical=vertical), u, w)
         for i in range(1, per):
-            x0, x1, v0, Om0 = xs[:, k, i - 1], xs[:, k, i], v1, Om1
-            end = transport_data(chart, x1, vertical=vertical)
-            v1, Om1 = T._velocity(end.E, end.xi, u, w), T._connection_rates(end, u, w)
+            x0, x1, v0, Om0 = x1, xs[:, k, i], v1, Om1
+            v1 = _first_order_velocity(chart, x1, u, w)
+            Om1 = T._connection_rates(transport_data(chart, x1, vertical=vertical), u, w)
             mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1),
                                  vertical=vertical)
             Om = (Om0, T._connection_rates(mid, u, w), Om1)
@@ -467,6 +482,14 @@ def transport_positions_per_step(chart, xs, paths, h):
             if total % T.REORTH_EVERY == 0:
                 M = T._reorthonormalize(chart, x1, M, P0, L0t)
     return M
+
+
+def _first_order_velocity(chart, x, u, w):
+    """The velocity of ``transport._velocity`` from order-1 chart values,
+    whose ``E`` the general route of ``transport_data`` reads (the order-0
+    values of an oracle chart may differ from them in the last bit)."""
+    arr = chart_arrays(chart, x, order=1, fields=("xi", "E"))
+    return T._velocity(arr.E, arr.xi, u, w)
 
 
 def integrate_sampled_reference(sc, rhs, y):

@@ -26,7 +26,7 @@ from kcontact.errors import DomainError
 
 from conftest import domain_points
 from fd_oracles import (block_pairs_reference, gauged_chart, outside_for_any_t_reference,
-                        rotated_chart)
+                        rotated_chart, transport_data_reference, transport_positions_per_step)
 from test_rotated_chart import WIDE_MIXES
 
 # the five examples and the three m = 3 mixes of the wide_products workload
@@ -308,6 +308,67 @@ def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
     assert calls == []
     C.transport_data(dataclasses.replace(chart), X)
     assert calls == ["solve", "inv"]
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
+def test_horizontal_transport_data_is_the_koszul_assembly(name):
+    # the horizontal route builds Gamma from dG alone, with the bits of the
+    # brackets, the frame solve and the full Koszul sum, also at coordinates
+    # of +0.0 and -0.0; those bits read neither t nor the sign of a zero, so
+    # the pass may drop the Hermite midpoint's horizontal 0 and its t part;
+    # the Reeb route keeps the full assembly
+    chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
+    X = domain_points(chart, 48, seed=10)
+    zero = np.random.default_rng(11).random(X.shape) < 0.4
+    X[:16][zero[:16]] = 0.0
+    X[16:32][zero[16:32]] = -0.0
+    got = C.transport_data(chart, X)
+    assert got.E is None and got.xi is None and got.xi_coeffs is None
+    assert got.Gamma.tobytes() == transport_data_reference(chart, X).Gamma.tobytes()
+    moved = X.copy()
+    moved[:32][zero[:32]] *= -1.0  # +0.0 <-> -0.0
+    moved[:, -1] = X[::-1, -1]
+    assert C.transport_data(chart, moved).Gamma.tobytes() == got.Gamma.tobytes()
+    reeb, ref = C.transport_data(chart, X, vertical=True), transport_data_reference(chart, X, True)
+    for f in ("E", "xi", "Gamma", "xi_coeffs"):
+        assert getattr(reeb, f).tobytes() == getattr(ref, f).tobytes(), f
+
+
+def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
+    # on normal form a horizontal transport, of control paths or of a
+    # sampled curve, evaluates G alone; the Reeb route and the general path
+    # evaluate xi, E and G
+    chart = charts["bergman"]
+    evaluate, calls = C.chart_arrays, []
+
+    def recording(c, X, order=1, fields=M.CHART_FIELDS):
+        calls.append(fields)
+        return evaluate(c, X, order, fields=fields)
+
+    monkeypatch.setattr(C, "chart_arrays", recording)
+    path = T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
+    T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=4))
+    T.transport(chart, path, "schouten")
+    T._transport_sampled(chart, T.sample_curve(chart, path), "schouten")
+    assert len(calls) > 3 and set(calls) == {("G",)}
+    calls.clear()
+    X = domain_points(chart, 8, seed=12)
+    C.transport_data(chart, X, vertical=True)
+    C.transport_data(dataclasses.replace(chart), X)
+    assert calls == [("xi", "E", "G")] * 2
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_horizontal_pass_matches_hermite_midpoints(name):
+    # the horizontal pass reads the connection at the midpoints (x0 + x1)/2,
+    # the per-step loop at the Hermite midpoints, whose t differs: the
+    # transports have the same bits
+    chart = _chart(name)
+    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, 0.02, 0.0, i, 0)
+             for i in range(10)]
+    xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
+    got = T._transport_positions(chart, xs, paths, h)
+    assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 
 
 def test_general_frame_solve_is_the_lapack_inverse(charts):
