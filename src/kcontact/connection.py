@@ -237,7 +237,7 @@ def _koszul_sum(Dg, W, slots="abc"):
     """``K[a,b,c] = Dg[a,b,c] + Dg[b,c,a] - Dg[c,a,b] + W[a,b,c] - W[b,c,a] - W[a,c,b]``:
     the Koszul right-hand side from the frame metric derivatives
     ``Dg[a, b, c] = e_a g_bc`` and the bracket terms
-    ``W[a, b, c] = g(pi[e_a, e_b], e_c)`` (None: none), or its derivative.
+    ``W[a, b, c] = g(pi[e_a, e_b], e_c)`` (or None), or its derivative from theirs.
 
     ``slots`` names the trailing axes of ``Dg``, ``W`` and ``K`` in order;
     letters other than a, b, c are spectators (``"cabj"`` holds

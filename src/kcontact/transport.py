@@ -20,11 +20,11 @@ chunk of stage points, a horizontal transport takes the plain midpoint,
 and the Reeb flow shifts t without a chart call; the bits are those of
 the general path.  Both routes read the connection through
 ``connection.transport_data``.  The holonomy sampler runs both passes in
-batch: one sampling pass draws random
-control paths, horizontal or with Reeb controls at one magnitude,
-integrates their positions as one lockstep batch, redraws escaped paths,
-and transports the accepted ones.  Path i draws its horizontal controls
-from one (seed, i, attempt) stream, then its Reeb controls, if any.
+batch: one sampling pass draws random control paths, horizontal or with
+Reeb controls at one magnitude, integrates their positions as one
+lockstep batch, redraws escaped paths, and transports the accepted ones.
+Path i draws its horizontal controls from one (seed, i, attempt) stream,
+then its Reeb controls, if any.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:

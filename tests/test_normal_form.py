@@ -3,9 +3,10 @@
 Every built-in chart is marked ``normal_form``: its Reeb field is d/dt, its
 frame is e_a = d/dx_a + f_a d/dt, no coefficient function reads t, and its
 metric is block diagonal over ``chart.blocks``.  The positions pass of
-control paths and the Reeb flow take shortcuts there with the same bits;
-the frame solve and the metric inverse take closed forms, which agree with
-LAPACK's up to rounding.  Only the charts' constructor sets the mark, so
+control paths, the Reeb flow and the horizontal transport (``Gamma`` from
+the metric alone, at plain midpoints) take shortcuts there with the same
+bits; the frame solve and the metric inverse take closed forms, which
+agree with LAPACK's up to rounding.  Only the charts' constructor sets the mark, so
 ``dataclasses.replace(chart)`` runs the same chart on the general path.
 """
 
