@@ -7,10 +7,11 @@ rule to the curvature.  One code path serves every chart, with three
 closed forms on a chart in normal form (``ContactChart.normal_form``):
 the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` (:func:`frame_solve`,
 its one owner) and ``G^-1`` block by block over the chart's blocks
-(:func:`metric_inverse`), which move the results by rounding only, and the
-horizontal ``Gamma`` of :func:`transport_data`, the Christoffel symbols of
-``G`` in the 2m horizontal coordinates with the bits of the full assembly;
-so the transport's hot path makes no LAPACK inverse there.  A
+(:func:`metric_inverse`), which move the results by rounding only, and
+the data of :func:`transport_data`: ``Gamma`` holds the Christoffel symbols
+of ``G`` in the 2m horizontal coordinates and the zero extension's Reeb
+term is zero, with the bits of the full assembly; so the transport's hot
+path makes no LAPACK inverse there and reads ``G`` alone.  A
 finite-difference oracle in the test suite checks the whole pipeline.
 One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
 and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
@@ -300,7 +301,8 @@ def two_form_derivative(E, dE, A, dA):
 
 @dataclass(slots=True)
 class TransportData:
-    """Per-point transport data; ``E`` and ``xi`` are None on a normal-form horizontal call."""
+    """Per-point transport data; ``E`` and ``xi`` are None on a normal-form call,
+    and ``xi_coeffs`` on a horizontal one."""
 
     E: np.ndarray
     xi: np.ndarray
@@ -317,17 +319,17 @@ def transport_data(chart, X, vertical=False):
     of the zero extension; the hot path of the holonomy sampler.  Every
     contraction on the way (brackets, frame solve, Koszul terms, Reeb
     brackets) is a batched matmul; none goes through ``np.einsum``.  On a
-    chart in normal form it makes no LAPACK call for the frame solve or
-    for width-2 blocks of ``G``; ``[e_a, e_b]`` is vertical and ``G`` reads
-    no t there, so a horizontal call evaluates ``G`` alone and ``Gamma`` is
+    chart in normal form ``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0`` and
+    ``G`` reads no t, so a call evaluates ``G`` alone: ``Gamma`` is
     ``1/2 G^-1 (d_a g_bc + d_b g_ca - d_c g_ab)`` in the horizontal
-    coordinates, with the bits of the Koszul assembly.
+    coordinates and ``xi_coeffs`` (with ``vertical``) is ``+0.0``, the bits
+    of the full assembly; no LAPACK call inverts width-2 blocks of ``G``.
     """
-    if chart.normal_form and not vertical:
+    if chart.normal_form:
         arr = chart_arrays(chart, X, order=1, fields=("G",))
         Dg = _view(arr.dG[..., :arr.G.shape[-1]], "bca", "abc")  # Dg[a, b, c] = d_a g_bc
         _, _, Gam = _christoffel(_koszul_sum(Dg, None), arr.G, chart.blocks)
-        return TransportData(None, None, Gam)
+        return TransportData(None, None, Gam, np.zeros(arr.G.shape) if vertical else None)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]

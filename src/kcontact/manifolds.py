@@ -274,7 +274,7 @@ def _normal_form_chart(m, f, blocks, domain, **fields):
     def theta(x):
         comps = [0.0] * n
         for a, fa in t_row(x):
-            comps[a] = -1.0 * fa
+            comps[a] = -fa
         comps[n - 1] = 1.0
         return comps
 

@@ -16,9 +16,9 @@ positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  On a
 chart in normal form (``ContactChart.normal_form``: xi = d/dt, frame
 d/dx_a + f_a d/dt, no coefficient reading t) the horizontal coordinates
 are running sums of one RK4 increment, t needs one order-0 evaluation per
-chunk of stage points, a horizontal transport takes the plain midpoint,
-and the Reeb flow shifts t without a chart call; the bits are those of
-the general path.  Both routes read the connection through
+chunk of stage points, a transport reads ``G`` alone at plain midpoints,
+and the Reeb flow is array arithmetic on t; the bits are those of the
+general path.  Both routes read the connection through
 ``connection.transport_data``.  The holonomy sampler runs both passes in
 batch: one sampling pass draws random control paths, horizontal or with
 Reeb controls at one magnitude, integrates their positions as one
@@ -282,8 +282,8 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     return xs, alive, h
 
 
-def _exit(bad):
-    raise DomainError(f"curve left the chart domain at {bad}", point=bad)
+def _exit(bad, what="curve"):
+    raise DomainError(f"{what} left the chart domain at {bad}", point=bad)
 
 
 def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
@@ -345,9 +345,9 @@ def _transport_positions(chart, xs, paths, h):
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6); on a normal-form
-    chart without Reeb controls it is (x0 + x1)/2 with the same bits (the
-    h/8 term moves only t, which the connection does not read), so the pass
-    needs no velocity.  A segment's steps go in blocks of
+    chart, with Reeb controls or without, it is (x0 + x1)/2 with the same
+    bits (the h/8 term moves only t, which the connection does not read),
+    so the pass needs no velocity.  A segment's steps go in blocks of
     ``max(1, ROWS // P)`` for P paths: the block's ends are evaluated in one
     call, then its midpoints in another; each evaluation is contracted to
     its rates at once; the paths' shared start is one row.  The transports
@@ -581,20 +581,37 @@ def _reeb_flow_batch(chart, X, times, vectors):
     pushforward of ``vectors`` (one per point): returns
     ``(points, pushforwards)``.  The variational equation z' = t Dxi(y) z
     rides along the same steps, reading Dxi from an order-1 evaluation of
-    xi.  On a chart in normal form the stages read xi = d/dt and Dxi = 0
-    without a chart call, so the flow shifts t alone, with the same steps
-    and bits."""
+    xi.  On a chart in normal form xi = d/dt and Dxi = 0, so the flow moves
+    t alone, with the bits of those steps and no chart call: t takes the
+    running sums of one increment (h/6)(t + 2t + 2t + t), and the other
+    columns and the pushforward add the signed zero (h/6)(k + 2k + 2k + k),
+    k = t * 0.0, once.  The horizontal part is checked against the domain
+    once (no ball of such a chart holds t) and t at every step; a
+    :class:`DomainError` names the first row out at the first step where
+    any row is out."""
     X = np.atleast_2d(np.asarray(X, dtype=float))
     t = np.atleast_1d(np.asarray(times, dtype=float))[:, None]
     tmax = float(np.max(np.abs(t))) if len(t) else 0.0
     steps = max(1, int(np.ceil(tmax / REEB_STEP)))
     h = 1.0 / steps
-    reeb = np.eye(X.shape[-1])[-1]
+    if chart.normal_form:
+        k = t * 0.0
+        z0 = (h / 6.0) * (k + 2.0 * k + 2.0 * k + k)
+        y = X + z0
+        ts = np.empty((len(y), steps + 1))
+        ts[:, :1], ts[:, 1:] = X[:, -1:], (h / 6.0) * (t + 2.0 * t + 2.0 * t + t)
+        ts = np.cumsum(ts, axis=1)[:, 1:]
+        y[:, -1] = ts[:, -1]
+        dom = chart.domain
+        out = ~(dom.contains(y[:, :-1])[:, None] & (ts >= dom.lo[-1]) & (ts <= dom.hi[-1]))
+        if np.any(out):
+            s = np.argmax(np.any(out, axis=0))
+            r = np.argmax(out[:, s])
+            _exit(np.append(y[r, :-1], ts[r, s]), "Reeb flow")
+        return y, vectors + z0
 
     def rhs(s, state):
         y, z = state
-        if chart.normal_form:
-            return t * reeb, t * (0.0 * reeb)
         arr = chart_arrays(chart, y, order=1, fields=("xi",))
         return t * arr.xi, t * (arr.dxi @ z[..., None])[..., 0]
 
@@ -602,8 +619,7 @@ def _reeb_flow_batch(chart, X, times, vectors):
     for _ in range(steps):
         y, z = _rk4_step(rhs, (y, z), h)
         if not np.all(chart.domain.contains(y)):
-            bad = y[~chart.domain.contains(y)][0]
-            raise DomainError(f"Reeb flow left the chart domain at {bad}", point=bad)
+            _exit(y[~chart.domain.contains(y)][0], "Reeb flow")
     return y, z
 
 
@@ -612,7 +628,9 @@ def horizontalize(chart, curve):
 
     Returns the horizontal companion curve as a :class:`SampledCurve`
     (same parameter grid).  Its endpoint is the Reeb flow of the original
-    endpoint for time minus the theta-integral of the curve.
+    endpoint for time minus the theta-integral of the curve.  All samples
+    flow in one :func:`_reeb_flow_batch`, which on a chart in normal form
+    moves their t alone.
     """
     sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: SHA-256 digests of rendered reports and chart arrays.
+"""Byte-identity sweep: SHA-256 digests of rendered reports, chart arrays and verify loops.
 
     python tests/report_digests.py                    # digests of this checkout
     python tests/report_digests.py --root DIR         # digests of another checkout
@@ -27,19 +27,32 @@ chart and field mix, order and the digest of a JSON object that holds the
 SHA-256 of every returned array's bytes, so a sign of zero that no report
 shows still counts.  These take about 0.1 s.
 
+And it digests 25 loops, the ones ``verify`` transports at each report of
+the ``verify_shipped`` block (every shipped config at each of its report
+seeds): the balanced loop sampled at ``LOOP_STEP``, as ``verify_report``
+builds it.  On a chart in normal form its ``transport_equivalence``
+residual reads 0.0 whatever bits either route produces, so the reports do
+not show them.  Each line is ``loop``, config, seed and the digest of a JSON
+object that holds the SHA-256 of the bytes of the horizontalized curve of
+``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
+``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
+"schouten").tau``.  They use public names only, so ``--compare`` runs them
+on older checkouts too.
+
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
-``kbench/``, prints every report or chart-array entry whose digest
-differs (for a chart-array entry, each array whose digest changed), and
-exits 1 unless all are byte-identical.  For each differing report it also prints
-the largest relative change ``|new - old| / max(1, |old|)`` over the
-report's float leaves, and lists every leaf (float, int, bool, string,
-list) or shape that differs, so both "last bits only, structure
-unchanged" and "only this leaf moved" are checked by the tool.  It also
+``kbench/``, prints every report, chart-array or loop entry whose digest
+differs (for a chart-array or loop entry, each array whose digest
+changed), and exits 1 unless all are byte-identical.  For each differing
+report it also prints the largest relative change
+``|new - old| / max(1, |old|)`` over the report's float leaves, and lists
+every leaf (float, int, bool, string, list) or shape that differs, so
+both "last bits only, structure unchanged" and "only this leaf moved" are
+checked by the tool.  It also
 prints the line total of each checkout's ``src/kcontact/*.py``, as
 ``wc -l`` counts it, so one run gives a change's size and its byte
 identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
-about 10 s per checkout on 2 cores.  It is not part of the test suite.
+about 13 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
 from __future__ import annotations
@@ -143,7 +156,32 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows.append(("partly_shared", label, cfg.sampler.seed,
                      cli.render_report(cli.holonomy_report(cfg))))
-    return rows + general_path_reports(root) + chart_digests()
+    return rows + general_path_reports(root) + chart_digests() + loop_digests(root)
+
+
+def loop_digests(root):
+    """``("loop", label, seed, text)`` of each ``verify_shipped`` report:
+    ``text`` holds, as JSON, the SHA-256 digest of the bytes of each array
+    of its loop named in the module docstring."""
+    import workloads
+    from kcontact import chart_from_config
+    from kcontact.transport import (LOOP_STEP, balanced_loop, sample_curve, transport,
+                                    transport_equivalence_check)
+
+    workload = workloads.load("verify_shipped", root)
+    rows = []
+    for label, cfg in workloads.block(workloads.build(workload), workload.sweeps):
+        chart = chart_from_config(cfg.manifold)
+        x0 = chart.origin() if cfg.base_point is None else np.asarray(cfg.base_point, dtype=float)
+        loop = balanced_loop(chart, x0, np.random.default_rng(cfg.sampler.seed + 1))
+        sc = sample_curve(chart, loop, LOOP_STEP)
+        _, tilde = transport_equivalence_check(chart, sc)
+        arrays = {f: getattr(tilde, f) for f in ("xs", "us", "ws", "theta_dot")}
+        arrays["adapted_tau"] = transport(chart, sc, "adapted").tau
+        arrays["schouten_tau"] = transport(chart, tilde, "schouten").tau
+        digests = {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()}
+        rows.append(("loop", label, cfg.sampler.seed, json.dumps(digests, sort_keys=True)))
+    return rows
 
 
 def general_path_reports(root):
@@ -239,8 +277,9 @@ def compare(old, new):
             print(f"  leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
-    for what, is_chart in (("reports", False), ("chart-array digests", True)):
-        keys = {k for k in a.keys() | b.keys() if (k[0] == "chart_arrays") == is_chart}
+    kinds = {"chart_arrays": "chart-array digests", "loop": "loop digests"}
+    for what in ("reports", *kinds.values()):
+        keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)
         print(f"{same} of {len(keys)} {what} byte-identical")
     print(f"src/kcontact/*.py: {src_lines(old)} -> {src_lines(new)} lines")

@@ -3,11 +3,12 @@
 Every built-in chart is marked ``normal_form``: its Reeb field is d/dt, its
 frame is e_a = d/dx_a + f_a d/dt, no coefficient function reads t, and its
 metric is block diagonal over ``chart.blocks``.  The positions pass of
-control paths, the Reeb flow and the horizontal transport (``Gamma`` from
-the metric alone, at plain midpoints) take shortcuts there with the same
-bits; the frame solve and the metric inverse take closed forms, which
-agree with LAPACK's up to rounding.  Only the charts' constructor sets the mark, so
-``dataclasses.replace(chart)`` runs the same chart on the general path.
+control paths, the Reeb flow (t alone) and the transport (``Gamma`` from
+the metric alone and a zero Reeb term, at plain midpoints) take shortcuts
+there with the same bits; the frame solve and the metric inverse take
+closed forms, which agree with LAPACK's up to rounding.  Only the charts'
+constructor sets the mark, so ``dataclasses.replace(chart)`` runs the same
+chart on the general path.
 """
 
 import dataclasses
@@ -139,19 +140,58 @@ def test_reeb_flow_matches_general_path(name):
     X = domain_points(chart, 40, seed=1, margin=0.8)
     rng = np.random.default_rng(2)
     times, V = rng.uniform(-0.5, 0.5, len(X)), rng.normal(size=X.shape)
+    # zeros of both signs in durations, coordinates and vectors: the general
+    # steps turn -0.0 + +0.0 into +0.0, and the normal-form route must too
+    Z, W = X.copy(), V.copy()
+    zero = rng.random(X.shape) < 0.4
+    for A, signs in ((Z, (0.0, -0.0)), (W, (-0.0, 0.0))):
+        A[0::2][zero[0::2]], A[1::2][zero[1::2]] = signs
+    tz = times.copy()
+    tz[:6], tz[6:12] = 0.0, -0.0
+    # 0.02 * tz flows one step: a t of +-0.0 takes its increment unrounded,
+    # so every bit of the increment shows
     # the last rows start near the top of the box and flow up out of it
     X_out = X[-3:].copy()
     X_out[:, -1] = chart.domain.hi[-1] - 0.05
+    # rows that leave through the top and the bottom of t at different steps;
+    # the first to leave is neither the first row nor the last to leave
+    lo, hi = chart.domain.lo[-1], chart.domain.hi[-1]
+    X_exit = X[-4:].copy()
+    X_exit[:, -1] = hi - 0.2, lo + 0.3, lo + 0.05, 0.0
+    t_exit = np.array([0.5, -0.5, -0.5, 0.1])
 
     def run(c):
         y, z = T._reeb_flow_batch(c, X, times, vectors=V)
         return (y.tobytes(), z.tobytes(),
                 T._reeb_flow_batch(c, X, times, vectors=np.zeros_like(X))[0].tobytes(),
+                *(a.tobytes() for d in (tz, 0.02 * tz)
+                  for a in T._reeb_flow_batch(c, Z, d, vectors=W)),
+                _outcome(lambda: T._reeb_flow_batch(c, X_exit, t_exit, vectors=W[:4])),
                 _outcome(lambda: T._reeb_flow_batch(c, X_out, np.full(3, 0.5), vectors=V[:3])))
 
     fast, slow = both_ways(chart, run)
     assert fast == slow
     assert fast[-1][0].startswith("Reeb flow left the chart domain at")
+    bad = np.frombuffer(fast[-2][1])
+    assert bad[-1] < lo and np.array_equal(bad[:-1], X_exit[2, :-1])
+
+
+def test_reeb_flow_on_normal_form_takes_no_rk4_step(charts, monkeypatch):
+    # on normal form the flow is array arithmetic on t: no RK4 step and no
+    # chart call, also when it leaves the domain; the general path takes both
+    chart = charts["bergman"]
+    X = domain_points(chart, 16, seed=1)
+    calls = []
+    for name in ("_rk4_step", "chart_arrays"):
+        real = getattr(T, name)
+        monkeypatch.setattr(T, name, lambda *a, _real=real, _name=name, **k:
+                            calls.append(_name) or _real(*a, **k))
+    T._reeb_flow_batch(chart, X, np.full(16, 0.3), vectors=X[::-1])
+    with pytest.raises(DomainError):
+        T._reeb_flow_batch(chart, X, np.full(16, -9.0), vectors=X)
+    assert calls == []
+    T._reeb_flow_batch(dataclasses.replace(chart), X, np.full(16, 0.3), vectors=X[::-1])
+    assert set(calls) == {"_rk4_step", "chart_arrays"}
 
 
 def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
@@ -317,7 +357,8 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     # brackets, the frame solve and the full Koszul sum, also at coordinates
     # of +0.0 and -0.0; those bits read neither t nor the sign of a zero, so
     # the pass may drop the Hermite midpoint's horizontal 0 and its t part;
-    # the Reeb route keeps the full assembly
+    # the Reeb route reads G alone too, and its Reeb term is the +0.0 of the
+    # full assembly's
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = domain_points(chart, 48, seed=10)
     zero = np.random.default_rng(11).random(X.shape) < 0.4
@@ -331,14 +372,15 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     moved[:, -1] = X[::-1, -1]
     assert C.transport_data(chart, moved).Gamma.tobytes() == got.Gamma.tobytes()
     reeb, ref = C.transport_data(chart, X, vertical=True), transport_data_reference(chart, X, True)
-    for f in ("E", "xi", "Gamma", "xi_coeffs"):
+    assert reeb.E is None and reeb.xi is None
+    for f in ("Gamma", "xi_coeffs"):
         assert getattr(reeb, f).tobytes() == getattr(ref, f).tobytes(), f
 
 
 def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
-    # on normal form a horizontal transport, of control paths or of a
-    # sampled curve, evaluates G alone; the Reeb route and the general path
-    # evaluate xi, E and G
+    # on normal form a transport, of control paths or of a sampled curve,
+    # evaluates G alone, also on the Reeb route; the general path evaluates
+    # xi, E and G
     chart = charts["bergman"]
     evaluate, calls = C.chart_arrays, []
 
@@ -356,7 +398,30 @@ def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
     X = domain_points(chart, 8, seed=12)
     C.transport_data(chart, X, vertical=True)
     C.transport_data(dataclasses.replace(chart), X)
-    assert calls == [("xi", "E", "G")] * 2
+    assert calls == [("G",), ("xi", "E", "G")]
+
+
+@pytest.mark.parametrize("name", CONFIGS)
+def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch):
+    # the Reeb route reads G alone and takes plain midpoints; along paths
+    # with Reeb controls, single or in a batch, and along a balanced loop,
+    # the adapted transports keep the bits of the brackets, the frame solve
+    # and the full Koszul sum at Hermite midpoints
+    chart = _chart(name)
+    x0 = np.zeros(chart.dim)
+
+    def run():
+        paths, _, taus = T.sampled_path_transports(chart, x0, T.SamplerConfig(n_paths=16, seed=3),
+                                                   vertical_magnitude=0.45)
+        sc = T.sample_curve(chart, T.balanced_loop(chart, x0, np.random.default_rng(4)),
+                            T.LOOP_STEP)
+        assert all(np.any(p.vertical != 0.0) for p in paths)
+        return (taus.tobytes(), T.transport(chart, paths[0], "adapted").tau.tobytes(),
+                T._transport_sampled(chart, sc, "adapted").tobytes())
+
+    fast = run()
+    monkeypatch.setattr(T, "transport_data", transport_data_reference)
+    assert fast == run()
 
 
 @pytest.mark.parametrize("name", CONFIGS)
