@@ -17,12 +17,13 @@ chart in normal form (``ContactChart.normal_form``: xi = d/dt, frame
 d/dx_a + f_a d/dt, no coefficient reading t) the horizontal coordinates
 are running sums of one RK4 increment, t needs one order-0 evaluation per
 chunk of stage points, a transport reads ``G`` alone at plain midpoints,
-and the Reeb flow is array arithmetic on t; the bits are those of the
-general path.  Both routes read the connection through
-``connection.transport_data``.  The holonomy sampler runs both passes in
-batch: one sampling pass draws random control paths, horizontal or with
-Reeb controls at one magnitude, integrates their positions as one
-lockstep batch, redraws escaped paths, and transports the accepted ones.
+in one call per block with the ends, and the Reeb flow is array
+arithmetic on t; the bits are those of the general path.  Both routes
+read the connection through ``connection.transport_data``.  The holonomy
+sampler runs both passes in batch: one sampling pass draws random control
+paths, horizontal or with Reeb controls at one magnitude, integrates their
+positions as one lockstep batch, redraws escaped paths, and transports
+the accepted ones.
 Path i draws its horizontal controls from one (seed, i, attempt) stream,
 then its Reeb controls, if any.
 
@@ -191,7 +192,7 @@ def _even_steps(duration, step):
 # the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
-ROWS = 128  # rows per connection evaluation of the transport pass, at least one step
+ROWS = 128  # ends per block of the transport pass, at least one step (normal form: + midpoints)
 STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pass
 
 
@@ -348,10 +349,13 @@ def _transport_positions(chart, xs, paths, h):
     chart, with Reeb controls or without, it is (x0 + x1)/2 with the same
     bits (the h/8 term moves only t, which the connection does not read),
     so the pass needs no velocity.  A segment's steps go in blocks of
-    ``max(1, ROWS // P)`` for P paths: the block's ends are evaluated in one
-    call, then its midpoints in another; each evaluation is contracted to
-    its rates at once; the paths' shared start is one row.  The transports
-    are reprojected every ``REORTH_EVERY`` steps.
+    ``max(1, ROWS // P)`` for P paths.  On normal form a block's ends and
+    midpoints are evaluated in one call, ends first, and the next segment
+    starts from the last end row; elsewhere the ends are evaluated in one
+    call, then the midpoints, which need the ends' velocities, in another.
+    Each evaluation is contracted to its rates at once; the paths' shared
+    start is one row.  The transports are reprojected every
+    ``REORTH_EVERY`` steps.
     """
     _, controls, verticals = _path_arrays(paths)
     P_, K, per, _ = xs.shape
@@ -360,23 +364,30 @@ def _transport_positions(chart, xs, paths, h):
     block = max(1, ROWS // P_)
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:1, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end = transport_data(chart, xs[:1, 0, :1], vertical=vertical)
+    end, last = transport_data(chart, xs[:1, 0, :1], vertical=vertical), 0
     total = 0
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
         u, w = controls[:, k, None, :], verticals[:, k, None]
-        Om1 = _connection_rates(end, u, w)[:, -1]
-        v1 = None if end.E is None else _velocity(end.E, end.xi, u, w)[:, -1]
+        Om1 = _connection_rates(end, u, w)[:, last]
+        v1 = None if end.E is None else _velocity(end.E, end.xi, u, w)[:, last]
         for a in range(1, per, block):
             b = min(a + block, per)
-            end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
-            Om_end = _connection_rates(end, u, w)
+            last = b - a - 1
             mid = 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
-            if v1 is not None:
+            if v1 is None:
+                # normal form: ends and midpoints in one call, ends first
+                end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1),
+                                     vertical=vertical)
+                rates = _connection_rates(end, u, w)
+                Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
+            else:
+                end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
+                Om_end = _connection_rates(end, u, w)
                 v = _velocity(end.E, end.xi, u, w)
                 mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
                 v1 = v[:, -1]
-            Om_mid = _connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
+                Om_mid = _connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
             for j in range(b - a):
                 Om = (Om1, Om_mid[:, j], Om_end[:, j])
                 (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)

@@ -30,6 +30,7 @@ from conftest import domain_points
 from fd_oracles import (block_pairs_reference, gauged_chart, outside_for_any_t_reference,
                         rotated_chart, transport_data_reference, transport_positions_per_step)
 from test_rotated_chart import WIDE_MIXES
+from test_transport import BLOCK_CASES
 
 # the five examples and the three m = 3 mixes of the wide_products workload
 CONFIGS = {**M.EXAMPLES,
@@ -332,6 +333,39 @@ def test_closed_form_solve_matches_general_path(name):
     assert max(_rel(g, r) for g, r in zip(fast, slow, strict=True)) <= 1e-14
 
 
+def _signed_zero_points(n, count=40):
+    """Fixed points of an n-dimensional chart inside every built-in domain,
+    with coordinates of +0.0 and -0.0: those of ``report_digests.chart_points``,
+    a script that pins BLAS threads in ``os.environ`` when imported."""
+    X = np.random.default_rng(11).uniform(-0.4, 0.4, (count, n))
+    X[0], X[1] = 0.0, -0.0
+    for i in range(2, count):
+        X[i, i % n] = 0.0 if i % 2 else -0.0
+    return X
+
+
+@pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
+def test_transport_data_bits_do_not_depend_on_the_batch(name):
+    # a normal-form transport pass evaluates a block's ends and midpoints
+    # in one call: each row's Gamma and Reeb term have the bits of the
+    # separate calls on the ends and on the midpoints, and of one row alone
+    chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
+    X = _signed_zero_points(chart.dim).reshape(4, 10, chart.dim)
+    A, B = X[:, :7], X[:, 7:]
+    for vertical in (False, True):
+        joint = C.transport_data(chart, np.concatenate([A, B], axis=1), vertical=vertical)
+        parts = [C.transport_data(chart, Y, vertical=vertical) for Y in (A, B)]
+        rows = [C.transport_data(chart, X[:1, j:j + 1], vertical=vertical) for j in range(10)]
+        fields = ("Gamma", "xi_coeffs") if vertical else ("Gamma",)
+        for f in fields:
+            got = getattr(joint, f)
+            split = np.concatenate([getattr(d, f) for d in parts], axis=1)
+            assert got.tobytes() == split.tobytes(), f
+            alone = np.concatenate([getattr(d, f) for d in rows], axis=1)
+            assert got[:1].tobytes() == alone.tobytes(), f
+        assert joint.E is None and (joint.xi_coeffs is None) != vertical
+
+
 def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
     # the frame solve and the width-2 G blocks of disc_disc_12 are closed
     # forms, and the velocity split solves nothing; the general path solves
@@ -424,15 +458,26 @@ def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch
     assert fast == run()
 
 
-@pytest.mark.parametrize("name", CONFIGS)
-def test_horizontal_pass_matches_hermite_midpoints(name):
-    # the horizontal pass reads the connection at the midpoints (x0 + x1)/2,
-    # the per-step loop at the Hermite midpoints, whose t differs: the
-    # transports have the same bits
+def _pass_cases():
+    """(config, paths, step, Reeb control) over every block shape of
+    ``BLOCK_CASES``; the horizontal 10-path case keeps the config's id."""
+    return [pytest.param(name, n_paths, step, vertical,
+                         id=name if (n_paths, step, vertical) == (10, 0.02, 0.0)
+                         else f"{name}-{n_paths}-{step}-{vertical}")
+            for name in CONFIGS for n_paths, step in BLOCK_CASES for vertical in (0.0, 0.45)]
+
+
+@pytest.mark.parametrize("name, n_paths, step, vertical", _pass_cases())
+def test_horizontal_pass_matches_hermite_midpoints(name, n_paths, step, vertical):
+    # the pass reads the connection at the midpoints (x0 + x1)/2, in one
+    # call per block with the block's ends, the per-step loop at the
+    # Hermite midpoints, whose t differs: the transports have the same
+    # bits, with Reeb controls or without, in blocks of one step, of part
+    # of a segment with a reprojection inside, and of a whole segment
     chart = _chart(name)
-    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, 0.02, 0.0, i, 0)
-             for i in range(10)]
-    xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
+    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, step, vertical, i, 0)
+             for i in range(n_paths)]
+    xs, _, h = T._integrate_positions(chart, paths, step, raise_on_exit=False)
     got = T._transport_positions(chart, xs, paths, h)
     assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 

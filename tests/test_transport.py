@@ -707,11 +707,12 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
     pytest.param(True, 16, 16, id="rotated-16-16")])
 def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, n_paths, rows):
     # a pass over P rows evaluates the connection over blocks of
-    # max(1, ROWS // P) of a segment's 16 steps: a 128-path pass (here on
-    # the rotated chart, whose Reeb controls enter the connection) makes
-    # one call per step, every smaller pass one per block; every pass
-    # evaluates its shared start once and two samples per row and step, as
-    # the per-step loop does
+    # max(1, ROWS // P) of a segment's 16 steps: on a normal-form chart one
+    # call per block reads its ends and midpoints together; off normal form
+    # (the rotated chart, whose Reeb controls enter the connection) the
+    # midpoints need the ends' velocities, so a block takes two calls, and
+    # a 128-path pass two per step; every pass evaluates its shared start
+    # once and two samples per row and step, as the per-step loop does
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if rotated else charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
@@ -730,7 +731,9 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
         T.sampled_path_transports(chart, np.zeros(chart.dim), sampler,
                                   sampler.magnitude if rotated else 0.0)
     block = max(1, T.ROWS // rows)
-    assert counts == {"calls": 1 + 2 * 4 * -(-16 // block), "points": 1 + rows * 2 * 4 * 16}
+    per_block = 2 if rotated else 1
+    assert counts == {"calls": 1 + per_block * 4 * -(-16 // block),
+                      "points": 1 + rows * 2 * 4 * 16}
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -873,10 +876,11 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
 
 
 def test_wide_sampling_pass_memory_is_bounded():
-    # a 16-path pass on three discs (2m = 6)
-    # evaluates the connection over blocks of 8 steps, 128 rows per call,
-    # and peaks at 3.3 MB (0.5 MB at one step per call, 6.1 MB at 256 rows
-    # per call); the bound leaves 20%
+    # a 16-path pass on three discs (2m = 6, normal form) evaluates the
+    # connection over blocks of 8 steps, one call per block on its 128 ends
+    # and 128 midpoints, and peaks at 2.3 MB (0.6 MB at one step per block,
+    # 1.5 MB with the ends and midpoints in two calls, 4.4 MB at 256 ends
+    # per block); the bound leaves about 40%
     chart = product_construction(RHS_FACTORS[3])
     sampler = T.SamplerConfig(n_paths=16)
     T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
@@ -890,9 +894,9 @@ def test_wide_sampling_pass_memory_is_bounded():
 
 
 def test_sampling_pass_memory_is_bounded(charts):
-    # a 128-path bergman pass peaks at 1.6 MB: the positions plus one
-    # 128-row transport evaluation; Gamma kept at every sample would take
-    # about 29 MB
+    # a 128-path bergman pass peaks at 1.3 MB: the positions plus one
+    # transport evaluation on a step's 128 ends and 128 midpoints; Gamma
+    # kept at every sample would take about 29 MB
     chart = charts["bergman"]
     sampler = T.SamplerConfig(n_paths=128)
     T.sampled_path_transports(chart, np.zeros(5), sampler)
