@@ -6,15 +6,16 @@ so the samples land in so(2m), and bracket closure upgrades the sampled
 span to a Lie algebra.  Two independent sampling routes exist for the
 horizontal holonomy: Wagner curvature on frame pairs, and horizontal
 curvature on bivectors annihilated by dtheta; their spans must agree.
-On a chart in normal form ``[xi, e_a] = 0`` and no coefficient reads t,
-so a path's zero-extension transport and its end's curvature are those of
-the horizontal path with the same horizontal controls: one horizontal
-sampling pass (:func:`holonomy_samples`) feeds both routes and the adapted
-zero-extension samples.  Off normal form the adapted samples take a second
-pass, of paths with Reeb-direction controls.  The base point is evaluated
-at order 2 once, and the transverse splitting reads it too.  The frame
-data carries its orthonormal frame, and each variant's samples come out
-as one array.
+The Reeb flow of a K-contact manifold preserves theta, the horizontal
+distribution and its metric, so it preserves the zero extension and its
+curvature: a path with Reeb-direction controls, moved piece by piece by
+the flow, is a horizontal path with the same Ambrose-Singer sample.  So
+on every chart one horizontal sampling pass (:func:`holonomy_samples`)
+feeds both routes and the adapted zero-extension samples.  The pass's
+ends and the base point are evaluated at order 2 once each, and the
+transverse splitting reads the base point's data too.  The frame data
+carries its orthonormal frame, and each variant's samples come out as
+one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
 the structure analysis cuts at fixed thresholds, written where applied.
 """
@@ -205,12 +206,11 @@ def _annihilator_pairs(data):
     return np.einsum("...abec,...pab->...pec", R_o, beta)
 
 
-# sample generators of each variant, and whether, off normal form, they are
-# conjugated along paths with Reeb-direction controls
+# the sample generator of each variant
 _VARIANTS = {
-    "wagner": (_pair_matrices("RW"), False),
-    "annihilator": (_annihilator_pairs, False),
-    "adapted": (_pair_matrices("R"), True),
+    "wagner": _pair_matrices("RW"),
+    "annihilator": _annihilator_pairs,
+    "adapted": _pair_matrices("R"),
 }
 
 
@@ -221,38 +221,27 @@ def holonomy_samples(chart, x, sampler: SamplerConfig):
     horizontal paths.  ``'annihilator'``: horizontal curvature on bivectors
     with dtheta(beta) = 0, along the same paths; both span the horizontal
     holonomy algebra.  ``'adapted'``: zero-extension curvature on frame
-    pairs (its mixed curvature vanishes), conjugated along paths with
-    Reeb-direction controls at the sampler's ``magnitude`` (classical
-    Ambrose-Singer), or on a chart in normal form along the horizontal
-    paths, which give the same transports and end curvatures.  So a chart
-    in normal form takes one sampling pass and any other chart two
-    (horizontal, then Reeb); each pass's ends are evaluated at order 2 and
-    its transports inverted once, for all its variants.  Each variant's
-    samples are one ``(count, 2m, 2m)`` array: the base point's (the
-    trivial path), then the conjugated samples of every path, in the
-    orthonormal frame.  ``base`` is the order-2 frame data of x alone.
+    pairs (its mixed curvature vanishes), along the same paths again: the
+    Reeb flow preserves the zero extension, so the samples along paths
+    with Reeb-direction controls (classical Ambrose-Singer) are samples
+    along horizontal paths, and both span the same algebra.  One sampling
+    pass serves every chart; its ends are evaluated at order 2 and its
+    transports inverted once, for all variants.  Each variant's samples
+    are one ``(count, 2m, 2m)`` array: the base point's (the trivial
+    path), then the conjugated samples of every path, in the orthonormal
+    frame.  ``base`` is the order-2 frame data of x alone.
     """
     x = np.asarray(x, dtype=float)
-    horizontal = sampled_path_transports(chart, x, sampler)
+    _, points, taus = sampled_path_transports(chart, x, sampler)
     base = frame_data(chart, x[None], order=2)
-    samples = {v: pairs(base)[0] for v, (pairs, _) in _VARIANTS.items()}
+    samples = {v: pairs(base)[0] for v, pairs in _VARIANTS.items()}
     if not sampler.n_paths:
         return samples, base
-
-    def conjugate(variants, sampled):  # its order-2 data goes before the next pass
-        _, points, taus = sampled
-        data = frame_data(chart, points, order=2)
-        taus_o = ortho_transports(taus, data.Pinv, base.P[0])
-        inv = np.linalg.inv(taus_o)
-        for v in variants:
-            conjugated = _conjugated_samples(taus_o, inv, _VARIANTS[v][0](data))
-            samples[v] = np.concatenate([samples[v], conjugated])
-
-    reeb = [v for v, (_, needs_reeb) in _VARIANTS.items() if needs_reeb and not chart.normal_form]
-    conjugate([v for v in _VARIANTS if v not in reeb], horizontal)
-    if reeb:
-        conjugate(reeb, sampled_path_transports(chart, x, sampler, sampler.magnitude))
-    return samples, base
+    data = frame_data(chart, points, order=2)
+    taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+    inv = np.linalg.inv(taus_o)
+    return {v: np.concatenate([samples[v], _conjugated_samples(taus_o, inv, pairs(data))])
+            for v, pairs in _VARIANTS.items()}, base
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):

@@ -20,12 +20,10 @@ chunk of stage points, a transport reads ``G`` alone at plain midpoints,
 in one call per block with the ends, and the Reeb flow is array
 arithmetic on t; the bits are those of the general path.  Both routes
 read the connection through ``connection.transport_data``.  The holonomy
-sampler runs both passes in batch: one sampling pass draws random control
-paths, horizontal or with Reeb controls at one magnitude, integrates their
-positions as one lockstep batch, redraws escaped paths, and transports
-the accepted ones.
-Path i draws its horizontal controls from one (seed, i, attempt) stream,
-then its Reeb controls, if any.
+sampler's one pass draws random horizontal control paths, integrates
+their positions as one lockstep batch, redraws escaped paths, and
+transports the accepted ones.  Path i draws its controls from one
+(seed, i, attempt) stream.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -682,28 +680,21 @@ def transport_equivalence_check(chart, loop):
 # samplers and loop builders
 
 
-def _draw_path(chart, x0, segments, horizon, magnitude, seed, step,
-               vertical_magnitude, i, attempt):
+def _draw_path(chart, x0, segments, horizon, magnitude, seed, step, i, attempt):
     rng = np.random.default_rng([int(seed), int(i), int(attempt)])
     controls = rng.normal(0.0, 1.0, (segments, 2 * chart.m)) * magnitude
-    # a horizontal draw takes no normals for its Reeb controls
-    vertical = np.zeros(segments)
-    if vertical_magnitude > 0:
-        vertical = rng.normal(0.0, 1.0, segments) * vertical_magnitude
-    return ControlPath(x0, controls, horizon, step, vertical)
+    return ControlPath(x0, controls, horizon, step)
 
 
-def sampled_path_transports(chart, x0, sampler: SamplerConfig, vertical_magnitude=0.0):
-    """Draw ``sampler.n_paths`` paths, integrate their positions in one
-    batch, redraw the ones that escape, then transport all in one batch.
+def sampled_path_transports(chart, x0, sampler: SamplerConfig):
+    """Draw ``sampler.n_paths`` horizontal paths, integrate their positions
+    in one batch, redraw the ones that escape, then transport all in one
+    batch.
 
-    Each segment of a path carries a Reeb-direction control at
-    ``vertical_magnitude`` (0 draws horizontal paths).  Attempt k redraws
-    every path still escaped after attempt k - 1, in one batch, up to
-    ``MAX_ATTEMPTS`` draws per path.  Each draw comes from the (seed, path
-    index, attempt) stream, and a path with Reeb controls draws them after
-    its horizontal ones, so the accepted paths do not depend on how the
-    batches are formed.  Returns ``(paths, endpoints, taus)``.
+    Attempt k redraws every path still escaped after attempt k - 1, in one
+    batch, up to ``MAX_ATTEMPTS`` draws per path.  Each draw comes from the
+    (seed, path index, attempt) stream, so the accepted paths do not depend
+    on how the batches are formed.  Returns ``(paths, endpoints, taus)``.
     """
     x0 = np.asarray(x0, dtype=float)
     if not chart.domain.contains(x0):
@@ -711,8 +702,9 @@ def sampled_path_transports(chart, x0, sampler: SamplerConfig, vertical_magnitud
     step = sampler.step
 
     def draw(i, attempt):
+        # attempt by keyword: a tracer of _draw_path reads it by name
         return _draw_path(chart, x0, sampler.segments, sampler.horizon, sampler.magnitude,
-                          sampler.seed, step, vertical_magnitude, i, attempt)
+                          sampler.seed, step, i, attempt=attempt)
 
     paths = [draw(i, 0) for i in range(sampler.n_paths)]
     if not paths:

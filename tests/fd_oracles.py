@@ -36,6 +36,12 @@ integrated positions as the package ran it before it evaluated the
 connection over blocks of steps: one evaluation of the ends and one of the
 Hermite midpoints per step, with the velocity from order-1 chart values
 on every chart, a bit-for-bit oracle.
+:func:`draw_path` and :func:`reeb_sampled_path_transports` are the draw
+and the sampling pass of paths with Reeb-direction controls that
+``holonomy_samples`` made off normal form before it took its adapted
+samples along the horizontal pass: the oracle of that route, wrapped
+around the package's horizontal draw and pass with the same bits.
+:func:`reeb_adapted_samples` gives that route's adapted samples.
 :func:`integrate_sampled_reference` is the stage-by-stage RK4 over sampled
 coefficients that the sampled-curve transports ran before they became
 products of step propagators, and :func:`reeb_flow_jacobian_reference`
@@ -57,12 +63,13 @@ import dataclasses
 
 import numpy as np
 
+from kcontact import holonomy as H
 from kcontact import jets
 from kcontact import transport as T
 from kcontact.connection import (TransportData, _koszul, frame_brackets, frame_data,
-                                 inverse_derivative, ortho_curvature, ortho_two_form,
-                                 orthonormal_frame_change, reeb_brackets, transport_data,
-                                 two_form_derivative)
+                                 inverse_derivative, ortho_curvature, ortho_transports,
+                                 ortho_two_form, orthonormal_frame_change, reeb_brackets,
+                                 transport_data, two_form_derivative)
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
 
@@ -482,6 +489,63 @@ def transport_positions_per_step(chart, xs, paths, h):
             if total % T.REORTH_EVERY == 0:
                 M = T._reorthonormalize(chart, x1, M, P0, L0t)
     return M
+
+
+def _with_reeb_controls(path, seed, i, attempt, vertical_magnitude):
+    """``path`` with Reeb controls at ``vertical_magnitude`` (0: none),
+    drawn after its horizontal controls from its (seed, i, attempt) stream."""
+    if vertical_magnitude > 0:
+        rng = np.random.default_rng([int(seed), int(i), int(attempt)])
+        rng.normal(0.0, 1.0, path.controls.shape)
+        path.vertical = rng.normal(0.0, 1.0, path.segments) * vertical_magnitude
+    return path
+
+
+def draw_path(chart, x0, segments, horizon, magnitude, seed, step, vertical_magnitude, i,
+              attempt):
+    """``transport._draw_path`` as it ran when the holonomy sampler also
+    drew paths with Reeb controls: the horizontal draw of
+    ``transport._draw_path``, then Reeb controls at ``vertical_magnitude``
+    from the same stream."""
+    path = T._draw_path(chart, x0, segments, horizon, magnitude, seed, step, i, attempt=attempt)
+    return _with_reeb_controls(path, seed, i, attempt, vertical_magnitude)
+
+
+def reeb_sampled_path_transports(chart, x0, sampler, vertical_magnitude):
+    """The sampling pass of paths with Reeb controls at
+    ``vertical_magnitude``, which ``holonomy_samples`` made off normal form
+    for the adapted samples: ``transport.sampled_path_transports`` with
+    each draw of ``transport._draw_path``, whatever it is at call time,
+    given Reeb controls as :func:`draw_path` gives them."""
+    horizontal = T._draw_path
+
+    def draw(chart, x0, segments, horizon, magnitude, seed, step, i, attempt):
+        path = horizontal(chart, x0, segments, horizon, magnitude, seed, step, i,
+                          attempt=attempt)
+        return _with_reeb_controls(path, seed, i, attempt, vertical_magnitude)
+
+    T._draw_path = draw
+    try:
+        return T.sampled_path_transports(chart, x0, sampler)
+    finally:
+        T._draw_path = horizontal
+
+
+def reeb_adapted_samples(chart, x, sampler):
+    """The adapted samples of ``holonomy.holonomy_samples`` as it took them
+    off normal form: the zero-extension curvature R on frame pairs at x,
+    then at the ends of :func:`reeb_sampled_path_transports` at the
+    sampler's magnitude, conjugated by its transports."""
+    x = np.asarray(x, dtype=float)
+    _, points, taus = reeb_sampled_path_transports(chart, x, sampler, sampler.magnitude)
+    base = frame_data(chart, x[None], order=2)
+    pairs = H._pair_matrices("R")
+    if not sampler.n_paths:
+        return pairs(base)[0]
+    data = frame_data(chart, points, order=2)
+    taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+    return np.concatenate([pairs(base)[0], H._conjugated_samples(
+        taus_o, np.linalg.inv(taus_o), pairs(data))])
 
 
 def _first_order_velocity(chart, x, u, w):

@@ -12,8 +12,8 @@ each shipped config at each ``holonomy_shipped`` seed, three
 ``partly_shared`` holonomy reports at long horizons, where a pass of paths
 with Reeb controls would accept another draw than the horizontal pass for
 one path (``PARTLY_SHARED``), and 16 ``general_path`` reports: holonomy
-and verify on four charts off normal form (``GENERAL_PATH``), the only
-charts whose adapted samples take a second pass.  The gauged charts come
+and verify on four charts off normal form (``GENERAL_PATH``), which take
+the general route of the sampling pass.  The gauged charts come
 from ``fd_oracles.gauged_chart`` in this script's own ``tests/``.  One
 line per report: workload (``spinor``, ``partly_shared`` and
 ``general_path`` for the extra reports), config, seed and the digest of
@@ -76,15 +76,15 @@ ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
 # (label, config, sampler fields): for one path index a pass with Reeb
 # controls would accept another draw than the horizontal pass, whose path
-# the normal-form route conjugates the adapted samples along
+# every chart conjugates the adapted samples along
 PARTLY_SHARED = [
     ("bergman_h4.8", "bergman", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("bergman_h2.4", "bergman", {"horizon": 2.4, "n_paths": 8, "seed": 3}),
 ]
 # (label, shipped config or ``wide_products`` mix, chart change): charts off
-# normal form, whose adapted samples take a second pass of paths with Reeb
-# controls; each gives a holonomy and a verify report at each of
+# normal form, whose sampling pass, Reeb flow and connection take the
+# general route; each gives a holonomy and a verify report at each of
 # GENERAL_PATH_SEEDS, at 8 paths
 GENERAL_PATH = [
     ("gauged_bergman", "bergman", "gauged"),

@@ -17,7 +17,7 @@ from kcontact import transverse as TV
 from kcontact.holonomy import compare_subalgebras, t_complement
 
 from conftest import domain_points, real_from_complex
-from fd_oracles import rotated_chart
+from fd_oracles import reeb_sampled_path_transports, rotated_chart
 
 ALL_CHARTS = ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
               "perturbed_disc_disc"]
@@ -84,7 +84,7 @@ def test_criterion_4_scalar_transport(charts):
         chart = charts[name]
         sampler = T.SamplerConfig(n_paths=4, segments=4, horizon=1.0, magnitude=0.35,
                                   step=0.02, seed=104)
-        paths, _, _ = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, 0.4)
+        paths, _, _ = reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler, 0.4)
         for path in paths:
             sc = T.sample_curve(chart, path, 0.005)
             fq = T.transport_theta(chart, sc, "quadrature")

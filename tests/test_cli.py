@@ -499,7 +499,7 @@ def test_report_integrates_one_batch(monkeypatch, command):
         return wrapper
 
     def recording_pass(*args):
-        rows["passes"].append(args[3:])  # the Reeb magnitude, if one is passed
+        rows["passes"].append(args[3:])  # nothing past the sampler
         return sample_pass(*args)
 
     monkeypatch.setattr(transport, "_integrate_positions", counting("positions", positions, 1))

@@ -23,7 +23,7 @@ from kcontact.connection import frame_data
 from kcontact.holonomy import holonomy_samples, lie_closure
 
 from conftest import domain_points
-from fd_oracles import gauged_chart, structure_fd
+from fd_oracles import gauged_chart, reeb_adapted_samples, structure_fd
 from test_golden import _structure
 from test_rotated_chart import WIDE_MIXES
 
@@ -107,10 +107,9 @@ def test_gauged_holonomy_structure(monkeypatch, name):
 
 @pytest.mark.parametrize("name", WIDE_MIXES)
 def test_gauged_wide_mix_structure(monkeypatch, name):
-    # at m = 3 the gauged chart, off normal form, takes a second sampling
-    # pass, with Reeb controls, and the Reeb term: the report keeps the
-    # built-in chart's dims, codim, cross-variant dims, blocks and spinor
-    # kernels
+    # at m = 3 the gauged chart, off normal form, takes the general route
+    # of the sampling pass: the report keeps the built-in chart's dims,
+    # codim, cross-variant dims, blocks and spinor kernels
     cfg = cli.RunConfig.from_dict({"manifold": {"type": "product", "factors": WIDE_MIXES[name]}})
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, seed=0)
     built_in = _structure(cli.holonomy_report(cfg))
@@ -129,14 +128,19 @@ def test_gauged_verify_passes(monkeypatch, name):
 
 
 def test_adapted_dims_see_the_reeb_term(monkeypatch):
-    # without the Reeb term the adapted transports leave the algebra: the
-    # closure of the adapted samples fills so(4)
+    # along paths with Reeb controls (the oracle of the pass holonomy_samples
+    # made off normal form) the adapted transports leave the algebra without
+    # the Reeb term: the closure of the adapted samples fills so(4).  Along
+    # the horizontal pass the term is multiplied by w = 0, so holonomy_samples
+    # reads the same dim either way
     cfg = _gauged_config(monkeypatch, "disc_disc_12")
 
-    def adapted_dim():
-        samples, _ = holonomy_samples(*cli._resolve_chart(cfg), cfg.sampler)
-        return lie_closure(samples["adapted"], cfg.span_tol).dim
+    def adapted_dims():
+        chart, x0 = cli._resolve_chart(cfg)
+        samples, _ = holonomy_samples(chart, x0, cfg.sampler)
+        return tuple(lie_closure(s, cfg.span_tol).dim
+                     for s in (reeb_adapted_samples(chart, x0, cfg.sampler), samples["adapted"]))
 
-    assert adapted_dim() == 2
+    assert adapted_dims() == (2, 2)
     _drop_reeb_term(monkeypatch)
-    assert adapted_dim() == 6
+    assert adapted_dims() == (6, 2)

@@ -93,7 +93,8 @@ def test_schouten_variants_share_one_pass(charts, monkeypatch):
 
     monkeypatch.setattr(H, "sampled_path_transports", counting_pass)
     every, base = H.holonomy_samples(chart, x0, cfg)
-    # bergman is in normal form: the adapted samples take the horizontal pass
+    # one pass, with nothing past the sampler: every chart's adapted samples
+    # take the horizontal pass
     assert passes == [()]
     # the base point's order-2 data, as a report's splitting reads it
     assert base.R is not None and np.array_equal(base.x, x0[None])
@@ -131,10 +132,9 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
 
 
 def test_report_samples_memory_is_bounded(charts):
-    # off normal form a 64-path report makes two passes, and their order-2
-    # ends are evaluated one pass at a time, the first freed before the
-    # second pass: the peak is about 2.3 MB, and one evaluation over both
-    # passes' ends would reach 3.7 MB
+    # off normal form a 64-path report makes one horizontal pass, whose
+    # order-2 ends are evaluated once, for every variant: the peak is about
+    # 2.0 MB
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     sampler = T.SamplerConfig(n_paths=64)
     H.holonomy_samples(chart, np.zeros(chart.dim), sampler)

@@ -46,9 +46,9 @@ def test_chart_arrays_span_names_ignore_field_selection():
 
 
 def test_tracer_counts_the_draws_of_a_redrawing_pass(charts, monkeypatch):
-    # the tracer reads a draw's attempt at a fixed position of _draw_path;
-    # a recorder that binds the arguments by name must see the same draws,
-    # so reordering _draw_path's parameters fails here instead of
+    # the tracer reads a draw's attempt by keyword or at position 9 of
+    # _draw_path; a recorder that binds the arguments by name must see the
+    # same draws, so passing the attempt elsewhere fails here instead of
     # miscounting the benchmark's redraws
     import inspect
 

@@ -27,8 +27,10 @@ from kcontact import transport as T
 from kcontact.errors import DomainError
 
 from conftest import domain_points
-from fd_oracles import (block_pairs_reference, gauged_chart, outside_for_any_t_reference,
-                        rotated_chart, transport_data_reference, transport_positions_per_step)
+from fd_oracles import (block_pairs_reference, draw_path, gauged_chart,
+                        outside_for_any_t_reference, reeb_adapted_samples,
+                        reeb_sampled_path_transports, rotated_chart, transport_data_reference,
+                        transport_positions_per_step)
 from test_rotated_chart import WIDE_MIXES
 from test_transport import BLOCK_CASES
 
@@ -68,7 +70,7 @@ def test_positions_pass_matches_general_path(name, t_frac):
     x0 = np.zeros(chart.dim)
     x0[-1] = t_frac * chart.domain.hi[-1]
     mag = 3.0 if name == "heisenberg" else 0.9
-    paths = [T._draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, v, i, 0)
+    paths = [draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, v, i, 0)
              for v in (0.0, mag) for i in range(12)]
 
     def run(c):
@@ -86,7 +88,7 @@ def test_positions_pass_matches_general_path(name, t_frac):
 def test_positions_pass_with_every_row_frozen_matches_general_path(charts):
     # every row escapes in an early segment; the later ones only copy them
     chart = charts["bergman"]
-    paths = [T._draw_path(chart, np.zeros(5), 6, 3.0, 3.0, 1, 0.02, 0.0, i, 0) for i in range(3)]
+    paths = [T._draw_path(chart, np.zeros(5), 6, 3.0, 3.0, 1, 0.02, i, 0) for i in range(3)]
 
     def run(c):
         xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
@@ -100,7 +102,7 @@ def test_positions_pass_evaluates_no_step_past_an_exit(charts, monkeypatch):
     # a row is evaluated up to the step on which it leaves the balls, whose
     # start is inside, and not at the points it would reach afterwards
     chart = charts["bergman"]
-    paths = [T._draw_path(chart, np.zeros(5), 3, 1.2, 0.9, 7, 0.02, 0.0, i, 0) for i in range(12)]
+    paths = [T._draw_path(chart, np.zeros(5), 3, 1.2, 0.9, 7, 0.02, i, 0) for i in range(12)]
     evaluate, starts = T.chart_arrays, []
 
     def recording(c, X, order=1, **kwargs):
@@ -210,7 +212,7 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
 
     def run(c):
         batches.clear()
-        passes = [T.sampled_path_transports(c, np.zeros(5), sampler, vertical)
+        passes = [reeb_sampled_path_transports(c, np.zeros(5), sampler, vertical)
                   for vertical in (0.0, sampler.magnitude)]
         return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
                                for paths, ends, _ in passes], [taus for _, _, taus in passes]
@@ -284,7 +286,7 @@ def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
     # of STAGE_POINTS stage points (a third of them per step and row), not
     # four per step, and the Reeb flow makes none
     chart = charts["heisenberg"]  # these paths never escape
-    paths = [T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, 0.0, i, 0) for i in range(64)]
+    paths = [T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, i, 0) for i in range(64)]
     evaluate, calls = T.chart_arrays, []
 
     def counted(c, X, order=1, **kwargs):
@@ -423,7 +425,7 @@ def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
         return evaluate(c, X, order, fields=fields)
 
     monkeypatch.setattr(C, "chart_arrays", recording)
-    path = T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
+    path = T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, 0, 0)
     T.sampled_path_transports(chart, np.zeros(5), T.SamplerConfig(n_paths=4))
     T.transport(chart, path, "schouten")
     T._transport_sampled(chart, T.sample_curve(chart, path), "schouten")
@@ -445,8 +447,8 @@ def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch
     x0 = np.zeros(chart.dim)
 
     def run():
-        paths, _, taus = T.sampled_path_transports(chart, x0, T.SamplerConfig(n_paths=16, seed=3),
-                                                   vertical_magnitude=0.45)
+        paths, _, taus = reeb_sampled_path_transports(chart, x0, T.SamplerConfig(n_paths=16,
+                                                                                 seed=3), 0.45)
         sc = T.sample_curve(chart, T.balanced_loop(chart, x0, np.random.default_rng(4)),
                             T.LOOP_STEP)
         assert all(np.any(p.vertical != 0.0) for p in paths)
@@ -475,7 +477,7 @@ def test_horizontal_pass_matches_hermite_midpoints(name, n_paths, step, vertical
     # bits, with Reeb controls or without, in blocks of one step, of part
     # of a segment with a reprojection inside, and of a whole segment
     chart = _chart(name)
-    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, step, vertical, i, 0)
+    paths = [draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, step, vertical, i, 0)
              for i in range(n_paths)]
     xs, _, h = T._integrate_positions(chart, paths, step, raise_on_exit=False)
     got = T._transport_positions(chart, xs, paths, h)
@@ -522,21 +524,21 @@ def test_singular_metric_block_exits_5(monkeypatch, capsys):
 
 
 def _accepted_draws(chart, sampler, monkeypatch):
-    """The horizontal pass and the pass with Reeb controls at the sampler's
-    magnitude, and the path indices whose accepted draw (the last) has the
-    same attempt in both."""
+    """The horizontal pass and the oracle's pass with Reeb controls at the
+    sampler's magnitude, and the path indices whose accepted draw (the
+    last) has the same attempt in both."""
     draw = T._draw_path
     signature = inspect.signature(draw)
-    accepted = {}
+    accepted, passes = {}, []
 
     def recording(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
-        accepted[bound["vertical_magnitude"] > 0, bound["i"]] = bound["attempt"]
+        accepted[len(passes) > 0, bound["i"]] = bound["attempt"]
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(T, "_draw_path", recording)
-    passes = [T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
-              for vertical in (0.0, sampler.magnitude)]
+    for vertical in (0.0, sampler.magnitude):
+        passes.append(reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical))
     monkeypatch.undo()
     same = [i for i in range(sampler.n_paths) if accepted[False, i] == accepted[True, i]]
     return passes, same
@@ -548,9 +550,9 @@ def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # Reeb controls move only t: where both passes accept the same attempt
     # of path i, the adapted paths, transported with their Reeb brackets,
     # give the horizontal transports bit for bit, the ends differ in t
-    # alone and their order-2 frame data do not differ at all.  This is why
-    # holonomy_samples conjugates the adapted samples along the horizontal
-    # pass there
+    # alone and their order-2 frame data do not differ at all.  So there the
+    # adapted samples along the horizontal pass, which holonomy_samples
+    # takes on every chart, are those along the Reeb paths bit for bit
     chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
     ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
@@ -582,27 +584,21 @@ def test_adapted_half_differs_off_normal_form(charts, monkeypatch):
 def test_adapted_samples_are_those_of_the_adapted_half(name):
     # the Wagner samples are the Wagner curvature RW at the horizontal
     # pass's ends, conjugated by its transports; the adapted samples are
-    # the zero-extension curvature R at the ends of the pass with Reeb
-    # controls, conjugated by its transports.  On a normal-form chart
-    # holonomy_samples takes both from the horizontal pass, which gives the
-    # same where every draw matches; off normal form (the gauged charts)
-    # it makes the second pass
+    # the zero-extension curvature R at the same ends, conjugated by the
+    # same transports, on every chart: the Reeb flow preserves the zero
+    # extension, so paths with Reeb controls add no direction to its
+    # algebra (test_reeb_and_horizontal_routes_span_one_adapted_algebra)
     gauged = name.startswith("gauged_")
     chart = gauged_chart(_chart(name[7:]), (1, 2), 0.7) if gauged else _chart(name)
     x0 = np.zeros(5)
     sampler = T.SamplerConfig(n_paths=16, seed=4)
     got = H.holonomy_samples(chart, x0, sampler)[0]
-    passes = [T.sampled_path_transports(chart, x0, sampler, vertical)
-              for vertical in (0.0, sampler.magnitude)]
-    if not gauged:
-        assert all(np.array_equal(a.controls, b.controls)
-                   for a, b in zip(passes[0][0], passes[1][0]))
+    _, ends, taus = T.sampled_path_transports(chart, x0, sampler)
     base = C.frame_data(chart, x0[None], order=2)
+    data = C.frame_data(chart, ends, order=2)
+    taus_o = C.ortho_transports(taus, data.Pinv, base.P[0])
     a, b = np.triu_indices(4, 1)
-    for variant, field, (_, ends, taus) in (("wagner", "RW", passes[0]),
-                                            ("adapted", "R", passes[1])):
-        data = C.frame_data(chart, ends, order=2)
-        taus_o = C.ortho_transports(taus, data.Pinv, base.P[0])
+    for variant, field in (("wagner", "RW"), ("adapted", "R")):
         F0 = C.ortho_curvature(getattr(base, field), base.P, base.Pinv)[0, a, b]
         F = C.ortho_curvature(getattr(data, field), data.P, data.Pinv)[:, a, b]
         want = np.linalg.inv(taus_o)[:, None] @ F @ taus_o[:, None]
@@ -612,37 +608,69 @@ def test_adapted_samples_are_those_of_the_adapted_half(name):
 
 
 def test_normal_form_pass_has_the_horizontal_half_alone(charts, monkeypatch):
-    # every normal-form chart makes one horizontal pass; the rotated and
-    # gauged charts, off normal form, make a second pass with Reeb controls
-    # at the sampler's magnitude for the adapted samples
+    # every chart makes one horizontal pass, with nothing past the sampler:
+    # the normal-form charts and, off normal form, the rotated and gauged
+    # ones, whose adapted samples take its transports too
     passes = []
     sample_pass = H.sampled_path_transports
 
-    def recording(chart, x, sampler, vertical_magnitude=0.0):
-        passes.append(vertical_magnitude)
-        return sample_pass(chart, x, sampler, vertical_magnitude)
+    def recording(*args, **kwargs):
+        passes.append((args[3:], kwargs))
+        return sample_pass(*args, **kwargs)
 
     monkeypatch.setattr(H, "sampled_path_transports", recording)
     sampler = T.SamplerConfig(n_paths=2)
-    for name in CONFIGS:
-        chart = _chart(name)
+    off_normal_form = [rotated_chart(charts["disc_disc_12"], (0, 1), 0.7),
+                       gauged_chart(charts["bergman"], (1, 2), 0.7),
+                       gauged_chart(charts["disc_disc_12"], (1, 2), 0.7)]
+    for chart in [_chart(name) for name in CONFIGS] + off_normal_form:
         H.holonomy_samples(chart, np.zeros(chart.dim), sampler)
-    assert passes == [0.0] * len(CONFIGS)
-    for chart in (rotated_chart(charts["disc_disc_12"], (0, 1), 0.7),
-                  gauged_chart(charts["bergman"], (1, 2), 0.7),
-                  gauged_chart(charts["disc_disc_12"], (1, 2), 0.7)):
-        passes.clear()
-        H.holonomy_samples(chart, np.zeros(5), sampler)
-        assert passes == [0.0, sampler.magnitude]
+    assert passes == [((), {})] * (len(CONFIGS) + len(off_normal_form))
+
+
+def _route_cases():
+    """(chart, sampler) pairs on which the two routes to the adapted
+    algebra are compared: gauged and rotated charts, and the bergman case
+    of test_unmatched_draws_keep_the_structure, whose two passes accept
+    different draws for one path."""
+    charts = [(f"gauged_{name}", gauged_chart(_chart(name), (1, 2), 0.7))
+              for name in ("bergman", "disc_disc_12", "perturbed_disc_disc")]
+    charts += [(f"rotated_{name}", rotated_chart(_chart(name), (0, 1), 0.7))
+               for name in ("disc_disc_12", "bergman")]
+    cases = [pytest.param(chart, T.SamplerConfig(n_paths=n, seed=seed), id=f"{name}-{n}-{seed}")
+             for name, chart in charts for n, seed in ((8, 0), (16, 3), (64, 5))]
+    unmatched = T.SamplerConfig(n_paths=8, horizon=2.4, seed=3)
+    return cases + [pytest.param(_chart("bergman"), unmatched, id="bergman-unmatched")]
+
+
+@pytest.mark.parametrize("chart, sampler", _route_cases())
+def test_reeb_and_horizontal_routes_span_one_adapted_algebra(chart, sampler):
+    # the Reeb flow preserves the zero extension and its curvature, so the
+    # adapted samples along paths with Reeb controls (the oracle of the
+    # pass holonomy_samples made off normal form) and along the horizontal
+    # pass close to one algebra, which holds the horizontal one: equal
+    # dims and a mutual span residual of at most 1e-7 (measured 3.5e-9 on
+    # the gauged charts, 9.3e-16 on the rotated ones and bergman)
+    x0 = np.zeros(chart.dim)
+    samples, _ = H.holonomy_samples(chart, x0, sampler)
+    horizontal = H.lie_closure(samples["adapted"])
+    reeb = H.lie_closure(reeb_adapted_samples(chart, x0, sampler))
+    wagner = H.lie_closure(samples["wagner"])
+    assert horizontal.dim == reeb.dim
+    assert max(b.span_residual(B) for a, b in ((horizontal, reeb), (reeb, horizontal))
+               for B in a.basis) <= 1e-7
+    for h0 in (horizontal, reeb):
+        assert H.compare_subalgebras(wagner, h0)["contained"]
 
 
 def test_unmatched_draws_keep_the_structure():
     # bergman at horizon 2.4, seed 3, 8 paths: path 4 accepts attempt 6 in
-    # the horizontal pass and attempt 5 in the pass with Reeb controls, so
-    # the adapted samples of the normal-form route, along the horizontal
-    # path 4, are not those of the adapted path 4 that the general route,
-    # making the second pass, conjugates along.  Both routes find the same
-    # structure
+    # the horizontal pass and attempt 5 in the oracle's pass with Reeb
+    # controls, so the adapted samples along the horizontal path 4 are not
+    # those along the Reeb path 4 (the two routes' algebras are compared in
+    # test_reeb_and_horizontal_routes_span_one_adapted_algebra).  The
+    # normal-form route and the general route, each taking the horizontal
+    # pass, find the same structure
     cfg = cli.load_config(str(Path(__file__).resolve().parent.parent / "configs" / "bergman.json"))
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
     chart, x0 = cli._resolve_chart(cfg)

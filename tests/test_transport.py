@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import math
 import tracemalloc
 
@@ -15,8 +16,10 @@ from fd_oracles import (
     connection_rates_reference,
     coupled_transport_reference,
     cumulative_theta_integral_loop,
+    draw_path,
     integrate_sampled_reference,
     reeb_flow_jacobian_reference,
+    reeb_sampled_path_transports,
     rhs_reference,
     rotated_chart,
     theta_integral_loop,
@@ -46,11 +49,12 @@ def ortho_tau(chart, res):
 
 def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02,
                vertical=0.0, max_attempts=T.MAX_ATTEMPTS):
-    """The accepted paths of one sampling pass."""
+    """The accepted paths of one sampling pass, with Reeb controls at
+    ``vertical`` (0: the horizontal pass)."""
     sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
-        paths, _, _ = T.sampled_path_transports(chart, x0, sampler, vertical)
+        paths, _, _ = reeb_sampled_path_transports(chart, x0, sampler, vertical)
     return paths
 
 
@@ -556,8 +560,8 @@ def _reference_pass(chart, x0, s, vertical):
     out = []
     for i in range(s.n_paths):
         for attempt in range(60):
-            path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
-                                s.seed, s.step, vertical, i, attempt)
+            path = draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
+                             s.seed, s.step, vertical, i, attempt)
             try:
                 res = T.transport(chart, path, kind)
             except DomainError:
@@ -576,15 +580,18 @@ def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
     refs = [_reference_pass(chart, x0, REDRAW_SAMPLER, v) for v in verticals]
     for ref in refs:
         assert sum(attempt > 0 for attempt, *_ in ref) >= 2
-    draws = []
+    draws, passes = [], []
     draw = T._draw_path
+    signature = inspect.signature(draw)
 
-    def recording_draw(*args):
-        draws.append((args[7], int(args[8]), int(args[9])))
-        return draw(*args)
+    def recording_draw(*args, **kwargs):
+        bound = signature.bind(*args, **kwargs).arguments
+        draws.append((verticals[len(passes)], int(bound["i"]), int(bound["attempt"])))
+        return draw(*args, **kwargs)
 
     monkeypatch.setattr(T, "_draw_path", recording_draw)
-    passes = [T.sampled_path_transports(chart, x0, REDRAW_SAMPLER, v) for v in verticals]
+    for v in verticals:
+        passes.append(reeb_sampled_path_transports(chart, x0, REDRAW_SAMPLER, v))
     expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
                       for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
@@ -604,8 +611,8 @@ def test_halves_share_draw_streams(charts, index, attempt):
     # Reeb controls
     chart, s = charts["bergman"], T.SamplerConfig()
     horizontal, adapted = (
-        T._draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed, s.step,
-                     vertical, index, attempt) for vertical in (0.0, s.magnitude))
+        draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed, s.step,
+                  vertical, index, attempt) for vertical in (0.0, s.magnitude))
     assert np.array_equal(horizontal.controls, adapted.controls)
     rng = np.random.default_rng([s.seed, index, attempt])
     rng.normal(0.0, 1.0, horizontal.controls.shape)
@@ -647,7 +654,7 @@ def _pass_and_reference(chart, sampler):
     their paths."""
     worst = np.zeros(2)
     for vertical in (0.0, sampler.magnitude):
-        paths, *got = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
+        paths, *got = reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
         for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
             worst[i] = max(worst[i], np.max(np.abs(g - r)))
     return worst
@@ -693,7 +700,7 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
     # and the Reeb brackets enter the connection
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     x0 = np.zeros(chart.dim)
-    paths = [T._draw_path(chart, x0, 4, 1.2, 0.45, 17, step, vertical, i, 0)
+    paths = [draw_path(chart, x0, 4, 1.2, 0.45, 17, step, vertical, i, 0)
              for i in range(n_paths)]
     xs, _, h = T._integrate_positions(chart, paths, step)
     got = T._transport_positions(chart, xs, paths, h)
@@ -724,12 +731,12 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
 
     monkeypatch.setattr(T, "transport_data", counting)
     if n_paths is None:
-        path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0.0, 0, 0)
+        path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0, 0)
         T.transport(chart, path, "schouten")
     else:
         sampler = T.SamplerConfig(n_paths=n_paths)
-        T.sampled_path_transports(chart, np.zeros(chart.dim), sampler,
-                                  sampler.magnitude if rotated else 0.0)
+        reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler,
+                                     sampler.magnitude if rotated else 0.0)
     block = max(1, T.ROWS // rows)
     per_block = 2 if rotated else 1
     assert counts == {"calls": 1 + per_block * 4 * -(-16 // block),
@@ -744,7 +751,7 @@ def test_transport_pass_evaluates_its_shared_start_once(charts, monkeypatch, rot
     # of the per-step loop's one row per path
     chart = charts["disc_disc_12"]
     chart = rotated_chart(chart, (0, 1), 0.7) if rotated else chart
-    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 3, 0.02, v, i, 0)
+    paths = [draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 3, 0.02, v, i, 0)
              for v in (0.0, 0.45) for i in range(8)]
     xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
     evaluate, shapes = T.transport_data, []
@@ -867,7 +874,7 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     monkeypatch.setattr(np, "einsum", counting_einsum)
     v = T._rhs(chart, x, u, w)
     sampler = T.SamplerConfig(n_paths=2, segments=2, horizon=0.2)
-    passes = [T.sampled_path_transports(charts["bergman"], np.zeros(5), sampler, vertical)
+    passes = [reeb_sampled_path_transports(charts["bergman"], np.zeros(5), sampler, vertical)
               for vertical in (0.0, sampler.magnitude)]
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
