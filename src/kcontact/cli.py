@@ -35,6 +35,7 @@ from .manifolds import (
     chart_from_config,
     chart_invariant_residuals,
     config_fields,
+    config_keys,
     config_float,
     random_domain_points,
 )
@@ -88,6 +89,7 @@ class RunConfig:
     def from_dict(cls, raw):
         if not isinstance(raw, dict):
             raise ConfigError("config must be a JSON object")
+        config_keys(raw, ["manifold", "base_point", "sampler", "tolerances", "outputs"], "")
         if "manifold" not in raw:
             raise ConfigError("config needs a 'manifold' section")
         samp = raw.get("sampler", {})
@@ -97,6 +99,7 @@ class RunConfig:
         tols = raw.get("tolerances", {})
         if not isinstance(tols, dict):
             raise ConfigError("'tolerances' must be an object")
+        config_keys(tols, ["span_tol", "ode_tol"], "tolerances")
         span_tol = config_float(tols.get("span_tol", 1e-6), "span_tol")
         ode_tol = config_float(tols.get("ode_tol", 1e-6), "ode_tol")
         if not 0.0 < span_tol < 1.0:
@@ -111,6 +114,7 @@ class RunConfig:
         outputs = raw.get("outputs", {})
         if not isinstance(outputs, dict):
             raise ConfigError("'outputs' must be an object")
+        config_keys(outputs, ["report"], "outputs")
         out = outputs.get("report")
         if out is not None and not isinstance(out, str):
             raise ConfigError("outputs.report must be a path string")

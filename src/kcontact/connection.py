@@ -3,15 +3,18 @@
 Everything is computed in the chart frame from the jet-evaluated chart
 functions.  First derivatives give the connection coefficients via the
 Koszul formula; second derivatives propagate through an explicit chain
-rule to the curvature.  One code path serves every chart, with three
+rule to the curvature.  One code path serves every chart, with four
 closed forms on a chart in normal form (``ContactChart.normal_form``):
 the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` (:func:`frame_solve`,
 its one owner) and ``G^-1`` block by block over the chart's blocks
-(:func:`metric_inverse`), which move the results by rounding only, and
-the data of :func:`transport_data`: ``Gamma`` holds the Christoffel symbols
+(:func:`metric_inverse`), which move the results by rounding only; the
+data of :func:`transport_data`: ``Gamma`` holds the Christoffel symbols
 of ``G`` in the 2m horizontal coordinates and the zero extension's Reeb
-term is zero, with the bits of the full assembly; so the transport's hot
-path makes no LAPACK inverse there and reads ``G`` alone.  A
+term is zero, with the bits of the full assembly, so the transport's hot
+path makes no LAPACK inverse there and reads ``G`` alone; and the
+curvature pass of :func:`frame_data` at order 2, which skips the terms
+that are exact zeros there (``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0``
+and ``G`` reads no t), with the bits of the full pass.  A
 finite-difference oracle in the test suite checks the whole pipeline.
 One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
 and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
@@ -370,11 +373,11 @@ def frame_data(chart, X, order=1):
         dG=arr.dG,
     )
     if order >= 2:
-        _curvature_inplace(arr, Br, Minv, K, data)
+        _curvature_inplace(arr, Br, Minv, K, data, chart.normal_form)
     return data
 
 
-def _curvature_inplace(arr, Br, Minv, K, data):
+def _curvature_inplace(arr, Br, Minv, K, data, normal_form):
     """Second-order pass: differentiate the Koszul output and assemble R.
 
     R(e_a, e_b) e_c = nabla_{e_a} nabla_{e_b} e_c - nabla_{e_b} nabla_{e_a} e_c
@@ -394,6 +397,14 @@ def _curvature_inplace(arr, Br, Minv, K, data):
     ``tests/fd_oracles.py`` keeps the single-sum form of this pass as
     ``curvature_reference``.  ``(Br, Minv)`` are from :func:`frame_brackets`
     and ``K`` from :func:`_koszul`; the first-order fields are ``data``'s.
+
+    With ``normal_form`` (``ContactChart.normal_form``) the pass skips the
+    terms that are exact zeros there: ``c`` and its derivative (the first
+    2m rows of ``[e_a, e_b]`` are zero and those of the frame solve are
+    ``[I, 0]``), ``d_t G`` and ``xi_coeffs``.  So ``d_j K`` is the Koszul
+    sum of ``d_j d_a g_bc`` alone (``E^T d2G`` is ``d2G``'s first 2m rows)
+    and R has no bracket terms; R, RW, N, alpha and domega keep the bits
+    of the full pass.
     """
     E, dE, d2E = arr.E, arr.dE, arr.d2E
     dG, d2G = arr.dG, arr.d2G
@@ -411,40 +422,45 @@ def _curvature_inplace(arr, Br, Minv, K, data):
     domega = two_form_derivative(E, dE, data.A, dA)
     del dA
 
-    # Y[k, b, a, j] = d_j e_a(E[k, b]): dE flattened to [(k b), i] times dE
-    # flattened to [i, (a j)], plus E^T d2E; dBr[k, a, b, j] = d_j [e_a, e_b]^k
-    Y = (dE.reshape(*batch, n * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
-        *batch, n, tm, tm, n)
-    Y += Et2 @ d2E
-    dBr = np.subtract(Y.swapaxes(-3, -2), Y, order="C")
-    del Y
-
-    # d_j of the frame solve [E | xi]^{-1}: dMinv[c, k, j]
-    dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
-    dMinv = inverse_derivative(Minv, dAug)
-    del dAug
-
-    # dc[d, a, b, j] = d_j c[d, a, b] from the first 2m rows of the solve:
-    # Minv times dBr flattened to [k, (a b j)], plus Br^T [(a b), k] times
-    # each [k, j] block of dMinv
-    BrT = Br.reshape(*batch, n, tm * tm).swapaxes(-1, -2)[..., None, :, :]
-    dc = (Minv[..., :tm, :] @ dBr.reshape(*batch, n, tm * tm * n)
-          + (BrT @ dMinv[..., :tm, :, :]).reshape(*batch, tm, tm * tm * n))
-    del dBr, dMinv, BrT
-
-    # dDg[b, c, a, j] = d_j e_a(g_bc)
-    dDg = (dG.reshape(*batch, tm * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
-        *batch, tm, tm, tm, n)
-    dDg += Et2 @ d2G
-    # dW[c, a, b, j] = d_j g(pi[e_a, e_b], e_c): G^T dc plus c^T dG
-    dW = (arr.G.swapaxes(-1, -2) @ dc).reshape(*batch, tm, tm, tm, n)
-    del dc
-    cdG = (cT @ dG.reshape(*batch, tm, tm * n)).reshape(*batch, tm, tm, tm, n)
-    dW += _view(cdG, "abcj", "cabj")
-    del cdG
     # dK[c, a, b, j] = d_j K[a, b, c], in the layout the Ginv product reads
-    dK = _koszul_sum(_view(dDg, "bcaj", "cabj"), dW, "cabj")
-    del dDg, dW
+    if normal_form:
+        # [e_a, e_b] is vertical, so c = dc = 0, and G reads no t, so the
+        # dG dE term is zero and E^T d2G is d2G's horizontal rows
+        dK = _koszul_sum(_view(d2G[..., :tm, :], "bcaj", "cabj"), None, "cabj")
+    else:
+        # Y[k, b, a, j] = d_j e_a(E[k, b]): dE flattened to [(k b), i] times dE
+        # flattened to [i, (a j)], plus E^T d2E; dBr[k, a, b, j] = d_j [e_a, e_b]^k
+        Y = (dE.reshape(*batch, n * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
+            *batch, n, tm, tm, n)
+        Y += Et2 @ d2E
+        dBr = np.subtract(Y.swapaxes(-3, -2), Y, order="C")
+        del Y
+
+        # d_j of the frame solve [E | xi]^{-1}: dMinv[c, k, j]
+        dAug = np.concatenate([dE, arr.dxi[..., :, None, :]], axis=-2)
+        dMinv = inverse_derivative(Minv, dAug)
+        del dAug
+
+        # dc[d, a, b, j] = d_j c[d, a, b] from the first 2m rows of the solve:
+        # Minv times dBr flattened to [k, (a b j)], plus Br^T [(a b), k] times
+        # each [k, j] block of dMinv
+        BrT = Br.reshape(*batch, n, tm * tm).swapaxes(-1, -2)[..., None, :, :]
+        dc = (Minv[..., :tm, :] @ dBr.reshape(*batch, n, tm * tm * n)
+              + (BrT @ dMinv[..., :tm, :, :]).reshape(*batch, tm, tm * tm * n))
+        del dBr, dMinv, BrT
+
+        # dDg[b, c, a, j] = d_j e_a(g_bc)
+        dDg = (dG.reshape(*batch, tm * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
+            *batch, tm, tm, tm, n)
+        dDg += Et2 @ d2G
+        # dW[c, a, b, j] = d_j g(pi[e_a, e_b], e_c): G^T dc plus c^T dG
+        dW = (arr.G.swapaxes(-1, -2) @ dc).reshape(*batch, tm, tm, tm, n)
+        del dc
+        cdG = (cT @ dG.reshape(*batch, tm, tm * n)).reshape(*batch, tm, tm, tm, n)
+        dW += _view(cdG, "abcj", "cabj")
+        del cdG
+        dK = _koszul_sum(_view(dDg, "bcaj", "cabj"), dW, "cabj")
+        del dDg, dW
 
     # dGam[e, a, b, j] = d_j Gamma[e, a, b]: K[(a b), c] times each [c, j]
     # block of dGinv, plus Ginv times dK flattened to [c, (a b j)]
@@ -466,8 +482,9 @@ def _curvature_inplace(arr, Br, Minv, K, data):
     # c[d, a, b] Gamma[e, d, c] and theta([e_a, e_b]) [xi, e_c]^e
     Rm = S - S.swapaxes(-3, -2)
     del S
-    Rm -= (cT[..., None, :, :] @ Gam).reshape(*batch, tm, tm, tm, tm)
-    Rm -= data.xi_coeffs[..., :, None, None, :] * data.tau[..., None, :, :, None]
+    if not normal_form:  # c = 0 and [xi, e_c] = 0 on normal form
+        Rm -= (cT[..., None, :, :] @ Gam).reshape(*batch, tm, tm, tm, tm)
+        Rm -= data.xi_coeffs[..., :, None, None, :] * data.tau[..., None, :, :, None]
 
     omega = data.omega
     # a scale-free test: the singular-value ratio, not det(omega), which

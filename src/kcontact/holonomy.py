@@ -11,18 +11,18 @@ distribution and its metric, so it preserves the zero extension and its
 curvature: a path with Reeb-direction controls, moved piece by piece by
 the flow, is a horizontal path with the same Ambrose-Singer sample.  So
 on every chart one horizontal sampling pass (:func:`holonomy_samples`)
-feeds both routes and the adapted zero-extension samples.  The pass's
-ends and the base point are evaluated at order 2 once each, and the
-transverse splitting reads the base point's data too.  The frame data
-carries its orthonormal frame, and each variant's samples come out as
-one array.
+feeds both routes and the adapted zero-extension samples.  The base
+point and the pass's ends are evaluated at order 2 once each, in one
+call, and the transverse splitting reads the base point's row too.  The
+frame data carries its orthonormal frame, and each variant's samples
+come out as one array.
 The span cut of :func:`lie_closure` is the one threshold a caller sets;
 the structure analysis cuts at fixed thresholds, written where applied.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -225,23 +225,31 @@ def holonomy_samples(chart, x, sampler: SamplerConfig):
     Reeb flow preserves the zero extension, so the samples along paths
     with Reeb-direction controls (classical Ambrose-Singer) are samples
     along horizontal paths, and both span the same algebra.  One sampling
-    pass serves every chart; its ends are evaluated at order 2 and its
-    transports inverted once, for all variants.  Each variant's samples
-    are one ``(count, 2m, 2m)`` array: the base point's (the trivial
-    path), then the conjugated samples of every path, in the orthonormal
-    frame.  ``base`` is the order-2 frame data of x alone.
+    pass serves every chart; x and its ends are evaluated at order 2 once
+    each, in one call (x first), and its transports inverted once, for all
+    variants.  Each variant's samples are one ``(count, 2m, 2m)`` array:
+    the base point's (the trivial path), then the conjugated samples of
+    every path, in the orthonormal frame.  ``base`` is the order-2 frame
+    data of x alone, row 0 of that call.
     """
     x = np.asarray(x, dtype=float)
     _, points, taus = sampled_path_transports(chart, x, sampler)
-    base = frame_data(chart, x[None], order=2)
+    data = frame_data(chart, np.concatenate([x[None], points]), order=2)
+    base = _rows(data, slice(0, 1))
     samples = {v: pairs(base)[0] for v, pairs in _VARIANTS.items()}
     if not sampler.n_paths:
         return samples, base
-    data = frame_data(chart, points, order=2)
+    data = _rows(data, slice(1, None))
     taus_o = ortho_transports(taus, data.Pinv, base.P[0])
     inv = np.linalg.inv(taus_o)
     return {v: np.concatenate([samples[v], _conjugated_samples(taus_o, inv, pairs(data))])
             for v, pairs in _VARIANTS.items()}, base
+
+
+def _rows(data, rows):
+    """The frame data of the points ``rows`` (a slice) of ``data``."""
+    return replace(data, **{f.name: getattr(data, f.name)[rows] for f in fields(data)
+                            if isinstance(getattr(data, f.name), np.ndarray)})
 
 
 def as_samples_schouten(chart, x, sampler: SamplerConfig, variant="wagner"):

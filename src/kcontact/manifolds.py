@@ -38,6 +38,7 @@ __all__ = [
     "config_int",
     "config_float",
     "config_fields",
+    "config_keys",
     "EXAMPLES",
     "example_charts",
     "random_domain_points",
@@ -375,36 +376,57 @@ def config_float(value, what):
     raise ConfigError(f"{what} must be a finite number, got {value!r}")
 
 
-def config_fields(cls, raw, what):
+def config_keys(raw, known, path):
+    """Refuse a key of the JSON object ``raw`` that is not in ``known``: the
+    :class:`ConfigError` names the key by its path below ``path`` (``""`` at
+    the top level) and the closest known key, if ``difflib`` finds one."""
+    for key in raw:
+        if key not in known:
+            import difflib  # only on the refusal path
+
+            at = f"{path}." if path else ""
+            close = difflib.get_close_matches(str(key), known, n=1)
+            hint = (f"did you mean {at + close[0]!r}?" if close
+                    else f"known keys: {', '.join(known)}")
+            raise ConfigError(f"unknown key {at + str(key)!r}; {hint}")
+
+
+def config_fields(cls, raw, what, path=None):
     """Keyword arguments for the dataclass ``cls``: the fields that the JSON
     object ``raw`` names, parsed by their annotated types (``int`` and
     ``float`` by the two functions above, others as they stand).  Absent
-    fields keep the dataclass's defaults; other keys are ignored."""
+    fields keep the dataclass's defaults; any other key is refused by
+    :func:`config_keys` under ``path`` (default ``what``)."""
+    config_keys(raw, [f.name for f in fields(cls)], what if path is None else path)
     hints, parse = get_type_hints(cls), {int: config_int, float: config_float}
     return {f.name: parse.get(hints[f.name], lambda v, _: v)(raw[f.name], f"{what} {f.name}")
             for f in fields(cls) if f.name in raw}
 
 
 def chart_from_config(cfg: dict):
-    """Build a chart from the JSON configuration schema."""
+    """Build a chart from the JSON configuration schema (the ``manifold``
+    section of a config, whose keys :func:`config_keys` checks per type)."""
     if not isinstance(cfg, dict) or "type" not in cfg:
         raise ConfigError("manifold config must be an object with a 'type' field")
     kind = cfg["type"]
     if kind == "heisenberg":
+        config_keys(cfg, ["type", "m"], "manifold")
         m = config_int(cfg.get("m"), "heisenberg config 'm'")
         try:
             return heisenberg(m)
         except ChartError as exc:
             raise ConfigError(str(exc)) from exc
     if kind == "product":
+        config_keys(cfg, ["type", "factors"], "manifold")
         raw = cfg.get("factors")
         if not isinstance(raw, list) or not raw:
             raise ConfigError("product config needs a nonempty 'factors' list")
         specs = []
-        for item in raw:
+        for i, item in enumerate(raw):
             if not isinstance(item, dict) or "kind" not in item:
                 raise ConfigError(f"bad factor spec {item!r}")
-            specs.append(FactorSpec(**config_fields(FactorSpec, item, "factor")))
+            specs.append(FactorSpec(**config_fields(FactorSpec, item, "factor",
+                                                    f"manifold.factors[{i}]")))
         try:
             return product_construction(specs)
         except ChartError as exc:

@@ -351,9 +351,9 @@ def _transport_positions(chart, xs, paths, h):
     midpoints are evaluated in one call, ends first, and the next segment
     starts from the last end row; elsewhere the ends are evaluated in one
     call, then the midpoints, which need the ends' velocities, in another.
-    Each evaluation is contracted to its rates at once; the paths' shared
-    start is one row.  The transports are reprojected every
-    ``REORTH_EVERY`` steps.
+    Each evaluation is contracted at once to its negated rates, the ``-Om``
+    of the transport equation M' = -Om M; the paths' shared start is one
+    row.  The transports are reprojected every ``REORTH_EVERY`` steps.
     """
     _, controls, verticals = _path_arrays(paths)
     P_, K, per, _ = xs.shape
@@ -367,7 +367,7 @@ def _transport_positions(chart, xs, paths, h):
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
         u, w = controls[:, k, None, :], verticals[:, k, None]
-        Om1 = _connection_rates(end, u, w)[:, last]
+        Om1 = -_connection_rates(end, u, w)[:, last]
         v1 = None if end.E is None else _velocity(end.E, end.xi, u, w)[:, last]
         for a in range(1, per, block):
             b = min(a + block, per)
@@ -377,18 +377,18 @@ def _transport_positions(chart, xs, paths, h):
                 # normal form: ends and midpoints in one call, ends first
                 end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1),
                                      vertical=vertical)
-                rates = _connection_rates(end, u, w)
+                rates = -_connection_rates(end, u, w)
                 Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
             else:
                 end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
-                Om_end = _connection_rates(end, u, w)
+                Om_end = -_connection_rates(end, u, w)
                 v = _velocity(end.E, end.xi, u, w)
                 mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
                 v1 = v[:, -1]
-                Om_mid = _connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
+                Om_mid = -_connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
             for j in range(b - a):
                 Om = (Om1, Om_mid[:, j], Om_end[:, j])
-                (M,) = _rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
+                (M,) = _rk4_step(lambda s, y: (Om[s] @ y[0],), (M,), h)
                 Om1 = Om_end[:, j]
                 total += 1
                 if total % REORTH_EVERY == 0:

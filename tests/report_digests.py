@@ -1,4 +1,4 @@
-"""Byte-identity sweep: SHA-256 digests of rendered reports, chart arrays and verify loops.
+"""Byte-identity sweep: SHA-256 digests of reports, chart arrays, frame data, loops.
 
     python tests/report_digests.py                    # digests of this checkout
     python tests/report_digests.py --root DIR         # digests of another checkout
@@ -25,7 +25,11 @@ each of ``CHART_FIELD_MIXES``, on the fixed points of ``chart_points``,
 which include coordinates of +0.0 and -0.0.  Each line is ``chart_arrays``,
 chart and field mix, order and the digest of a JSON object that holds the
 SHA-256 of every returned array's bytes, so a sign of zero that no report
-shows still counts.  These take about 0.1 s.
+shows still counts.  These take about 0.1 s.  And 8 ``frame_data`` outputs:
+each of those charts at order 2 on the same points, one line per chart
+(``frame_data``, chart, 2 and the digest of a JSON object that holds the
+SHA-256 of every array field), so the connection and curvature fields that
+no report shows count too.
 
 And it digests 25 loops, the ones ``verify`` transports at each report of
 the ``verify_shipped`` block (every shipped config at each of its report
@@ -36,19 +40,18 @@ not show them.  Each line is ``loop``, config, seed and the digest of a JSON
 object that holds the SHA-256 of the bytes of the horizontalized curve of
 ``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
 ``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
-"schouten").tau``.  They use public names only, so ``--compare`` runs them
-on older checkouts too.
+"schouten").tau``.  These and the frame-data digests use public names
+only, so ``--compare`` runs them on older checkouts too.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
-``kbench/``, prints every report, chart-array or loop entry whose digest
-differs (for a chart-array or loop entry, each array whose digest
-changed), and exits 1 unless all are byte-identical.  For each differing
-report it also prints the largest relative change
-``|new - old| / max(1, |old|)`` over the report's float leaves, and lists
-every leaf (float, int, bool, string, list) or shape that differs, so
-both "last bits only, structure unchanged" and "only this leaf moved" are
-checked by the tool.  It also
+``kbench/``, prints every entry whose digest differs (for a chart-array,
+frame-data or loop entry, each array whose digest changed), and exits 1
+unless all are byte-identical.  For each differing report it also
+prints the largest relative change ``|new - old| / max(1, |old|)`` over
+the report's float leaves, and lists every leaf (float, int, bool,
+string, list) or shape that differs, so both "last bits only, structure
+unchanged" and "only this leaf moved" are checked by the tool.  It also
 prints the line total of each checkout's ``src/kcontact/*.py``, as
 ``wc -l`` counts it, so one run gives a change's size and its byte
 identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
@@ -67,7 +70,7 @@ import hashlib  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
-from dataclasses import replace  # noqa: E402
+from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 import numpy as np  # noqa: E402
@@ -109,19 +112,25 @@ def chart_points(n):
     return X
 
 
-def chart_digests():
-    """``("chart_arrays", label, order, text)`` of every built-in chart and the
-    ``wide_products`` mixes: ``text`` holds, as JSON, the SHA-256 digest of
-    the bytes of each array that ``chart_arrays`` returns for one field mix
-    at one order, so a sign of zero counts."""
+def digest_charts():
+    """Every built-in chart and the ``wide_products`` mixes, by label."""
     import workloads
     from kcontact import manifolds
 
-    charts = {**manifolds.example_charts(), **{
+    return {**manifolds.example_charts(), **{
         label: manifolds.chart_from_config({"type": "product", "factors": factors})
         for label, factors in workloads.WIDE.items()}}
+
+
+def chart_digests():
+    """``("chart_arrays", label, order, text)`` of every chart of
+    ``digest_charts``: ``text`` holds, as JSON, the SHA-256 digest of the
+    bytes of each array that ``chart_arrays`` returns for one field mix at
+    one order, so a sign of zero counts."""
+    from kcontact import manifolds
+
     rows = []
-    for label, chart in charts.items():
+    for label, chart in digest_charts().items():
         X = chart_points(chart.dim)
         for order in range(3):
             for mix in CHART_FIELD_MIXES:
@@ -130,6 +139,21 @@ def chart_digests():
                            for f in mix for prefix in ("", "d", "d2")[: order + 1]}
                 rows.append(("chart_arrays", f"{label}/{'+'.join(mix)}", order,
                              json.dumps(digests, sort_keys=True)))
+    return rows
+
+
+def frame_digests():
+    """``("frame_data", label, 2, text)`` of every chart of ``digest_charts``:
+    ``text`` holds, as JSON, the SHA-256 digest of the bytes of each array
+    field of ``frame_data`` at order 2 on ``chart_points``."""
+    from kcontact.connection import frame_data
+
+    rows = []
+    for label, chart in digest_charts().items():
+        data = frame_data(chart, chart_points(chart.dim), order=2)
+        digests = {f.name: hashlib.sha256(getattr(data, f.name).tobytes()).hexdigest()
+                   for f in fields(data) if isinstance(getattr(data, f.name), np.ndarray)}
+        rows.append(("frame_data", label, 2, json.dumps(digests, sort_keys=True)))
     return rows
 
 
@@ -156,7 +180,8 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows.append(("partly_shared", label, cfg.sampler.seed,
                      cli.render_report(cli.holonomy_report(cfg))))
-    return rows + general_path_reports(root) + chart_digests() + loop_digests(root)
+    return (rows + general_path_reports(root) + chart_digests() + frame_digests()
+            + loop_digests(root))
 
 
 def loop_digests(root):
@@ -277,7 +302,8 @@ def compare(old, new):
             print(f"  leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
-    kinds = {"chart_arrays": "chart-array digests", "loop": "loop digests"}
+    kinds = {"chart_arrays": "chart-array digests", "frame_data": "frame-data digests",
+             "loop": "loop digests"}
     for what in ("reports", *kinds.values()):
         keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)

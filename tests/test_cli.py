@@ -467,18 +467,56 @@ def test_bad_command_line_exit_2(tmp_path, capsys, argv):
     assert len(err.strip().splitlines()) == 1
 
 
-def test_horizontal_pass_ignores_vertical_magnitude():
-    # the Schouten pass integrates horizontal paths whatever the sampler
-    # section says
+def test_sampler_refuses_vertical_magnitude(tmp_path, capsys):
+    # the sampler has no vertical magnitude: its key is refused, and the
+    # Schouten pass integrates horizontal paths
     from kcontact.transport import sampled_path_transports
 
-    raw = read(Path(__file__).resolve().parent.parent / "configs" / "bergman.json")
+    raw = read(CONFIG_DIR / "bergman.json")
     raw["sampler"] = {"vertical_magnitude": 0.3, "n_paths": 8}
+    assert run(["holonomy", "--config", write_config(tmp_path, raw), "--seed", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'sampler.vertical_magnitude'; "
+        "did you mean 'sampler.magnitude'?\n")
+    del raw["sampler"]["vertical_magnitude"]
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
     paths, _, _ = sampled_path_transports(chart, x0, cfg.sampler)
     assert len(paths) == 8
     assert all(not np.any(p.vertical) for p in paths)
+
+
+HEISENBERG = {"type": "heisenberg", "m": 2}
+DISCS = [{"kind": "poincare_disc", "b": 1.0}, {"kind": "poincare_disc", "b": 2.0}]
+
+
+@pytest.mark.parametrize("raw, key, close", [
+    ({"manifold": HEISENBERG, "tolerance": {"span_tol": 0.5}}, "tolerance", "tolerances"),
+    ({"manifold": {**HEISENBERG, "mm": 3}}, "manifold.mm", "manifold.m"),
+    ({"manifold": {"type": "product", "factor": DISCS}}, "manifold.factor", "manifold.factors"),
+    ({"manifold": {"type": "product", "factors": [DISCS[0], {**DISCS[1], "curvatur": 2.0}]}},
+     "manifold.factors[1].curvatur", "manifold.factors[1].curvature"),
+    ({"manifold": HEISENBERG, "sampler": {"n_path": 8, "seed": 0}}, "sampler.n_path",
+     "sampler.n_paths"),
+    ({"manifold": HEISENBERG, "tolerances": {"spantol": 0.5}}, "tolerances.spantol",
+     "tolerances.span_tol"),
+    ({"manifold": HEISENBERG, "outputs": {"reprot": "r.json"}}, "outputs.reprot",
+     "outputs.report"),
+], ids=["top", "heisenberg", "product", "factor", "sampler", "tolerances", "outputs"])
+def test_unknown_config_key_exits_2_naming_it(tmp_path, capsys, raw, key, close):
+    # every object of the schema accepts only its own keys; a typo was
+    # ignored and the run went ahead with other settings
+    assert run(["verify", "--config", write_config(tmp_path, raw)]) == 2
+    assert capsys.readouterr().err == (
+        f"config error: unknown key {key!r}; did you mean {close!r}?\n")
+
+
+def test_unknown_config_key_without_a_close_match_lists_the_known_keys(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"manifold": HEISENBERG, "zzz": 1})
+    assert run(["verify", "--config", cfg]) == 2
+    assert capsys.readouterr().err == (
+        "config error: unknown key 'zzz'; known keys: "
+        "manifold, base_point, sampler, tolerances, outputs\n")
 
 
 @pytest.mark.parametrize("command", ["holonomy", "spinor"])
@@ -616,6 +654,30 @@ def test_holonomy_structure_beyond_shipped_configs():
     assert rep["cross_variant"]["dims"] == {"wagner": 5, "annihilator": 5}
     assert rep["cross_variant"]["residual"] < cli.CROSS_VARIANT_TOL
     assert rep["spinor_kernel"] == {"schouten": 0, "adapted": 0}
+
+
+DISC, PERTURBED = {"kind": "poincare_disc"}, {"kind": "perturbed_disc", "epsilon": 0.3}
+
+
+@pytest.mark.parametrize("kinds, bs, flipped", [
+    ((DISC, DISC), (1.0, 1.0), (1.0, -1.0)),
+    ((DISC, DISC), (1.0, 2.0), (1.0, -2.0)),
+    ((DISC, DISC), (1.0, 2.0), (-1.0, -2.0)),
+    (({"kind": "bergman_ball", "complex_dim": 2},), (1.0,), (-1.0,)),
+    ((PERTURBED, DISC), (1.0, 1.0), (-1.0, 1.0)),
+], ids=["disc_disc_11", "disc_disc_12", "disc_disc_12_both", "bergman", "perturbed_disc"])
+def test_report_does_not_see_the_sign_of_b(kinds, bs, flipped):
+    # flipping the sign of a factor's b gives the same report, byte for
+    # byte, apart from the manifold label that names b
+    def text(bs):
+        cfg = cli.RunConfig.from_dict({
+            "manifold": {"type": "product", "factors": [{**k, "b": b} for k, b in zip(kinds, bs)]},
+            "sampler": {"n_paths": 16, "seed": 3}})
+        report = cli.holonomy_report(cfg)
+        del report["manifold"]
+        return cli.render_report(report)
+
+    assert text(bs) == text(flipped)
 
 
 def test_holonomy_cross_variant_failure_exits_1(tmp_path, monkeypatch):

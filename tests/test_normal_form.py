@@ -413,6 +413,31 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
         assert getattr(reeb, f).tobytes() == getattr(ref, f).tobytes(), f
 
 
+@pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
+def test_normal_form_curvature_pass_is_the_full_assembly(name):
+    # on normal form the second-order pass skips the bracket terms, which
+    # are exact zeros there ([e_a, e_b] is vertical, [xi, e_a] = 0, G reads
+    # no t); its curvature fields keep the bits of the full assembly, also
+    # at the origin and at coordinates of +0.0 and -0.0
+    chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
+    X = domain_points(chart, 40, seed=13)
+    zero = np.random.default_rng(14).random(X.shape) < 0.4
+    X[2:20][zero[2:20]] = 0.0
+    X[20:][zero[20:]] = -0.0
+    X[0], X[1] = 0.0, -0.0
+    arr = M.chart_arrays(chart, X, order=2)
+    Br, Minv, _ = C.frame_brackets(arr, True)
+    fields = ("R", "RW", "N", "alpha", "domega")
+    out = []
+    for normal_form in (True, False):
+        data = C.frame_data(chart, X, order=1)
+        K, _, _ = C._koszul(arr.E, arr.G, arr.dG, data.c, chart.blocks)
+        C._curvature_inplace(arr, Br, Minv, K, data, normal_form)
+        out.append([np.ascontiguousarray(getattr(data, f)).tobytes() for f in fields])
+    for f, lean, full in zip(fields, *out):
+        assert lean == full, f
+
+
 def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
     # on normal form a transport, of control paths or of a sampled curve,
     # evaluates G alone, also on the Reeb route; the general path evaluates

@@ -269,9 +269,10 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     # conversion for the Einstein check and the regression (the Ricci trace
     # is taken in the chart frame): the 6 conversions are the Wagner,
     # annihilator and adapted pair samples at the base point and at the path
-    # ends.  Frame data at x0 alone is evaluated once, at order 2, by the
-    # sampling pass, whose data the splitting reads; the transport pass
-    # evaluates its shared start x0 as one point, at orders 0 (G) and 1.
+    # ends.  The sampling pass evaluates x0 at order 2 once, as row 0 of one
+    # call with the n_paths path ends, and the splitting reads that row; the
+    # transport pass evaluates its shared start x0 as one point, at orders 0
+    # (G) and 1.
     from kcontact import cli
     from kcontact.manifolds import random_domain_points
 
@@ -281,12 +282,14 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     cfg = cli.RunConfig.from_dict(raw)
     chart, x0 = cli._resolve_chart(cfg)
     pts = random_domain_points(chart, 30, np.random.default_rng(5 + 1000), margin=0.85)
-    calls = {"pts_order2": 0, "r_to_ortho": 0, "x0_orders": []}
+    calls = {"pts_order2": 0, "r_to_ortho": 0, "x0_orders": [], "x0_with_ends": 0}
     frame_data, ortho_curvature, chart_arrays = C.frame_data, C.ortho_curvature, M.chart_arrays
 
     def counting_frame_data(chart, X, order=1):
         if order >= 2 and np.shape(X) == pts.shape and np.array_equal(X, pts):
             calls["pts_order2"] += 1
+        if order >= 2 and ends and np.array_equal(X, np.concatenate([x0[None], ends[0]])):
+            calls["x0_with_ends"] += 1
         return frame_data(chart, X, order=order)
 
     def counting_ortho_curvature(F, P, Pinv):
@@ -298,8 +301,16 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
             calls["x0_orders"].append(order)
         return chart_arrays(chart, X, order, **kwargs)
 
+    ends, sampled_path_transports = [], H.sampled_path_transports
+
+    def recording_pass(chart, x0, sampler):
+        out = sampled_path_transports(chart, x0, sampler)
+        ends.append(out[1])
+        return out
+
     for mod in (M, C, T):
         monkeypatch.setattr(mod, "chart_arrays", counting_chart_arrays)
+    monkeypatch.setattr(H, "sampled_path_transports", recording_pass)
     for mod in (C, cli, H, T, TV):
         if getattr(mod, "frame_data", None) is frame_data:
             monkeypatch.setattr(mod, "frame_data", counting_frame_data)
@@ -307,7 +318,7 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
     report = cli.holonomy_report(cfg)
     assert report["dims"]["adapted"] > 0 and "regression" in report
-    assert calls == {"pts_order2": 1, "r_to_ortho": 6, "x0_orders": [0, 1, 2]}
+    assert calls == {"pts_order2": 1, "r_to_ortho": 6, "x0_orders": [0, 1], "x0_with_ends": 1}
 
 
 def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
@@ -326,8 +337,16 @@ def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
         return ortho_curvature(F, P, Pinv)
 
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
+    ends, sampled_path_transports = [], H.sampled_path_transports
+
+    def recording_pass(chart, x0, sampler):
+        out = sampled_path_transports(chart, x0, sampler)
+        ends.append(out[1])
+        return out
+
     for mod in (M, C, T):
         monkeypatch.setattr(mod, "chart_arrays", counting_chart_arrays)
+    monkeypatch.setattr(H, "sampled_path_transports", recording_pass)
     for mod in (H, TV):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
     split = TV.factor_split(base, h0, 1e-6)
