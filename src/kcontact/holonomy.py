@@ -226,8 +226,9 @@ def holonomy_samples(chart, x, sampler: SamplerConfig):
     with Reeb-direction controls (classical Ambrose-Singer) are samples
     along horizontal paths, and both span the same algebra.  One sampling
     pass serves every chart; x and its ends are evaluated at order 2 once
-    each, in one call (x first), and its transports inverted once, for all
-    variants.  Each variant's samples are one ``(count, 2m, 2m)`` array:
+    each, in one call (x first), each variant's generator runs once on all
+    its rows, and the transports are inverted once, for all variants.  Each
+    variant's samples are one ``(count, 2m, 2m)`` array:
     the base point's (the trivial path), then the conjugated samples of
     every path, in the orthonormal frame.  ``base`` is the order-2 frame
     data of x alone, row 0 of that call.
@@ -236,14 +237,13 @@ def holonomy_samples(chart, x, sampler: SamplerConfig):
     _, points, taus = sampled_path_transports(chart, x, sampler)
     data = frame_data(chart, np.concatenate([x[None], points]), order=2)
     base = _rows(data, slice(0, 1))
-    samples = {v: pairs(base)[0] for v, pairs in _VARIANTS.items()}
+    mats = {v: pairs(data) for v, pairs in _VARIANTS.items()}
     if not sampler.n_paths:
-        return samples, base
-    data = _rows(data, slice(1, None))
-    taus_o = ortho_transports(taus, data.Pinv, base.P[0])
+        return {v: m[0] for v, m in mats.items()}, base
+    taus_o = ortho_transports(taus, data.Pinv[1:], base.P[0])
     inv = np.linalg.inv(taus_o)
-    return {v: np.concatenate([samples[v], _conjugated_samples(taus_o, inv, pairs(data))])
-            for v, pairs in _VARIANTS.items()}, base
+    return {v: np.concatenate([m[0], _conjugated_samples(taus_o, inv, m[1:])])
+            for v, m in mats.items()}, base
 
 
 def _rows(data, rows):

@@ -8,22 +8,21 @@ Curves come in two forms: :class:`ControlPath` (piecewise-constant
 frame controls) and :class:`ParametricCurve` (explicit coordinate curves
 with exact tangents).  Both reduce to a :class:`SampledCurve`, dense
 samples with frame-split velocities, on which the sampled-coefficient RK4
-transport operates.  Control paths are transported positions first: one
-RK4 pass integrates the positions alone and settles escapes, then one RK4
-pass transports the frame, reading the connection at each step's end and
-at its cubic-Hermite midpoint, evaluated over blocks of steps.  The
-positions pass integrates no theta, since theta(u^a e_a + w xi) = w.  On a
-chart in normal form (``ContactChart.normal_form``: xi = d/dt, frame
-d/dx_a + f_a d/dt, no coefficient reading t) the horizontal coordinates
-are running sums of one RK4 increment, t needs one order-0 evaluation per
-chunk of stage points, a transport reads ``G`` alone at plain midpoints,
-in one call per block with the ends, and the Reeb flow is array
-arithmetic on t; the bits are those of the general path.  Both routes
-read the connection through ``connection.transport_data``.  The holonomy
-sampler's one pass draws random horizontal control paths, integrates
-their positions as one lockstep batch, redraws escaped paths, and
-transports the accepted ones.  Path i draws its controls from one
-(seed, i, attempt) stream.
+transport operates.  A control path is horizontal, and is transported
+positions first: one RK4 pass integrates the positions alone and settles
+escapes, then one RK4 pass transports the frame, reading the connection
+at each step's end and at its cubic-Hermite midpoint, evaluated over
+blocks of steps.  On a chart in normal form (``ContactChart.normal_form``:
+xi = d/dt, frame d/dx_a + f_a d/dt, no coefficient reading t) the
+horizontal coordinates are running sums of one RK4 increment, t needs one
+order-0 evaluation per chunk of stage points, a transport reads ``G``
+alone at plain midpoints, in one call per block with the ends, and the
+Reeb flow is array arithmetic on t; the bits are those of the general
+path.  Both routes read the connection through
+``connection.transport_data``.  The holonomy sampler's one pass draws
+random control paths, integrates their positions as one lockstep batch,
+redraws escaped paths, and transports the accepted ones.  Path i draws
+its controls from one (seed, i, attempt) stream.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -75,27 +74,23 @@ MAX_ATTEMPTS = 60  # draws of one sampled path before the sampler gives up
 
 @dataclass
 class ControlPath:
-    """Piecewise-constant controls u(t) in the frame, K segments over [0, T]."""
+    """A horizontal path u^a e_a: frame controls u constant on K segments of [0, T]."""
 
     x0: np.ndarray
     controls: np.ndarray  # (K, 2m)
     horizon: float
     step: float = 0.02
-    vertical: np.ndarray = None  # (K,) Reeb-direction controls; omitted: zeros
 
     def __post_init__(self):
         self.x0 = np.asarray(self.x0, dtype=float)
         self.controls = np.atleast_2d(np.asarray(self.controls, dtype=float))
-        v = np.zeros(self.segments) if self.vertical is None else self.vertical
-        self.vertical = np.asarray(v, dtype=float)
 
     @property
     def segments(self):
         return self.controls.shape[0]
 
     def reversed(self):
-        return ControlPath(self.x0, -self.controls[::-1], self.horizon, self.step,
-                           -self.vertical[::-1])
+        return ControlPath(self.x0, -self.controls[::-1], self.horizon, self.step)
 
 
 @dataclass
@@ -216,24 +211,32 @@ def _stage(y, c, k):
     return tuple(a + c * b for a, b in zip(y, k))
 
 
+def _horizontal_velocity(E, u):
+    """The horizontal velocity u^a e_a, as one batched matmul."""
+    return (E @ u[..., None])[..., 0]
+
+
 def _velocity(E, xi, u, w):
-    """The velocity u^a e_a + w xi, as one batched matmul."""
-    v = (E @ u[..., None])[..., 0]
+    """The velocity u^a e_a + w xi of a sampled curve."""
+    v = _horizontal_velocity(E, u)
     return v + w[..., None] * xi if np.any(w != 0.0) else v
 
 
-def _rhs(chart, x, u, w):
-    """The velocity u^a e_a + w xi of a position, from plain chart values."""
-    data = chart_arrays(chart, x, order=0, fields=("xi", "E"))
-    return _velocity(data.E, data.xi, u, w)
+def _rhs(chart, x, u):
+    """The velocity u^a e_a of a position, from plain chart values."""
+    return _horizontal_velocity(chart_arrays(chart, x, order=0, fields=("E",)).E, u)
+
+
+def _frame_rates(Gamma, u):
+    """The connection matrix ``Gamma[..., c, a, b] u[..., a]`` along u^a e_a."""
+    return (u[..., None, None, :] @ Gamma)[..., 0, :]
 
 
 def _connection_rates(data, u, w):
-    """The connection matrix of ``transport_data`` along u^a e_a + w xi:
-    ``Gamma[..., c, a, b] u[..., a]`` as one batched matmul, plus
-    ``w xi_coeffs`` when the data has them.  Rows with w = 0 add
-    0 * xi_coeffs: they keep the Schouten bits."""
-    Om = (u[..., None, None, :] @ data.Gamma)[..., 0, :]
+    """The connection matrix of ``transport_data`` along u^a e_a + w xi: the
+    frame rates, plus ``w xi_coeffs`` when the data has them (w = 0 keeps
+    the Schouten bits)."""
+    Om = _frame_rates(data.Gamma, u)
     return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
 
 
@@ -253,7 +256,7 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     ``alive`` instead of raising.  On a chart in normal form each segment
     takes :func:`_normal_form_segment` instead, with the same bits.
     """
-    x, controls, verticals = _path_arrays(paths)
+    x, controls = _path_arrays(paths)
     P_, K, _ = controls.shape
     seg = paths[0].horizon / K
     steps = _even_steps(seg, step)
@@ -261,14 +264,14 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     xs = np.empty((P_, K, steps + 1, x.shape[-1]))
     alive = np.ones(P_, dtype=bool)
     for k in range(K):
-        u, w = controls[:, k, :], verticals[:, k]
+        u = controls[:, k, :]
         xs[:, k, 0] = x
         if chart.normal_form:
-            _normal_form_segment(chart, xs[:, k], alive, u, w, h, raise_on_exit)
+            _normal_form_segment(chart, xs[:, k], alive, u, h, raise_on_exit)
             x = xs[:, k, -1]
             continue
         for i in range(1, steps + 1):
-            (xn,) = _rk4_step(lambda s, y: (_rhs(chart, y[0], u, w),), (x,), h)
+            (xn,) = _rk4_step(lambda s, y: (_rhs(chart, y[0], u),), (x,), h)
             # escaped paths stay frozen just outside the boundary, where
             # the chart functions are still well conditioned
             x = np.where(alive[:, None], xn, x)
@@ -285,13 +288,13 @@ def _exit(bad, what="curve"):
     raise DomainError(f"{what} left the chart domain at {bad}", point=bad)
 
 
-def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
+def _normal_form_segment(chart, xs, alive, u, h, raise_on_exit):
     """Fill the positions ``xs[:, 1:]`` of one segment on a chart in normal
     form, from its first samples ``xs[:, 0]``, as :func:`_integrate_positions`.
 
     The horizontal velocity is the control u itself, so every RK4 step moves
     the horizontal coordinates by the same increment, and they are its
-    running sums.  Only the t-velocity f_a u^a (+ w) needs the chart, at
+    running sums.  Only the t-velocity f_a u^a needs the chart, at
     three points per step: its start, its midpoint (both midpoint stages
     share it, since f does not read t) and its end.  Each row is evaluated
     up to its first step that ends outside the domain whatever t, in one
@@ -319,10 +322,8 @@ def _normal_form_segment(chart, xs, alive, u, w, h, raise_on_exit):
     chunk = STAGE_POINTS // 3
     for a in range(0, len(pts), chunk):
         E = chart_arrays(chart, pts[a:a + chunk], order=0, fields=("E",)).E
-        sel[a:a + chunk] = (E @ u[rows[a:a + chunk], None, :, None])[..., -1, 0]
+        sel[a:a + chunk] = _horizontal_velocity(E, u[rows[a:a + chunk], None])[..., -1]
     vt[todo] = sel
-    if np.any(w != 0.0):
-        vt += w[live, None, None]  # w xi, with xi = d/dt
     X[:, 1:, tm] = (h / 6.0) * (vt[..., 0] + 2.0 * vt[..., 1] + 2.0 * vt[..., 1] + vt[..., 2])
     X[..., tm] = np.cumsum(X[..., tm], axis=1)
     out = ~chart.domain.contains(X[:, 1:])
@@ -344,7 +345,7 @@ def _transport_positions(chart, xs, paths, h):
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6); on a normal-form
-    chart, with Reeb controls or without, it is (x0 + x1)/2 with the same
+    chart it is (x0 + x1)/2 with the same
     bits (the h/8 term moves only t, which the connection does not read),
     so the pass needs no velocity.  A segment's steps go in blocks of
     ``max(1, ROWS // P)`` for P paths.  On normal form a block's ends and
@@ -355,37 +356,35 @@ def _transport_positions(chart, xs, paths, h):
     of the transport equation M' = -Om M; the paths' shared start is one
     row.  The transports are reprojected every ``REORTH_EVERY`` steps.
     """
-    _, controls, verticals = _path_arrays(paths)
+    _, controls = _path_arrays(paths)
     P_, K, per, _ = xs.shape
     tm = controls.shape[-1]
-    vertical = bool(np.any(verticals != 0.0))
     block = max(1, ROWS // P_)
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:1, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end, last = transport_data(chart, xs[:1, 0, :1], vertical=vertical), 0
+    end, last = transport_data(chart, xs[:1, 0, :1]), 0
     total = 0
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
-        u, w = controls[:, k, None, :], verticals[:, k, None]
-        Om1 = -_connection_rates(end, u, w)[:, last]
-        v1 = None if end.E is None else _velocity(end.E, end.xi, u, w)[:, last]
+        u = controls[:, k, None, :]
+        Om1 = -_frame_rates(end.Gamma, u)[:, last]
+        v1 = None if end.E is None else _horizontal_velocity(end.E, u)[:, last]
         for a in range(1, per, block):
             b = min(a + block, per)
             last = b - a - 1
             mid = 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
             if v1 is None:
                 # normal form: ends and midpoints in one call, ends first
-                end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1),
-                                     vertical=vertical)
-                rates = -_connection_rates(end, u, w)
+                end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1))
+                rates = -_frame_rates(end.Gamma, u)
                 Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
             else:
-                end = transport_data(chart, xs[:, k, a:b], vertical=vertical)
-                Om_end = -_connection_rates(end, u, w)
-                v = _velocity(end.E, end.xi, u, w)
+                end = transport_data(chart, xs[:, k, a:b])
+                Om_end = -_frame_rates(end.Gamma, u)
+                v = _horizontal_velocity(end.E, u)
                 mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
                 v1 = v[:, -1]
-                Om_mid = -_connection_rates(transport_data(chart, mid, vertical=vertical), u, w)
+                Om_mid = -_frame_rates(transport_data(chart, mid).Gamma, u)
             for j in range(b - a):
                 Om = (Om1, Om_mid[:, j], Om_end[:, j])
                 (M,) = _rk4_step(lambda s, y: (Om[s] @ y[0],), (M,), h)
@@ -397,8 +396,7 @@ def _transport_positions(chart, xs, paths, h):
 
 
 def _path_arrays(paths):
-    return (np.stack([p.x0 for p in paths]), np.stack([p.controls for p in paths]),
-            np.stack([p.vertical for p in paths]))
+    return np.stack([p.x0 for p in paths]), np.stack([p.controls for p in paths])
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +419,11 @@ def _sample_control_path(chart, path, step):
     _, K, per, n = xs.shape
     # each segment keeps its own copy of its two end samples
     ts = (np.arange(K)[:, None] * (per - 1) + np.arange(per)).ravel() * h
-    us, ws = np.repeat(path.controls, per, axis=0), np.repeat(path.vertical, per)
+    us = np.repeat(path.controls, per, axis=0)
     xs = xs[0].reshape(-1, n)
-    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
-    v = _velocity(arr.E, arr.xi, us, ws)
-    return SampledCurve(ts, xs, us, ws, (arr.th[:, None, :] @ v[:, :, None])[:, 0, 0],
+    arr = chart_arrays(chart, xs, order=0, fields=("th", "E"))
+    theta_dot = (arr.th[:, None, :] @ _horizontal_velocity(arr.E, us)[:, :, None])[:, 0, 0]
+    return SampledCurve(ts, xs, us, np.zeros(len(xs)), theta_dot,
                         [(k * per, (k + 1) * per - 1) for k in range(K)])
 
 
@@ -516,14 +514,13 @@ def transport(chart, curve, kind):
     ``kind='schouten'`` is the horizontal connection and demands a
     horizontal curve; ``kind='adapted'`` is its zero extension and accepts
     arbitrary curves via the split v = u^a e_a + w xi.  Along a horizontal
-    curve the two agree.  For another step than a curve's default, pass
-    the :class:`SampledCurve` from :func:`sample_curve`.
+    curve, such as a :class:`ControlPath`, the two agree.  For another step
+    than a curve's default, pass the :class:`SampledCurve` from
+    :func:`sample_curve`.
     """
     if kind not in TRANSPORT_KINDS:
         raise ValueError(f"unknown transport kind {kind!r}")
     if isinstance(curve, ControlPath):
-        if kind == "schouten" and np.any(curve.vertical != 0.0):
-            raise ChartError("schouten transport requires a horizontal curve")
         xs, _, h = _integrate_positions(chart, [curve], curve.step)
         tau = _transport_positions(chart, xs, [curve], h)[0]
         return TransportResult(tau=tau, start=curve.x0, end=xs[0, -1, -1])

@@ -36,12 +36,20 @@ integrated positions as the package ran it before it evaluated the
 connection over blocks of steps: one evaluation of the ends and one of the
 Hermite midpoints per step, with the velocity from order-1 chart values
 on every chart, a bit-for-bit oracle.
-:func:`draw_path` and :func:`reeb_sampled_path_transports` are the draw
-and the sampling pass of paths with Reeb-direction controls that
-``holonomy_samples`` made off normal form before it took its adapted
-samples along the horizontal pass: the oracle of that route, wrapped
-around the package's horizontal draw and pass with the same bits.
+
+A control path of the package is horizontal.  The oracle alone moves
+paths with Reeb-direction controls w, velocity u^a e_a + w xi: the route
+``holonomy_samples`` took off normal form before it took its adapted
+samples along the horizontal pass.  The controls w travel beside a
+``ControlPath`` as an array.  :func:`draw_path` draws them after a
+path's horizontal controls from its (seed, i, attempt) stream,
+:func:`integrate_positions_reference` moves such paths by plain RK4 and
+flags escapes, :func:`reeb_sampled_curves` samples them for the package's
+sampled-curve routes, :func:`reeb_draws` takes the first in-domain draw of
+each path of a sampler, and :func:`reeb_sampled_path_transports`, the
+sampling pass, transports them by :func:`coupled_transport_reference`.
 :func:`reeb_adapted_samples` gives that route's adapted samples.
+
 :func:`integrate_sampled_reference` is the stage-by-stage RK4 over sampled
 coefficients that the sampled-curve transports ran before they became
 products of step propagators, and :func:`reeb_flow_jacobian_reference`
@@ -70,6 +78,7 @@ from kcontact.connection import (TransportData, _koszul, frame_brackets, frame_d
                                  inverse_derivative, ortho_curvature, ortho_transports,
                                  ortho_two_form, orthonormal_frame_change, reeb_brackets,
                                  transport_data, two_form_derivative)
+from kcontact.errors import DomainError, SamplingError
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
 
@@ -406,16 +415,15 @@ def annihilator_pairs_reference(data):
 
 
 def frame_rates_reference(Gamma, u):
-    """The frame part of ``transport._connection_rates`` as one sum:
+    """``transport._frame_rates``, the frame part of the connection rates, as one sum:
     Gamma[c, a, b] u[a]."""
     return np.einsum("...cab,...a->...cb", Gamma, u)
 
 
-def rhs_reference(chart, x, u, w):
-    """``transport._rhs``, the velocity, with its contraction as one sum."""
-    arr = chart_arrays(chart, x, order=0, fields=("xi", "E"))
-    v = np.einsum("...ia,...a->...i", arr.E, u)
-    return v + w[..., None] * arr.xi if np.any(w != 0.0) else v
+def rhs_reference(chart, x, u):
+    """``transport._rhs``, the horizontal velocity, with its contraction as one sum."""
+    E = chart_arrays(chart, x, order=0, fields=("E",)).E
+    return np.einsum("...ia,...a->...i", E, u)
 
 
 def connection_rates_reference(chart, x, u, w):
@@ -425,65 +433,145 @@ def connection_rates_reference(chart, x, u, w):
     return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
 
 
-def coupled_transport_reference(chart, paths):
+def _reeb_velocity(chart, x, u, w):
+    """The velocity u^a e_a + w xi from plain chart values, as single sums."""
+    arr = chart_arrays(chart, x, order=0, fields=("xi", "E"))
+    return np.einsum("...ia,...a->...i", arr.E, u) + w[..., None] * arr.xi
+
+
+def _steps(paths):
+    """RK4 steps per segment and their size, as ``transport._integrate_positions``
+    takes them for paths that share horizon, step and segment count."""
+    seg = paths[0].horizon / paths[0].segments
+    steps = T._even_steps(seg, paths[0].step)
+    return steps, seg / steps
+
+
+def _reeb_controls(paths, verticals):
+    return np.zeros((len(paths), paths[0].segments)) if verticals is None else verticals
+
+
+def coupled_transport_reference(chart, paths, verticals=None):
     """Transports of control paths by the coupled (position, transport)
     RK4, in which every stage reads the connection at its own stage
     position.
 
-    The paths share horizon, step and segment count and must stay in the
-    chart domain.  The transports are reprojected onto isometries every
-    ``transport.REORTH_EVERY`` steps, as the package does.  Returns
-    ``(ends, transports)``.
+    ``verticals`` (P, K) are Reeb controls beside the paths (None: zeros).
+    A path then moves with velocity u^a e_a + w xi, and the zero extension
+    transports it: the rates are ``transport._connection_rates``, Reeb
+    term included (checked against :func:`connection_rates_reference` on
+    its own).  The positions do not read the transport, so their RK4 runs
+    first (:func:`integrate_positions_reference`), the connection is
+    evaluated at a segment's stage positions in one call, and the
+    transport's RK4 steps read it in stage order, as one RK4 on (position,
+    transport) would.  The paths share horizon, step and segment count and
+    must stay in the chart domain.  The transports are reprojected onto
+    isometries every ``transport.REORTH_EVERY`` steps, as the package does.
+    Returns ``(ends, transports)``.
     """
-    x = np.stack([p.x0 for p in paths])
-    controls = np.stack([p.controls for p in paths])
-    verticals = np.stack([p.vertical for p in paths])
-    P, K, tm = controls.shape
-    steps = T._even_steps(paths[0].horizon / K, paths[0].step)
-    h = paths[0].horizon / K / steps
+    verticals = _reeb_controls(paths, verticals)
+    xs, _, h, stages = integrate_positions_reference(chart, paths, verticals)
+    return _coupled_transports(chart, T._path_arrays(paths)[1], verticals, xs, h, stages)
+
+
+def _coupled_transports(chart, controls, verticals, xs, h, stages):
+    """The transport half of :func:`coupled_transport_reference`, over the
+    positions ``xs`` and stage positions ``stages`` of its RK4."""
+    P, K, steps, _, _ = stages.shape
+    tm = controls.shape[-1]
     M = np.broadcast_to(np.eye(tm), (P, tm, tm)).copy()
-    _, L0t = orthonormal_frame_change(chart_arrays(chart, x, order=0, fields=("G",)).G)
-    total = 0
+    _, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
+    for k in range(K):
+        data = transport_data(chart, stages[:, k], vertical=bool(np.any(verticals != 0.0)))
+        u, w = controls[:, k, None, None], verticals[:, k, None, None]
+        A = np.moveaxis(-T._connection_rates(data, u, w), 2, 0)  # [stage, path, step]
+        for i in range(steps):
+            rates = iter(A[:, :, i])
+            (M,) = T._rk4_step(lambda s, y: (next(rates) @ y[0],), (M,), h)
+            if (k * steps + i + 1) % T.REORTH_EVERY == 0:
+                Pt, Lt = orthonormal_frame_change(
+                    chart_arrays(chart, xs[:, k, i + 1], order=0, fields=("G",)).G)
+                U, _, Vt = np.linalg.svd(Lt @ M @ np.linalg.inv(L0t))
+                M = Pt @ (U @ Vt) @ L0t
+    return xs[:, -1, -1], M
+
+
+def integrate_positions_reference(chart, paths, verticals=None):
+    """Positions of control paths with Reeb controls ``verticals`` (P, K)
+    beside them (None: zeros), by one plain RK4 step of u^a e_a + w xi per
+    step of ``transport._integrate_positions``, in its layout: returns
+    ``(xs, alive, h, stages)``, ``stages[p, k, i]`` the four stage positions
+    of step i of segment k.  A row that leaves the chart domain freezes
+    where it left and is flagged in ``alive``."""
+    x, controls = T._path_arrays(paths)
+    verticals = _reeb_controls(paths, verticals)
+    P, K, _ = controls.shape
+    steps, h = _steps(paths)
+    xs = np.empty((P, K, steps + 1, x.shape[-1]))
+    stages = np.empty((P, K, steps, 4, x.shape[-1]))
+    alive = np.ones(P, dtype=bool)
     for k in range(K):
         u, w = controls[:, k], verticals[:, k]
 
-        def rhs(s, y):
-            return (rhs_reference(chart, y[0], u, w),
-                    -np.matmul(connection_rates_reference(chart, y[0], u, w), y[1]))
+        def velocity(s, y):
+            staged.append(y[0])
+            return (_reeb_velocity(chart, y[0], u, w),)
 
-        for _ in range(steps):
-            x, M = T._rk4_step(rhs, (x, M), h)
-            total += 1
-            if total % T.REORTH_EVERY == 0:
-                Pt, Lt = orthonormal_frame_change(
-                    chart_arrays(chart, x, order=0, fields=("G",)).G)
-                U, _, Vt = np.linalg.svd(Lt @ M @ np.linalg.inv(L0t))
-                M = Pt @ (U @ Vt) @ L0t
-    return x, M
+        xs[:, k, 0] = x
+        for i in range(steps):
+            staged = []
+            (xn,) = T._rk4_step(velocity, (x,), h)
+            stages[:, k, i] = np.stack(staged, axis=1)
+            x = np.where(alive[:, None], xn, x)
+            xs[:, k, i + 1] = x
+            alive &= chart.domain.contains(x)
+    return xs, alive, h, stages
+
+
+def reeb_sampled_curves(chart, paths, verticals, step=None):
+    """``transport.sample_curve`` of each path with its Reeb controls
+    ``verticals[p]`` (K,) beside it: the samples of one lockstep
+    :func:`integrate_positions_reference` at the paths' step (or ``step``),
+    each segment with its own end samples, ``us`` and ``ws`` the controls,
+    ``theta_dot`` theta of the velocity.  A list of :class:`SampledCurve`."""
+    if step is not None:
+        paths = [dataclasses.replace(p, step=step) for p in paths]
+    verticals = np.asarray(verticals, dtype=float)
+    xs, alive, h, _ = integrate_positions_reference(chart, paths, verticals)
+    P, K, per, n = xs.shape
+    xs = xs.reshape(P, -1, n)
+    if not np.all(alive):
+        bad = xs[~alive][~chart.domain.contains(xs[~alive])][0]
+        raise DomainError(f"curve left the chart domain at {bad}", point=bad)
+    ts = (np.arange(K)[:, None] * (per - 1) + np.arange(per)).ravel() * h
+    us = np.repeat(np.stack([p.controls for p in paths]), per, axis=1)
+    ws = np.repeat(verticals, per, axis=1)
+    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
+    theta_dot = np.einsum("...i,...i->...", arr.th, T._velocity(arr.E, arr.xi, us, ws))
+    return [T.SampledCurve(ts.copy(), xs[p], us[p], ws[p], theta_dot[p],
+                           [(k * per, (k + 1) * per - 1) for k in range(K)]) for p in range(P)]
 
 
 def transport_positions_per_step(chart, xs, paths, h):
     """``transport._transport_positions`` with one connection evaluation of
     the ends and one of the midpoints per RK4 step, whatever the batch."""
-    _, controls, verticals = T._path_arrays(paths)
+    _, controls = T._path_arrays(paths)
     P_, K, per, _ = xs.shape
     tm = controls.shape[-1]
-    vertical = bool(np.any(verticals != 0.0))
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
     total = 0
     for k in range(K):
-        u, w = controls[:, k, :], verticals[:, k]
+        u = controls[:, k, :]
         x1 = xs[:, k, 0]
-        v1 = _first_order_velocity(chart, x1, u, w)
-        Om1 = T._connection_rates(transport_data(chart, x1, vertical=vertical), u, w)
+        v1 = _first_order_velocity(chart, x1, u)
+        Om1 = T._frame_rates(transport_data(chart, x1).Gamma, u)
         for i in range(1, per):
             x0, x1, v0, Om0 = x1, xs[:, k, i], v1, Om1
-            v1 = _first_order_velocity(chart, x1, u, w)
-            Om1 = T._connection_rates(transport_data(chart, x1, vertical=vertical), u, w)
-            mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1),
-                                 vertical=vertical)
-            Om = (Om0, T._connection_rates(mid, u, w), Om1)
+            v1 = _first_order_velocity(chart, x1, u)
+            Om1 = T._frame_rates(transport_data(chart, x1).Gamma, u)
+            mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1))
+            Om = (Om0, T._frame_rates(mid.Gamma, u), Om1)
             (M,) = T._rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
             total += 1
             if total % T.REORTH_EVERY == 0:
@@ -491,44 +579,73 @@ def transport_positions_per_step(chart, xs, paths, h):
     return M
 
 
-def _with_reeb_controls(path, seed, i, attempt, vertical_magnitude):
-    """``path`` with Reeb controls at ``vertical_magnitude`` (0: none),
-    drawn after its horizontal controls from its (seed, i, attempt) stream."""
+def draw_path(chart, x0, segments, horizon, magnitude, seed, step, vertical_magnitude, i,
+              attempt):
+    """A draw of the holonomy sampler as it ran when it also drew paths with
+    Reeb controls: ``(path, w)``, the horizontal draw of
+    ``transport._draw_path`` and, beside it, Reeb controls ``w`` at
+    ``vertical_magnitude`` (0: zeros), drawn after the horizontal controls
+    from the same (seed, i, attempt) stream."""
+    path = T._draw_path(chart, x0, segments, horizon, magnitude, seed, step, i, attempt=attempt)
+    w = np.zeros(segments)
     if vertical_magnitude > 0:
         rng = np.random.default_rng([int(seed), int(i), int(attempt)])
         rng.normal(0.0, 1.0, path.controls.shape)
-        path.vertical = rng.normal(0.0, 1.0, path.segments) * vertical_magnitude
-    return path
+        w = rng.normal(0.0, 1.0, segments) * vertical_magnitude
+    return path, w
 
 
-def draw_path(chart, x0, segments, horizon, magnitude, seed, step, vertical_magnitude, i,
-              attempt):
-    """``transport._draw_path`` as it ran when the holonomy sampler also
-    drew paths with Reeb controls: the horizontal draw of
-    ``transport._draw_path``, then Reeb controls at ``vertical_magnitude``
-    from the same stream."""
-    path = T._draw_path(chart, x0, segments, horizon, magnitude, seed, step, i, attempt=attempt)
-    return _with_reeb_controls(path, seed, i, attempt, vertical_magnitude)
+def reeb_draws(chart, x0, sampler, vertical_magnitude):
+    """The draws of the sampling pass of paths with Reeb controls at
+    ``vertical_magnitude`` (0: none): path i takes the first draw of
+    :func:`draw_path` whose positions (:func:`integrate_positions_reference`)
+    stay in the chart domain, up to ``transport.MAX_ATTEMPTS`` draws, the
+    redraw rule of ``transport.sampled_path_transports``.  Returns
+    ``(paths, verticals)``."""
+    return _reeb_draws(chart, x0, sampler, vertical_magnitude)[:2]
+
+
+def _reeb_draws(chart, x0, sampler, vertical_magnitude):
+    """:func:`reeb_draws` with the positions of the accepted draws:
+    ``(paths, verticals, xs, h, stages)`` (``h`` None without paths)."""
+    x0 = np.asarray(x0, dtype=float)
+    if not chart.domain.contains(x0):
+        raise DomainError(f"base point outside the chart domain: {x0}", point=x0)
+    s, accepted, pending, h = sampler, {}, list(range(sampler.n_paths)), None
+    for attempt in range(T.MAX_ATTEMPTS):
+        if not pending:
+            break
+        draws = [draw_path(chart, x0, s.segments, s.horizon, s.magnitude, s.seed, s.step,
+                           vertical_magnitude, i, attempt) for i in pending]
+        xs, ok, h, stages = integrate_positions_reference(chart, [p for p, _ in draws],
+                                                          np.stack([w for _, w in draws]))
+        accepted.update((i, (*draws[j], xs[j], stages[j])) for j, i in enumerate(pending)
+                        if ok[j])
+        pending = [i for i, good in zip(pending, ok) if not good]
+    if pending:
+        raise SamplingError(f"could not sample an in-domain path for index {pending[0]} "
+                            f"after {T.MAX_ATTEMPTS} attempts")
+    rows = [accepted[i] for i in range(s.n_paths)]
+    paths = [row[0] for row in rows]
+    verticals = np.array([row[1] for row in rows]).reshape(s.n_paths, s.segments)
+    if not rows:
+        return paths, verticals, None, h, None
+    return paths, verticals, np.stack([r[2] for r in rows]), h, np.stack([r[3] for r in rows])
 
 
 def reeb_sampled_path_transports(chart, x0, sampler, vertical_magnitude):
     """The sampling pass of paths with Reeb controls at
-    ``vertical_magnitude``, which ``holonomy_samples`` made off normal form
-    for the adapted samples: ``transport.sampled_path_transports`` with
-    each draw of ``transport._draw_path``, whatever it is at call time,
-    given Reeb controls as :func:`draw_path` gives them."""
-    horizontal = T._draw_path
-
-    def draw(chart, x0, segments, horizon, magnitude, seed, step, i, attempt):
-        path = horizontal(chart, x0, segments, horizon, magnitude, seed, step, i,
-                          attempt=attempt)
-        return _with_reeb_controls(path, seed, i, attempt, vertical_magnitude)
-
-    T._draw_path = draw
-    try:
-        return T.sampled_path_transports(chart, x0, sampler)
-    finally:
-        T._draw_path = horizontal
+    ``vertical_magnitude`` (0: none), which ``holonomy_samples`` made off
+    normal form for the adapted samples, on the oracle's integrators: the
+    draws of :func:`reeb_draws`, transported by
+    :func:`coupled_transport_reference`.  Returns ``(paths, verticals,
+    ends, transports)``."""
+    paths, verticals, xs, h, stages = _reeb_draws(chart, x0, sampler, vertical_magnitude)
+    if not paths:
+        tm = 2 * chart.m
+        return [], verticals, np.zeros((0, chart.dim)), np.zeros((0, tm, tm))
+    controls = T._path_arrays(paths)[1]
+    return (paths, verticals, *_coupled_transports(chart, controls, verticals, xs, h, stages))
 
 
 def reeb_adapted_samples(chart, x, sampler):
@@ -537,7 +654,7 @@ def reeb_adapted_samples(chart, x, sampler):
     then at the ends of :func:`reeb_sampled_path_transports` at the
     sampler's magnitude, conjugated by its transports."""
     x = np.asarray(x, dtype=float)
-    _, points, taus = reeb_sampled_path_transports(chart, x, sampler, sampler.magnitude)
+    _, _, points, taus = reeb_sampled_path_transports(chart, x, sampler, sampler.magnitude)
     base = frame_data(chart, x[None], order=2)
     pairs = H._pair_matrices("R")
     if not sampler.n_paths:
@@ -548,12 +665,11 @@ def reeb_adapted_samples(chart, x, sampler):
         taus_o, np.linalg.inv(taus_o), pairs(data))])
 
 
-def _first_order_velocity(chart, x, u, w):
-    """The velocity of ``transport._velocity`` from order-1 chart values,
-    whose ``E`` the general route of ``transport_data`` reads (the order-0
-    values of an oracle chart may differ from them in the last bit)."""
-    arr = chart_arrays(chart, x, order=1, fields=("xi", "E"))
-    return T._velocity(arr.E, arr.xi, u, w)
+def _first_order_velocity(chart, x, u):
+    """The velocity of ``transport._horizontal_velocity`` from order-1 chart
+    values, whose ``E`` the general route of ``transport_data`` reads (the
+    order-0 values of an oracle chart may differ from them in the last bit)."""
+    return T._horizontal_velocity(chart_arrays(chart, x, order=1, fields=("E",)).E, u)
 
 
 def integrate_sampled_reference(sc, rhs, y):

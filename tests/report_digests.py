@@ -9,9 +9,10 @@ three ``kbench`` workloads (``holonomy_shipped``, ``verify_shipped`` and
 ``wide_products``), plus two more report seeds per config
 (``workloads.report_seed`` of the next two sweeps), a ``spinor`` report of
 each shipped config at each ``holonomy_shipped`` seed, three
-``partly_shared`` holonomy reports at long horizons, where a pass of paths
-with Reeb controls would accept another draw than the horizontal pass for
-one path (``PARTLY_SHARED``), and 16 ``general_path`` reports: holonomy
+``partly_shared`` holonomy reports at long horizons, where the test
+oracle's pass of paths with Reeb controls
+(``fd_oracles.reeb_sampled_path_transports``) accepts another draw than
+the horizontal pass for one path (``PARTLY_SHARED``), and 16 ``general_path`` reports: holonomy
 and verify on four charts off normal form (``GENERAL_PATH``), which take
 the general route of the sampling pass.  The gauged charts come
 from ``fd_oracles.gauged_chart`` in this script's own ``tests/``.  One
@@ -77,9 +78,9 @@ import numpy as np  # noqa: E402
 
 ROOT = Path(__file__).resolve().parents[1]
 EXTRA_SWEEPS = 2  # report seeds per config beyond each kbench block
-# (label, config, sampler fields): for one path index a pass with Reeb
-# controls would accept another draw than the horizontal pass, whose path
-# every chart conjugates the adapted samples along
+# (label, config, sampler fields): for one path index the test oracle's
+# pass with Reeb controls accepts another draw than the horizontal pass,
+# whose path every chart conjugates the adapted samples along
 PARTLY_SHARED = [
     ("bergman_h4.8", "bergman", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),
     ("disc_disc_12_h4.8", "disc_disc_12", {"horizon": 4.8, "segments": 16, "n_paths": 16, "seed": 3}),

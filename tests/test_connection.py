@@ -463,12 +463,10 @@ def _pairs_two_form_derivative(arr, rng):
 
 def _pairs_frame_rates(arr, rng):
     # generic Gamma: every built-in chart has Gamma symmetric in (a, b), so
-    # only a generic one tells the contracted slot apart; without xi_coeffs
-    # the connection rates are Gamma u alone
+    # only a generic one tells the contracted slot apart
     Gamma = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
     u = rng.standard_normal(arr.G.shape[:-1])
-    data = C.TransportData(arr.E, arr.xi, Gamma)
-    return (T._connection_rates(data, u, None),), (frame_rates_reference(Gamma, u),)
+    return (T._frame_rates(Gamma, u),), (frame_rates_reference(Gamma, u),)
 
 
 # each rewritten kernel with its single-sum reference, on the same inputs

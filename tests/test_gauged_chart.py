@@ -128,11 +128,11 @@ def test_gauged_verify_passes(monkeypatch, name):
 
 
 def test_adapted_dims_see_the_reeb_term(monkeypatch):
-    # along paths with Reeb controls (the oracle of the pass holonomy_samples
-    # made off normal form) the adapted transports leave the algebra without
-    # the Reeb term: the closure of the adapted samples fills so(4).  Along
-    # the horizontal pass the term is multiplied by w = 0, so holonomy_samples
-    # reads the same dim either way
+    # along paths with Reeb controls (the oracle's pass, which reads the
+    # rates of transport._connection_rates) the adapted transports leave the
+    # algebra without the Reeb term: the closure of the adapted samples
+    # fills so(4).  The horizontal pass does not read the term, so
+    # holonomy_samples reads the same dim either way
     cfg = _gauged_config(monkeypatch, "disc_disc_12")
 
     def adapted_dims():

@@ -28,11 +28,11 @@ from kcontact.errors import DomainError
 
 from conftest import domain_points
 from fd_oracles import (block_pairs_reference, draw_path, gauged_chart,
-                        outside_for_any_t_reference, reeb_adapted_samples,
-                        reeb_sampled_path_transports, rotated_chart, transport_data_reference,
-                        transport_positions_per_step)
+                        outside_for_any_t_reference, reeb_adapted_samples, reeb_draws,
+                        reeb_sampled_curves, reeb_sampled_path_transports, rotated_chart,
+                        transport_data_reference, transport_positions_per_step)
 from test_rotated_chart import WIDE_MIXES
-from test_transport import BLOCK_CASES
+from test_transport import BLOCK_CASES, block_pass
 
 # the five examples and the three m = 3 mixes of the wide_products workload
 CONFIGS = {**M.EXAMPLES,
@@ -63,15 +63,13 @@ def both_ways(chart, run):
 @pytest.mark.parametrize("t_frac", [0.0, 0.9])
 @pytest.mark.parametrize("name", CONFIGS)
 def test_positions_pass_matches_general_path(name, t_frac):
-    # 12 horizontal rows and 12 with Reeb controls; from t = 0 some rows
-    # leave the balls or the box, from t near the top of the box most leave
-    # through t, whose velocity the chart gives
+    # 24 rows; from t = 0 some rows leave the balls or the box, from t near
+    # the top of the box most leave through t, whose velocity the chart gives
     chart = _chart(name)
     x0 = np.zeros(chart.dim)
     x0[-1] = t_frac * chart.domain.hi[-1]
     mag = 3.0 if name == "heisenberg" else 0.9
-    paths = [draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, v, i, 0)
-             for v in (0.0, mag) for i in range(12)]
+    paths = [T._draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, i, 0) for i in range(24)]
 
     def run(c):
         xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
@@ -212,16 +210,14 @@ def test_long_horizon_pass_matches_general_path(charts, monkeypatch):
 
     def run(c):
         batches.clear()
-        passes = [reeb_sampled_path_transports(c, np.zeros(5), sampler, vertical)
-                  for vertical in (0.0, sampler.magnitude)]
-        return list(batches), [(np.stack([p.controls for p in paths]).tobytes(), ends.tobytes())
-                               for paths, ends, _ in passes], [taus for _, _, taus in passes]
+        paths, ends, taus = T.sampled_path_transports(c, np.zeros(5), sampler)
+        return list(batches), np.stack([p.controls for p in paths]).tobytes(), ends.tobytes(), taus
 
     fast, slow = both_ways(charts["bergman"], run)
     # positions, alive flags, controls and ends keep their bits; the
     # transports read the closed-form Gamma, which moves by rounding only
-    assert fast[:2] == slow[:2]
-    assert max(_rel(g, r) for g, r in zip(fast[2], slow[2], strict=True)) <= 1e-14
+    assert fast[:3] == slow[:3]
+    assert _rel(fast[3], slow[3]) <= 1e-14
     frozen = [b[-1] for b in fast[0]]
     assert len(frozen) > 2 and frozen[0] > 0
 
@@ -464,21 +460,23 @@ def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
 
 @pytest.mark.parametrize("name", CONFIGS)
 def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch):
-    # the Reeb route reads G alone and takes plain midpoints; along paths
-    # with Reeb controls, single or in a batch, and along a balanced loop,
-    # the adapted transports keep the bits of the brackets, the frame solve
-    # and the full Koszul sum at Hermite midpoints
+    # the Reeb route reads G alone and takes plain midpoints; along control
+    # paths, single or in a batch, and along curves with a Reeb component (a
+    # path with Reeb controls sampled by the oracle, a balanced loop), the
+    # adapted transports keep the bits of the brackets, the frame solve and
+    # the full Koszul sum at Hermite midpoints
     chart = _chart(name)
     x0 = np.zeros(chart.dim)
+    path, w = draw_path(chart, x0, 4, 1.2, 0.45, 3, 0.02, 0.45, 0, 0)
+    (reeb,) = reeb_sampled_curves(chart, [path], w[None])
+    loop = T.sample_curve(chart, T.balanced_loop(chart, x0, np.random.default_rng(4)),
+                          T.LOOP_STEP)
+    assert np.all(reeb.ws != 0.0)
 
     def run():
-        paths, _, taus = reeb_sampled_path_transports(chart, x0, T.SamplerConfig(n_paths=16,
-                                                                                 seed=3), 0.45)
-        sc = T.sample_curve(chart, T.balanced_loop(chart, x0, np.random.default_rng(4)),
-                            T.LOOP_STEP)
-        assert all(np.any(p.vertical != 0.0) for p in paths)
-        return (taus.tobytes(), T.transport(chart, paths[0], "adapted").tau.tobytes(),
-                T._transport_sampled(chart, sc, "adapted").tobytes())
+        _, _, taus = T.sampled_path_transports(chart, x0, T.SamplerConfig(n_paths=16, seed=3))
+        return (taus.tobytes(), T.transport(chart, path, "adapted").tau.tobytes(),
+                *(T._transport_sampled(chart, sc, "adapted").tobytes() for sc in (reeb, loop)))
 
     fast = run()
     monkeypatch.setattr(T, "transport_data", transport_data_reference)
@@ -486,27 +484,33 @@ def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch
 
 
 def _pass_cases():
-    """(config, paths, step, Reeb control) over every block shape of
-    ``BLOCK_CASES``; the horizontal 10-path case keeps the config's id."""
-    return [pytest.param(name, n_paths, step, vertical,
-                         id=name if (n_paths, step, vertical) == (10, 0.02, 0.0)
-                         else f"{name}-{n_paths}-{step}-{vertical}")
-            for name in CONFIGS for n_paths, step in BLOCK_CASES for vertical in (0.0, 0.45)]
+    """(config, paths, step, Reeb flow time of the start) over every block
+    shape of ``BLOCK_CASES``; the 10-path case from x0 keeps the config's
+    id."""
+    return [pytest.param(name, n_paths, step, reeb,
+                         id=name if (n_paths, step, reeb) == (10, 0.02, 0.0)
+                         else f"{name}-{n_paths}-{step}-{reeb}")
+            for name in CONFIGS for n_paths, step in BLOCK_CASES for reeb in (0.0, 0.45)]
 
 
-@pytest.mark.parametrize("name, n_paths, step, vertical", _pass_cases())
-def test_horizontal_pass_matches_hermite_midpoints(name, n_paths, step, vertical):
+@pytest.mark.parametrize("name, n_paths, step, reeb", _pass_cases())
+def test_horizontal_pass_matches_hermite_midpoints(name, n_paths, step, reeb):
     # the pass reads the connection at the midpoints (x0 + x1)/2, in one
     # call per block with the block's ends, the per-step loop at the
     # Hermite midpoints, whose t differs: the transports have the same
-    # bits, with Reeb controls or without, in blocks of one step, of part
-    # of a segment with a reprojection inside, and of a whole segment
+    # bits, in blocks of one step, of part of a segment with a reprojection
+    # inside, and of a whole segment.  With reeb > 0 the pass starts at x0
+    # moved by the Reeb flow for that time, which moves t alone here: the
+    # transports are those from x0, bit for bit
     chart = _chart(name)
-    paths = [draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 17, step, vertical, i, 0)
-             for i in range(n_paths)]
-    xs, _, h = T._integrate_positions(chart, paths, step, raise_on_exit=False)
-    got = T._transport_positions(chart, xs, paths, h)
-    assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
+    x0 = np.zeros(chart.dim)
+    paths, xs, h, got = block_pass(chart, x0, n_paths, step)
+    if reeb:
+        moved, _ = T._reeb_flow_batch(chart, x0[None], np.array([reeb]), vectors=x0[None])
+        assert np.array_equal(moved[0, :-1], x0[:-1]) and moved[0, -1] > 0.4
+        assert block_pass(chart, moved[0], n_paths, step)[-1].tobytes() == got.tobytes()
+    else:
+        assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 
 
 def test_general_frame_solve_is_the_lapack_inverse(charts):
@@ -548,10 +552,10 @@ def test_singular_metric_block_exits_5(monkeypatch, capsys):
     assert capsys.readouterr().err == "numerical failure: Singular matrix\n"
 
 
-def _accepted_draws(chart, sampler, monkeypatch):
-    """The horizontal pass and the oracle's pass with Reeb controls at the
-    sampler's magnitude, and the path indices whose accepted draw (the
-    last) has the same attempt in both."""
+def _accepted_draws(chart, sampler, monkeypatch, run=reeb_sampled_path_transports):
+    """The oracle's passes (or their draws alone, ``run=reeb_draws``)
+    without and with Reeb controls at the sampler's magnitude, and the path
+    indices whose accepted draw (the last) has the same attempt in both."""
     draw = T._draw_path
     signature = inspect.signature(draw)
     accepted, passes = {}, []
@@ -563,7 +567,7 @@ def _accepted_draws(chart, sampler, monkeypatch):
 
     monkeypatch.setattr(T, "_draw_path", recording)
     for vertical in (0.0, sampler.magnitude):
-        passes.append(reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical))
+        passes.append(run(chart, np.zeros(chart.dim), sampler, vertical))
     monkeypatch.undo()
     same = [i for i in range(sampler.n_paths) if accepted[False, i] == accepted[True, i]]
     return passes, same
@@ -572,19 +576,20 @@ def _accepted_draws(chart, sampler, monkeypatch):
 @pytest.mark.parametrize("name", CONFIGS)
 def test_adapted_half_repeats_the_horizontal_half(name, monkeypatch):
     # on a normal-form chart [xi, e_a] = 0 and no coefficient reads t, so
-    # Reeb controls move only t: where both passes accept the same attempt
-    # of path i, the adapted paths, transported with their Reeb brackets,
-    # give the horizontal transports bit for bit, the ends differ in t
-    # alone and their order-2 frame data do not differ at all.  So there the
-    # adapted samples along the horizontal pass, which holonomy_samples
-    # takes on every chart, are those along the Reeb paths bit for bit
+    # Reeb controls move only t: where the oracle's two passes accept the
+    # same attempt of path i, the paths with Reeb controls, transported with
+    # their Reeb brackets, give the horizontal transports bit for bit, the
+    # ends differ in t alone and their order-2 frame data do not differ at
+    # all.  So there the adapted samples along the horizontal pass, which
+    # holonomy_samples takes on every chart, are those along the Reeb paths
+    # bit for bit
     chart = _chart(name)
     sampler = T.SamplerConfig(n_paths=16)
-    ((h_paths, h_ends, h_taus), (a_paths, a_ends, a_taus)), same = _accepted_draws(
+    ((h_paths, h_w, h_ends, h_taus), (a_paths, a_w, a_ends, a_taus)), same = _accepted_draws(
         chart, sampler, monkeypatch)
     assert len(same) >= sampler.n_paths // 2
     assert all(np.array_equal(a_paths[i].controls, h_paths[i].controls) for i in same)
-    assert all(np.all(a_paths[i].vertical != 0.0) for i in same)
+    assert not np.any(h_w) and np.all(a_w[same] != 0.0)
     assert a_taus[same].tobytes() == h_taus[same].tobytes()
     assert a_ends[same, :-1].tobytes() == h_ends[same, :-1].tobytes()
     assert np.all(a_ends[same, -1] != h_ends[same, -1])
@@ -700,7 +705,7 @@ def test_unmatched_draws_keep_the_structure():
     cfg.sampler = dataclasses.replace(cfg.sampler, n_paths=8, horizon=2.4, seed=3)
     chart, x0 = cli._resolve_chart(cfg)
     with pytest.MonkeyPatch.context() as mp:
-        assert _accepted_draws(chart, cfg.sampler, mp)[1] == [0, 1, 2, 3, 5, 6, 7]
+        assert _accepted_draws(chart, cfg.sampler, mp, reeb_draws)[1] == [0, 1, 2, 3, 5, 6, 7]
     fields = ("dims", "codim", "contained", "ideal", "spinor_kernel")
     normal_form = cli.holonomy_report(cfg)
     with pytest.MonkeyPatch.context() as mp:

@@ -18,8 +18,9 @@ from fd_oracles import (
     cumulative_theta_integral_loop,
     draw_path,
     integrate_sampled_reference,
+    reeb_draws,
     reeb_flow_jacobian_reference,
-    reeb_sampled_path_transports,
+    reeb_sampled_curves,
     rhs_reference,
     rotated_chart,
     theta_integral_loop,
@@ -35,6 +36,15 @@ RHS_FACTORS = {
 }
 
 
+def block_pass(chart, x0, n_paths, step):
+    """``(paths, xs, h, transports)`` of the transport pass over the
+    positions of ``n_paths`` first draws (4 segments, horizon 1.2,
+    magnitude 0.45, seed 17) from x0; escaped rows ride along frozen."""
+    paths = [T._draw_path(chart, x0, 4, 1.2, 0.45, 17, step, i, 0) for i in range(n_paths)]
+    xs, _, h = T._integrate_positions(chart, paths, step, raise_on_exit=False)
+    return paths, xs, h, T._transport_positions(chart, xs, paths, h)
+
+
 def reeb_flow(chart, x, s):
     """Point of the Reeb flow from x after time s."""
     y, _ = T._reeb_flow_batch(chart, x[None], np.array([s]), vectors=np.zeros((1, len(x))))
@@ -48,14 +58,22 @@ def ortho_tau(chart, res):
 
 
 def draw_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, step=0.02,
-               vertical=0.0, max_attempts=T.MAX_ATTEMPTS):
-    """The accepted paths of one sampling pass, with Reeb controls at
-    ``vertical`` (0: the horizontal pass)."""
+               max_attempts=T.MAX_ATTEMPTS):
+    """The accepted paths of one sampling pass."""
     sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
-        paths, _, _ = reeb_sampled_path_transports(chart, x0, sampler, vertical)
-    return paths
+        return T.sampled_path_transports(chart, x0, sampler)[0]
+
+
+def draw_reeb_paths(chart, x0, n_paths, segments, horizon, magnitude, seed, vertical,
+                    step=0.02, max_attempts=T.MAX_ATTEMPTS):
+    """``(paths, verticals)``: the accepted draws of the oracle's pass with
+    Reeb controls at ``vertical``."""
+    sampler = T.SamplerConfig(n_paths, segments, horizon, magnitude, step, seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "MAX_ATTEMPTS", max_attempts)
+        return reeb_draws(chart, x0, sampler, vertical)
 
 
 def test_zero_controls_constant_curve(charts):
@@ -105,10 +123,12 @@ def test_reversed_controls_retrace(charts):
 def test_transport_isometry(charts, kind):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
-    vertical = 0.0 if kind == "schouten" else 0.3
-    paths = draw_paths(chart, x0, 6, 4, 1.2, 0.45, seed=2, vertical=vertical)
-    for path in paths:
-        res = T.transport(chart, path, kind)
+    if kind == "schouten":
+        curves = draw_paths(chart, x0, 6, 4, 1.2, 0.45, seed=2)
+    else:  # along paths with Reeb controls, sampled by the oracle
+        curves = reeb_sampled_curves(chart, *draw_reeb_paths(chart, x0, 6, 4, 1.2, 0.45, 2, 0.3))
+    for curve in curves:
+        res = T.transport(chart, curve, kind)
         to = ortho_tau(chart, res)
         assert np.max(np.abs(to.T @ to - np.eye(4))) < 1e-7
 
@@ -135,11 +155,20 @@ def test_disc_product_transport_block_diagonal(charts):
     assert np.max(np.abs(tau[2:, :2])) < 1e-9
 
 
+def _line(x0, velocity, duration=1.0):
+    """The straight coordinate piece from x0 with constant ``velocity``."""
+    x0, velocity = np.asarray(x0, dtype=float), np.asarray(velocity, dtype=float)
+    return (duration, lambda s: x0 + np.outer(s * duration, velocity),
+            lambda s: np.tile(velocity * duration, (len(s), 1)))
+
+
 def test_schouten_rejects_non_horizontal(charts):
+    # a control path is horizontal by construction; a curve with a Reeb
+    # component is refused by the sampled route
     chart = charts["disc_disc_11"]
-    path = T.ControlPath(np.zeros(5), np.zeros((2, 4)), 1.0, vertical=np.array([1.0, 0.5]))
-    with pytest.raises(ChartError):
-        T.transport(chart, path, "schouten")
+    curve = T.ParametricCurve([_line(np.zeros(5), [0.0, 0.0, 0.0, 0.0, 1.0])])
+    with pytest.raises(ChartError, match="schouten transport requires a horizontal curve"):
+        T.transport(chart, curve, "schouten")
 
 
 def test_transport_theta_contract(charts):
@@ -148,24 +177,15 @@ def test_transport_theta_contract(charts):
     # horizontal curve: factor 1
     hor = draw_paths(chart, x0, 1, 3, 1.0, 0.4, seed=6)[0]
     assert abs(T.transport_theta(chart, hor) - 1.0) < 1e-10
-    # Reeb segment for time s: factor e^{-s}
+    # Reeb segment for time s (xi = d/dt on this chart): factor e^{-s}
     s = 0.8
-    reeb = T.ControlPath(x0, np.zeros((1, 4)), horizon=s, vertical=np.array([1.0]))
+    reeb = T.ParametricCurve([_line(x0, [0.0, 0.0, 0.0, 0.0, 1.0], s)])
     assert abs(T.transport_theta(chart, reeb) - np.exp(-s)) < 1e-9
     # concatenation multiplies the factors
-    p1 = T.ControlPath(x0, np.array([[0.2, 0, 0.1, 0]]), 0.5, vertical=np.array([0.7]))
-    sc1 = T.sample_curve(chart, p1)
-    end1 = sc1.xs[-1]
-    p2 = T.ControlPath(end1, np.array([[0, 0.1, 0, -0.2]]), 0.5, vertical=np.array([-0.4]))
-    both = T.ControlPath(
-        x0,
-        np.vstack([p1.controls, p2.controls]),
-        1.0,
-        vertical=np.concatenate([p1.vertical, p2.vertical]),
-    )
-    f1 = T.transport_theta(chart, p1)
-    f2 = T.transport_theta(chart, p2)
-    fb = T.transport_theta(chart, both)
+    p1 = _line(x0, [0.2, 0, 0.1, 0, 0.7], 0.5)
+    p2 = _line(p1[1](np.ones(1))[0], [0, 0.1, 0, -0.2, -0.4], 0.5)
+    f1, f2, fb = (T.transport_theta(chart, T.ParametricCurve(pieces))
+                  for pieces in ([p1], [p2], [p1, p2]))
     assert abs(fb - f1 * f2) < 1e-9 * abs(fb)
 
 
@@ -174,9 +194,8 @@ def test_transport_theta_ode_agreement(charts):
     for name in ["heisenberg", "disc_disc_11", "bergman", "perturbed_disc_disc"]:
         chart = charts[name]
         x0 = np.zeros(chart.dim)
-        paths = draw_paths(chart, x0, 5, 4, 1.0, 0.35, seed=7, vertical=0.4)
-        for path in paths:
-            sc = T.sample_curve(chart, path, 0.005)
+        reeb = draw_reeb_paths(chart, x0, 5, 4, 1.0, 0.35, 7, 0.4)
+        for sc in reeb_sampled_curves(chart, *reeb, 0.005):
             fq = T.transport_theta(chart, sc, "quadrature")
             fo = T.transport_theta(chart, sc, "ode")
             assert fq > 0 and fo > 0
@@ -243,14 +262,23 @@ def test_sampled_transports_match_stage_walk(charts, name, eps):
     chart = _oracle_chart(charts, name, eps)
     x0 = np.zeros(chart.dim)
     eye = np.eye(2 * chart.m)
-    for kind, vertical in (("schouten", 0.0), ("adapted", 0.4)):
-        path = draw_paths(chart, x0, 1, 3, 1.0, 0.35, seed=13, vertical=vertical)[0]
-        sc = T.sample_curve(chart, path)
-        A = -T._connection_rates(C.transport_data(chart, sc.xs, vertical=vertical > 0),
+    path = draw_paths(chart, x0, 1, 3, 1.0, 0.35, seed=13)[0]
+    reeb = draw_reeb_paths(chart, x0, 1, 3, 1.0, 0.35, 13, 0.4)
+
+    def sample(kind, step=None):
+        # the Schouten kind along a horizontal path, the adapted one along a
+        # path with Reeb controls
+        if kind == "schouten":
+            return T.sample_curve(chart, path, step)
+        return reeb_sampled_curves(chart, *reeb, step)[0]
+
+    for kind in T.TRANSPORT_KINDS:
+        sc = sample(kind)
+        A = -T._connection_rates(C.transport_data(chart, sc.xs, vertical=kind == "adapted"),
                                  sc.us, sc.ws)
         (ref,) = integrate_sampled_reference(sc, lambda i, y: (A[i] @ y[0],), (eye,))
         assert np.max(np.abs(T._transport_sampled(chart, sc, kind) - ref)) < 1e-13, kind
-        sc = T.sample_curve(chart, path, T.THETA_STEP)
+        sc = sample(kind, T.THETA_STEP)
         g = -sc.theta_dot
         (lam,) = integrate_sampled_reference(sc, lambda i, y: (g[i] * y[0],), (1.0,))
         assert abs(T.transport_theta(chart, sc, "ode") - lam) < 1e-13, kind
@@ -275,7 +303,7 @@ def test_theta_integrals_match_loops_bitwise(charts, name, eps):
     chart = _oracle_chart(charts, name, eps)
     x0 = np.zeros(chart.dim)
     rng = np.random.default_rng(15)
-    curves = [draw_paths(chart, x0, 1, 4, 1.0, 0.35, seed=15, vertical=0.4)[0]]
+    curves = [draw_reeb_paths(chart, x0, 1, 4, 1.0, 0.35, 15, 0.4)]
     for _ in range(2):
         r1, r2, ph1, ph2 = rng.uniform(0.05, 0.15, 2).tolist() + rng.uniform(0, 6, 2).tolist()
         curves.append(T.ParametricCurve([
@@ -283,7 +311,8 @@ def test_theta_integrals_match_loops_bitwise(charts, name, eps):
             T._circle_piece(x0, (2, 3), r2, ph2, -1.0, 1.0, 0.1, chart.dim - 1)]))
     for curve in curves:
         for step in (2e-3, 4e-3):
-            sc = T.sample_curve(chart, curve, step)
+            sc = (T.sample_curve(chart, curve, step) if isinstance(curve, T.ParametricCurve)
+                  else reeb_sampled_curves(chart, *curve, step)[0])
             assert len(sc.piece_slices) > 1
             assert np.asarray(T._theta_integral(sc)).tobytes() == \
                 np.asarray(theta_integral_loop(sc)).tobytes()
@@ -323,16 +352,16 @@ def test_horizontalize_fixed_points(charts):
     tilde = T.horizontalize(chart, sc)
     assert np.max(np.abs(tilde.xs - sc.xs)) < 1e-9
     # a pure Reeb segment horizontalizes to a constant curve
-    reeb = T.ControlPath(x0, np.zeros((1, 4)), horizon=0.6, vertical=np.array([1.0]))
-    tilde2 = T.horizontalize(chart, T.sample_curve(chart, reeb))
+    (reeb,) = reeb_sampled_curves(chart, [T.ControlPath(x0, np.zeros((1, 4)), horizon=0.6)],
+                                  [[1.0]])
+    tilde2 = T.horizontalize(chart, reeb)
     assert np.max(np.abs(tilde2.xs - x0)) < 1e-8
 
 
 def test_horizontalize_endpoint_relation(charts):
     chart = charts["disc_disc_12"]
     x0 = np.zeros(5)
-    path = draw_paths(chart, x0, 1, 4, 1.0, 0.3, seed=9, vertical=0.5)[0]
-    sc = T.sample_curve(chart, path)
+    (sc,) = reeb_sampled_curves(chart, *draw_reeb_paths(chart, x0, 1, 4, 1.0, 0.3, 9, 0.5))
     tilde = T.horizontalize(chart, sc)
     total = T.transport_theta(chart, sc)  # exp(-integral)
     target = reeb_flow(chart, sc.xs[-1], np.log(total))
@@ -376,7 +405,7 @@ def test_transport_equivalence_trivial_cases(charts):
     assert T.transport_equivalence_check(chart, sc)[0] < 1e-9
     # a path that does not return to its start is not a loop (a closed
     # unbalanced one is refused in test_curve_api_refusals)
-    bad = T.ControlPath(np.zeros(5), np.zeros((1, 4)), 0.5, vertical=np.array([1.0]))
+    bad = T.ParametricCurve([_line(np.zeros(5), [0.0, 0.0, 0.0, 0.0, 1.0], 0.5)])
     with pytest.raises(ChartError, match="transport_equivalence_check needs a loop"):
         T.transport_equivalence_check(chart, bad)
 
@@ -546,24 +575,22 @@ def test_sampler_exhaustion(charts):
         draw_paths(chart, np.zeros(5), 1, 2, 0.5, 200.0, seed=0, max_attempts=5)
 
 
-# a bergman sampler whose pass escapes at indices 1 and 3, with or without
-# Reeb controls;
-# index 3 needs four redraws, so later redraw batches shrink
+# a bergman sampler whose pass escapes at indices 1 and 3; index 3 needs
+# four redraws, so later redraw batches shrink
 REDRAW_SAMPLER = T.SamplerConfig(n_paths=6, segments=2, horizon=0.6,
                                  magnitude=1.5, step=0.05, seed=1)
 
 
-def _reference_pass(chart, x0, s, vertical):
+def _reference_pass(chart, x0, s):
     """Per-index, attempt-by-attempt reference for one pass:
     ``transport`` of each path on its own."""
-    kind = "adapted" if vertical else "schouten"
     out = []
     for i in range(s.n_paths):
         for attempt in range(60):
-            path = draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
-                             s.seed, s.step, vertical, i, attempt)
+            path = T._draw_path(chart, x0, s.segments, s.horizon, s.magnitude,
+                                s.seed, s.step, i, attempt)
             try:
-                res = T.transport(chart, path, kind)
+                res = T.transport(chart, path, "schouten")
             except DomainError:
                 continue
             out.append((attempt, path, res.end, res.tau))
@@ -572,52 +599,49 @@ def _reference_pass(chart, x0, s, vertical):
 
 
 def test_batched_redraws_match_per_index_reference(charts, monkeypatch):
-    # a horizontal pass and a pass with Reeb controls, each integrated and
-    # redrawn in batches, give bit for bit what each gives path by path
+    # the pass, integrated and redrawn in batches, gives bit for bit what it
+    # gives path by path
     chart = charts["bergman"]
     x0 = np.zeros(5)
-    verticals = (0.0, REDRAW_SAMPLER.magnitude)
-    refs = [_reference_pass(chart, x0, REDRAW_SAMPLER, v) for v in verticals]
-    for ref in refs:
-        assert sum(attempt > 0 for attempt, *_ in ref) >= 2
-    draws, passes = [], []
+    ref = _reference_pass(chart, x0, REDRAW_SAMPLER)
+    assert sum(attempt > 0 for attempt, *_ in ref) >= 2
+    draws = []
     draw = T._draw_path
     signature = inspect.signature(draw)
 
     def recording_draw(*args, **kwargs):
         bound = signature.bind(*args, **kwargs).arguments
-        draws.append((verticals[len(passes)], int(bound["i"]), int(bound["attempt"])))
+        draws.append((int(bound["i"]), int(bound["attempt"])))
         return draw(*args, **kwargs)
 
     monkeypatch.setattr(T, "_draw_path", recording_draw)
-    for v in verticals:
-        passes.append(reeb_sampled_path_transports(chart, x0, REDRAW_SAMPLER, v))
-    expected_draws = {(v, i, a) for v, ref in zip(verticals, refs)
-                      for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
+    paths, ends, taus = T.sampled_path_transports(chart, x0, REDRAW_SAMPLER)
+    expected_draws = {(i, a) for i, (last, *_) in enumerate(ref) for a in range(last + 1)}
     assert len(draws) == len(expected_draws) and set(draws) == expected_draws
-    for (paths, ends, taus), ref in zip(passes, refs):
-        assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
-        for i, (_, path, end, tau) in enumerate(ref):
-            assert np.array_equal(paths[i].controls, path.controls)
-            assert np.array_equal(paths[i].vertical, path.vertical)
-            assert np.array_equal(ends[i], end)
-            assert np.array_equal(taus[i], tau)
+    assert len(paths) == len(ref) == REDRAW_SAMPLER.n_paths
+    for i, (_, path, end, tau) in enumerate(ref):
+        assert np.array_equal(paths[i].controls, path.controls)
+        assert np.array_equal(ends[i], end)
+        assert np.array_equal(taus[i], tau)
 
 
 @pytest.mark.parametrize("index, attempt", [(0, 0), (3, 0), (5, 2)])
 def test_halves_share_draw_streams(charts, index, attempt):
-    # the stream is keyed by (seed, index, attempt) alone: path i with Reeb
-    # controls draws the horizontal controls of horizontal path i, then its
-    # Reeb controls
+    # the stream is keyed by (seed, index, attempt) alone: the oracle's path
+    # i with Reeb controls draws the horizontal controls of the package's
+    # path i, then its Reeb controls
     chart, s = charts["bergman"], T.SamplerConfig()
-    horizontal, adapted = (
+    horizontal = T._draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed,
+                              s.step, index, attempt)
+    (plain, zeros), (adapted, w) = (
         draw_path(chart, np.zeros(5), s.segments, s.horizon, s.magnitude, s.seed, s.step,
                   vertical, index, attempt) for vertical in (0.0, s.magnitude))
-    assert np.array_equal(horizontal.controls, adapted.controls)
+    for path in (plain, adapted):
+        assert np.array_equal(horizontal.controls, path.controls)
     rng = np.random.default_rng([s.seed, index, attempt])
     rng.normal(0.0, 1.0, horizontal.controls.shape)
-    assert np.array_equal(adapted.vertical, rng.normal(0.0, 1.0, s.segments) * s.magnitude)
-    assert not np.any(horizontal.vertical) and np.all(adapted.vertical != 0.0)
+    assert np.array_equal(w, rng.normal(0.0, 1.0, s.segments) * s.magnitude)
+    assert not np.any(zeros) and np.all(w != 0.0)
 
 
 def test_redraw_exhaustion_names_index(charts):
@@ -633,31 +657,28 @@ def test_redraw_exhaustion_names_index(charts):
 
 
 def test_two_half_exhaustion_names_index_within_half(charts):
-    # of the two kinds of path a holonomy pass off normal form draws, the
-    # one with Reeb controls at magnitude 6 needs 14 draws for its index 3,
-    # while the horizontal pass is complete after 5; the error names the
+    # the oracle's pass with Reeb controls at magnitude 6 needs 14 draws for
+    # its index 3, while the package's horizontal pass is complete after 5;
+    # the oracle keeps the package's redraw rule, and its error names the
     # index within its own pass
     chart = charts["bergman"]
     s = REDRAW_SAMPLER
     assert len(draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
                           s.seed, step=s.step, max_attempts=5)) == s.n_paths
     with pytest.raises(SamplingError, match=r"for index 3 after 5 attempts"):
-        draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
-                   s.magnitude, s.seed, step=s.step, vertical=6.0, max_attempts=5)
-    assert len(draw_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
-                          s.seed, step=s.step, vertical=6.0, max_attempts=14)) == s.n_paths
+        draw_reeb_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon, s.magnitude,
+                        s.seed, 6.0, step=s.step, max_attempts=5)
+    assert len(draw_reeb_paths(chart, np.zeros(5), s.n_paths, s.segments, s.horizon,
+                               s.magnitude, s.seed, 6.0, step=s.step,
+                               max_attempts=14)[0]) == s.n_paths
 
 
 def _pass_and_reference(chart, sampler):
-    """The largest differences of ends and transports between the
-    horizontal and the Reeb sampling pass and the coupled reference on
-    their paths."""
-    worst = np.zeros(2)
-    for vertical in (0.0, sampler.magnitude):
-        paths, *got = reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler, vertical)
-        for i, (g, r) in enumerate(zip(got, coupled_transport_reference(chart, paths))):
-            worst[i] = max(worst[i], np.max(np.abs(g - r)))
-    return worst
+    """The largest differences of ends and transports between the sampling
+    pass and the coupled reference on its paths."""
+    paths, *got = T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
+    return np.array([np.max(np.abs(g - r))
+                     for g, r in zip(got, coupled_transport_reference(chart, paths))])
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "disc_disc_11", "disc_disc_12", "bergman",
@@ -677,8 +698,8 @@ def test_transport_pass_matches_coupled_reference(charts, name):
 def test_transport_pass_on_rotated_chart_matches_coupled_reference(charts):
     # on a rotated chart the Hermite midpoints and the coupled stage
     # positions read different connections: the transports differ by the
-    # two schemes' O(h^4) truncation errors (measured 1.03e-8), while the
-    # positions, integrated alike, agree to rounding (1.1e-16)
+    # two schemes' O(h^4) truncation errors (measured 6.9e-9), while the
+    # positions, integrated alike, agree to rounding (0 measured)
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     worst = _pass_and_reference(chart, T.SamplerConfig(n_paths=6, seed=21))
     assert worst[0] <= 1e-15, worst
@@ -692,19 +713,23 @@ BLOCK_CASES = [(1, 0.02), (10, 0.02), (16, 0.005), (128, 0.02)]
 
 
 @pytest.mark.parametrize("n_paths, step", BLOCK_CASES)
-@pytest.mark.parametrize("vertical", [0.0, 0.45])
-def test_transport_blocks_match_per_step_loop(charts, n_paths, step, vertical):
+@pytest.mark.parametrize("reeb", [0.0, 0.45])
+def test_transport_blocks_match_per_step_loop(charts, n_paths, step, reeb):
     # evaluating the connection over blocks of steps changes no bit of the
     # transports against one evaluation of the ends and one of the
     # midpoints per step; on the rotated chart the midpoints' t-coordinates
-    # and the Reeb brackets enter the connection
+    # enter the connection.  With reeb > 0 the pass starts at x0 moved by
+    # the Reeb flow for that time (a rotation of the plane (0, 1) and a
+    # shift of t here), which preserves the frame and the zero extension:
+    # the transports are those from x0 up to rounding (measured 2e-15)
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     x0 = np.zeros(chart.dim)
-    paths = [draw_path(chart, x0, 4, 1.2, 0.45, 17, step, vertical, i, 0)
-             for i in range(n_paths)]
-    xs, _, h = T._integrate_positions(chart, paths, step)
-    got = T._transport_positions(chart, xs, paths, h)
-    assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
+    paths, xs, h, got = block_pass(chart, x0, n_paths, step)
+    if reeb:
+        moved = block_pass(chart, reeb_flow(chart, x0, reeb), n_paths, step)[-1]
+        assert np.max(np.abs(moved - got)) < 1e-13
+    else:
+        assert got.tobytes() == transport_positions_per_step(chart, xs, paths, h).tobytes()
 
 
 @pytest.mark.parametrize("rotated, n_paths, rows", [
@@ -716,7 +741,7 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
     # a pass over P rows evaluates the connection over blocks of
     # max(1, ROWS // P) of a segment's 16 steps: on a normal-form chart one
     # call per block reads its ends and midpoints together; off normal form
-    # (the rotated chart, whose Reeb controls enter the connection) the
+    # (the rotated chart, whose midpoints' t enters the connection) the
     # midpoints need the ends' velocities, so a block takes two calls, and
     # a 128-path pass two per step; every pass evaluates its shared start
     # once and two samples per row and step, as the per-step loop does
@@ -734,9 +759,7 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
         path = T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 0, 0.02, 0, 0)
         T.transport(chart, path, "schouten")
     else:
-        sampler = T.SamplerConfig(n_paths=n_paths)
-        reeb_sampled_path_transports(chart, np.zeros(chart.dim), sampler,
-                                     sampler.magnitude if rotated else 0.0)
+        T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths))
     block = max(1, T.ROWS // rows)
     per_block = 2 if rotated else 1
     assert counts == {"calls": 1 + per_block * 4 * -(-16 // block),
@@ -751,8 +774,8 @@ def test_transport_pass_evaluates_its_shared_start_once(charts, monkeypatch, rot
     # of the per-step loop's one row per path
     chart = charts["disc_disc_12"]
     chart = rotated_chart(chart, (0, 1), 0.7) if rotated else chart
-    paths = [draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 3, 0.02, v, i, 0)
-             for v in (0.0, 0.45) for i in range(8)]
+    paths = [T._draw_path(chart, np.zeros(chart.dim), 4, 1.2, 0.45, 3, 0.02, i, 0)
+             for i in range(16)]
     xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
     evaluate, shapes = T.transport_data, []
 
@@ -770,14 +793,20 @@ def test_transport_pass_evaluates_its_shared_start_once(charts, monkeypatch, rot
 
 def test_sampled_route_matches_transport_pass(charts):
     # the sampled-curve RK4 over a control path's samples (one step per two
-    # sample intervals) against the positions-first pass
+    # sample intervals) against the positions-first pass; with Reeb controls
+    # beside the path, the adapted sampled route over the oracle's samples
+    # against the oracle's coupled RK4
     plain = charts["disc_disc_12"]
     for chart in (plain, rotated_chart(plain, (0, 1), 0.7)):
         rng = np.random.default_rng(16)
-        path = T.ControlPath(np.zeros(5), rng.normal(0, 0.3, (2, 4)), horizon=0.8,
-                             step=0.005, vertical=np.array([0.5, -0.3]))
+        path = T.ControlPath(np.zeros(5), rng.normal(0, 0.3, (2, 4)), horizon=0.8, step=0.005)
         tau = T.transport(chart, path, "adapted").tau
         sampled = T._transport_sampled(chart, T.sample_curve(chart, path), "adapted")
+        assert np.max(np.abs(tau - sampled)) < 1e-6
+        w, coarse = np.array([[0.5, -0.3]]), dataclasses.replace(path, step=0.02)
+        tau = coupled_transport_reference(chart, [coarse], w)[1][0]
+        sampled = T._transport_sampled(chart, reeb_sampled_curves(chart, [coarse], w)[0],
+                                       "adapted")
         assert np.max(np.abs(tau - sampled)) < 1e-6
 
 
@@ -819,10 +848,15 @@ def test_replaced_sampler_config_is_checked_again():
         dataclasses.replace(T.SamplerConfig(), seed=-3)
 
 
-def test_omitted_vertical_controls_are_zeros():
-    path = T.ControlPath(np.zeros(5), np.ones((3, 4)), horizon=1.0)
-    assert np.array_equal(path.vertical, np.zeros(3))
-    assert np.array_equal(path.reversed().vertical, np.zeros(3))
+def test_omitted_vertical_controls_are_zeros(charts):
+    # a control path is horizontal by construction: it has no Reeb controls,
+    # and its samples' Reeb components are +0.0
+    assert [f.name for f in dataclasses.fields(T.ControlPath)] == ["x0", "controls", "horizon",
+                                                                  "step"]
+    path = T.ControlPath(np.zeros(5), np.full((3, 4), 0.1), horizon=1.0)
+    for p in (path, path.reversed()):
+        sc = T.sample_curve(charts["bergman"], p)
+        assert sc.ws.tobytes() == np.zeros(len(sc.ts)).tobytes()
 
 
 def test_domain_exit_raises_with_position(charts):
@@ -849,12 +883,14 @@ def test_rhs_matches_reference(m, batch, part):
     # "positions": the velocity; "transport": the connection matrix that
     # the transport pass contracts
     chart, x, u, w = _rhs_inputs(m, batch, seed=3)
+    if part == "positions":
+        got, ref = T._rhs(chart, x, u), rhs_reference(chart, x, u)
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+        return
     for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rates
-        if part == "transport":
-            data = C.transport_data(chart, x, vertical=bool(np.any(uw[1])))
-            got, ref = T._connection_rates(data, *uw), connection_rates_reference(chart, x, *uw)
-        else:
-            got, ref = T._rhs(chart, x, *uw), rhs_reference(chart, x, *uw)
+        data = C.transport_data(chart, x, vertical=bool(np.any(uw[1])))
+        got, ref = T._connection_rates(data, *uw), connection_rates_reference(chart, x, *uw)
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -870,12 +906,12 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
         calls.append(subscripts)
         return einsum(subscripts, *operands, **kwargs)
 
-    chart, x, u, w = _rhs_inputs(2, (8,), seed=4)
+    chart, x, u, _ = _rhs_inputs(2, (8,), seed=4)
     monkeypatch.setattr(np, "einsum", counting_einsum)
-    v = T._rhs(chart, x, u, w)
+    v = T._rhs(chart, x, u)
     sampler = T.SamplerConfig(n_paths=2, segments=2, horizon=0.2)
-    passes = [reeb_sampled_path_transports(charts["bergman"], np.zeros(5), sampler, vertical)
-              for vertical in (0.0, sampler.magnitude)]
+    passes = [T.sampled_path_transports(c, np.zeros(5), sampler)  # normal form and general
+              for c in (charts["bergman"], dataclasses.replace(charts["bergman"]))]
     monkeypatch.setattr(np, "einsum", einsum)
     assert calls == []
     assert v.shape == (8, 5)
