@@ -331,7 +331,9 @@ def transport_data(chart, X, vertical=False):
     if chart.normal_form:
         arr = chart_arrays(chart, X, order=1, fields=("G",))
         Dg = _view(arr.dG[..., :arr.G.shape[-1]], "bca", "abc")  # Dg[a, b, c] = d_a g_bc
-        _, _, Gam = _christoffel(_koszul_sum(Dg, None), arr.G, chart.blocks)
+        # the sums are elementwise: a contiguous copy keeps their bits and
+        # spares the strided reads of a transposed view
+        _, _, Gam = _christoffel(_koszul_sum(np.ascontiguousarray(Dg), None), arr.G, chart.blocks)
         return TransportData(None, None, Gam, np.zeros(arr.G.shape) if vertical else None)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)

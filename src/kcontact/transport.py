@@ -16,9 +16,10 @@ blocks of steps.  On a chart in normal form (``ContactChart.normal_form``:
 xi = d/dt, frame d/dx_a + f_a d/dt, no coefficient reading t) the
 horizontal coordinates are running sums of one RK4 increment, t needs one
 order-0 evaluation per chunk of stage points, a transport reads ``G``
-alone at plain midpoints, in one call per block with the ends, and the
-Reeb flow is array arithmetic on t; the bits are those of the general
-path.  Both routes read the connection through
+alone at plain midpoints, in one call per block with the ends, the
+Reeb flow is array arithmetic on t, and the equivalence check evaluates
+its loop once for both of its transports; the bits are those of the
+general path.  Both routes read the connection through
 ``connection.transport_data``.  The holonomy sampler's one pass draws
 random control paths, integrates their positions as one lockstep batch,
 redraws escaped paths, and transports the accepted ones.  Path i draws
@@ -459,11 +460,13 @@ def _sample_parametric(chart, curve, step, split=True):
     return SampledCurve(ts, xs, *_split_velocities(chart, xs, vs), piece_slices)
 
 
-def _split_velocities(chart, xs, vs):
+def _split_velocities(chart, xs, vs, arr=None):
     """Frame components, Reeb component and theta value of velocities at xs,
     through ``connection.frame_solve``: on a chart in normal form
-    ``u = v_top`` and ``w = v_t - f u``."""
-    arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
+    ``u = v_top`` and ``w = v_t - f u``.  ``arr`` holds the order-0
+    ``th``, ``xi`` and ``E`` at xs, when the caller has them."""
+    if arr is None:
+        arr = chart_arrays(chart, xs, order=0, fields=("th", "xi", "E"))
     coeff = frame_solve(arr, vs[..., None], chart.normal_form)[..., 0]
     tm = 2 * chart.m
     return coeff[:, :tm], coeff[:, tm], np.einsum("...i,...i->...", arr.th, vs)
@@ -473,14 +476,20 @@ def _split_velocities(chart, xs, vs):
 # transport over sampled curves
 
 
-def _transport_sampled(chart, sc, kind):
+def _transport_sampled(chart, sc, kind, data=None):
+    """Transport along a sampled curve, reading ``data``, the
+    ``transport_data`` of its samples, when given (it must have the
+    ``xi_coeffs`` of ``vertical=True`` for the adapted kind)."""
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    return _sampled_propagator(sc, -_connection_rates(
-        transport_data(chart, sc.xs, vertical=kind == "adapted"), sc.us, sc.ws))
+    if data is None:
+        data = transport_data(chart, sc.xs, vertical=kind == "adapted")
+    rates = (_connection_rates(data, sc.us, sc.ws) if kind == "adapted"
+             else _frame_rates(data.Gamma, sc.us))
+    return _sampled_propagator(sc, -rates)
 
 
 def _step_starts(sc):
@@ -629,6 +638,14 @@ def _reeb_flow_batch(chart, X, times, vectors):
     return y, z
 
 
+def _same_chart_values(chart, xs, ys):
+    """Whether the chart's values at the points ``ys`` are those at ``xs``:
+    on a chart in normal form no coefficient reads t, so it suffices that
+    their other coordinates are the same bytes (the Reeb flow may turn a
+    -0.0 into +0.0, and then the points count as different)."""
+    return chart.normal_form and xs[:, :-1].tobytes() == ys[:, :-1].tobytes()
+
+
 def horizontalize(chart, curve):
     """Flow each curve point down the Reeb direction to kill theta(velocity).
 
@@ -636,16 +653,19 @@ def horizontalize(chart, curve):
     (same parameter grid).  Its endpoint is the Reeb flow of the original
     endpoint for time minus the theta-integral of the curve.  All samples
     flow in one :func:`_reeb_flow_batch`, which on a chart in normal form
-    moves their t alone.
+    moves their t alone; there the one order-0 evaluation of the curve's
+    samples also splits the flowed velocities, since ``th``, ``xi`` and
+    ``E`` read no t (:func:`_same_chart_values`).  Any other chart
+    evaluates the flowed points for the split.
     """
     sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)
-    arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
+    fields = ("th", "xi", "E") if chart.normal_form else ("xi", "E")
+    arr = chart_arrays(chart, sc.xs, order=0, fields=fields)
     v = _velocity(arr.E, arr.xi, sc.us, sc.ws)
     ys, vt = _reeb_flow_batch(chart, sc.xs, f, vectors=v - sc.theta_dot[:, None] * arr.xi)
-    return SampledCurve(
-        sc.ts.copy(), ys, *_split_velocities(chart, ys, vt), list(sc.piece_slices)
-    )
+    split = _split_velocities(chart, ys, vt, arr if _same_chart_values(chart, sc.xs, ys) else None)
+    return SampledCurve(sc.ts.copy(), ys, *split, list(sc.piece_slices))
 
 
 def transport_equivalence_check(chart, loop):
@@ -657,6 +677,13 @@ def transport_equivalence_check(chart, loop):
     the Frobenius norm of the difference of the two transports, and the
     horizontal companion :class:`SampledCurve` from :func:`horizontalize`,
     so a caller can check its horizontality without flowing the loop again.
+
+    The loop is flowed first, then its samples are evaluated by one
+    ``transport_data`` call.  On a chart in normal form the flow moves t
+    alone and the connection reads no t, so that one ``Gamma`` also serves
+    the Schouten route, whose samples have the same horizontal coordinates
+    (:func:`_same_chart_values`); both transports are still integrated and
+    compared.  Any other chart evaluates the flowed samples on their own.
     """
     sc = sample_curve(chart, loop)
     if not np.allclose(sc.xs[0], sc.xs[-1], atol=1e-8):
@@ -667,9 +694,12 @@ def transport_equivalence_check(chart, loop):
             f"loop is not balanced: integral of theta = {total:.3e}; "
             "cancel it by construction before calling"
         )
-    tau0 = _transport_sampled(chart, sc, "adapted")
     tilde = horizontalize(chart, sc)
-    tau_t = _transport_sampled(chart, tilde, "schouten")
+    data = transport_data(chart, sc.xs, vertical=True)
+    tau0 = _transport_sampled(chart, sc, "adapted", data)
+    if not _same_chart_values(chart, sc.xs, tilde.xs):
+        data = None
+    tau_t = _transport_sampled(chart, tilde, "schouten", data)
     return float(np.linalg.norm(tau0 - tau_t)), tilde
 
 

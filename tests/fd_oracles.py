@@ -54,7 +54,10 @@ sampling pass, transports them by :func:`coupled_transport_reference`.
 coefficients that the sampled-curve transports ran before they became
 products of step propagators, and :func:`reeb_flow_jacobian_reference`
 the Reeb flow with its full Jacobian, which the package replaced by the
-pushforward of the vectors it needs.  :func:`theta_integral_loop` and
+pushforward of the vectors it needs.  :func:`horizontalize_reference` is
+the horizontalization that evaluates the flowed points for the velocity
+split on every chart, a bit-for-bit oracle of the normal-form route that
+splits them with the curve's own chart values.  :func:`theta_integral_loop` and
 :func:`cumulative_theta_integral_loop` are the per-step loops of the
 Simpson theta-integrals, bit-for-bit oracles of the array forms.
 :func:`outside_for_any_t_reference` is the t-free domain test that the
@@ -697,6 +700,19 @@ def reeb_flow_jacobian_reference(chart, X, times):
     for _ in range(steps):
         y = T._rk4_step(rhs, y, 1.0 / steps)
     return y
+
+
+def horizontalize_reference(chart, sc):
+    """``transport.horizontalize`` of a sampled curve with the flowed
+    velocities split at the flowed points, whatever the chart: the same
+    Reeb flow and pushforward, and a second order-0 evaluation for the
+    split."""
+    f = -T._cumulative_theta_integral(sc)
+    arr = chart_arrays(chart, sc.xs, order=0, fields=("xi", "E"))
+    v = T._velocity(arr.E, arr.xi, sc.us, sc.ws) - sc.theta_dot[:, None] * arr.xi
+    ys, vt = T._reeb_flow_batch(chart, sc.xs, f, vectors=v)
+    return T.SampledCurve(sc.ts.copy(), ys, *T._split_velocities(chart, ys, vt),
+                          list(sc.piece_slices))
 
 
 def theta_integral_loop(sc):

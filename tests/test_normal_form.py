@@ -27,7 +27,7 @@ from kcontact import transport as T
 from kcontact.errors import DomainError
 
 from conftest import domain_points
-from fd_oracles import (block_pairs_reference, draw_path, gauged_chart,
+from fd_oracles import (block_pairs_reference, draw_path, gauged_chart, horizontalize_reference,
                         outside_for_any_t_reference, reeb_adapted_samples, reeb_draws,
                         reeb_sampled_curves, reeb_sampled_path_transports, rotated_chart,
                         transport_data_reference, transport_positions_per_step)
@@ -481,6 +481,68 @@ def test_adapted_transports_have_the_bits_of_the_full_assembly(name, monkeypatch
     fast = run()
     monkeypatch.setattr(T, "transport_data", transport_data_reference)
     assert fast == run()
+
+
+def _equivalence_cases():
+    """(config, how its chart or loop is changed, evaluations of the loop)."""
+    cases = [(name, None, 1) for name in M.EXAMPLES]
+    cases += [("bergman", kind, 2) for kind in ("rotated", "gauged", "replaced", "negative_zeros")]
+    return [pytest.param(name, kind, calls, id=f"{kind}_{name}" if kind else name)
+            for name, kind, calls in cases]
+
+
+def _negative_zeros(curve):
+    """``curve`` with every +0.0 among its horizontal coordinates as -0.0."""
+    def flipped(s, pos):
+        x = pos(s)
+        x[:, :-1] = np.where(x[:, :-1] == 0.0, -0.0, x[:, :-1])
+        return x
+    return T.ParametricCurve([(d, lambda s, p=p: flipped(s, p), v) for d, p, v in curve.pieces])
+
+
+@pytest.mark.parametrize("name, kind, calls", _equivalence_cases())
+def test_equivalence_check_evaluates_a_normal_form_loop_once(name, kind, calls, monkeypatch):
+    # on normal form the Reeb flow moves t alone and no coefficient reads t,
+    # so one transport_data call on the loop serves the adapted and the
+    # Schouten route, and one order-0 chart evaluation both velocity splits
+    # of horizontalize; every other chart evaluates the flowed loop again
+    # (its Reeb flow also evaluates xi at order 1 on every RK4 stage), and
+    # so does a normal-form loop whose -0.0 the flow turns into +0.0.
+    # The residual and the flowed curve are the bits of the two public
+    # routes on a flowed loop split at its own points
+    change = {"rotated": lambda c: rotated_chart(c, (0, 1), 0.7),
+              "gauged": lambda c: gauged_chart(c, (1, 2), 0.7),
+              "replaced": dataclasses.replace}
+    chart = change.get(kind, lambda c: c)(_chart(name))
+    loop = T.balanced_loop(chart, np.zeros(chart.dim), np.random.default_rng(2))
+    if kind == "negative_zeros":
+        loop = _negative_zeros(loop)
+    sc = T.sample_curve(chart, loop, T.LOOP_STEP)
+    assert np.any(sc.xs[:, :-1] == 0.0)
+    tilde_ref = horizontalize_reference(chart, sc)
+    ref = float(np.linalg.norm(T.transport(chart, sc, "adapted").tau
+                               - T.transport(chart, tilde_ref, "schouten").tau))
+    seen = []
+    evaluate, connect = T.chart_arrays, T.transport_data
+
+    def evaluated(c, X, order=1, **kwargs):
+        seen.extend([("chart_arrays", len(X))] if order == 0 else [])
+        return evaluate(c, X, order, **kwargs)
+
+    def connected(c, X, vertical=False):
+        seen.append(("transport_data", len(X)))
+        return connect(c, X, vertical)
+
+    monkeypatch.setattr(T, "chart_arrays", evaluated)
+    monkeypatch.setattr(T, "transport_data", connected)
+    resid, tilde = T.transport_equivalence_check(chart, sc)
+    n = len(sc.xs)
+    assert sorted(seen) == [("chart_arrays", n)] * calls + [("transport_data", n)] * calls
+    assert resid.hex() == ref.hex() and (resid == 0.0 or not chart.normal_form)
+    assert kind == "negative_zeros" or chart.normal_form == (calls == 1)
+    for field in ("ts", "xs", "us", "ws", "theta_dot"):
+        assert getattr(tilde, field).tobytes() == getattr(tilde_ref, field).tobytes()
+    assert tilde.piece_slices == sc.piece_slices
 
 
 def _pass_cases():

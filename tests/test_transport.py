@@ -17,6 +17,7 @@ from fd_oracles import (
     coupled_transport_reference,
     cumulative_theta_integral_loop,
     draw_path,
+    gauged_chart,
     integrate_sampled_reference,
     reeb_draws,
     reeb_flow_jacobian_reference,
@@ -888,11 +889,17 @@ def test_rhs_matches_reference(m, batch, part):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         return
-    for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rates
-        data = C.transport_data(chart, x, vertical=bool(np.any(uw[1])))
-        got, ref = T._connection_rates(data, *uw), connection_rates_reference(chart, x, *uw)
-        assert got.shape == ref.shape
-        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+    # the built chart is in normal form, where the Reeb term adds exact
+    # zeros; its gauge mixes two frame directions with t, so its Reeb term
+    # is not zero
+    for c in (chart, gauged_chart(chart, (1, 2), 0.7)):
+        for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rates
+            data = C.transport_data(c, x, vertical=bool(np.any(uw[1])))
+            assert (data.xi_coeffs is not None and np.any(data.xi_coeffs)) == (
+                c is not chart and bool(np.any(uw[1])))
+            got, ref = T._connection_rates(data, *uw), connection_rates_reference(c, x, *uw)
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
 def test_rhs_makes_no_einsum_call(charts, monkeypatch):
