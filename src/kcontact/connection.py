@@ -304,11 +304,10 @@ def two_form_derivative(E, dE, A, dA):
 
 @dataclass(slots=True)
 class TransportData:
-    """Per-point transport data; ``E`` and ``xi`` are None on a normal-form call,
-    and ``xi_coeffs`` on a horizontal one."""
+    """Per-point transport data; ``E`` is None on a normal-form call, and
+    ``xi_coeffs`` on a horizontal one."""
 
     E: np.ndarray
-    xi: np.ndarray
     Gamma: np.ndarray
     xi_coeffs: np.ndarray = None
 
@@ -334,13 +333,13 @@ def transport_data(chart, X, vertical=False):
         # the sums are elementwise: a contiguous copy keeps their bits and
         # spares the strided reads of a transposed view
         _, _, Gam = _christoffel(_koszul_sum(np.ascontiguousarray(Dg), None), arr.G, chart.blocks)
-        return TransportData(None, None, Gam, np.zeros(arr.G.shape) if vertical else None)
+        return TransportData(None, Gam, np.zeros(arr.G.shape) if vertical else None)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
-    _, Minv, cfull = frame_brackets(arr, chart.normal_form)
+    _, Minv, cfull = frame_brackets(arr)
     tm = arr.E.shape[-1]
     _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, arr.xi, Gam, xi_coeffs)
+    return TransportData(arr.E, Gam, xi_coeffs)
 
 
 def frame_data(chart, X, order=1):

@@ -13,11 +13,14 @@ the flow, is a horizontal path with the same Ambrose-Singer sample.  So
 on every chart one horizontal sampling pass (:func:`holonomy_samples`)
 feeds both routes and the adapted zero-extension samples.  The base
 point and the pass's ends are evaluated at order 2 once each, in one
-call, and the transverse splitting reads the base point's row too.  The
-frame data carries its orthonormal frame, and each variant's samples
-come out as one array.
-The span cut of :func:`lie_closure` is the one threshold a caller sets;
-the structure analysis cuts at fixed thresholds, written where applied.
+call, and the transverse splitting reads the base point's row too.  One
+generator converts R, its Wagner form and dtheta to the orthonormal
+frame once each and gives every variant's samples as one array.  An
+algebra is a ``(dim, 2m, 2m)`` basis, the zero algebra's ``(0, 2m, 2m)``,
+so it needs no path of its own; a basis meets its commutators in one
+broadcast matmul.  The span cut of :func:`lie_closure`
+is the one threshold a caller sets; the structure analysis cuts at fixed
+thresholds, written where applied.
 """
 
 from __future__ import annotations
@@ -73,7 +76,7 @@ def numerical_rank(rows, rtol, scale=None):
 
 
 def _flat(mats):
-    """Matrices as rows (an empty list gives zero rows)."""
+    """A stack of ``count`` arrays as ``count`` rows (none when it is empty)."""
     mats = np.asarray(mats)
     return mats.reshape(len(mats), int(np.prod(mats.shape[1:])))
 
@@ -95,7 +98,7 @@ def matrix_basis(size, skew):
 class MatrixLieAlgebra:
     """Subalgebra of so(2m) given by a trace-orthonormal basis."""
 
-    basis: np.ndarray  # (dim, 2m, 2m)
+    basis: np.ndarray  # (dim, 2m, 2m); the zero algebra's is (0, 2m, 2m)
 
     @property
     def dim(self):
@@ -103,8 +106,6 @@ class MatrixLieAlgebra:
 
     def span_residual(self, M):
         """Norm of the component of M outside the span."""
-        if self.dim == 0:
-            return float(np.linalg.norm(M))
         coef = np.einsum("kij,ij->k", self.basis, M)
         return float(np.linalg.norm(M - np.einsum("k,kij->ij", coef, self.basis)))
 
@@ -114,26 +115,21 @@ class MatrixLieAlgebra:
 
         The rank cut is 1e-8 times the largest norm in ``mats`` (the basis
         is orthonormal), not relative to the commutator map, whose size
-        says nothing about roundoff when the algebra nearly commutes.
+        says nothing about roundoff when the algebra nearly commutes.  The
+        zero algebra's map has no rows, whose SVD gives ``Vt = I``: every
+        combination commutes.
         """
-        if not self.dim:
-            return np.eye(len(mats))
         cut = _commutator_rank(self, mats, 1e-8)
         return cut.Vt[cut.rank:]
 
 
 def _commutator_rank(h, mats, rtol):
-    """The rank cut of c -> ([sum_F c_F F, B])_B over the basis B of h."""
+    """The rank cut of c -> ([sum_F c_F F, B])_B over the basis B of h,
+    all [F, B] from one broadcast pair of matmuls."""
     mats = np.asarray(mats)
-    L = np.array(
-        [np.concatenate([(F @ B - B @ F).ravel() for B in h.basis]) for F in mats]
-    ).T
-    return numerical_rank(L, rtol, scale=np.linalg.norm(_flat(mats), axis=1).max())
-
-
-def _algebra(mats):
-    mats = np.asarray(mats)
-    return MatrixLieAlgebra(mats if len(mats) else np.zeros((0, 0, 0)))
+    brackets = mats[:, None] @ h.basis[None] - h.basis[None] @ mats[:, None]
+    scale = np.linalg.norm(_flat(mats), axis=1).max(initial=0.0)
+    return numerical_rank(_flat(brackets).T, rtol, scale=scale)
 
 
 def _span_basis(mats, tol):
@@ -154,18 +150,19 @@ def lie_closure(matrices, tol=1e-6):
     the samples are stacked and cut once, then the brackets of the basis
     are stacked with it and cut again until the rank stops growing.
     Scaling the samples changes no dimension.  The dimension is capped at
-    dim so(2m); exceeding it signals numerical blow-up.
+    dim so(2m); exceeding it signals numerical blow-up.  ``matrices`` is a
+    ``(count, n, n)`` stack; an empty one closes to the zero algebra of so(n).
     """
     mats = np.asarray(matrices, dtype=float)
-    if not len(mats):
-        return _algebra(mats)
+    if mats.ndim != 3:
+        raise ValueError(f"lie_closure needs a (count, n, n) stack, got shape {mats.shape}")
     basis = _span_basis(mats, tol)
     while True:
         i, j = np.triu_indices(len(basis), 1)
         brackets = basis[i] @ basis[j] - basis[j] @ basis[i]
         grown = _span_basis(np.concatenate([basis, brackets]), tol)
         if len(grown) <= len(basis):
-            return _algebra(basis)
+            return MatrixLieAlgebra(basis)
         basis = grown
 
 
@@ -183,35 +180,23 @@ def _conjugated_samples(taus_o, inv, mats):
     return out.reshape(-1, out.shape[-2], out.shape[-1])
 
 
-def _pair_matrices(field):
-    """Pair samples of the frame-data curvature ``field`` ("R" or "RW"): its
-    orthonormal-frame matrices on the frame pairs A < B."""
-    def pairs(data):
-        Fo = ortho_curvature(getattr(data, field), data.P, data.Pinv)
-        a, b = np.triu_indices(Fo.shape[-1], 1)
-        return Fo[:, a, b]
-    return pairs
-
-
-def _annihilator_pairs(data):
-    """Horizontal curvature on frame-pair bivectors projected to ker dtheta."""
-    omega_o = ortho_two_form(data.omega, data.P)
+def _variant_samples(data):
+    """``{variant: (N, pairs, 2m, 2m)}``: the orthonormal-frame pair samples
+    of :func:`holonomy_samples` at the N points of the order-2 frame data
+    ``data``, converting R, RW and dtheta to that frame once each."""
     R_o = ortho_curvature(data.R, data.P, data.Pinv)
+    RW_o = ortho_curvature(data.RW, data.P, data.Pinv)
+    omega_o = ortho_two_form(data.omega, data.P)
+    a, b = np.triu_indices(omega_o.shape[-1], 1)
     what = omega_o / np.linalg.norm(omega_o, axis=(-2, -1))[..., None, None]
     # the bivectors e_a ^ e_b, a < b: entries +-1, to which sqrt(2) rescales
     # the basis exactly
     beta = np.sqrt(2.0) * matrix_basis(omega_o.shape[-1], skew=True)
     coef = np.einsum("...ab,pab->...p", what, beta)
     beta = beta - coef[..., None, None] * what[..., None, :, :]
-    return np.einsum("...abec,...pab->...pec", R_o, beta)
-
-
-# the sample generator of each variant
-_VARIANTS = {
-    "wagner": _pair_matrices("RW"),
-    "annihilator": _annihilator_pairs,
-    "adapted": _pair_matrices("R"),
-}
+    return {"wagner": RW_o[:, a, b],
+            "annihilator": np.einsum("...abec,...pab->...pec", R_o, beta),
+            "adapted": R_o[:, a, b]}
 
 
 def holonomy_samples(chart, x, sampler: SamplerConfig):
@@ -226,20 +211,18 @@ def holonomy_samples(chart, x, sampler: SamplerConfig):
     with Reeb-direction controls (classical Ambrose-Singer) are samples
     along horizontal paths, and both span the same algebra.  One sampling
     pass serves every chart; x and its ends are evaluated at order 2 once
-    each, in one call (x first), each variant's generator runs once on all
+    each, in one call (x first), :func:`_variant_samples` runs once on all
     its rows, and the transports are inverted once, for all variants.  Each
     variant's samples are one ``(count, 2m, 2m)`` array:
     the base point's (the trivial path), then the conjugated samples of
-    every path, in the orthonormal frame.  ``base`` is the order-2 frame
-    data of x alone, row 0 of that call.
+    every path (empty batches with no paths), in the orthonormal frame.
+    ``base`` is the order-2 frame data of x alone, row 0 of that call.
     """
     x = np.asarray(x, dtype=float)
     _, points, taus = sampled_path_transports(chart, x, sampler)
     data = frame_data(chart, np.concatenate([x[None], points]), order=2)
     base = _rows(data, slice(0, 1))
-    mats = {v: pairs(data) for v, pairs in _VARIANTS.items()}
-    if not sampler.n_paths:
-        return {v: m[0] for v, m in mats.items()}, base
+    mats = _variant_samples(data)
     taus_o = ortho_transports(taus, data.Pinv[1:], base.P[0])
     inv = np.linalg.inv(taus_o)
     return {v: np.concatenate([m[0], _conjugated_samples(taus_o, inv, m[1:])])
@@ -275,13 +258,14 @@ def compare_subalgebras(h_small: MatrixLieAlgebra, h_big: MatrixLieAlgebra):
     contained when stacking it onto h_big adds no rank, and an ideal when
     its brackets with h_big add none to h_small.
     """
-    if h_small.dim and h_big.dim and h_small.basis.shape[-1] != h_big.basis.shape[-1]:
+    small, big = h_small.basis, h_big.basis
+    if small.shape[-1] != big.shape[-1]:
         raise ValueError("subalgebras live in different frames")
-    small, big = list(h_small.basis), list(h_big.basis)
-    brackets = [A @ B - B @ A for A in big for B in small]
+    brackets = big[:, None] @ small[None] - small[None] @ big[:, None]
+    brackets = brackets.reshape(-1, *small.shape[1:])
     return {
-        "contained": numerical_rank(_flat(big + small), 1e-4).rank == h_big.dim,
-        "ideal": numerical_rank(_flat(small + brackets), 1e-4).rank == h_small.dim,
+        "contained": numerical_rank(_flat(np.concatenate([big, small])), 1e-4).rank == h_big.dim,
+        "ideal": numerical_rank(_flat(np.concatenate([small, brackets])), 1e-4).rank == h_small.dim,
         "codim": int(h_big.dim - h_small.dim),
     }
 
@@ -289,12 +273,9 @@ def compare_subalgebras(h_small: MatrixLieAlgebra, h_big: MatrixLieAlgebra):
 def center_decomposition(h: MatrixLieAlgebra):
     """Split a compact subalgebra into commutator part and center, the
     kernel of the adjoint map (rank cut 1e-8, as in ``commutant``)."""
-    if h.dim == 0:
-        empty = _algebra([])
-        return empty, empty
     cut = _commutator_rank(h, h.basis, 1e-8)
     parts = np.einsum("rk,kij->rij", cut.Vt, h.basis)
-    return _algebra(parts[: cut.rank]), _algebra(parts[cut.rank:])
+    return MatrixLieAlgebra(parts[: cut.rank]), MatrixLieAlgebra(parts[cut.rank:])
 
 
 def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra):
@@ -310,20 +291,17 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra):
             f"t_complement needs codimension one, got {h_big.dim - h_small.dim}"
         )
     # coefficients of h_small inside h_big; t spans their null space
-    C = (np.einsum("sij,bij->sb", h_small.basis, h_big.basis) if h_small.dim
-         else np.zeros((0, h_big.dim)))
+    C = np.einsum("sij,bij->sb", h_small.basis, h_big.basis)
     cut = numerical_rank(C, 1e-6, scale=1.0)
     if cut.rank != h_small.dim:
         raise NumericsError("h_small does not project onto a codimension-one subspace of h_big")
     T = np.einsum("k,kij->ij", cut.Vt[-1], h_big.basis)
     T /= np.linalg.norm(T)
     _, center = center_decomposition(h_big)
-    t_perp = []
-    if center.dim:
-        # complement of t inside the center: the kernel of t's center coefficients
-        perp = numerical_rank(np.einsum("ij,kij->k", T, center.basis)[None], 1e-6, scale=1.0)
-        t_perp = np.einsum("rk,kij->rij", perp.Vt[perp.rank:], center.basis)
-    return _algebra(T[None]), _algebra(t_perp)
+    # complement of t inside the center: the kernel of t's center coefficients
+    perp = numerical_rank(np.einsum("ij,kij->k", T, center.basis)[None], 1e-6, scale=1.0)
+    t_perp = np.einsum("rk,kij->rij", perp.Vt[perp.rank:], center.basis)
+    return MatrixLieAlgebra(T[None]), MatrixLieAlgebra(t_perp)
 
 
 def detect_complex_structure(h: MatrixLieAlgebra, size):
@@ -348,9 +326,7 @@ def detect_complex_structure(h: MatrixLieAlgebra, size):
         J = C @ (V @ np.diag(1.0 / np.sqrt(w)) @ V.T)
         if np.max(np.abs(J @ J + np.eye(size))) > 1e-6:
             continue
-        if h.dim and max(
-            np.max(np.abs(J @ B - B @ J)) for B in h.basis
-        ) > 1e-6:
+        if np.max(np.abs(J @ h.basis - h.basis @ J), initial=0.0) > 1e-6:
             continue
         return J
     return None

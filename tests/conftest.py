@@ -6,7 +6,7 @@ import pytest
 from hypothesis import settings
 from hypothesis.configuration import set_hypothesis_home_dir
 
-from kcontact import example_charts, lie_closure
+from kcontact import chart_from_config, example_charts, lie_closure
 from kcontact.holonomy import holonomy_samples
 from kcontact.transport import SamplerConfig
 
@@ -21,6 +21,13 @@ set_hypothesis_home_dir(Path(tempfile.gettempdir()) / "kcontact-hypothesis")
 
 # algebra_cache routes and the holonomy_samples variant each one closes
 ROUTES = {"schouten": "wagner", "annihilator": "annihilator", "adapted": "adapted"}
+# the m = 3 factor mixes of the wide_products benchmark workload
+WIDE_MIXES = {
+    "disc3_b123": [{"kind": "poincare_disc", "b": b} for b in (1.0, 2.0, 3.0)],
+    "ball2_disc": [{"kind": "bergman_ball", "complex_dim": 2}, {"kind": "poincare_disc"}],
+    "perturbed_disc_disc_disc": [{"kind": "perturbed_disc", "epsilon": 0.3},
+                                 {"kind": "poincare_disc"}, {"kind": "poincare_disc"}],
+}
 
 
 @pytest.fixture(scope="session")
@@ -32,7 +39,8 @@ def charts():
 def algebra_cache(charts):
     """Holonomy algebras per (chart, seed, route), computed once per session.
 
-    One sampling pass per (chart, seed, n_paths) gives the samples of all
+    A chart is a built-in one or a ``WIDE_MIXES`` product, by name.  One
+    sampling pass per (chart, seed, n_paths) gives the samples of all
     three routes.
     """
     samples, cache = {}, {}
@@ -43,7 +51,8 @@ def algebra_cache(charts):
         key = (name, seed, route, n_paths, span_tol)
         if key not in cache:
             if (name, seed, n_paths) not in samples:
-                chart = charts[name]
+                chart = charts[name] if name in charts else chart_from_config(
+                    {"type": "product", "factors": WIDE_MIXES[name]})
                 samples[name, seed, n_paths] = holonomy_samples(
                     chart, np.zeros(chart.dim), SamplerConfig(n_paths=n_paths, seed=seed))[0]
             cache[key] = lie_closure(samples[name, seed, n_paths][ROUTES[route]], span_tol)

@@ -17,8 +17,12 @@ earlier forms are kept here as bit-for-bit oracles:
 :func:`frame_brackets_per_component` and :func:`reeb_brackets_per_component`
 take one matmul per component of ``dE`` where the package flattens ``dE``
 into one, :func:`koszul_moveaxis` permutes slots with ``np.moveaxis``,
+:func:`pair_samples_reference` converts one curvature per sample variant
+where ``holonomy._variant_samples`` converts each once for all three,
 :func:`annihilator_pairs_reference` projects and contracts one frame-pair
-bivector at a time, :func:`recip_uncached` is ``Jet._recip`` without its cache and
+bivector at a time, :func:`commutator_map_reference` takes one commutator
+per pair where ``holonomy._commutator_rank`` broadcasts over the basis,
+:func:`recip_uncached` is ``Jet._recip`` without its cache and
 :func:`where_reference` is ``jets.where`` lifting a constant branch to a
 zero jet.
 
@@ -374,7 +378,7 @@ def transport_data_reference(chart, X, vertical=False):
     tm = arr.E.shape[-1]
     _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, arr.xi, Gam, xi_coeffs)
+    return TransportData(arr.E, Gam, xi_coeffs)
 
 
 def inverse_derivative_reference(Minv, dM):
@@ -399,9 +403,20 @@ def conjugated_samples_reference(taus_o, mats):
     return out.reshape(-1, out.shape[-2], out.shape[-1])
 
 
+def pair_samples_reference(data, field):
+    """The ``'wagner'`` (``field`` "RW") or ``'adapted'`` ("R") samples of
+    ``holonomy._variant_samples`` as one generator per variant took them,
+    each converting its own curvature: the orthonormal-frame matrices on the
+    frame pairs A < B."""
+    Fo = ortho_curvature(getattr(data, field), data.P, data.Pinv)
+    a, b = np.triu_indices(Fo.shape[-1], 1)
+    return Fo[:, a, b]
+
+
 def annihilator_pairs_reference(data):
-    """``holonomy._annihilator_pairs`` as it ran before it projected every
-    frame pair at once: one bivector, projection and contraction per pair."""
+    """The ``'annihilator'`` samples of ``holonomy._variant_samples`` as they
+    were taken before every frame pair was projected at once: one bivector,
+    projection and contraction per pair."""
     omega_o = ortho_two_form(data.omega, data.P)
     R_o = ortho_curvature(data.R, data.P, data.Pinv)
     tm = omega_o.shape[-1]
@@ -415,6 +430,16 @@ def annihilator_pairs_reference(data):
             beta = beta - np.einsum("...ab,...ab->...", what, beta)[..., None, None] * what
             mats.append(np.einsum("...abec,...ab->...ec", R_o, beta))
     return np.stack(mats, axis=1)
+
+
+def commutator_map_reference(h, mats):
+    """The map that ``holonomy._commutator_rank`` cuts, built as it was
+    before one broadcast matmul took every commutator: a row of the
+    transpose per F in ``mats``, the raveled [F, B] over the basis of a
+    nonzero algebra ``h``, one pair at a time."""
+    return np.array(
+        [np.concatenate([(F @ B - B @ F).ravel() for B in h.basis]) for F in mats]
+    ).T
 
 
 def frame_rates_reference(Gamma, u):
@@ -659,13 +684,13 @@ def reeb_adapted_samples(chart, x, sampler):
     x = np.asarray(x, dtype=float)
     _, _, points, taus = reeb_sampled_path_transports(chart, x, sampler, sampler.magnitude)
     base = frame_data(chart, x[None], order=2)
-    pairs = H._pair_matrices("R")
+    at_x = H._variant_samples(base)["adapted"][0]
     if not sampler.n_paths:
-        return pairs(base)[0]
+        return at_x
     data = frame_data(chart, points, order=2)
     taus_o = ortho_transports(taus, data.Pinv, base.P[0])
-    return np.concatenate([pairs(base)[0], H._conjugated_samples(
-        taus_o, np.linalg.inv(taus_o), pairs(data))])
+    return np.concatenate([at_x, H._conjugated_samples(
+        taus_o, np.linalg.inv(taus_o), H._variant_samples(data)["adapted"])])
 
 
 def _first_order_velocity(chart, x, u):

@@ -1,4 +1,4 @@
-"""Byte-identity sweep: SHA-256 digests of reports, chart arrays, frame data, loops.
+"""Byte-identity sweep: SHA-256 digests of reports, algebras, chart arrays, frame data, loops.
 
     python tests/report_digests.py                    # digests of this checkout
     python tests/report_digests.py --root DIR         # digests of another checkout
@@ -19,6 +19,16 @@ from ``fd_oracles.gauged_chart`` in this script's own ``tests/``.  One
 line per report: workload (``spinor``, ``partly_shared`` and
 ``general_path`` for the extra reports), config, seed and the digest of
 the report text.
+
+Each holonomy report adds one line of its algebra layer: ``algebra``,
+workload and config, seed and the digest of a JSON object that holds the
+SHA-256 of the bytes of the bases of ``h``, ``h0`` and the annihilator
+closure (the report's three ``lie_closure`` results, in call order), of
+each J block of its ``factor_split`` and of the basis of ``t`` from its
+``t_complement``, recorded by wrapping those names in ``kcontact.cli``
+while the report is rendered.  Bytes, not shapes, are digested: a zero
+algebra's empty basis digests alike whatever its shape, ``(0, 0, 0)`` or
+``(0, 2m, 2m)``.
 
 It also digests 120 ``chart_arrays`` outputs: every chart of
 ``EXAMPLES`` and the three ``wide_products`` mixes, at orders 0-2, for
@@ -41,14 +51,14 @@ not show them.  Each line is ``loop``, config, seed and the digest of a JSON
 object that holds the SHA-256 of the bytes of the horizontalized curve of
 ``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
 ``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
-"schouten").tau``.  These and the frame-data digests use public names
-only, so ``--compare`` runs them on older checkouts too.
+"schouten").tau``.  These, the algebra and the frame-data digests use
+public names only, so ``--compare`` runs them on older checkouts too.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
 ``kbench/``, prints every entry whose digest differs (for a chart-array,
-frame-data or loop entry, each array whose digest changed), and exits 1
-unless all are byte-identical.  For each differing report it also
+algebra, frame-data or loop entry, each array whose digest changed), and
+exits 1 unless all are byte-identical.  For each differing report it also
 prints the largest relative change ``|new - old| / max(1, |old|)`` over
 the report's float leaves, and lists every leaf (float, int, bool,
 string, list) or shape that differs, so both "last bits only, structure
@@ -97,6 +107,8 @@ GENERAL_PATH = [
     ("replaced_bergman", "bergman", "replaced"),
 ]
 GENERAL_PATH_SEEDS = (0, 1)
+# the names of ``kcontact.cli`` whose results the algebra digests read
+ALGEBRA_CALLS = ("lie_closure", "factor_split", "t_complement")
 # field mixes of the chart-array digests: all fields, theta, the frame and
 # the metric alone, and the (th, xi, E) that sampled curves ask for
 CHART_FIELD_MIXES = [("th", "xi", "E", "G"), ("th",), ("E",), ("G",), ("th", "xi", "E")]
@@ -170,19 +182,54 @@ def reports(root):
     rows = []
     for name in workloads.NAMES:
         workload = workloads.load(name, root)
-        fn = cli.holonomy_report if workload.pipeline == "holonomy" else cli.verify_report
         for label, cfg in workloads.block(workloads.build(workload), workload.sweeps + EXTRA_SWEEPS):
-            rows.append((name, label, cfg.sampler.seed, cli.render_report(fn(cfg))))
+            if workload.pipeline == "holonomy":
+                rows += holonomy_rows(name, label, cfg)
+            else:
+                rows.append((name, label, cfg.sampler.seed,
+                             cli.render_report(cli.verify_report(cfg))))
             if name == "holonomy_shipped":
                 rows.append(("spinor", label, cfg.sampler.seed,
                              cli.render_report(cli.spinor_report(cfg))))
     for label, name, fields in PARTLY_SHARED:
         cfg = cli.load_config(str(root / "configs" / f"{name}.json"))
         cfg.sampler = replace(cfg.sampler, **fields)
-        rows.append(("partly_shared", label, cfg.sampler.seed,
-                     cli.render_report(cli.holonomy_report(cfg))))
+        rows += holonomy_rows("partly_shared", label, cfg)
     return (rows + general_path_reports(root) + chart_digests() + frame_digests()
             + loop_digests(root))
+
+
+def holonomy_rows(workload, label, cfg):
+    """The report row ``(workload, label, seed, text)`` of
+    ``cli.holonomy_report(cfg)`` and its ``("algebra", "workload/label",
+    seed, text)`` row: ``text`` holds, as JSON, the SHA-256 digest of the
+    bytes of each algebra array named in the module docstring."""
+    from kcontact import cli
+
+    seen = {name: [] for name in ALGEBRA_CALLS}
+    originals = {name: getattr(cli, name) for name in ALGEBRA_CALLS}
+
+    def recording(name, fn):
+        def call(*args, **kwargs):
+            seen[name].append(fn(*args, **kwargs))
+            return seen[name][-1]
+        return call
+
+    try:
+        for name, fn in originals.items():
+            setattr(cli, name, recording(name, fn))
+        text = cli.render_report(cli.holonomy_report(cfg))
+    finally:
+        for name, fn in originals.items():
+            setattr(cli, name, fn)
+    arrays = dict(zip(("h", "h0", "annihilator"), (alg.basis for alg in seen["lie_closure"])))
+    arrays.update({f"J{i}": J for split in seen["factor_split"]
+                   for i, J in enumerate(split.J_blocks)})
+    arrays.update({"t": t.basis for t, _ in seen["t_complement"]})
+    digests = {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()}
+    seed = cfg.sampler.seed
+    return [(workload, label, seed, text),
+            ("algebra", f"{workload}/{label}", seed, json.dumps(digests, sort_keys=True))]
 
 
 def loop_digests(root):
@@ -236,9 +283,9 @@ def general_path_reports(root):
             cli._resolve_chart = changed
             for seed in GENERAL_PATH_SEEDS:
                 cfg.sampler = replace(cfg.sampler, n_paths=8, seed=seed)
-                for fn in (cli.holonomy_report, cli.verify_report):
-                    rows.append(("general_path", f"{label}/{fn.__name__}", seed,
-                                 cli.render_report(fn(cfg))))
+                rows += holonomy_rows("general_path", f"{label}/holonomy_report", cfg)
+                rows.append(("general_path", f"{label}/verify_report", seed,
+                             cli.render_report(cli.verify_report(cfg))))
     finally:
         cli._resolve_chart = resolve
     return rows
@@ -303,8 +350,8 @@ def compare(old, new):
             print(f"  leaf {path or '.'}: {json.dumps(was)} -> {json.dumps(now)}")
     for key in missing:
         print("only in one checkout:", *key)
-    kinds = {"chart_arrays": "chart-array digests", "frame_data": "frame-data digests",
-             "loop": "loop digests"}
+    kinds = {"algebra": "algebra digests", "chart_arrays": "chart-array digests",
+             "frame_data": "frame-data digests", "loop": "loop digests"}
     for what in ("reports", *kinds.values()):
         keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)

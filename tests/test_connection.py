@@ -16,6 +16,7 @@ from kcontact.errors import ChartError
 from conftest import domain_points
 from fd_oracles import (
     annihilator_pairs_reference,
+    commutator_map_reference,
     conjugated_samples_reference,
     curvature_fd,
     curvature_reference,
@@ -32,6 +33,7 @@ from fd_oracles import (
     ortho_transports_reference,
     ortho_two_form_reference,
     orthonormal_ricci_reference,
+    pair_samples_reference,
     reeb_brackets_per_component,
     reeb_brackets_reference,
     rotated_chart,
@@ -513,9 +515,46 @@ def test_annihilator_pairs_keep_the_bits(charts, name):
     chart = ORDER_TWO_CHARTS[name](charts)
     data = C.frame_data(chart, domain_points(chart, 8, seed=18), order=2)
     tm = 2 * chart.m
-    got = H._annihilator_pairs(data)
+    got = H._variant_samples(data)["annihilator"]
     assert got.shape == (8, tm * (tm - 1) // 2, tm, tm)
     assert np.array_equal(got, annihilator_pairs_reference(data))
+
+
+@pytest.mark.parametrize("name", ["bergman", "disc3_b123", "rotated_disc_disc_12"])
+def test_variant_samples_keep_the_bits(charts, name):
+    # one generator converting R, RW and dtheta once each gives the bits of
+    # one generator per variant, each converting its own curvature (the
+    # annihilator samples are checked in test_annihilator_pairs_keep_the_bits)
+    chart = ORDER_TWO_CHARTS[name](charts)
+    data = C.frame_data(chart, domain_points(chart, 8, seed=18), order=2)
+    got = H._variant_samples(data)
+    assert list(got) == ["wagner", "annihilator", "adapted"]
+    for variant, field in (("wagner", "RW"), ("adapted", "R")):
+        assert np.array_equal(got[variant], pair_samples_reference(data, field)), variant
+
+
+@pytest.mark.parametrize("name", ["bergman", "disc3_b123", "rotated_disc_disc_12"])
+def test_commutator_map_keeps_the_bits(charts, name, monkeypatch):
+    # the broadcast commutators of _commutator_rank and compare_subalgebras
+    # give the bits of one commutator per pair, on the skew and symmetric
+    # bases (commutants) and on an algebra's own basis (its center), for
+    # the Wagner and the adapted closure of an 8-path pass
+    chart = ORDER_TWO_CHARTS[name](charts)
+    samples, _ = H.holonomy_samples(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=8))
+    h, h0 = (H.lie_closure(samples[v]) for v in ("wagner", "adapted"))
+    assert h.dim and h0.dim
+    rows, rank = [], H.numerical_rank
+    monkeypatch.setattr(H, "numerical_rank", lambda L, *a, **k: rows.append(L) or rank(L, *a, **k))
+    tm = 2 * chart.m
+    for alg in (h, h0):
+        for mats in (H.matrix_basis(tm, True), H.matrix_basis(tm, False), alg.basis):
+            rows.clear()
+            H._commutator_rank(alg, mats, 1e-8)
+            assert np.array_equal(rows[0], commutator_map_reference(alg, mats))
+    rows.clear()
+    H.compare_subalgebras(h, h0)
+    brackets = commutator_map_reference(h, h0.basis).T.reshape(-1, tm * tm)
+    assert np.array_equal(rows[1], np.concatenate([h.basis.reshape(h.dim, -1), brackets]))
 
 
 @pytest.mark.parametrize("name", list(ORDER_TWO_CHARTS))

@@ -34,9 +34,13 @@ def contains(h, M, tol):
 
 
 def test_lie_closure_empty():
-    h = H.lie_closure([])
-    assert h.dim == 0
+    # an empty stack closes to the zero algebra, which keeps its matrix
+    # size; an empty list has none and is refused
+    h = H.lie_closure(np.zeros((0, 3, 3)))
+    assert h.dim == 0 and h.basis.shape == (0, 3, 3)
     assert h.span_residual(np.eye(3)) > 0
+    with pytest.raises(ValueError, match=r"\(count, n, n\) stack"):
+        H.lie_closure([])
 
 
 def test_lie_closure_su2_from_two_generators():
@@ -198,7 +202,7 @@ def test_compare_subalgebras_trivial_cases():
     h0 = H.lie_closure(u2_so4(), 1e-8)
     res = H.compare_subalgebras(h0, h0)
     assert res == {"contained": True, "ideal": True, "codim": 0}
-    zero = H.lie_closure([])
+    zero = H.lie_closure(np.zeros((0, 4, 4)))
     res = H.compare_subalgebras(zero, h0)
     assert res["contained"] and res["ideal"] and res["codim"] == 4
     so6_sample = np.zeros((1, 6, 6))
@@ -231,9 +235,36 @@ def test_center_decomposition_cases():
     hs = H.lie_closure(su2_so4(), 1e-8)
     semi, center = H.center_decomposition(hs)
     assert center.dim == 0 and semi.dim == 3
-    # the zero algebra splits into two zero algebras
-    semi, center = H.center_decomposition(H.lie_closure([]))
-    assert center.dim == 0 and semi.dim == 0
+    # the zero algebra splits into two zero algebras of its size
+    semi, center = H.center_decomposition(H.lie_closure(np.zeros((0, 4, 4))))
+    assert center.basis.shape == semi.basis.shape == (0, 4, 4)
+
+
+# the built-in charts and the wide_products mixes by the codimension of h
+# in h0 (16 paths, seed 0)
+CODIM_ONE = ["bergman", "disc_disc_11", "disc_disc_12", "disc3_b123", "ball2_disc"]
+CODIM_ZERO = ["heisenberg", "perturbed_disc_disc", "perturbed_disc_disc_disc"]
+
+
+@pytest.mark.parametrize("name", CODIM_ONE + CODIM_ZERO)
+def test_classification_of_the_holonomy_algebras(algebra_cache, name):
+    # the paper's classification: h equals h0 or is a codimension-one ideal
+    # of it; a compact h0 is [h0, h0] plus its center, so in codimension one
+    # h holds the derived algebra and one central direction t of h0 is
+    # missing: dim [h0, h0] + dim t_perp = dim h (bergman 3 + 0, ball2_disc
+    # 3 + 1, the disc products 0 + dim h)
+    h = algebra_cache(name, 0, "schouten", n_paths=16)
+    h0 = algebra_cache(name, 0, "adapted", n_paths=16)
+    comparison = H.compare_subalgebras(h, h0)
+    assert comparison["contained"] and comparison["ideal"]
+    if name in CODIM_ZERO:
+        assert comparison["codim"] == 0
+        assert H.compare_subalgebras(h0, h)["contained"]
+        return
+    assert comparison["codim"] == 1
+    derived, _ = H.center_decomposition(h0)
+    assert H.compare_subalgebras(derived, h)["contained"]
+    assert derived.dim + H.t_complement(h0, h)[1].dim == h.dim
 
 
 def test_t_complement_cases(charts, algebra_cache):
@@ -280,10 +311,10 @@ def test_detect_complex_structure_cases():
             so4.append(F)
     assert H.detect_complex_structure(H.lie_closure(so4, 1e-8), size=4) is None
     # the trivial algebra admits any complex structure
-    J0 = H.detect_complex_structure(H.lie_closure([]), size=4)
+    J0 = H.detect_complex_structure(H.lie_closure(np.zeros((0, 4, 4))), size=4)
     assert J0 is not None and np.allclose(J0 @ J0, -np.eye(4), atol=1e-10)
     # in odd dimension every skew draw is singular, so none is found
-    assert H.detect_complex_structure(H.lie_closure([]), size=3) is None
+    assert H.detect_complex_structure(H.lie_closure(np.zeros((0, 3, 3))), size=3) is None
 
 
 def test_seed_stability_dims(charts, algebra_cache):

@@ -397,14 +397,14 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     X[:16][zero[:16]] = 0.0
     X[16:32][zero[16:32]] = -0.0
     got = C.transport_data(chart, X)
-    assert got.E is None and got.xi is None and got.xi_coeffs is None
+    assert got.E is None and got.xi_coeffs is None
     assert got.Gamma.tobytes() == transport_data_reference(chart, X).Gamma.tobytes()
     moved = X.copy()
     moved[:32][zero[:32]] *= -1.0  # +0.0 <-> -0.0
     moved[:, -1] = X[::-1, -1]
     assert C.transport_data(chart, moved).Gamma.tobytes() == got.Gamma.tobytes()
     reeb, ref = C.transport_data(chart, X, vertical=True), transport_data_reference(chart, X, True)
-    assert reeb.E is None and reeb.xi is None
+    assert reeb.E is None
     for f in ("Gamma", "xi_coeffs"):
         assert getattr(reeb, f).tobytes() == getattr(ref, f).tobytes(), f
 

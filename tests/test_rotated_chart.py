@@ -27,7 +27,7 @@ from kcontact.manifolds import (
     product_construction,
 )
 
-from conftest import domain_points
+from conftest import WIDE_MIXES, domain_points
 from fd_oracles import fd_first, rotated_chart
 from test_golden import _structure
 
@@ -104,15 +104,6 @@ def test_rotated_product_sweep(case):
     th, xi, E = arr.th[0], arr.xi[0], arr.E[0]
     terms = np.abs(th) @ (np.abs(E) @ np.abs(u) + abs(w) * np.abs(xi))
     assert abs(th @ (E @ u + w * xi) - w) <= 8 * np.finfo(float).eps * terms
-
-
-# the m = 3 factor mixes of the wide_products benchmark workload
-WIDE_MIXES = {
-    "disc3_b123": [{"kind": "poincare_disc", "b": b} for b in (1.0, 2.0, 3.0)],
-    "ball2_disc": [{"kind": "bergman_ball", "complex_dim": 2}, {"kind": "poincare_disc"}],
-    "perturbed_disc_disc_disc": [{"kind": "perturbed_disc", "epsilon": 0.3},
-                                 {"kind": "poincare_disc"}, {"kind": "poincare_disc"}],
-}
 
 
 @pytest.mark.parametrize("name", ["disc_disc_12", "bergman", *WIDE_MIXES])

@@ -79,7 +79,7 @@ def test_split_distribution_cases(charts, algebra_cache):
     split_b = TV.split_distribution(hb, size=4)
     assert split_b.blocks == [(0, 1, 2, 3)]
     assert split_b.trivial == ()
-    trivial = TV.split_distribution(H.lie_closure([]), size=4)
+    trivial = TV.split_distribution(H.lie_closure(np.zeros((0, 4, 4))), size=4)
     assert trivial.blocks == [] and trivial.trivial == (0, 1, 2, 3)
 
 
@@ -267,9 +267,10 @@ def test_ricci_form_closed_by_finite_differences(charts, algebra_cache):
 def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
     # one order-2 frame_data on the 30 transverse points, and no R -> so(2m)
     # conversion for the Einstein check and the regression (the Ricci trace
-    # is taken in the chart frame): the 3 conversions are the Wagner,
-    # annihilator and adapted pair samples, each at the base point and the
-    # path ends together.  The sampling pass evaluates x0 at order 2 once, as row 0 of one
+    # is taken in the chart frame): the 2 conversions are those of RW and
+    # R, each at the base point and the path ends together; the Wagner
+    # samples read RW, and the annihilator and adapted samples share R.
+    # The sampling pass evaluates x0 at order 2 once, as row 0 of one
     # call with the n_paths path ends, and the splitting reads that row; the
     # transport pass evaluates its shared start x0 as one point, at orders 0
     # (G) and 1.
@@ -318,7 +319,7 @@ def test_holonomy_report_evaluates_transverse_points_once(monkeypatch):
         monkeypatch.setattr(mod, "ortho_curvature", counting_ortho_curvature, raising=False)
     report = cli.holonomy_report(cfg)
     assert report["dims"]["adapted"] > 0 and "regression" in report
-    assert calls == {"pts_order2": 1, "r_to_ortho": 3, "x0_orders": [0, 1], "x0_with_ends": 1}
+    assert calls == {"pts_order2": 1, "r_to_ortho": 2, "x0_orders": [0, 1], "x0_with_ends": 1}
 
 
 def test_factor_split_converts_no_curvature(charts, algebra_cache, monkeypatch):
