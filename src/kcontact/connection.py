@@ -8,23 +8,24 @@ closed forms on a chart in normal form (``ContactChart.normal_form``):
 the frame solve ``[E | xi]^-1 = [[I, 0], [-f, 1]]`` (:func:`frame_solve`,
 its one owner) and ``G^-1`` block by block over the chart's blocks
 (:func:`metric_inverse`), which move the results by rounding only; the
-data of :func:`transport_data`: ``Gamma`` holds the Christoffel symbols
-of ``G`` in the 2m horizontal coordinates and the zero extension's Reeb
-term is zero, with the bits of the full assembly, so the transport's hot
-path makes no LAPACK inverse there and reads ``G`` alone; and the
-curvature pass of :func:`frame_data` at order 2, which skips the terms
-that are exact zeros there (``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0``
-and ``G`` reads no t), with the bits of the full pass.  A
-finite-difference oracle in the test suite checks the whole pipeline.
-One bracket computation (:func:`frame_brackets`, :func:`reeb_brackets`)
-and one Koszul assembly (:func:`_koszul`) serve both :func:`frame_data`,
-which fills :class:`FramePointData` from them, and the lean first-order
-:func:`transport_data` that the transport right-hand side calls.  The
-Wagner extension enters only through its curvature ``RW``; no transport
-integrates it.  The connection invariant suite
-(:func:`connection_invariant_residuals`) and the chart one
-(``manifolds.chart_invariant_residuals``) both read one second-order
-:class:`FramePointData`, so ``verify`` evaluates its points once.
+data of :func:`transport_data`, which on normal form is ``G^-1`` and the
+coordinate derivatives of ``G`` alone (``[e_a, e_b]`` is vertical,
+``[xi, e_a] = 0`` and ``G`` reads no t), so the transport's hot path
+makes no LAPACK inverse there; and the curvature pass of
+:func:`frame_data` at order 2, which skips the terms that are exact zeros
+there, with the bits of the full pass.  A finite-difference oracle in the
+test suite checks the whole pipeline.  One bracket computation
+(:func:`frame_brackets`, :func:`reeb_brackets`) serves both
+:func:`frame_data`, whose Koszul assembly (:func:`_koszul`) fills
+:class:`FramePointData` with the full ``Gamma``, and the lean first-order
+:func:`transport_data`, which builds no ``Gamma``: the transport
+contracts the path's velocity into the Koszul sum first
+(``transport._connection_rates``).  The Wagner extension enters only
+through its curvature ``RW``; no transport integrates it.  The
+connection invariant suite (:func:`connection_invariant_residuals`) and
+the chart one (``manifolds.chart_invariant_residuals``) both read one
+second-order :class:`FramePointData`, so ``verify`` evaluates its points
+once.
 
 The first-order assembly and every sum of the second-order pass, the
 two-operand ones included, are batched matmuls: the summed index is
@@ -172,29 +173,31 @@ def _koszul(E, G, dG, c, blocks=()):
                                 + g(pi[e_a,e_b], e_c) - g(pi[e_b,e_c], e_a)
                                 - g(pi[e_a,e_c], e_b)
 
-    Returns ``(K, Ginv, Gamma)`` with ``K[..., a, b, c]`` the right-hand side.
-    Each contraction is one batched matmul over flattened slot pairs:
-    ``E^T`` times ``dG`` flattened to ``[i, (b c)]`` gives the frame
-    derivatives ``Dg[a, b, c]``, ``c`` flattened to ``[(a b), d]`` times
-    ``G`` the bracket terms, and ``Ginv`` times ``K`` flattened to
-    ``[c, (a b)]`` gives Gamma.  Every product comes out C-ordered, so no
-    reshape copies.  ``Ginv`` is :func:`metric_inverse` over ``blocks``.
+    Returns ``(K, Ginv, Gamma)`` with ``K[..., a, b, c]`` the right-hand side
+    and ``Gamma[..., e, a, b] = 1/2 Ginv[e, c] K[a, b, c]``.  Each
+    contraction is one batched matmul over flattened slot pairs: ``E^T``
+    times ``dG`` flattened to ``[i, (b c)]`` gives the frame derivatives
+    ``Dg[a, b, c]``, :func:`_bracket_terms` the bracket terms, and ``Ginv``
+    times ``K`` flattened to ``[c, (a b)]`` gives Gamma.  Every product
+    comes out C-ordered, so no reshape copies.  ``Ginv`` is
+    :func:`metric_inverse` over ``blocks``.
     """
     tm = E.shape[-1]
     batch = c.shape[:-3]
     Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
-    Dg = Dg.reshape(*batch, tm, tm, tm)
-    W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
-    return _christoffel(_koszul_sum(Dg, W), G, blocks)
-
-
-def _christoffel(K, G, blocks):
-    """``(K, Ginv, Gamma)``, ``Gamma[..., e, a, b] = 1/2 Ginv[e, c] K[a, b, c]``."""
-    *batch, tm, _ = G.shape
+    K = _koszul_sum(Dg.reshape(*batch, tm, tm, tm), _bracket_terms(c, G))
     Ginv = metric_inverse(G, blocks)
     # halved before the reshape, so numpy halves the product in its own buffer
     Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
     return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
+
+
+def _bracket_terms(c, G):
+    """``W[..., a, b, c] = g(pi[e_a, e_b], e_c)`` from the coefficients
+    ``c[..., d, a, b]`` of pi[e_a, e_b]: ``c`` flattened to ``[(a b), d]``
+    times ``G``."""
+    tm = G.shape[-1]
+    return (c.reshape(*c.shape[:-3], tm, tm * tm).swapaxes(-1, -2) @ G).reshape(c.shape)
 
 
 def metric_inverse(G, blocks=()):
@@ -304,42 +307,53 @@ def two_form_derivative(E, dE, A, dA):
 
 @dataclass(slots=True)
 class TransportData:
-    """Per-point transport data; ``E`` is None on a normal-form call, and
-    ``xi_coeffs`` on a horizontal one."""
+    """Per-point transport data: what ``transport._connection_rates``
+    contracts with a velocity.  ``Ginv`` is ``G^-1``; ``D[..., b, c, a]``
+    is ``e_a g_bc - g(pi[e_b, e_c], e_a)``, the frame derivatives of the
+    metric less the bracket terms, whose trailing slot may run past the 2m
+    frame directions (there the rates read its first 2m entries).  On a
+    normal-form call ``D`` is ``dG``, the coordinate derivatives with their
+    t-slot last, and ``E`` is None; ``xi_coeffs`` is None on a horizontal
+    call.  Indexing applies one batch index to every field and copies, so
+    that the rest of the batch can be freed."""
 
     E: np.ndarray
-    Gamma: np.ndarray
+    Ginv: np.ndarray
+    D: np.ndarray
     xi_coeffs: np.ndarray = None
+
+    def __getitem__(self, ix):
+        return TransportData(*(None if f is None else f[ix].copy()
+                               for f in (self.E, self.Ginv, self.D, self.xi_coeffs)))
 
 
 def transport_data(chart, X, vertical=False):
-    """Lean evaluation of the pieces the transport ODE needs.
-
-    Computes the connection coefficients ``Gamma[..., c, a, b]`` from first
-    derivatives only and, for curves with Reeb-direction parts
-    (``vertical``), the Reeb bracket coefficients ``xi_coeffs[..., c, a]``
-    of the zero extension; the hot path of the holonomy sampler.  Every
-    contraction on the way (brackets, frame solve, Koszul terms, Reeb
+    """Lean evaluation of the pieces the transport ODE needs, from first
+    derivatives only: :class:`TransportData`, and for curves with
+    Reeb-direction parts (``vertical``) the Reeb bracket coefficients
+    ``xi_coeffs[..., c, a]`` of the zero extension; the hot path of the
+    holonomy sampler.  No Christoffel tensor is built: the transport
+    contracts the path's velocity into the Koszul sum.  Every contraction on
+    the way (brackets, frame solve, frame derivatives, bracket terms, Reeb
     brackets) is a batched matmul; none goes through ``np.einsum``.  On a
     chart in normal form ``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0`` and
-    ``G`` reads no t, so a call evaluates ``G`` alone: ``Gamma`` is
-    ``1/2 G^-1 (d_a g_bc + d_b g_ca - d_c g_ab)`` in the horizontal
-    coordinates and ``xi_coeffs`` (with ``vertical``) is ``+0.0``, the bits
-    of the full assembly; no LAPACK call inverts width-2 blocks of ``G``.
+    ``G`` reads no t, so a call evaluates ``G`` alone: ``D`` is ``dG``, whose
+    first 2m slots are the frame derivatives there, and ``xi_coeffs`` (with
+    ``vertical``) is ``+0.0``; no LAPACK call inverts width-2 blocks of
+    ``G``.
     """
     if chart.normal_form:
         arr = chart_arrays(chart, X, order=1, fields=("G",))
-        Dg = _view(arr.dG[..., :arr.G.shape[-1]], "bca", "abc")  # Dg[a, b, c] = d_a g_bc
-        # the sums are elementwise: a contiguous copy keeps their bits and
-        # spares the strided reads of a transposed view
-        _, _, Gam = _christoffel(_koszul_sum(np.ascontiguousarray(Dg), None), arr.G, chart.blocks)
-        return TransportData(None, Gam, np.zeros(arr.G.shape) if vertical else None)
+        return TransportData(None, metric_inverse(arr.G, chart.blocks), arr.dG,
+                             np.zeros(arr.G.shape) if vertical else None)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr)
     tm = arr.E.shape[-1]
-    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
+    # D[(b c), a] = e_a g_bc, dG flattened to [(b c), i] times E, less the bracket terms
+    D = (arr.dG.reshape(*arr.G.shape[:-2], tm * tm, -1) @ arr.E).reshape(arr.G.shape + (tm,))
+    D -= _bracket_terms(cfull[..., :tm, :, :], arr.G)
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, Gam, xi_coeffs)
+    return TransportData(arr.E, metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
 
 
 def frame_data(chart, X, order=1):
@@ -564,12 +578,11 @@ def connection_invariant_residuals(data):
     tors = data.Gamma - data.Gamma.swapaxes(-2, -1) - data.c
     res["torsion"] = float(np.max(np.abs(tors)))
     Dg = np.einsum("...ia,...bci->...abc", data.E, data.dG)
-    lower = np.einsum("...dab,...dc->...abc", data.Gamma, data.G) + np.einsum(
-        "...dac,...bd->...abc", data.Gamma, data.G
-    )
-    res["metric_compat"] = float(np.max(np.abs(Dg - lower)))
+    lower = (np.einsum("...dab,...dc->...abc", data.Gamma, data.G),
+             np.einsum("...dac,...bd->...abc", data.Gamma, data.G))
+    res["metric_compat"] = _relative_residual(Dg - lower[0] - lower[1], data.G, Dg, *lower)
     GR = np.einsum("...ed,...abdc->...abec", data.G, data.R)
-    res["g_skew"] = float(np.max(np.abs(GR + GR.swapaxes(-1, -2))))
+    res["g_skew"] = _relative_residual(GR + GR.swapaxes(-1, -2), data.G, GR)
     bianchi = (
         data.R
         + np.einsum("...bcea->...abec", data.R)
@@ -583,3 +596,15 @@ def connection_invariant_residuals(data):
         np.max(np.abs(form_on_bivector(data.omega, data.alpha) + 4.0 * data.m))
     )
     return res
+
+
+def _relative_residual(diff, *terms):
+    """The largest ``|diff|`` at a point over the largest entry there of the
+    ``terms`` it compares and of the metric, the first term, maximized over
+    the points (the leading axis): a residual that does not scale with the
+    metric.  The metric keeps the scale where the other terms vanish or are
+    rounding noise, as a flat chart's curvature is."""
+    def peak(a):
+        return np.max(np.abs(a).reshape(len(a), -1), axis=1)
+
+    return float(np.max(peak(diff) / np.max([peak(t) for t in terms], axis=0)))

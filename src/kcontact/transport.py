@@ -20,10 +20,13 @@ alone at plain midpoints, in one call per block with the ends, the
 Reeb flow is array arithmetic on t, and the equivalence check evaluates
 its loop once for both of its transports; the bits are those of the
 general path.  Both routes read the connection through
-``connection.transport_data``.  The holonomy sampler's one pass draws
-random control paths, integrates their positions as one lockstep batch,
-redraws escaped paths, and transports the accepted ones.  Path i draws
-its controls from one (seed, i, attempt) stream.
+``connection.transport_data`` and contract the velocity into its Koszul
+sum (:func:`_connection_rates`), one kernel for control paths, sampled
+curves and every chart; no transport builds a Christoffel tensor.  The
+holonomy sampler's one pass draws random control paths, integrates their
+positions as one lockstep batch, redraws escaped paths, and transports
+the accepted ones.  Path i draws its controls from one (seed, i, attempt)
+stream.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -38,7 +41,7 @@ The loop builder finds the radius of its second circle with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -186,7 +189,7 @@ def _even_steps(duration, step):
 # the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
-ROWS = 128  # ends per block of the transport pass, at least one step (normal form: + midpoints)
+ROWS = 256  # ends per block of the transport pass, at least one step (normal form: + midpoints)
 STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pass
 
 
@@ -228,16 +231,27 @@ def _rhs(chart, x, u):
     return _horizontal_velocity(chart_arrays(chart, x, order=0, fields=("E",)).E, u)
 
 
-def _frame_rates(Gamma, u):
-    """The connection matrix ``Gamma[..., c, a, b] u[..., a]`` along u^a e_a."""
-    return (u[..., None, None, :] @ Gamma)[..., 0, :]
+def _connection_rates(data, u, w=None):
+    """The connection matrix ``Om[..., e, b] = Gamma[e, a, b] u[a]`` of
+    ``transport_data`` along u^a e_a + w xi, plus ``w xi_coeffs`` when the
+    data have them (w = 0 keeps the Schouten bits), without ``Gamma``: u is
+    contracted into the Koszul sum before ``1/2 G^-1`` is applied, (2m)^2
+    numbers per point where ``Gamma`` has (2m)^3.
 
-
-def _connection_rates(data, u, w):
-    """The connection matrix of ``transport_data`` along u^a e_a + w xi: the
-    frame rates, plus ``w xi_coeffs`` when the data has them (w = 0 keeps
-    the Schouten bits)."""
-    Om = _frame_rates(data.Gamma, u)
+    With ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)`` (the first 2m
+    entries of its trailing slot), ``A = D u`` contracts the last slot and
+    ``B = u D`` the first; since ``g`` is symmetric the Koszul sum contracted
+    with u is ``K = A^T + B - B^T``, in the ``[c, b]`` layout that ``G^-1``
+    multiplies.  On normal form ``A`` is ``d_u G`` and ``B[c, b]`` is
+    ``d_b (G u)_c``.  Both contractions are one matmul per point.
+    """
+    D, tm = data.D, u.shape[-1]
+    A = D[..., :tm].reshape(*D.shape[:-3], tm * tm, tm) @ u[..., :, None]
+    B = u[..., None, :] @ D.reshape(*D.shape[:-3], tm, -1)
+    A = A.reshape(*A.shape[:-2], tm, tm)
+    B = B.reshape(*B.shape[:-2], tm, -1)[..., :tm]
+    K = A.swapaxes(-1, -2) + B - B.swapaxes(-1, -2)
+    Om = 0.5 * (data.Ginv @ K)
     return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
 
 
@@ -346,16 +360,19 @@ def _transport_positions(chart, xs, paths, h):
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
     (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6); on a normal-form
-    chart it is (x0 + x1)/2 with the same
-    bits (the h/8 term moves only t, which the connection does not read),
-    so the pass needs no velocity.  A segment's steps go in blocks of
+    chart it is (x0 + x1)/2 with the same bits (the h/8 term moves only t,
+    and the rates read neither t nor the sign of a zero coordinate), so the
+    pass needs no velocity.  A segment's steps go in blocks of
     ``max(1, ROWS // P)`` for P paths.  On normal form a block's ends and
     midpoints are evaluated in one call, ends first, and the next segment
     starts from the last end row; elsewhere the ends are evaluated in one
     call, then the midpoints, which need the ends' velocities, in another.
-    Each evaluation is contracted at once to its negated rates, the ``-Om``
-    of the transport equation M' = -Om M; the paths' shared start is one
-    row.  The transports are reprojected every ``REORTH_EVERY`` steps.
+    Each evaluation is contracted at once by :func:`_connection_rates` to its
+    negated rates, the ``-Om`` of the transport equation M' = -Om M, and
+    only the data of the last end are kept: a segment's first step contracts
+    them with its own controls, with no chart call.  The paths' shared start
+    is one row.  The transports are reprojected every ``REORTH_EVERY``
+    steps.
     """
     _, controls = _path_arrays(paths)
     P_, K, per, _ = xs.shape
@@ -363,29 +380,31 @@ def _transport_positions(chart, xs, paths, h):
     block = max(1, ROWS // P_)
     P0, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:1, 0, 0], order=0, fields=("G",)).G)
     M = np.broadcast_to(np.eye(tm), (P_, tm, tm)).copy()
-    end, last = transport_data(chart, xs[:1, 0, :1]), 0
+    start = transport_data(chart, xs[:1, 0, :1])[:, 0]
     total = 0
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
         u = controls[:, k, None, :]
-        Om1 = -_frame_rates(end.Gamma, u)[:, last]
-        v1 = None if end.E is None else _horizontal_velocity(end.E, u)[:, last]
+        Om1 = -_connection_rates(start, u[:, 0])
+        v1 = None if start.E is None else _horizontal_velocity(start.E, u[:, 0])
         for a in range(1, per, block):
             b = min(a + block, per)
-            last = b - a - 1
             mid = 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
             if v1 is None:
                 # normal form: ends and midpoints in one call, ends first
                 end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1))
-                rates = -_frame_rates(end.Gamma, u)
+                rates = -_connection_rates(end, u)
                 Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
             else:
                 end = transport_data(chart, xs[:, k, a:b])
-                Om_end = -_frame_rates(end.Gamma, u)
+                Om_end = -_connection_rates(end, u)
                 v = _horizontal_velocity(end.E, u)
                 mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
                 v1 = v[:, -1]
-                Om_mid = -_frame_rates(transport_data(chart, mid).Gamma, u)
+                Om_mid = -_connection_rates(transport_data(chart, mid), u)
+            # the block's data are freed before the next block is evaluated
+            start = end[:, b - a - 1]
+            del end
             for j in range(b - a):
                 Om = (Om1, Om_mid[:, j], Om_end[:, j])
                 (M,) = _rk4_step(lambda s, y: (Om[s] @ y[0],), (M,), h)
@@ -479,7 +498,8 @@ def _split_velocities(chart, xs, vs, arr=None):
 def _transport_sampled(chart, sc, kind, data=None):
     """Transport along a sampled curve, reading ``data``, the
     ``transport_data`` of its samples, when given (it must have the
-    ``xi_coeffs`` of ``vertical=True`` for the adapted kind)."""
+    ``xi_coeffs`` of ``vertical=True`` for the adapted kind; the Schouten
+    kind does not read them)."""
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
@@ -487,9 +507,9 @@ def _transport_sampled(chart, sc, kind, data=None):
         )
     if data is None:
         data = transport_data(chart, sc.xs, vertical=kind == "adapted")
-    rates = (_connection_rates(data, sc.us, sc.ws) if kind == "adapted"
-             else _frame_rates(data.Gamma, sc.us))
-    return _sampled_propagator(sc, -rates)
+    if kind == "schouten":  # the horizontal rates take no Reeb term
+        data = replace(data, xi_coeffs=None)
+    return _sampled_propagator(sc, -_connection_rates(data, sc.us, sc.ws))
 
 
 def _step_starts(sc):
@@ -680,7 +700,7 @@ def transport_equivalence_check(chart, loop):
 
     The loop is flowed first, then its samples are evaluated by one
     ``transport_data`` call.  On a chart in normal form the flow moves t
-    alone and the connection reads no t, so that one ``Gamma`` also serves
+    alone and the connection reads no t, so that one evaluation also serves
     the Schouten route, whose samples have the same horizontal coordinates
     (:func:`_same_chart_values`); both transports are still integrated and
     compared.  Any other chart evaluates the flowed samples on their own.

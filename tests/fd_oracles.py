@@ -27,9 +27,13 @@ per pair where ``holonomy._commutator_rank`` broadcasts over the basis,
 zero jet.
 
 :func:`transport_data_reference` is ``connection.transport_data`` as it
-ran on a chart in normal form before the horizontal route read the metric
-alone: brackets, frame solve and the Koszul sum with its bracket terms,
-a bit-for-bit oracle of that route's ``Gamma``.
+runs off normal form, on every chart: brackets, frame solve, frame
+derivatives and bracket terms, as single sums; on a chart in normal form
+its rates are a bit-for-bit oracle of the route that reads ``dG`` alone.
+:func:`connection_rates_reference` is the Gamma route of the transport
+rates: the full Christoffel tensor of ``frame_data`` contracted with the
+velocity, which the package builds no longer on its transport path, and
+:func:`frame_rates_reference` the package's rates kernel as single sums.
 
 :func:`coupled_transport_reference` is the transport of control paths
 that the package ran before it integrated positions first: one RK4 on
@@ -82,9 +86,9 @@ from kcontact import holonomy as H
 from kcontact import jets
 from kcontact import transport as T
 from kcontact.connection import (TransportData, _koszul, frame_brackets, frame_data,
-                                 inverse_derivative, ortho_curvature, ortho_transports,
-                                 ortho_two_form, orthonormal_frame_change, reeb_brackets,
-                                 transport_data, two_form_derivative)
+                                 inverse_derivative, metric_inverse, ortho_curvature,
+                                 ortho_transports, ortho_two_form, orthonormal_frame_change,
+                                 reeb_brackets, transport_data, two_form_derivative)
 from kcontact.errors import DomainError, SamplingError
 from kcontact.jets import Jet
 from kcontact.manifolds import chart_arrays
@@ -370,15 +374,18 @@ def koszul_reference(E, G, dG, c):
 
 
 def transport_data_reference(chart, X, vertical=False):
-    """``connection.transport_data`` through the brackets, the frame solve
-    and the full Koszul sum on every chart, the assembly that the normal
-    form's horizontal route replaced."""
+    """``connection.transport_data`` through the brackets, the frame solve,
+    the frame derivatives and the bracket terms on every chart, as single
+    sums: ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)``, the assembly that
+    the normal form's reading of ``dG`` alone replaced.  ``E`` is given on
+    every chart."""
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]
-    _, _, Gam = _koszul(arr.E, arr.G, arr.dG, cfull[..., :tm, :, :], chart.blocks)
+    D = (np.einsum("...bci,...ia->...bca", arr.dG, arr.E)
+         - np.einsum("...dbc,...da->...bca", cfull[..., :tm, :, :], arr.G))
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, Gam, xi_coeffs)
+    return TransportData(arr.E, metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
 
 
 def inverse_derivative_reference(Minv, dM):
@@ -442,10 +449,16 @@ def commutator_map_reference(h, mats):
     ).T
 
 
-def frame_rates_reference(Gamma, u):
-    """``transport._frame_rates``, the frame part of the connection rates, as one sum:
-    Gamma[c, a, b] u[a]."""
-    return np.einsum("...cab,...a->...cb", Gamma, u)
+def frame_rates_reference(data, u):
+    """``transport._connection_rates`` without a Reeb term, as single sums:
+    ``1/2 Ginv[e, c] K[c, b]`` with the Koszul sum contracted with u,
+    ``K[c, b] = D[b, c, a] u[a] + D[a, c, b] u[a] - D[a, b, c] u[a]`` over
+    the first 2m entries of ``D``'s trailing slot."""
+    tm = u.shape[-1]
+    D = data.D[..., :tm]
+    K = (np.einsum("...bca,...a->...cb", D, u) + np.einsum("...acb,...a->...cb", D, u)
+         - np.einsum("...abc,...a->...cb", D, u))
+    return 0.5 * np.einsum("...ec,...cb->...eb", data.Ginv, K)
 
 
 def rhs_reference(chart, x, u):
@@ -455,10 +468,12 @@ def rhs_reference(chart, x, u):
 
 
 def connection_rates_reference(chart, x, u, w):
-    """``transport._connection_rates`` of ``transport_data`` as single sums."""
-    data = transport_data(chart, x, vertical=bool(np.any(w != 0.0)))
-    Om = np.einsum("...cab,...a->...cb", data.Gamma, u)
-    return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
+    """``transport._connection_rates`` of ``transport_data`` by the Gamma
+    route, as single sums: ``Gamma[c, a, b] u[a] + w xi_coeffs[c, b]`` from
+    ``frame_data`` at order 1, which builds the full Christoffel tensor."""
+    data = frame_data(chart, x, order=1)  # a batch of one for a single point
+    Om = np.einsum("...cab,...a->...cb", data.Gamma, u) + w[..., None, None] * data.xi_coeffs
+    return Om.reshape(np.shape(x)[:-1] + Om.shape[-2:])
 
 
 def _reeb_velocity(chart, x, u, w):
@@ -593,13 +608,13 @@ def transport_positions_per_step(chart, xs, paths, h):
         u = controls[:, k, :]
         x1 = xs[:, k, 0]
         v1 = _first_order_velocity(chart, x1, u)
-        Om1 = T._frame_rates(transport_data(chart, x1).Gamma, u)
+        Om1 = T._connection_rates(transport_data(chart, x1), u)
         for i in range(1, per):
             x0, x1, v0, Om0 = x1, xs[:, k, i], v1, Om1
             v1 = _first_order_velocity(chart, x1, u)
-            Om1 = T._frame_rates(transport_data(chart, x1).Gamma, u)
+            Om1 = T._connection_rates(transport_data(chart, x1), u)
             mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1))
-            Om = (Om0, T._frame_rates(mid.Gamma, u), Om1)
+            Om = (Om0, T._connection_rates(mid, u), Om1)
             (M,) = T._rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
             total += 1
             if total % T.REORTH_EVERY == 0:

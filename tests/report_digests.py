@@ -51,13 +51,18 @@ not show them.  Each line is ``loop``, config, seed and the digest of a JSON
 object that holds the SHA-256 of the bytes of the horizontalized curve of
 ``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
 ``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
-"schouten").tau``.  These, the algebra and the frame-data digests use
+"schouten").tau``.  And 8 sampling passes: each chart of ``digest_charts``
+from its origin, one line per chart (``pass``, chart, seed and the digest of
+a JSON object that holds the SHA-256 of the bytes of the endpoints and of
+the transports that ``transport.sampled_path_transports`` returns at
+``PASS_SAMPLER``), so a change to the pass's bits shows before any report
+rounds it away.  These, the algebra and the frame-data digests use
 public names only, so ``--compare`` runs them on older checkouts too.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
 ``kbench/``, prints every entry whose digest differs (for a chart-array,
-algebra, frame-data or loop entry, each array whose digest changed), and
+algebra, frame-data, loop or pass entry, each array whose digest changed), and
 exits 1 unless all are byte-identical.  For each differing report it also
 prints the largest relative change ``|new - old| / max(1, |old|)`` over
 the report's float leaves, and lists every leaf (float, int, bool,
@@ -113,6 +118,8 @@ ALGEBRA_CALLS = ("lie_closure", "factor_split", "t_complement")
 # the metric alone, and the (th, xi, E) that sampled curves ask for
 CHART_FIELD_MIXES = [("th", "xi", "E", "G"), ("th",), ("E",), ("G",), ("th", "xi", "E")]
 CHART_POINTS = 40
+# (paths, seed) of the sampling-pass digests
+PASS_SAMPLER = {"n_paths": 16, "seed": 3}
 
 
 def chart_points(n):
@@ -170,6 +177,23 @@ def frame_digests():
     return rows
 
 
+def pass_digests():
+    """``("pass", label, seed, text)`` of every chart of ``digest_charts``:
+    ``text`` holds, as JSON, the SHA-256 digest of the bytes of the
+    endpoints and the transports of one ``sampled_path_transports`` pass
+    from the chart's origin at ``PASS_SAMPLER``."""
+    from kcontact.transport import SamplerConfig, sampled_path_transports
+
+    rows = []
+    for label, chart in digest_charts().items():
+        sampler = SamplerConfig(**PASS_SAMPLER)
+        _, ends, taus = sampled_path_transports(chart, chart.origin(), sampler)
+        digests = {k: hashlib.sha256(a.tobytes()).hexdigest()
+                   for k, a in (("endpoints", ends), ("transports", taus))}
+        rows.append(("pass", label, PASS_SAMPLER["seed"], json.dumps(digests, sort_keys=True)))
+    return rows
+
+
 def reports(root):
     """``(workload, label, seed, text)`` of every report, rendered from ``root``."""
     root = Path(root).resolve()
@@ -196,7 +220,7 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows += holonomy_rows("partly_shared", label, cfg)
     return (rows + general_path_reports(root) + chart_digests() + frame_digests()
-            + loop_digests(root))
+            + loop_digests(root) + pass_digests())
 
 
 def holonomy_rows(workload, label, cfg):
@@ -351,7 +375,8 @@ def compare(old, new):
     for key in missing:
         print("only in one checkout:", *key)
     kinds = {"algebra": "algebra digests", "chart_arrays": "chart-array digests",
-             "frame_data": "frame-data digests", "loop": "loop digests"}
+             "frame_data": "frame-data digests", "loop": "loop digests",
+             "pass": "pass digests"}
     for what in ("reports", *kinds.values()):
         keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)

@@ -216,8 +216,9 @@ def test_three_factor_chart_invariants():
 
 
 def test_order_two_frame_data_peak_memory(charts):
-    # the second-order pass frees each temporary after its last use; holding
-    # them all until it returns peaked near 5.9 MB on these 128 points
+    # the second-order pass frees each temporary after its last use and
+    # peaks at 3.05 MB; holding them all until it returns peaked near
+    # 5.9 MB on these 128 points
     chart = charts["bergman"]
     pts = domain_points(chart, 128, seed=0, margin=0.95)
     C.frame_data(chart, pts, order=2)  # warm up caches outside the trace
@@ -322,7 +323,8 @@ def test_order_two_frame_data_makes_no_einsum_call(charts, name, monkeypatch):
 
 def test_order_two_frame_data_peak_memory_at_m3():
     # three discs (2m = 6) on 30 points: the order-2 batch of the transverse
-    # checks of a wide report; the single-sum pass peaked at 3.24 MB
+    # checks of a wide report peaks at 2.77 MB; the single-sum pass peaked
+    # at 3.24 MB
     chart = _disc3()
     pts = domain_points(chart, 30, seed=0, margin=0.95)
     C.frame_data(chart, pts, order=2)  # warm up caches outside the trace
@@ -464,11 +466,14 @@ def _pairs_two_form_derivative(arr, rng):
 
 
 def _pairs_frame_rates(arr, rng):
-    # generic Gamma: every built-in chart has Gamma symmetric in (a, b), so
-    # only a generic one tells the contracted slot apart
-    Gamma = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
+    # the rates kernel on generic data: a D with no symmetry tells the
+    # contracted slots apart, and its trailing slot is n wide, as dG's is on
+    # normal form
+    tm = arr.G.shape[-1]
+    data = C.TransportData(None, np.linalg.inv(arr.G),
+                           rng.standard_normal(arr.G.shape + (tm + 1,)))
     u = rng.standard_normal(arr.G.shape[:-1])
-    return (T._frame_rates(Gamma, u),), (frame_rates_reference(Gamma, u),)
+    return (T._connection_rates(data, u),), (frame_rates_reference(data, u),)
 
 
 # each rewritten kernel with its single-sum reference, on the same inputs

@@ -62,7 +62,7 @@ def _gauged_config(monkeypatch, name):
 
 def _drop_reeb_term(monkeypatch):
     rates = T._connection_rates
-    monkeypatch.setattr(T, "_connection_rates", lambda data, u, w: rates(
+    monkeypatch.setattr(T, "_connection_rates", lambda data, u, w=None: rates(
         dataclasses.replace(data, xi_coeffs=None), u, w))
 
 

@@ -6,12 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from kcontact import chart_from_config
 from kcontact import connection as C
 from kcontact import transport as T
 from kcontact.errors import ChartError, ConfigError, DomainError, SamplingError
 from kcontact.manifolds import ContactChart, Domain, FactorSpec, product_construction
 
-from conftest import domain_points
+from conftest import WIDE_MIXES, domain_points
 from fd_oracles import (
     connection_rates_reference,
     coupled_transport_reference,
@@ -902,6 +903,36 @@ def test_rhs_matches_reference(m, batch, part):
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+RATES_CHARTS = ["heisenberg", "bergman", "disc_disc_11", "disc_disc_12", "perturbed_disc_disc",
+                *WIDE_MIXES, *(f"{kind}_{name}" for kind in ("rotated", "gauged")
+                               for name in ("bergman", "disc_disc_12", "perturbed_disc_disc"))]
+
+
+@pytest.mark.parametrize("name", RATES_CHARTS)
+def test_connection_rates_match_the_gamma_route(charts, name):
+    # the velocity contracted into the Koszul sum before 1/2 G^-1 against
+    # u.Gamma of the full Christoffel tensor of frame_data (order 1), plus
+    # w xi_coeffs: on the eight benchmark charts, in normal form, and on
+    # rotated and gauged charts, whose rates read E and the bracket terms
+    # (gauged: a nonzero Reeb term); 4.5e-16 relative measured on 64 points
+    kind, _, base = name.partition("_")
+    change = {"rotated": lambda c: rotated_chart(c, (0, 1), 0.7),
+              "gauged": lambda c: gauged_chart(c, (1, 2), 0.7)}
+    if kind in change:
+        chart = change[kind](charts[base])
+    else:
+        chart = charts[name] if name in charts else chart_from_config(
+            {"type": "product", "factors": WIDE_MIXES[name]})
+    X = domain_points(chart, 64, seed=41)
+    rng = np.random.default_rng(42)
+    u, w = rng.normal(size=(64, 2 * chart.m)), rng.normal(size=64)
+    for vertical in (False, True):
+        got = T._connection_rates(C.transport_data(chart, X, vertical), u, w if vertical else None)
+        ref = connection_rates_reference(chart, X, u, w if vertical else np.zeros(64))
+        assert got.shape == ref.shape == (64, 2 * chart.m, 2 * chart.m)
+        assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
+
+
 def test_rhs_makes_no_einsum_call(charts, monkeypatch):
     # connection, manifolds and transport reach np.einsum through the numpy
     # module; the position rates and the whole sampling pass, transport
@@ -927,10 +958,10 @@ def test_rhs_makes_no_einsum_call(charts, monkeypatch):
 
 def test_wide_sampling_pass_memory_is_bounded():
     # a 16-path pass on three discs (2m = 6, normal form) evaluates the
-    # connection over blocks of 8 steps, one call per block on its 128 ends
-    # and 128 midpoints, and peaks at 2.3 MB (0.6 MB at one step per block,
-    # 1.5 MB with the ends and midpoints in two calls, 4.4 MB at 256 ends
-    # per block); the bound leaves about 40%
+    # connection over blocks of 16 steps, one call per segment on its 256
+    # ends and 256 midpoints, and peaks at 2.24 MB (the Christoffel tensor
+    # of every sample peaked at 2.18 MB in blocks of 128 ends and 4.4 MB in
+    # blocks of 256); the bound leaves about 40%
     chart = product_construction(RHS_FACTORS[3])
     sampler = T.SamplerConfig(n_paths=16)
     T.sampled_path_transports(chart, np.zeros(chart.dim), sampler)
@@ -944,9 +975,10 @@ def test_wide_sampling_pass_memory_is_bounded():
 
 
 def test_sampling_pass_memory_is_bounded(charts):
-    # a 128-path bergman pass peaks at 1.3 MB: the positions plus one
-    # transport evaluation on a step's 128 ends and 128 midpoints; Gamma
-    # kept at every sample would take about 29 MB
+    # a 128-path bergman pass peaks at 1.53 MB (2.49 MB in blocks of 512
+    # ends): the positions plus one transport evaluation on two steps' 256
+    # ends and 256 midpoints; Gamma kept at every sample would take about
+    # 29 MB
     chart = charts["bergman"]
     sampler = T.SamplerConfig(n_paths=128)
     T.sampled_path_transports(chart, np.zeros(5), sampler)
