@@ -313,18 +313,18 @@ class TransportData:
     metric less the bracket terms, whose trailing slot may run past the 2m
     frame directions (there the rates read its first 2m entries).  On a
     normal-form call ``D`` is ``dG``, the coordinate derivatives with their
-    t-slot last, and ``E`` is None; ``xi_coeffs`` is None on a horizontal
-    call.  Indexing applies one batch index to every field and copies, so
-    that the rest of the batch can be freed."""
+    t-slot last.  ``xi_coeffs`` are the Reeb bracket coefficients of a
+    ``vertical`` call off normal form, and None otherwise.  Indexing applies
+    one batch index to every field and copies, so that the rest of the
+    batch can be freed."""
 
-    E: np.ndarray
     Ginv: np.ndarray
     D: np.ndarray
     xi_coeffs: np.ndarray = None
 
     def __getitem__(self, ix):
         return TransportData(*(None if f is None else f[ix].copy()
-                               for f in (self.E, self.Ginv, self.D, self.xi_coeffs)))
+                               for f in (self.Ginv, self.D, self.xi_coeffs)))
 
 
 def transport_data(chart, X, vertical=False):
@@ -338,14 +338,13 @@ def transport_data(chart, X, vertical=False):
     brackets) is a batched matmul; none goes through ``np.einsum``.  On a
     chart in normal form ``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0`` and
     ``G`` reads no t, so a call evaluates ``G`` alone: ``D`` is ``dG``, whose
-    first 2m slots are the frame derivatives there, and ``xi_coeffs`` (with
-    ``vertical``) is ``+0.0``; no LAPACK call inverts width-2 blocks of
-    ``G``.
+    first 2m slots are the frame derivatives there, and ``xi_coeffs`` is None
+    whatever ``vertical`` asks, since the zero extension adds no Reeb term;
+    no LAPACK call inverts width-2 blocks of ``G``.
     """
     if chart.normal_form:
         arr = chart_arrays(chart, X, order=1, fields=("G",))
-        return TransportData(None, metric_inverse(arr.G, chart.blocks), arr.dG,
-                             np.zeros(arr.G.shape) if vertical else None)
+        return TransportData(metric_inverse(arr.G, chart.blocks), arr.dG)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr)
     tm = arr.E.shape[-1]
@@ -353,7 +352,7 @@ def transport_data(chart, X, vertical=False):
     D = (arr.dG.reshape(*arr.G.shape[:-2], tm * tm, -1) @ arr.E).reshape(arr.G.shape + (tm,))
     D -= _bracket_terms(cfull[..., :tm, :, :], arr.G)
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
+    return TransportData(metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
 
 
 def frame_data(chart, X, order=1):

@@ -73,7 +73,9 @@ class Domain:
 
 @dataclass(frozen=True)
 class FactorSpec:
-    """One Kahler factor of the product construction."""
+    """One Kahler factor of the product construction; ``epsilon``, the
+    bump's amplitude, is read by ``perturbed_disc`` alone, and is 0 on the
+    other kinds."""
 
     kind: str
     complex_dim: int = 1
@@ -87,6 +89,9 @@ class FactorSpec:
         for name in ("b", "curvature", "epsilon"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"factor {name} must be finite, got {getattr(self, name)}")
+        if self.epsilon != 0.0 and self.kind != "perturbed_disc":
+            raise ConfigError(f"factor epsilon is read by perturbed_disc only, "
+                              f"got {self.epsilon} on {self.kind}")
         if self.b == 0.0:
             raise ConfigError("factor coefficient b must be nonzero")
         if self.complex_dim < 1:

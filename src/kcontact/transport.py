@@ -11,22 +11,21 @@ samples with frame-split velocities, on which the sampled-coefficient RK4
 transport operates.  A control path is horizontal, and is transported
 positions first: one RK4 pass integrates the positions alone and settles
 escapes, then one RK4 pass transports the frame, reading the connection
-at each step's end and at its cubic-Hermite midpoint, evaluated over
-blocks of steps.  On a chart in normal form (``ContactChart.normal_form``:
-xi = d/dt, frame d/dx_a + f_a d/dt, no coefficient reading t) the
-horizontal coordinates are running sums of one RK4 increment, t needs one
-order-0 evaluation per chunk of stage points, a transport reads ``G``
-alone at plain midpoints, in one call per block with the ends, the
-Reeb flow is array arithmetic on t, and the equivalence check evaluates
-its loop once for both of its transports; the bits are those of the
-general path.  Both routes read the connection through
-``connection.transport_data`` and contract the velocity into its Koszul
-sum (:func:`_connection_rates`), one kernel for control paths, sampled
-curves and every chart; no transport builds a Christoffel tensor.  The
-holonomy sampler's one pass draws random control paths, integrates their
-positions as one lockstep batch, redraws escaped paths, and transports
-the accepted ones.  Path i draws its controls from one (seed, i, attempt)
-stream.
+at each step's end and at its cubic-Hermite midpoint, in one call per
+block of steps on every chart, ends first.  On a chart in normal form
+(``ContactChart.normal_form``: xi = d/dt, frame d/dx_a + f_a d/dt, no
+coefficient reading t) the horizontal coordinates are running sums of one
+RK4 increment, t needs one order-0 evaluation per chunk of stage points, a
+transport reads ``G`` alone at plain midpoints, the Reeb flow is array
+arithmetic on t, and the equivalence check evaluates its loop once for
+both of its transports; the bits are those of the general path.  Both
+routes read the connection through ``connection.transport_data`` and
+contract the velocity into its Koszul sum (:func:`_connection_rates`), one
+kernel for control paths, sampled curves and every chart; no transport
+builds a Christoffel tensor.  The holonomy sampler's one pass draws random
+control paths, integrates their positions as one lockstep batch, redraws
+escaped paths, and transports the accepted ones.  Path i draws its
+controls from one (seed, i, attempt) stream.
 
 One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
@@ -41,7 +40,7 @@ The loop builder finds the radius of its second circle with
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -189,7 +188,7 @@ def _even_steps(duration, step):
 # the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
-ROWS = 256  # ends per block of the transport pass, at least one step (normal form: + midpoints)
+ROWS = 256  # ends per block of the transport pass, at least one step; one call with their midpoints
 STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pass
 
 
@@ -234,7 +233,7 @@ def _rhs(chart, x, u):
 def _connection_rates(data, u, w=None):
     """The connection matrix ``Om[..., e, b] = Gamma[e, a, b] u[a]`` of
     ``transport_data`` along u^a e_a + w xi, plus ``w xi_coeffs`` when the
-    data have them (w = 0 keeps the Schouten bits), without ``Gamma``: u is
+    data have them (w is not read otherwise), without ``Gamma``: u is
     contracted into the Koszul sum before ``1/2 G^-1`` is applied, (2m)^2
     numbers per point where ``Gamma`` has (2m)^3.
 
@@ -359,20 +358,20 @@ def _transport_positions(chart, xs, paths, h):
 
     An RK4 step reads the connection at its start, at its end and at the
     cubic-Hermite midpoint (x0 + x1)/2 + h/8 (v0 - v1), O(h^4) accurate
-    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6); on a normal-form
-    chart it is (x0 + x1)/2 with the same bits (the h/8 term moves only t,
-    and the rates read neither t nor the sign of a zero coordinate), so the
-    pass needs no velocity.  A segment's steps go in blocks of
-    ``max(1, ROWS // P)`` for P paths.  On normal form a block's ends and
-    midpoints are evaluated in one call, ends first, and the next segment
-    starts from the last end row; elsewhere the ends are evaluated in one
-    call, then the midpoints, which need the ends' velocities, in another.
-    Each evaluation is contracted at once by :func:`_connection_rates` to its
+    (Hairer, Norsett & Wanner, *Solving ODEs I*, II.6).  A segment's steps
+    go in blocks of ``max(1, ROWS // P)`` for P paths; a block's ends and
+    midpoints are evaluated in one ``transport_data`` call, ends first.  The
+    velocities of the h/8 term are the order-0 ones of :func:`_rhs`, which
+    the positions pass integrated, in one call over the block's positions;
+    on a normal-form chart the midpoint is (x0 + x1)/2 with the same bits
+    (the h/8 term moves only t, and the rates read neither t nor the sign of
+    a zero coordinate), so the pass there needs no velocity.  Each
+    evaluation is contracted at once by :func:`_connection_rates` to its
     negated rates, the ``-Om`` of the transport equation M' = -Om M, and
-    only the data of the last end are kept: a segment's first step contracts
-    them with its own controls, with no chart call.  The paths' shared start
-    is one row.  The transports are reprojected every ``REORTH_EVERY``
-    steps.
+    only the data of the last end are kept: the next segment's first step
+    contracts them with its own controls, with no chart call.  The paths'
+    shared start is one row.  The transports are reprojected every
+    ``REORTH_EVERY`` steps.
     """
     _, controls = _path_arrays(paths)
     P_, K, per, _ = xs.shape
@@ -386,22 +385,17 @@ def _transport_positions(chart, xs, paths, h):
         # a segment starts at the last evaluated end, under its own controls
         u = controls[:, k, None, :]
         Om1 = -_connection_rates(start, u[:, 0])
-        v1 = None if start.E is None else _horizontal_velocity(start.E, u[:, 0])
         for a in range(1, per, block):
             b = min(a + block, per)
-            mid = 0.5 * (xs[:, k, a - 1:b - 1] + xs[:, k, a:b])
-            if v1 is None:
-                # normal form: ends and midpoints in one call, ends first
-                end = transport_data(chart, np.concatenate([xs[:, k, a:b], mid], axis=1))
-                rates = -_connection_rates(end, u)
-                Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
-            else:
-                end = transport_data(chart, xs[:, k, a:b])
-                Om_end = -_connection_rates(end, u)
-                v = _horizontal_velocity(end.E, u)
-                mid = mid + (0.125 * h) * (np.concatenate([v1[:, None], v[:, :-1]], axis=1) - v)
-                v1 = v[:, -1]
-                Om_mid = -_connection_rates(transport_data(chart, mid), u)
+            x = xs[:, k, a - 1:b]
+            mid = 0.5 * (x[:, :-1] + x[:, 1:])
+            if not chart.normal_form:  # the cubic-Hermite term, from order-0 velocities
+                v = _rhs(chart, x, u)
+                mid += (0.125 * h) * (v[:, :-1] - v[:, 1:])
+            # ends and midpoints in one call, ends first
+            end = transport_data(chart, np.concatenate([x[:, 1:], mid], axis=1))
+            rates = -_connection_rates(end, u)
+            Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
             # the block's data are freed before the next block is evaluated
             start = end[:, b - a - 1]
             del end
@@ -497,9 +491,9 @@ def _split_velocities(chart, xs, vs, arr=None):
 
 def _transport_sampled(chart, sc, kind, data=None):
     """Transport along a sampled curve, reading ``data``, the
-    ``transport_data`` of its samples, when given (it must have the
-    ``xi_coeffs`` of ``vertical=True`` for the adapted kind; the Schouten
-    kind does not read them)."""
+    ``transport_data`` of its samples, when given: that of ``vertical=True``
+    for the adapted kind, and for the Schouten kind one without
+    ``xi_coeffs`` (a horizontal call, or any call on a normal-form chart)."""
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
@@ -507,8 +501,6 @@ def _transport_sampled(chart, sc, kind, data=None):
         )
     if data is None:
         data = transport_data(chart, sc.xs, vertical=kind == "adapted")
-    if kind == "schouten":  # the horizontal rates take no Reeb term
-        data = replace(data, xi_coeffs=None)
     return _sampled_propagator(sc, -_connection_rates(data, sc.us, sc.ws))
 
 
@@ -674,14 +666,13 @@ def horizontalize(chart, curve):
     endpoint for time minus the theta-integral of the curve.  All samples
     flow in one :func:`_reeb_flow_batch`, which on a chart in normal form
     moves their t alone; there the one order-0 evaluation of the curve's
-    samples also splits the flowed velocities, since ``th``, ``xi`` and
-    ``E`` read no t (:func:`_same_chart_values`).  Any other chart
-    evaluates the flowed points for the split.
+    samples (``th``, ``xi`` and ``E``, on every chart) also splits the
+    flowed velocities, since those read no t (:func:`_same_chart_values`).
+    Any other chart evaluates the flowed points for the split.
     """
     sc = sample_curve(chart, curve)
     f = -_cumulative_theta_integral(sc)
-    fields = ("th", "xi", "E") if chart.normal_form else ("xi", "E")
-    arr = chart_arrays(chart, sc.xs, order=0, fields=fields)
+    arr = chart_arrays(chart, sc.xs, order=0, fields=("th", "xi", "E"))
     v = _velocity(arr.E, arr.xi, sc.us, sc.ws)
     ys, vt = _reeb_flow_batch(chart, sc.xs, f, vectors=v - sc.theta_dot[:, None] * arr.xi)
     split = _split_velocities(chart, ys, vt, arr if _same_chart_values(chart, sc.xs, ys) else None)

@@ -42,8 +42,8 @@ and the velocity from plain chart values.
 :func:`transport_positions_per_step` is the frame transport over
 integrated positions as the package ran it before it evaluated the
 connection over blocks of steps: one evaluation of the ends and one of the
-Hermite midpoints per step, with the velocity from order-1 chart values
-on every chart, a bit-for-bit oracle.
+Hermite midpoints per step, with the order-0 velocity of
+``transport._rhs`` on every chart, a bit-for-bit oracle.
 
 A control path of the package is horizontal.  The oracle alone moves
 paths with Reeb-direction controls w, velocity u^a e_a + w xi: the route
@@ -377,15 +377,16 @@ def transport_data_reference(chart, X, vertical=False):
     """``connection.transport_data`` through the brackets, the frame solve,
     the frame derivatives and the bracket terms on every chart, as single
     sums: ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)``, the assembly that
-    the normal form's reading of ``dG`` alone replaced.  ``E`` is given on
-    every chart."""
+    the normal form's reading of ``dG`` alone replaced.  ``xi_coeffs``
+    (with ``vertical``) are given on every chart, exact zeros on normal
+    form."""
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]
     D = (np.einsum("...bci,...ia->...bca", arr.dG, arr.E)
          - np.einsum("...dbc,...da->...bca", cfull[..., :tm, :, :], arr.G))
     xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(arr.E, metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
+    return TransportData(metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
 
 
 def inverse_derivative_reference(Minv, dM):
@@ -597,7 +598,8 @@ def reeb_sampled_curves(chart, paths, verticals, step=None):
 
 def transport_positions_per_step(chart, xs, paths, h):
     """``transport._transport_positions`` with one connection evaluation of
-    the ends and one of the midpoints per RK4 step, whatever the batch."""
+    the ends and one of the midpoints per RK4 step, whatever the batch, and
+    the Hermite term on every chart, from the velocities of ``transport._rhs``."""
     _, controls = T._path_arrays(paths)
     P_, K, per, _ = xs.shape
     tm = controls.shape[-1]
@@ -607,11 +609,11 @@ def transport_positions_per_step(chart, xs, paths, h):
     for k in range(K):
         u = controls[:, k, :]
         x1 = xs[:, k, 0]
-        v1 = _first_order_velocity(chart, x1, u)
+        v1 = T._rhs(chart, x1, u)
         Om1 = T._connection_rates(transport_data(chart, x1), u)
         for i in range(1, per):
             x0, x1, v0, Om0 = x1, xs[:, k, i], v1, Om1
-            v1 = _first_order_velocity(chart, x1, u)
+            v1 = T._rhs(chart, x1, u)
             Om1 = T._connection_rates(transport_data(chart, x1), u)
             mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1))
             Om = (Om0, T._connection_rates(mid, u), Om1)
@@ -706,13 +708,6 @@ def reeb_adapted_samples(chart, x, sampler):
     taus_o = ortho_transports(taus, data.Pinv, base.P[0])
     return np.concatenate([at_x, H._conjugated_samples(
         taus_o, np.linalg.inv(taus_o), H._variant_samples(data)["adapted"])])
-
-
-def _first_order_velocity(chart, x, u):
-    """The velocity of ``transport._horizontal_velocity`` from order-1 chart
-    values, whose ``E`` the general route of ``transport_data`` reads (the
-    order-0 values of an oracle chart may differ from them in the last bit)."""
-    return T._horizontal_velocity(chart_arrays(chart, x, order=1, fields=("E",)).E, u)
 
 
 def integrate_sampled_reference(sc, rhs, y):

@@ -51,13 +51,15 @@ not show them.  Each line is ``loop``, config, seed and the digest of a JSON
 object that holds the SHA-256 of the bytes of the horizontalized curve of
 ``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
 ``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
-"schouten").tau``.  And 8 sampling passes: each chart of ``digest_charts``
-from its origin, one line per chart (``pass``, chart, seed and the digest of
-a JSON object that holds the SHA-256 of the bytes of the endpoints and of
-the transports that ``transport.sampled_path_transports`` returns at
-``PASS_SAMPLER``), so a change to the pass's bits shows before any report
-rounds it away.  These, the algebra and the frame-data digests use
-public names only, so ``--compare`` runs them on older checkouts too.
+"schouten").tau``.  And 12 sampling passes: each chart of ``digest_charts``
+and each ``GENERAL_PATH`` chart, changed as for its reports, from its
+origin, one line per chart (``pass``, chart, seed and the digest of a JSON
+object that holds the SHA-256 of the bytes of the endpoints and of the
+transports that ``transport.sampled_path_transports`` returns at
+``PASS_SAMPLER``), so a change to the bits of either route of the pass
+shows before any report rounds it away.  These, the algebra and the
+frame-data digests use public names only, so ``--compare`` runs them on
+older checkouts too.
 
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
@@ -177,15 +179,16 @@ def frame_digests():
     return rows
 
 
-def pass_digests():
-    """``("pass", label, seed, text)`` of every chart of ``digest_charts``:
-    ``text`` holds, as JSON, the SHA-256 digest of the bytes of the
-    endpoints and the transports of one ``sampled_path_transports`` pass
-    from the chart's origin at ``PASS_SAMPLER``."""
+def pass_digests(root):
+    """``("pass", label, seed, text)`` of every chart of ``digest_charts``
+    and of ``general_path_charts``: ``text`` holds, as JSON, the SHA-256
+    digest of the bytes of the endpoints and the transports of one
+    ``sampled_path_transports`` pass from the chart's origin at
+    ``PASS_SAMPLER``."""
     from kcontact.transport import SamplerConfig, sampled_path_transports
 
     rows = []
-    for label, chart in digest_charts().items():
+    for label, chart in {**digest_charts(), **general_path_charts(root)}.items():
         sampler = SamplerConfig(**PASS_SAMPLER)
         _, ends, taus = sampled_path_transports(chart, chart.origin(), sampler)
         digests = {k: hashlib.sha256(a.tobytes()).hexdigest()
@@ -220,7 +223,7 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows += holonomy_rows("partly_shared", label, cfg)
     return (rows + general_path_reports(root) + chart_digests() + frame_digests()
-            + loop_digests(root) + pass_digests())
+            + loop_digests(root) + pass_digests(root))
 
 
 def holonomy_rows(workload, label, cfg):
@@ -281,28 +284,51 @@ def loop_digests(root):
     return rows
 
 
-def general_path_reports(root):
-    """``("general_path", label, seed, text)`` of the ``GENERAL_PATH``
-    reports: ``cli._resolve_chart`` is patched to gauge the chart it
-    resolves (``fd_oracles.gauged_chart`` in frame plane (1, 2), eps 0.7)
-    or to copy it with ``dataclasses.replace``, which leaves normal form."""
-    import workloads
+def changed_chart(chart, how):
+    """``chart`` off normal form, as a ``GENERAL_PATH`` entry changes it:
+    gauged (``fd_oracles.gauged_chart`` in frame plane (1, 2), eps 0.7) or
+    copied with ``dataclasses.replace``, which leaves normal form."""
     from fd_oracles import gauged_chart
+
+    return gauged_chart(chart, (1, 2), 0.7) if how == "gauged" else replace(chart)
+
+
+def general_path_config(root, name):
+    """The run config of a ``GENERAL_PATH`` entry: a shipped config of
+    ``root`` or a ``wide_products`` mix with the default sampler."""
+    import workloads
     from kcontact import cli
 
-    change = {"gauged": lambda chart: gauged_chart(chart, (1, 2), 0.7), "replaced": replace}
+    if name in workloads.WIDE:
+        return cli.RunConfig.from_dict({"manifold": {"type": "product",
+                                                     "factors": workloads.WIDE[name]}})
+    return cli.load_config(str(Path(root) / "configs" / f"{name}.json"))
+
+
+def general_path_charts(root):
+    """``{label: chart}`` of ``GENERAL_PATH``, each chart changed as for its
+    reports, built by public names only."""
+    from kcontact import chart_from_config
+
+    return {label: changed_chart(chart_from_config(general_path_config(root, name).manifold), how)
+            for label, name, how in GENERAL_PATH}
+
+
+def general_path_reports(root):
+    """``("general_path", label, seed, text)`` of the ``GENERAL_PATH``
+    reports: ``cli._resolve_chart`` is patched to change the chart it
+    resolves by :func:`changed_chart`."""
+    from kcontact import cli
+
     resolve = cli._resolve_chart
     rows = []
     try:
         for label, name, how in GENERAL_PATH:
-            cfg = (cli.RunConfig.from_dict({"manifold": {"type": "product",
-                                                         "factors": workloads.WIDE[name]}})
-                   if name in workloads.WIDE
-                   else cli.load_config(str(Path(root) / "configs" / f"{name}.json")))
+            cfg = general_path_config(root, name)
 
             def changed(cfg, how=how):
                 chart, x0 = resolve(cfg)
-                return change[how](chart), x0
+                return changed_chart(chart, how), x0
 
             cli._resolve_chart = changed
             for seed in GENERAL_PATH_SEEDS:

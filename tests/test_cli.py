@@ -346,6 +346,21 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, patch):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("kind", ["poincare_disc", "bergman_ball"])
+def test_epsilon_on_a_factor_that_ignores_it_exits_2(tmp_path, capsys, kind):
+    # only a perturbed_disc reads epsilon: on another kind the perturbation
+    # would be dropped without a word
+    cfg = write_config(tmp_path, {
+        "manifold": {"type": "product",
+                     "factors": [{"kind": kind, "epsilon": 0.3}, {"kind": "poincare_disc"}]},
+        "sampler": small_sampler(4),
+    })
+    assert run(["holonomy", "--config", cfg, "--seed", "0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "epsilon" in err and kind in err
+    assert len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("extra", [
     {"tolerances": [1e-6]},
     {"tolerances": {"ode_tol": "tight"}},

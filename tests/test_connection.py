@@ -470,7 +470,7 @@ def _pairs_frame_rates(arr, rng):
     # contracted slots apart, and its trailing slot is n wide, as dG's is on
     # normal form
     tm = arr.G.shape[-1]
-    data = C.TransportData(None, np.linalg.inv(arr.G),
+    data = C.TransportData(np.linalg.inv(arr.G),
                            rng.standard_normal(arr.G.shape + (tm + 1,)))
     u = rng.standard_normal(arr.G.shape[:-1])
     return (T._connection_rates(data, u),), (frame_rates_reference(data, u),)

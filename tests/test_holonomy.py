@@ -138,7 +138,8 @@ def test_zero_length_paths_give_pointwise_curvature(charts):
 def test_report_samples_memory_is_bounded(charts):
     # off normal form a 64-path report makes one horizontal pass, whose
     # order-2 ends are evaluated once, for every variant: the peak is about
-    # 2.0 MB
+    # 2.7 MB, from the pass's one general-route call of a block's 256 ends
+    # and their midpoints
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7)
     sampler = T.SamplerConfig(n_paths=64)
     H.holonomy_samples(chart, np.zeros(chart.dim), sampler)

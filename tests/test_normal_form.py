@@ -313,15 +313,18 @@ def _rel(got, ref):
 @pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
 def test_closed_form_solve_matches_general_path(name):
     # the closed-form [E | xi]^-1 and block G^-1 move the transport rates,
-    # Gamma, the curvature and the velocity split by rounding only
+    # Gamma, the curvature and the velocity split by rounding only; the
+    # normal form has no Reeb term, the general path's is zero to rounding
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = domain_points(chart, 32, seed=6)
     V = np.random.default_rng(7).normal(size=X.shape)
 
     def run(c):
         lean = [C.transport_data(c, X, vertical=v) for v in (False, True)]
+        xi = lean[1].xi_coeffs
         data = C.frame_data(c, X, order=2)
-        return ([T._connection_rates(d, V[:, :-1], V[:, -1]) for d in lean] + [lean[1].xi_coeffs]
+        return ([T._connection_rates(d, V[:, :-1], V[:, -1]) for d in lean]
+                + [np.zeros_like(lean[1].Ginv) if xi is None else xi]
                 + [getattr(data, f.name) for f in dataclasses.fields(data)
                    if isinstance(getattr(data, f.name), np.ndarray)]
                 + list(T._split_velocities(c, X, V)))
@@ -345,8 +348,9 @@ def _signed_zero_points(n, count=40):
 @pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
 def test_transport_data_bits_do_not_depend_on_the_batch(name):
     # a normal-form transport pass evaluates a block's ends and midpoints
-    # in one call: each row's data and Reeb term have the bits of the
-    # separate calls on the ends and on the midpoints, and of one row alone
+    # in one call: each row's data have the bits of the separate calls on
+    # the ends and on the midpoints, and of one row alone; no call has a
+    # Reeb term
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = _signed_zero_points(chart.dim).reshape(4, 10, chart.dim)
     A, B = X[:, :7], X[:, 7:]
@@ -354,14 +358,13 @@ def test_transport_data_bits_do_not_depend_on_the_batch(name):
         joint = C.transport_data(chart, np.concatenate([A, B], axis=1), vertical=vertical)
         parts = [C.transport_data(chart, Y, vertical=vertical) for Y in (A, B)]
         rows = [C.transport_data(chart, X[:1, j:j + 1], vertical=vertical) for j in range(10)]
-        fields = ("Ginv", "D", "xi_coeffs") if vertical else ("Ginv", "D")
-        for f in fields:
+        for f in ("Ginv", "D"):
             got = getattr(joint, f)
             split = np.concatenate([getattr(d, f) for d in parts], axis=1)
             assert got.tobytes() == split.tobytes(), f
             alone = np.concatenate([getattr(d, f) for d in rows], axis=1)
             assert got[:1].tobytes() == alone.tobytes(), f
-        assert joint.E is None and (joint.xi_coeffs is None) != vertical
+        assert joint.xi_coeffs is None
 
 
 def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
@@ -390,7 +393,8 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     # and the bracket terms, also at coordinates of +0.0 and -0.0; those
     # bits read neither t nor the sign of a zero, so the pass may drop the
     # Hermite midpoint's horizontal 0 and its t part; the Reeb route reads G
-    # alone too, and its Reeb term is the +0.0 of the full assembly's
+    # alone too and has no Reeb term: its rates with w have the bits of the
+    # full assembly's, whose Reeb term is +0.0
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = domain_points(chart, 48, seed=10)
     zero = np.random.default_rng(11).random(X.shape) < 0.4
@@ -403,15 +407,14 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
         return T._connection_rates(data, u, w).tobytes()
 
     got = C.transport_data(chart, X)
-    assert got.E is None and got.xi_coeffs is None
+    assert got.xi_coeffs is None
     assert rates(got) == rates(transport_data_reference(chart, X))
     moved = X.copy()
     moved[:32][zero[:32]] *= -1.0  # +0.0 <-> -0.0
     moved[:, -1] = X[::-1, -1]
     assert rates(C.transport_data(chart, moved)) == rates(got)
     reeb, ref = C.transport_data(chart, X, vertical=True), transport_data_reference(chart, X, True)
-    assert reeb.E is None
-    assert reeb.xi_coeffs.tobytes() == ref.xi_coeffs.tobytes()
+    assert reeb.xi_coeffs is None and not np.any(ref.xi_coeffs)
     assert rates(reeb, w) == rates(ref, w)
 
 

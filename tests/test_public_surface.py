@@ -35,26 +35,30 @@ def test_readme_library_example_prints_its_comment():
 
 def test_every_factor_and_sampler_field_is_settable_from_a_config():
     # a dataclass field that no config can reach is a library-only knob:
-    # every field must carry a non-default config value through to the object
+    # every field must carry a non-default config value through to the object,
+    # on a factor kind that reads it (complex_dim a ball's, epsilon a
+    # perturbed disc's)
     from dataclasses import MISSING, fields
 
     from kcontact.cli import RunConfig
     from kcontact.manifolds import FactorSpec, chart_from_config
     from kcontact.transport import SamplerConfig
 
-    factor = {"kind": "bergman_ball", "complex_dim": 2, "b": 2.5, "curvature": 0.5,
-              "epsilon": 0.3}
+    factors = [{"kind": "bergman_ball", "complex_dim": 2, "b": 2.5, "curvature": 0.5},
+               {"kind": "perturbed_disc", "b": 1.5, "curvature": 2.0, "epsilon": 0.3}]
     sampler = {"n_paths": 7, "segments": 3, "horizon": 0.9, "magnitude": 0.3,
                "step": 0.05, "seed": 11}
-    chart = chart_from_config({"type": "product", "factors": [factor]})
+    chart = chart_from_config({"type": "product", "factors": factors})
     cfg = RunConfig.from_dict({"manifold": {"type": "heisenberg", "m": 1},
                                "sampler": sampler})
-    for cls, raw, obj in ((FactorSpec, factor, chart.factors[0]),
-                          (SamplerConfig, sampler, cfg.sampler)):
+    for cls, raws, objs in ((FactorSpec, factors, chart.factors),
+                            (SamplerConfig, [sampler], [cfg.sampler])):
         for f in fields(cls):
-            assert f.name in raw, f"{cls.__name__}.{f.name} cannot be set from a config"
-            assert raw[f.name] != f.default or f.default is MISSING
-            assert getattr(obj, f.name) == raw[f.name], f"{cls.__name__}.{f.name}"
+            set_by = [(raw, obj) for raw, obj in zip(raws, objs, strict=True) if f.name in raw]
+            assert set_by, f"{cls.__name__}.{f.name} cannot be set from a config"
+            for raw, obj in set_by:
+                assert raw[f.name] != f.default or f.default is MISSING
+                assert getattr(obj, f.name) == raw[f.name], f"{cls.__name__}.{f.name}"
 
 
 def test_chart_options_are_pinned():

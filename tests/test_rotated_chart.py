@@ -73,7 +73,10 @@ def rotated_cases(draw):
         kind = draw(st.sampled_from(FACTOR_KINDS))
         dim = draw(st.integers(1, m - used)) if kind == "bergman_ball" else 1
         b = draw(st.sampled_from([1.0, -1.0])) * draw(_reals(0.5, 3.0))
-        factors.append(FactorSpec(kind, dim, b, draw(_reals(0.5, 2.0)), draw(_reals(-0.5, 0.5))))
+        curvature, eps = draw(_reals(0.5, 2.0)), draw(_reals(-0.5, 0.5))
+        # only a perturbed disc takes epsilon; the draw stays, so the cases do
+        factors.append(FactorSpec(kind, dim, b, curvature,
+                                  eps if kind == "perturbed_disc" else 0.0))
     chart = product_construction(factors)
     # a rotation inside one factor's disc or ball leaves the domain unchanged
     blocks = chart.blocks  # the rotated chart has none

@@ -741,12 +741,12 @@ def test_transport_blocks_match_per_step_loop(charts, n_paths, step, reeb):
     pytest.param(True, 16, 16, id="rotated-16-16")])
 def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, n_paths, rows):
     # a pass over P rows evaluates the connection over blocks of
-    # max(1, ROWS // P) of a segment's 16 steps: on a normal-form chart one
-    # call per block reads its ends and midpoints together; off normal form
-    # (the rotated chart, whose midpoints' t enters the connection) the
-    # midpoints need the ends' velocities, so a block takes two calls, and
-    # a 128-path pass two per step; every pass evaluates its shared start
-    # once and two samples per row and step, as the per-step loop does
+    # max(1, ROWS // P) of a segment's 16 steps: one call per block reads
+    # its ends and midpoints together, on a normal-form chart and off it
+    # (the rotated chart, whose midpoints take the Hermite term from
+    # order-0 velocities, with no connection call); every pass evaluates
+    # its shared start once and two samples per row and step, as the
+    # per-step loop does
     chart = rotated_chart(charts["disc_disc_12"], (0, 1), 0.7) if rotated else charts["heisenberg"]
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
@@ -763,8 +763,7 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
     else:
         T.sampled_path_transports(chart, np.zeros(chart.dim), T.SamplerConfig(n_paths=n_paths))
     block = max(1, T.ROWS // rows)
-    per_block = 2 if rotated else 1
-    assert counts == {"calls": 1 + per_block * 4 * -(-16 // block),
+    assert counts == {"calls": 1 + 4 * -(-16 // block),
                       "points": 1 + rows * 2 * 4 * 16}
 
 

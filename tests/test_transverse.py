@@ -6,7 +6,7 @@ from kcontact import holonomy as H
 from kcontact import manifolds as M
 from kcontact import transport as T
 from kcontact import transverse as TV
-from kcontact.errors import ChartError
+from kcontact.errors import ChartError, NumericsError
 
 from conftest import domain_points
 
@@ -81,6 +81,16 @@ def test_split_distribution_cases(charts, algebra_cache):
     assert split_b.trivial == ()
     trivial = TV.split_distribution(H.lie_closure(np.zeros((0, 4, 4))), size=4)
     assert trivial.blocks == [] and trivial.trivial == (0, 1, 2, 3)
+
+
+def test_split_refuses_blocks_across_frame_indices():
+    # a rotation of the plane spanned by (e0 + e2)/sqrt2 and (e1 + e3)/sqrt2
+    # is invariant on that plane, which no group of frame indices spans
+    p = np.array([1.0, 0.0, 1.0, 0.0]) / np.sqrt(2.0)
+    q = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
+    h = H.lie_closure((np.outer(p, q) - np.outer(q, p))[None])
+    with pytest.raises(NumericsError, match="do not align with frame indices"):
+        TV.split_distribution(h, size=4)
 
 
 def test_split_invariance_postcondition(charts, algebra_cache):
@@ -199,6 +209,19 @@ def test_regression_requires_blocks_and_points(charts, algebra_cache):
                              algebra_cache("disc_disc_11", 0, "adapted"), 1e-6)
     with pytest.raises(ValueError):
         TV.dtheta_regression(*ortho_ricci(chart2, domain_points(chart2, 5, seed=9)), split2)
+
+
+def test_regression_refuses_a_vanishing_factor_ricci_form(charts, algebra_cache):
+    # a Ricci tensor that vanishes on one block gives that factor no Ricci
+    # form, and the normal equations no solution
+    chart = charts["disc_disc_11"]
+    split = TV.factor_split(C.frame_data(chart, np.zeros(5)),
+                            algebra_cache("disc_disc_11", 0, "adapted"), 1e-6)
+    assert split.blocks == [(0, 1), (2, 3)]
+    ric, omega_o = ortho_ricci(chart, domain_points(chart, 12, seed=9))
+    ric[..., 2:, :] = ric[..., :, 2:] = 0.0
+    with pytest.raises(ChartError, match="rank-deficient regression"):
+        TV.dtheta_regression(ric, omega_o, split)
 
 
 def test_einstein_constants(charts, algebra_cache):
