@@ -20,7 +20,7 @@ test suite checks the whole pipeline.  One bracket computation
 :class:`FramePointData` with the full ``Gamma``, and the lean first-order
 :func:`transport_data`, which builds no ``Gamma``: the transport
 contracts the path's velocity into the Koszul sum first
-(``transport._connection_rates``).  The Wagner extension enters only
+(:meth:`TransportData.rates`).  The Wagner extension enters only
 through its curvature ``RW``; no transport integrates it.  The
 connection invariant suite (:func:`connection_invariant_residuals`) and
 the chart one (``manifolds.chart_invariant_residuals``) both read one
@@ -307,9 +307,9 @@ def two_form_derivative(E, dE, A, dA):
 
 @dataclass(slots=True)
 class TransportData:
-    """Per-point transport data: what ``transport._connection_rates``
-    contracts with a velocity.  ``Ginv`` is ``G^-1``; ``D[..., b, c, a]``
-    is ``e_a g_bc - g(pi[e_b, e_c], e_a)``, the frame derivatives of the
+    """Per-point transport data: what :meth:`rates` contracts with a
+    velocity.  ``Ginv`` is ``G^-1``; ``D[..., b, c, a]`` is
+    ``e_a g_bc - g(pi[e_b, e_c], e_a)``, the frame derivatives of the
     metric less the bracket terms, whose trailing slot may run past the 2m
     frame directions (there the rates read its first 2m entries).  On a
     normal-form call ``D`` is ``dG``, the coordinate derivatives with their
@@ -325,6 +325,30 @@ class TransportData:
     def __getitem__(self, ix):
         return TransportData(*(None if f is None else f[ix].copy()
                                for f in (self.Ginv, self.D, self.xi_coeffs)))
+
+    def rates(self, u, w=None):
+        """The connection matrix ``Om[..., e, b] = Gamma[e, a, b] u[a]``
+        along u^a e_a + w xi, plus the Reeb term ``w xi_coeffs`` when ``w``
+        is given and the data have ``xi_coeffs`` (none otherwise), without
+        ``Gamma``: u is contracted into the Koszul sum before ``1/2 G^-1``
+        is applied, (2m)^2 numbers per point where ``Gamma`` has (2m)^3.
+
+        With ``D[b, c, a]`` (the first 2m entries of its trailing slot),
+        ``A = D u`` contracts the last slot and ``B = u D`` the first; since
+        ``g`` is symmetric the Koszul sum contracted with u is
+        ``K = A^T + B - B^T``, in the ``[c, b]`` layout that ``G^-1``
+        multiplies.  On normal form ``A`` is ``d_u G`` and ``B[c, b]`` is
+        ``d_b (G u)_c``.  Both contractions are one matmul per point.
+        """
+        D, tm = self.D, u.shape[-1]
+        A = D[..., :tm].reshape(*D.shape[:-3], tm * tm, tm) @ u[..., :, None]
+        B = u[..., None, :] @ D.reshape(*D.shape[:-3], tm, -1)
+        A = A.reshape(*A.shape[:-2], tm, tm)
+        B = B.reshape(*B.shape[:-2], tm, -1)[..., :tm]
+        K = A.swapaxes(-1, -2) + B - B.swapaxes(-1, -2)
+        Om = 0.5 * (self.Ginv @ K)
+        return (Om if w is None or self.xi_coeffs is None
+                else Om + w[..., None, None] * self.xi_coeffs)
 
 
 def transport_data(chart, X, vertical=False):

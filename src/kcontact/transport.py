@@ -15,12 +15,12 @@ at each step's end and at its cubic-Hermite midpoint, in one call per
 block of steps on every chart, ends first.  On a chart in normal form
 (``ContactChart.normal_form``: xi = d/dt, frame d/dx_a + f_a d/dt, no
 coefficient reading t) the horizontal coordinates are running sums of one
-RK4 increment, t needs one order-0 evaluation per chunk of stage points, a
+RK4 increment, t needs one order-0 evaluation per ``ROWS`` steps, a
 transport reads ``G`` alone at plain midpoints, the Reeb flow is array
 arithmetic on t, and the equivalence check evaluates its loop once for
 both of its transports; the bits are those of the general path.  Both
 routes read the connection through ``connection.transport_data`` and
-contract the velocity into its Koszul sum (:func:`_connection_rates`), one
+contract the velocity into its Koszul sum (``TransportData.rates``), one
 kernel for control paths, sampled curves and every chart; no transport
 builds a Christoffel tensor.  The holonomy sampler's one pass draws random
 control paths, integrates their positions as one lockstep batch, redraws
@@ -31,8 +31,10 @@ One classical RK4 step, :func:`_rk4_step` on a tuple state, serves control
 paths, the Reeb flow with the pushforward of vectors, and sampled curves:
 their frame and theta transports take it once, on the identity, to build
 every step propagator in one batch (:func:`_sampled_propagator`).
-Theta-integrals of parametric curves (the loop builder's probes) evaluate
-theta alone, without the frame split.
+One running sum of composite-Simpson steps (:func:`_simpson_sums`) gives
+every theta-integral: the total, and the cumulative one that adds each
+step's Newton-Cotes midpoint.  Theta-integrals of parametric curves (the
+loop builder's probes) evaluate theta alone, without the frame split.
 The loop builder finds the radius of its second circle with
 :func:`_brentq`, the package's own bracketed root finder (Brent's method).
 """
@@ -188,8 +190,9 @@ def _even_steps(duration, step):
 # the RK4 step; control paths: positions first, then transport (batched)
 
 REORTH_EVERY = 50  # steps between reprojections of the frame transports
-ROWS = 256  # ends per block of the transport pass, at least one step; one call with their midpoints
-STAGE_POINTS = 768  # stage points per evaluation of a normal-form positions pass
+# ends per block of the transport pass, at least one step, evaluated in one call with their
+# midpoints; and steps per evaluation of a normal-form positions pass, 3 stage points each
+ROWS = 256
 
 
 def _rk4_step(rhs, y, h):
@@ -228,30 +231,6 @@ def _velocity(E, xi, u, w):
 def _rhs(chart, x, u):
     """The velocity u^a e_a of a position, from plain chart values."""
     return _horizontal_velocity(chart_arrays(chart, x, order=0, fields=("E",)).E, u)
-
-
-def _connection_rates(data, u, w=None):
-    """The connection matrix ``Om[..., e, b] = Gamma[e, a, b] u[a]`` of
-    ``transport_data`` along u^a e_a + w xi, plus ``w xi_coeffs`` when the
-    data have them (w is not read otherwise), without ``Gamma``: u is
-    contracted into the Koszul sum before ``1/2 G^-1`` is applied, (2m)^2
-    numbers per point where ``Gamma`` has (2m)^3.
-
-    With ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)`` (the first 2m
-    entries of its trailing slot), ``A = D u`` contracts the last slot and
-    ``B = u D`` the first; since ``g`` is symmetric the Koszul sum contracted
-    with u is ``K = A^T + B - B^T``, in the ``[c, b]`` layout that ``G^-1``
-    multiplies.  On normal form ``A`` is ``d_u G`` and ``B[c, b]`` is
-    ``d_b (G u)_c``.  Both contractions are one matmul per point.
-    """
-    D, tm = data.D, u.shape[-1]
-    A = D[..., :tm].reshape(*D.shape[:-3], tm * tm, tm) @ u[..., :, None]
-    B = u[..., None, :] @ D.reshape(*D.shape[:-3], tm, -1)
-    A = A.reshape(*A.shape[:-2], tm, tm)
-    B = B.reshape(*B.shape[:-2], tm, -1)[..., :tm]
-    K = A.swapaxes(-1, -2) + B - B.swapaxes(-1, -2)
-    Om = 0.5 * (data.Ginv @ K)
-    return Om if data.xi_coeffs is None else Om + w[..., None, None] * data.xi_coeffs
 
 
 def _reorthonormalize(chart, x, M, P0, L0t):
@@ -311,8 +290,8 @@ def _normal_form_segment(chart, xs, alive, u, h, raise_on_exit):
     running sums.  Only the t-velocity f_a u^a needs the chart, at
     three points per step: its start, its midpoint (both midpoint stages
     share it, since f does not read t) and its end.  Each row is evaluated
-    up to its first step that ends outside the domain whatever t, in one
-    order-0 call per chunk of ``STAGE_POINTS`` points; then t is summed,
+    up to its first step that ends outside the domain whatever t, through
+    :func:`_rhs`, one order-0 call per ``ROWS`` steps; then t is summed,
     escapes are found, and escaped rows freeze at their first exit.  Sums
     and products are those of :func:`_rk4_step`.
     """
@@ -333,10 +312,8 @@ def _normal_form_segment(chart, xs, alive, u, h, raise_on_exit):
     pts[:, 2, :tm] += h * u[rows]
     vt = np.zeros(todo.shape + (3,))
     sel = np.empty((len(pts), 3))
-    chunk = STAGE_POINTS // 3
-    for a in range(0, len(pts), chunk):
-        E = chart_arrays(chart, pts[a:a + chunk], order=0, fields=("E",)).E
-        sel[a:a + chunk] = _horizontal_velocity(E, u[rows[a:a + chunk], None])[..., -1]
+    for a in range(0, len(pts), ROWS):
+        sel[a:a + ROWS] = _rhs(chart, pts[a:a + ROWS], u[rows[a:a + ROWS], None])[..., -1]
     vt[todo] = sel
     X[:, 1:, tm] = (h / 6.0) * (vt[..., 0] + 2.0 * vt[..., 1] + 2.0 * vt[..., 1] + vt[..., 2])
     X[..., tm] = np.cumsum(X[..., tm], axis=1)
@@ -366,7 +343,7 @@ def _transport_positions(chart, xs, paths, h):
     on a normal-form chart the midpoint is (x0 + x1)/2 with the same bits
     (the h/8 term moves only t, and the rates read neither t nor the sign of
     a zero coordinate), so the pass there needs no velocity.  Each
-    evaluation is contracted at once by :func:`_connection_rates` to its
+    evaluation is contracted at once by ``TransportData.rates`` to its
     negated rates, the ``-Om`` of the transport equation M' = -Om M, and
     only the data of the last end are kept: the next segment's first step
     contracts them with its own controls, with no chart call.  The paths'
@@ -384,7 +361,7 @@ def _transport_positions(chart, xs, paths, h):
     for k in range(K):
         # a segment starts at the last evaluated end, under its own controls
         u = controls[:, k, None, :]
-        Om1 = -_connection_rates(start, u[:, 0])
+        Om1 = -start.rates(u[:, 0])
         for a in range(1, per, block):
             b = min(a + block, per)
             x = xs[:, k, a - 1:b]
@@ -394,7 +371,7 @@ def _transport_positions(chart, xs, paths, h):
                 mid += (0.125 * h) * (v[:, :-1] - v[:, 1:])
             # ends and midpoints in one call, ends first
             end = transport_data(chart, np.concatenate([x[:, 1:], mid], axis=1))
-            rates = -_connection_rates(end, u)
+            rates = -end.rates(u)
             Om_end, Om_mid = rates[:, :b - a], rates[:, b - a:]
             # the block's data are freed before the next block is evaluated
             start = end[:, b - a - 1]
@@ -453,7 +430,7 @@ def _sample_parametric(chart, curve, step, split=True):
         s = np.linspace(0.0, 1.0, k + 1)
         xs = np.asarray(pos(s), dtype=float)
         vs = np.asarray(vel(s), dtype=float) / dur
-        if idx > 0 and not np.allclose(xs[0], xs_all[-1][-1], atol=1e-10):
+        if idx > 0 and not np.allclose(xs[0], xs_all[-1][-1], rtol=0.0, atol=1e-10):
             raise ChartError("parametric curve pieces do not join continuously")
         ts_all.append(t0 + s * dur)
         xs_all.append(xs)
@@ -464,9 +441,9 @@ def _sample_parametric(chart, curve, step, split=True):
     ts = np.concatenate(ts_all)
     xs = np.concatenate(xs_all, axis=0)
     vs = np.concatenate(vs_all, axis=0)
-    if not np.all(chart.domain.contains(xs)):
-        bad = xs[~chart.domain.contains(xs)][0]
-        raise DomainError(f"curve leaves the chart domain at {bad}", point=bad)
+    inside = chart.domain.contains(xs)
+    if not np.all(inside):
+        _exit(xs[~inside][0])
     if not split:
         th = chart_arrays(chart, xs, order=0, fields=("th",)).th
         return SampledCurve(ts, xs, None, None, np.einsum("...i,...i->...", th, vs), piece_slices)
@@ -492,16 +469,17 @@ def _split_velocities(chart, xs, vs, arr=None):
 def _transport_sampled(chart, sc, kind, data=None):
     """Transport along a sampled curve, reading ``data``, the
     ``transport_data`` of its samples, when given: that of ``vertical=True``
-    for the adapted kind, and for the Schouten kind one without
-    ``xi_coeffs`` (a horizontal call, or any call on a normal-form chart)."""
+    for the adapted kind.  The Schouten kind passes its rates no Reeb
+    velocity, so it reads no Reeb term whatever the data hold."""
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
+    adapted = kind == "adapted"
     if data is None:
-        data = transport_data(chart, sc.xs, vertical=kind == "adapted")
-    return _sampled_propagator(sc, -_connection_rates(data, sc.us, sc.ws))
+        data = transport_data(chart, sc.xs, vertical=adapted)
+    return _sampled_propagator(sc, -data.rates(sc.us, sc.ws if adapted else None))
 
 
 def _step_starts(sc):
@@ -555,26 +533,35 @@ def transport(chart, curve, kind):
 # the scalar connection on the Reeb line bundle
 
 
-def _theta_integral(sc):
-    """Composite-Simpson integral of theta(velocity), summed left to right."""
+def _simpson_sums(sc):
+    """Running composite-Simpson sums of theta(velocity) over the RK4 steps
+    (two intervals each) of a sampled curve, left to right: returns
+    ``(j, w, sums)``, the steps' first samples ``j``, their widths
+    ``w = ts[j + 2] - ts[j]``, and ``sums``, 0 followed by the running sums
+    of the steps ``(w/6)(g0 + 4 g1 + g2)``, the integral at each step's end."""
     j, g = _step_starts(sc), sc.theta_dot
-    terms = ((sc.ts[j + 2] - sc.ts[j]) / 6.0) * (g[j] + 4.0 * g[j + 1] + g[j + 2])
-    return np.cumsum(np.concatenate([[0.0], terms]))[-1]
+    w = sc.ts[j + 2] - sc.ts[j]
+    return j, w, np.cumsum(np.concatenate([[0.0], (w / 6.0) * (g[j] + 4.0 * g[j + 1] + g[j + 2])]))
+
+
+def _theta_integral(sc):
+    """Composite-Simpson integral of theta(velocity): the last of
+    :func:`_simpson_sums`."""
+    return _simpson_sums(sc)[2][-1]
 
 
 def _cumulative_theta_integral(sc):
-    """theta-integral at every sample, O(h^4), piecewise Newton-Cotes.
+    """theta-integral at every sample, O(h^4), piecewise Newton-Cotes: the
+    sums of :func:`_simpson_sums` at the steps' ends, and at each midpoint
+    its step's start plus ``(w/24)(5 g0 + 8 g1 - g2)``.
 
     Duplicated breakpoint samples carry the accumulated value across
     pieces.
     """
-    j, g = _step_starts(sc), sc.theta_dot
-    h = sc.ts[j + 1] - sc.ts[j]
-    g0, g1, g2 = g[j], g[j + 1], g[j + 2]
-    ends = np.cumsum(np.concatenate([[0.0], (h / 3.0) * (g0 + 4.0 * g1 + g2)]))
+    (j, w, sums), g = _simpson_sums(sc), sc.theta_dot
     out = np.empty(len(sc.ts))
-    out[j], out[j + 2] = ends[:-1], ends[1:]
-    out[j + 1] = ends[:-1] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
+    out[j], out[j + 2] = sums[:-1], sums[1:]
+    out[j + 1] = sums[:-1] + (w / 24.0) * (5.0 * g[j] + 8.0 * g[j + 1] - g[j + 2])
     return out
 
 
@@ -697,7 +684,7 @@ def transport_equivalence_check(chart, loop):
     compared.  Any other chart evaluates the flowed samples on their own.
     """
     sc = sample_curve(chart, loop)
-    if not np.allclose(sc.xs[0], sc.xs[-1], atol=1e-8):
+    if not np.allclose(sc.xs[0], sc.xs[-1], rtol=0.0, atol=1e-8):
         raise ChartError("transport_equivalence_check needs a loop")
     total = _theta_integral(sc)
     if abs(total) > 1e-8:

@@ -451,7 +451,7 @@ def commutator_map_reference(h, mats):
 
 
 def frame_rates_reference(data, u):
-    """``transport._connection_rates`` without a Reeb term, as single sums:
+    """``TransportData.rates`` without a Reeb term, as single sums:
     ``1/2 Ginv[e, c] K[c, b]`` with the Koszul sum contracted with u,
     ``K[c, b] = D[b, c, a] u[a] + D[a, c, b] u[a] - D[a, b, c] u[a]`` over
     the first 2m entries of ``D``'s trailing slot."""
@@ -469,7 +469,7 @@ def rhs_reference(chart, x, u):
 
 
 def connection_rates_reference(chart, x, u, w):
-    """``transport._connection_rates`` of ``transport_data`` by the Gamma
+    """``TransportData.rates`` of ``transport_data`` by the Gamma
     route, as single sums: ``Gamma[c, a, b] u[a] + w xi_coeffs[c, b]`` from
     ``frame_data`` at order 1, which builds the full Christoffel tensor."""
     data = frame_data(chart, x, order=1)  # a batch of one for a single point
@@ -502,7 +502,7 @@ def coupled_transport_reference(chart, paths, verticals=None):
 
     ``verticals`` (P, K) are Reeb controls beside the paths (None: zeros).
     A path then moves with velocity u^a e_a + w xi, and the zero extension
-    transports it: the rates are ``transport._connection_rates``, Reeb
+    transports it: the rates are ``TransportData.rates``, Reeb
     term included (checked against :func:`connection_rates_reference` on
     its own).  The positions do not read the transport, so their RK4 runs
     first (:func:`integrate_positions_reference`), the connection is
@@ -528,7 +528,7 @@ def _coupled_transports(chart, controls, verticals, xs, h, stages):
     for k in range(K):
         data = transport_data(chart, stages[:, k], vertical=bool(np.any(verticals != 0.0)))
         u, w = controls[:, k, None, None], verticals[:, k, None, None]
-        A = np.moveaxis(-T._connection_rates(data, u, w), 2, 0)  # [stage, path, step]
+        A = np.moveaxis(-data.rates(u, w), 2, 0)  # [stage, path, step]
         for i in range(steps):
             rates = iter(A[:, :, i])
             (M,) = T._rk4_step(lambda s, y: (next(rates) @ y[0],), (M,), h)
@@ -610,13 +610,13 @@ def transport_positions_per_step(chart, xs, paths, h):
         u = controls[:, k, :]
         x1 = xs[:, k, 0]
         v1 = T._rhs(chart, x1, u)
-        Om1 = T._connection_rates(transport_data(chart, x1), u)
+        Om1 = transport_data(chart, x1).rates(u)
         for i in range(1, per):
             x0, x1, v0, Om0 = x1, xs[:, k, i], v1, Om1
             v1 = T._rhs(chart, x1, u)
-            Om1 = T._connection_rates(transport_data(chart, x1), u)
+            Om1 = transport_data(chart, x1).rates(u)
             mid = transport_data(chart, 0.5 * (x0 + x1) + (0.125 * h) * (v0 - v1))
-            Om = (Om0, T._connection_rates(mid, u), Om1)
+            Om = (Om0, mid.rates(u), Om1)
             (M,) = T._rk4_step(lambda s, y: (-np.matmul(Om[s], y[0]),), (M,), h)
             total += 1
             if total % T.REORTH_EVERY == 0:
@@ -763,16 +763,17 @@ def theta_integral_loop(sc):
 
 
 def cumulative_theta_integral_loop(sc):
-    """``transport._cumulative_theta_integral`` as a loop over the steps."""
+    """``transport._cumulative_theta_integral`` as a loop over the steps,
+    each of width ``ts[j + 2] - ts[j]``, as in :func:`theta_integral_loop`."""
     out = np.zeros(len(sc.ts))
     carry = 0.0
     for i0, i1 in sc.piece_slices:
         out[i0] = carry
         for j in range(i0, i1, 2):
-            h = float(sc.ts[j + 1] - sc.ts[j])
+            h2 = float(sc.ts[j + 2] - sc.ts[j])
             g0, g1, g2 = sc.theta_dot[j], sc.theta_dot[j + 1], sc.theta_dot[j + 2]
-            out[j + 1] = out[j] + (h / 12.0) * (5.0 * g0 + 8.0 * g1 - g2)
-            out[j + 2] = out[j] + (h / 3.0) * (g0 + 4.0 * g1 + g2)
+            out[j + 1] = out[j] + (h2 / 24.0) * (5.0 * g0 + 8.0 * g1 - g2)
+            out[j + 2] = out[j] + (h2 / 6.0) * (g0 + 4.0 * g1 + g2)
         carry = out[i1]
     return out
 

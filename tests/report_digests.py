@@ -49,7 +49,10 @@ builds it.  On a chart in normal form its ``transport_equivalence``
 residual reads 0.0 whatever bits either route produces, so the reports do
 not show them.  Each line is ``loop``, config, seed and the digest of a JSON
 object that holds the SHA-256 of the bytes of the horizontalized curve of
-``transport_equivalence_check`` (``xs``, ``us``, ``ws``, ``theta_dot``), of
+``transport_equivalence_check`` (``xs`` as two leaves, ``xs_horizontal``
+its first 2m columns and ``xs_t`` its t column, so a change that moves
+only the Reeb-flow times shows as ``xs_t`` alone; ``us``, ``ws``,
+``theta_dot``), of
 ``transport(chart, loop, "adapted").tau`` and of ``transport(chart, tilde,
 "schouten").tau``.  And 12 sampling passes: each chart of ``digest_charts``
 and each ``GENERAL_PATH`` chart, changed as for its reports, from its
@@ -276,7 +279,8 @@ def loop_digests(root):
         loop = balanced_loop(chart, x0, np.random.default_rng(cfg.sampler.seed + 1))
         sc = sample_curve(chart, loop, LOOP_STEP)
         _, tilde = transport_equivalence_check(chart, sc)
-        arrays = {f: getattr(tilde, f) for f in ("xs", "us", "ws", "theta_dot")}
+        arrays = {"xs_horizontal": tilde.xs[:, :-1], "xs_t": tilde.xs[:, -1]}
+        arrays.update({f: getattr(tilde, f) for f in ("us", "ws", "theta_dot")})
         arrays["adapted_tau"] = transport(chart, sc, "adapted").tau
         arrays["schouten_tau"] = transport(chart, tilde, "schouten").tau
         digests = {k: hashlib.sha256(a.tobytes()).hexdigest() for k, a in arrays.items()}

@@ -473,7 +473,7 @@ def _pairs_frame_rates(arr, rng):
     data = C.TransportData(np.linalg.inv(arr.G),
                            rng.standard_normal(arr.G.shape + (tm + 1,)))
     u = rng.standard_normal(arr.G.shape[:-1])
-    return (T._connection_rates(data, u),), (frame_rates_reference(data, u),)
+    return (data.rates(u),), (frame_rates_reference(data, u),)
 
 
 # each rewritten kernel with its single-sum reference, on the same inputs

@@ -19,7 +19,7 @@ import pytest
 
 from kcontact import cli
 from kcontact import transport as T
-from kcontact.connection import frame_data
+from kcontact.connection import TransportData, frame_data, transport_data
 from kcontact.holonomy import holonomy_samples, lie_closure
 
 from conftest import domain_points
@@ -61,9 +61,8 @@ def _gauged_config(monkeypatch, name):
 
 
 def _drop_reeb_term(monkeypatch):
-    rates = T._connection_rates
-    monkeypatch.setattr(T, "_connection_rates", lambda data, u, w=None: rates(
-        dataclasses.replace(data, xi_coeffs=None), u, w))
+    rates = TransportData.rates
+    monkeypatch.setattr(TransportData, "rates", lambda data, u, w=None: rates(data, u))
 
 
 @pytest.mark.parametrize("name", ["bergman", "disc_disc_12"])
@@ -77,6 +76,19 @@ def test_gauged_reeb_brackets_match_finite_differences(charts, name):
     assert np.max(np.abs(data.xi_coeffs - generator)) < 1e-12
     for k, x in enumerate(X):
         assert np.max(np.abs(data.xi_coeffs[k] - structure_fd(chart, x)["dcoef"])) < 1e-6
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "bergman", "disc_disc_12", "perturbed_disc_disc"])
+def test_rates_without_a_reeb_velocity_read_no_reeb_term(charts, name):
+    # the Schouten transport passes no w: the rates of the Reeb route's data,
+    # whose Reeb term is not zero here, are then the horizontal route's, bit
+    # for bit, so the equivalence check may hand it either
+    chart = gauged_chart(charts[name], PAIR, EPS)
+    X = domain_points(chart, 32, seed=43)
+    u = np.random.default_rng(44).normal(size=(32, 2 * chart.m))
+    reeb, horizontal = (transport_data(chart, X, vertical=v) for v in (True, False))
+    assert np.any(reeb.xi_coeffs) and horizontal.xi_coeffs is None
+    assert reeb.rates(u).tobytes() == horizontal.rates(u).tobytes()
 
 
 def test_transport_equivalence_sees_the_reeb_term(charts, monkeypatch):
@@ -129,7 +141,7 @@ def test_gauged_verify_passes(monkeypatch, name):
 
 def test_adapted_dims_see_the_reeb_term(monkeypatch):
     # along paths with Reeb controls (the oracle's pass, which reads the
-    # rates of transport._connection_rates) the adapted transports leave the
+    # rates of TransportData.rates) the adapted transports leave the
     # algebra without the Reeb term: the closure of the adapted samples
     # fills so(4).  The horizontal pass does not read the term, so
     # holonomy_samples reads the same dim either way

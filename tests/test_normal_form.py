@@ -278,9 +278,9 @@ def test_rotated_chart_is_not_declared_normal(charts):
 
 
 def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
-    # a positions pass of 64 paths makes one order-0 evaluation per chunk
-    # of STAGE_POINTS stage points (a third of them per step and row), not
-    # four per step, and the Reeb flow makes none
+    # a positions pass of 64 paths makes one order-0 evaluation per ROWS
+    # steps (three stage points per step and row), not four per step, and
+    # the Reeb flow makes none
     chart = charts["heisenberg"]  # these paths never escape
     paths = [T._draw_path(chart, np.zeros(5), 4, 1.2, 0.45, 0, 0.02, i, 0) for i in range(64)]
     evaluate, calls = T.chart_arrays, []
@@ -291,7 +291,7 @@ def test_normal_form_passes_make_few_chart_calls(charts, monkeypatch):
 
     monkeypatch.setattr(T, "chart_arrays", counted)
     xs, alive, _ = T._integrate_positions(chart, paths, 0.02)
-    steps, chunk = xs.shape[2] - 1, T.STAGE_POINTS // 3
+    steps, chunk = xs.shape[2] - 1, T.ROWS
     assert alive.all() and 64 * steps % chunk == 0
     assert calls == [(0, (chunk, 3, 5))] * (4 * 64 * steps // chunk)
     calls.clear()
@@ -323,7 +323,7 @@ def test_closed_form_solve_matches_general_path(name):
         lean = [C.transport_data(c, X, vertical=v) for v in (False, True)]
         xi = lean[1].xi_coeffs
         data = C.frame_data(c, X, order=2)
-        return ([T._connection_rates(d, V[:, :-1], V[:, -1]) for d in lean]
+        return ([d.rates(V[:, :-1], V[:, -1]) for d in lean]
                 + [np.zeros_like(lean[1].Ginv) if xi is None else xi]
                 + [getattr(data, f.name) for f in dataclasses.fields(data)
                    if isinstance(getattr(data, f.name), np.ndarray)]
@@ -404,7 +404,7 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     w = np.random.default_rng(13).normal(size=48)
 
     def rates(data, w=None):
-        return T._connection_rates(data, u, w).tobytes()
+        return data.rates(u, w).tobytes()
 
     got = C.transport_data(chart, X)
     assert got.xi_coeffs is None

@@ -75,3 +75,14 @@ def test_chart_options_are_pinned():
     assert str(inspect.signature(jets.seed)) == "(X, order)"
     assert [f.name for f in fields(ContactChart) if f.init] == [
         "m", "domain", "theta", "xi", "frame", "metric", "name", "factors"]
+
+
+def test_transport_data_is_pinned():
+    # the rates kernel reads these fields, and its Reeb velocity is optional
+    import inspect
+    from dataclasses import fields
+
+    from kcontact.connection import TransportData
+
+    assert [f.name for f in fields(TransportData)] == ["Ginv", "D", "xi_coeffs"]
+    assert str(inspect.signature(TransportData.rates)) == "(self, u, w=None)"

@@ -276,8 +276,7 @@ def test_sampled_transports_match_stage_walk(charts, name, eps):
 
     for kind in T.TRANSPORT_KINDS:
         sc = sample(kind)
-        A = -T._connection_rates(C.transport_data(chart, sc.xs, vertical=kind == "adapted"),
-                                 sc.us, sc.ws)
+        A = -C.transport_data(chart, sc.xs, vertical=kind == "adapted").rates(sc.us, sc.ws)
         (ref,) = integrate_sampled_reference(sc, lambda i, y: (A[i] @ y[0],), (eye,))
         assert np.max(np.abs(T._transport_sampled(chart, sc, kind) - ref)) < 1e-13, kind
         sc = sample(kind, T.THETA_STEP)
@@ -305,14 +304,17 @@ def test_theta_integrals_match_loops_bitwise(charts, name, eps):
     chart = _oracle_chart(charts, name, eps)
     x0 = np.zeros(chart.dim)
     rng = np.random.default_rng(15)
-    curves = [draw_reeb_paths(chart, x0, 1, 4, 1.0, 0.35, 15, 0.4)]
+    # (curve, steps): bit equality does not read the step, so the oracle's
+    # Reeb path takes coarse ones; the parametric curves keep LOOP_STEP,
+    # which the loop builder's theta-integrals sample at
+    curves = [(draw_reeb_paths(chart, x0, 1, 4, 1.0, 0.35, 15, 0.4), (0.02, 0.01))]
     for _ in range(2):
         r1, r2, ph1, ph2 = rng.uniform(0.05, 0.15, 2).tolist() + rng.uniform(0, 6, 2).tolist()
-        curves.append(T.ParametricCurve([
+        curves.append((T.ParametricCurve([
             T._circle_piece(x0, (0, 1), r1, ph1, 1.0, 1.0, 0.1, chart.dim - 1),
-            T._circle_piece(x0, (2, 3), r2, ph2, -1.0, 1.0, 0.1, chart.dim - 1)]))
-    for curve in curves:
-        for step in (2e-3, 4e-3):
+            T._circle_piece(x0, (2, 3), r2, ph2, -1.0, 1.0, 0.1, chart.dim - 1)]), (2e-3, 4e-3)))
+    for curve, steps in curves:
+        for step in steps:
             sc = (T.sample_curve(chart, curve, step) if isinstance(curve, T.ParametricCurve)
                   else reeb_sampled_curves(chart, *curve, step)[0])
             assert len(sc.piece_slices) > 1
@@ -496,6 +498,30 @@ def _segment(a, b):
     """The straight parametric piece from a to b, of unit duration."""
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     return (1.0, lambda s: a + s[:, None] * (b - a), lambda s: np.tile(b - a, (len(s), 1)))
+
+
+def test_parametric_join_tolerance_is_absolute(charts):
+    # pieces 1e-6 apart at x = 0.5 do not join, whatever the size of x; a
+    # piece that leaves the chart is refused with the one exit message
+    chart = charts["heisenberg"]
+    gap = T.ParametricCurve([_segment([0.5, 0, 0, 0, 0], [0.5, 0.1, 0, 0, 0]),
+                             _segment([0.5 + 1e-6, 0.1, 0, 0, 0], [0.5, 0.2, 0, 0, 0])])
+    with pytest.raises(ChartError, match="pieces do not join continuously"):
+        T.sample_curve(chart, gap)
+    with pytest.raises(DomainError, match="curve left the chart domain at"):
+        T.sample_curve(chart, T.ParametricCurve([_segment(np.zeros(5), [4.0, 0, 0, 0, 0])]))
+
+
+def test_equivalence_closure_tolerance_is_absolute(charts):
+    # a balanced loop at t = 0.5 whose last sample misses its first by 1e-6
+    # is not a loop
+    chart = charts["heisenberg"]
+    x0 = np.array([0.0, 0.0, 0.0, 0.0, 0.5])
+    sc = T.sample_curve(chart, T.balanced_loop(chart, x0, np.random.default_rng(4)), T.LOOP_STEP)
+    assert np.max(np.abs(sc.xs[-1] - sc.xs[0])) < 1e-15
+    sc.xs[-1, -1] += 1e-6
+    with pytest.raises(ChartError, match="transport_equivalence_check needs a loop"):
+        T.transport_equivalence_check(chart, sc)
 
 
 def test_transport_of_parametric_and_sampled_curves(charts):
@@ -897,7 +923,7 @@ def test_rhs_matches_reference(m, batch, part):
             data = C.transport_data(c, x, vertical=bool(np.any(uw[1])))
             assert (data.xi_coeffs is not None and np.any(data.xi_coeffs)) == (
                 c is not chart and bool(np.any(uw[1])))
-            got, ref = T._connection_rates(data, *uw), connection_rates_reference(c, x, *uw)
+            got, ref = data.rates(*uw), connection_rates_reference(c, x, *uw)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -926,7 +952,7 @@ def test_connection_rates_match_the_gamma_route(charts, name):
     rng = np.random.default_rng(42)
     u, w = rng.normal(size=(64, 2 * chart.m)), rng.normal(size=64)
     for vertical in (False, True):
-        got = T._connection_rates(C.transport_data(chart, X, vertical), u, w if vertical else None)
+        got = C.transport_data(chart, X, vertical).rates(u, w if vertical else None)
         ref = connection_rates_reference(chart, X, u, w if vertical else np.zeros(64))
         assert got.shape == ref.shape == (64, 2 * chart.m, 2 * chart.m)
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))
