@@ -15,12 +15,16 @@ makes no LAPACK inverse there; and the curvature pass of
 :func:`frame_data` at order 2, which skips the terms that are exact zeros
 there, with the bits of the full pass.  A finite-difference oracle in the
 test suite checks the whole pipeline.  One bracket computation
-(:func:`frame_brackets`, :func:`reeb_brackets`) serves both
-:func:`frame_data`, whose Koszul assembly (:func:`_koszul`) fills
-:class:`FramePointData` with the full ``Gamma``, and the lean first-order
-:func:`transport_data`, which builds no ``Gamma``: the transport
-contracts the path's velocity into the Koszul sum first
-(:meth:`TransportData.rates`).  The Wagner extension enters only
+(:func:`frame_brackets`, :func:`reeb_brackets`) and one first-order
+assembly serve both :func:`frame_data` and the lean
+:func:`transport_data`: :class:`TransportData` holds ``G^-1``, the frame
+derivatives of the metric less the bracket terms in one layout ``D``, and,
+off normal form, the Reeb bracket coefficients of the zero extension.  One
+Koszul sum over ``D`` (:func:`_koszul_sum`) gives :func:`frame_data` its
+full ``Gamma``, and its second-order pass the derivative of that sum; the
+transport builds no ``Gamma`` and contracts the path's velocity into the
+same sum first (:meth:`TransportData.rates`), adding the Reeb term exactly
+when it passes a Reeb velocity.  The Wagner extension enters only
 through its curvature ``RW``; no transport integrates it.  The
 connection invariant suite (:func:`connection_invariant_residuals`) and
 the chart one (``manifolds.chart_invariant_residuals``) both read one
@@ -35,10 +39,10 @@ in :func:`frame_data`.  The ``np.einsum`` forms they replace are kept in
 the test suite (``tests/fd_oracles.py``, ``*_reference``, the whole
 second-order pass as ``curvature_reference``) as oracles for the index
 layouts.  The bracket products flatten ``dE`` to ``[(k a), i]``, so each
-is one matmul per point, and the Koszul sum (:func:`_koszul_sum`, shared
-by the pass and its derivative) reads its cyclic slot permutations as
-transposed views; the test suite keeps the per-component and
-``np.moveaxis`` forms they replace and checks that the bits are the same.
+is one matmul per point, and the Koszul sum, of ``D`` and of its
+derivative, reads its slot permutations as transposed views; the test
+suite keeps the per-component and ``np.moveaxis`` forms they replace and
+checks that the bits are the same.
 
 Conventions fixed here and used everywhere downstream:
 
@@ -166,32 +170,6 @@ def reeb_brackets(arr, Minv):
     return Minv @ Bx
 
 
-def _koszul(E, G, dG, c, blocks=()):
-    """Connection coefficients from metric first derivatives and brackets.
-
-    2 g(nabla_{e_a} e_b, e_c) = e_a g_bc + e_b g_ca - e_c g_ab
-                                + g(pi[e_a,e_b], e_c) - g(pi[e_b,e_c], e_a)
-                                - g(pi[e_a,e_c], e_b)
-
-    Returns ``(K, Ginv, Gamma)`` with ``K[..., a, b, c]`` the right-hand side
-    and ``Gamma[..., e, a, b] = 1/2 Ginv[e, c] K[a, b, c]``.  Each
-    contraction is one batched matmul over flattened slot pairs: ``E^T``
-    times ``dG`` flattened to ``[i, (b c)]`` gives the frame derivatives
-    ``Dg[a, b, c]``, :func:`_bracket_terms` the bracket terms, and ``Ginv``
-    times ``K`` flattened to ``[c, (a b)]`` gives Gamma.  Every product
-    comes out C-ordered, so no reshape copies.  ``Ginv`` is
-    :func:`metric_inverse` over ``blocks``.
-    """
-    tm = E.shape[-1]
-    batch = c.shape[:-3]
-    Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
-    K = _koszul_sum(Dg.reshape(*batch, tm, tm, tm), _bracket_terms(c, G))
-    Ginv = metric_inverse(G, blocks)
-    # halved before the reshape, so numpy halves the product in its own buffer
-    Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
-    return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
-
-
 def _bracket_terms(c, G):
     """``W[..., a, b, c] = g(pi[e_a, e_b], e_c)`` from the coefficients
     ``c[..., d, a, b]`` of pi[e_a, e_b]: ``c`` flattened to ``[(a b), d]``
@@ -240,33 +218,22 @@ def _inverse_2x2(G, Ginv, a, b):
     return True
 
 
-def _koszul_sum(Dg, W, slots="abc"):
-    """``K[a,b,c] = Dg[a,b,c] + Dg[b,c,a] - Dg[c,a,b] + W[a,b,c] - W[b,c,a] - W[a,c,b]``:
-    the Koszul right-hand side from the frame metric derivatives
-    ``Dg[a, b, c] = e_a g_bc`` and the bracket terms
-    ``W[a, b, c] = g(pi[e_a, e_b], e_c)`` (or None), or its derivative from theirs.
+def _koszul_sum(D, out="abc"):
+    """``K[a, b, c] = D[b, c, a] + D[a, c, b] - D[a, b, c]``: the Koszul
+    right-hand side ``2 g(nabla_{e_a} e_b, e_c)`` from
+    ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)``
+    (:attr:`TransportData.D`), or its derivative from ``D``'s.
 
-    ``slots`` names the trailing axes of ``Dg``, ``W`` and ``K`` in order;
-    letters other than a, b, c are spectators (``"cabj"`` holds
-    ``d_j K[a, b, c]`` at ``[c, a, b, j]``).  The permuted terms are
-    transposed views, and ``K`` comes out C-ordered.
+    ``out`` names the trailing axes of ``K`` in order: a, b, c and any
+    spectator slots, which follow the three frame slots of ``D`` in the
+    order they have in ``out`` (``"cabj"`` holds ``d_j K[a, b, c]`` at
+    ``[c, a, b, j]`` from ``d_j D`` at ``[b, c, a, j]``).  The three terms
+    are transposed views of ``D``, and ``K`` comes out C-ordered.
     """
-    bca, cab, acb = _koszul_axes(Dg.ndim, slots)
-    K = np.add(Dg, Dg.transpose(bca), order="C")
-    K -= Dg.transpose(cab)
-    if W is not None:
-        K += W
-        K -= W.transpose(bca)
-        K -= W.transpose(acb)
+    spec = "".join(s for s in out if s not in "abc")
+    K = np.add(_view(D, "bca" + spec, out), _view(D, "acb" + spec, out), order="C")
+    K -= _view(D, "abc" + spec, out)
     return K
-
-
-@functools.cache
-def _koszul_axes(ndim, slots):
-    """The axes that read ``x[b,c,a]``, ``x[c,a,b]`` and ``x[a,c,b]`` in the
-    layout of ``x``, whose trailing slots are named ``slots``."""
-    return tuple(_axes(ndim, slots.translate(str.maketrans("abc", order)), slots)
-                 for order in ("bca", "cab", "acb"))
 
 
 @functools.cache
@@ -313,10 +280,11 @@ class TransportData:
     metric less the bracket terms, whose trailing slot may run past the 2m
     frame directions (there the rates read its first 2m entries).  On a
     normal-form call ``D`` is ``dG``, the coordinate derivatives with their
-    t-slot last.  ``xi_coeffs`` are the Reeb bracket coefficients of a
-    ``vertical`` call off normal form, and None otherwise.  Indexing applies
-    one batch index to every field and copies, so that the rest of the
-    batch can be freed."""
+    t-slot last.  ``xi_coeffs[..., c, a]`` are the coefficients of
+    pi[xi, e_a], the Reeb term of the zero extension, off normal form, and
+    None on it, where that term is zero.  Indexing applies one batch index
+    to every field and copies, so that the rest of the batch can be
+    freed."""
 
     Ginv: np.ndarray
     D: np.ndarray
@@ -351,45 +319,61 @@ class TransportData:
                 else Om + w[..., None, None] * self.xi_coeffs)
 
 
-def transport_data(chart, X, vertical=False):
+def transport_data(chart, X):
     """Lean evaluation of the pieces the transport ODE needs, from first
-    derivatives only: :class:`TransportData`, and for curves with
-    Reeb-direction parts (``vertical``) the Reeb bracket coefficients
-    ``xi_coeffs[..., c, a]`` of the zero extension; the hot path of the
-    holonomy sampler.  No Christoffel tensor is built: the transport
-    contracts the path's velocity into the Koszul sum.  Every contraction on
-    the way (brackets, frame solve, frame derivatives, bracket terms, Reeb
+    derivatives only: :class:`TransportData`, the hot path of the holonomy
+    sampler.  No Christoffel tensor is built: the transport contracts the
+    path's velocity into the Koszul sum, and adds the Reeb term exactly
+    when it passes a Reeb velocity.  Every contraction on the way
+    (brackets, frame solve, frame derivatives, bracket terms, Reeb
     brackets) is a batched matmul; none goes through ``np.einsum``.  On a
     chart in normal form ``[e_a, e_b]`` is vertical, ``[xi, e_a] = 0`` and
     ``G`` reads no t, so a call evaluates ``G`` alone: ``D`` is ``dG``, whose
-    first 2m slots are the frame derivatives there, and ``xi_coeffs`` is None
-    whatever ``vertical`` asks, since the zero extension adds no Reeb term;
-    no LAPACK call inverts width-2 blocks of ``G``.
+    first 2m slots are the frame derivatives there, ``xi_coeffs`` is None,
+    and no LAPACK call inverts width-2 blocks of ``G``.
     """
     if chart.normal_form:
-        arr = chart_arrays(chart, X, order=1, fields=("G",))
-        return TransportData(metric_inverse(arr.G, chart.blocks), arr.dG)
+        return _transport_data(chart_arrays(chart, X, order=1, fields=("G",)), chart)
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr)
-    tm = arr.E.shape[-1]
+    return _transport_data(arr, chart, cfull, reeb_brackets(arr, Minv))
+
+
+def _transport_data(arr, chart, cfull=None, xi_full=None):
+    """The first-order connection data of both :func:`transport_data` and
+    :func:`frame_data`, from the chart values ``arr`` and, off normal form,
+    their brackets ``cfull`` (:func:`frame_brackets`) and Reeb brackets
+    ``xi_full`` (:func:`reeb_brackets`); on normal form ``D`` is ``dG``."""
+    Ginv = metric_inverse(arr.G, chart.blocks)
+    if chart.normal_form:
+        return TransportData(Ginv, arr.dG)
+    tm = arr.G.shape[-1]
     # D[(b c), a] = e_a g_bc, dG flattened to [(b c), i] times E, less the bracket terms
     D = (arr.dG.reshape(*arr.G.shape[:-2], tm * tm, -1) @ arr.E).reshape(arr.G.shape + (tm,))
     D -= _bracket_terms(cfull[..., :tm, :, :], arr.G)
-    xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
-    return TransportData(metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
+    return TransportData(Ginv, D, xi_full[..., :tm, :])
 
 
 def frame_data(chart, X, order=1):
-    """Compute :class:`FramePointData` at points ``X`` of shape (..., n)."""
+    """Compute :class:`FramePointData` at points ``X`` of shape (..., n).
+
+    ``Gamma`` is ``1/2 G^-1 K``, ``G^-1`` times ``K`` flattened to
+    ``[c, (a b)]``, with ``K`` the Koszul sum (:func:`_koszul_sum`) of the
+    first-order data that :func:`transport_data` assembles too
+    (:func:`_transport_data`).
+    """
     X = np.asarray(X, dtype=float)
     Xb = X if X.ndim > 1 else X[None]
     arr = chart_arrays(chart, Xb, order=max(order, 1))
     E, tm = arr.E, arr.E.shape[-1]
+    batch = E.shape[:-2]
     A = arr.dth.swapaxes(-1, -2) - arr.dth  # A_ij = d_i theta_j - d_j theta_i
     Br, Minv, cfull = frame_brackets(arr, chart.normal_form)
-    c = cfull[..., :tm, :, :]
     xi_full = reeb_brackets(arr, Minv)
-    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c, chart.blocks)
+    first = _transport_data(arr, chart, cfull, xi_full)
+    K = _koszul_sum(first.D[..., :tm])
+    # halved before the reshape, so numpy halves the product in its own buffer
+    Gam = 0.5 * (first.Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
     P, Pinv = orthonormal_frame_change(arr.G)
     data = FramePointData(
         x=Xb,
@@ -398,14 +382,14 @@ def frame_data(chart, X, order=1):
         xi=arr.xi,
         E=E,
         G=arr.G,
-        Ginv=Ginv,
+        Ginv=first.Ginv,
         A=A,
         omega=E.swapaxes(-1, -2) @ A @ E,
-        c=c,
+        c=cfull[..., :tm, :, :],
         tau=cfull[..., tm, :, :],
         xi_coeffs=xi_full[..., :tm, :],
         xi_theta=xi_full[..., tm, :],
-        Gamma=Gam,
+        Gamma=Gam.reshape(*batch, tm, tm, tm),
         P=P,
         Pinv=Pinv,
         dG=arr.dG,
@@ -422,7 +406,7 @@ def _curvature_inplace(arr, Br, Minv, K, data, normal_form):
                       - nabla_{pi[e_a, e_b]} e_c - pi[ theta([e_a,e_b]) xi, e_c ]
 
     Every two-operand sum is a batched matmul, laid out as in
-    :func:`_koszul`: the summed slot is brought next to the matrix axes,
+    :func:`frame_data`: the summed slot is brought next to the matrix axes,
     the spectator slots are flattened into one and ``@`` broadcasts over
     the batch.  Where the summed slot of ``d2E`` or ``d2G`` is the first of
     its Hessian pair, ``E^T`` multiplies each ``[i, j]`` block (the jets'
@@ -434,13 +418,15 @@ def _curvature_inplace(arr, Br, Minv, K, data, normal_form):
     ``[e, a, b, c]`` order of its last terms and returned as a view.
     ``tests/fd_oracles.py`` keeps the single-sum form of this pass as
     ``curvature_reference``.  ``(Br, Minv)`` are from :func:`frame_brackets`
-    and ``K`` from :func:`_koszul`; the first-order fields are ``data``'s.
+    and ``K`` is the Koszul sum of :func:`frame_data`; the first-order
+    fields are ``data``'s.  ``d_j K`` is the same sum (:func:`_koszul_sum`)
+    of ``d_j D``, the derivative of :attr:`TransportData.D`.
 
     With ``normal_form`` (``ContactChart.normal_form``) the pass skips the
     terms that are exact zeros there: ``c`` and its derivative (the first
     2m rows of ``[e_a, e_b]`` are zero and those of the frame solve are
-    ``[I, 0]``), ``d_t G`` and ``xi_coeffs``.  So ``d_j K`` is the Koszul
-    sum of ``d_j d_a g_bc`` alone (``E^T d2G`` is ``d2G``'s first 2m rows)
+    ``[I, 0]``), ``d_t G`` and ``xi_coeffs``.  So ``d_j D`` is
+    ``d_j d_a g_bc`` alone (``E^T d2G`` is ``d2G``'s first 2m rows)
     and R has no bracket terms; R, RW, N, alpha and domega keep the bits
     of the full pass.
     """
@@ -464,7 +450,7 @@ def _curvature_inplace(arr, Br, Minv, K, data, normal_form):
     if normal_form:
         # [e_a, e_b] is vertical, so c = dc = 0, and G reads no t, so the
         # dG dE term is zero and E^T d2G is d2G's horizontal rows
-        dK = _koszul_sum(_view(d2G[..., :tm, :], "bcaj", "cabj"), None, "cabj")
+        dK = _koszul_sum(d2G[..., :tm, :], "cabj")
     else:
         # Y[k, b, a, j] = d_j e_a(E[k, b]): dE flattened to [(k b), i] times dE
         # flattened to [i, (a j)], plus E^T d2E; dBr[k, a, b, j] = d_j [e_a, e_b]^k
@@ -487,18 +473,20 @@ def _curvature_inplace(arr, Br, Minv, K, data, normal_form):
               + (BrT @ dMinv[..., :tm, :, :]).reshape(*batch, tm, tm * tm * n))
         del dBr, dMinv, BrT
 
-        # dDg[b, c, a, j] = d_j e_a(g_bc)
-        dDg = (dG.reshape(*batch, tm * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
+        # dD[b, c, a, j] = d_j e_a(g_bc), less dW in the D layout below
+        dD = (dG.reshape(*batch, tm * tm, n) @ dE.reshape(*batch, n, tm * n)).reshape(
             *batch, tm, tm, tm, n)
-        dDg += Et2 @ d2G
+        dD += Et2 @ d2G
         # dW[c, a, b, j] = d_j g(pi[e_a, e_b], e_c): G^T dc plus c^T dG
         dW = (arr.G.swapaxes(-1, -2) @ dc).reshape(*batch, tm, tm, tm, n)
         del dc
         cdG = (cT @ dG.reshape(*batch, tm, tm * n)).reshape(*batch, tm, tm, tm, n)
         dW += _view(cdG, "abcj", "cabj")
         del cdG
-        dK = _koszul_sum(_view(dDg, "bcaj", "cabj"), dW, "cabj")
-        del dDg, dW
+        dD -= _view(dW, "cabj", "abcj")
+        del dW
+        dK = _koszul_sum(dD, "cabj")
+        del dD
 
     # dGam[e, a, b, j] = d_j Gamma[e, a, b]: K[(a b), c] times each [c, j]
     # block of dGinv, plus Ginv times dK flattened to [c, (a b j)]

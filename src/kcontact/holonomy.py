@@ -304,8 +304,9 @@ def t_complement(h_big: MatrixLieAlgebra, h_small: MatrixLieAlgebra):
     return MatrixLieAlgebra(T[None]), MatrixLieAlgebra(t_perp)
 
 
-def detect_complex_structure(h: MatrixLieAlgebra, size):
-    """A complex structure in so(size) commuting with the algebra, or None.
+def detect_complex_structure(h: MatrixLieAlgebra):
+    """A complex structure in so(n) commuting with the algebra, or None;
+    n is the size of the algebra's matrices.
 
     Draws a random skew element of the commutant (seed 0) and maps it to
     the orthogonal complex structure with the same invariant planes;
@@ -313,6 +314,7 @@ def detect_complex_structure(h: MatrixLieAlgebra, size):
     of J with the basis exceeds 1e-6.
     """
     rng = np.random.default_rng(0)
+    size = h.basis.shape[-1]
     skew_basis = matrix_basis(size, skew=True)
     comm = h.commutant(skew_basis)
     if len(comm) == 0:

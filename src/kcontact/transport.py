@@ -468,18 +468,17 @@ def _split_velocities(chart, xs, vs, arr=None):
 
 def _transport_sampled(chart, sc, kind, data=None):
     """Transport along a sampled curve, reading ``data``, the
-    ``transport_data`` of its samples, when given: that of ``vertical=True``
-    for the adapted kind.  The Schouten kind passes its rates no Reeb
-    velocity, so it reads no Reeb term whatever the data hold."""
+    ``transport_data`` of its samples, when given.  The adapted kind passes
+    its rates the Reeb velocity and so reads the Reeb term; the Schouten
+    kind passes none and reads none, so both kinds read the same data."""
     if kind == "schouten" and np.max(np.abs(sc.theta_dot)) > HORIZONTAL_TOL:
         raise ChartError(
             "schouten transport requires a horizontal curve "
             f"(max |theta(v)| = {np.max(np.abs(sc.theta_dot)):.2e})"
         )
-    adapted = kind == "adapted"
     if data is None:
-        data = transport_data(chart, sc.xs, vertical=adapted)
-    return _sampled_propagator(sc, -data.rates(sc.us, sc.ws if adapted else None))
+        data = transport_data(chart, sc.xs)
+    return _sampled_propagator(sc, -data.rates(sc.us, sc.ws if kind == "adapted" else None))
 
 
 def _step_starts(sc):
@@ -693,7 +692,7 @@ def transport_equivalence_check(chart, loop):
             "cancel it by construction before calling"
         )
     tilde = horizontalize(chart, sc)
-    data = transport_data(chart, sc.xs, vertical=True)
+    data = transport_data(chart, sc.xs)
     tau0 = _transport_sampled(chart, sc, "adapted", data)
     if not _same_chart_values(chart, sc.xs, tilde.xs):
         data = None

@@ -77,9 +77,9 @@ def _symmetric_commutant_element(h: MatrixLieAlgebra, tm):
     return C / max(np.linalg.norm(C), 1e-30)
 
 
-def split_distribution(h: MatrixLieAlgebra, size):
-    """Invariant orthogonal splitting of the contact plane, of dimension
-    ``size``, under the algebra.
+def split_distribution(h: MatrixLieAlgebra):
+    """Invariant orthogonal splitting of the contact plane, of the
+    dimension the algebra's matrices act on, under the algebra.
 
     Clusters the eigenspaces of the Casimir-type operator sum(B^T B),
     degeneracy-broken by a random symmetric commutant element, at a
@@ -87,6 +87,7 @@ def split_distribution(h: MatrixLieAlgebra, size):
     into the trivial part.  The blocks must align with frame-index groups
     (true for the built-in charts).
     """
+    size = h.basis.shape[-1]
     S = np.zeros((size, size))
     for B in h.basis:
         S += B.T @ B
@@ -134,13 +135,13 @@ def factor_split(base: FramePointData, h: MatrixLieAlgebra, span_tol):
     the point of the frame data ``base`` (any order); each block's
     restriction of h is closed at ``span_tol``, h's span cut."""
     tm = 2 * base.m
-    split = split_distribution(h, size=tm)
+    split = split_distribution(h)
     omega_o = ortho_two_form(base.omega, base.P)[0]
     Js = []
     for block in split.blocks:
         ix = np.array(block)
         hb = _restricted_algebra(h, block, span_tol)
-        Jb = detect_complex_structure(hb, size=len(block))
+        Jb = detect_complex_structure(hb)
         if Jb is None:
             raise ChartError(f"block {block} carries no invariant complex structure")
         if np.sum(Jb * omega_o[np.ix_(ix, ix)]) < 0:

@@ -16,7 +16,7 @@ Some kernels were rewritten to do less work with the same bits; their
 earlier forms are kept here as bit-for-bit oracles:
 :func:`frame_brackets_per_component` and :func:`reeb_brackets_per_component`
 take one matmul per component of ``dE`` where the package flattens ``dE``
-into one, :func:`koszul_moveaxis` permutes slots with ``np.moveaxis``,
+into one, :func:`koszul_sum_moveaxis` permutes slots with ``np.moveaxis``,
 :func:`pair_samples_reference` converts one curvature per sample variant
 where ``holonomy._variant_samples`` converts each once for all three,
 :func:`annihilator_pairs_reference` projects and contracts one frame-pair
@@ -85,7 +85,7 @@ import numpy as np
 from kcontact import holonomy as H
 from kcontact import jets
 from kcontact import transport as T
-from kcontact.connection import (TransportData, _koszul, frame_brackets, frame_data,
+from kcontact.connection import (TransportData, frame_brackets, frame_data,
                                  inverse_derivative, metric_inverse, ortho_curvature,
                                  ortho_transports, ortho_two_form, orthonormal_frame_change,
                                  reeb_brackets, transport_data, two_form_derivative)
@@ -224,7 +224,8 @@ def curvature_reference(chart, X):
     Returns a dict of ``R``, ``alpha``, ``N``, ``RW`` and ``domega`` at the
     points ``X`` of shape (p, n).  The first-order pieces are those
     ``frame_data`` fills: the brackets of ``frame_brackets`` and
-    ``reeb_brackets``, ``A`` and ``omega = E^T A E``.
+    ``reeb_brackets``, ``A`` and ``omega = E^T A E``; its Koszul assembly
+    is :func:`koszul_reference`, single sums and ``np.linalg.inv``.
     """
     arr = chart_arrays(chart, np.asarray(X, dtype=float), order=2)
     E, dE, d2E = arr.E, arr.dE, arr.d2E
@@ -234,7 +235,7 @@ def curvature_reference(chart, X):
     c, tau = cfull[..., :tm, :, :], cfull[..., tm, :, :]
     dcoef = reeb_brackets(arr, Minv)[..., :tm, :]
     A = arr.dth.swapaxes(-1, -2) - arr.dth
-    K, Ginv, Gam = _koszul(E, arr.G, arr.dG, c)
+    K, Ginv, Gam = koszul_reference(E, arr.G, arr.dG, c)
 
     # d_k A_ij, and the frame 2-form derivative d_k omega_ab
     dA = arr.d2th.swapaxes(-3, -2) - arr.d2th
@@ -358,7 +359,9 @@ def frame_two_form_reference(E, A):
 
 
 def koszul_reference(E, G, dG, c):
-    """``connection._koszul`` as single sums: ``(K, Ginv, Gamma)``."""
+    """The first-order Koszul assembly of ``connection.frame_data`` as
+    single sums, from the frame metric derivatives ``e_a g_bc`` and the
+    bracket terms ``g(pi[e_a, e_b], e_c)`` apart: ``(K, Ginv, Gamma)``."""
     Dg = np.einsum("...ia,...bci->...abc", E, dG)
     W = np.einsum("...dab,...dc->...abc", c, G)
     K = (
@@ -373,19 +376,18 @@ def koszul_reference(E, G, dG, c):
     return K, Ginv, 0.5 * np.einsum("...ec,...abc->...eab", Ginv, K)
 
 
-def transport_data_reference(chart, X, vertical=False):
+def transport_data_reference(chart, X):
     """``connection.transport_data`` through the brackets, the frame solve,
     the frame derivatives and the bracket terms on every chart, as single
     sums: ``D[b, c, a] = e_a g_bc - g(pi[e_b, e_c], e_a)``, the assembly that
-    the normal form's reading of ``dG`` alone replaced.  ``xi_coeffs``
-    (with ``vertical``) are given on every chart, exact zeros on normal
-    form."""
+    the normal form's reading of ``dG`` alone replaced.  ``xi_coeffs`` are
+    given on every chart, exact zeros on normal form."""
     arr = chart_arrays(chart, X, order=1, fields=("xi", "E", "G"))
     _, Minv, cfull = frame_brackets(arr, chart.normal_form)
     tm = arr.E.shape[-1]
     D = (np.einsum("...bci,...ia->...bca", arr.dG, arr.E)
          - np.einsum("...dbc,...da->...bca", cfull[..., :tm, :, :], arr.G))
-    xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :] if vertical else None
+    xi_coeffs = reeb_brackets(arr, Minv)[..., :tm, :]
     return TransportData(metric_inverse(arr.G, chart.blocks), D, xi_coeffs)
 
 
@@ -525,9 +527,10 @@ def _coupled_transports(chart, controls, verticals, xs, h, stages):
     tm = controls.shape[-1]
     M = np.broadcast_to(np.eye(tm), (P, tm, tm)).copy()
     _, L0t = orthonormal_frame_change(chart_arrays(chart, xs[:, 0, 0], order=0, fields=("G",)).G)
+    reeb = bool(np.any(verticals != 0.0))  # horizontal paths pass their rates no w
     for k in range(K):
-        data = transport_data(chart, stages[:, k], vertical=bool(np.any(verticals != 0.0)))
-        u, w = controls[:, k, None, None], verticals[:, k, None, None]
+        data = transport_data(chart, stages[:, k])
+        u, w = controls[:, k, None, None], verticals[:, k, None, None] if reeb else None
         A = np.moveaxis(-data.rates(u, w), 2, 0)  # [stage, path, step]
         for i in range(steps):
             rates = iter(A[:, :, i])
@@ -967,24 +970,15 @@ def reeb_brackets_per_component(arr, Minv):
     return Minv @ Bx
 
 
-def koszul_moveaxis(E, G, dG, c):
-    """``connection._koszul`` with its cyclic slot permutations by ``np.moveaxis``."""
-    tm = E.shape[-1]
-    batch = c.shape[:-3]
-    Dg = E.swapaxes(-1, -2) @ dG.reshape(*batch, tm * tm, -1).swapaxes(-1, -2)
-    Dg = Dg.reshape(*batch, tm, tm, tm)
-    W = (c.reshape(*batch, tm, tm * tm).swapaxes(-1, -2) @ G).reshape(*batch, tm, tm, tm)
-    K = (
-        Dg
-        + np.moveaxis(Dg, [-3, -2, -1], [-2, -1, -3])
-        - np.moveaxis(Dg, [-3, -2, -1], [-1, -3, -2])
-        + W
-        - np.moveaxis(W, [-3, -2, -1], [-2, -1, -3])
-        - W.swapaxes(-2, -1)
-    )
-    Ginv = np.linalg.inv(G)
-    Gam = 0.5 * (Ginv @ K.reshape(*batch, tm * tm, tm).swapaxes(-1, -2))
-    return K, Ginv, Gam.reshape(*batch, tm, tm, tm)
+def koszul_sum_reference(D):
+    """``connection._koszul_sum`` as one single-sum term per slot order:
+    ``K[a, b, c] = D[b, c, a] + D[a, c, b] - D[a, b, c]``."""
+    return np.einsum("...bca->...abc", D) + np.einsum("...acb->...abc", D) - D
+
+
+def koszul_sum_moveaxis(D):
+    """``connection._koszul_sum`` with its slot permutations by ``np.moveaxis``."""
+    return np.moveaxis(D, [-3, -2, -1], [-2, -1, -3]) + D.swapaxes(-2, -1) - D
 
 
 def recip_uncached(x):

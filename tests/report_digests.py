@@ -74,8 +74,9 @@ the report's float leaves, and lists every leaf (float, int, bool,
 string, list) or shape that differs, so both "last bits only, structure
 unchanged" and "only this leaf moved" are checked by the tool.  It also
 prints the line total of each checkout's ``src/kcontact/*.py``, as
-``wc -l`` counts it, so one run gives a change's size and its byte
-identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
+``wc -l`` counts it, and beside it the code lines (:func:`code_lines`:
+docstrings, comments and blank lines not counted), so one run gives a
+change's size and its byte identity.  BLAS runs on one thread, as in ``kbench``.  A sweep takes
 about 13 s per checkout on 2 cores.  It is not part of the test suite.
 """
 
@@ -87,10 +88,13 @@ THREAD_ENV = {"OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1", "MKL_NUM_THRE
 os.environ.update(THREAD_ENV)
 
 import argparse  # noqa: E402
+import ast  # noqa: E402
 import hashlib  # noqa: E402
+import io  # noqa: E402
 import json  # noqa: E402
 import subprocess  # noqa: E402
 import sys  # noqa: E402
+import tokenize  # noqa: E402
 from dataclasses import fields, replace  # noqa: E402
 from pathlib import Path  # noqa: E402
 
@@ -393,6 +397,26 @@ def src_lines(root):
     return sum(p.read_bytes().count(b"\n") for p in Path(root, "src", "kcontact").glob("*.py"))
 
 
+def code_lines(root):
+    """Lines of ``src/kcontact/*.py`` in the checkout ``root`` that hold
+    code: a line counts if a token other than a comment starts or runs on
+    it and it is no part of a docstring (a statement that is a string
+    alone); blank lines count not."""
+    layout = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT,
+              tokenize.DEDENT, tokenize.ENDMARKER}
+    total = 0
+    for p in Path(root, "src", "kcontact").glob("*.py"):
+        text = p.read_text()
+        docs = {i for node in ast.walk(ast.parse(text))
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+                and isinstance(node.value.value, str)
+                for i in range(node.lineno, node.end_lineno + 1)}
+        code = {i for tok in tokenize.generate_tokens(io.StringIO(text).readline)
+                if tok.type not in layout for i in range(tok.start[0], tok.end[0] + 1)}
+        total += len(code - docs)
+    return total
+
+
 def compare(old, new):
     a, b = _sweep(old), _sweep(new)
     differ = sorted(k for k in a.keys() & b.keys() if a[k] != b[k])
@@ -411,7 +435,8 @@ def compare(old, new):
         keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)
         print(f"{same} of {len(keys)} {what} byte-identical")
-    print(f"src/kcontact/*.py: {src_lines(old)} -> {src_lines(new)} lines")
+    print(f"src/kcontact/*.py: {src_lines(old)} -> {src_lines(new)} lines, "
+          f"{code_lines(old)} -> {code_lines(new)} code lines")
     return 1 if differ or missing else 0
 
 

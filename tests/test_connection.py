@@ -27,8 +27,8 @@ from fd_oracles import (
     gamma_fd,
     gauged_chart,
     inverse_derivative_reference,
-    koszul_moveaxis,
-    koszul_reference,
+    koszul_sum_moveaxis,
+    koszul_sum_reference,
     ortho_curvature_reference,
     ortho_transports_reference,
     ortho_two_form_reference,
@@ -447,8 +447,13 @@ def _pairs_frame_two_form(arr, rng):
 
 
 def _pairs_koszul(arr, rng):
-    c = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
-    return C._koszul(arr.E, arr.G, arr.dG, c), koszul_reference(arr.E, arr.G, arr.dG, c)
+    # the one Koszul sum on a D[b, c, a] with no symmetry, and on a
+    # derivative d_j D[b, c, a] into the [c, a, b, j] layout of the
+    # curvature pass
+    D = rng.standard_normal(arr.G.shape + arr.G.shape[-1:])
+    dD = rng.standard_normal(D.shape + (D.shape[-1] + 1,))
+    dK = np.einsum("...jabc->...cabj", koszul_sum_reference(np.moveaxis(dD, -1, -4)))
+    return (C._koszul_sum(D), C._koszul_sum(dD, "cabj")), (koszul_sum_reference(D), dK)
 
 
 def _pairs_inverse_derivative(arr, rng):
@@ -579,10 +584,10 @@ def test_frame_data_carries_its_orthonormal_frame(charts, name):
 @pytest.mark.parametrize("m", [2, 3, 4])
 @pytest.mark.parametrize("batch", [(), (7,), (2, 3)], ids=str)
 def test_bracket_and_koszul_layouts_keep_the_bits(m, batch, contiguous):
-    # the flattened bracket matmuls and the swapaxes views of _koszul give
-    # the bits of the per-component matmuls and the np.moveaxis permutations,
-    # both on strided views (E and xi of _generic_arrays) and on the
-    # C-contiguous arrays chart_arrays returns
+    # the flattened bracket matmuls and the transposed views of the Koszul
+    # sum give the bits of the per-component matmuls and the np.moveaxis
+    # permutations, both on strided views (E and xi of _generic_arrays) and
+    # on the C-contiguous arrays chart_arrays returns
     rng = np.random.default_rng([m, len(batch), contiguous])
     arr = _generic_arrays(2 * m, batch, rng)
     if contiguous:
@@ -593,9 +598,12 @@ def test_bracket_and_koszul_layouts_keep_the_bits(m, batch, contiguous):
     Minv = got[1]
     got += (C.reeb_brackets(arr, Minv),)
     want += (reeb_brackets_per_component(arr, Minv),)
-    c = got[2][..., : 2 * m, :, :]
-    got += C._koszul(arr.E, arr.G, arr.dG, c)
-    want += koszul_moveaxis(arr.E, arr.G, arr.dG, c)
+    # the sum of the general path's D, and of the strided view of dG that
+    # the normal form reads as D
+    D = C._transport_data(arr, SimpleNamespace(normal_form=False, blocks=()),
+                          got[2], got[3]).D
+    got += tuple(C._koszul_sum(x) for x in (D, arr.dG[..., : 2 * m]))
+    want += tuple(koszul_sum_moveaxis(x) for x in (D, arr.dG[..., : 2 * m]))
     for g, w in zip(got, want, strict=True):
         assert g.shape == w.shape
         assert g.tobytes() == w.tobytes()

@@ -80,15 +80,27 @@ def test_gauged_reeb_brackets_match_finite_differences(charts, name):
 
 @pytest.mark.parametrize("name", ["heisenberg", "bergman", "disc_disc_12", "perturbed_disc_disc"])
 def test_rates_without_a_reeb_velocity_read_no_reeb_term(charts, name):
-    # the Schouten transport passes no w: the rates of the Reeb route's data,
-    # whose Reeb term is not zero here, are then the horizontal route's, bit
-    # for bit, so the equivalence check may hand it either
+    # the Schouten transport passes no w: the rates of data whose Reeb term
+    # is not zero here are then those of the same data without it, bit for
+    # bit, so the equivalence check hands both routes one evaluation
     chart = gauged_chart(charts[name], PAIR, EPS)
     X = domain_points(chart, 32, seed=43)
     u = np.random.default_rng(44).normal(size=(32, 2 * chart.m))
-    reeb, horizontal = (transport_data(chart, X, vertical=v) for v in (True, False))
-    assert np.any(reeb.xi_coeffs) and horizontal.xi_coeffs is None
-    assert reeb.rates(u).tobytes() == horizontal.rates(u).tobytes()
+    data = transport_data(chart, X)
+    horizontal = TransportData(data.Ginv, data.D)
+    assert np.any(data.xi_coeffs) and horizontal.xi_coeffs is None
+    assert data.rates(u).tobytes() == horizontal.rates(u).tobytes()
+
+
+def test_adapted_transport_of_handed_data_keeps_its_reeb_term(charts):
+    # a sampled curve's adapted transport reading the transport data it is
+    # handed, as the equivalence check hands them, has the bits of the one
+    # that evaluates its own: the handed data carry the Reeb term too
+    chart = gauged_chart(charts["bergman"], PAIR, EPS)
+    loop = T.balanced_loop(chart, np.zeros(5), np.random.default_rng(2))
+    sc = T.sample_curve(chart, loop, T.LOOP_STEP)
+    handed = T._transport_sampled(chart, sc, "adapted", transport_data(chart, sc.xs))
+    assert handed.tobytes() == T._transport_sampled(chart, sc, "adapted").tobytes()
 
 
 def test_transport_equivalence_sees_the_reeb_term(charts, monkeypatch):

@@ -320,10 +320,10 @@ def test_closed_form_solve_matches_general_path(name):
     V = np.random.default_rng(7).normal(size=X.shape)
 
     def run(c):
-        lean = [C.transport_data(c, X, vertical=v) for v in (False, True)]
-        xi = lean[1].xi_coeffs
+        lean = C.transport_data(c, X)
+        xi = lean.xi_coeffs
         data = C.frame_data(c, X, order=2)
-        return ([d.rates(V[:, :-1], V[:, -1]) for d in lean]
+        return ([lean.rates(V[:, :-1], w) for w in (None, V[:, -1])]
                 + [np.zeros_like(lean[1].Ginv) if xi is None else xi]
                 + [getattr(data, f.name) for f in dataclasses.fields(data)
                    if isinstance(getattr(data, f.name), np.ndarray)]
@@ -354,17 +354,16 @@ def test_transport_data_bits_do_not_depend_on_the_batch(name):
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = _signed_zero_points(chart.dim).reshape(4, 10, chart.dim)
     A, B = X[:, :7], X[:, 7:]
-    for vertical in (False, True):
-        joint = C.transport_data(chart, np.concatenate([A, B], axis=1), vertical=vertical)
-        parts = [C.transport_data(chart, Y, vertical=vertical) for Y in (A, B)]
-        rows = [C.transport_data(chart, X[:1, j:j + 1], vertical=vertical) for j in range(10)]
-        for f in ("Ginv", "D"):
-            got = getattr(joint, f)
-            split = np.concatenate([getattr(d, f) for d in parts], axis=1)
-            assert got.tobytes() == split.tobytes(), f
-            alone = np.concatenate([getattr(d, f) for d in rows], axis=1)
-            assert got[:1].tobytes() == alone.tobytes(), f
-        assert joint.xi_coeffs is None
+    joint = C.transport_data(chart, np.concatenate([A, B], axis=1))
+    parts = [C.transport_data(chart, Y) for Y in (A, B)]
+    rows = [C.transport_data(chart, X[:1, j:j + 1]) for j in range(10)]
+    for f in ("Ginv", "D"):
+        got = getattr(joint, f)
+        split = np.concatenate([getattr(d, f) for d in parts], axis=1)
+        assert got.tobytes() == split.tobytes(), f
+        alone = np.concatenate([getattr(d, f) for d in rows], axis=1)
+        assert got[:1].tobytes() == alone.tobytes(), f
+    assert joint.xi_coeffs is None
 
 
 def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
@@ -378,8 +377,7 @@ def test_transport_data_makes_no_lapack_inverse(charts, monkeypatch):
         real = getattr(np.linalg, name)
         monkeypatch.setattr(np.linalg, name,
                             lambda *a, _real=real, _name=name: calls.append(_name) or _real(*a))
-    for vertical in (False, True):
-        C.transport_data(chart, X, vertical=vertical)
+    C.transport_data(chart, X)
     T._split_velocities(chart, X, X)
     assert calls == []
     C.transport_data(dataclasses.replace(chart), X)
@@ -392,9 +390,9 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     # have the bits of the brackets, the frame solve, the frame derivatives
     # and the bracket terms, also at coordinates of +0.0 and -0.0; those
     # bits read neither t nor the sign of a zero, so the pass may drop the
-    # Hermite midpoint's horizontal 0 and its t part; the Reeb route reads G
-    # alone too and has no Reeb term: its rates with w have the bits of the
-    # full assembly's, whose Reeb term is +0.0
+    # Hermite midpoint's horizontal 0 and its t part; the data have no Reeb
+    # term: their rates with a Reeb velocity w have the bits of the full
+    # assembly's, whose Reeb term is +0.0
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = domain_points(chart, 48, seed=10)
     zero = np.random.default_rng(11).random(X.shape) < 0.4
@@ -413,9 +411,9 @@ def test_horizontal_transport_data_is_the_koszul_assembly(name):
     moved[:32][zero[:32]] *= -1.0  # +0.0 <-> -0.0
     moved[:, -1] = X[::-1, -1]
     assert rates(C.transport_data(chart, moved)) == rates(got)
-    reeb, ref = C.transport_data(chart, X, vertical=True), transport_data_reference(chart, X, True)
-    assert reeb.xi_coeffs is None and not np.any(ref.xi_coeffs)
-    assert rates(reeb, w) == rates(ref, w)
+    ref = transport_data_reference(chart, X)
+    assert not np.any(ref.xi_coeffs)
+    assert rates(got, w) == rates(ref, w)
 
 
 @pytest.mark.parametrize("name", [*CONFIGS, "heisenberg(3)"])
@@ -423,7 +421,8 @@ def test_normal_form_curvature_pass_is_the_full_assembly(name):
     # on normal form the second-order pass skips the bracket terms, which
     # are exact zeros there ([e_a, e_b] is vertical, [xi, e_a] = 0, G reads
     # no t); its curvature fields keep the bits of the full assembly, also
-    # at the origin and at coordinates of +0.0 and -0.0
+    # at the origin and at coordinates of +0.0 and -0.0; both read the
+    # Koszul sum of the general path's D
     chart = M.heisenberg(3) if name == "heisenberg(3)" else _chart(name)
     X = domain_points(chart, 40, seed=13)
     zero = np.random.default_rng(14).random(X.shape) < 0.4
@@ -431,13 +430,13 @@ def test_normal_form_curvature_pass_is_the_full_assembly(name):
     X[20:][zero[20:]] = -0.0
     X[0], X[1] = 0.0, -0.0
     arr = M.chart_arrays(chart, X, order=2)
-    Br, Minv, _ = C.frame_brackets(arr, True)
+    Br, Minv, cfull = C.frame_brackets(arr, True)
+    D = C._transport_data(arr, dataclasses.replace(chart), cfull, C.reeb_brackets(arr, Minv)).D
     fields = ("R", "RW", "N", "alpha", "domega")
     out = []
     for normal_form in (True, False):
         data = C.frame_data(chart, X, order=1)
-        K, _, _ = C._koszul(arr.E, arr.G, arr.dG, data.c, chart.blocks)
-        C._curvature_inplace(arr, Br, Minv, K, data, normal_form)
+        C._curvature_inplace(arr, Br, Minv, C._koszul_sum(D), data, normal_form)
         out.append([np.ascontiguousarray(getattr(data, f)).tobytes() for f in fields])
     for f, lean, full in zip(fields, *out):
         assert lean == full, f
@@ -462,7 +461,7 @@ def test_horizontal_transport_data_reads_the_metric_alone(charts, monkeypatch):
     assert len(calls) > 3 and set(calls) == {("G",)}
     calls.clear()
     X = domain_points(chart, 8, seed=12)
-    C.transport_data(chart, X, vertical=True)
+    C.transport_data(chart, X)
     C.transport_data(dataclasses.replace(chart), X)
     assert calls == [("G",), ("xi", "E", "G")]
 
@@ -538,9 +537,9 @@ def test_equivalence_check_evaluates_a_normal_form_loop_once(name, kind, calls, 
         seen.extend([("chart_arrays", len(X))] if order == 0 else [])
         return evaluate(c, X, order, **kwargs)
 
-    def connected(c, X, vertical=False):
+    def connected(c, X):
         seen.append(("transport_data", len(X)))
-        return connect(c, X, vertical)
+        return connect(c, X)
 
     monkeypatch.setattr(T, "chart_arrays", evaluated)
     monkeypatch.setattr(T, "transport_data", connected)

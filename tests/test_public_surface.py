@@ -78,11 +78,25 @@ def test_chart_options_are_pinned():
 
 
 def test_transport_data_is_pinned():
-    # the rates kernel reads these fields, and its Reeb velocity is optional
+    # the rates kernel reads these fields, and its Reeb velocity is optional;
+    # the data take no switch: the Reeb term is read exactly when a Reeb
+    # velocity is passed
     import inspect
     from dataclasses import fields
 
-    from kcontact.connection import TransportData
+    from kcontact.connection import TransportData, transport_data
 
     assert [f.name for f in fields(TransportData)] == ["Ginv", "D", "xi_coeffs"]
     assert str(inspect.signature(TransportData.rates)) == "(self, u, w=None)"
+    assert str(inspect.signature(transport_data)) == "(chart, X)"
+
+
+def test_split_and_complex_structure_take_their_size_from_the_algebra():
+    # the size of the matrices is the algebra's, the zero algebra's included
+    import inspect
+
+    from kcontact.holonomy import detect_complex_structure
+    from kcontact.transverse import split_distribution
+
+    assert str(inspect.signature(split_distribution)) == "(h: 'MatrixLieAlgebra')"
+    assert str(inspect.signature(detect_complex_structure)) == "(h: 'MatrixLieAlgebra')"

@@ -276,7 +276,7 @@ def test_sampled_transports_match_stage_walk(charts, name, eps):
 
     for kind in T.TRANSPORT_KINDS:
         sc = sample(kind)
-        A = -C.transport_data(chart, sc.xs, vertical=kind == "adapted").rates(sc.us, sc.ws)
+        A = -C.transport_data(chart, sc.xs).rates(sc.us, sc.ws if kind == "adapted" else None)
         (ref,) = integrate_sampled_reference(sc, lambda i, y: (A[i] @ y[0],), (eye,))
         assert np.max(np.abs(T._transport_sampled(chart, sc, kind) - ref)) < 1e-13, kind
         sc = sample(kind, T.THETA_STEP)
@@ -777,10 +777,10 @@ def test_transport_pass_evaluates_blocks_of_steps(charts, monkeypatch, rotated, 
     counts = {"calls": 0, "points": 0}
     evaluate = T.transport_data
 
-    def counting(chart, X, vertical=False):
+    def counting(chart, X):
         counts["calls"] += 1
         counts["points"] += int(np.prod(np.shape(X)[:-1]))
-        return evaluate(chart, X, vertical=vertical)
+        return evaluate(chart, X)
 
     monkeypatch.setattr(T, "transport_data", counting)
     if n_paths is None:
@@ -806,9 +806,9 @@ def test_transport_pass_evaluates_its_shared_start_once(charts, monkeypatch, rot
     xs, _, h = T._integrate_positions(chart, paths, 0.02, raise_on_exit=False)
     evaluate, shapes = T.transport_data, []
 
-    def recording(chart, X, vertical=False):
+    def recording(chart, X):
         shapes.append(np.shape(X))
-        return evaluate(chart, X, vertical=vertical)
+        return evaluate(chart, X)
 
     monkeypatch.setattr(T, "transport_data", recording)
     got = T._transport_positions(chart, xs, paths, h)
@@ -915,15 +915,16 @@ def test_rhs_matches_reference(m, batch, part):
         assert got.shape == ref.shape
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
         return
-    # the built chart is in normal form, where the Reeb term adds exact
-    # zeros; its gauge mixes two frame directions with t, so its Reeb term
-    # is not zero
+    # the built chart is in normal form, whose data carry no Reeb term; its
+    # gauge mixes two frame directions with t, so the gauged chart's data
+    # always carry a nonzero one
     for c in (chart, gauged_chart(chart, (1, 2), 0.7)):
-        for uw in ((u, w), (u, np.zeros_like(w))):  # the adapted and the horizontal rates
-            data = C.transport_data(c, x, vertical=bool(np.any(uw[1])))
-            assert (data.xi_coeffs is not None and np.any(data.xi_coeffs)) == (
-                c is not chart and bool(np.any(uw[1])))
-            got, ref = data.rates(*uw), connection_rates_reference(c, x, *uw)
+        data = C.transport_data(c, x)
+        assert (data.xi_coeffs is None) == c.normal_form == (c is chart)
+        assert c.normal_form or np.any(data.xi_coeffs)
+        for v in (w, None):  # the adapted and the horizontal rates
+            got = data.rates(u, v)
+            ref = connection_rates_reference(c, x, u, np.zeros_like(w) if v is None else v)
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
@@ -951,8 +952,9 @@ def test_connection_rates_match_the_gamma_route(charts, name):
     X = domain_points(chart, 64, seed=41)
     rng = np.random.default_rng(42)
     u, w = rng.normal(size=(64, 2 * chart.m)), rng.normal(size=64)
+    data = C.transport_data(chart, X)
     for vertical in (False, True):
-        got = C.transport_data(chart, X, vertical).rates(u, w if vertical else None)
+        got = data.rates(u, w if vertical else None)
         ref = connection_rates_reference(chart, X, u, w if vertical else np.zeros(64))
         assert got.shape == ref.shape == (64, 2 * chart.m, 2 * chart.m)
         assert np.max(np.abs(got - ref)) <= 2e-15 * np.max(np.abs(ref))

@@ -72,14 +72,14 @@ def test_ricci_form_contract(charts):
 
 def test_split_distribution_cases(charts, algebra_cache):
     h0 = algebra_cache("disc_disc_12", 0, "adapted")
-    split = TV.split_distribution(h0, size=4)
+    split = TV.split_distribution(h0)
     assert split.blocks == [(0, 1), (2, 3)]
     assert split.trivial == ()
     hb = algebra_cache("bergman", 0, "adapted")
-    split_b = TV.split_distribution(hb, size=4)
+    split_b = TV.split_distribution(hb)
     assert split_b.blocks == [(0, 1, 2, 3)]
     assert split_b.trivial == ()
-    trivial = TV.split_distribution(H.lie_closure(np.zeros((0, 4, 4))), size=4)
+    trivial = TV.split_distribution(H.lie_closure(np.zeros((0, 4, 4))))
     assert trivial.blocks == [] and trivial.trivial == (0, 1, 2, 3)
 
 
@@ -90,13 +90,13 @@ def test_split_refuses_blocks_across_frame_indices():
     q = np.array([0.0, 1.0, 0.0, 1.0]) / np.sqrt(2.0)
     h = H.lie_closure((np.outer(p, q) - np.outer(q, p))[None])
     with pytest.raises(NumericsError, match="do not align with frame indices"):
-        TV.split_distribution(h, size=4)
+        TV.split_distribution(h)
 
 
 def test_split_invariance_postcondition(charts, algebra_cache):
     for name in ["disc_disc_11", "bergman"]:
         h0 = algebra_cache(name, 0, "adapted")
-        split = TV.split_distribution(h0, size=4)
+        split = TV.split_distribution(h0)
         for B in h0.basis:
             for blk in split.blocks:
                 other = [i for i in range(4) if i not in blk]
@@ -200,7 +200,7 @@ def test_einstein_regression_chain(charts, algebra_cache):
 
 def test_regression_requires_blocks_and_points(charts, algebra_cache):
     chart = charts["heisenberg"]
-    split = TV.split_distribution(algebra_cache("heisenberg", 0, "adapted"), size=4)
+    split = TV.split_distribution(algebra_cache("heisenberg", 0, "adapted"))
     pts = domain_points(chart, 12, seed=9)
     with pytest.raises(ChartError):
         TV.dtheta_regression(*ortho_ricci(chart, pts), split)
