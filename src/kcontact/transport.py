@@ -14,8 +14,9 @@ escapes, then one RK4 pass transports the frame, reading the connection
 at each step's end and at its cubic-Hermite midpoint, in one call per
 block of steps on every chart, ends first.  On a chart in normal form
 (``ContactChart.normal_form``: xi = d/dt, frame d/dx_a + f_a d/dt, no
-coefficient reading t) the horizontal coordinates are running sums of one
-RK4 increment, t needs one order-0 evaluation per ``ROWS`` steps, a
+coefficient reading t) the horizontal coordinates of a whole path are one
+running sum of its segments' RK4 increments, t needs one order-0
+evaluation per ``ROWS`` steps of the batch, a
 transport reads ``G`` alone at plain midpoints, the Reeb flow is array
 arithmetic on t, and the equivalence check evaluates its loop once for
 both of its transports; the bits are those of the general path.  Both
@@ -36,7 +37,8 @@ every theta-integral: the total, and the cumulative one that adds each
 step's Newton-Cotes midpoint.  Theta-integrals of parametric curves (the
 loop builder's probes) evaluate theta alone, without the frame split.
 The loop builder finds the radius of its second circle with
-:func:`_brentq`, the package's own bracketed root finder (Brent's method).
+:func:`_brentq`, the package's own bracketed root finder (Brent's method),
+whose probes share one sampled grid of the circle's radius-free parts.
 """
 
 from __future__ import annotations
@@ -246,23 +248,22 @@ def _integrate_positions(chart, paths, step, raise_on_exit=True):
     Returns ``(xs, alive, h)``: ``xs[p, k, i]`` is the position after i
     steps of segment k (a segment's last sample is the next one's first).
     With ``raise_on_exit=False`` escaped paths freeze and are flagged in
-    ``alive`` instead of raising.  On a chart in normal form each segment
-    takes :func:`_normal_form_segment` instead, with the same bits.
+    ``alive`` instead of raising.  On a chart in normal form the whole
+    paths take :func:`_normal_form_positions` instead, in one batch, with
+    the same bits.
     """
     x, controls = _path_arrays(paths)
     P_, K, _ = controls.shape
     seg = paths[0].horizon / K
     steps = _even_steps(seg, step)
     h = seg / steps
+    if chart.normal_form:
+        return (*_normal_form_positions(chart, x, controls, steps, h, raise_on_exit), h)
     xs = np.empty((P_, K, steps + 1, x.shape[-1]))
     alive = np.ones(P_, dtype=bool)
     for k in range(K):
         u = controls[:, k, :]
         xs[:, k, 0] = x
-        if chart.normal_form:
-            _normal_form_segment(chart, xs[:, k], alive, u, h, raise_on_exit)
-            x = xs[:, k, -1]
-            continue
         for i in range(1, steps + 1):
             (xn,) = _rk4_step(lambda s, y: (_rhs(chart, y[0], u),), (x,), h)
             # escaped paths stay frozen just outside the boundary, where
@@ -281,44 +282,48 @@ def _exit(bad, what="curve"):
     raise DomainError(f"{what} left the chart domain at {bad}", point=bad)
 
 
-def _normal_form_segment(chart, xs, alive, u, h, raise_on_exit):
-    """Fill the positions ``xs[:, 1:]`` of one segment on a chart in normal
-    form, from its first samples ``xs[:, 0]``, as :func:`_integrate_positions`.
+def _normal_form_positions(chart, x0, controls, steps, h, raise_on_exit):
+    """``(xs, alive)`` of :func:`_integrate_positions` on a chart in normal
+    form, for paths from ``x0`` with ``controls`` (K segments of ``steps``
+    RK4 steps of size h), every segment of a path in one batch.
 
-    The horizontal velocity is the control u itself, so every RK4 step moves
-    the horizontal coordinates by the same increment, and they are its
-    running sums.  Only the t-velocity f_a u^a needs the chart, at
-    three points per step: its start, its midpoint (both midpoint stages
-    share it, since f does not read t) and its end.  Each row is evaluated
-    up to its first step that ends outside the domain whatever t, through
-    :func:`_rhs`, one order-0 call per ``ROWS`` steps; then t is summed,
-    escapes are found, and escaped rows freeze at their first exit.  Sums
-    and products are those of :func:`_rk4_step`.
+    The horizontal velocity is the control u itself, so every RK4 step of a
+    segment moves the horizontal coordinates by the same increment, and
+    along the path they are one running sum of the segments' increments.
+    Only the t-velocity f_a u^a needs the chart, at three points per step:
+    its start, its midpoint (both midpoint stages share it, since f does not
+    read t) and its end.  Each row is evaluated up to its first step that
+    ends outside the domain whatever t, or to the path's end, through
+    :func:`_rhs`, one order-0 call per ``ROWS`` steps, whose stage points
+    are built in the chunk; then t is one running sum, escapes are found,
+    and escaped rows freeze at their first exit.  So a row that leaves
+    through t alone is evaluated past that exit, and those values are
+    dropped.  Sums and products are those of :func:`_rk4_step`.
     """
-    _, per, n = xs.shape
-    tm = n - 1
-    xs[~alive, 1:] = xs[~alive, :1]
-    live = np.nonzero(alive)[0]
-    u = u[live]
-    # X[:, i] is the position after i steps; t is held until it is summed
-    X = np.repeat(xs[live, :1], per, axis=1)
-    X[:, 1:, :tm] = ((h / 6.0) * (u + 2.0 * u + 2.0 * u + u))[:, None]
+    P_, K, tm = controls.shape
+    # X[:, i] is the position after i steps of the path; t is held until it is summed
+    X = np.repeat(x0[:, None], K * steps + 1, axis=1)
+    inc = (h / 6.0) * (controls + 2.0 * controls + 2.0 * controls + controls)
+    X[:, 1:, :tm] = np.repeat(inc, steps, axis=1)
     X[..., :tm] = np.cumsum(X[..., :tm], axis=1)
-    todo = np.ones((len(live), per - 1), dtype=bool)
+    todo = np.ones((P_, K * steps), dtype=bool)
     todo[:, 1:] = np.logical_and.accumulate(chart.domain.contains(X[:, 1:-1, :tm]), axis=1)
-    rows = np.nonzero(todo)[0]
-    pts = np.repeat(X[:, :-1][todo][:, None], 3, axis=1)
-    pts[:, 1, :tm] += (0.5 * h) * u[rows]
-    pts[:, 2, :tm] += h * u[rows]
-    vt = np.zeros(todo.shape + (3,))
-    sel = np.empty((len(pts), 3))
-    for a in range(0, len(pts), ROWS):
-        sel[a:a + ROWS] = _rhs(chart, pts[a:a + ROWS], u[rows[a:a + ROWS], None])[..., -1]
-    vt[todo] = sel
-    X[:, 1:, tm] = (h / 6.0) * (vt[..., 0] + 2.0 * vt[..., 1] + 2.0 * vt[..., 1] + vt[..., 2])
+    rows, at = np.nonzero(todo)
+    vt = np.empty((len(rows), 3))
+    for a in range(0, len(rows), ROWS):
+        r, i = rows[a:a + ROWS], at[a:a + ROWS]
+        u = controls[r, i // steps]
+        pts = np.repeat(X[r, i, None], 3, axis=1)
+        pts[:, 1, :tm] += (0.5 * h) * u
+        pts[:, 2, :tm] += h * u
+        vt[a:a + ROWS] = _rhs(chart, pts, u[:, None])[..., -1]
+    dt = np.zeros(todo.shape)
+    dt[todo] = (h / 6.0) * (vt[:, 0] + 2.0 * vt[:, 1] + 2.0 * vt[:, 1] + vt[:, 2])
+    X[:, 1:, tm] = dt
     X[..., tm] = np.cumsum(X[..., tm], axis=1)
     out = ~chart.domain.contains(X[:, 1:])
     esc = np.nonzero(np.any(out, axis=1))[0]
+    alive = np.ones(P_, dtype=bool)
     if len(esc):
         first = np.argmax(out, axis=1)
         if raise_on_exit:
@@ -326,8 +331,9 @@ def _normal_form_segment(chart, xs, alive, u, h, raise_on_exit):
             _exit(X[np.nonzero(out[:, i])[0][0], i + 1])
         for r in esc:
             X[r, first[r] + 2:] = X[r, first[r] + 1]
-        alive[live[esc]] = False
-    xs[live, 1:] = X[:, 1:]
+        alive[esc] = False
+    # segment k holds the path's samples k * steps, ..., (k + 1) * steps
+    return X[:, np.arange(K)[:, None] * steps + np.arange(steps + 1)], alive
 
 
 def _transport_positions(chart, xs, paths, h):
@@ -438,9 +444,14 @@ def _sample_parametric(chart, curve, step, split=True):
         piece_slices.append((offset, offset + k))
         offset += k + 1
         t0 += dur
-    ts = np.concatenate(ts_all)
-    xs = np.concatenate(xs_all, axis=0)
-    vs = np.concatenate(vs_all, axis=0)
+    return _parametric_samples(chart, np.concatenate(ts_all), np.concatenate(xs_all, axis=0),
+                               np.concatenate(vs_all, axis=0), piece_slices, split)
+
+
+def _parametric_samples(chart, ts, xs, vs, piece_slices, split=True):
+    """The :class:`SampledCurve` of :func:`_sample_parametric` from its
+    parameters ``ts``, positions ``xs`` and velocities ``vs``, after the
+    domain check."""
     inside = chart.domain.contains(xs)
     if not np.all(inside):
         _exit(xs[~inside][0])
@@ -766,28 +777,46 @@ def isometry_residual(chart, x0, sampler: SamplerConfig):
     return float(np.max(np.abs(np.einsum("pji,pjk->pik", taus_o, taus_o) - eye)))
 
 
+def _circle_grid(s, phase, orientation, t_amp):
+    """The radius-free parts of a circle piece's samples at the parameters
+    s: cos and sin of its angles, its t-wiggle and the wiggle's s-velocity."""
+    ang = phase + orientation * 2.0 * np.pi * s
+    return (np.cos(ang), np.sin(ang), t_amp * np.sin(2.0 * np.pi * s),
+            t_amp * 2.0 * np.pi * np.cos(2.0 * np.pi * s))
+
+
+def _circle_pos(x0, pair, radius, phase, grid, t_index):
+    """Positions of a circle piece (:func:`_circle_piece`) on the ``grid``
+    of :func:`_circle_grid`."""
+    (i, j), (cos, sin, wiggle, _) = pair, grid
+    out = np.tile(x0, (len(cos), 1))
+    out[:, i] = x0[i] - radius * np.cos(phase) + radius * cos
+    out[:, j] = x0[j] - radius * np.sin(phase) + radius * sin
+    out[:, t_index] = x0[t_index] + wiggle
+    return out
+
+
+def _circle_vel(x0, pair, radius, orientation, grid, t_index):
+    """s-velocities of a circle piece on the ``grid`` of :func:`_circle_grid`."""
+    (i, j), (cos, sin, _, dwiggle) = pair, grid
+    out = np.zeros((len(cos), len(x0)))
+    out[:, i] = -radius * orientation * 2.0 * np.pi * sin
+    out[:, j] = radius * orientation * 2.0 * np.pi * cos
+    out[:, t_index] = dwiggle
+    return out
+
+
 def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp, t_index):
     """One full coordinate circle through x0 in the given coordinate pair,
     with a closed wiggle of amplitude ``t_amp`` in the coordinate ``t_index``."""
-    i, j = pair
-    cx = x0[i] - radius * np.cos(phase)
-    cy = x0[j] - radius * np.sin(phase)
 
     def pos(s):
-        ang = phase + orientation * 2.0 * np.pi * s
-        out = np.tile(x0, (len(s), 1))
-        out[:, i] = cx + radius * np.cos(ang)
-        out[:, j] = cy + radius * np.sin(ang)
-        out[:, t_index] = x0[t_index] + t_amp * np.sin(2.0 * np.pi * s)
-        return out
+        return _circle_pos(x0, pair, radius, phase, _circle_grid(s, phase, orientation, t_amp),
+                           t_index)
 
     def vel(s):
-        ang = phase + orientation * 2.0 * np.pi * s
-        out = np.zeros((len(s), len(x0)))
-        out[:, i] = -radius * orientation * 2.0 * np.pi * np.sin(ang)
-        out[:, j] = radius * orientation * 2.0 * np.pi * np.cos(ang)
-        out[:, t_index] = t_amp * 2.0 * np.pi * np.cos(2.0 * np.pi * s)
-        return out
+        return _circle_vel(x0, pair, radius, orientation,
+                           _circle_grid(s, phase, orientation, t_amp), t_index)
 
     return (duration, pos, vel)
 
@@ -795,6 +824,26 @@ def _circle_piece(x0, pair, radius, phase, orientation, duration, t_amp, t_index
 def _loop_theta_integral(chart, pieces):
     curve = ParametricCurve(pieces)
     return _theta_integral(_sample_parametric(chart, curve, LOOP_STEP, split=False))
+
+
+def _circle_theta(chart, x0, pair, phase, orientation, t_amp, t_index):
+    """The theta-integral of the unit-duration circle piece
+    ``_circle_piece(x0, pair, r, phase, orientation, 1.0, t_amp, t_index)``
+    as a function of its radius r, with the bits of
+    :func:`_loop_theta_integral` on that one piece: its ``LOOP_STEP`` grid
+    and the radius-free parts are sampled once, and each call forms the
+    positions and velocities from them (the time ``0.0 + s * 1.0`` of
+    :func:`_sample_parametric` is s itself, and so is ``vel(s) / 1.0``)."""
+    k = _even_steps(1.0, LOOP_STEP)
+    s = np.linspace(0.0, 1.0, k + 1)
+    grid = _circle_grid(s, phase, orientation, t_amp)
+
+    def theta(radius):
+        xs = _circle_pos(x0, pair, radius, phase, grid, t_index)
+        vs = _circle_vel(x0, pair, radius, orientation, grid, t_index)
+        return _theta_integral(_parametric_samples(chart, s, xs, vs, [(0, k)], split=False))
+
+    return theta
 
 
 def _brentq(f, a, b, xtol, rtol, maxiter=100):
@@ -842,7 +891,10 @@ def balanced_loop(chart, x0, rng):
     circle in another pair whose radius is root-found so the two
     theta-integrals cancel; closed t-wiggles make the loop non-horizontal
     without contributing to the integral.  The root-finding probes and the
-    final check evaluate theta alone.  The circles lie in the coordinate
+    final check evaluate theta alone; the probes of one orientation share
+    one sampled grid of the second circle's radius-free parts
+    (:func:`_circle_theta`), and each forms only its positions and
+    velocities.  The circles lie in the coordinate
     pairs ``(2k, 2k + 1)``, k < m.  A try ends when any of its circles
     leaves the chart; after ``LOOP_TRIES`` tries :class:`SamplingError`.
     """
@@ -861,12 +913,8 @@ def balanced_loop(chart, x0, rng):
         try:
             base_val = _loop_theta_integral(chart, [base])
             for orient in (-1.0, +1.0):
-
-                def total(r2, orient=orient):
-                    second = _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)
-                    return base_val + _loop_theta_integral(chart, [second])
-
-                r2 = _brentq(total, lo, hi, xtol=1e-13, rtol=1e-15)
+                theta = _circle_theta(chart, x0, p2, ph2, orient, amp, tidx)
+                r2 = _brentq(lambda r: base_val + theta(r), lo, hi, xtol=1e-13, rtol=1e-15)
                 if r2 is None:
                     continue
                 pieces = [base, _circle_piece(x0, p2, r2, ph2, orient, 1.0, amp, tidx)]

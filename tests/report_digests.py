@@ -64,11 +64,22 @@ shows before any report rounds it away.  These, the algebra and the
 frame-data digests use public names only, so ``--compare`` runs them on
 older checkouts too.
 
+And 25 probe digests, one per loop above (``probe``, config, seed): every
+probe of the loop builder's root finds, recorded by wrapping the ``f``
+that ``transport._brentq`` is handed.  And 64 positions digests (``positions``,
+chart/paths/horizon, seed): ``xs`` and ``alive`` of the positions pass
+``transport._integrate_positions`` on each chart of ``digest_charts``,
+whose normal-form route takes a whole path in one batch, at 8 and 64
+first draws, two seeds and horizons 1.2 and 2.4, and the exit that a
+raising pass names.  These two read the private ``_brentq``,
+``_draw_path`` and ``_integrate_positions``, so ``--compare`` runs them
+only on checkouts that have those names with these call shapes.
+
 ``--compare`` renders each checkout in a fresh process that imports
 ``kcontact`` from that checkout's ``src/`` and the workloads from its
 ``kbench/``, prints every entry whose digest differs (for a chart-array,
-algebra, frame-data, loop or pass entry, each array whose digest changed), and
-exits 1 unless all are byte-identical.  For each differing report it also
+algebra, frame-data, loop, pass, probe or positions entry, each array
+whose digest changed), and exits 1 unless all are byte-identical.  For each differing report it also
 prints the largest relative change ``|new - old| / max(1, |old|)`` over
 the report's float leaves, and lists every leaf (float, int, bool,
 string, list) or shape that differs, so both "last bits only, structure
@@ -129,6 +140,8 @@ CHART_FIELD_MIXES = [("th", "xi", "E", "G"), ("th",), ("E",), ("G",), ("th", "xi
 CHART_POINTS = 40
 # (paths, seed) of the sampling-pass digests
 PASS_SAMPLER = {"n_paths": 16, "seed": 3}
+# paths, seeds and horizons of the positions-pass digests
+POSITIONS_PATHS, POSITIONS_SEEDS, POSITIONS_HORIZONS = (8, 64), (0, 1), (1.2, 2.4)
 
 
 def chart_points(n):
@@ -204,6 +217,40 @@ def pass_digests(root):
     return rows
 
 
+def positions_digests():
+    """``("positions", "label/paths/horizon", seed, text)`` of every chart of
+    ``digest_charts`` at each of ``POSITIONS_PATHS``, ``POSITIONS_SEEDS``
+    and ``POSITIONS_HORIZONS``: ``text`` holds, as JSON, the SHA-256 digest
+    of the bytes of ``xs`` and ``alive`` of ``_integrate_positions`` with
+    ``raise_on_exit=False`` on the first draws (``_draw_path``, attempt 0)
+    from the chart's origin, the sampler's other fields at their defaults,
+    and of the message of the :class:`DomainError` that the same pass
+    raises with ``raise_on_exit=True``, if any."""
+    from kcontact.errors import DomainError
+    from kcontact.transport import SamplerConfig, _draw_path, _integrate_positions
+
+    rows = []
+    for label, chart in digest_charts().items():
+        for n_paths in POSITIONS_PATHS:
+            for seed in POSITIONS_SEEDS:
+                for horizon in POSITIONS_HORIZONS:
+                    sc = SamplerConfig(n_paths=n_paths, seed=seed, horizon=horizon)
+                    paths = [_draw_path(chart, chart.origin(), sc.segments, horizon, sc.magnitude,
+                                        seed, sc.step, i, 0) for i in range(n_paths)]
+                    xs, alive, _ = _integrate_positions(chart, paths, sc.step, raise_on_exit=False)
+                    try:
+                        _integrate_positions(chart, paths, sc.step)
+                        raised = ""
+                    except DomainError as exc:
+                        raised = str(exc)
+                    digests = {k: hashlib.sha256(a).hexdigest() for k, a in
+                               (("xs", xs.tobytes()), ("alive", alive.tobytes()),
+                                ("raised", raised.encode()))}
+                    rows.append(("positions", f"{label}/{n_paths}/{horizon}", seed,
+                                 json.dumps(digests, sort_keys=True)))
+    return rows
+
+
 def reports(root):
     """``(workload, label, seed, text)`` of every report, rendered from ``root``."""
     root = Path(root).resolve()
@@ -230,7 +277,7 @@ def reports(root):
         cfg.sampler = replace(cfg.sampler, **fields)
         rows += holonomy_rows("partly_shared", label, cfg)
     return (rows + general_path_reports(root) + chart_digests() + frame_digests()
-            + loop_digests(root) + pass_digests(root))
+            + loop_digests(root) + pass_digests(root) + positions_digests())
 
 
 def holonomy_rows(workload, label, cfg):
@@ -269,18 +316,44 @@ def holonomy_rows(workload, label, cfg):
 def loop_digests(root):
     """``("loop", label, seed, text)`` of each ``verify_shipped`` report:
     ``text`` holds, as JSON, the SHA-256 digest of the bytes of each array
-    of its loop named in the module docstring."""
+    of its loop named in the module docstring.  And its ``("probe", label,
+    seed, text)``: ``text`` holds the SHA-256 digest of every probe of the
+    loop builder's root finds, in call order, recorded by wrapping the
+    ``f`` that ``transport._brentq`` is handed (the radius and the value as
+    float hex, or the message of the :class:`DomainError` it raised)."""
     import workloads
     from kcontact import chart_from_config
+    from kcontact import transport as T
+    from kcontact.errors import DomainError
     from kcontact.transport import (LOOP_STEP, balanced_loop, sample_curve, transport,
                                     transport_equivalence_check)
+
+    brentq, probes = T._brentq, []
+
+    def recording(f, a, b, *args, **kwargs):
+        def probe(x):
+            try:
+                value = f(x)
+            except DomainError as exc:
+                probes.append([float(x).hex(), str(exc)])
+                raise
+            probes.append([float(x).hex(), float(value).hex()])
+            return value
+        return brentq(probe, a, b, *args, **kwargs)
 
     workload = workloads.load("verify_shipped", root)
     rows = []
     for label, cfg in workloads.block(workloads.build(workload), workload.sweeps):
         chart = chart_from_config(cfg.manifold)
         x0 = chart.origin() if cfg.base_point is None else np.asarray(cfg.base_point, dtype=float)
-        loop = balanced_loop(chart, x0, np.random.default_rng(cfg.sampler.seed + 1))
+        probes.clear()
+        T._brentq = recording
+        try:
+            loop = balanced_loop(chart, x0, np.random.default_rng(cfg.sampler.seed + 1))
+        finally:
+            T._brentq = brentq
+        rows.append(("probe", label, cfg.sampler.seed, json.dumps(
+            {"probes": hashlib.sha256(json.dumps(probes).encode()).hexdigest()})))
         sc = sample_curve(chart, loop, LOOP_STEP)
         _, tilde = transport_equivalence_check(chart, sc)
         arrays = {"xs_horizontal": tilde.xs[:, :-1], "xs_t": tilde.xs[:, -1]}
@@ -430,7 +503,8 @@ def compare(old, new):
         print("only in one checkout:", *key)
     kinds = {"algebra": "algebra digests", "chart_arrays": "chart-array digests",
              "frame_data": "frame-data digests", "loop": "loop digests",
-             "pass": "pass digests"}
+             "pass": "pass digests", "positions": "positions digests",
+             "probe": "probe digests"}
     for what in ("reports", *kinds.values()):
         keys = {k for k in a.keys() | b.keys() if kinds.get(k[0], "reports") == what}
         same = sum(k in a and k in b and a[k] == b[k] for k in keys)

@@ -60,27 +60,60 @@ def both_ways(chart, run):
         return run(chart), run(dataclasses.replace(chart))
 
 
-@pytest.mark.parametrize("t_frac", [0.0, 0.9])
-@pytest.mark.parametrize("name", CONFIGS)
+# a disc of b = 100 beside a unit disc: t moves 100 times faster along the
+# first, so most rows leave through t alone
+T_ONLY = {"type": "product", "factors": [{"kind": "poincare_disc", "b": 100.0},
+                                         {"kind": "poincare_disc"}]}
+
+
+def _first_exits(chart, xs, alive):
+    """``(step, segment, through t alone, point)`` of each escaped row's
+    first position outside the domain, in row order: its step along the
+    path, its segment, whether its horizontal coordinates are still inside,
+    and its bytes."""
+    P_, K, per, n = xs.shape
+    path = xs[:, :, 1:].reshape(P_, K * (per - 1), n)
+    step = np.argmax(~chart.domain.contains(path), axis=1)
+    return [(s, s // (per - 1), bool(chart.domain.contains(path[p, s, :-1])), path[p, s].tobytes())
+            for p, s in zip(np.nonzero(~alive)[0], step[~alive])]
+
+
+@pytest.mark.parametrize("name,t_frac", [(name, t_frac) for name in CONFIGS for t_frac in (0.0, 0.9)]
+                         + [("disc_b100_disc", 0.0)])
 def test_positions_pass_matches_general_path(name, t_frac):
-    # 24 rows; from t = 0 some rows leave the balls or the box, from t near
-    # the top of the box most leave through t, whose velocity the chart gives
-    chart = _chart(name)
+    # 24 rows of 3 segments, and 24 of 6 segments over twice the horizon at
+    # 0.6 of the magnitude; from t = 0 some rows leave the balls or the box,
+    # those of 6 segments in segments 2 and 4 too, from t near the top of
+    # the box many leave through t alone, whose velocity the chart gives,
+    # and on T_ONLY most do from t = 0.  The normal-form pass evaluates such
+    # a row on to its horizontal exit or the path's end and drops those
+    # values; xs, alive and the exit that a raising pass names are the
+    # general route's, and that exit is the earliest one, of the lowest row
+    chart = M.chart_from_config(CONFIGS.get(name, T_ONLY))
     x0 = np.zeros(chart.dim)
     x0[-1] = t_frac * chart.domain.hi[-1]
     mag = 3.0 if name == "heisenberg" else 0.9
-    paths = [T._draw_path(chart, x0, 3, 1.2, mag, 7, 0.02, i, 0) for i in range(24)]
+    exits = []
+    for segments, horizon, scale in ((3, 1.2, 1.0), (6, 2.4, 0.6)):
+        paths = [T._draw_path(chart, x0, segments, horizon, scale * mag, 7, 0.02, i, 0)
+                 for i in range(24)]
 
-    def run(c):
-        xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
-        raised = _outcome(lambda: T._integrate_positions(c, paths, 0.02))
-        return xs.tobytes(), alive.tobytes(), h, alive, raised
+        def run(c):
+            xs, alive, h = T._integrate_positions(c, paths, 0.02, raise_on_exit=False)
+            raised = _outcome(lambda: T._integrate_positions(c, paths, 0.02))
+            return xs.tobytes(), alive.tobytes(), h, raised, xs, alive
 
-    (*fast, alive, raised), (*slow, _, raised_slow) = both_ways(chart, run)
-    assert fast == slow
-    assert raised == raised_slow
-    assert 0 < alive.sum() < len(paths)
-    assert raised[0].startswith("curve left the chart domain at")
+        (*fast, xs, alive), (*slow, _, _) = both_ways(chart, run)
+        assert fast == slow
+        exits.append(_first_exits(chart, xs, alive))
+        message, point = fast[3]
+        assert message.startswith("curve left the chart domain at")
+        assert point == min(exits[-1], key=lambda e: e[0])[3]
+    assert 0 < len(exits[0]) < len(paths)
+    if name == "disc_b100_disc" or t_frac > 0.0:
+        assert any(t_alone for _, _, t_alone, _ in exits[0] + exits[1])
+    else:
+        assert {1, 3} <= {seg for _, seg, t_alone, _ in exits[1] if not t_alone}
 
 
 def test_positions_pass_with_every_row_frozen_matches_general_path(charts):

@@ -10,7 +10,7 @@ from kcontact import chart_from_config
 from kcontact import connection as C
 from kcontact import transport as T
 from kcontact.errors import ChartError, ConfigError, DomainError, SamplingError
-from kcontact.manifolds import ContactChart, Domain, FactorSpec, product_construction
+from kcontact.manifolds import EXAMPLES, ContactChart, Domain, FactorSpec, product_construction
 
 from conftest import WIDE_MIXES, domain_points
 from fd_oracles import (
@@ -492,6 +492,46 @@ def test_brentq_matches_scipy_on_loop_functions(charts, monkeypatch):
             T.balanced_loop(chart, chart.origin(), np.random.default_rng(seed))
     assert len(finds) >= 25 and all(want is not None for _, want in finds)
     assert all(_same_root(got, want) for got, want in finds)
+
+
+def _theta_or_exit(fn):
+    """The bytes of the theta-integral ``fn()``, or the message and point of
+    the :class:`DomainError` it raises."""
+    try:
+        return np.asarray(fn()).tobytes()
+    except DomainError as exc:
+        return str(exc), exc.point.tobytes()
+
+
+@pytest.mark.parametrize("name", [*EXAMPLES, *WIDE_MIXES])
+def test_circle_theta_matches_sampled_piece(charts, name):
+    # a root-finding probe of the loop builder, on the second circle's grid
+    # sampled once, gives the bytes of the sampled piece, at the bracket's
+    # ends and three radii between, both orientations, from the origin and
+    # from an interior point whose circles of the larger radii leave the
+    # chart (phase pi puts the circle beyond x0 in its first coordinate),
+    # where it raises the same one-line DomainError
+    chart = charts[name] if name in charts else chart_from_config(
+        {"type": "product", "factors": WIDE_MIXES[name]})
+    pair, tidx = (2 * chart.m - 2, 2 * chart.m - 1), chart.dim - 1
+    inner = chart.origin()
+    inner[pair[0]], inner[tidx] = chart.domain.hi[pair[0]] - 0.3, 0.5 * chart.domain.hi[tidx]
+    radii = T.LOOP_RADIUS * np.array([0.02, 0.4, 1.0, 1.6, 2.2])
+    phase, amp = np.random.default_rng(8).uniform(0, 2 * np.pi), 1.3 * T.LOOP_T_AMP
+    outcomes = []
+    for x0, ph in ((chart.origin(), phase), (inner, np.pi)):
+        for orient in (-1.0, 1.0):
+            theta = T._circle_theta(chart, x0, pair, ph, orient, amp, tidx)
+            for r in radii:
+                piece = T._circle_piece(x0, pair, r, ph, orient, 1.0, amp, tidx)
+                want = _theta_or_exit(lambda: T._loop_theta_integral(chart, [piece]))
+                assert _theta_or_exit(lambda: theta(r)) == want
+                outcomes.append(want)
+    raised = [o for o in outcomes if isinstance(o, tuple)]
+    assert 0 < len(raised) < len(outcomes) // 2
+    assert all(m.startswith("curve left the chart domain at") for m, _ in raised)
+    # numpy's print of a 7-coordinate point wraps onto a second line
+    assert chart.dim > 5 or all("\n" not in m for m, _ in raised)
 
 
 def _segment(a, b):
